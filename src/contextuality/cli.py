@@ -5,8 +5,8 @@ report-producing subcommands add `--emit-certificate` to include full
 certificate payloads instead of compact summaries.  Output is rendered
 with sorted keys, so identical inputs and seeds give byte-identical
 reports.  Exit codes: 0 when the run classified or reported, 2 on schema
-or input errors, 3 on an internal lattice violation (a bug sentinel that
-should never fire).
+or input errors, 3 on an internal lattice violation or a failed internal
+certificate check (bug sentinels that should never fire).
 """
 
 from __future__ import annotations
@@ -562,6 +562,9 @@ def main(argv=None) -> int:
         payload = args.func(args)
     except LatticeViolation as exc:
         print(f"internal lattice violation: {exc}", file=sys.stderr)
+        return 3
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

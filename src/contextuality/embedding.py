@@ -17,12 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import (
+    CertificateError,
     Feasibility,
     TooLargeError,
-    check_farkas,
-    check_solution,
     enumerate_vertices,
     format_fraction,
+    require_certificate,
     solve_eq_nonneg,
     to_fraction,
 )
@@ -529,15 +529,15 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
         if not assignments:
             farkas = tuple(Fraction(1) if i == len(rows) - 1 else Fraction(0)
                            for i in range(len(rows)))
-            assert check_farkas(rows, rhs, farkas)
+            require_certificate(rows, rhs, Feasibility(False, farkas=farkas),
+                                "embedding")
             return EmbedSharpResult(False, None, atom_indices, (), (),
                                     j, farkas, tuple(rhs))
-        res = solve_eq_nonneg(rows, rhs)
+        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
+                                  "embedding")
         if not res.feasible:
-            assert check_farkas(rows, rhs, res.farkas)
             return EmbedSharpResult(False, None, atom_indices, (),
                                     (), j, res.farkas, tuple(rhs))
-        assert check_solution(rows, rhs, res.x)
         rhs_used = rhs
         solutions.append(res.x)
 
@@ -568,9 +568,10 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
         if iota is not None:
             embedding = SimplexEmbedding(d=d, iota=iota, kappa=kappa)
             check = verify_embedding(embedding, gpt, tol)
-    assert check.passed, (
-        "state mixtures found but no verified linear embedding assembled: "
-        f"{check}")
+    if not check.passed:
+        raise CertificateError(
+            "state mixtures found but no verified linear embedding assembled: "
+            f"{check}")
     state_weights = tuple(tuple(solutions[j][k] for k in kept)
                           for j in range(gpt.n_states))
     return EmbedSharpResult(True, embedding, atom_indices, kept_assignments,
@@ -964,13 +965,12 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     feasible_any = False
     for choice in itertools.product(*problem.orthogonal_pairs):
         alive, rows, rhs = _pattern_system(problem, choice)
-        res = solve_eq_nonneg(rows, rhs)
+        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
+                                  "preparation pattern")
         if res.feasible:
-            assert check_solution(rows, rhs, res.x)
             feasible_any = True
             cases.append(PrepNcCase(choice, True, res.x, None))
         else:
-            assert check_farkas(rows, rhs, res.farkas)
             cases.append(PrepNcCase(choice, False, None, res.farkas))
     model = None
     if feasible_any and len(problem.decompositions) == 1:
@@ -1155,12 +1155,7 @@ def _hull_pair_feasibility(points_a, points_b) -> Feasibility:
     rhs.append(Fraction(1))
     rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
     rhs.append(Fraction(1))
-    res = solve_eq_nonneg(rows, rhs)
-    if res.feasible:
-        assert check_solution(rows, rhs, res.x)
-    else:
-        assert check_farkas(rows, rhs, res.farkas)
-    return res
+    return require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs), "hull pair")
 
 
 def pusey_incomplete_check(preps, *, declared_equivalences=None,
@@ -1220,11 +1215,9 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None,
     if declared_equivalences:
         rows, rhs = _equivalence_system(labels, polytopes,
                                         declared_equivalences)
-        res = solve_eq_nonneg(rows, rhs)
-        if res.feasible:
-            assert check_solution(rows, rhs, res.x)
-        else:
-            assert check_farkas(rows, rhs, res.farkas)
+        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
+                                  "equivalence")
+        if not res.feasible:
             equivalence_contextual = True
             equivalence_farkas = res.farkas
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import check_farkas, check_solution, format_fraction, solve_eq_nonneg
+from .exactlp import format_fraction, require_certificate, solve_eq_nonneg
 from .quantum import (
     eigen_projector,
     max_entangled,
@@ -339,14 +339,10 @@ def membership_lp(b: Behaviour) -> MembershipResult:
         columns.append([vb.p[c] for c in coords] + [Fraction(1)])
     rows = [[col[i] for col in columns] for i in range(len(coords) + 1)]
     rhs = [rb.p[c] for c in coords] + [Fraction(1)]
-    res = solve_eq_nonneg(rows, rhs)
+    res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs), "membership")
     if res.feasible:
-        if not check_solution(rows, rhs, res.x):
-            raise AssertionError("membership primal failed re-verification")
         return MembershipResult(inside=True, weights=res.x, separating=None,
                                 value=None, witness_vertex=None, behaviour=rb)
-    if not check_farkas(rows, rhs, res.farkas):
-        raise AssertionError("membership dual failed re-verification")
     y = res.farkas
     coeffs = {c: y[i] for i, c in enumerate(coords)}
     vertex_values = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactlp import check_farkas, check_solution, format_fraction, solve_eq_nonneg_pruned
+from .exactlp import format_fraction, require_certificate, solve_eq_nonneg_pruned
 from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationalize_model
 
 MAX_ASSIGNMENTS = 2 ** 24
@@ -120,17 +120,11 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    a_rows = [[Fraction(e) for e in row] for row in matrix.entries]
-    result = solve_eq_nonneg_pruned(a_rows, v)
-    if result.feasible:
-        if not check_solution(a_rows, v, result.x):
-            raise AssertionError("primal certificate failed re-verification")
-        return SectionFeasibility(feasible=True, primal=result.x, dual=None,
-                                  matrix=matrix, model=rational)
-    if not check_farkas(a_rows, v, result.farkas):
-        raise AssertionError("dual certificate failed re-verification")
-    return SectionFeasibility(feasible=False, primal=None, dual=result.farkas,
-                              matrix=matrix, model=rational)
+    result = require_certificate(matrix.entries, v,
+                                 solve_eq_nonneg_pruned(matrix.entries, v),
+                                 "global-section")
+    return SectionFeasibility(feasible=result.feasible, primal=result.x,
+                              dual=result.farkas, matrix=matrix, model=rational)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
-"""Independent numeric oracles shared by the solver and acceptance tests.
+"""Independent oracles shared by the solver and acceptance tests.
 
-These recompute expected values from first principles (Born rule plus a
-planar angle grid) without touching the package's solvers, so a test
-agreeing with them is evidence rather than circularity.
+The numeric oracles recompute expected values from first principles (Born
+rule plus a planar angle grid) without touching the package's solvers, so a
+test agreeing with them is evidence rather than circularity.
+`reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
+kernel must match pivot for pivot.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
+
+from contextuality.exactlp import Feasibility
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -47,3 +54,87 @@ def grid_scan_max(alpha=1.0):
                               for j in (j1, j2)]))[0],
         val)
     return fine
+
+
+def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
+                              b: Sequence[Fraction]) -> Feasibility:
+    """The ``Fraction`` Bland simplex that ``solve_eq_nonneg`` replaced, kept verbatim.
+
+    Dense revised phase-1 simplex with an explicit rational B^-1.  The
+    package's integer-preserving kernel must return equal ``Feasibility``
+    objects: the same pivots give the same solution or Farkas vector.
+    """
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    if m == 0:
+        return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
+    sign = [1] * m
+    cols: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
+    rhs: list[Fraction] = []
+    for i, row in enumerate(a_rows):
+        bi = Fraction(b[i])
+        if bi < 0:
+            sign[i] = -1
+            bi = -bi
+        rhs.append(bi)
+        for j in range(n):
+            v = Fraction(row[j])
+            cols[j][i] = -v if sign[i] < 0 else v
+
+    # Artificial variable i (column id n+i) starts basic in row i; B^-1 = I.
+    binv = [[Fraction(int(i == k)) for k in range(m)] for i in range(m)]
+    basis = list(range(n, n + m))
+    in_basis = [False] * n
+    xb = rhs[:]
+
+    def dual() -> list[Fraction]:
+        # y = c_B B^-1 with c_B = 1 exactly on rows still holding an artificial.
+        return [sum(binv[k][i] for k in range(m) if basis[k] >= n)
+                for i in range(m)]
+
+    while True:
+        y = dual()
+        enter = -1
+        for j in range(n):  # Bland: smallest structural index with negative reduced cost
+            if in_basis[j]:
+                continue
+            if sum(y[i] * cols[j][i] for i in range(m)) > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        d = [sum(binv[i][k] * cols[enter][k] for k in range(m)) for i in range(m)]
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            if d[i] > 0:
+                ratio = xb[i] / d[i]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("phase-1 simplex unbounded; inputs inconsistent")
+        piv = d[leave]
+        binv[leave] = [v / piv for v in binv[leave]]
+        xb[leave] /= piv
+        for i in range(m):
+            if i != leave and d[i] != 0:
+                f = d[i]
+                lrow = binv[leave]
+                binv[i] = [binv[i][k] - f * lrow[k] for k in range(m)]
+                xb[i] -= f * xb[leave]
+        if basis[leave] < n:
+            in_basis[basis[leave]] = False
+        basis[leave] = enter
+        in_basis[enter] = True
+
+    residual = sum(xb[i] for i in range(m) if basis[i] >= n)
+    if residual == 0:
+        x = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                x[basis[i]] = xb[i]
+        return Feasibility(True, x=tuple(x))
+    y = dual()
+    farkas = tuple(y[i] * sign[i] for i in range(m))
+    return Feasibility(False, farkas=farkas)

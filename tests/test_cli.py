@@ -2,7 +2,7 @@
 
 Verification strategy: every subcommand is driven through `main` with
 temp-file output, asserting exit codes (0 classified, 2 schema error,
-3 internal lattice violation), payload keys, and byte-identical reruns.
+3 internal lattice violation or failed certificate check), payload keys, and byte-identical reruns.
 Numeric payload values are checked against the same frozen expectations
 the solver-level modules use.
 """
@@ -152,6 +152,27 @@ class TestClassifyCommand:
         rc = main(["classify", str(doc)])
         assert rc == 3
         assert "lattice violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure", ["recheck", "simplex"])
+    def test_failed_internal_check_exits_three(self, tmp_path, capsys,
+                                               monkeypatch, failure):
+        from contextuality import exactlp, sheaf
+
+        if failure == "recheck":
+            monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
+        else:
+            def unbounded(a_rows, b):
+                raise ArithmeticError("forced for the exit-code test")
+
+            monkeypatch.setattr(sheaf, "solve_eq_nonneg_pruned", unbounded)
+        doc = tmp_path / "pr.json"
+        doc.write_text(json.dumps(pr_box_doc()))
+        rc = main(["classify", str(doc)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert err.startswith("internal check failed: ")
+        assert err.count("\n") == 1
 
 
 class TestValidateCommand:

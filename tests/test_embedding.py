@@ -9,7 +9,11 @@ brute-force or hand-derived oracles on small instances.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,3 +625,49 @@ class TestGptJson:
     def test_not_an_object_rejected(self):
         with pytest.raises(SchemaError):
             gpt_from_json([1, 2, 3])
+
+
+RECHECK_UNDER_O = """
+import sys
+from fractions import Fraction
+
+from contextuality import embedding, exactlp
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+exactlp.check_farkas = lambda *args: False
+try:
+    embedding._hull_pair_feasibility([(Fraction(0),)], [(Fraction(1),)])
+except exactlp.CertificateError:
+    sys.exit(0)
+sys.exit("a failed Farkas re-check did not raise")
+"""
+
+
+class TestRechecksUnderOptimize:
+    """Certificate re-checks are raises, not asserts, so ``python -O`` keeps them.
+
+    Written without bare asserts so that it also tests something when pytest
+    itself runs under ``python -O``.
+    """
+
+    def test_failed_recheck_raises_under_python_O(self):
+        import contextuality
+
+        src = str(Path(contextuality.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", RECHECK_UNDER_O],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        if proc.returncode != 0:
+            pytest.fail(f"python -O subprocess: {proc.stderr.strip()}")
+
+    def test_failed_recheck_raises_in_process(self, monkeypatch):
+        from contextuality import exactlp
+        from contextuality.embedding import _hull_pair_feasibility
+
+        monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
+        with pytest.raises(exactlp.CertificateError):
+            _hull_pair_feasibility([(Fraction(0),)], [(Fraction(1),)])

@@ -4,8 +4,11 @@ Soundness oracle: a returned solution is re-checked with check_solution, a
 returned certificate with check_farkas; by Farkas' lemma the two cannot both
 exist, so a verified answer is a proof of the verdict.  Completeness is
 checked by planting known-feasible systems (b = A @ x0 with x0 >= 0).
+Pivot-for-pivot oracle: the integer-preserving kernel must return exactly
+the `Feasibility` of the plain ``Fraction`` simplex in `tests/oracles.py`.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextuality.exactlp import (
+    CertificateError,
     Feasibility,
     TooLargeError,
     check_farkas,
@@ -20,10 +24,12 @@ from contextuality.exactlp import (
     enumerate_vertices,
     exact_rank,
     hulls_intersect,
+    require_certificate,
     solve_box_eq,
     solve_eq_nonneg,
     solve_eq_nonneg_pruned,
 )
+from oracles import reference_solve_eq_nonneg
 
 F = Fraction
 
@@ -156,13 +162,105 @@ def test_planted_feasible_systems_are_recognised(m, n, data):
 def test_pruned_solver_agrees_with_plain_solver(m, n, data):
     a = [[data.draw(nonneg_fracs) for _ in range(n)] for _ in range(m)]
     b = [data.draw(nonneg_fracs) for _ in range(m)]
-    plain = solve_eq_nonneg(a, b)
+    reference = reference_solve_eq_nonneg(a, b)
     pruned = solve_eq_nonneg_pruned(a, b)
-    assert plain.feasible == pruned.feasible
+    assert reference.feasible == pruned.feasible
     if pruned.feasible:
         assert check_solution(a, b, pruned.x)
     else:
         assert check_farkas(a, b, pruned.farkas)
+
+
+def solve_both(a, b):
+    """(kernel, reference) results; an ArithmeticError counts as a result."""
+    out = []
+    for solve in (solve_eq_nonneg, reference_solve_eq_nonneg):
+        try:
+            out.append(solve(a, b))
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
+mixed_dens = st.sampled_from([1, 2, 3, 7, 10**6])
+mixed_fracs = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(min_value=-9, max_value=9), mixed_dens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+def test_kernel_equals_reference_simplex(m, n, data):
+    """Same x or same Farkas vector, not just the same verdict."""
+    a = [[data.draw(mixed_fracs) for _ in range(n)] for _ in range(m)]
+    for i in data.draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
+        if i < m:
+            a[i] = [F(0)] * n  # zero row
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in a:
+            row[j] = F(0)  # zero column
+    for j, k in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=2)):
+        for row in a:
+            row[k] = row[j]  # duplicate column: ties in the ratio test
+    if data.draw(st.booleans()):
+        x0 = [data.draw(st.builds(F, st.integers(0, 3), mixed_dens)) for _ in range(n)]
+        b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
+    else:
+        b = [data.draw(mixed_fracs) for _ in range(m)]
+    kernel, reference = solve_both(a, b)
+    assert kernel == reference
+
+
+def cycle_incidence(n):
+    """0/1 rows (context k, outcomes a, b) against all 2^n global assignments."""
+    assignments = list(itertools.product((0, 1), repeat=n))
+    return [[int(t[k] == x and t[(k + 1) % n] == y) for t in assignments]
+            for k in range(n) for x in (0, 1) for y in (0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=60))
+def test_kernel_equals_reference_on_anticorrelated_five_cycle(v):
+    """Visibility v: P(a != b) = (1 + v) / 2 on every edge of the pentagon."""
+    a = cycle_incidence(5)
+    b = [(1 + v) / 4 if x != y else (1 - v) / 4
+         for _ in range(5) for x in (0, 1) for y in (0, 1)]
+    kernel, reference = solve_both(a, b)
+    assert kernel == reference
+    # Odd n-cycle bound: noncontextual iff n * v <= n - 2.
+    assert kernel.feasible == (5 * v <= 3)
+
+
+def test_kernel_equals_reference_with_no_rows():
+    assert solve_eq_nonneg([], []) == reference_solve_eq_nonneg([], []) \
+        == Feasibility(True, x=())
+
+
+class TestRequireCertificate:
+    def test_valid_results_pass_through(self):
+        a = frac_matrix([[1, 1], [1, 1]])
+        for b in ([F(1), F(1)], [F(1), F(2)]):
+            res = solve_eq_nonneg(a, b)
+            assert require_certificate(a, b, res) is res
+
+    def test_wrong_primal_raises(self):
+        a = frac_matrix([[1, 1]])
+        with pytest.raises(CertificateError, match="primal"):
+            require_certificate(a, [F(1)], Feasibility(True, x=(F(1), F(1))))
+
+    def test_wrong_farkas_raises(self):
+        a = frac_matrix([[1, 1]])
+        with pytest.raises(CertificateError, match="dual"):
+            require_certificate(a, [F(1)], Feasibility(False, farkas=(F(1),)))
+
+    def test_is_an_assertion_error(self):
+        # the CLI maps AssertionError to exit code 3
+        assert issubclass(CertificateError, AssertionError)
 
 
 class TestVertexEnumeration:
