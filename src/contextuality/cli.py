@@ -12,6 +12,7 @@ certificate check (bug sentinels that should never fire).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -556,8 +557,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The `build_parser()` parser, built on the first `main` call and reused.
+
+    Each ``parse_args`` call fills a fresh namespace from the defaults, so
+    no flag carries over from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.func(args)
     except LatticeViolation as exc:

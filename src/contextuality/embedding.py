@@ -20,6 +20,7 @@ from .exactlp import (
     CertificateError,
     Feasibility,
     TooLargeError,
+    columns_from_rows,
     enumerate_vertices,
     format_fraction,
     require_certificate,
@@ -297,17 +298,20 @@ def induced_model(gpt: Gpt, state_index: int):
 
     Each flagged effect becomes a two-outcome measurement; within a context
     exactly one effect fires, so the tables are supported on one-hot outcome
-    tuples with the effect probabilities as weights.
+    tuples with the effect probabilities as weights.  Sharp contexts with
+    equal atom sets, such as two coarse-grainings that both refine the whole
+    basis, give equal tables, so one copy of each is kept.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
     atom_indices = sorted({i for ctx in gpt.sharp_contexts for i in ctx})
     measurements = [(f"E{i}", (0, 1)) for i in atom_indices]
-    contexts = [tuple(f"E{i}" for i in sorted(ctx)) for ctx in gpt.sharp_contexts]
     tables = {}
     for ctx in gpt.sharp_contexts:
         ordered = sorted(ctx)
         labels = tuple(f"E{i}" for i in ordered)
+        if labels in tables:
+            continue
         probs = [max(0.0, gpt.probability(i, state_index)) for i in ordered]
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:
@@ -319,7 +323,7 @@ def induced_model(gpt: Gpt, state_index: int):
             outcome = tuple(1 if k == slot else 0 for k in range(len(ordered)))
             table[outcome] = probs[slot] / total
         tables[labels] = table
-    scenario = make_scenario(measurements, contexts)
+    scenario = make_scenario(measurements, list(tables))
     return make_model(scenario, tables)
 
 
@@ -529,12 +533,12 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
         if not assignments:
             farkas = tuple(Fraction(1) if i == len(rows) - 1 else Fraction(0)
                            for i in range(len(rows)))
-            require_certificate(rows, rhs, Feasibility(False, farkas=farkas),
-                                "embedding")
+            require_certificate(columns_from_rows(rows), rhs,
+                                Feasibility(False, farkas=farkas), "embedding")
             return EmbedSharpResult(False, None, atom_indices, (), (),
                                     j, farkas, tuple(rhs))
-        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
-                                  "embedding")
+        a = columns_from_rows(rows)
+        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "embedding")
         if not res.feasible:
             return EmbedSharpResult(False, None, atom_indices, (),
                                     (), j, res.farkas, tuple(rhs))
@@ -965,7 +969,8 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     feasible_any = False
     for choice in itertools.product(*problem.orthogonal_pairs):
         alive, rows, rhs = _pattern_system(problem, choice)
-        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
+        a = columns_from_rows(rows)
+        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs),
                                   "preparation pattern")
         if res.feasible:
             feasible_any = True
@@ -1155,7 +1160,8 @@ def _hull_pair_feasibility(points_a, points_b) -> Feasibility:
     rhs.append(Fraction(1))
     rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
     rhs.append(Fraction(1))
-    return require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs), "hull pair")
+    a = columns_from_rows(rows)
+    return require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "hull pair")
 
 
 def pusey_incomplete_check(preps, *, declared_equivalences=None,
@@ -1215,8 +1221,8 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None,
     if declared_equivalences:
         rows, rhs = _equivalence_system(labels, polytopes,
                                         declared_equivalences)
-        res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs),
-                                  "equivalence")
+        a = columns_from_rows(rows)
+        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "equivalence")
         if not res.feasible:
             equivalence_contextual = True
             equivalence_farkas = res.farkas

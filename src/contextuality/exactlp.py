@@ -1,11 +1,14 @@
 """Exact rational feasibility LPs with machine-checkable certificates.
 
 Every verdict this package emits reduces to feasibility of a linear system
-``{A x = b, x >= 0}`` over the rationals.  Feasible instances return an exact
-nonnegative solution, infeasible instances return a Farkas certificate ``y``
-with ``y^T A <= 0`` componentwise and ``y^T b > 0``; `check_solution` and
-`check_farkas` re-verify either by direct multiplication, and
-`require_certificate` raises `CertificateError` when a re-check fails.
+``{A x = b, x >= 0}`` over the rationals.  ``A`` is given by column as a
+`SparseColumns` (row indices and values of each column's nonzeros); callers
+holding dense rows convert with `columns_from_rows`.  Feasible instances
+return an exact nonnegative solution, infeasible instances return a Farkas
+certificate ``y`` with ``y^T A <= 0`` componentwise and ``y^T b > 0``;
+`check_solution` and `check_farkas` re-verify either by direct
+multiplication on the same columns, and `require_certificate` raises
+`CertificateError` when a re-check fails.
 
 The solver is a revised phase-1 simplex with Bland's rule, run without
 ``Fraction`` arithmetic.  Rows with ``b_i < 0`` are negated.  Each column
@@ -78,67 +81,96 @@ def _rational(v):
 def _clear(values) -> tuple[list[int], int]:
     """Integers ``t`` and a scale ``s > 0`` with ``values[k] == t[k] / s``."""
     values = [_rational(v) for v in values]
+    if all(type(v) is int for v in values):
+        return values, 1
     s = lcm(*(v.denominator for v in values))
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def check_farkas(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
+@dataclass(frozen=True)
+class SparseColumns:
+    """An ``m x n`` matrix stored by column, the one input format of the LPs.
+
+    ``cols[j]`` is ``(rows, values)``: the ascending row indices of column
+    ``j``'s nonzero entries and those entries, zeros omitted.  The solvers
+    and the re-checks read it; `columns_from_rows` converts dense rows.
+    """
+
+    m: int
+    cols: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.cols)
+
+
+def columns_from_rows(a_rows: Sequence[Sequence[Fraction]]) -> SparseColumns:
+    """The nonzero entries of a dense row list, by column."""
+    m = len(a_rows)
+    n = len(a_rows[0]) if m else 0
+    idx: list[list[int]] = [[] for _ in range(n)]
+    vals: list[list] = [[] for _ in range(n)]
+    for i, row in enumerate(a_rows):
+        for j, v in enumerate(row):
+            if v:
+                idx[j].append(i)
+                vals[j].append(v)
+    return SparseColumns(m, tuple(zip(map(tuple, idx), map(tuple, vals))))
+
+
+def check_farkas(a: SparseColumns, b: Sequence[Fraction],
                  y: Sequence[Fraction]) -> bool:
     """Re-verify a Farkas certificate by direct multiplication."""
-    m = len(b)
-    if len(y) != m:
+    m = a.m
+    if len(b) != m or len(y) != m:
         return False
-    n = len(a_rows[0]) if m else 0
-    # Row i enters as (y_i / r_i) * (r_i A_i) with r_i A_i integral; one
-    # common positive scale of the weights keeps every sign.
-    support = [i for i in range(m) if y[i]]
-    weights, int_rows = [], []
-    for i in support:
-        cols = [j for j, v in enumerate(a_rows[i]) if v]
-        vals, r = _clear([a_rows[i][j] for j in cols])
-        weights.append(Fraction(y[i]) / r)
-        int_rows.append(zip(cols, vals))
-    weights, _ = _clear(weights)
-    totals = [0] * n
-    for w, row in zip(weights, int_rows):
-        for j, v in row:
-            totals[j] += w * v
-    if any(t > 0 for t in totals):
-        return False
-    return sum(y[i] * b[i] for i in support) > 0
+    # Column j is checked as (Y / s) . (s_j a_j) with Y = s y and s_j a_j
+    # integral; the positive scales keep every sign.
+    ys, _ = _clear(y)
+    for idx, vals in a.cols:
+        ints, _ = _clear(vals)
+        if sum(ys[i] * v for i, v in zip(idx, ints)) > 0:
+            return False
+    return sum(y[i] * b[i] for i in range(m) if ys[i]) > 0
 
 
-def check_solution(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
+def check_solution(a: SparseColumns, b: Sequence[Fraction],
                    x: Sequence[Fraction]) -> bool:
     """Re-verify a primal solution: A x = b exactly and x >= 0."""
+    m = a.m
+    if len(b) != m or len(x) != a.n:
+        return False
     if any(v < 0 for v in x):
         return False
-    xs, scale = _clear(x)
-    support = [j for j, v in enumerate(xs) if v]
-    for row, target in zip(a_rows, b):
-        coeffs, r = _clear([row[j] for j in support])
-        if sum(c * xs[j] for c, j in zip(coeffs, support)) != target * r * scale:
-            return False
-    return True
+    # x_j a_j = (x_j / s_j) (s_j a_j) with s_j a_j integral; the weights
+    # x_j / s_j share one scale, so every row sum is an integer.
+    support = [j for j, v in enumerate(x) if v]
+    cleared = [_clear(a.cols[j][1]) for j in support]
+    weights, scale = _clear([Fraction(_rational(x[j]), s)
+                             for j, (_, s) in zip(support, cleared)])
+    totals = [0] * m
+    for j, w, (ints, _) in zip(support, weights, cleared):
+        for i, v in zip(a.cols[j][0], ints):
+            totals[i] += w * v
+    return all(t == bi * scale for t, bi in zip(totals, b))
 
 
-def require_certificate(a_rows: Sequence[Sequence[Fraction]],
-                        b: Sequence[Fraction], result: Feasibility,
+def require_certificate(a: SparseColumns, b: Sequence[Fraction],
+                        result: Feasibility,
                         what: str = "certificate") -> Feasibility:
     """Re-check ``result`` against ``A x = b``; raise `CertificateError` on failure.
 
     A plain raise, not an ``assert``, so the check also runs under ``python -O``.
     """
     if result.feasible:
-        if not check_solution(a_rows, b, result.x):
+        if not check_solution(a, b, result.x):
             raise CertificateError(f"{what} primal failed re-verification")
-    elif not check_farkas(a_rows, b, result.farkas):
+    elif not check_farkas(a, b, result.farkas):
         raise CertificateError(f"{what} dual failed re-verification")
     return result
 
 
-def solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
-                    b: Sequence[Fraction]) -> Feasibility:
+def solve_eq_nonneg(a: SparseColumns, b: Sequence[Fraction]) -> Feasibility:
     """Decide ``{A x = b, x >= 0}`` exactly (revised phase-1 simplex, Bland's rule).
 
     Artificial column ``n + i`` starts basic in row ``i``.  Each round prices
@@ -148,28 +180,26 @@ def solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
     integer-preserving on the scaled system (module docstring), so the pivots
     and the returned rationals are those of the plain ``Fraction`` simplex.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
+    m, n = a.m, a.n
     if m == 0:
         return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
     sign = [1] * m
     rhs: list[Fraction] = []
-    nonzeros: list[list] = [[] for _ in range(n)]
-    for i, row in enumerate(a_rows):
+    for i in range(m):
         bi = Fraction(b[i])
         if bi < 0:
             sign[i] = -1
             bi = -bi
         rhs.append(bi)
-        for j, v in enumerate(row):
-            if v:
-                nonzeros[j].append((i, -_rational(v) if sign[i] < 0 else v))
-    # Column j scaled by s_j to integers, stored as (row indices, values).
-    cols: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    flip = -1 in sign
+    # Column j scaled by s_j to integers.
+    cols: list[tuple[Sequence[int], list[int]]] = []
     col_scale: list[int] = []
-    for entries in nonzeros:
-        vals, s = _clear(v for _, v in entries)
-        cols.append((tuple(i for i, _ in entries), tuple(vals)))
+    for idx, vals in a.cols:
+        if flip:
+            vals = [-_rational(v) if sign[i] < 0 else v for i, v in zip(idx, vals)]
+        ints, s = _clear(vals)
+        cols.append((idx, ints))
         col_scale.append(s)
     xb, rhs_scale = _clear(rhs)
 
@@ -240,7 +270,7 @@ def solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
     return Feasibility(False, farkas=farkas)
 
 
-def solve_eq_nonneg_pruned(a_rows: Sequence[Sequence[Fraction]],
+def solve_eq_nonneg_pruned(a: SparseColumns,
                            b: Sequence[Fraction]) -> Feasibility:
     """``solve_eq_nonneg`` for entrywise-nonnegative A.
 
@@ -248,26 +278,31 @@ def solve_eq_nonneg_pruned(a_rows: Sequence[Sequence[Fraction]],
     and rows are eliminated before the simplex runs and the certificate is
     lifted back to the full system afterwards.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
+    m, n = a.m, a.n
     for i in range(m):
         if b[i] < 0:
             # nonnegative row can never produce a negative total
             y = [Fraction(0)] * m
             y[i] = Fraction(-1)
             return Feasibility(False, farkas=tuple(y))
-    zero_rows = [i for i in range(m) if b[i] == 0]
-    zero_set = set(zero_rows)
-    dead_set = {j for i in zero_rows for j, v in enumerate(a_rows[i]) if v}
-    dead_cols = sorted(dead_set)
-    live_rows = [i for i in range(m) if i not in zero_set]
-    live_cols = [j for j in range(n) if j not in dead_set]
+    zero = [b[i] == 0 for i in range(m)]
+    if not any(zero):
+        return solve_eq_nonneg(a, b)
+    live_rows = [i for i in range(m) if not zero[i]]
     if not live_rows:
         return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
-
-    sub = [[a_rows[i][j] for j in live_cols] for i in live_rows]
-    sub_b = [b[i] for i in live_rows]
-    res = solve_eq_nonneg(sub, sub_b)
+    new_row = {i: k for k, i in enumerate(live_rows)}
+    live_cols: list[int] = []
+    dead_cols: list[int] = []
+    sub: list[tuple] = []
+    for j, (idx, vals) in enumerate(a.cols):
+        if any(zero[i] for i in idx):
+            dead_cols.append(j)
+        else:
+            live_cols.append(j)
+            sub.append((tuple(new_row[i] for i in idx), vals))
+    res = solve_eq_nonneg(SparseColumns(len(live_rows), tuple(sub)),
+                          [b[i] for i in live_rows])
 
     if res.feasible:
         x = [Fraction(0)] * n
@@ -280,18 +315,19 @@ def solve_eq_nonneg_pruned(a_rows: Sequence[Sequence[Fraction]],
         y[i] = res.farkas[pos]
     # Dropped columns may still have y^T A_j > 0; push them down through the
     # zero rows they touch (which contribute nothing to y^T b).  Sums run
-    # over the nonzero y_i, cleared to integers w_i = scale * y_i.
-    support = [i for i in live_rows if y[i]]
-    weights, scale = _clear([y[i] for i in support])
+    # over integer weights w_i = scale * y_i, zero off the live rows.
+    w, scale = _clear(y)
     shift = Fraction(0)
     for j in dead_cols:
-        t = sum(w * a_rows[i][j] for w, i in zip(weights, support))
+        idx, vals = a.cols[j]
+        t = sum(w[i] * v for i, v in zip(idx, vals))
         if t > 0:
-            c = sum(a_rows[i][j] for i in zero_rows)
+            c = sum(v for i, v in zip(idx, vals) if zero[i])
             shift = max(shift, Fraction(t, scale * c))
     if shift > 0:
-        for i in zero_rows:
-            y[i] = -shift
+        for i in range(m):
+            if zero[i]:
+                y[i] = -shift
     return Feasibility(False, farkas=tuple(y))
 
 
@@ -409,7 +445,7 @@ def hulls_intersect(points_a: Sequence[Sequence[Fraction]],
     b.append(Fraction(1))
     rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
     b.append(Fraction(1))
-    return solve_eq_nonneg(rows, b).feasible
+    return solve_eq_nonneg(columns_from_rows(rows), b).feasible
 
 
 def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
@@ -421,20 +457,18 @@ def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
     n = len(lower)
     if any(upper[j] < lower[j] for j in range(n)):
         return None
-    # substitute x = lower + s, add slack t with s + t = upper - lower
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        row = [Fraction(a_rows[i][j]) for j in range(n)] + [Fraction(0)] * n
-        rows.append(row)
-        rhs.append(Fraction(b[i]) - sum(a_rows[i][j] * lower[j] for j in range(n)))
+    # substitute x = lower + s, add slack t with s + t = upper - lower:
+    # column j is A's column j over row m + j, slack column n + j is e_{m+j}
+    rhs = [Fraction(b[i]) - sum(a_rows[i][j] * lower[j] for j in range(n))
+           for i in range(m)]
+    rhs += [Fraction(upper[j]) - Fraction(lower[j]) for j in range(n)]
+    cols = []
     for j in range(n):
-        row = [Fraction(0)] * (2 * n)
-        row[j] = Fraction(1)
-        row[n + j] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(upper[j]) - Fraction(lower[j]))
-    res = solve_eq_nonneg(rows, rhs)
+        idx = [i for i in range(m) if a_rows[i][j]]
+        cols.append((tuple(idx) + (m + j,),
+                     tuple(Fraction(a_rows[i][j]) for i in idx) + (1,)))
+    cols += [((m + j,), (1,)) for j in range(n)]
+    res = solve_eq_nonneg(SparseColumns(m + n, tuple(cols)), rhs)
     if not res.feasible:
         return None
     return [Fraction(lower[j]) + res.x[j] for j in range(n)]

@@ -16,7 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import format_fraction, require_certificate, solve_eq_nonneg
+from .exactlp import (
+    columns_from_rows,
+    format_fraction,
+    require_certificate,
+    solve_eq_nonneg,
+)
 from .quantum import (
     eigen_projector,
     max_entangled,
@@ -337,9 +342,9 @@ def membership_lp(b: Behaviour) -> MembershipResult:
     for v in vertices:
         vb = v.behaviour(rb.nA, rb.nB)
         columns.append([vb.p[c] for c in coords] + [Fraction(1)])
-    rows = [[col[i] for col in columns] for i in range(len(coords) + 1)]
+    a = columns_from_rows([[col[i] for col in columns] for i in range(len(coords) + 1)])
     rhs = [rb.p[c] for c in coords] + [Fraction(1)]
-    res = require_certificate(rows, rhs, solve_eq_nonneg(rows, rhs), "membership")
+    res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "membership")
     if res.feasible:
         return MembershipResult(inside=True, weights=res.x, separating=None,
                                 value=None, witness_vertex=None, behaviour=rb)

@@ -4,7 +4,9 @@ An empirical model extends to a single joint distribution over all
 measurements exactly when the linear system ``M x = v, x >= 0`` is feasible,
 where rows of the Boolean incidence matrix ``M`` index (context, local
 section) pairs, columns index global outcome assignments, and ``v`` stacks
-the context tables.  Feasibility is decided with the exact rational solver,
+the context tables.  ``M`` is column-sparse: each column holds exactly one 1
+per context, at the row of the assignment's section there, and is computed
+once per assignment.  Feasibility is decided with the exact rational solver,
 so every verdict ships a certificate: feasible verdicts carry the weights of
 a hidden-variable model, infeasible verdicts carry a separating functional
 ``y`` with ``y^T M <= 0`` and ``y^T v > 0``, both re-checked by direct
@@ -18,7 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .exactlp import format_fraction, require_certificate, solve_eq_nonneg_pruned
+from .exactlp import (
+    SparseColumns,
+    format_fraction,
+    require_certificate,
+    solve_eq_nonneg_pruned,
+)
 from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationalize_model
 
 MAX_ASSIGNMENTS = 2 ** 24
@@ -52,35 +59,57 @@ def enumerate_global_assignments(scenario: MeasurementScenario) -> list[tuple]:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Boolean section-vs-assignment matrix with its row and column labels."""
+    """Boolean section-vs-assignment matrix with its row and column labels.
+
+    ``columns[j]`` lists the rows holding a 1 in column ``j``: the row of
+    assignment ``j``'s section in each context, in context order.
+    """
 
     scenario: MeasurementScenario
     rows: tuple
     assignments: tuple
-    entries: tuple
+    columns: tuple
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.assignments))
 
+    def sparse(self) -> SparseColumns:
+        """The matrix in the exact solver's column form."""
+        ones = (1,) * len(self.scenario.contexts)
+        return SparseColumns(len(self.rows), tuple((c, ones) for c in self.columns))
+
 
 def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
-    """Entry (i, j) is 1 iff global assignment j restricts to local section i."""
+    """Entry (i, j) is 1 iff global assignment j restricts to local section i.
+
+    Column j holds one 1 per context, at the context's first row plus the
+    lexicographic rank of j's section there.  The ranks of all assignments
+    in one context are built measurement by measurement in the assignments'
+    own lexicographic order, so no assignment is projected row by row.
+    """
     q = global_assignment_count(scenario)
     if q > MAX_ASSIGNMENTS:
         raise ScenarioTooLarge(
             f"{q} global assignments exceed the supported {MAX_ASSIGNMENTS}")
     rows = enumerate_local_sections(scenario)
     assignments = enumerate_global_assignments(scenario)
-    pos = {m: i for i, m in enumerate(scenario.measurements)}
-    ctx_idx = {c: [pos[m] for m in c] for c in scenario.contexts}
-    entries = []
-    for ctx, sec in rows:
-        idx = ctx_idx[ctx]
-        entries.append(tuple(1 if tuple(t[i] for i in idx) == sec else 0
-                             for t in assignments))
+    per_context = []
+    offset = 0
+    for ctx in scenario.contexts:
+        stride, size = {}, 1
+        for m in reversed(ctx):
+            stride[m] = size
+            size *= len(scenario.outcomes[m])
+        ranks = [offset]
+        for m in scenario.measurements:
+            steps = [d * stride.get(m, 0) for d in range(len(scenario.outcomes[m]))]
+            ranks = [r + t for r in ranks for t in steps]
+        per_context.append(ranks)
+        offset += size
     return IncidenceMatrix(scenario=scenario, rows=tuple(rows),
-                           assignments=tuple(assignments), entries=tuple(entries))
+                           assignments=tuple(assignments),
+                           columns=tuple(zip(*per_context)))
 
 
 @dataclass(frozen=True)
@@ -120,9 +149,8 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    result = require_certificate(matrix.entries, v,
-                                 solve_eq_nonneg_pruned(matrix.entries, v),
-                                 "global-section")
+    a = matrix.sparse()
+    result = require_certificate(a, v, solve_eq_nonneg_pruned(a, v), "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)
 

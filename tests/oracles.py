@@ -4,11 +4,13 @@ The numeric oracles recompute expected values from first principles (Born
 rule plus a planar angle grid) without touching the package's solvers, so a
 test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
-kernel must match pivot for pivot.
+kernel must match pivot for pivot, and `reference_incidence_rows` the dense
+row-by-row incidence matrix the column-sparse global-section LP must equal.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -138,3 +140,22 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
     y = dual()
     farkas = tuple(y[i] * sign[i] for i in range(m))
     return Feasibility(False, farkas=farkas)
+
+
+def reference_incidence_rows(scenario) -> list[tuple[int, ...]]:
+    """Dense 0/1 global-section incidence matrix, projected row by row.
+
+    Row (context, section) in declared context order with sections
+    lexicographic; column j is the j-th global assignment, lexicographic in
+    declared measurement order.  Entry (i, j) is 1 iff assignment j restricts
+    to section i.  This is the construction the column-sparse
+    `build_incidence_matrix` replaced.
+    """
+    rows = [(ctx, sec) for ctx in scenario.contexts
+            for sec in itertools.product(*(scenario.outcomes[m] for m in ctx))]
+    assignments = list(itertools.product(
+        *(scenario.outcomes[m] for m in scenario.measurements)))
+    pos = {m: i for i, m in enumerate(scenario.measurements)}
+    return [tuple(1 if tuple(t[pos[m]] for m in ctx) == sec else 0
+                  for t in assignments)
+            for ctx, sec in rows]

@@ -370,6 +370,27 @@ class TestClassifyQuantum:
         assert verdicts(report) == ("not-applicable", "yes", "no")
         assert report.hierarchy_level == "spekkens-contextual"
 
+    def test_coarse_grainings_that_each_refine_the_basis(self):
+        # Any two of the 2+2 splits {01|23}, {02|13}, {03|12} of one basis
+        # resolve all four rays, so every context has the same atom set.
+        rng = np.random.default_rng(5)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                            + 1j * rng.normal(size=(4, 4)))
+        rays = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+        meas = []
+        for k, block in enumerate([(0, 1), (0, 2), (0, 3)]):
+            q = rays[block[0]] + rays[block[1]]
+            meas.append({"label": f"M{k}",
+                         "projectors": [matrix_to_json(q),
+                                        matrix_to_json(np.eye(4) - q)]})
+        state = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        doc = {"kind": "quantum", "state": matrix_to_json(state),
+               "contexts": [[meas[0], meas[1]], [meas[1], meas[2]],
+                            [meas[0], meas[2]]]}
+        report = classify(doc, RunConfig())
+        assert verdicts(report) == ("not-applicable", "yes", "yes")
+        assert report.hierarchy_level == "spekkens-noncontextual"
+
 
 class TestClassifyGpt:
     def test_pentagon_pure_gpt(self):

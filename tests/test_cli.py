@@ -370,6 +370,21 @@ class TestOutputPlumbing:
         assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_flags_do_not_leak_between_calls(self, tmp_path):
+        doc = tmp_path / "pr.json"
+        doc.write_text(json.dumps(pr_box_doc()))
+        outs = [tmp_path / f"{k}.json" for k in range(3)]
+        flags = ([], ["--emit-certificate", "--seed", "5"], [])
+        for out, extra in zip(outs, flags):
+            assert main(["classify", str(doc), *extra, "--out", str(out)]) == 0
+        first, emitted, after = (json.loads(o.read_text()) for o in outs)
+        assert "rows" in {k for c in emitted["certificates"] for k in c}
+        assert emitted["seed"] == 5
+        assert after == first
+        for cert in after["certificates"]:
+            assert set(cert) <= {"role", "kind", "verdict", "scope"}
+        assert after["seed"] == 0
+
     def test_text_format(self, capsys):
         rc = main(["chsh", "--format", "text"])
         assert rc == 0

@@ -47,7 +47,7 @@ from contextuality.embedding import (
     verify_embedding,
     verify_ont_model,
 )
-from contextuality.exactlp import check_farkas
+from contextuality.exactlp import check_farkas, columns_from_rows
 from contextuality.quantum import (
     PAULIS,
     bloch_state,
@@ -316,7 +316,7 @@ class TestEmbedSharp:
         rows.append([Fraction(1)] * len(assignments))
         rhs = [Fraction(v) if not isinstance(v, Fraction) else v
                for v in res.rhs_rows]
-        assert check_farkas(rows, rhs, res.refusal_farkas)
+        assert check_farkas(columns_from_rows(rows), rhs, res.refusal_farkas)
 
     def test_multi_state_embedding(self):
         states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]

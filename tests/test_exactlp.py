@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from contextuality.exactlp import (
     CertificateError,
     Feasibility,
+    SparseColumns,
     TooLargeError,
     check_farkas,
     check_solution,
+    columns_from_rows,
     enumerate_vertices,
     exact_rank,
     hulls_intersect,
@@ -38,9 +40,13 @@ def frac_matrix(rows):
     return [[F(v) for v in row] for row in rows]
 
 
+def frac_columns(rows):
+    return columns_from_rows(frac_matrix(rows))
+
+
 class TestSolveEqNonneg:
     def test_planted_solution_is_found_and_exact(self):
-        a = frac_matrix([[1, 1, 0], [0, 1, 2]])
+        a = frac_columns([[1, 1, 0], [0, 1, 2]])
         b = [F(1), F(2)]
         res = solve_eq_nonneg(a, b)
         assert res.feasible
@@ -48,38 +54,38 @@ class TestSolveEqNonneg:
 
     def test_infeasible_returns_verified_farkas(self):
         # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-        a = frac_matrix([[1, 1], [1, 1]])
+        a = frac_columns([[1, 1], [1, 1]])
         b = [F(1), F(2)]
         res = solve_eq_nonneg(a, b)
         assert not res.feasible
         assert check_farkas(a, b, res.farkas)
 
     def test_negative_rhs_handled_by_row_orientation(self):
-        a = frac_matrix([[-1, 0], [0, 1]])
+        a = frac_columns([[-1, 0], [0, 1]])
         b = [F(-3), F(2)]
         res = solve_eq_nonneg(a, b)
         assert res.feasible
         assert check_solution(a, b, res.x)
 
     def test_zero_columns_zero_rhs(self):
-        a = frac_matrix([[0, 0], [0, 0]])
+        a = frac_columns([[0, 0], [0, 0]])
         res = solve_eq_nonneg(a, [F(0), F(0)])
         assert res.feasible
         assert res.x == (F(0), F(0))
 
     def test_no_rows_is_trivially_feasible(self):
-        assert solve_eq_nonneg([], []).feasible
+        assert solve_eq_nonneg(columns_from_rows([]), []).feasible
 
     def test_nonneg_constraint_forces_infeasibility(self):
         # x1 - x2 = -1 with a second row pinning x2 = 0
-        a = frac_matrix([[1, -1], [0, 1]])
+        a = frac_columns([[1, -1], [0, 1]])
         b = [F(-1), F(0)]
         res = solve_eq_nonneg(a, b)
         assert not res.feasible
         assert check_farkas(a, b, res.farkas)
 
     def test_rational_entries(self):
-        a = frac_matrix([[F(1, 3), F(2, 3)]])
+        a = frac_columns([[F(1, 3), F(2, 3)]])
         b = [F(5, 7)]
         res = solve_eq_nonneg(a, b)
         assert res.feasible
@@ -89,21 +95,21 @@ class TestSolveEqNonneg:
 class TestPrunedSolver:
     def test_zero_rhs_rows_kill_their_columns(self):
         # column 0 touches the zero row, so only column 1 may carry weight
-        a = frac_matrix([[1, 0], [1, 1]])
+        a = frac_columns([[1, 0], [1, 1]])
         b = [F(0), F(1)]
         res = solve_eq_nonneg_pruned(a, b)
         assert res.feasible
         assert res.x == (F(0), F(1))
 
     def test_all_columns_dead_but_mass_required(self):
-        a = frac_matrix([[1, 1], [1, 1]])
+        a = frac_columns([[1, 1], [1, 1]])
         b = [F(0), F(1)]
         res = solve_eq_nonneg_pruned(a, b)
         assert not res.feasible
         assert check_farkas(a, b, res.farkas)
 
     def test_negative_rhs_immediately_infeasible(self):
-        a = frac_matrix([[1, 2]])
+        a = frac_columns([[1, 2]])
         b = [F(-1)]
         res = solve_eq_nonneg_pruned(a, b)
         assert not res.feasible
@@ -111,7 +117,7 @@ class TestPrunedSolver:
 
     def test_lifted_certificate_covers_dead_columns(self):
         # dead column 0 has positive dual weight before lifting
-        a = frac_matrix([[1, 0, 0], [1, 1, 1], [0, 1, 1]])
+        a = frac_columns([[1, 0, 0], [1, 1, 1], [0, 1, 1]])
         b = [F(0), F(2), F(1)]
         res = solve_eq_nonneg_pruned(a, b)
         assert not res.feasible
@@ -131,11 +137,12 @@ nonneg_fracs = st.integers(min_value=0, max_value=6).map(lambda n: F(n, 3))
 def test_any_verdict_verifies(m, n, data):
     a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
     b = [data.draw(small_fracs) for _ in range(m)]
-    res = solve_eq_nonneg(a, b)
+    cols = columns_from_rows(a)
+    res = solve_eq_nonneg(cols, b)
     if res.feasible:
-        assert check_solution(a, b, res.x)
+        assert check_solution(cols, b, res.x)
     else:
-        assert check_farkas(a, b, res.farkas)
+        assert check_farkas(cols, b, res.farkas)
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,9 +155,10 @@ def test_planted_feasible_systems_are_recognised(m, n, data):
     a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
     x0 = [data.draw(nonneg_fracs) for _ in range(n)]
     b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)]
-    res = solve_eq_nonneg(a, b)
+    cols = columns_from_rows(a)
+    res = solve_eq_nonneg(cols, b)
     assert res.feasible
-    assert check_solution(a, b, res.x)
+    assert check_solution(cols, b, res.x)
 
 
 @settings(max_examples=80, deadline=None)
@@ -162,21 +170,23 @@ def test_planted_feasible_systems_are_recognised(m, n, data):
 def test_pruned_solver_agrees_with_plain_solver(m, n, data):
     a = [[data.draw(nonneg_fracs) for _ in range(n)] for _ in range(m)]
     b = [data.draw(nonneg_fracs) for _ in range(m)]
+    cols = columns_from_rows(a)
     reference = reference_solve_eq_nonneg(a, b)
-    pruned = solve_eq_nonneg_pruned(a, b)
+    pruned = solve_eq_nonneg_pruned(cols, b)
     assert reference.feasible == pruned.feasible
     if pruned.feasible:
-        assert check_solution(a, b, pruned.x)
+        assert check_solution(cols, b, pruned.x)
     else:
-        assert check_farkas(a, b, pruned.farkas)
+        assert check_farkas(cols, b, pruned.farkas)
 
 
 def solve_both(a, b):
     """(kernel, reference) results; an ArithmeticError counts as a result."""
     out = []
-    for solve in (solve_eq_nonneg, reference_solve_eq_nonneg):
+    for solve, matrix in ((solve_eq_nonneg, columns_from_rows(a)),
+                          (reference_solve_eq_nonneg, a)):
         try:
-            out.append(solve(a, b))
+            out.append(solve(matrix, b))
         except ArithmeticError as exc:
             out.append(type(exc))
     return out
@@ -237,24 +247,67 @@ def test_kernel_equals_reference_on_anticorrelated_five_cycle(v):
 
 
 def test_kernel_equals_reference_with_no_rows():
-    assert solve_eq_nonneg([], []) == reference_solve_eq_nonneg([], []) \
-        == Feasibility(True, x=())
+    assert solve_eq_nonneg(columns_from_rows([]), []) \
+        == reference_solve_eq_nonneg([], []) == Feasibility(True, x=())
+
+
+def test_no_rows_keeps_the_column_count():
+    assert solve_eq_nonneg(SparseColumns(0, (((), ()),) * 3), []) \
+        == Feasibility(True, x=(F(0), F(0), F(0)))
+
+
+class TestColumnForm:
+    def test_columns_from_rows_keeps_nonzeros_by_column(self):
+        a = columns_from_rows([[F(1), F(0), F(-2)], [F(0), F(0), F(3, 4)]])
+        assert (a.m, a.n) == (2, 3)
+        assert a.cols == (((0,), (F(1),)), ((), ()), ((0, 1), (F(-2), F(3, 4))))
+
+    def test_short_rhs_fails_solution_check(self):
+        # zip used to drop the unmatched row b_1 = 5
+        assert not check_solution(frac_columns([[1]]), [F(1), F(5)], [F(1)])
+
+    def test_long_rhs_fails_solution_check(self):
+        assert not check_solution(frac_columns([[1], [1]]), [F(1)], [F(1)])
+
+    def test_wrong_length_primal_fails_solution_check(self):
+        a = frac_columns([[1, 1]])
+        assert check_solution(a, [F(1)], [F(1), F(0)])
+        assert not check_solution(a, [F(1)], [F(1)])
+        assert not check_solution(a, [F(1)], [F(1), F(0), F(0)])
+
+    def test_long_farkas_vector_fails_instead_of_raising(self):
+        a = frac_columns([[1, 1]])
+        assert check_farkas(a, [F(-1)], [F(-1)])
+        assert not check_farkas(a, [F(-1)], [F(-1), F(1)])
+        assert not check_farkas(a, [F(-1)], [])
+
+    def test_wrong_length_rhs_fails_farkas_check(self):
+        a = frac_columns([[1, 1]])
+        assert not check_farkas(a, [F(-1), F(0)], [F(-1)])
+
+    def test_shape_mismatch_raises_certificate_error(self):
+        a = frac_columns([[1]])
+        with pytest.raises(CertificateError, match="primal"):
+            require_certificate(a, [F(1), F(5)], Feasibility(True, x=(F(1),)))
+        with pytest.raises(CertificateError, match="dual"):
+            require_certificate(a, [F(-1)],
+                                Feasibility(False, farkas=(F(-1), F(1))))
 
 
 class TestRequireCertificate:
     def test_valid_results_pass_through(self):
-        a = frac_matrix([[1, 1], [1, 1]])
+        a = frac_columns([[1, 1], [1, 1]])
         for b in ([F(1), F(1)], [F(1), F(2)]):
             res = solve_eq_nonneg(a, b)
             assert require_certificate(a, b, res) is res
 
     def test_wrong_primal_raises(self):
-        a = frac_matrix([[1, 1]])
+        a = frac_columns([[1, 1]])
         with pytest.raises(CertificateError, match="primal"):
             require_certificate(a, [F(1)], Feasibility(True, x=(F(1), F(1))))
 
     def test_wrong_farkas_raises(self):
-        a = frac_matrix([[1, 1]])
+        a = frac_columns([[1, 1]])
         with pytest.raises(CertificateError, match="dual"):
             require_certificate(a, [F(1)], Feasibility(False, farkas=(F(1),)))
 

@@ -2,8 +2,11 @@
 
 Verification strategy:
 - matrix shapes and section counts are asserted against closed-form counts;
+- the column-sparse incidence matrix equals the dense row-by-row oracle
+  matrix on random scenarios;
 - every infeasible verdict's separating functional is re-multiplied against
-  the matrix in the test itself, independent of the library's own check;
+  the oracle matrix in the test itself, independent of the library's own
+  matrix and check;
 - the pentagon and box examples are cross-checked against two independent
   oracles: support counting over deterministic assignments, and exact
   convex-hull membership among the deterministic behaviours;
@@ -18,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality.exactlp import enumerate_vertices, hulls_intersect
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
@@ -38,6 +43,7 @@ from contextuality.sheaf import (
     hv_model_from_section,
     solve_global_section,
 )
+from oracles import reference_incidence_rows
 
 HALF = Fraction(1, 2)
 
@@ -85,13 +91,44 @@ def pm_model(seed=0):
 def recheck_dual(result):
     """Independent multiplication check of an infeasibility certificate."""
     y = result.dual
-    entries = result.matrix.entries
+    entries = reference_incidence_rows(result.model.scenario)
     v = [result.model.tables[ctx][sec] for ctx, sec in result.matrix.rows]
-    p, q = result.matrix.shape
+    p, q = len(entries), len(entries[0])
     assert len(y) == p
     for j in range(q):
         assert sum(y[i] * entries[i][j] for i in range(p)) <= 0
     assert sum(y[i] * v[i] for i in range(p)) > 0
+
+
+def oracle_columns(scenario) -> tuple:
+    """Rows of each column's 1s in the dense oracle matrix, which must be all 0/1."""
+    dense = reference_incidence_rows(scenario)
+    assert {v for row in dense for v in row} <= {0, 1}
+    return tuple(tuple(i for i, row in enumerate(dense) if row[j])
+                 for j in range(len(dense[0])))
+
+
+@st.composite
+def random_scenarios(draw):
+    """2- and 3-outcome measurements; contexts of 1-3 of them, sharing freely."""
+    n_meas = draw(st.integers(1, 5))
+    measurements = [(f"M{k}", tuple(range(draw(st.sampled_from([2, 3])))))
+                    for k in range(n_meas)]
+    labels = [lab for lab, _ in measurements]
+    contexts = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=5, unique_by=frozenset))
+    covered = {lab for ctx in contexts for lab in ctx}
+    contexts += [[lab] for lab in labels if lab not in covered]
+    return make_scenario(measurements, contexts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_scenarios())
+def test_sparse_columns_equal_dense_oracle(sc):
+    mat = build_incidence_matrix(sc)
+    assert mat.columns == oracle_columns(sc)
+    assert mat.shape == (len(reference_incidence_rows(sc)), len(mat.columns))
 
 
 class TestSections:
@@ -112,7 +149,7 @@ class TestIncidenceMatrix:
         sc = make_scenario([("A", (0, 1))], [["A"]])
         mat = build_incidence_matrix(sc)
         assert mat.shape == (2, 2)
-        assert mat.entries == ((1, 0), (0, 1))
+        assert mat.columns == ((0,), (1,))
 
     def test_pentagon_shape(self):
         mat = build_incidence_matrix(kcbs_model().scenario)
@@ -127,9 +164,18 @@ class TestIncidenceMatrix:
         for model in (kcbs_model(), pm_model()):
             mat = build_incidence_matrix(model.scenario)
             p, q = mat.shape
-            n_ctx = len(model.scenario.contexts)
-            for j in range(q):
-                assert sum(mat.entries[i][j] for i in range(p)) == n_ctx
+            contexts = model.scenario.contexts
+            assert len(mat.columns) == q
+            for column in mat.columns:
+                assert [mat.rows[i][0] for i in column] == list(contexts)
+                assert all(0 <= i < p for i in column)
+
+    def test_sparse_lp_form_is_all_ones(self):
+        mat = build_incidence_matrix(kcbs_model().scenario)
+        lp = mat.sparse()
+        assert (lp.m, lp.n) == mat.shape
+        assert [idx for idx, _ in lp.cols] == list(mat.columns)
+        assert all(vals == (1,) * 5 for _, vals in lp.cols)
 
     def test_too_many_assignments_refused(self):
         meas = [(f"M{i}", (0, 1)) for i in range(25)]
@@ -308,8 +354,8 @@ class TestOracleEquivalence:
             [("A", (0, 1)), ("B", (0, 1)), ("C", (0, 1))],
             [["A", "B"], ["B", "C"], ["A", "C"]])
         rng = np.random.default_rng(29)
-        from contextuality.sheaf import build_incidence_matrix
         mat = build_incidence_matrix(sc)
+        a_rows = [[Fraction(e) for e in row] for row in reference_incidence_rows(sc)]
         for _ in range(20):
             singles = [Fraction(int(k), 8) for k in rng.integers(1, 8, size=3)]
             sa, sb, sc_ = singles
@@ -325,6 +371,5 @@ class TestOracleEquivalence:
             model = make_model(sc, tables)
             res = solve_global_section(model)
             v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
-            a_rows = [[Fraction(e) for e in row] for row in mat.entries]
             verts = enumerate_vertices(a_rows, v)
             assert res.feasible == (len(verts) > 0)
