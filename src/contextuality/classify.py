@@ -16,10 +16,11 @@ internal bug sentinel that no input should ever trigger.
 
 Verification strategy: each "no" verdict carries the certificate produced
 and re-verified by the underlying solver (exact Farkas duals, separating
-inequalities with exact vertex bounds, embedding-refusal witnesses); for
-bipartite empirical inputs the Bell and assignment verdicts are computed
-from one shared rationalized model so their exact equivalence on finite
-data cannot be broken by rounding.  Sub-tests are independent of each
+inequalities with exact vertex bounds, embedding-refusal witnesses).
+Bell and assignment verdicts come from one LP: on bipartite empirical
+inputs the membership verdict and its separating inequality are read off
+the solved global-section system, so the two verdicts agree by
+construction.  Sub-tests are independent of each
 other; sequential execution here is one valid schedule of the parallel
 composition.
 """
@@ -45,7 +46,7 @@ from .embedding import (
     qubit_prep_ensemble,
     sharp_gpt_from_quantum,
 )
-from .polytope import TooLarge, make_behaviour, membership_lp
+from .polytope import membership_from_section
 from .quantum import QuantumInputError, matrix_from_json, projective_context
 from .scenario import (
     DisturbingModel,
@@ -245,24 +246,6 @@ def bipartite_structure(model: EmpiricalModel) -> tuple[tuple, tuple] | None:
     return side_a, side_b
 
 
-def _behaviour_from_bipartite(model: EmpiricalModel, sides):
-    side_a, side_b = sides
-    sc = model.scenario
-    n_a = len(sc.outcomes[side_a[0]])
-    n_b = len(sc.outcomes[side_b[0]])
-    index = {m: {o: i for i, o in enumerate(sc.outcomes[m])}
-             for m in sc.measurements}
-    p = {}
-    for x, ma in enumerate(side_a):
-        for y, mb in enumerate(side_b):
-            canon = sc.canonical_context((ma, mb))
-            pos_a = canon.index(ma)
-            pos_b = canon.index(mb)
-            for outc, v in model.tables[canon].items():
-                p[(index[ma][outc[pos_a]], index[mb][outc[pos_b]], x, y)] = v
-    return make_behaviour(len(side_a), len(side_b), n_a, n_b, p)
-
-
 def _deterministic(model: EmpiricalModel) -> bool:
     return all(v == 0 or v == 1
                for table in model.tables.values() for v in table.values())
@@ -276,10 +259,11 @@ def classify_model(model: EmpiricalModel,
                    config: RunConfig | None = None) -> ClassificationReport:
     """Classify an empirical model (per-context outcome tables).
 
-    The assignment verdict comes from the exact global-section solver; when
-    the scenario has a complete two-party layout the Bell verdict comes from
-    local-polytope membership computed on the same rationalized model, so
-    the two verdicts agree exactly on finite data.  The ontic-expansion
+    The assignment verdict comes from the exact global-section solver.  When
+    the scenario has a complete two-party layout its local deterministic
+    vertices are the global assignments, so the Bell verdict and its
+    separating inequality are read off the same solved LP
+    (`membership_from_section`) and no second LP runs.  The ontic-expansion
     verdict is inferred downward from a "no", read off a deterministic
     table, and left undecided otherwise: a bare table carries no embedding
     structure to test.
@@ -292,6 +276,7 @@ def classify_model(model: EmpiricalModel,
     certificates: list = []
     notes: list = []
 
+    section = None
     try:
         section = solve_global_section(rational)
         ks = YES if section.feasible else NO
@@ -305,19 +290,14 @@ def classify_model(model: EmpiricalModel,
         bell = NOT_APPLICABLE
         notes.append("no complete two-party structure; Bell verdict "
                      "not applicable")
+    elif section is None:
+        bell = NOT_APPLICABLE
+        notes.append("membership is read off the skipped global-section "
+                     "solve; Bell verdict not applicable")
     else:
-        try:
-            membership = membership_lp(_behaviour_from_bipartite(rational, sides))
-            bell = YES if membership.inside else NO
-            certificates.append({"role": "bell", **membership.certificate()})
-        except TooLarge as exc:
-            bell = NOT_APPLICABLE
-            notes.append(f"membership solver skipped: {exc}")
-
-    if bell == NO and ks == UNDECIDED:
-        ks = NO
-        notes.append("assignment verdict inferred from Bell nonlocality")
-        certificates.append({"role": "ks", "kind": "implied-by-bell-nonlocality"})
+        membership = membership_from_section(section, sides)
+        bell = YES if membership.inside else NO
+        certificates.append({"role": "bell", **membership.certificate()})
 
     if ks == NO:
         sp = NO

@@ -428,26 +428,6 @@ def enumerate_vertices(a_rows: Sequence[Sequence[Fraction]],
     return out
 
 
-def hulls_intersect(points_a: Sequence[Sequence[Fraction]],
-                    points_b: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test whether conv(points_a) and conv(points_b) share a point."""
-    if not points_a or not points_b:
-        return False
-    dim = len(points_a[0])
-    na, nb = len(points_a), len(points_b)
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for k in range(dim):
-        rows.append([Fraction(p[k]) for p in points_a]
-                    + [-Fraction(p[k]) for p in points_b])
-        b.append(Fraction(0))
-    rows.append([Fraction(1)] * na + [Fraction(0)] * nb)
-    b.append(Fraction(1))
-    rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
-    b.append(Fraction(1))
-    return solve_eq_nonneg(columns_from_rows(rows), b).feasible
-
-
 def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
                  b: Sequence[Fraction],
                  lower: Sequence[Fraction],

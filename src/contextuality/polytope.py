@@ -1,9 +1,10 @@
 """Bell-local polytope membership, two-party inequalities, and graph-based noncontextuality bounds.
 
-Membership in the local polytope is decided by an exact rational LP over the
-deterministic vertices; an outside verdict ships a separating inequality
-normalised so that its bound is the exact maximum over those vertices, which
-the behaviour then exceeds strictly.  Graph machinery covers weighted
+Membership in the local polytope is read off the global-section LP of the
+two-party model: its deterministic vertices are the global assignments, so
+the section weights are the vertex weights and the section's Farkas dual is
+a separating inequality whose bound, the exact maximum over the vertices,
+the behaviour exceeds strictly.  Graph machinery covers weighted
 independence numbers, single-system exclusivity inequalities, and their
 two-party lift evaluated on the uniform maximally entangled vector.
 """
@@ -16,12 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import (
-    columns_from_rows,
-    format_fraction,
-    require_certificate,
-    solve_eq_nonneg,
-)
+from .exactlp import CertificateError, format_fraction
 from .quantum import (
     eigen_projector,
     max_entangled,
@@ -36,8 +32,8 @@ from .scenario import (
     make_scenario,
     rationalize_model,
 )
+from .sheaf import SectionFeasibility, solve_global_section
 
-MAX_LD_VERTICES = 10 ** 6
 MAX_GRAPH_VERTICES = 40
 MAX_LIFT_VERTICES = 10
 
@@ -247,34 +243,8 @@ def behaviour_from_json(doc: dict) -> Behaviour:
 
 
 # ---------------------------------------------------------------------------
-# Local deterministic vertices and membership
+# Membership: a view over the global-section LP
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LdVertex:
-    """Deterministic strategy: one outcome per setting on each side."""
-
-    f: tuple
-    g: tuple
-
-    def behaviour(self, nA: int, nB: int) -> Behaviour:
-        p = {}
-        for x, a in enumerate(self.f):
-            for y, b in enumerate(self.g):
-                p[(a, b, x, y)] = Fraction(1)
-        return make_behaviour(len(self.f), len(self.g), nA, nB, p)
-
-
-def enumerate_ld_vertices(nX: int, nY: int, nA: int, nB: int) -> list[LdVertex]:
-    count = nA ** nX * nB ** nY
-    if count > MAX_LD_VERTICES:
-        raise TooLarge(f"{count} deterministic vertices exceed the supported {MAX_LD_VERTICES}")
-    out = []
-    for f in itertools.product(range(nA), repeat=nX):
-        for g in itertools.product(range(nB), repeat=nY):
-            out.append(LdVertex(f=f, g=g))
-    return out
-
 
 @dataclass(frozen=True)
 class LinearInequality:
@@ -326,41 +296,64 @@ class MembershipResult:
         return cert
 
 
+def membership_from_section(section: SectionFeasibility, sides) -> MembershipResult:
+    """Local-polytope membership read off a solved global-section LP.
+
+    `sides` lists party A's and party B's measurements of a complete
+    two-party scenario.  There the deterministic vertices (f, g) are
+    exactly the global assignments, so the section verdict is the
+    membership verdict, the primal holds the vertex weights, and the Farkas
+    dual y holds the separating coefficients, one per (a, b | x, y)
+    coordinate.  The bound is the largest sum of y over the contexts of one
+    assignment, at most 0 by the dual's re-check, and the behaviour scores
+    y^T v > 0; the strict gap is checked again here by a raise.
+    """
+    model, matrix = section.model, section.matrix
+    sc = model.scenario
+    side_a, side_b = sides
+    setting = {m: x for x, m in enumerate(side_a)} | {m: y for y, m in enumerate(side_b)}
+    index = {m: {o: i for i, o in enumerate(sc.outcomes[m])} for m in sc.measurements}
+    n_a, n_b = len(sc.outcomes[side_a[0]]), len(sc.outcomes[side_b[0]])
+    keys = []
+    for ctx, sec in matrix.rows:
+        (ma, oa), (mb, ob) = zip(ctx, sec) if ctx[0] in side_a else zip(ctx[::-1], sec[::-1])
+        keys.append((index[ma][oa], index[mb][ob], setting[ma], setting[mb]))
+    b = make_behaviour(len(side_a), len(side_b), n_a, n_b,
+                       {k: model.tables[ctx][sec] for k, (ctx, sec) in zip(keys, matrix.rows)})
+    # Column of vertex k, the k-th (f, g) in lexicographic order: the
+    # assignments' axes, reordered to party A's then party B's measurements.
+    axes = [sc.measurements.index(m) for m in side_a + side_b]
+    shape = [len(sc.outcomes[m]) for m in sc.measurements]
+    column = np.arange(len(matrix.assignments)).reshape(shape).transpose(axes).ravel().tolist()
+    if section.feasible:
+        return MembershipResult(inside=True, weights=tuple(section.primal[j] for j in column),
+                                separating=None, value=None, witness_vertex=None, behaviour=b)
+    y = section.dual
+    coeff_at = dict(zip(keys, y))
+    coeffs = {c: coeff_at[c] for c in b.coords()}
+    scores = [sum(y[i] for i in matrix.columns[j]) for j in column]
+    bound = max(scores)
+    value = sum(coeffs[c] * b.p[c] for c in b.coords())
+    if not value > bound:
+        raise CertificateError("separating inequality fails to separate")
+    return MembershipResult(inside=False, weights=None,
+                            separating=LinearInequality(coeffs, bound, kind="bell"),
+                            value=value, witness_vertex=scores.index(bound), behaviour=b)
+
+
 def membership_lp(b: Behaviour) -> MembershipResult:
     """Exact convex-mixture test against the deterministic vertices.
 
     Float behaviours are first replaced by a nearby exactly no-signaling
-    rational behaviour.  Outside verdicts carry a separating inequality whose
-    bound is the exact vertex maximum, so the behaviour's value exceeds the
-    bound strictly and every vertex satisfies it, both re-checkable by direct
-    arithmetic.
+    rational behaviour, whose two-party model is solved by the global-section
+    LP and read as in `membership_from_section`.  Outside verdicts carry a
+    separating inequality whose bound is the exact vertex maximum, so the
+    behaviour's value exceeds the bound strictly and every vertex satisfies
+    it, both re-checkable by direct arithmetic.
     """
-    rb = rationalize_behaviour(b)
-    vertices = enumerate_ld_vertices(rb.nX, rb.nY, rb.nA, rb.nB)
-    coords = rb.coords()
-    columns = []
-    for v in vertices:
-        vb = v.behaviour(rb.nA, rb.nB)
-        columns.append([vb.p[c] for c in coords] + [Fraction(1)])
-    a = columns_from_rows([[col[i] for col in columns] for i in range(len(coords) + 1)])
-    rhs = [rb.p[c] for c in coords] + [Fraction(1)]
-    res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "membership")
-    if res.feasible:
-        return MembershipResult(inside=True, weights=res.x, separating=None,
-                                value=None, witness_vertex=None, behaviour=rb)
-    y = res.farkas
-    coeffs = {c: y[i] for i, c in enumerate(coords)}
-    vertex_values = []
-    for col in columns:
-        vertex_values.append(sum(y[i] * col[i] for i in range(len(coords))))
-    bound = max(vertex_values)
-    witness = vertex_values.index(bound)
-    ineq = LinearInequality(coefficients=coeffs, bound=bound, kind="bell")
-    value = sum(coeffs[c] * rb.p[c] for c in coords)
-    if not value > bound:
-        raise AssertionError("separating inequality fails to separate")
-    return MembershipResult(inside=False, weights=None, separating=ineq,
-                            value=value, witness_vertex=witness, behaviour=rb)
+    model = behaviour_to_model(rationalize_behaviour(b))
+    meas = model.scenario.measurements
+    return membership_from_section(solve_global_section(model), (meas[:b.nX], meas[b.nX:]))
 
 
 # ---------------------------------------------------------------------------
@@ -667,31 +660,30 @@ class BipartiteLift:
     bound: Fraction
     quantum_value: float
 
-    def evaluate_deterministic(self, assign_a: dict, assign_b: dict):
-        """Value when each side deterministically answers 0/1 per vertex."""
-        val = 0
-        for l in self.graph.labels:
-            val = val + self.graph.weights[l] * assign_a[l] * assign_b[l]
-        for a, b in self.graph.edges:
-            w = max(self.graph.weights[a], self.graph.weights[b])
-            val = val - w * Fraction(1, 2) * (assign_a[a] * assign_b[b]
-                                              + assign_a[b] * assign_b[a])
-        return val
-
     def ld_maximum(self):
-        """Exact maximum over all two-sided deterministic strategies."""
-        n = len(self.graph.labels)
+        """Exact maximum over all two-sided deterministic strategies.
+
+        For fixed 0/1 answers a of the first party the value is linear in the
+        second party's bits, and bit b_l has coefficient
+        w_l a_l - sum over neighbours k of max(w_l, w_k)/2 a_k.  Setting b_l
+        exactly when that is positive is optimal, so 2^n answers of the first
+        party are scanned instead of 4^n strategy pairs.
+        """
+        labels = self.graph.labels
+        n = len(labels)
         if n > MAX_LIFT_VERTICES:
             raise TooLarge(f"{n} vertices give 4^{n} strategies; refusing")
-        best = None
-        for bits_a in itertools.product((0, 1), repeat=n):
-            a = dict(zip(self.graph.labels, bits_a))
-            for bits_b in itertools.product((0, 1), repeat=n):
-                b = dict(zip(self.graph.labels, bits_b))
-                v = self.evaluate_deterministic(a, b)
-                if best is None or v > best:
-                    best = v
-        return best
+        idx = {l: i for i, l in enumerate(labels)}
+        w = [self.graph.weights[l] for l in labels]
+        nbrs = [[] for _ in labels]
+        for a, b in self.graph.edges:
+            half = max(w[idx[a]], w[idx[b]]) * Fraction(1, 2)
+            nbrs[idx[a]].append((idx[b], half))
+            nbrs[idx[b]].append((idx[a], half))
+        zero = Fraction(0)
+        return max(sum((max(zero, w[l] * bits[l] - sum(h for k, h in nbrs[l] if bits[k]))
+                        for l in range(n)), zero)
+                   for bits in itertools.product((0, 1), repeat=n))
 
 
 def contextuality_to_bell(g: OrthogonalityGraph, d: int) -> BipartiteLift:

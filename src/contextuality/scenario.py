@@ -236,9 +236,10 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
     worst = 0.0
     worst_pair = None
     for ca, cb in itertools.combinations(sc.contexts, 2):
-        overlap = tuple(m for m in sc.measurements if m in set(ca) & set(cb))
-        if not overlap:
+        shared = set(ca) & set(cb)
+        if not shared:
             continue
+        overlap = tuple(m for m in sc.measurements if m in shared)
         ma = marginalize(model.tables[ca], ca, overlap)
         mb = marginalize(model.tables[cb], cb, overlap)
         for outc in sc.outcome_tuples(overlap):
@@ -254,9 +255,10 @@ def exact_no_disturbance(model: EmpiricalModel) -> bool:
     """Exact marginal agreement; meaningful only for all-rational models."""
     sc = model.scenario
     for ca, cb in itertools.combinations(sc.contexts, 2):
-        overlap = tuple(m for m in sc.measurements if m in set(ca) & set(cb))
-        if not overlap:
+        shared = set(ca) & set(cb)
+        if not shared:
             continue
+        overlap = tuple(m for m in sc.measurements if m in shared)
         ma = marginalize(model.tables[ca], ca, overlap)
         mb = marginalize(model.tables[cb], cb, overlap)
         for outc in set(ma) | set(mb):

@@ -6,13 +6,18 @@ test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
 kernel must match pivot for pivot, and `reference_incidence_rows` the dense
 row-by-row incidence matrix the column-sparse global-section LP must equal.
+`reference_membership_lp` (the dense-vertex local-polytope LP over its own
+vertex list `ld_vertex_boxes`) and `reference_hulls_intersect` run on that
+reference simplex, and `brute_force_lift_maximum` scans all 4^n strategy
+pairs of a two-party lift, so none of them shares code with the package's
+solvers.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,3 +164,102 @@ def reference_incidence_rows(scenario) -> list[tuple[int, ...]]:
     return [tuple(1 if tuple(t[pos[m]] for m in ctx) == sec else 0
                   for t in assignments)
             for ctx, sec in rows]
+
+
+def ld_vertex_boxes(nX: int, nY: int, nA: int, nB: int) -> list[dict]:
+    """Deterministic boxes p(a, b | x, y) = [a = f(x)] [b = g(y)].
+
+    One box per strategy pair (f, g), in lexicographic (f, g) order, each a
+    dict over every coordinate (a, b, x, y), zeros included.
+    """
+    boxes = []
+    for f in itertools.product(range(nA), repeat=nX):
+        for g in itertools.product(range(nB), repeat=nY):
+            boxes.append({(a, b, x, y): Fraction(int(a == f[x] and b == g[y]))
+                          for x in range(nX) for y in range(nY)
+                          for a in range(nA) for b in range(nB)})
+    return boxes
+
+
+def pr_component_box(nX: int, nY: int, nA: int, nB: int) -> dict:
+    """No-signaling box with Popescu-Rohrlich correlations on settings {0,1}^2.
+
+    Outcomes 0 and 1 are equiprobable and equal, except that they differ
+    when both settings are at least 1; higher outcomes never occur.
+    """
+    p = {(a, b, x, y): Fraction(0) for x in range(nX) for y in range(nY)
+         for a in range(nA) for b in range(nB)}
+    for x in range(nX):
+        for y in range(nY):
+            for a in range(2):
+                p[(a, a ^ (min(x, 1) & min(y, 1)), x, y)] = Fraction(1, 2)
+    return p
+
+
+def random_box(rng, shape, pr_weight: Fraction) -> dict:
+    """Seeded mixture of `ld_vertex_boxes` plus `pr_component_box` at weight pr_weight."""
+    vertices = ld_vertex_boxes(*shape)
+    raw = [int(k) for k in rng.integers(0, 3, size=len(vertices))]
+    raw[int(rng.integers(0, len(vertices)))] += 1
+    pr = pr_component_box(*shape)
+    return {c: (1 - pr_weight) * sum(w * v[c] for w, v in zip(raw, vertices)) / sum(raw)
+               + pr_weight * pr[c] for c in pr}
+
+
+class ReferenceMembership(NamedTuple):
+    inside: bool
+    weights: tuple | None
+    coefficients: dict | None
+    bound: Fraction | None
+
+
+def reference_membership_lp(p: dict, nX: int, nY: int, nA: int,
+                            nB: int) -> ReferenceMembership:
+    """Dense-vertex LP: is the box p a convex mixture of `ld_vertex_boxes`?
+
+    One row per coordinate plus a normalisation row, one column per vertex,
+    solved by `reference_solve_eq_nonneg`.  Outside, the Farkas vector on the
+    coordinate rows is a separating functional whose bound is its maximum
+    over the vertices.
+    """
+    boxes = ld_vertex_boxes(nX, nY, nA, nB)
+    coords = list(boxes[0])
+    rows = [[v[c] for v in boxes] for c in coords] + [[Fraction(1)] * len(boxes)]
+    rhs = [Fraction(p[c]) for c in coords] + [Fraction(1)]
+    res = reference_solve_eq_nonneg(rows, rhs)
+    if res.feasible:
+        return ReferenceMembership(True, res.x, None, None)
+    coeffs = dict(zip(coords, res.farkas))
+    bound = max(sum(coeffs[c] * v[c] for c in coords) for v in boxes)
+    return ReferenceMembership(False, None, coeffs, bound)
+
+
+def reference_hulls_intersect(points_a: Sequence[Sequence[Fraction]],
+                              points_b: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether conv(points_a) and conv(points_b) share a point, by `reference_solve_eq_nonneg`."""
+    rows = [[Fraction(p[k]) for p in points_a] + [-Fraction(p[k]) for p in points_b]
+            for k in range(len(points_a[0]))]
+    rows.append([Fraction(1)] * len(points_a) + [Fraction(0)] * len(points_b))
+    rows.append([Fraction(0)] * len(points_a) + [Fraction(1)] * len(points_b))
+    rhs = [Fraction(0)] * (len(rows) - 2) + [Fraction(1), Fraction(1)]
+    return reference_solve_eq_nonneg(rows, rhs).feasible
+
+
+def brute_force_lift_maximum(weights: dict, edges) -> Fraction:
+    """Largest value of the two-party lift over all 4^n deterministic strategy pairs.
+
+    Value = sum_l w_l a_l b_l - sum over edges (i, j) of
+    max(w_i, w_j)/2 (a_i b_j + a_j b_i), with 0/1 answers a, b per vertex.
+    """
+    labels = list(weights)
+    best = None
+    for bits_a in itertools.product((0, 1), repeat=len(labels)):
+        a = dict(zip(labels, bits_a))
+        for bits_b in itertools.product((0, 1), repeat=len(labels)):
+            b = dict(zip(labels, bits_b))
+            value = sum((Fraction(weights[l]) * a[l] * b[l] for l in labels), Fraction(0))
+            for i, j in edges:
+                value -= (max(Fraction(weights[i]), Fraction(weights[j])) / 2
+                          * (a[i] * b[j] + a[j] * b[i]))
+            best = value if best is None or value > best else best
+    return best

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import grid_scan_max
+from oracles import grid_scan_max, ld_vertex_boxes, reference_membership_lp
 
 from contextuality.classify import (
     RunConfig,
@@ -41,7 +41,6 @@ from contextuality.polytope import (
     badziag_inequality,
     chsh_value,
     csw_inequality,
-    enumerate_ld_vertices,
     kcbs_graph,
     make_behaviour,
     membership_lp,
@@ -95,7 +94,7 @@ def pr_box_table(alpha_bit: int, beta_bit: int, gamma_bit: int) -> dict:
 
 def random_nd_box(rng) -> dict:
     """Rational no-disturbance box: LD vertices mixed with one PR-type box."""
-    vertices = enumerate_ld_vertices(2, 2, 2, 2)
+    vertices = ld_vertex_boxes(2, 2, 2, 2)
     ld_weights = [int(w) for w in rng.integers(0, 4, size=16)]
     pr_weight = int(rng.integers(0, 40))
     total = sum(ld_weights) + pr_weight
@@ -107,8 +106,7 @@ def random_nd_box(rng) -> dict:
     for weight, vertex in zip(ld_weights, vertices):
         if weight == 0:
             continue
-        vb = vertex.behaviour(2, 2)
-        for key, value in vb.p.items():
+        for key, value in vertex.items():
             p[key] += Fraction(weight, total) * value
     if pr_weight:
         bits = [int(t) for t in rng.integers(0, 2, size=3)]
@@ -198,17 +196,16 @@ class TestCriterion2Chsh:
         t0 = time.perf_counter()
         oracle = grid_scan_max(1.0)
         assert oracle >= 2.828 - 1e-3
-        vertices = enumerate_ld_vertices(2, 2, 2, 2)
+        vertices = [make_behaviour(2, 2, 2, 2, p) for p in ld_vertex_boxes(2, 2, 2, 2)]
         assert len(vertices) == 16
-        ld_values = [chsh_value(v.behaviour(2, 2)) for v in vertices]
+        ld_values = [chsh_value(v) for v in vertices]
         assert all(value <= 2 for value in ld_values)
         assert max(ld_values) == 2
         result = membership_lp(singlet_behaviour())
         assert result.verdict == "outside"
         ineq = result.separating
         vertex_values = []
-        for vertex in vertices:
-            vb = vertex.behaviour(2, 2)
+        for vb in vertices:
             vertex_values.append(sum(coeff * vb.p.get(key, Fraction(0))
                                      for key, coeff
                                      in ineq.coefficients.items()))
@@ -341,12 +338,12 @@ class TestCriterion6OracleEquivalence:
         inside = outside = 0
         for _ in range(200):
             p = random_nd_box(rng)
-            behaviour = make_behaviour(2, 2, 2, 2, p)
-            membership = membership_lp(behaviour)
+            reference = reference_membership_lp(p, 2, 2, 2, 2)
+            membership = membership_lp(make_behaviour(2, 2, 2, 2, p))
             section = solve_global_section(model_from_json(box_model_doc(p)))
-            assert (section.verdict == "feasible") == \
-                   (membership.verdict == "inside")
-            if membership.verdict == "inside":
+            assert (section.verdict == "feasible") == reference.inside
+            assert membership.inside == reference.inside
+            if reference.inside:
                 inside += 1
             else:
                 outside += 1

@@ -10,10 +10,22 @@ Report serialization must be byte-identical across repeated runs.
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import contextuality
+from contextuality.cli import main
+from contextuality.exactlp import CertificateError
+from contextuality.polytope import membership_from_section
+from contextuality.sheaf import solve_global_section
 
 from contextuality.classify import (
     HIERARCHY_LEVELS,
@@ -521,3 +533,80 @@ class TestReportSerialization:
         for doc in (pr_box_doc(), {"kind": "prep-ensemble", "r": "1/2"}):
             payload = report_to_json(classify(doc, RunConfig()))
             json.dumps(payload)
+
+
+class TestPublicApi:
+    def test_every_export_resolves(self):
+        missing = [name for name in contextuality.__all__
+                   if not hasattr(contextuality, name)]
+        assert missing == []
+
+
+FORGED_DUAL_UNDER_O = """
+import dataclasses, importlib, json, sys, tempfile
+from contextuality import cli, exactlp, polytope
+from contextuality.scenario import model_from_json
+
+classify = importlib.import_module("contextuality.classify")
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+doc = json.loads(sys.argv[1])
+real = classify.solve_global_section(model_from_json(doc["model"]))
+forged = dataclasses.replace(real, dual=tuple(-y for y in real.dual))
+sides = classify.bipartite_structure(real.model)
+try:
+    polytope.membership_from_section(forged, sides)
+    sys.exit("a forged section dual did not raise")
+except exactlp.CertificateError:
+    pass
+classify.solve_global_section = lambda model: forged
+with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+    json.dump(doc, fh)
+    fh.flush()
+    code = cli.main(["classify", fh.name])
+sys.exit(0 if code == 3 else f"cli exit code {code}, expected 3")
+"""
+
+
+def forged_section(doc):
+    """The PR box's section with its Farkas dual negated: it separates nothing."""
+    real = solve_global_section(parse_document(doc).model)
+    return dataclasses.replace(real, dual=tuple(-y for y in real.dual))
+
+
+class TestForgedSectionDual:
+    """The Bell view re-checks the strict gap by a raise, so ``python -O`` keeps it.
+
+    Written without bare asserts so that it also tests something when pytest
+    itself runs under ``python -O``.
+    """
+
+    def test_forged_dual_raises_under_python_O(self):
+        src = str(Path(contextuality.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", FORGED_DUAL_UNDER_O, json.dumps(pr_box_doc())],
+            env=env, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            pytest.fail(f"python -O subprocess: {proc.stderr.strip()}")
+
+    def test_forged_dual_raises_in_process(self):
+        forged = forged_section(pr_box_doc())
+        with pytest.raises(CertificateError):
+            membership_from_section(forged, bipartite_structure(forged.model))
+
+    def test_cli_exits_three(self, tmp_path, monkeypatch, capsys):
+        forged = forged_section(pr_box_doc())
+        # the package re-exports the function `classify`, which shadows the module
+        monkeypatch.setattr(importlib.import_module("contextuality.classify"),
+                            "solve_global_section",
+                            lambda model: forged)
+        doc = tmp_path / "pr.json"
+        doc.write_text(json.dumps(pr_box_doc()))
+        if main(["classify", str(doc)]) != 3:
+            pytest.fail("a forged section dual did not exit 3")
+        if "internal check failed" not in capsys.readouterr().err:
+            pytest.fail("exit 3 without the internal-check message")

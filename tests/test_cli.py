@@ -14,10 +14,15 @@ import json
 import numpy as np
 import pytest
 
+import time
+from fractions import Fraction
+
 from contextuality import cli
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
 from contextuality.quantum import kcbs_construction, pvm_from_observable
+from contextuality.sheaf import MAX_ASSIGNMENTS
+from oracles import ld_vertex_boxes, random_box
 
 
 def kcbs_gpt_json(state):
@@ -406,3 +411,107 @@ class TestOutputPlumbing:
     def test_seed_recorded(self, tmp_path):
         payload = run_json(tmp_path, ["kcbs", "--seed", "9"])
         assert payload["seed"] == 9
+
+
+def interleaved_box_doc(p: dict, shape, a_labels, b_labels) -> dict:
+    """Empirical document of the box p(a, b | x, y) with shape (nX, nY, nA, nB).
+
+    Measurements are declared interleaved (A0, B0, A1, B1, ...), contexts
+    and table keys B-first, and outcome a of party A is `a_labels[a]`.
+    """
+    n_x, n_y, n_a, n_b = shape
+    measurements = []
+    for k in range(max(n_x, n_y)):
+        if k < n_x:
+            measurements.append({"label": f"A{k}", "outcomes": a_labels[:n_a]})
+        if k < n_y:
+            measurements.append({"label": f"B{k}", "outcomes": b_labels[:n_b]})
+    tables = {f"B{y},A{x}": {f"{b_labels[b]},{a_labels[a]}": str(p[(a, b, x, y)])
+                             for a in range(n_a) for b in range(n_b)}
+              for y in range(n_y) for x in range(n_x)}
+    return {"kind": "empirical",
+            "model": {"measurements": measurements,
+                      "contexts": [[f"B{y}", f"A{x}"] for y in range(n_y)
+                                   for x in range(n_x)],
+                      "tables": tables}}
+
+
+def parse_coordinate(key: str) -> tuple:
+    outs, setts = key.split("|")
+    return tuple(int(t) for t in outs.split(",") + setts.split(","))
+
+
+class TestBipartiteIndexMapping:
+    """The Bell certificate, read off the section LP, in the box's own coordinates.
+
+    Coordinates (a, b | x, y) number settings per party in declaration order
+    and outcomes in each measurement's declared order; weights follow the
+    lexicographic (f, g) order of the oracle's vertex list.
+    """
+
+    A_LABELS = ["up", "down"]
+    B_LABELS = ["left", "right", "none"]
+
+    def classify_box(self, tmp_path, p, shape):
+        doc = tmp_path / "box.json"
+        doc.write_text(json.dumps(
+            interleaved_box_doc(p, shape, self.A_LABELS, self.B_LABELS)))
+        return run_json(tmp_path, ["classify", str(doc), "--emit-certificate"])
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 3)])
+    def test_certificate_against_oracle_vertices(self, tmp_path, shape):
+        rng = np.random.default_rng(61)
+        vertices = ld_vertex_boxes(*shape)
+        for pr_weight in (Fraction(0), Fraction(4, 5)):
+            p = random_box(rng, shape, pr_weight)
+            payload = self.classify_box(tmp_path, p, shape)
+            (cert,) = [c for c in payload["certificates"] if c["role"] == "bell"]
+            if pr_weight == 0:
+                assert cert["verdict"] == "inside"
+                weights = [Fraction(w) for w in cert["weights"]]
+                assert len(weights) == len(vertices) and min(weights) >= 0
+                for c in p:
+                    assert sum(w * v[c] for w, v in zip(weights, vertices)) == p[c]
+                continue
+            assert cert["verdict"] == "outside"
+            sep = cert["separating"]
+            coeffs = {parse_coordinate(k): Fraction(v)
+                      for k, v in sep["coefficients"].items()}
+            assert set(coeffs) == set(p)
+            bound = Fraction(sep["bound"])
+            scores = [sum(coeffs[c] * v[c] for c in p) for v in vertices]
+            assert max(scores) <= bound
+            assert scores[cert["witness_vertex"]] == bound
+            value = Fraction(cert["value_on_behaviour"])
+            assert value == sum(coeffs[c] * p[c] for c in p)
+            assert value > bound
+
+    def test_bell_verdict_equals_ks_verdict_on_random_boxes(self, tmp_path):
+        rng = np.random.default_rng(67)
+        seen = set()
+        for trial in range(12):
+            shape = ((2, 2, 2, 2), (2, 3, 2, 3))[trial % 2]
+            p = random_box(rng, shape, Fraction(int(rng.integers(0, 6)), 5))
+            payload = self.classify_box(tmp_path, p, shape)
+            assert payload["bell_local"] == payload["ks_noncontextual"]
+            seen.add(payload["bell_local"])
+        assert seen == {"yes", "no"}
+
+
+class TestOversizedBox:
+    def test_thirteen_settings_per_party_undecided(self, tmp_path):
+        n = 13
+        assert 2 ** (2 * n) > MAX_ASSIGNMENTS
+        p = {(a, b, x, y): Fraction(1, 4) for a in range(2) for b in range(2)
+             for x in range(n) for y in range(n)}
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps(
+            interleaved_box_doc(p, (n, n, 2, 2), ["0", "1"], ["0", "1"])))
+        t0 = time.perf_counter()
+        payload = run_json(tmp_path, ["classify", str(doc)])
+        elapsed = time.perf_counter() - t0
+        assert payload["ks_noncontextual"] == "undecided"
+        assert payload["bell_local"] == "not-applicable"
+        assert any(note.startswith("global-section solver skipped")
+                   for note in payload["notes"])
+        assert elapsed < 1.0

@@ -46,6 +46,7 @@ from contextuality.embedding import (
     six_ensemble_statistics,
     verify_embedding,
     verify_ont_model,
+    _hull_pair_feasibility,
 )
 from contextuality.exactlp import check_farkas, columns_from_rows
 from contextuality.quantum import (
@@ -601,6 +602,25 @@ class TestPuseyCheck:
         assert cert["kind"] == "assignment-polytope-scan"
         assert cert["verdict"] == "contextual"
         assert cert["vertex_counts"] == {"up": 1, "down": 1}
+
+
+class TestHullIntersection:
+    """The hull-pair LP behind the Pusey scan, on segments in the plane."""
+
+    def test_crossing_segments(self):
+        a = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
+        b = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
+        assert _hull_pair_feasibility(a, b).feasible
+
+    def test_disjoint_segments(self):
+        a = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
+        b = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))]
+        assert not _hull_pair_feasibility(a, b).feasible
+
+    def test_shared_vertex(self):
+        a = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+        b = [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))]
+        assert _hull_pair_feasibility(a, b).feasible
 
 
 class TestGptJson:

@@ -25,7 +25,6 @@ from contextuality.exactlp import (
     columns_from_rows,
     enumerate_vertices,
     exact_rank,
-    hulls_intersect,
     require_certificate,
     solve_box_eq,
     solve_eq_nonneg,
@@ -349,26 +348,6 @@ class TestVertexEnumeration:
     def test_rank_helper(self):
         assert exact_rank(frac_matrix([[1, 2], [2, 4]])) == 1
         assert exact_rank(frac_matrix([[1, 0], [0, 1]])) == 2
-
-
-class TestHullIntersection:
-    def test_crossing_segments(self):
-        a = [(F(0), F(0)), (F(2), F(2))]
-        b = [(F(0), F(2)), (F(2), F(0))]
-        assert hulls_intersect(a, b)
-
-    def test_disjoint_segments(self):
-        a = [(F(0), F(0)), (F(1), F(0))]
-        b = [(F(0), F(1)), (F(1), F(1))]
-        assert not hulls_intersect(a, b)
-
-    def test_shared_vertex(self):
-        a = [(F(0), F(0)), (F(1), F(1))]
-        b = [(F(1), F(1)), (F(2), F(0))]
-        assert hulls_intersect(a, b)
-
-    def test_empty_input(self):
-        assert not hulls_intersect([], [(F(0),)])
 
 
 class TestBoxSolve:

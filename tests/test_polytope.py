@@ -9,8 +9,12 @@ Verification strategy:
 - independence numbers are cross-checked against subset brute force;
 - deterministic-assignment bounds (pairwise-correlation and exclusivity
   functionals, and the two-party lift) are verified by full enumeration;
-- the membership verdict is compared with the global-section verdict on
-  randomised no-signaling boxes.
+- the membership verdict is compared with the dense-vertex LP oracle
+  (`reference_membership_lp`, its own vertex list and simplex) on
+  randomised no-signaling boxes, and its weights or separating inequality
+  are re-checked on the oracle's vertex list;
+- the two-party lift's deterministic maximum is compared with a 4^n
+  brute-force scan on random weighted graphs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pytest
 
 from contextuality.polytope import (
     CHSH_OPTIMAL_ANGLES,
+    BipartiteLift,
     DegenerateContexts,
     LabelMismatch,
     MissingProjectors,
@@ -36,7 +41,6 @@ from contextuality.polytope import (
     chsh_value,
     contextuality_to_bell,
     csw_inequality,
-    enumerate_ld_vertices,
     evaluate_inequality,
     graph_from_projectors,
     kcbs_graph,
@@ -61,7 +65,7 @@ from contextuality.quantum import (
     werner_state,
 )
 from contextuality.scenario import SchemaError
-from contextuality.sheaf import solve_global_section
+from contextuality.sheaf import HiddenVariableModel, solve_global_section
 
 RNG = np.random.default_rng(20240819)
 
@@ -75,7 +79,18 @@ def uniform_behaviour(nX=2, nY=2, nA=2, nB=2):
     return make_behaviour(nX, nY, nA, nB, p)
 
 
-from oracles import correlator_grid, grid_scan_max  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_lift_maximum,
+    correlator_grid,
+    grid_scan_max,
+    ld_vertex_boxes,
+    random_box,
+    reference_membership_lp,
+)
+
+
+def vertex_behaviours(nX=2, nY=2, nA=2, nB=2):
+    return [make_behaviour(nX, nY, nA, nB, p) for p in ld_vertex_boxes(nX, nY, nA, nB)]
 
 
 class TestBehaviour:
@@ -117,23 +132,27 @@ class TestBehaviour:
 
 
 class TestLdVertices:
+    """The local deterministic vertices are the two-party model's global assignments."""
+
     def test_counts(self):
-        assert len(enumerate_ld_vertices(2, 2, 2, 2)) == 16
-        assert len(enumerate_ld_vertices(3, 3, 2, 2)) == 64
+        for n, count in ((2, 16), (3, 64)):
+            model = behaviour_to_model(uniform_behaviour(nX=n, nY=n))
+            assert len(solve_global_section(model).matrix.assignments) == count
 
     def test_vertex_behaviour_entries_are_boolean(self):
-        for v in enumerate_ld_vertices(2, 2, 2, 2)[:4]:
-            vb = v.behaviour(2, 2)
-            assert set(vb.p.values()) <= {Fraction(0), Fraction(1)}
-
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            enumerate_ld_vertices(21, 1, 2, 2)
+        model = behaviour_to_model(uniform_behaviour())
+        sc = model.scenario
+        for t in solve_global_section(model).matrix.assignments[:4]:
+            point = HiddenVariableModel(sc, (dict(zip(sc.measurements, t)),),
+                                        (Fraction(1),))
+            values = {v for table in point.induced_model().tables.values()
+                      for v in table.values()}
+            assert values <= {Fraction(0), Fraction(1)}
 
 
 class TestChshValue:
     def test_ld_maximum_is_exactly_two(self):
-        values = [chsh_value(v.behaviour(2, 2)) for v in enumerate_ld_vertices(2, 2, 2, 2)]
+        values = [chsh_value(v) for v in vertex_behaviours()]
         assert max(values) == 2
         assert all(v <= 2 for v in values)
 
@@ -173,8 +192,8 @@ class TestMembership:
         res = membership_lp(singlet_behaviour(CHSH_OPTIMAL_ANGLES))
         assert not res.inside
         ineq = res.separating
-        for v in enumerate_ld_vertices(2, 2, 2, 2):
-            value, ok = evaluate_inequality(ineq, v.behaviour(2, 2))
+        for v in vertex_behaviours():
+            value, ok = evaluate_inequality(ineq, v)
             assert ok and value <= ineq.bound
         value, ok = evaluate_inequality(ineq, res.behaviour)
         assert not ok and value > ineq.bound
@@ -212,11 +231,34 @@ class TestMembership:
                     p[(1, 0, x, y)] = b - z
                     p[(1, 1, x, y)] = 1 - a - b + z
             beh = make_behaviour(2, 2, 2, 2, p)
-            inside = membership_lp(beh).inside
-            feasible = solve_global_section(behaviour_to_model(beh)).feasible
-            assert inside == feasible
+            assert membership_lp(beh).inside == reference_membership_lp(p, 2, 2, 2, 2).inside
             agreements += 1
         assert agreements == 25
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 3), (3, 2, 3, 2)])
+    def test_certificate_fields_against_oracle_vertices(self, shape):
+        """Either verdict is proven on the oracle's own vertex list."""
+        rng = np.random.default_rng(sum(shape))
+        vertices = ld_vertex_boxes(*shape)
+        seen = set()
+        for trial in range(6):
+            p = random_box(rng, shape, Fraction(trial, 5))
+            res = membership_lp(make_behaviour(*shape, p))
+            seen.add(res.inside)
+            if res.inside:
+                assert len(res.weights) == len(vertices)
+                assert all(w >= 0 for w in res.weights)
+                for c in p:
+                    assert sum(w * v[c] for w, v in zip(res.weights, vertices)) == p[c]
+                continue
+            ineq = res.separating
+            assert set(ineq.coefficients) == set(p)
+            scores = [sum(ineq.coefficients[c] * v[c] for c in p) for v in vertices]
+            assert max(scores) == ineq.bound
+            assert scores.index(ineq.bound) == res.witness_vertex
+            assert res.value == sum(ineq.coefficients[c] * p[c] for c in p)
+            assert res.value > ineq.bound
+        assert seen == {True, False}
 
 
 class TestPairwiseCorrelationBound:
@@ -347,6 +389,18 @@ class TestBipartiteLift:
     def test_deterministic_strategies_respect_bound(self):
         lift = contextuality_to_bell(kcbs_graph(), 3)
         assert lift.ld_maximum() == Fraction(2)
+
+    def test_ld_maximum_matches_brute_force_on_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for trial in range(12):
+            n = 1 + trial % 6
+            weights = {f"v{i}": Fraction(int(k), 3)
+                       for i, k in enumerate(rng.integers(0, 7, size=n))}
+            edges = [(f"v{i}", f"v{j}") for i, j in itertools.combinations(range(n), 2)
+                     if rng.random() < 0.4]
+            lift = BipartiteLift(graph=make_orthogonality_graph(weights, edges),
+                                 dim=n, bound=Fraction(0), quantum_value=0.0)
+            assert lift.ld_maximum() == brute_force_lift_maximum(weights, lift.graph.edges)
 
     def test_zero_weight_graph_trivial(self):
         vs = kcbs_graph().projectors

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality.exactlp import enumerate_vertices, hulls_intersect
+from contextuality.exactlp import enumerate_vertices
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
 from contextuality.scenario import (
     DisturbingModel,
@@ -43,7 +43,7 @@ from contextuality.sheaf import (
     hv_model_from_section,
     solve_global_section,
 )
-from oracles import reference_incidence_rows
+from oracles import reference_hulls_intersect, reference_incidence_rows
 
 HALF = Fraction(1, 2)
 
@@ -343,7 +343,7 @@ class TestOracleEquivalence:
                 zs.append(lo + t * (hi - lo))
             model = box_model(*zs, a0=a0, a1=a1, b0=b0, b1=b1)
             res = solve_global_section(model)
-            member = hulls_intersect([self.behaviour_vector(model)], lds)
+            member = reference_hulls_intersect([self.behaviour_vector(model)], lds)
             assert res.feasible == member
             feasible_seen += res.feasible
             infeasible_seen += not res.feasible
