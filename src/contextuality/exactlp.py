@@ -438,15 +438,18 @@ def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
     if any(upper[j] < lower[j] for j in range(n)):
         return None
     # substitute x = lower + s, add slack t with s + t = upper - lower:
-    # column j is A's column j over row m + j, slack column n + j is e_{m+j}
-    rhs = [Fraction(b[i]) - sum(a_rows[i][j] * lower[j] for j in range(n))
-           for i in range(m)]
-    rhs += [Fraction(upper[j]) - Fraction(lower[j]) for j in range(n)]
+    # column j is A's column j over row m + j, slack column n + j is e_{m+j};
+    # the shifted right-hand side b - A lower subtracts nonzero terms only
+    rhs = [Fraction(bi) for bi in b]
     cols = []
     for j in range(n):
         idx = [i for i in range(m) if a_rows[i][j]]
-        cols.append((tuple(idx) + (m + j,),
-                     tuple(Fraction(a_rows[i][j]) for i in idx) + (1,)))
+        vals = [Fraction(a_rows[i][j]) for i in idx]
+        if lower[j]:
+            for i, v in zip(idx, vals):
+                rhs[i] -= v * lower[j]
+        cols.append((tuple(idx) + (m + j,), tuple(vals) + (1,)))
+    rhs += [Fraction(upper[j]) - Fraction(lower[j]) for j in range(n)]
     cols += [((m + j,), (1,)) for j in range(n)]
     res = solve_eq_nonneg(SparseColumns(m + n, tuple(cols)), rhs)
     if not res.feasible:

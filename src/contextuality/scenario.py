@@ -2,9 +2,11 @@
 
 Probability entries are exact `Fraction`s when supplied as rationals and
 doubles otherwise.  Paths that feed exact feasibility solvers go through
-`rationalize_model`, which rebuilds a nearby all-rational model that is
-exactly normalised and exactly marginal-consistent, rather than rounding
-entries independently (independent rounding breaks both properties).
+`rationalize_model`, which returns a nearby all-rational model that is
+exactly normalised and exactly marginal-consistent.  Independent rounding
+of the entries can break both properties, so the rounded model is used
+only when an exact check shows it keeps them; otherwise the model is
+rebuilt by exact LPs.
 """
 
 from __future__ import annotations
@@ -230,18 +232,42 @@ class NoDisturbanceReport:
                 f"between {a} and {b} on {overlap})")
 
 
+def _overlap_pairs(sc: MeasurementScenario):
+    """(ca, cb, overlap) for every pair of contexts that share a measurement.
+
+    Pairs come in `itertools.combinations` order; the overlap lists the
+    shared labels in canonical order.
+    """
+    members = {c: set(c) for c in sc.contexts}
+    for ca, cb in itertools.combinations(sc.contexts, 2):
+        shared = members[ca] & members[cb]
+        if shared:
+            yield ca, cb, tuple(m for m in sc.measurements if m in shared)
+
+
+def _overlap_marginals(model: EmpiricalModel):
+    """`_overlap_pairs` with the marginals of both contexts on their overlap.
+
+    Each (context, overlap) marginal is computed once and shared by every
+    pair that needs it.
+    """
+    cache: dict[tuple, dict] = {}
+    for ca, cb, overlap in _overlap_pairs(model.scenario):
+        pair = []
+        for c in (ca, cb):
+            m = cache.get((c, overlap))
+            if m is None:
+                m = cache[c, overlap] = marginalize(model.tables[c], c, overlap)
+            pair.append(m)
+        yield ca, cb, overlap, pair[0], pair[1]
+
+
 def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDisturbanceReport:
     """Max l-infinity distance between context marginals on every overlap."""
     sc = model.scenario
     worst = 0.0
     worst_pair = None
-    for ca, cb in itertools.combinations(sc.contexts, 2):
-        shared = set(ca) & set(cb)
-        if not shared:
-            continue
-        overlap = tuple(m for m in sc.measurements if m in shared)
-        ma = marginalize(model.tables[ca], ca, overlap)
-        mb = marginalize(model.tables[cb], cb, overlap)
+    for ca, cb, overlap, ma, mb in _overlap_marginals(model):
         for outc in sc.outcome_tuples(overlap):
             d = abs(float(ma.get(outc, 0)) - float(mb.get(outc, 0)))
             if d > worst:
@@ -253,14 +279,7 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
 
 def exact_no_disturbance(model: EmpiricalModel) -> bool:
     """Exact marginal agreement; meaningful only for all-rational models."""
-    sc = model.scenario
-    for ca, cb in itertools.combinations(sc.contexts, 2):
-        shared = set(ca) & set(cb)
-        if not shared:
-            continue
-        overlap = tuple(m for m in sc.measurements if m in shared)
-        ma = marginalize(model.tables[ca], ca, overlap)
-        mb = marginalize(model.tables[cb], cb, overlap)
+    for _, _, _, ma, mb in _overlap_marginals(model):
         for outc in set(ma) | set(mb):
             if ma.get(outc, Fraction(0)) != mb.get(outc, Fraction(0)):
                 return False
@@ -444,13 +463,27 @@ def sequential_stats_from_quantum(state, obs_a, obs_b) -> SequentialStats:
 # Rationalization
 # ---------------------------------------------------------------------------
 
+ZERO_TOL = 1e-9
+
+
 def _limit(x: float, max_den: int) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def _solve_overlap(values: list[float], rows, rhs, slack: Fraction, max_den: int,
-                   attempts: int = 10):
-    """Box LP around float centres, retrying with doubled slack on infeasibility."""
+def _round(x: float, max_den: int) -> Fraction:
+    """Exact zero at or below `ZERO_TOL`, otherwise the nearest rational with denominator <= max_den."""
+    return Fraction(0) if x <= ZERO_TOL else _limit(x, max_den)
+
+
+def _exactly_consistent(model: EmpiricalModel) -> bool:
+    """Every table sums to exactly 1 and every overlap marginal agrees exactly."""
+    return (all(sum(t.values()) == 1 for t in model.tables.values())
+            and exact_no_disturbance(model))
+
+
+def _solve_overlap(values: list[float], centres: list[Fraction], rows, rhs,
+                   slack: Fraction, max_den: int, attempts: int = 10):
+    """Box LP around the rounded float centres, retrying with doubled slack on infeasibility."""
     n = len(values)
     sum_row = [[Fraction(1)] * n]
     a_rows = sum_row + rows
@@ -458,14 +491,15 @@ def _solve_overlap(values: list[float], rows, rhs, slack: Fraction, max_den: int
     for attempt in range(attempts):
         s = slack * (2 ** attempt)
         lower, upper = [], []
-        for f in values:
-            if f <= 1e-9 and attempt < 5:
-                lower.append(Fraction(0))
-                upper.append(Fraction(0))
-            else:
+        for f, c in zip(values, centres):
+            if f <= ZERO_TOL:
+                if attempt < 5:
+                    lower.append(Fraction(0))
+                    upper.append(Fraction(0))
+                    continue
                 c = _limit(f, max_den)
-                lower.append(max(Fraction(0), c - s))
-                upper.append(min(Fraction(1), c + s))
+            lower.append(max(Fraction(0), c - s))
+            upper.append(min(Fraction(1), c + s))
         sol = solve_box_eq(a_rows, b, lower, upper)
         if sol is not None:
             return sol
@@ -476,18 +510,29 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                       slack: Fraction = Fraction(1, 10 ** 5)) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
-    Already-rational exactly-consistent models pass through unchanged.
-    Otherwise overlap distributions are fixed first (smallest overlaps first,
-    each constrained to agree with previously fixed sub-overlaps), then each
-    context table is rebuilt around its float entries subject to the fixed
-    overlap marginals.  Entries move by at most a few times `slack`; float
-    entries at or below 1e-9 are pinned to exact zero so that downstream
-    support arguments remain valid.
+    Already-rational exactly-consistent models pass through unchanged.  A
+    model whose marginals disagree by more than `ND_TOL` raises
+    `DisturbingModel`.  Otherwise every entry is rounded once: entries at or
+    below `ZERO_TOL` become an exact zero and the others the nearest
+    rational with denominator at most `max_den`, so each moves by at most
+    max(1/(2 max_den), ZERO_TOL).  If every rounded table sums to exactly 1
+    and the rounded marginals agree exactly, the rounded model is returned
+    and no LP runs.  A rounded model that fails this check is never
+    corrected entry by entry; it is discarded for the LP path below.
+
+    The LP path fixes overlap distributions first (smallest overlaps first,
+    each constrained to agree with previously fixed sub-overlaps), then
+    rebuilds each context table subject to the fixed overlap marginals.
+    Each step is an exact box LP around the rounded entries, of half-width
+    `slack` for an overlap and `2 slack` for a table.  An infeasible box is
+    retried with its half-width doubled, up to 2**9 times the first, so an
+    entry can move by about 2**10 slack (1e-2 at the default) at most.
+    Entries at or below `ZERO_TOL` are pinned to exact zero for the first
+    five attempts, so that downstream support arguments remain valid; from
+    the sixth attempt on they are boxed like the others.
     """
-    if model.is_rational:
-        if all(sum(t.values()) == 1 for t in model.tables.values()) \
-                and exact_no_disturbance(model):
-            return model
+    if model.is_rational and _exactly_consistent(model):
+        return model
 
     report = validate_no_disturbance(model)
     if not report.passed:
@@ -495,12 +540,13 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
 
     sc = model.scenario
     float_tables = {c: {o: float(v) for o, v in t.items()} for c, t in model.tables.items()}
+    rounded = EmpiricalModel(scenario=sc, tables={
+        c: {o: _round(float_tables[c].get(o, 0.0), max_den) for o in sc.outcome_tuples(c)}
+        for c in sc.contexts})
+    if _exactly_consistent(rounded):
+        return rounded
 
-    overlaps: set[tuple] = set()
-    for ca, cb in itertools.combinations(sc.contexts, 2):
-        inter = tuple(m for m in sc.measurements if m in set(ca) & set(cb))
-        if inter:
-            overlaps.add(inter)
+    overlaps = {overlap for _, _, overlap in _overlap_pairs(sc)}
     ordered = sorted(overlaps, key=lambda u: (len(u), u))
 
     fixed: dict[tuple, dict] = {}
@@ -517,7 +563,8 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                     rows.append([Fraction(1) if tuple(o[i] for i in idx) == wo
                                  else Fraction(0) for o in outs])
                     rhs.append(wv)
-        sol = _solve_overlap(values, rows, rhs, slack, max_den)
+        centres = [_round(f, max_den) for f in values]
+        sol = _solve_overlap(values, centres, rows, rhs, slack, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize overlap {u}")
         fixed[u] = dict(zip(outs, sol))
@@ -537,7 +584,8 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                     rows.append([Fraction(1) if tuple(o[i] for i in idx) == uo
                                  else Fraction(0) for o in outs])
                     rhs.append(uv)
-        sol = _solve_overlap(values, rows, rhs, 2 * slack, max_den)
+        centres = [rounded.tables[c][o] for o in outs]
+        sol = _solve_overlap(values, centres, rows, rhs, 2 * slack, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize context {c}")
         new_tables[c] = dict(zip(outs, sol))

@@ -9,10 +9,14 @@ the solver-level modules use.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import time
 from fractions import Fraction
@@ -20,7 +24,7 @@ from fractions import Fraction
 from contextuality import cli
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
-from contextuality.quantum import kcbs_construction, pvm_from_observable
+from contextuality.quantum import kcbs_construction, matrix_to_json, pvm_from_observable
 from contextuality.sheaf import MAX_ASSIGNMENTS
 from oracles import ld_vertex_boxes, random_box
 
@@ -515,3 +519,135 @@ class TestOversizedBox:
         assert any(note.startswith("global-section solver skipped")
                    for note in payload["notes"])
         assert elapsed < 1.0
+
+
+def float_copy(doc: dict) -> dict:
+    """The empirical document with every "p/q" table entry written as a float."""
+    out = json.loads(json.dumps(doc))
+    for table in out["model"]["tables"].values():
+        for key, v in table.items():
+            table[key] = float(Fraction(v))
+    return out
+
+
+def classify_bytes(path, doc: dict) -> tuple:
+    """Exit code, output bytes and standard error of `classify --emit-certificate`."""
+    path.write_text(json.dumps(doc))
+    out = path.with_suffix(".out")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["classify", str(path), "--emit-certificate", "--out", str(out)])
+    return rc, (out.read_bytes() if out.exists() else b""), err.getvalue()
+
+
+def coarse_graining_doc(rng) -> dict:
+    """Two-outcome coarse-grainings {0,1}, {0,2}, {0} of one random 4-dimensional basis."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(g)
+    rays = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+    meas = []
+    for k, block in enumerate([(0, 1), (0, 2), (0,)]):
+        q = sum(rays[i] for i in block)
+        meas.append({"label": f"M{k}",
+                     "projectors": [matrix_to_json(q), matrix_to_json(np.eye(4) - q)]})
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = h @ h.conj().T
+    return {"kind": "quantum", "state": matrix_to_json(rho / np.trace(rho).real),
+            "contexts": [[meas[0], meas[1]], [meas[1], meas[2]], [meas[0], meas[2]]]}
+
+
+class TestFloatDocuments:
+    """Float documents: rounded entries that are exactly consistent are used as they are."""
+
+    SHAPES = ((2, 2, 2, 2), (2, 3, 2, 3))
+
+    def test_float_box_prints_its_exact_twin(self, tmp_path):
+        rng = np.random.default_rng(71)
+        verdicts = set()
+        for trial in range(12):
+            shape = self.SHAPES[trial % 2]
+            pr_weight = (Fraction(0), Fraction(4, 5))[trial // 2 % 2]
+            exact = interleaved_box_doc(random_box(rng, shape, pr_weight), shape,
+                                        ["0", "1"], ["0", "1", "2"])
+            rc, exact_out, _ = classify_bytes(tmp_path / "exact.json", exact)
+            rc_f, float_out, _ = classify_bytes(tmp_path / "float.json",
+                                                float_copy(exact))
+            assert rc == rc_f == 0
+            assert float_out == exact_out
+            verdicts.add(json.loads(exact_out)["bell_local"])
+        assert verdicts == {"yes", "no"}
+
+    def test_coarse_grainings_of_one_basis_stay_noncontextual(self, tmp_path):
+        # Every measurement is a function of one basis measurement, so a
+        # global section exists; rounding must not push the data off it.
+        for seed in range(50):
+            doc = coarse_graining_doc(np.random.default_rng(seed))
+            rc, out, err = classify_bytes(tmp_path / "cg.json", doc)
+            assert rc == 0, err
+            assert json.loads(out)["ks_noncontextual"] == "yes"
+
+
+FUZZ_KINDS = ("valid", "jittered", "disturbing", "negative", "unnormalised")
+
+
+@st.composite
+def float_box_documents(draw):
+    """(kind, float document, exact source document) over two-setting boxes."""
+    kind = draw(st.sampled_from(FUZZ_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(TestFloatDocuments.SHAPES))
+    pr_weight = Fraction(draw(st.integers(0, 5)), 5)
+    exact = interleaved_box_doc(random_box(rng, shape, pr_weight), shape,
+                                ["0", "1"], ["0", "1", "2"])
+    doc = float_copy(exact)
+    tables = doc["model"]["tables"]
+    name = draw(st.sampled_from(sorted(tables)))
+    table = tables[name]
+    keys = sorted(table)
+    if kind == "jittered":
+        # Small enough that every table still sums to 1 within 1e-12.
+        for t in tables.values():
+            bound = 0.9e-12 / len(t)
+            for key in t:
+                t[key] += draw(st.floats(-bound, bound))
+    elif kind == "disturbing":
+        # Move mass between A's outcomes at a fixed B outcome: the table still
+        # sums to 1, but A's marginal in this context moves by d.  The
+        # largest of at most six entries is at least 1/6, so none goes negative.
+        src = max(keys, key=table.__getitem__)
+        b, a = src.split(",")
+        dst = f"{b},{1 - int(a)}"
+        d = draw(st.floats(2e-9, 0.15))
+        table[src] -= d
+        table[dst] += d
+    elif kind == "negative":
+        src, dst = draw(st.permutations(keys))[:2]
+        d = table[src] + draw(st.floats(1e-9, 0.5))
+        table[src] -= d
+        table[dst] += d
+    elif kind == "unnormalised":
+        key = draw(st.sampled_from(keys))
+        table[key] += draw(st.sampled_from((-1, 1))) * draw(st.floats(1e-9, 0.1))
+        table[key] = max(table[key], 0.0)
+        if sum(table.values()) == 1.0:
+            table[keys[0]] += 1e-6
+    return kind, doc, exact
+
+
+class TestFloatDocumentFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=float_box_documents())
+    def test_exit_codes_and_no_traceback(self, tmp_path_factory, drawn):
+        kind, doc, exact = drawn
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        rc, out, err = classify_bytes(path, doc)
+        assert rc in (0, 2, 3)
+        assert "Traceback" not in err
+        if kind in ("valid", "jittered"):
+            # Within 1e-12 of a small-denominator box, rounding recovers
+            # the box itself.
+            assert rc == 0, err
+            assert out == classify_bytes(path.with_name("exact.json"), exact)[1]
+        else:
+            assert rc == 2, err

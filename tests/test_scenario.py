@@ -7,7 +7,8 @@ Verification strategy:
   products for parity expectations, the frozen pentagon correlator sum);
 - rationalization is verified by re-checking the exact properties it must
   deliver (exact normalisation, exact marginal agreement, proximity to the
-  float input, pinned zeros);
+  float input, pinned zeros); float copies of small-denominator models must
+  come back as the original tables without an LP;
 - marginalisation laws run exactly over rational tables.
 """
 
@@ -15,10 +16,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextuality import scenario
+from contextuality.classify import classify_model
 from contextuality.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -197,6 +203,26 @@ class TestNoDisturbance:
         assert validate_no_disturbance(pr_box_model()).passed
         assert exact_no_disturbance(pr_box_model())
 
+    def test_each_context_marginal_computed_once_per_check(self, monkeypatch):
+        # 13 settings per party: 169 contexts, each overlapping others on its
+        # A and its B measurement, so 338 (context, overlap) marginals per
+        # check.  Classifying runs the float check and the exact one.
+        n = 13
+        sc = make_scenario([(f"A{x}", (0, 1)) for x in range(n)]
+                           + [(f"B{y}", (0, 1)) for y in range(n)],
+                           [[f"A{x}", f"B{y}"] for x in range(n) for y in range(n)])
+        quarter = Fraction(1, 4)
+        model = make_model(sc, {c: {o: quarter for o in sc.outcome_tuples(c)}
+                                for c in sc.contexts})
+        calls = []
+        real = scenario.marginalize
+        monkeypatch.setattr(scenario, "marginalize",
+                            lambda *a: calls.append(a[1:]) or real(*a))
+        report = classify_model(model)
+        assert report.ks_noncontextual == "undecided"
+        assert len(calls) <= 2 * 338
+        assert len(calls) == 2 * len(set(calls))
+
 
 class TestFromQuantum:
     def test_z_basis_on_ground_state_is_deterministic(self):
@@ -283,6 +309,43 @@ class TestSequentialBounds:
                             p_ab={(1, 1): 1.0}, p_bab={(1, 1): 1.0})
 
 
+@st.composite
+def small_denominator_models(draw):
+    """A classical mixture of global assignments with small integer weights.
+
+    Measurements have 2 or 3 outcomes; contexts are the consecutive pairs of
+    a 3- or 4-cycle, so every measurement is shared by two contexts, plus
+    optionally the triple {M0, M1, M2}, which contains two of the pairs.
+    Returns the scenario and its exact tables.
+    """
+    n = draw(st.integers(3, 4))
+    labels = [f"M{i}" for i in range(n)]
+    outcomes = [tuple(range(draw(st.sampled_from((2, 3))))) for _ in labels]
+    contexts = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+    if draw(st.booleans()):
+        contexts.append(labels[:3])
+    sc = make_scenario(list(zip(labels, outcomes)), contexts)
+    points = draw(st.lists(st.tuples(*(st.sampled_from(o) for o in outcomes)),
+                           min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(points),
+                            max_size=len(points)))
+    total = sum(weights)
+    tables = {}
+    for c in sc.contexts:
+        idx = [labels.index(m) for m in c]
+        table = {o: Fraction(0) for o in sc.outcome_tuples(c)}
+        for point, w in zip(points, weights):
+            table[tuple(point[i] for i in idx)] += Fraction(w, total)
+        tables[c] = table
+    return sc, tables
+
+
+def no_lp():
+    """Fail the test if `rationalize_model` reaches its box-LP path."""
+    return mock.patch.object(scenario, "solve_box_eq",
+                             side_effect=AssertionError("box LP ran"))
+
+
 class TestRationalize:
     def test_exact_model_passes_through(self):
         m = pr_box_model()
@@ -329,6 +392,47 @@ class TestRationalize:
             worst = max(abs(float(r.tables[c][o]) - m.tables[c][o])
                         for c in m.scenario.contexts for o in m.tables[c])
             assert worst < 1e-3
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_denominator_models())
+    def test_float_copies_of_small_denominator_models_come_back_exactly(self, drawn):
+        sc, tables = drawn
+        floats = make_model(sc, {c: {o: float(v) for o, v in t.items()}
+                                 for c, t in tables.items()})
+        with no_lp():
+            r = rationalize_model(floats)
+        assert r.tables == tables
+
+    @pytest.mark.parametrize("max_den", [10 ** 3, 10 ** 6])
+    def test_fast_path_entries_within_half_a_grid_step(self, max_den):
+        m = kcbs_model()
+        with no_lp():
+            r = rationalize_model(m, max_den=max_den)
+        assert r.is_rational and exact_no_disturbance(r)
+        bound = Fraction(1, 2 * max_den)
+        for c, table in m.tables.items():
+            assert sum(r.tables[c].values()) == 1
+            for outc, v in table.items():
+                assert r.tables[c][outc].denominator <= max_den
+                assert abs(r.tables[c][outc] - Fraction(v)) <= bound
+
+    def test_random_pentagon_state_takes_the_lp_path(self, monkeypatch):
+        _, obs, _ = kcbs_construction()
+        pvms = [pvm_from_observable(a, f"A{j}") for j, a in enumerate(obs)]
+        contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+        m = from_quantum(random_density(3, np.random.default_rng(211)), contexts)
+        calls = []
+        real = scenario.solve_box_eq
+        monkeypatch.setattr(scenario, "solve_box_eq",
+                            lambda *a: calls.append(1) or real(*a))
+        r = rationalize_model(m)
+        assert calls
+        assert r.is_rational and exact_no_disturbance(r)
+        for ctx in r.scenario.contexts:
+            assert sum(r.tables[ctx].values()) == 1
+            # orthogonal consecutive projectors: the zero stays pinned
+            assert m.tables[ctx][(1, 1)] <= 1e-9
+            assert r.tables[ctx][(1, 1)] == 0
 
 
 class TestJson:
