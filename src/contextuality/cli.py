@@ -335,7 +335,7 @@ def cmd_prep_nc(args) -> dict:
 
 
 def _pusey_stats_from_json(doc: dict):
-    if "preps" not in doc or not isinstance(doc["preps"], dict):
+    if not isinstance(doc, dict) or not isinstance(doc.get("preps"), dict):
         raise SchemaError("pusey input needs a 'preps' object")
     stats = {}
     for label, meas in doc["preps"].items():
@@ -356,12 +356,16 @@ def _pusey_stats_from_json(doc: dict):
                 else:
                     try:
                         row.append(Fraction(v))
-                    except (TypeError, ValueError) as exc:
+                    except (TypeError, ValueError, ZeroDivisionError) as exc:
                         raise SchemaError(f"bad probability {v!r}") from exc
             converted[m_label] = tuple(row)
         stats[label] = converted
+    raw_groups = doc.get("equivalences", [])
+    if not isinstance(raw_groups, list) or not all(
+            isinstance(g, list) for g in raw_groups):
+        raise SchemaError("'equivalences' must be a list of lists of mixtures")
     groups = []
-    for raw_group in doc.get("equivalences", []):
+    for raw_group in raw_groups:
         group = []
         for raw_mix in raw_group:
             if not isinstance(raw_mix, dict):
@@ -374,7 +378,7 @@ def _pusey_stats_from_json(doc: dict):
                                       "(int or 'a/b' string)")
                 try:
                     mix[label] = Fraction(w)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise SchemaError(f"bad weight {w!r}") from exc
             group.append(mix)
         groups.append(group)

@@ -11,6 +11,7 @@ checkers run entirely in exact rational arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ import numpy as np
 from .exactlp import (
     CertificateError,
     Feasibility,
+    SparseColumns,
     TooLargeError,
     columns_from_rows,
-    enumerate_vertices,
     format_fraction,
     require_certificate,
     solve_eq_nonneg,
@@ -53,7 +54,6 @@ RANK_TOL = 1e-8
 MAX_EMBED_DIM = 10
 MAX_SHARP_ASSIGNMENTS = 2**20
 MAX_ASSIGNMENT_TUPLES = 2**12
-MAX_POLYTOPE_VERTICES = 10_000
 MAX_SUBSET_PAIRS = 20_000
 
 
@@ -1007,55 +1007,72 @@ def _single_decomposition_model(problem: PrepEnsembleProblem) -> OntModel:
 
 @dataclass(frozen=True, eq=False)
 class AssignmentPolytope:
-    """Vertices of the distributions over deterministic assignments
-    reproducing one preparation's statistics."""
+    """The distributions over deterministic assignments that reproduce one
+    preparation's statistics: ``{z >= 0 : A z = b}`` with A = `matrix` and
+    b = `rhs`."""
 
     preparation: str
     measurements: tuple
     assignments: tuple
     distributions: dict
-    vertices: tuple
+
+    def matrix(self) -> SparseColumns:
+        """A: one row per (measurement, outcome), in measurement order, with
+        a one in the column of each assignment giving that outcome."""
+        offsets = list(itertools.accumulate(
+            (n for _, n in self.measurements), initial=0))
+        return SparseColumns(offsets[-1], tuple(
+            (tuple(offsets[m] + o for m, o in enumerate(a)), (1,) * len(a))
+            for a in self.assignments))
+
+    @property
+    def rhs(self) -> tuple:
+        """b: the outcome probabilities, in the row order of `matrix`."""
+        return tuple(p for label, _ in self.measurements
+                     for p in self.distributions[label])
 
 
 def _normalize_stats(probs, n_outcomes: int, max_den: int = 10**6):
     """Rationalize one outcome distribution exactly.
 
-    Float entries are rounded at ``max_den`` with the last outcome absorbing
-    the rounding so valid float data stays exactly normalized; genuinely
-    inconsistent sums are rejected.
+    Float entries are rounded at ``max_den``, and the last outcome absorbs a
+    float sum's miss of at most 1e-6, so valid float data sums to exactly 1.
+    A negative distribution, or one that does not then sum to exactly 1,
+    raises `EmptyAssignmentPolytope`: no mixture of assignments reproduces it.
     """
     values = []
-    has_float = any(isinstance(p, float) for p in probs)
     for p in probs:
-        if isinstance(p, float):
+        if not isinstance(p, float):
+            values.append(to_fraction(p))
+        elif math.isfinite(p):
             values.append(Fraction(p).limit_denominator(max_den))
         else:
-            values.append(to_fraction(p))
+            raise SchemaError(f"probability {p} is not finite")
     if len(values) != n_outcomes:
         raise SchemaError(f"expected {n_outcomes} outcome probabilities, "
                           f"got {len(values)}")
+    total = sum(values)
+    if (total != 1 and abs(total - 1) <= Fraction(1, 10**6)
+            and any(isinstance(p, float) for p in probs)):
+        values[-1] += 1 - total
+        total = 1
     if any(v < 0 for v in values):
         raise EmptyAssignmentPolytope("negative outcome probability")
-    total = sum(values)
-    if has_float and total != 1:
-        if abs(total - 1) > Fraction(1, 10**6):
-            raise EmptyAssignmentPolytope(
-                f"outcome probabilities sum to {float(total)}")
-        values[-1] += 1 - total
-        if values[-1] < 0:
-            raise EmptyAssignmentPolytope("negative outcome probability")
+    if total != 1:
+        raise EmptyAssignmentPolytope(
+            f"outcome probabilities sum to {total}, not 1")
     return tuple(values)
 
 
-def build_assignment_polytope(preparation: str, measurements, stats,
-                              *, max_vertices: int = MAX_POLYTOPE_VERTICES
+def build_assignment_polytope(preparation: str, measurements, stats
                               ) -> AssignmentPolytope:
-    """Enumerate the vertices of one preparation's assignment polytope.
+    """One preparation's assignment polytope.
 
     ``measurements`` is an ordered tuple of (label, outcome count); ``stats``
     maps each label to its outcome distribution.  Raises
-    `EmptyAssignmentPolytope` when no assignment mixture reproduces the
-    statistics (inconsistent input).
+    `EmptyAssignmentPolytope` when a distribution is negative or does not
+    sum to 1.  Otherwise the polytope is not empty, since the product of the
+    distributions lies in it.
     """
     measurements = tuple((str(label), int(n)) for label, n in measurements)
     count = 1
@@ -1064,45 +1081,16 @@ def build_assignment_polytope(preparation: str, measurements, stats,
         if count > MAX_ASSIGNMENT_TUPLES:
             raise TooLargeError(
                 f"more than {MAX_ASSIGNMENT_TUPLES} deterministic assignments")
-    assignments = tuple(itertools.product(*[range(n) for _, n in measurements]))
     dists = {}
     for label, n in measurements:
         if label not in stats:
             raise SchemaError(f"missing statistics for measurement {label!r}")
         dists[label] = _normalize_stats(stats[label], n)
-    rows = []
-    rhs = []
-    for m_index, (label, n) in enumerate(measurements):
-        for outcome in range(n):
-            rows.append([Fraction(1) if a[m_index] == outcome else Fraction(0)
-                         for a in assignments])
-            rhs.append(dists[label][outcome])
-    rows.append([Fraction(1)] * len(assignments))
-    rhs.append(Fraction(1))
-    vertices = enumerate_vertices(rows, rhs, max_vertices=max_vertices)
-    if not vertices:
-        raise EmptyAssignmentPolytope(
-            f"no assignment mixture reproduces preparation {preparation!r}")
-    return AssignmentPolytope(preparation=preparation,
-                              measurements=measurements,
-                              assignments=assignments,
-                              distributions=dists,
-                              vertices=tuple(vertices))
-
-
-def _disjoint_subset_pairs(n: int):
-    """All unordered pairs of disjoint nonempty subsets of range(n).
-
-    The pair is oriented so the overall smallest element sits on the first
-    side, which enumerates each unordered pair exactly once.
-    """
-    indices = list(range(n))
-    for s_mask in range(1, 2**n):
-        s = tuple(i for i in indices if (s_mask >> i) & 1)
-        rest = [i for i in indices if i > s[0] and not (s_mask >> i) & 1]
-        for t_size in range(1, len(rest) + 1):
-            for t in itertools.combinations(rest, t_size):
-                yield (s, t)
+    return AssignmentPolytope(
+        preparation=preparation,
+        measurements=measurements,
+        assignments=tuple(itertools.product(*[range(n) for _, n in measurements])),
+        distributions=dists)
 
 
 def _bipartitions(n: int):
@@ -1125,7 +1113,6 @@ class PuseyResult:
     pairs_covered: int
     intersecting_pair: tuple | None
     equivalence_farkas: tuple | None
-    polytopes: dict
 
     def certificate(self) -> dict:
         cert = {
@@ -1135,8 +1122,6 @@ class PuseyResult:
             "pairs_covered": self.pairs_covered,
             "scan_contextual": self.scan_contextual,
             "equivalence_contextual": self.equivalence_contextual,
-            "vertex_counts": {p: len(poly.vertices)
-                              for p, poly in self.polytopes.items()},
         }
         if self.intersecting_pair is not None:
             cert["intersecting_pair"] = [list(side)
@@ -1147,41 +1132,69 @@ class PuseyResult:
         return cert
 
 
-def _hull_pair_feasibility(points_a, points_b) -> Feasibility:
-    dim = len(points_a[0])
-    na, nb = len(points_a), len(points_b)
-    rows = []
-    rhs = []
-    for k in range(dim):
-        rows.append([Fraction(p[k]) for p in points_a]
-                    + [-Fraction(p[k]) for p in points_b])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * na + [Fraction(0)] * nb)
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * na + [Fraction(1)] * nb)
-    rhs.append(Fraction(1))
-    a = columns_from_rows(rows)
-    return require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "hull pair")
+def _hull_pair_lp(side_s, side_t) -> Feasibility:
+    """Whether the hulls of the S and T polytopes meet, by one re-checked exact LP.
+
+    Balas's disjunctive formulation ("Disjunctive programming", 1979): the
+    points of conv(union of P_i) are the sums sum_i z_i with
+    A z_i = lam_i b_i, z_i >= 0, lam_i >= 0 and sum_i lam_i = 1.  A is
+    `AssignmentPolytope.matrix` with a row of ones appended (b_i with a 1),
+    so sum(z_i) = lam_i, and A z = 0 forces z = 0: the polytopes are
+    bounded, which makes the formulation exact.  The LP asks for
+    sum_S z_i = sum_T z_i and sum_S lam_i = 1; the rows of ones then give
+    sum_T lam_i = 1 too.
+
+    Columns run polytope by polytope, S before T: z_i's assignment columns,
+    then lam_i.  Rows are each polytope's block (the rows of A, then its row
+    of ones), then one row per assignment for sum_S z_i - sum_T z_i = 0,
+    then sum_S lam_i = 1.
+    """
+    polys = (*side_s, *side_t)
+    a = polys[0].matrix()
+    block = a.m + 1
+    equal = len(polys) * block
+    norm = equal + a.n
+    cols = []
+    for k, poly in enumerate(polys):
+        base, ones = k * block, k * block + a.m
+        in_s = k < len(side_s)
+        for j, (idx, vals) in enumerate(a.cols):
+            cols.append((tuple(base + i for i in idx) + (ones, equal + j),
+                         vals + (1, 1 if in_s else -1)))
+        b = poly.rhs
+        nonzero = [i for i, v in enumerate(b) if v]
+        cols.append((tuple(base + i for i in nonzero) + (ones,)
+                     + ((norm,) if in_s else ()),
+                     tuple(-b[i] for i in nonzero) + (-1,)
+                     + ((1,) if in_s else ())))
+    lp = SparseColumns(norm + 1, tuple(cols))
+    rhs = [0] * norm + [1]
+    return require_certificate(lp, rhs, solve_eq_nonneg(lp, rhs), "hull pair")
 
 
-def pusey_incomplete_check(preps, *, declared_equivalences=None,
-                           max_vertices: int = MAX_POLYTOPE_VERTICES
-                           ) -> PuseyResult:
+def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
     """Preparation-contextuality scan without tomographic completeness.
 
-    Builds each preparation's assignment polytope, enumerates its vertices
-    exactly, and tests every pair of disjoint preparation subsets for a
-    convex-hull intersection.  Growing a subset grows its hull, so a pair
-    intersects only if the bipartition containing it does; testing the
-    bipartitions therefore decides every covered pair with exponentially
-    fewer LPs and an identical verdict.  The scan concludes "contextual"
-    only when at least one disjoint pair exists and no pair intersects;
-    note this is the literal subset-pair criterion, which does not restrict
-    attention to operationally coinciding mixtures.  When
-    ``declared_equivalences`` supplies groups of mixtures asserted equal,
-    a single exact LP additionally demands per-assignment equality of the
-    mixed ontic distributions; its infeasibility is a second, independent
-    route to "contextual" with a Farkas certificate.
+    Each preparation's statistics define its assignment polytope P_i, the
+    distributions over deterministic assignments that reproduce them.  The
+    scan asks whether the hulls of the unions of the P_i over two disjoint
+    preparation subsets S and T can meet.  Growing a subset grows its hull,
+    so such a pair exists exactly when some bipartition of the preparations
+    is one.  The scan therefore solves one exact disjunctive LP
+    per bipartition (`_hull_pair_lp`), built from the deterministic
+    assignments with no vertex enumeration, and stops at the first whose
+    hulls meet: ``intersecting_pair`` names it.  ``pairs_checked`` counts
+    the LPs solved; ``pairs_covered`` counts the disjoint subset pairs the
+    bipartitions decide, whether or not the scan stopped early.
+
+    The scan concludes "contextual" only when at least one disjoint pair
+    exists and no pair intersects; note this is the literal subset-pair
+    criterion, which does not restrict attention to operationally
+    coinciding mixtures.  When ``declared_equivalences`` supplies groups of
+    mixtures asserted equal, a single exact LP (`_equivalence_system`)
+    additionally demands per-assignment equality of the mixed ontic
+    distributions; its infeasibility is a second, independent route to
+    "contextual" with a Farkas certificate.
     """
     preps = dict(preps)
     if not preps:
@@ -1194,10 +1207,9 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None,
         if set(preps[label].keys()) != set(measurement_labels):
             raise SchemaError(
                 f"preparation {label!r} lists different measurements")
-    polytopes = {}
-    for label in labels:
-        polytopes[label] = build_assignment_polytope(
-            label, measurements, preps[label], max_vertices=max_vertices)
+    polytopes = {label: build_assignment_polytope(label, measurements,
+                                                  preps[label])
+                 for label in labels}
 
     n = len(labels)
     pair_total = (3**n - 2**(n + 1) + 1) // 2
@@ -1208,24 +1220,20 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None,
     intersecting = None
     for s_idx, t_idx in _bipartitions(n):
         pairs_checked += 1
-        points_a = [v for i in s_idx for v in polytopes[labels[i]].vertices]
-        points_b = [v for i in t_idx for v in polytopes[labels[i]].vertices]
-        res = _hull_pair_feasibility(points_a, points_b)
-        if res.feasible and intersecting is None:
+        if _hull_pair_lp([polytopes[labels[i]] for i in s_idx],
+                         [polytopes[labels[i]] for i in t_idx]).feasible:
             intersecting = (tuple(labels[i] for i in s_idx),
                             tuple(labels[i] for i in t_idx))
+            break
     scan_contextual = pairs_checked > 0 and intersecting is None
 
-    equivalence_contextual = False
     equivalence_farkas = None
     if declared_equivalences:
-        rows, rhs = _equivalence_system(labels, polytopes,
-                                        declared_equivalences)
-        a = columns_from_rows(rows)
+        a, rhs = _equivalence_system(labels, polytopes, declared_equivalences)
         res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "equivalence")
         if not res.feasible:
-            equivalence_contextual = True
             equivalence_farkas = res.farkas
+    equivalence_contextual = equivalence_farkas is not None
 
     verdict = ("contextual" if scan_contextual or equivalence_contextual
                else "inconclusive")
@@ -1235,50 +1243,42 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None,
                        pairs_checked=pairs_checked,
                        pairs_covered=pair_total,
                        intersecting_pair=intersecting,
-                       equivalence_farkas=equivalence_farkas,
-                       polytopes=polytopes)
+                       equivalence_farkas=equivalence_farkas)
 
 
 def _equivalence_system(labels, polytopes, declared_equivalences):
-    """Joint exact LP: per-prep statistics plus pointwise mixture equality."""
-    assignments = polytopes[labels[0]].assignments
-    measurements = polytopes[labels[0]].measurements
-    n_a = len(assignments)
-    offsets = {label: k * n_a for k, label in enumerate(labels)}
-    n_vars = n_a * len(labels)
-    rows = []
-    rhs = []
-    for label in labels:
-        poly = polytopes[label]
-        base = offsets[label]
-        for m_index, (m_label, n_out) in enumerate(measurements):
-            for outcome in range(n_out):
-                row = [Fraction(0)] * n_vars
-                for a_index, a in enumerate(assignments):
-                    if a[m_index] == outcome:
-                        row[base + a_index] = Fraction(1)
-                rows.append(row)
-                rhs.append(poly.distributions[m_label][outcome])
+    """Joint exact LP: per-prep statistics plus pointwise mixture equality.
+
+    Column ``k * n_a + j`` is preparation ``labels[k]``'s weight on
+    assignment j.  The rows are each preparation's rows of A, then, per
+    declared group and per mixture after the group's first, one row per
+    assignment equating that mixture's weight with the first mixture's.
+    """
+    a = polytopes[labels[0]].matrix()
+    rhs = [p for label in labels for p in polytopes[label].rhs]
+    # Per preparation, (first row, net weight) of each equality block it enters.
+    blocks: dict = {label: [] for label in labels}
     for group in declared_equivalences:
         mixtures = [dict(mix) for mix in group]
         for mix in mixtures:
             for label, weight in mix.items():
-                if label not in offsets:
+                if label not in blocks:
                     raise SchemaError(f"mixture references unknown preparation "
                                       f"{label!r}")
                 mix[label] = to_fraction(weight)
             if sum(mix.values()) != 1:
                 raise SchemaError("mixture weights must sum to 1")
-        for k in range(1, len(mixtures)):
-            for a_index in range(n_a):
-                row = [Fraction(0)] * n_vars
-                for label, weight in mixtures[k].items():
-                    row[offsets[label] + a_index] += weight
-                for label, weight in mixtures[0].items():
-                    row[offsets[label] + a_index] -= weight
-                rows.append(row)
-                rhs.append(Fraction(0))
-    return rows, rhs
+        for mix in mixtures[1:]:
+            for label in labels:
+                net = mix.get(label, 0) - mixtures[0].get(label, 0)
+                if net:
+                    blocks[label].append((len(rhs), net))
+            rhs += [Fraction(0)] * a.n
+    cols = tuple(
+        (tuple(k * a.m + i for i in idx) + tuple(row + j for row, _ in blocks[label]),
+         vals + tuple(net for _, net in blocks[label]))
+        for k, label in enumerate(labels) for j, (idx, vals) in enumerate(a.cols))
+    return SparseColumns(len(rhs), cols), rhs
 
 
 def six_ensemble_statistics(r, axis=(0.0, 0.0, 1.0), *, max_den: int = 10**6):

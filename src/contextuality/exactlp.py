@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -329,103 +328,6 @@ def solve_eq_nonneg_pruned(a: SparseColumns,
             if zero[i]:
                 y[i] = -shift
     return Feasibility(False, farkas=tuple(y))
-
-
-def row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (reduced rows, pivot column indices)."""
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * p for a, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def exact_rank(a_rows: Sequence[Sequence[Fraction]]) -> int:
-    rows = [[Fraction(v) for v in row] for row in a_rows]
-    if not rows:
-        return 0
-    _, pivots = row_reduce(rows)
-    return len(pivots)
-
-
-def solve_exact(a_rows: Sequence[Sequence[Fraction]],
-                b: Sequence[Fraction],
-                col_subset: Sequence[int]) -> list[Fraction] | None:
-    """Solve A[:, cols] z = b exactly; None if inconsistent or underdetermined."""
-    aug = [[Fraction(a_rows[i][j]) for j in col_subset] + [Fraction(b[i])]
-           for i in range(len(a_rows))]
-    reduced, pivots = row_reduce(aug)
-    k = len(col_subset)
-    if k in pivots:  # pivot in the RHS column: inconsistent
-        return None
-    if len(pivots) < k:  # rank-deficient choice of columns
-        return None
-    z = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        z[c] = reduced[r][k]
-    return z
-
-
-def enumerate_vertices(a_rows: Sequence[Sequence[Fraction]],
-                       b: Sequence[Fraction],
-                       *,
-                       max_vertices: int = 10_000,
-                       max_bases: int = 2_000_000) -> list[tuple[Fraction, ...]]:
-    """All vertices of ``{x >= 0 : A x = b}`` via basic feasible solutions.
-
-    Raises TooLargeError beyond the documented caps.  Returns [] when the
-    polytope is empty.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i])]
-           for i, row in enumerate(a_rows)]
-    reduced, pivots = row_reduce(aug)
-    if n in pivots:
-        return []  # inconsistent system
-    r = len(pivots)
-    if r == 0:
-        if any(v != 0 for v in b):
-            return []
-        return [tuple(Fraction(0) for _ in range(n))]
-    # Work on the independent rows of the reduced system.
-    rows = [reduced[i][:n] for i in range(r)]
-    rhs = [reduced[i][n] for i in range(r)]
-
-    from math import comb
-    if comb(n, r) > max_bases:
-        raise TooLargeError(f"vertex enumeration over C({n},{r}) bases exceeds {max_bases}")
-
-    seen: set[tuple[Fraction, ...]] = set()
-    out: list[tuple[Fraction, ...]] = []
-    for cols in combinations(range(n), r):
-        z = solve_exact(rows, rhs, cols)
-        if z is None or any(v < 0 for v in z):
-            continue
-        x = [Fraction(0)] * n
-        for c, v in zip(cols, z):
-            x[c] = v
-        tx = tuple(x)
-        if tx not in seen:
-            seen.add(tx)
-            out.append(tx)
-            if len(out) > max_vertices:
-                raise TooLargeError(f"more than {max_vertices} vertices")
-    return out
 
 
 def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],

@@ -46,7 +46,7 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class DegenerateContexts(ValueError):
+class TooFewContexts(ValueError):
     pass
 
 
@@ -485,7 +485,7 @@ def badziag_inequality(n: int, d: int | None = None,
             raise ValueError("either d or contexts must be given")
         pairs = list(itertools.combinations(range(n), 2))
     if d < 3:
-        raise DegenerateContexts(f"the bound n(d-2)-2 needs d >= 3 contexts, got {d}")
+        raise TooFewContexts(f"the bound n(d-2)-2 needs d >= 3 contexts, got {d}")
     return PairwiseCorrelationInequality(n=n, d=d, pairs=tuple(pairs),
                                          bound=n * (d - 2) - 2)
 

@@ -190,7 +190,9 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
                     raise ValueError(f"negative probability {v} in context {canon}")
             full[outc] = v
         total = sum(full.values())
-        if abs(float(total) - 1.0) > 1e-12:
+        # A float table may be off by as much as the no-disturbance check
+        # forgives; `rationalize_model` makes it exactly normalised.
+        if abs(float(total) - 1.0) > (ND_TOL if has_float else 1e-12):
             raise ValueError(f"context {canon} table sums to {float(total)}, not 1")
         tables_out[canon] = full
     return EmpiricalModel(scenario=scenario, tables=tables_out)

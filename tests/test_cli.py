@@ -587,6 +587,32 @@ class TestFloatDocuments:
             assert rc == 0, err
             assert json.loads(out)["ks_noncontextual"] == "yes"
 
+    def test_table_sums_within_nd_tol_are_accepted(self, tmp_path):
+        # Every entry of the first table 1e-12 high: its sum misses 1 by
+        # 4e-12, which is within ND_TOL; rounding recovers the exact box.
+        exact = interleaved_box_doc(
+            random_box(np.random.default_rng(5), (2, 2, 2, 2), Fraction(4, 5)),
+            (2, 2, 2, 2), ["0", "1"], ["0", "1"])
+        doc = float_copy(exact)
+        table = next(iter(doc["model"]["tables"].values()))
+        for key in table:
+            table[key] += 1e-12
+        rc, out, err = classify_bytes(tmp_path / "jit.json", doc)
+        assert rc == 0, err
+        assert out == classify_bytes(tmp_path / "exact.json", exact)[1]
+
+    def test_table_sum_off_by_1e_6_exits_two(self, tmp_path):
+        exact = interleaved_box_doc(
+            random_box(np.random.default_rng(5), (2, 2, 2, 2), Fraction(0)),
+            (2, 2, 2, 2), ["0", "1"], ["0", "1"])
+        doc = float_copy(exact)
+        table = next(iter(doc["model"]["tables"].values()))
+        key = max(table, key=table.__getitem__)
+        table[key] += 1e-6
+        rc, out, err = classify_bytes(tmp_path / "off.json", doc)
+        assert rc == 2
+        assert "sums to" in err
+
 
 FUZZ_KINDS = ("valid", "jittered", "disturbing", "negative", "unnormalised")
 
@@ -606,11 +632,10 @@ def float_box_documents(draw):
     table = tables[name]
     keys = sorted(table)
     if kind == "jittered":
-        # Small enough that every table still sums to 1 within 1e-12.
+        # Up to 1e-12 per entry, so a table's sum moves by up to 6e-12.
         for t in tables.values():
-            bound = 0.9e-12 / len(t)
             for key in t:
-                t[key] += draw(st.floats(-bound, bound))
+                t[key] += draw(st.floats(-1e-12, 1e-12))
     elif kind == "disturbing":
         # Move mass between A's outcomes at a fixed B outcome: the table still
         # sums to 1, but A's marginal in this context moves by d.  The
@@ -628,9 +653,10 @@ def float_box_documents(draw):
         table[dst] += d
     elif kind == "unnormalised":
         key = draw(st.sampled_from(keys))
-        table[key] += draw(st.sampled_from((-1, 1))) * draw(st.floats(1e-9, 0.1))
+        # Off by more than the ND_TOL that a float table's sum may miss by.
+        table[key] += draw(st.sampled_from((-1, 1))) * draw(st.floats(2e-9, 0.1))
         table[key] = max(table[key], 0.0)
-        if sum(table.values()) == 1.0:
+        if abs(sum(table.values()) - 1.0) <= 2e-9:
             table[keys[0]] += 1e-6
     return kind, doc, exact
 
@@ -651,3 +677,94 @@ class TestFloatDocumentFuzz:
             assert out == classify_bytes(path.with_name("exact.json"), exact)[1]
         else:
             assert rc == 2, err
+
+
+PUSEY_FAULTS = ("document-not-object", "preps-not-object", "prep-not-object",
+                "stats-not-list", "outcome-count", "exact-sum", "zero-outcomes",
+                "bad-fraction", "non-finite", "equivalences-not-list",
+                "unknown-label", "float-weight", "too-many-preps",
+                "too-many-measurements")
+
+
+@st.composite
+def pusey_documents(draw):
+    """(fault, document): a valid pusey document, or one with a fault planted.
+
+    Fault "valid" plants none.  Preparations number 2-4 over 1-3 measurements
+    with 2-3 outcomes, and probabilities are exact strings.
+    """
+    fault = draw(st.sampled_from(("valid",) + PUSEY_FAULTS))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+
+    def dist(n):
+        den = draw(st.integers(1, 6))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1,
+                                    max_size=n - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        return [f"{p}/{den}" for p in parts]
+
+    n_preps = {"too-many-preps": 14}.get(fault, draw(st.integers(2, 4)))
+    if fault == "too-many-measurements":
+        sizes = [2] * 13
+    preps = {f"P{i}": {f"M{k}": dist(n) for k, n in enumerate(sizes)}
+             for i in range(n_preps)}
+    doc = {"preps": preps,
+           "equivalences": [[{"P0": "1/2", "P1": "1/2"}, {"P1": "1"}]]}
+    prep = draw(st.sampled_from(sorted(preps)))
+    meas = draw(st.sampled_from(sorted(preps[prep])))
+    junk = st.sampled_from([None, 5, "x", [], {}])
+    if fault == "document-not-object":
+        doc = draw(st.sampled_from([[], 5, "preps", None, [preps]]))
+    elif fault == "preps-not-object":
+        doc["preps"] = draw(st.sampled_from([[], 5, "x", None, [preps[prep]]]))
+    elif fault == "prep-not-object":
+        preps[prep] = draw(st.sampled_from([[], 5, "x", None]))
+    elif fault == "stats-not-list":
+        preps[prep][meas] = draw(junk.filter(lambda v: not isinstance(v, list)))
+    elif fault == "outcome-count":
+        preps[prep][meas] = preps[prep][meas] + ["0"]
+    elif fault == "exact-sum":
+        preps[prep][meas][0] = str(Fraction(preps[prep][meas][0])
+                                   + draw(st.sampled_from([Fraction(1, 7),
+                                                           Fraction(-1, 7)])))
+    elif fault == "zero-outcomes":
+        for stats in preps.values():
+            stats[meas] = []
+    elif fault == "bad-fraction":
+        bad = draw(st.sampled_from(["1/0", "x", "", "1/2/3", True]))
+        if draw(st.booleans()):
+            preps[prep][meas][0] = bad
+        else:
+            doc["equivalences"][0][1]["P1"] = bad
+    elif fault == "non-finite":
+        preps[prep][meas][0] = draw(st.sampled_from(
+            [float("inf"), float("-inf"), float("nan")]))
+    elif fault == "equivalences-not-list":
+        doc["equivalences"] = draw(st.sampled_from([5, "x", {}, [5], [{"P0": 1}]]))
+    elif fault == "unknown-label":
+        doc["equivalences"][0][1] = {"nobody": "1"}
+    elif fault == "float-weight":
+        doc["equivalences"][0][0] = {"P0": 0.5, "P1": 0.5}
+    return fault, doc
+
+
+class TestPuseyDocumentFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=pusey_documents())
+    def test_faults_exit_two_with_one_line(self, tmp_path_factory, drawn):
+        fault, doc = drawn
+        path = tmp_path_factory.mktemp("pusey") / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["pusey", str(path)])
+        assert "Traceback" not in err.getvalue()
+        if fault == "valid":
+            assert rc == 0, err.getvalue()
+            assert json.loads(out.getvalue())["verdict"] in (
+                "contextual", "inconclusive")
+        else:
+            assert rc == 2, (fault, err.getvalue())
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

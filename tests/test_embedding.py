@@ -9,6 +9,7 @@ brute-force or hand-derived oracles on small instances.
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from contextuality import embedding
 from contextuality.embedding import (
     AssignmentPolytope,
     DecompositionMismatch,
@@ -46,9 +48,11 @@ from contextuality.embedding import (
     six_ensemble_statistics,
     verify_embedding,
     verify_ont_model,
-    _hull_pair_feasibility,
+    _bipartitions,
+    _equivalence_system,
+    _hull_pair_lp,
 )
-from contextuality.exactlp import check_farkas, columns_from_rows
+from contextuality.exactlp import check_farkas, check_solution, columns_from_rows
 from contextuality.quantum import (
     PAULIS,
     bloch_state,
@@ -62,6 +66,7 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import NonCommutingContext, SchemaError
 from contextuality.sheaf import solve_global_section
+from oracles import enumerate_vertices, reference_hulls_intersect
 
 RNG = np.random.default_rng(20240818)
 
@@ -511,6 +516,58 @@ class TestPrepNcCheck:
         assert result.verdict == "infeasible"
 
 
+def dense_rows(a):
+    """The rows of a `SparseColumns`, with every zero written out."""
+    rows = [[Fraction(0)] * a.n for _ in range(a.m)]
+    for j, (idx, vals) in enumerate(a.cols):
+        for i, v in zip(idx, vals):
+            rows[i][j] = Fraction(v)
+    return rows
+
+
+def oracle_vertices(poly):
+    """Vertices of a preparation's polytope, from assignment tuples alone.
+
+    Row (m, o) is built from the assignments with outcome o at position m,
+    without the package's `matrix`, and the vertices come from the
+    basis-enumeration oracle.
+    """
+    rows, rhs = [], []
+    for m_index, (label, n) in enumerate(poly.measurements):
+        for outcome in range(n):
+            rows.append([Fraction(int(a[m_index] == outcome))
+                         for a in poly.assignments])
+            rhs.append(poly.distributions[label][outcome])
+    rows.append([Fraction(1)] * len(poly.assignments))
+    rhs.append(Fraction(1))
+    return enumerate_vertices(rows, rhs)
+
+
+def random_pusey_case(rng):
+    """2-4 preparations over 1-3 measurements with 2-3 outcomes each.
+
+    At most 9 assignments keep the oracle's basis enumeration small.  Each
+    distribution is deterministic or has denominator 2 or 3, so some
+    bipartitions meet and others do not.
+    """
+    n_meas = int(rng.integers(1, 4))
+    sizes = [int(rng.integers(2, 4)) for _ in range(n_meas)]
+    while np.prod(sizes) > 9:
+        sizes[int(np.argmax(sizes))] -= 1
+    measurements = tuple((f"M{k}", n) for k, n in enumerate(sizes))
+
+    def dist(n):
+        den = int(rng.choice([1, 2, 3]))
+        cuts = np.sort(rng.integers(0, den + 1, size=n - 1))
+        parts = np.diff(np.concatenate([[0], cuts, [den]]))
+        return tuple(Fraction(int(p), den) for p in parts)
+
+    n_preps = int(rng.integers(2, 5))
+    preps = {f"P{i}": {label: dist(n) for label, n in measurements}
+             for i in range(n_preps)}
+    return measurements, preps
+
+
 class TestAssignmentPolytope:
     def test_deterministic_direction_vertices(self):
         stats = {"Z": (Fraction(1), Fraction(0)),
@@ -518,7 +575,9 @@ class TestAssignmentPolytope:
         poly = build_assignment_polytope(
             "up", (("Z", 2), ("X", 2)), stats)
         assert isinstance(poly, AssignmentPolytope)
-        for vertex in poly.vertices:
+        vertices = enumerate_vertices(dense_rows(poly.matrix()), poly.rhs)
+        assert vertices == oracle_vertices(poly)
+        for vertex in vertices:
             for m_index, (label, n) in enumerate(poly.measurements):
                 for outcome in range(n):
                     marginal = sum(v for a, v in zip(poly.assignments, vertex)
@@ -530,10 +589,38 @@ class TestAssignmentPolytope:
         with pytest.raises(EmptyAssignmentPolytope):
             build_assignment_polytope("bad", (("Z", 2),), stats)
 
+    def test_exact_sum_other_than_one_raises(self):
+        for probs in (("1/2", "1/4"), ("1/2", "3/4"), ()):
+            with pytest.raises(EmptyAssignmentPolytope, match="not 1"):
+                build_assignment_polytope("bad", (("X", len(probs)),),
+                                          {"X": probs})
+
     def test_float_statistics_are_rationalized(self):
         poly = build_assignment_polytope(
             "f", (("Z", 2),), {"Z": (0.25, 0.75)})
         assert poly.distributions["Z"] == (Fraction(1, 4), Fraction(3, 4))
+
+    def test_float_rounding_is_absorbed_and_far_sums_raise(self):
+        poly = build_assignment_polytope(
+            "f", (("Z", 2),), {"Z": (1 / 3, 2 / 3 + 1e-9)})
+        assert sum(poly.distributions["Z"]) == 1
+        with pytest.raises(EmptyAssignmentPolytope):
+            build_assignment_polytope("f", (("Z", 2),), {"Z": (0.5, 0.4)})
+
+    def test_non_finite_float_rejected(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(SchemaError, match="not finite"):
+                build_assignment_polytope("f", (("Z", 2),), {"Z": (bad, 0.0)})
+
+    def test_product_distribution_lies_in_the_polytope(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            measurements, preps = random_pusey_case(rng)
+            poly = build_assignment_polytope("P0", measurements, preps["P0"])
+            product = [np.prod([poly.distributions[label][o]
+                                for (label, _), o in zip(measurements, a)])
+                       for a in poly.assignments]
+            assert check_solution(poly.matrix(), poly.rhs, product)
 
 
 class TestPuseyCheck:
@@ -582,12 +669,43 @@ class TestPuseyCheck:
         # agreement with the ensemble case analysis on the shared instance
         assert prep_nc_check(problem).verdict == "infeasible"
 
+    def test_six_ensemble_scan_solves_two_lps(self, monkeypatch):
+        calls = []
+
+        def counting(side_s, side_t):
+            calls.append((side_s, side_t))
+            return _hull_pair_lp(side_s, side_t)
+
+        monkeypatch.setattr(embedding, "_hull_pair_lp", counting)
+        stats, group, _ = six_ensemble_statistics(Fraction(1, 2))
+        result = pusey_incomplete_check(stats, declared_equivalences=[group])
+        assert len(calls) == 2
+        assert result.pairs_checked == 2
+        assert not result.scan_contextual
+        assert result.intersecting_pair == (
+            ("phi", "phi_perp"),
+            ("psi_a", "psi_a_perp", "psi_b", "psi_b_perp", "psi_c",
+             "psi_c_perp"))
+
     def test_pairs_covered_formula(self):
+        # The first bipartition of three identical preparations meets, so
+        # the scan stops after one LP; the count of covered pairs does not
+        # depend on where it stops.
         shared = {"Z": (Fraction(1), Fraction(0))}
         preps = {f"P{i}": dict(shared) for i in range(3)}
         result = pusey_incomplete_check(preps)
         assert result.pairs_covered == 6
+        assert result.pairs_checked == 1
+
+    def test_contextual_scan_solves_every_bipartition(self):
+        one, zero = Fraction(1), Fraction(0)
+        preps = {f"P{i}": {"X": tuple(one if k == i else zero
+                                      for k in range(3))}
+                 for i in range(3)}
+        result = pusey_incomplete_check(preps)
+        assert result.scan_contextual
         assert result.pairs_checked == 3
+        assert result.intersecting_pair is None
 
     def test_mismatched_measurements_rejected(self):
         preps = {"P0": {"Z": (Fraction(1), Fraction(0))},
@@ -601,26 +719,136 @@ class TestPuseyCheck:
         cert = pusey_incomplete_check(stats).certificate()
         assert cert["kind"] == "assignment-polytope-scan"
         assert cert["verdict"] == "contextual"
-        assert cert["vertex_counts"] == {"up": 1, "down": 1}
+        assert cert["pairs_checked"] == 1
+        assert "vertex_counts" not in cert
+
+    def test_scan_matches_vertex_oracle(self):
+        """Each bipartition LP against vertex enumeration plus the reference
+        hull LP, on seeded random preparations."""
+        rng = np.random.default_rng(2018)
+        verdicts = set()
+        for _ in range(40):
+            measurements, preps = random_pusey_case(rng)
+            labels = list(preps)
+            polys = [build_assignment_polytope(l, measurements, preps[l])
+                     for l in labels]
+            vertices = [oracle_vertices(p) for p in polys]
+            first = None
+            for s_idx, t_idx in _bipartitions(len(labels)):
+                meet = reference_hulls_intersect(
+                    [v for i in s_idx for v in vertices[i]],
+                    [v for i in t_idx for v in vertices[i]])
+                lp = _hull_pair_lp([polys[i] for i in s_idx],
+                                   [polys[i] for i in t_idx])
+                assert lp.feasible == meet
+                verdicts.add(meet)
+                if meet and first is None:
+                    first = (tuple(labels[i] for i in s_idx),
+                             tuple(labels[i] for i in t_idx))
+            result = pusey_incomplete_check(preps)
+            assert result.intersecting_pair == first
+            assert result.scan_contextual == (first is None)
+        assert verdicts == {True, False}
+
+
+def reference_equivalence_rows(labels, polys, group):
+    """The equivalence LP's rows, built densely row by row."""
+    measurements = polys[labels[0]].measurements
+    assignments = polys[labels[0]].assignments
+    n_a = len(assignments)
+    rows, rhs = [], []
+    for k, label in enumerate(labels):
+        for m_index, (m_label, n) in enumerate(measurements):
+            for outcome in range(n):
+                row = [Fraction(0)] * (n_a * len(labels))
+                for j, a in enumerate(assignments):
+                    if a[m_index] == outcome:
+                        row[k * n_a + j] = Fraction(1)
+                rows.append(row)
+                rhs.append(polys[label].distributions[m_label][outcome])
+    for mix in group[1:]:
+        for j in range(n_a):
+            row = [Fraction(0)] * (n_a * len(labels))
+            for k, label in enumerate(labels):
+                row[k * n_a + j] = (Fraction(mix.get(label, 0))
+                                    - Fraction(group[0].get(label, 0)))
+            rows.append(row)
+            rhs.append(Fraction(0))
+    return rows, rhs
+
+
+class TestEquivalenceSystem:
+    """The column-built equivalence LP keeps the dense build's rows and columns."""
+
+    def check(self, stats, group):
+        labels = list(stats)
+        first = stats[labels[0]]
+        measurements = tuple((m, len(first[m])) for m in first)
+        polys = {l: build_assignment_polytope(l, measurements, stats[l])
+                 for l in labels}
+        a, rhs = _equivalence_system(labels, polys, [group])
+        rows, ref_rhs = reference_equivalence_rows(labels, polys, group)
+        assert a == columns_from_rows(rows)
+        assert rhs == ref_rhs
+
+    def test_six_ensemble(self):
+        stats, group, _ = six_ensemble_statistics(Fraction(9, 10))
+        self.check(stats, group)
+
+    def test_random_groups(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            _, preps = random_pusey_case(rng)
+            labels = list(preps)
+            group = []
+            for _ in range(int(rng.integers(2, 4))):
+                chosen = rng.permutation(labels)[:int(rng.integers(1, 3))]
+                weights = rng.integers(1, 4, size=len(chosen))
+                group.append({str(l): Fraction(int(w), int(weights.sum()))
+                              for l, w in zip(chosen, weights)})
+            self.check(preps, group)
+
+
+def hull_polytopes(*points):
+    """Preparations over two binary measurements Z, X, given as (p(Z=0), p(X=0))."""
+    return [build_assignment_polytope(
+        f"P{k}", (("Z", 2), ("X", 2)),
+        {"Z": (Fraction(z), 1 - Fraction(z)), "X": (Fraction(x), 1 - Fraction(x))})
+        for k, (z, x) in enumerate(points)]
 
 
 class TestHullIntersection:
-    """The hull-pair LP behind the Pusey scan, on segments in the plane."""
+    """The disjunctive hull-pair LP behind the Pusey scan.
+
+    Assignments are ordered (Z, X) = 00, 01, 10, 11.  A preparation with
+    deterministic Z and X is the vertex of the assignment simplex for that
+    pair; one with uniform Z and X is the segment from (0, 1/2, 1/2, 0) to
+    (1/2, 0, 0, 1/2).
+    """
 
     def test_crossing_segments(self):
-        a = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
-        b = [(Fraction(0), Fraction(2)), (Fraction(2), Fraction(0))]
-        assert _hull_pair_feasibility(a, b).feasible
+        # (1/2, 1/2, 0, 0)-(0, 0, 1/2, 1/2) and (1/2, 0, 1/2, 0)-(0, 1/2, 0, 1/2)
+        # cross at the uniform distribution.
+        s = hull_polytopes((1, "1/2"), (0, "1/2"))
+        t = hull_polytopes(("1/2", 1), ("1/2", 0))
+        assert _hull_pair_lp(s, t).feasible
 
     def test_disjoint_segments(self):
-        a = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]
-        b = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))]
-        assert not _hull_pair_feasibility(a, b).feasible
+        s = hull_polytopes((1, 1), (1, 0))
+        t = hull_polytopes((0, 1), (0, 0))
+        assert not _hull_pair_lp(s, t).feasible
 
     def test_shared_vertex(self):
-        a = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-        b = [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(0))]
-        assert _hull_pair_feasibility(a, b).feasible
+        s = hull_polytopes((1, 1), (1, 0))
+        t = hull_polytopes((1, 0), (0, 0))
+        assert _hull_pair_lp(s, t).feasible
+
+    def test_segment_polytope_touches_hull(self):
+        # The uniform preparation's segment ends at (1/2, 0, 0, 1/2), the
+        # midpoint of the 00-11 edge.
+        uniform = hull_polytopes(("1/2", "1/2"))
+        assert _hull_pair_lp(hull_polytopes((1, 1), (0, 0)), uniform).feasible
+        assert not _hull_pair_lp(hull_polytopes((1, 1), (1, 0)), uniform).feasible
 
 
 class TestGptJson:
@@ -649,19 +877,37 @@ class TestGptJson:
 
 RECHECK_UNDER_O = """
 import sys
-from fractions import Fraction
 
 from contextuality import embedding, exactlp
 
 if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
 exactlp.check_farkas = lambda *args: False
-try:
-    embedding._hull_pair_feasibility([(Fraction(0),)], [(Fraction(1),)])
-except exactlp.CertificateError:
-    sys.exit(0)
-sys.exit("a failed Farkas re-check did not raise")
+for what, call in embedding_lps(embedding).items():
+    try:
+        call()
+    except exactlp.CertificateError:
+        continue
+    sys.exit(f"a failed {what} Farkas re-check did not raise")
 """
+
+
+def embedding_lps(embedding):
+    """The Pusey route's two LPs, each on an infeasible instance.
+
+    Orthogonal Z eigenstates: their hulls do not meet, and they cannot be
+    declared the same preparation.  In the second call the scan's only LP
+    is feasible (``up`` and ``up2`` coincide), so the first Farkas re-check
+    is the equivalence LP's.
+    """
+    up = embedding.build_assignment_polytope("up", (("Z", 2),), {"Z": (1, 0)})
+    down = embedding.build_assignment_polytope("down", (("Z", 2),), {"Z": (0, 1)})
+    preps = {"up": {"Z": (1, 0)}, "up2": {"Z": (1, 0)}, "down": {"Z": (0, 1)}}
+    return {
+        "hull pair": lambda: embedding._hull_pair_lp([up], [down]),
+        "equivalence": lambda: embedding.pusey_incomplete_check(
+            preps, declared_equivalences=[[{"up": 1}, {"down": 1}]]),
+    }
 
 
 class TestRechecksUnderOptimize:
@@ -678,7 +924,8 @@ class TestRechecksUnderOptimize:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-O", "-c", RECHECK_UNDER_O],
+        script = inspect.getsource(embedding_lps) + RECHECK_UNDER_O
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         if proc.returncode != 0:
@@ -686,8 +933,8 @@ class TestRechecksUnderOptimize:
 
     def test_failed_recheck_raises_in_process(self, monkeypatch):
         from contextuality import exactlp
-        from contextuality.embedding import _hull_pair_feasibility
 
         monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
-        with pytest.raises(exactlp.CertificateError):
-            _hull_pair_feasibility([(Fraction(0),)], [(Fraction(1),)])
+        for what, call in embedding_lps(embedding).items():
+            with pytest.raises(exactlp.CertificateError, match=what):
+                call()

@@ -23,14 +23,12 @@ from contextuality.exactlp import (
     check_farkas,
     check_solution,
     columns_from_rows,
-    enumerate_vertices,
-    exact_rank,
     require_certificate,
     solve_box_eq,
     solve_eq_nonneg,
     solve_eq_nonneg_pruned,
 )
-from oracles import reference_solve_eq_nonneg
+from oracles import enumerate_vertices, exact_rank, reference_solve_eq_nonneg
 
 F = Fraction
 
@@ -316,6 +314,8 @@ class TestRequireCertificate:
 
 
 class TestVertexEnumeration:
+    """The vertex-enumeration oracle of `tests/oracles.py`."""
+
     def test_unit_simplex(self):
         a = frac_matrix([[1, 1, 1]])
         verts = enumerate_vertices(a, [F(1)])

@@ -28,10 +28,10 @@ import pytest
 from contextuality.polytope import (
     CHSH_OPTIMAL_ANGLES,
     BipartiteLift,
-    DegenerateContexts,
     LabelMismatch,
     MissingProjectors,
     ShapeMismatch,
+    TooFewContexts,
     TooLarge,
     badziag_inequality,
     behaviour_from_json,
@@ -277,7 +277,7 @@ class TestPairwiseCorrelationBound:
         assert best <= ineq.bound
 
     def test_degenerate_context_count_rejected(self):
-        with pytest.raises(DegenerateContexts):
+        with pytest.raises(TooFewContexts):
             badziag_inequality(3, 2)
 
     def test_expectation_form_matches_assignment_form(self):

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality.exactlp import enumerate_vertices
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
 from contextuality.scenario import (
     DisturbingModel,
@@ -43,7 +42,7 @@ from contextuality.sheaf import (
     hv_model_from_section,
     solve_global_section,
 )
-from oracles import reference_hulls_intersect, reference_incidence_rows
+from oracles import enumerate_vertices, reference_hulls_intersect, reference_incidence_rows
 
 HALF = Fraction(1, 2)
 
