@@ -34,6 +34,7 @@ import numpy as np
 
 from .embedding import (
     DimensionTooLarge,
+    EmbeddingUnverified,
     Gpt,
     GptError,
     PrepEnsembleProblem,
@@ -352,7 +353,8 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
             result = embed_sharp(gpt)
             sp = YES if result.feasible else NO
             certificates.append({"role": "spekkens", **result.certificate()})
-        except (UnsharpEffectFlagged, ScenarioTooLarge, GptError) as exc:
+        except (UnsharpEffectFlagged, ScenarioTooLarge, GptError,
+                EmbeddingUnverified) as exc:
             sp = UNDECIDED
             notes.append(f"embedding route unavailable: {exc}")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
@@ -362,9 +364,12 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     """Classify a generalized probabilistic theory.
 
     With declared sharp contexts, the assignment verdict runs the
-    global-section solver on every state's induced dichotomic model, and
-    the ontic-expansion verdict runs the exact embedding constructor whose
-    verdict provably coincides with the assignment verdict on such inputs.
+    global-section solver on every state's exact induced dichotomic model,
+    and the ontic-expansion verdict runs the exact embedding constructor on
+    the same models; its verdict provably coincides with the assignment
+    verdict on such inputs.  When the constructor cannot assemble a
+    verified linear embedding from the per-state mixtures, the
+    ontic-expansion verdict is undecided.
     Without sharp contexts there is no outcome scenario to test, so the
     assignment verdict stays undecided and the heuristic embedding search
     can at most certify "yes" (its non-answers stay undecided).
@@ -375,9 +380,11 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
 
     if gpt.sharp_contexts:
         ks = YES
+        models: list = []
         try:
             for i in range(gpt.n_states):
-                section = solve_global_section(induced_model(gpt, i))
+                models.append(induced_model(gpt, i))
+                section = solve_global_section(models[i])
                 if not section.feasible:
                     ks = NO
                     certificates.append({"role": "ks", "state": i,
@@ -390,10 +397,11 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
             ks = UNDECIDED
             notes.append(f"global-section route unavailable: {exc}")
         try:
-            result = embed_sharp(gpt)
+            result = embed_sharp(gpt, models=models)
             sp = YES if result.feasible else NO
             certificates.append({"role": "spekkens", **result.certificate()})
-        except (ScenarioTooLarge, UnsharpEffectFlagged, GptError) as exc:
+        except (ScenarioTooLarge, UnsharpEffectFlagged, GptError,
+                EmbeddingUnverified) as exc:
             if ks == NO:
                 sp = NO
                 certificates.append({"role": "spekkens",

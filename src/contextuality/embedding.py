@@ -2,9 +2,12 @@
 
 Verification strategy: every embedding returned by any search path is
 re-checked against the simplex, dual-hypercube, and probability
-reproduction invariants at 1e-9 before it reaches the caller; refusals
-carry exact Farkas certificates that are re-multiplied against the
-constraint rows; the preparation-ensemble and assignment-polytope
+reproduction invariants at 1e-9 before it reaches the caller.  The sharp
+constructor decides on exact (rationalized) atom probabilities, so its
+pairing is checked against those rationalized statistics, not the float
+ones; the heuristic search checks against the GPT's float pairing.
+Refusals carry exact Farkas certificates that are re-multiplied against
+the constraint rows; the preparation-ensemble and assignment-polytope
 checkers run entirely in exact rational arithmetic.
 """
 
@@ -18,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import (
-    CertificateError,
     Feasibility,
     SparseColumns,
     TooLargeError,
@@ -44,7 +46,7 @@ from .scenario import (
     SchemaError,
     make_model,
     make_scenario,
-    rationalize_model,
+    rationalize_atoms,
 )
 from .sheaf import ScenarioTooLarge
 
@@ -67,6 +69,10 @@ class InconsistentUnit(GptError):
 
 class UnsharpEffectFlagged(GptError):
     """The declared sharp-context structure is not a resolution of the unit."""
+
+
+class EmbeddingUnverified(ValueError):
+    """Exact per-state mixtures exist, but no linear embedding passed its check."""
 
 
 class DimensionTooLarge(GptError):
@@ -294,37 +300,45 @@ def sharp_gpt_from_quantum(states, contexts, *, tol: float = 1e-10) -> Gpt:
 
 
 def induced_model(gpt: Gpt, state_index: int):
-    """Dichotomic empirical model of the sharp contexts on one state.
+    """Exact dichotomic model of the sharp contexts on one state.
 
     Each flagged effect becomes a two-outcome measurement; within a context
     exactly one effect fires, so the tables are supported on one-hot outcome
-    tuples with the effect probabilities as weights.  Sharp contexts with
+    tuples with the atom probabilities as weights.  Sharp contexts with
     equal atom sets, such as two coarse-grainings that both refine the whole
     basis, give equal tables, so one copy of each is kept.
+
+    The atom probabilities are made exact once, by `rationalize_atoms`:
+    rounding alone when it already makes every distinct context sum to
+    exactly 1, one box LP over the atoms otherwise.  Every table then sums
+    to exactly 1 and the overlap marginals agree exactly, so
+    `rationalize_model` passes the model through unchanged.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
     atom_indices = sorted({i for ctx in gpt.sharp_contexts for i in ctx})
-    measurements = [(f"E{i}", (0, 1)) for i in atom_indices]
-    tables = {}
+    position = {i: k for k, i in enumerate(atom_indices)}
+    probs = [max(0.0, gpt.probability(i, state_index)) for i in atom_indices]
+    contexts = []
     for ctx in gpt.sharp_contexts:
-        ordered = sorted(ctx)
-        labels = tuple(f"E{i}" for i in ordered)
-        if labels in tables:
+        ordered = tuple(sorted(ctx))
+        if ordered in contexts:
             continue
-        probs = [max(0.0, gpt.probability(i, state_index)) for i in ordered]
-        total = sum(probs)
+        total = sum(probs[position[i]] for i in ordered)
         if abs(total - 1.0) > 1e-9:
             raise UnsharpEffectFlagged(
                 f"sharp context {ctx} resolves to total probability {total} "
                 f"on state {state_index}")
-        table = {}
-        for slot in range(len(ordered)):
-            outcome = tuple(1 if k == slot else 0 for k in range(len(ordered)))
-            table[outcome] = probs[slot] / total
-        tables[labels] = table
-    scenario = make_scenario(measurements, list(tables))
-    return make_model(scenario, tables)
+        contexts.append(ordered)
+    exact = rationalize_atoms(probs, [[position[i] for i in ctx]
+                                      for ctx in contexts])
+    tables = {}
+    for ctx in contexts:
+        tables[tuple(f"E{i}" for i in ctx)] = {
+            tuple(int(k == slot) for k in range(len(ctx))): exact[position[i]]
+            for slot, i in enumerate(ctx)}
+    measurements = [(f"E{i}", (0, 1)) for i in atom_indices]
+    return make_model(make_scenario(measurements, list(tables)), tables)
 
 
 def consistent_assignments(gpt: Gpt) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -411,8 +425,13 @@ class EmbeddingCheck:
 
 
 def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
-                     tol: float = EMBED_TOL) -> EmbeddingCheck:
-    """Independently re-check simplex membership, cube membership, pairing."""
+                     tol: float = EMBED_TOL, table=None) -> EmbeddingCheck:
+    """Independently re-check simplex membership, cube membership, pairing.
+
+    The pairing of effect ``i`` and state ``j`` is compared with
+    ``table[i][j]`` when an effects-by-states ``table`` is given, and with
+    the GPT's own probability otherwise.
+    """
     worst_simplex = 0.0
     worst_cube = 0.0
     worst_pairing = 0.0
@@ -426,12 +445,12 @@ def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
         worst_cube = max(worst_cube,
                          float(-np.min(img)),
                          float(np.max(img)) - 1.0)
-    for e in gpt.effects:
+    for i, e in enumerate(gpt.effects):
         ke = embedding.embed_effect(e)
-        for s in gpt.states:
+        for j, s in enumerate(gpt.states):
             lhs = float(np.dot(ke, embedding.embed_state(s)))
-            worst_pairing = max(worst_pairing,
-                                abs(lhs - float(np.dot(e, s))))
+            want = float(np.dot(e, s)) if table is None else float(table[i][j])
+            worst_pairing = max(worst_pairing, abs(lhs - want))
     passed = (worst_simplex <= tol and worst_cube <= tol
               and worst_pairing <= tol)
     return EmbeddingCheck(passed, worst_simplex, worst_cube, worst_pairing)
@@ -475,35 +494,37 @@ class EmbedSharpResult:
         }
 
 
-def _sharp_state_system(gpt: Gpt, atom_indices, assignments, state_index: int,
-                        rationalized) -> tuple[list, list]:
-    """Exact rows/rhs expressing one state as a mixture of assignments."""
-    scenario = rationalized.scenario
-    rhs = []
-    rows = []
-    for pos, atom in enumerate(atom_indices):
+def _atom_values(atom_indices, model) -> list:
+    """Exact "atom fired" probability of each atom in an induced model."""
+    values = []
+    for atom in atom_indices:
         label = f"E{atom}"
-        context = next(ctx for ctx in scenario.contexts if label in ctx)
-        table = rationalized.table(context)
+        context = next(ctx for ctx in model.scenario.contexts if label in ctx)
         slot = context.index(label)
         # marginal of "atom fired"; any containing context gives the same value
-        value = Fraction(sum(v for o, v in table.items() if o[slot] == 1))
-        rows.append([Fraction(a[pos]) for a in assignments])
-        rhs.append(value)
-    rows.append([Fraction(1)] * len(assignments))
-    rhs.append(Fraction(1))
-    return rows, rhs
+        values.append(sum(v for o, v in model.tables[context].items()
+                          if o[slot] == 1))
+    return values
 
 
-def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
+def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL,
+                models=()) -> EmbedSharpResult:
     """Simplex embedding of a sharp GPT or an exact refusal certificate.
 
     Enumerates context-consistent Boolean value assignments on the flagged
     effects, then asks (by exact LP, one per state) for a mixture of
-    assignments reproducing each state's rationalized statistics.  Success
-    assembles Boolean-row kappa and a verified iota; failure returns the
-    Farkas certificate of the first unembeddable state.  The verdict agrees
-    with the global-section solver on `induced_model` by construction.
+    assignments reproducing each state's exact statistics, the atom
+    probabilities of `induced_model`.  ``models`` may hold the induced
+    models of the first states, already built by the caller; the others are
+    built here.  Failure returns the Farkas certificate of the first
+    unembeddable state; the verdict agrees with the global-section solver
+    on `induced_model` by construction.
+
+    Success assembles Boolean-row kappa and iota by pseudo-inverse and
+    checks them at ``tol``: simplex and cube membership, and the pairing
+    against the exact atom probabilities the LPs solved.  Per-state
+    mixtures of linearly dependent states need not come from one linear
+    map, so this check can fail; `EmbeddingUnverified` is raised then.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
@@ -524,30 +545,32 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
                     f"sharp context {ctx} sums to {val} on state {j}")
 
     atom_indices, assignments = consistent_assignments(gpt)
+    # one row per atom ("atom fired") and a last row of ones
+    columns = SparseColumns(len(atom_indices) + 1, tuple(
+        (tuple(pos for pos, bit in enumerate(col) if bit) + (len(col),),
+         (Fraction(1),) * (sum(col) + 1))
+        for col in assignments))
     solutions = []
-    rhs_used = None
+    rhs_rows = []
     for j in range(gpt.n_states):
-        rationalized = rationalize_model(induced_model(gpt, j))
-        rows, rhs = _sharp_state_system(gpt, atom_indices, assignments, j,
-                                        rationalized)
+        model = models[j] if j < len(models) else induced_model(gpt, j)
+        rhs = _atom_values(atom_indices, model) + [Fraction(1)]
         if not assignments:
-            farkas = tuple(Fraction(1) if i == len(rows) - 1 else Fraction(0)
-                           for i in range(len(rows)))
-            require_certificate(columns_from_rows(rows), rhs,
+            farkas = tuple(Fraction(int(i == len(rhs) - 1))
+                           for i in range(len(rhs)))
+            require_certificate(columns, rhs,
                                 Feasibility(False, farkas=farkas), "embedding")
             return EmbedSharpResult(False, None, atom_indices, (), (),
                                     j, farkas, tuple(rhs))
-        a = columns_from_rows(rows)
-        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "embedding")
+        res = require_certificate(columns, rhs, solve_eq_nonneg(columns, rhs),
+                                  "embedding")
         if not res.feasible:
             return EmbedSharpResult(False, None, atom_indices, (),
                                     (), j, res.farkas, tuple(rhs))
-        rhs_used = rhs
+        rhs_rows.append(rhs)
         solutions.append(res.x)
 
     kept = sorted({k for x in solutions for k, v in enumerate(x) if v != 0})
-    if not kept:
-        kept = [0]
     kept_assignments = tuple(assignments[k] for k in kept)
     d = len(kept)
 
@@ -566,57 +589,20 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL) -> EmbedSharpResult:
     iota = weights @ np.linalg.pinv(state_mat)
 
     embedding = SimplexEmbedding(d=d, iota=iota, kappa=kappa)
-    check = verify_embedding(embedding, gpt, tol)
+    position = {atom: pos for pos, atom in enumerate(atom_indices)}
+    table = [[rhs[position[i]] if i in position else 1 for rhs in rhs_rows]
+             for i in range(gpt.n_effects)]
+    check = verify_embedding(embedding, gpt, tol, table)
     if not check.passed:
-        iota = _iota_feasibility_lp(gpt, target_mat, atom_indices, d)
-        if iota is not None:
-            embedding = SimplexEmbedding(d=d, iota=iota, kappa=kappa)
-            check = verify_embedding(embedding, gpt, tol)
-    if not check.passed:
-        raise CertificateError(
-            "state mixtures found but no verified linear embedding assembled: "
-            f"{check}")
+        raise EmbeddingUnverified(
+            "embedding assembly: every state is a mixture of consistent "
+            "assignments, but the pseudo-inverse embedding misses its "
+            f"{tol:g} check (simplex {check.worst_simplex:.1e}, cube "
+            f"{check.worst_cube:.1e}, pairing {check.worst_pairing:.1e})")
     state_weights = tuple(tuple(solutions[j][k] for k in kept)
                           for j in range(gpt.n_states))
     return EmbedSharpResult(True, embedding, atom_indices, kept_assignments,
-                            state_weights, None, None,
-                            tuple(rhs_used) if rhs_used else ())
-
-
-def _iota_feasibility_lp(gpt: Gpt, target_mat: np.ndarray, atom_indices,
-                         d: int) -> np.ndarray | None:
-    """Float LP fallback: solve for iota entries against fixed Boolean kappa."""
-    from scipy.optimize import linprog
-
-    dim = gpt.dim
-    n_vars = d * dim
-    a_eq = []
-    b_eq = []
-    for j, s in enumerate(gpt.states):
-        for row, atom in enumerate(list(atom_indices) + [None]):
-            coeff = np.zeros(n_vars)
-            krow = target_mat[row]
-            for l in range(d):
-                coeff[l * dim:(l + 1) * dim] += krow[l] * s
-            a_eq.append(coeff)
-            if atom is None:
-                b_eq.append(1.0)
-            else:
-                b_eq.append(gpt.probability(atom, j))
-    a_ub = []
-    b_ub = []
-    for s in gpt.states:
-        for l in range(d):
-            coeff = np.zeros(n_vars)
-            coeff[l * dim:(l + 1) * dim] = -s
-            a_ub.append(coeff)
-            b_ub.append(0.0)
-    res = linprog(c=np.zeros(n_vars), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  bounds=[(None, None)] * n_vars, method="highs")
-    if not res.success:
-        return None
-    return res.x.reshape(d, dim)
+                            state_weights, None, None, tuple(rhs_rows[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ doubles otherwise.  Paths that feed exact feasibility solvers go through
 exactly normalised and exactly marginal-consistent.  Independent rounding
 of the entries can break both properties, so the rounded model is used
 only when an exact check shows it keeps them; otherwise the model is
-rebuilt by exact LPs.
+rebuilt by exact LPs.  `rationalize_atoms` does the same for the atom
+probabilities of sharp contexts, from which exact induced models are built.
 """
 
 from __future__ import annotations
@@ -191,9 +192,10 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
             full[outc] = v
         total = sum(full.values())
         # A float table may be off by as much as the no-disturbance check
-        # forgives; `rationalize_model` makes it exactly normalised.
-        if abs(float(total) - 1.0) > (ND_TOL if has_float else 1e-12):
-            raise ValueError(f"context {canon} table sums to {float(total)}, not 1")
+        # forgives; `rationalize_model` makes it exactly normalised.  An
+        # exact table must sum to exactly 1.
+        if abs(total - 1.0) > ND_TOL if has_float else total != 1:
+            raise ValueError(f"context {canon} table sums to {total}, not 1")
         tables_out[canon] = full
     return EmpiricalModel(scenario=scenario, tables=tables_out)
 
@@ -483,13 +485,13 @@ def _exactly_consistent(model: EmpiricalModel) -> bool:
             and exact_no_disturbance(model))
 
 
-def _solve_overlap(values: list[float], centres: list[Fraction], rows, rhs,
-                   slack: Fraction, max_den: int, attempts: int = 10):
-    """Box LP around the rounded float centres, retrying with doubled slack on infeasibility."""
-    n = len(values)
-    sum_row = [[Fraction(1)] * n]
-    a_rows = sum_row + rows
-    b = [Fraction(1)] + rhs
+def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
+               slack: Fraction, max_den: int, attempts: int = 10):
+    """Box LP ``rows x = rhs`` around the rounded float centres.
+
+    An infeasible box is retried with its half-width doubled.  Entries at or
+    below `ZERO_TOL` are pinned to zero for the first five attempts.
+    """
     for attempt in range(attempts):
         s = slack * (2 ** attempt)
         lower, upper = [], []
@@ -502,10 +504,38 @@ def _solve_overlap(values: list[float], centres: list[Fraction], rows, rhs,
                 c = _limit(f, max_den)
             lower.append(max(Fraction(0), c - s))
             upper.append(min(Fraction(1), c + s))
-        sol = solve_box_eq(a_rows, b, lower, upper)
+        sol = solve_box_eq(rows, rhs, lower, upper)
         if sol is not None:
             return sol
     return None
+
+
+def rationalize_atoms(values: list[float], contexts,
+                      max_den: int = 10 ** 6,
+                      slack: Fraction = Fraction(1, 10 ** 5)) -> list[Fraction]:
+    """Nearby rationals for atom probabilities, each context summing to exactly 1.
+
+    ``contexts`` lists index groups of ``values`` (the atoms of one sharp
+    context each).  Every value is rounded once, by `rationalize_model`'s
+    rule; if every context then sums to exactly 1 the rounded values are
+    returned and no LP runs, so each moves by at most
+    max(1/(2 max_den), ZERO_TOL).  Otherwise one exact box LP, with one
+    "context sums to 1" row per context, finds them under
+    `rationalize_model`'s retry and zero-pinning policy at half-width
+    ``slack``, so each moves by at most 2**9 slack + 1/(2 max_den).
+    """
+    centres = [_round(f, max_den) for f in values]
+    if all(sum(centres[k] for k in ctx) == 1 for ctx in contexts):
+        return centres
+    rows = []
+    for ctx in contexts:
+        members = set(ctx)
+        rows.append([Fraction(int(k in members)) for k in range(len(values))])
+    sol = _solve_box(values, centres, rows, [Fraction(1)] * len(rows),
+                     slack, max_den)
+    if sol is None:
+        raise ValueError("could not rationalize the atom probabilities")
+    return sol
 
 
 def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
@@ -557,7 +587,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
         marg = marginalize(float_tables[host], host, u)
         outs = sc.outcome_tuples(u)
         values = [marg.get(o, 0.0) for o in outs]
-        rows, rhs = [], []
+        rows, rhs = [[Fraction(1)] * len(outs)], [Fraction(1)]
         for w in ordered:
             if w in fixed and set(w) < set(u):
                 idx = [u.index(m) for m in w]
@@ -566,7 +596,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                                  else Fraction(0) for o in outs])
                     rhs.append(wv)
         centres = [_round(f, max_den) for f in values]
-        sol = _solve_overlap(values, centres, rows, rhs, slack, max_den)
+        sol = _solve_box(values, centres, rows, rhs, slack, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize overlap {u}")
         fixed[u] = dict(zip(outs, sol))
@@ -578,7 +608,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
             new_tables[c] = {o: fixed[c][o] for o in outs}
             continue
         values = [float_tables[c].get(o, 0.0) for o in outs]
-        rows, rhs = [], []
+        rows, rhs = [[Fraction(1)] * len(outs)], [Fraction(1)]
         for u in ordered:
             if set(u) < set(c):
                 idx = [c.index(m) for m in u]
@@ -587,7 +617,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                                  else Fraction(0) for o in outs])
                     rhs.append(uv)
         centres = [rounded.tables[c][o] for o in outs]
-        sol = _solve_overlap(values, centres, rows, rhs, 2 * slack, max_den)
+        sol = _solve_box(values, centres, rows, rhs, 2 * slack, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize context {c}")
         new_tables[c] = dict(zip(outs, sol))

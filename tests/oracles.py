@@ -13,7 +13,9 @@ pairs of a two-party lift, so none of them shares code with the package's
 solvers.  `enumerate_vertices` lists the vertices of ``{x >= 0 : A x = b}``
 by row-reducing every candidate basis in ``Fraction`` arithmetic; the
 assignment-polytope scan, which decides hull intersections by LP without
-vertices, is checked against it.
+vertices, is checked against it.  `cycle_margin` is the n-cycle
+noncontextuality inequality (Araújo et al., PRL 110, 040403, 2013) read
+off the correlators alone.
 """
 
 from __future__ import annotations
@@ -363,3 +365,18 @@ def brute_force_lift_maximum(weights: dict, edges) -> Fraction:
                           * (a[i] * b[j] + a[j] * b[i]))
             best = value if best is None or value > best else best
     return best
+
+
+def cycle_margin(correlators: Sequence[float]) -> float:
+    """How far an n-cycle's correlators exceed the noncontextual bound.
+
+    The scenario with contexts {A_j, A_(j+1)} of +-1 observables has a
+    global section iff sum_j s_j E_j <= n - 2 for every sign vector s with
+    an odd number of -1 entries.  Returns the largest left side minus n - 2,
+    so the scenario is contextual iff the margin is positive.
+    """
+    n = len(correlators)
+    best = max(sum(s * e for s, e in zip(signs, correlators))
+               for signs in itertools.product((1, -1), repeat=n)
+               if signs.count(-1) % 2 == 1)
+    return best - (n - 2)

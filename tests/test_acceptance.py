@@ -234,7 +234,7 @@ class TestCriterion3WernerGap:
         for x in range(2):
             for y in range(2):
                 tables[f"A{x},B{y}"] = {
-                    f"{a},{b}": repr(behaviour.p[(a, b, x, y)])
+                    f"{a},{b}": float(behaviour.p[(a, b, x, y)])
                     for a in range(2) for b in range(2)}
         doc["model"] = {
             "measurements": [{"label": f"A{x}", "outcomes": [0, 1]}

@@ -94,7 +94,7 @@ def behaviour_doc(behaviour) -> dict:
             t = {}
             for a in range(behaviour.nA):
                 for b in range(behaviour.nB):
-                    t[f"{a},{b}"] = repr(behaviour.p[(a, b, x, y)])
+                    t[f"{a},{b}"] = float(behaviour.p[(a, b, x, y)])
             tables[f"A{x},B{y}"] = t
     return chsh_model_doc(tables)
 

@@ -12,6 +12,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -613,6 +617,22 @@ class TestFloatDocuments:
         assert rc == 2
         assert "sums to" in err
 
+    def test_exact_table_must_sum_to_exactly_one(self, tmp_path):
+        # 1/2 + 1/2 + 10^-15 is within 1e-12 of 1 as a float, but an exact
+        # table is exact: it is refused, not rounded onto a valid one.
+        doc = {"kind": "empirical", "model": {
+            "measurements": [{"label": "A", "outcomes": [0, 1]},
+                             {"label": "B", "outcomes": [0, 1]}],
+            "contexts": [["A", "B"]],
+            "tables": {"A,B": {"0,0": "1/2", "0,1": "1/2",
+                               "1,0": "1/1000000000000000", "1,1": "0"}}}}
+        rc, out, err = classify_bytes(tmp_path / "exact.json", doc)
+        assert rc == 2
+        assert out == b""
+        assert err.startswith("error: ") and "sums to" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 FUZZ_KINDS = ("valid", "jittered", "disturbing", "negative", "unnormalised")
 
@@ -768,3 +788,78 @@ class TestPuseyDocumentFuzz:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+class TestSharpEmbeddingAssembly:
+    """A sharp embedding that fails its float check leaves the verdict undecided."""
+
+    @pytest.fixture
+    def failed_check(self, monkeypatch):
+        from contextuality import embedding
+
+        def failed(emb, gpt, tol=embedding.EMBED_TOL, table=None):
+            return embedding.EmbeddingCheck(False, 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(embedding, "verify_embedding", failed)
+
+    @pytest.mark.parametrize("kind", ["gpt", "quantum"])
+    def test_forced_failure_exits_zero_undecided(self, tmp_path, failed_check,
+                                                 kind):
+        if kind == "gpt":
+            doc = {"kind": "gpt",
+                   "gpt": kcbs_gpt_json(np.eye(3, dtype=complex) / 3)}
+        else:
+            doc = coarse_graining_doc(np.random.default_rng(8))
+        rc, out, err = classify_bytes(tmp_path / "doc.json", doc)
+        assert rc == 0, err
+        payload = json.loads(out)
+        assert payload["ks_noncontextual"] == "yes"
+        assert payload["spekkens_noncontextual"] == "undecided"
+        assert any("embedding assembly" in note for note in payload["notes"])
+
+    def test_forced_failure_in_embed_command(self, tmp_path, failed_check):
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps(kcbs_gpt_json(np.eye(3, dtype=complex) / 3)))
+        payload = run_json(tmp_path, ["embed", str(doc)])
+        assert payload["verdict"] == "undecided"
+        assert "embedding assembly" in payload["note"]
+
+
+SHARP_ROUTE_IMPORTS = """
+import sys
+
+from contextuality.cli import main
+
+for path in sys.argv[1:]:
+    if main(["classify", path, "--out", path + ".out"]) != 0:
+        sys.exit(f"classify {path} failed")
+if "scipy.optimize" in sys.modules:
+    sys.exit("the sharp embedding route imported scipy.optimize")
+"""
+
+
+class TestSharpRouteImports:
+    def test_sharp_route_never_imports_scipy_optimize(self, tmp_path):
+        # Both documents are noncontextual, so the embedding is assembled:
+        # the path that used to fall back to scipy's HiGHS LP.
+        import contextuality
+
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps(coarse_graining_doc(np.random.default_rng(4))))
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = g @ g.conj().T
+        sharp = tmp_path / "sharp.json"
+        sharp.write_text(json.dumps(
+            {"kind": "gpt", "gpt": kcbs_gpt_json(rho / np.trace(rho).real)}))
+        src = str(Path(contextuality.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", SHARP_ROUTE_IMPORTS, str(coarse), str(sharp)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for path in (coarse, sharp):
+            payload = json.loads(Path(str(path) + ".out").read_text())
+            assert payload["spekkens_noncontextual"] == "yes"

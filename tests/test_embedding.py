@@ -19,11 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contextuality import embedding
+from contextuality import embedding, scenario
+from contextuality.classify import RunConfig, classify, classify_gpt
 from contextuality.embedding import (
     AssignmentPolytope,
     DecompositionMismatch,
     DimensionTooLarge,
+    EmbeddingUnverified,
     EmptyAssignmentPolytope,
     EmbedSearchResult,
     GptError,
@@ -58,15 +60,21 @@ from contextuality.quantum import (
     bloch_state,
     dm,
     kcbs_vectors,
+    matrix_to_json,
     projective_context,
     pvm_from_observable,
     random_density,
     random_unitary,
     sup_norm,
 )
-from contextuality.scenario import NonCommutingContext, SchemaError
+from contextuality.scenario import (
+    ZERO_TOL,
+    NonCommutingContext,
+    SchemaError,
+    rationalize_model,
+)
 from contextuality.sheaf import solve_global_section
-from oracles import enumerate_vertices, reference_hulls_intersect
+from oracles import cycle_margin, enumerate_vertices, reference_hulls_intersect
 
 RNG = np.random.default_rng(20240818)
 
@@ -95,6 +103,65 @@ def kcbs_gpt(state=None):
         psi[0] = 1.0
         state = dm(psi)
     return sharp_gpt_from_quantum([state], kcbs_contexts())
+
+
+# How far `induced_model` may move an atom: one box LP retried up to 2**9
+# times its 1e-5 half-width, around centres rounded to denominators <= 10**6.
+ATOM_BOUND = 2 ** 9 * Fraction(1, 10 ** 5) + Fraction(1, 2 * 10 ** 6)
+# With no LP only the rounding moves an atom.
+ROUNDING_BOUND = max(Fraction(ZERO_TOL), Fraction(1, 2 * 10 ** 6))
+
+
+def require(condition, message: str) -> None:
+    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
+    if not condition:
+        pytest.fail(message)
+
+
+def exact_atom_table(gpt):
+    """Effects-by-states table of the induced models' atom probabilities.
+
+    Effect ``i`` on state ``j`` reads the one-hot entry of ``E{i}`` in
+    `induced_model(gpt, j)`; effects outside the sharp contexts (the unit)
+    read 1.
+    """
+    columns = []
+    for j in range(gpt.n_states):
+        fired = {}
+        for ctx, table in induced_model(gpt, j).tables.items():
+            for outcome, value in table.items():
+                if sum(outcome) == 1:
+                    fired[int(ctx[outcome.index(1)][1:])] = value
+        columns.append([fired.get(i, Fraction(1)) for i in range(gpt.n_effects)])
+    return [list(row) for row in zip(*columns)]
+
+
+def pentagon_projectors():
+    return [np.outer(v, v.conj()) for v in kcbs_vectors()]
+
+
+def pentagon_documents(rho):
+    """Quantum and sharp-GPT documents of the pentagon, contexts {A_j, A_j+1}."""
+    projs = pentagon_projectors()
+    eye = np.eye(3)
+    measurements = [projective_context(f"A{j}", [p, eye - p])
+                    for j, p in enumerate(projs)]
+    contexts = [[measurements[j], measurements[(j + 1) % 5]] for j in range(5)]
+    quantum = {"kind": "quantum", "state": matrix_to_json(rho),
+               "contexts": [[{"label": m.label,
+                              "projectors": [matrix_to_json(p)
+                                             for p in m.projectors]}
+                             for m in ctx] for ctx in contexts]}
+    gpt = {"kind": "gpt",
+           "gpt": gpt_to_json(sharp_gpt_from_quantum([rho], contexts))}
+    return quantum, gpt
+
+
+def pentagon_margin(rho) -> float:
+    """The cycle oracle's margin for the pentagon's +-1 observables 2 P_j - 1."""
+    obs = [2 * p - np.eye(3) for p in pentagon_projectors()]
+    return cycle_margin([float(np.trace(rho @ obs[j] @ obs[(j + 1) % 5]).real)
+                         for j in range(5)])
 
 
 def pauli_tomography_table():
@@ -325,11 +392,32 @@ class TestEmbedSharp:
         assert check_farkas(columns_from_rows(rows), rhs, res.refusal_farkas)
 
     def test_multi_state_embedding(self):
+        # The embedding reproduces the rationalized statistics the LPs
+        # solved, and those stay within ATOM_BOUND of the float GPT.
         states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
         gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
         res = embed_sharp(gpt)
         assert res.feasible
-        assert verify_embedding(res.embedding, gpt).passed
+        exact = exact_atom_table(gpt)
+        assert verify_embedding(res.embedding, gpt, table=exact).passed
+        floats = gpt.table()
+        assert all(abs(Fraction(floats[i][j]) - exact[i][j]) <= ATOM_BOUND
+                   for i in range(gpt.n_effects) for j in range(gpt.n_states))
+
+    def test_linearly_dependent_states_are_unverified(self):
+        # The third state is the equal mixture of the first two, but each
+        # state's mixture is solved on its own, so no one linear map
+        # reproduces all three: the assembly reports, it does not raise a
+        # certificate error.
+        states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
+        states.append((states[0] + states[1]) / 2)
+        gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
+        with pytest.raises(EmbeddingUnverified, match="embedding assembly"):
+            embed_sharp(gpt)
+        report = classify_gpt(gpt)
+        assert (report.ks_noncontextual, report.spekkens_noncontextual) == (
+            "yes", "undecided")
+        assert any("embedding assembly" in note for note in report.notes)
 
     def test_no_sharp_contexts_rejected(self):
         gpt = make_gpt([np.array([1.0, 0.0])], [np.array([1.0, 0.0])],
@@ -353,6 +441,108 @@ class TestEmbedSharp:
                        sharp_contexts=[(0, 1)])
         with pytest.raises(UnsharpEffectFlagged):
             embed_sharp(gpt)
+
+
+class TestExactInducedModel:
+    """`induced_model` is exact: one rounding, or one box LP over the atoms.
+
+    Checks raise through `require` rather than bare asserts, so the class
+    also tests something under ``python -O``.
+    """
+
+    @staticmethod
+    def gpts():
+        rng = np.random.default_rng(29)
+        w = np.cross(kcbs_vectors()[0], rng.normal(size=3))
+        yield "maximally mixed", kcbs_gpt(np.eye(3) / 3)
+        yield "random state", kcbs_gpt(random_density(3, rng))
+        yield "orthogonal to a ray", kcbs_gpt(dm(w / np.linalg.norm(w)))
+        yield "coarse-grained", sharp_gpt_from_quantum(
+            [random_density(3, rng)], random_coarse_grained_contexts(rng))
+        yield "two states", sharp_gpt_from_quantum(
+            [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])], kcbs_contexts())
+
+    def test_rational_and_every_context_sums_to_one(self):
+        for name, gpt in self.gpts():
+            distinct = {tuple(sorted(ctx)) for ctx in gpt.sharp_contexts}
+            for j in range(gpt.n_states):
+                model = induced_model(gpt, j)
+                require(model.is_rational, f"{name}: model is not rational")
+                require(len(model.tables) == len(distinct),
+                        f"{name}: {len(model.tables)} tables for "
+                        f"{len(distinct)} distinct contexts")
+                for ctx, table in model.tables.items():
+                    require(sum(table.values()) == 1,
+                            f"{name}: context {ctx} sums to "
+                            f"{sum(table.values())}")
+
+    def test_rationalize_model_passes_it_through(self):
+        for name, gpt in self.gpts():
+            model = induced_model(gpt, 0)
+            require(rationalize_model(model) is model,
+                    f"{name}: rationalize_model rebuilt the induced model")
+
+    def test_atoms_stay_near_their_float_probabilities(self):
+        for name, gpt in self.gpts():
+            exact = exact_atom_table(gpt)
+            atoms = {i for ctx in gpt.sharp_contexts for i in ctx}
+            for i in atoms:
+                for j in range(gpt.n_states):
+                    f = max(0.0, gpt.probability(i, j))
+                    moved = abs(Fraction(f) - exact[i][j])
+                    require(moved <= ATOM_BOUND,
+                            f"{name}: atom {i} moved by {float(moved)}")
+                    if f <= ZERO_TOL:
+                        require(exact[i][j] == 0,
+                                f"{name}: atom {i} at {f} is {exact[i][j]}")
+        gpt = kcbs_gpt(np.eye(3) / 3)
+        exact = exact_atom_table(gpt)
+        for i in {i for ctx in gpt.sharp_contexts for i in ctx}:
+            moved = abs(Fraction(gpt.probability(i, 0)) - exact[i][0])
+            require(moved <= ROUNDING_BOUND,
+                    f"rounding moved atom {i} by {float(moved)}")
+
+    def test_box_lps_per_state(self, monkeypatch):
+        calls = []
+        solve = scenario.solve_box_eq
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(scenario, "solve_box_eq", counted)
+        classify_gpt(kcbs_gpt(np.eye(3) / 3))
+        require(len(calls) == 0,
+                f"maximally mixed state ran {len(calls)} box LPs")
+        rng = np.random.default_rng(3)
+        classify_gpt(kcbs_gpt(random_density(3, rng)))
+        require(len(calls) == 1, f"random state ran {len(calls)} box LPs")
+
+    def test_random_pentagon_states_match_the_cycle_oracle(self):
+        # Half random mixed states (mostly noncontextual), half near the
+        # KCBS state (mostly contextual).  A margin within 1e-3 of the
+        # bound is skipped: rationalization moves the statistics by about
+        # 1e-5, which may put such a state on the other side of the facet.
+        rng = np.random.default_rng(61)
+        verdicts = {"yes": 0, "no": 0}
+        while sum(verdicts.values()) < 60:
+            if sum(verdicts.values()) % 2:
+                psi = np.array([1, 0, 0]) + 0.3 * (rng.normal(size=3)
+                                                   + 1j * rng.normal(size=3))
+                rho = dm(psi / np.linalg.norm(psi))
+            else:
+                rho = random_density(3, rng)
+            margin = pentagon_margin(rho)
+            if abs(margin) < 1e-3:
+                continue
+            expected = "no" if margin > 0 else "yes"
+            verdicts[expected] += 1
+            for doc in pentagon_documents(rho):
+                report = classify(doc, RunConfig())
+                got = (report.ks_noncontextual, report.spekkens_noncontextual)
+                require(got == (expected, expected),
+                        f"{doc['kind']} document with margin {margin}: {got}")
+        require(min(verdicts.values()) >= 10, f"one-sided draw {verdicts}")
 
 
 class TestEmbedSearch:
