@@ -16,7 +16,8 @@ internal bug sentinel that no input should ever trigger.
 
 Verification strategy: each "no" verdict carries the certificate produced
 and re-verified by the underlying solver (exact Farkas duals, separating
-inequalities with exact vertex bounds, embedding-refusal witnesses).
+inequalities with exact vertex bounds, per-pattern preparation witnesses);
+an ontic-expansion "no" inferred from an assignment "no" says so.
 Bell and assignment verdicts come from one LP: on bipartite empirical
 inputs the membership verdict and its separating inequality are read off
 the solved global-section system, so the two verdicts agree by
@@ -353,8 +354,11 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
             result = embed_sharp(gpt)
             sp = YES if result.feasible else NO
             certificates.append({"role": "spekkens", **result.certificate()})
-        except (UnsharpEffectFlagged, ScenarioTooLarge, GptError,
-                EmbeddingUnverified) as exc:
+        except ScenarioTooLarge as exc:
+            sp = UNDECIDED
+            notes.append("embedding constructor skipped: the sharp effect "
+                         f"algebra's global section is too large: {exc}")
+        except (UnsharpEffectFlagged, GptError, EmbeddingUnverified) as exc:
             sp = UNDECIDED
             notes.append(f"embedding route unavailable: {exc}")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
@@ -365,10 +369,13 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
 
     With declared sharp contexts, the assignment verdict runs the
     global-section solver on every state's exact induced dichotomic model,
-    and the ontic-expansion verdict runs the exact embedding constructor on
-    the same models; its verdict provably coincides with the assignment
-    verdict on such inputs.  When the constructor cannot assemble a
-    verified linear embedding from the per-state mixtures, the
+    stopping at the first state without a global section.  On sharp
+    theories a simplex embedding exists exactly when every state has one,
+    so a "no" is inferred down to the ontic-expansion verdict, and a "yes"
+    hands the solved sections to the embedding constructor, which reads
+    its embedding off their weights and solves no LP of its own.  When the
+    constructor cannot assemble a verified linear embedding from the
+    per-state weights, or the sections were too large to solve, the
     ontic-expansion verdict is undecided.
     Without sharp contexts there is no outcome scenario to test, so the
     assignment verdict stays undecided and the heuristic embedding search
@@ -379,36 +386,40 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     notes: list = []
 
     if gpt.sharp_contexts:
-        ks = YES
-        models: list = []
+        sections: list = []
         try:
             for i in range(gpt.n_states):
-                models.append(induced_model(gpt, i))
-                section = solve_global_section(models[i])
-                if not section.feasible:
-                    ks = NO
-                    certificates.append({"role": "ks", "state": i,
-                                         **section.certificate()})
+                sections.append(solve_global_section(induced_model(gpt, i)))
+                if not sections[-1].feasible:
                     break
-            else:
+        except (ScenarioTooLarge, UnsharpEffectFlagged) as exc:
+            ks = sp = UNDECIDED
+            notes += [f"global-section route unavailable: {exc}",
+                      "embedding constructor skipped: it reads the unsolved "
+                      "global sections"]
+        else:
+            if sections[-1].feasible:
+                ks = YES
                 notes.append(f"all {gpt.n_states} induced models admit "
                              "global assignments")
-        except (ScenarioTooLarge, UnsharpEffectFlagged) as exc:
-            ks = UNDECIDED
-            notes.append(f"global-section route unavailable: {exc}")
-        try:
-            result = embed_sharp(gpt, models=models)
-            sp = YES if result.feasible else NO
-            certificates.append({"role": "spekkens", **result.certificate()})
-        except (ScenarioTooLarge, UnsharpEffectFlagged, GptError,
-                EmbeddingUnverified) as exc:
-            if ks == NO:
-                sp = NO
+                try:
+                    result = embed_sharp(gpt, sections=sections)
+                    sp = YES
+                    certificates.append({"role": "spekkens",
+                                         **result.certificate()})
+                except (UnsharpEffectFlagged, GptError,
+                        EmbeddingUnverified) as exc:
+                    sp = UNDECIDED
+                    notes.append(f"embedding constructor unavailable: {exc}")
+            else:
+                ks = sp = NO
+                certificates.append({"role": "ks", "state": len(sections) - 1,
+                                     **sections[-1].certificate()})
                 certificates.append({"role": "spekkens",
                                      "kind": "implied-by-ks-contextuality"})
-            else:
-                sp = UNDECIDED
-            notes.append(f"embedding constructor unavailable: {exc}")
+                notes.append("ontic-expansion verdict inferred: an induced "
+                             "model has no global assignment, so no "
+                             "noncontextual expansion exists")
     else:
         ks = UNDECIDED
         notes.append("no sharp contexts declared; no outcome scenario for "

@@ -291,7 +291,10 @@ def cmd_pm_square(args) -> dict:
 
 def cmd_embed(args) -> dict:
     doc = _load_json(args.input)
-    gpt = gpt_from_json(doc["gpt"] if "kind" in doc else doc)
+    gpt = (parse_document(doc).gpt if isinstance(doc, dict) and "kind" in doc
+           else gpt_from_json(doc))
+    if gpt is None:
+        raise SchemaError(f"embed needs a gpt document, got kind {doc['kind']!r}")
     payload: dict = {"dim": gpt.dim, "states": gpt.n_states,
                      "effects": gpt.n_effects, "seed": args.seed}
     if gpt.sharp_contexts:
@@ -423,12 +426,16 @@ def cmd_convert_bell(args) -> dict:
         doc = _load_json(args.input)
         try:
             weights = {l: Fraction(w) for l, w in doc["weights"].items()}
-            edges = [tuple(e) for e in doc["edges"]]
+            edges = [(a, b) for a, b in doc["edges"]]
             projectors = {l: matrix_from_json(m)
                           for l, m in doc["projectors"].items()}
             dim = int(doc["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ArithmeticError) as exc:
             raise SchemaError(f"malformed graph document: {exc}") from exc
+        if not weights or not all(isinstance(l, str) for e in edges for l in e):
+            raise SchemaError("a graph document needs vertices, and edges "
+                              "between vertex labels")
         graph = make_orthogonality_graph(weights, edges, projectors=projectors)
     else:
         graph = kcbs_graph()

@@ -3,12 +3,13 @@
 Verification strategy: every embedding returned by any search path is
 re-checked against the simplex, dual-hypercube, and probability
 reproduction invariants at 1e-9 before it reaches the caller.  The sharp
-constructor decides on exact (rationalized) atom probabilities, so its
-pairing is checked against those rationalized statistics, not the float
-ones; the heuristic search checks against the GPT's float pairing.
-Refusals carry exact Farkas certificates that are re-multiplied against
-the constraint rows; the preparation-ensemble and assignment-polytope
-checkers run entirely in exact rational arithmetic.
+constructor reads its embedding off the solved global sections of the
+exact (rationalized) induced models, so its pairing is checked against
+those rationalized statistics, not the float ones; the heuristic search
+checks against the GPT's float pairing.  A sharp refusal is an infeasible
+global section, whose Farkas dual the section solver re-multiplied
+against its incidence rows; the preparation-ensemble and
+assignment-polytope checkers run entirely in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ from .scenario import (
     make_scenario,
     rationalize_atoms,
 )
-from .sheaf import ScenarioTooLarge
+from .sheaf import SectionFeasibility, solve_global_section
 
 EMBED_TOL = 1e-9
 MERGE_TOL = 1e-10
 RANK_TOL = 1e-8
 MAX_EMBED_DIM = 10
-MAX_SHARP_ASSIGNMENTS = 2**20
 MAX_ASSIGNMENT_TUPLES = 2**12
 MAX_SUBSET_PAIRS = 20_000
 
@@ -296,7 +296,7 @@ def sharp_gpt_from_quantum(states, contexts, *, tol: float = 1e-10) -> Gpt:
 
 
 # ---------------------------------------------------------------------------
-# Sharp embedding (deterministic value assignments + exact LPs)
+# Sharp embedding (read off the global sections of the induced models)
 
 
 def induced_model(gpt: Gpt, state_index: int):
@@ -339,60 +339,6 @@ def induced_model(gpt: Gpt, state_index: int):
             for slot, i in enumerate(ctx)}
     measurements = [(f"E{i}", (0, 1)) for i in atom_indices]
     return make_model(make_scenario(measurements, list(tables)), tables)
-
-
-def consistent_assignments(gpt: Gpt) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """All Boolean effect assignments firing exactly one atom per context.
-
-    Returns the ordered atom index tuple and the assignments as 0/1 tuples
-    over it.  Effects shared between contexts keep a single value, which is
-    where cross-context consistency enters.
-    """
-    if not gpt.sharp_contexts:
-        raise UnsharpEffectFlagged("no sharp contexts declared")
-    atom_indices = tuple(sorted({i for ctx in gpt.sharp_contexts for i in ctx}))
-    position = {i: k for k, i in enumerate(atom_indices)}
-    bound = 1
-    for ctx in gpt.sharp_contexts:
-        bound *= max(1, len(ctx))
-        if bound > MAX_SHARP_ASSIGNMENTS:
-            raise ScenarioTooLarge(
-                f"more than {MAX_SHARP_ASSIGNMENTS} candidate assignments")
-    assignments: list[tuple[int, ...]] = []
-    values: dict[int, int] = {}
-
-    def backtrack(depth: int) -> None:
-        if depth == len(gpt.sharp_contexts):
-            full = [0] * len(atom_indices)
-            for idx, val in values.items():
-                full[position[idx]] = val
-            assignments.append(tuple(full))
-            return
-        ctx = gpt.sharp_contexts[depth]
-        for fired in ctx:
-            if values.get(fired) == 0:
-                continue
-            if any(values.get(other) == 1 for other in ctx if other != fired):
-                continue
-            staged = {}
-            ok = True
-            for other in ctx:
-                want = 1 if other == fired else 0
-                if other in values:
-                    if values[other] != want:
-                        ok = False
-                        break
-                else:
-                    staged[other] = want
-            if not ok:
-                continue
-            values.update(staged)
-            backtrack(depth + 1)
-            for key in staged:
-                del values[key]
-
-    backtrack(0)
-    return atom_indices, assignments
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,7 +404,12 @@ def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
 
 @dataclass(frozen=True, eq=False)
 class EmbedSharpResult:
-    """Outcome of the deterministic-assignment embedding construction."""
+    """Outcome of the sharp embedding construction.
+
+    Embeddable: the embedding, the kept assignments (0/1 atom vectors) and
+    each state's weights on them.  Refused: the first state whose induced
+    model has no global section, and that infeasible section.
+    """
 
     feasible: bool
     embedding: SimplexEmbedding | None
@@ -466,8 +417,7 @@ class EmbedSharpResult:
     assignments: tuple
     state_weights: tuple
     refusal_state: int | None
-    refusal_farkas: tuple | None
-    rhs_rows: tuple
+    refusal_section: SectionFeasibility | None
 
     @property
     def verdict(self) -> str:
@@ -484,125 +434,95 @@ class EmbedSharpResult:
                 "state_weights": [[format_fraction(w) for w in ws]
                                   for ws in self.state_weights],
             }
-        return {
-            "kind": "simplex-embedding-refusal",
-            "verdict": "refused",
-            "state_index": self.refusal_state,
-            "atoms": list(self.atom_indices),
-            "farkas": [format_fraction(y) for y in self.refusal_farkas],
-            "rhs": [format_fraction(v) for v in self.rhs_rows],
-        }
+        return {"state": self.refusal_state,
+                **self.refusal_section.certificate()}
 
 
-def _atom_values(atom_indices, model) -> list:
+def _atom_values(atom_indices, model) -> dict:
     """Exact "atom fired" probability of each atom in an induced model."""
-    values = []
+    values = {}
     for atom in atom_indices:
         label = f"E{atom}"
         context = next(ctx for ctx in model.scenario.contexts if label in ctx)
         slot = context.index(label)
         # marginal of "atom fired"; any containing context gives the same value
-        values.append(sum(v for o, v in model.tables[context].items()
-                          if o[slot] == 1))
+        values[atom] = sum(v for o, v in model.tables[context].items()
+                           if o[slot] == 1)
     return values
 
 
 def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL,
-                models=()) -> EmbedSharpResult:
-    """Simplex embedding of a sharp GPT or an exact refusal certificate.
+                sections=()) -> EmbedSharpResult:
+    """Simplex embedding of a sharp GPT, read off its solved global sections.
 
-    Enumerates context-consistent Boolean value assignments on the flagged
-    effects, then asks (by exact LP, one per state) for a mixture of
-    assignments reproducing each state's exact statistics, the atom
-    probabilities of `induced_model`.  ``models`` may hold the induced
-    models of the first states, already built by the caller; the others are
-    built here.  Failure returns the Farkas certificate of the first
-    unembeddable state; the verdict agrees with the global-section solver
-    on `induced_model` by construction.
+    A sharp GPT has a simplex embedding exactly when every state's induced
+    model has a global section.  `induced_model` raises
+    `UnsharpEffectFlagged` when a sharp context misses a sum of 1 on a
+    state, and so does this function for an effect that is neither the
+    unit nor in a sharp context.  ``sections`` may hold the solved
+    `SectionFeasibility` of `induced_model` for the first states, as the
+    caller already solved them; the others are solved here.  The first
+    infeasible section is the refusal, and its re-checked Farkas dual is
+    the certificate.
 
-    Success assembles Boolean-row kappa and iota by pseudo-inverse and
-    checks them at ``tol``: simplex and cube membership, and the pairing
-    against the exact atom probabilities the LPs solved.  Per-state
+    Otherwise each section's primal is a mixture of global assignments of
+    the measurements ``E{i}`` in atom order, so the assignments with weight
+    in any state are the 0/1 atom vectors that fire one atom per context.
+    Boolean-row kappa and iota are assembled from those weights by
+    pseudo-inverse and checked at ``tol``: simplex and cube membership, and
+    the pairing against the sections' exact atom probabilities.  Per-state
     mixtures of linearly dependent states need not come from one linear
-    map, so this check can fail; `EmbeddingUnverified` is raised then.
+    map, and a primal that does not reproduce its statistics fails too, so
+    `EmbeddingUnverified` is raised when the check fails.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
     atom_set = {i for ctx in gpt.sharp_contexts for i in ctx}
     for i, e in enumerate(gpt.effects):
-        if i in atom_set:
-            continue
-        if np.max(np.abs(e - gpt.unit)) <= 1e-9:
-            continue
-        raise UnsharpEffectFlagged(
-            f"effect {i} is neither the unit nor covered by a sharp context")
-    for ctx in gpt.sharp_contexts:
-        total = np.sum([gpt.effects[i] for i in ctx], axis=0)
-        for j, s in enumerate(gpt.states):
-            val = float(np.dot(total, s))
-            if abs(val - 1.0) > 1e-9:
-                raise UnsharpEffectFlagged(
-                    f"sharp context {ctx} sums to {val} on state {j}")
+        if i not in atom_set and np.max(np.abs(e - gpt.unit)) > 1e-9:
+            raise UnsharpEffectFlagged(
+                f"effect {i} is neither the unit nor covered by a sharp context")
 
-    atom_indices, assignments = consistent_assignments(gpt)
-    # one row per atom ("atom fired") and a last row of ones
-    columns = SparseColumns(len(atom_indices) + 1, tuple(
-        (tuple(pos for pos, bit in enumerate(col) if bit) + (len(col),),
-         (Fraction(1),) * (sum(col) + 1))
-        for col in assignments))
-    solutions = []
-    rhs_rows = []
+    atom_indices = tuple(sorted(atom_set))
+    solved = []
     for j in range(gpt.n_states):
-        model = models[j] if j < len(models) else induced_model(gpt, j)
-        rhs = _atom_values(atom_indices, model) + [Fraction(1)]
-        if not assignments:
-            farkas = tuple(Fraction(int(i == len(rhs) - 1))
-                           for i in range(len(rhs)))
-            require_certificate(columns, rhs,
-                                Feasibility(False, farkas=farkas), "embedding")
-            return EmbedSharpResult(False, None, atom_indices, (), (),
-                                    j, farkas, tuple(rhs))
-        res = require_certificate(columns, rhs, solve_eq_nonneg(columns, rhs),
-                                  "embedding")
-        if not res.feasible:
-            return EmbedSharpResult(False, None, atom_indices, (),
-                                    (), j, res.farkas, tuple(rhs))
-        rhs_rows.append(rhs)
-        solutions.append(res.x)
+        section = (sections[j] if j < len(sections)
+                   else solve_global_section(induced_model(gpt, j)))
+        if not section.feasible:
+            return EmbedSharpResult(False, None, atom_indices, (), (), j, section)
+        solved.append(section)
 
-    kept = sorted({k for x in solutions for k, v in enumerate(x) if v != 0})
-    kept_assignments = tuple(assignments[k] for k in kept)
+    # Descending order puts the assignments firing lower atoms first, so on
+    # a single context vertex i of the simplex is atom i firing.
+    kept = sorted({k for s in solved for k, w in enumerate(s.primal) if w},
+                  reverse=True)
+    kept_assignments = tuple(solved[0].matrix.assignments[k] for k in kept)
     d = len(kept)
 
-    # kappa: Boolean target rows for each atom (plus the all-ones unit row),
-    # lifted to a linear map on effect vectors by pseudo-inverse.
-    targets = np.array([[float(a[pos]) for a in kept_assignments]
-                        for pos in range(len(atom_indices))])
-    effect_mat = np.array([gpt.effects[i] for i in atom_indices]
-                          + [gpt.unit])
-    target_mat = np.vstack([targets, np.ones((1, d))])
-    kappa = target_mat.T @ np.linalg.pinv(effect_mat).T
+    # kappa: each kept assignment's Boolean row on the atoms and a 1 on the
+    # unit, lifted to a linear map on effect vectors by pseudo-inverse.
+    targets = np.hstack([np.array(kept_assignments, dtype=float),
+                         np.ones((d, 1))])
+    effect_mat = np.array([gpt.effects[i] for i in atom_indices] + [gpt.unit])
+    kappa = targets @ np.linalg.pinv(effect_mat).T
 
-    weights = np.array([[float(solutions[j][k]) for j in range(gpt.n_states)]
-                        for k in kept])
-    state_mat = np.array(gpt.states).T
-    iota = weights @ np.linalg.pinv(state_mat)
+    state_weights = tuple(tuple(s.primal[k] for k in kept) for s in solved)
+    iota = (np.array(state_weights, dtype=float).T
+            @ np.linalg.pinv(np.array(gpt.states).T))
 
     embedding = SimplexEmbedding(d=d, iota=iota, kappa=kappa)
-    position = {atom: pos for pos, atom in enumerate(atom_indices)}
-    table = [[rhs[position[i]] if i in position else 1 for rhs in rhs_rows]
+    atom_values = [_atom_values(atom_indices, s.model) for s in solved]
+    table = [[values.get(i, 1) for values in atom_values]
              for i in range(gpt.n_effects)]
     check = verify_embedding(embedding, gpt, tol, table)
     if not check.passed:
         raise EmbeddingUnverified(
-            "embedding assembly: every state is a mixture of consistent "
-            "assignments, but the pseudo-inverse embedding misses its "
-            f"{tol:g} check (simplex {check.worst_simplex:.1e}, cube "
-            f"{check.worst_cube:.1e}, pairing {check.worst_pairing:.1e})")
-    state_weights = tuple(tuple(solutions[j][k] for k in kept)
-                          for j in range(gpt.n_states))
+            "embedding assembly: the global sections' weights give no "
+            f"embedding within {tol:g} (simplex {check.worst_simplex:.1e}, "
+            f"cube {check.worst_cube:.1e}, pairing "
+            f"{check.worst_pairing:.1e})")
     return EmbedSharpResult(True, embedding, atom_indices, kept_assignments,
-                            state_weights, None, None, tuple(rhs_rows[-1]))
+                            state_weights, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1323,6 +1243,10 @@ def gpt_from_json(data) -> Gpt:
         if isinstance(exc, (InconsistentUnit, UnsharpEffectFlagged)):
             raise
         raise SchemaError(f"malformed GPT JSON: {exc}") from exc
-    if int(data["dim"]) != gpt.dim:
+    try:
+        dim = int(data["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed GPT dim {data['dim']!r}") from exc
+    if dim != gpt.dim:
         raise SchemaError(f"declared dim {data['dim']} != vector length {gpt.dim}")
     return gpt

@@ -522,7 +522,9 @@ def rationalize_atoms(values: list[float], contexts,
     max(1/(2 max_den), ZERO_TOL).  Otherwise one exact box LP, with one
     "context sums to 1" row per context, finds them under
     `rationalize_model`'s retry and zero-pinning policy at half-width
-    ``slack``, so each moves by at most 2**9 slack + 1/(2 max_den).
+    ``slack``, so each moves by at most 2**9 slack + 1/(2 max_den).  The box
+    is centred on the 1/max_den grid, so its bounds, and the vertex the LP
+    returns, keep denominators near max_den.
     """
     centres = [_round(f, max_den) for f in values]
     if all(sum(centres[k] for k in ctx) == 1 for ctx in contexts):
@@ -531,7 +533,8 @@ def rationalize_atoms(values: list[float], contexts,
     for ctx in contexts:
         members = set(ctx)
         rows.append([Fraction(int(k in members)) for k in range(len(values))])
-    sol = _solve_box(values, centres, rows, [Fraction(1)] * len(rows),
+    grid = [Fraction(round(f * max_den), max_den) for f in values]
+    sol = _solve_box(values, grid, rows, [Fraction(1)] * len(rows),
                      slack, max_den)
     if sol is None:
         raise ValueError("could not rationalize the atom probabilities")

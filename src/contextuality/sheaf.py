@@ -28,7 +28,9 @@ from .exactlp import (
 )
 from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationalize_model
 
-MAX_ASSIGNMENTS = 2 ** 24
+# One column per global assignment: a 2**20-column section, such as a sharp
+# GPT's induced model with 20 atoms, already peaks near 0.5 GB.
+MAX_ASSIGNMENTS = 2 ** 20
 
 
 class ScenarioTooLarge(ValueError):

@@ -15,7 +15,11 @@ by row-reducing every candidate basis in ``Fraction`` arithmetic; the
 assignment-polytope scan, which decides hull intersections by LP without
 vertices, is checked against it.  `cycle_margin` is the n-cycle
 noncontextuality inequality (Araújo et al., PRL 110, 040403, 2013) read
-off the correlators alone.
+off the correlators alone.  `reference_consistent_assignments` enumerates
+a sharp GPT's 0/1 atom assignments by backtracking over its contexts, and
+`reference_sharp_mixture` is the per-state mixture LP over them on
+`reference_solve_eq_nonneg`: the sharp embedding route the package now
+reads off the global-section LP, kept as an independent second route.
 """
 
 from __future__ import annotations
@@ -380,3 +384,62 @@ def cycle_margin(correlators: Sequence[float]) -> float:
                for signs in itertools.product((1, -1), repeat=n)
                if signs.count(-1) % 2 == 1)
     return best - (n - 2)
+
+
+def reference_consistent_assignments(sharp_contexts
+                                     ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """All 0/1 atom assignments firing exactly one atom per sharp context.
+
+    Backtracks over the contexts in declared order, choosing the atom each
+    one fires; an atom shared between contexts keeps one value.  Returns
+    the sorted atom indices and the assignments as 0/1 tuples over them.
+    """
+    atoms = tuple(sorted({i for ctx in sharp_contexts for i in ctx}))
+    position = {i: k for k, i in enumerate(atoms)}
+    assignments: list[tuple[int, ...]] = []
+    values: dict[int, int] = {}
+
+    def backtrack(depth: int) -> None:
+        if depth == len(sharp_contexts):
+            full = [0] * len(atoms)
+            for atom, value in values.items():
+                full[position[atom]] = value
+            assignments.append(tuple(full))
+            return
+        ctx = sharp_contexts[depth]
+        for fired in ctx:
+            want = {other: int(other == fired) for other in ctx}
+            if any(values.get(k, v) != v for k, v in want.items()):
+                continue
+            staged = [k for k in want if k not in values]
+            values.update((k, want[k]) for k in staged)
+            backtrack(depth + 1)
+            for k in staged:
+                del values[k]
+
+    backtrack(0)
+    return atoms, assignments
+
+
+def atom_values(model) -> dict:
+    """Atom index -> probability that atom ``E{i}`` fires, read off the
+    one-hot entries of a sharp GPT's induced model."""
+    values = {}
+    for ctx, table in model.tables.items():
+        for outcome, value in table.items():
+            if sum(outcome) == 1:
+                values[int(ctx[outcome.index(1)][1:])] = Fraction(value)
+    return values
+
+
+def reference_sharp_mixture(sharp_contexts, values: dict) -> Feasibility:
+    """Is one state's atom statistics a mixture of consistent assignments?
+
+    One row per atom ("atom fired", right side ``values[atom]``) and a last
+    row of ones, one column per `reference_consistent_assignments` entry,
+    solved by `reference_solve_eq_nonneg`.
+    """
+    atoms, assignments = reference_consistent_assignments(sharp_contexts)
+    rows = [[Fraction(a[pos]) for a in assignments] for pos in range(len(atoms))]
+    rows.append([Fraction(1)] * len(assignments))
+    return reference_solve_eq_nonneg(rows, [values[i] for i in atoms] + [Fraction(1)])

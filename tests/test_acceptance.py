@@ -17,7 +17,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import grid_scan_max, ld_vertex_boxes, reference_membership_lp
+from oracles import (
+    atom_values,
+    grid_scan_max,
+    ld_vertex_boxes,
+    reference_membership_lp,
+    reference_sharp_mixture,
+)
 
 from contextuality.classify import (
     RunConfig,
@@ -362,8 +368,10 @@ class TestCriterion7SharpCorrespondence:
             state, contexts = random_sharp_instance(rng)
             gpt = sharp_gpt_from_quantum([state], contexts)
             res = embed_sharp(gpt)
-            sheaf = solve_global_section(induced_model(gpt, 0))
-            assert res.feasible == sheaf.feasible
+            # independent route: the mixture LP over backtracked assignments
+            oracle = reference_sharp_mixture(
+                gpt.sharp_contexts, atom_values(induced_model(gpt, 0)))
+            assert res.feasible == oracle.feasible
             if res.feasible:
                 embeddable += 1
             else:

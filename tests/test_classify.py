@@ -42,9 +42,11 @@ from contextuality.classify import (
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
 from contextuality.polytope import CHSH_OPTIMAL_ANGLES, singlet_behaviour
 from contextuality.quantum import (
+    dm,
     kcbs_construction,
     matrix_to_json,
     max_entangled,
+    projective_context,
     pvm_from_observable,
     werner_state,
 )
@@ -418,6 +420,52 @@ class TestClassifyGpt:
         doc = {"kind": "gpt", "gpt": gpt_to_json(gpt)}
         report = classify(doc, RunConfig())
         assert verdicts(report) == ("not-applicable", "yes", "yes")
+
+    @staticmethod
+    def count_lps(monkeypatch):
+        """Counts the exact LP solves, at every binding of the kernel, and
+        the box LPs among them."""
+        from contextuality import embedding, exactlp, scenario
+
+        calls = {"lp": 0, "box": 0}
+        solve, box = exactlp.solve_eq_nonneg, scenario.solve_box_eq
+
+        def counted_solve(*args):
+            calls["lp"] += 1
+            return solve(*args)
+
+        def counted_box(*args):
+            calls["box"] += 1
+            return box(*args)
+
+        for module in (exactlp, embedding):
+            monkeypatch.setattr(module, "solve_eq_nonneg", counted_solve)
+        monkeypatch.setattr(scenario, "solve_box_eq", counted_box)
+        return calls
+
+    def test_noncontextual_gpt_solves_one_lp_per_state(self, monkeypatch):
+        # Dyadic atom probabilities round exactly, so no box LP runs; each
+        # state's global section is the only LP, and the embedding reads it.
+        basis = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+        contexts = [[projective_context("fine", basis),
+                     projective_context("coarse", [basis[0], basis[1] + basis[2]])]]
+        states = [basis[0], basis[1], np.diag([0.5, 0.25, 0.25]).astype(complex)]
+        gpt = sharp_gpt_from_quantum(states, contexts)
+        calls = self.count_lps(monkeypatch)
+        report = classify({"kind": "gpt", "gpt": gpt_to_json(gpt)}, RunConfig())
+        assert verdicts(report) == ("not-applicable", "yes", "yes")
+        assert calls == {"lp": 3, "box": 0}
+
+    def test_contextual_gpt_stops_at_its_first_state(self, monkeypatch):
+        psi, _, _ = kcbs_construction()
+        gpt = sharp_gpt_from_quantum([dm(psi), np.eye(3) / 3], kcbs_contexts())
+        calls = self.count_lps(monkeypatch)
+        report = classify({"kind": "gpt", "gpt": gpt_to_json(gpt)}, RunConfig())
+        assert verdicts(report) == ("not-applicable", "no", "no")
+        assert calls["lp"] - calls["box"] == 1
+        ks, sp = report.certificates
+        assert (ks["role"], ks["kind"], ks["state"]) == ("ks", "global-section", 0)
+        assert (sp["role"], sp["kind"]) == ("spekkens", "implied-by-ks-contextuality")
 
     def test_gpt_without_contexts_uses_search(self):
         gpt = sharp_gpt_from_quantum([np.eye(3, dtype=complex) / 3],

@@ -28,7 +28,15 @@ from fractions import Fraction
 from contextuality import cli
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
-from contextuality.quantum import kcbs_construction, matrix_to_json, pvm_from_observable
+from contextuality.quantum import (
+    PAULIS,
+    kcbs_construction,
+    kcbs_vectors,
+    matrix_to_json,
+    projective_context,
+    pvm_from_observable,
+    tensor,
+)
 from contextuality.sheaf import MAX_ASSIGNMENTS
 from oracles import ld_vertex_boxes, random_box
 
@@ -525,6 +533,65 @@ class TestOversizedBox:
         assert elapsed < 1.0
 
 
+def timed_classify(tmp_path, doc: dict) -> tuple:
+    """Payload of `classify` on ``doc`` and the seconds the call took."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    payload = run_json(tmp_path, ["classify", str(path)])
+    return payload, time.perf_counter() - t0
+
+
+class TestSharpSectionCap:
+    """Above MAX_ASSIGNMENTS columns the sharp route says undecided, quickly.
+
+    Each input has 24 atoms, so its sharp section would have 2**24 columns.
+    """
+
+    def test_sharp_gpt_with_six_disjoint_contexts(self, tmp_path):
+        # Six product bases of two qubits, which share no ray: 24 atoms.
+        eig = {name: pvm_from_observable(PAULIS[name], name).projectors
+               for name in ("X", "Y", "Z")}
+        contexts = [[projective_context(f"{a}{b}", [tensor(p, q) for p in eig[a]
+                                                    for q in eig[b]])]
+                    for a, b in ("ZZ", "XX", "YY", "ZX", "XZ", "ZY")]
+        gpt = sharp_gpt_from_quantum([np.eye(4) / 4], contexts)
+        assert sorted(len(ctx) for ctx in gpt.sharp_contexts) == [4] * 6
+        assert 2 ** 24 > MAX_ASSIGNMENTS
+        payload, elapsed = timed_classify(
+            tmp_path, {"kind": "gpt", "gpt": gpt_to_json(gpt)})
+        assert (payload["ks_noncontextual"],
+                payload["spekkens_noncontextual"]) == ("undecided", "undecided")
+        assert any(note.startswith("global-section route unavailable")
+                   for note in payload["notes"])
+        assert any(note.startswith("embedding constructor skipped")
+                   for note in payload["notes"])
+        assert elapsed < 1.0
+
+    def test_three_qubit_quantum_document(self, tmp_path):
+        eye = np.eye(2)
+
+        def on_qubit(op, k):
+            factors = [op if i == k else eye for i in range(3)]
+            return tensor(tensor(factors[0], factors[1]), factors[2])
+
+        contexts = [[{"label": f"{name}{k + 1}",
+                      "projectors": [matrix_to_json(p) for p in pvm_from_observable(
+                          on_qubit(PAULIS[name], k), f"{name}{k + 1}").projectors]}
+                     for k in range(3)] for name in ("Z", "X", "Y")]
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = g @ g.conj().T
+        doc = {"kind": "quantum", "state": matrix_to_json(rho / np.trace(rho).real),
+               "contexts": contexts}
+        payload, elapsed = timed_classify(tmp_path, doc)
+        assert (payload["ks_noncontextual"],
+                payload["spekkens_noncontextual"]) == ("yes", "undecided")
+        assert any(note.startswith("embedding constructor skipped")
+                   for note in payload["notes"])
+        assert elapsed < 1.0
+
+
 def float_copy(doc: dict) -> dict:
     """The empirical document with every "p/q" table entry written as a float."""
     out = json.loads(json.dumps(doc))
@@ -788,6 +855,126 @@ class TestPuseyDocumentFuzz:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+def pentagon_graph_doc() -> dict:
+    """The pentagon's exclusivity graph with its qutrit projectors."""
+    rays = kcbs_vectors()
+    labels = [f"P{j}" for j in range(5)]
+    return {"weights": {l: 1 for l in labels},
+            "edges": [[labels[j], labels[(j + 1) % 5]] for j in range(5)],
+            "projectors": {l: matrix_to_json(np.outer(v, v.conj()))
+                           for l, v in zip(labels, rays)},
+            "dim": 3}
+
+
+FRONT_DOOR_FAULTS = {
+    "embed": ("not-object", "kind-without-gpt", "wrong-kind", "unknown-kind",
+              "gpt-not-object", "missing-key", "dim-junk", "states-junk",
+              "contexts-junk"),
+    "convert-bell": ("not-object", "weights-junk", "projectors-junk",
+                     "no-vertices", "edges-junk", "edge-junk", "unknown-label",
+                     "weight-junk", "projector-junk", "dim-junk", "missing-dim"),
+}
+
+
+@st.composite
+def front_door_documents(draw):
+    """(command, fault, document): a valid `embed` or `convert-bell`
+    document, or one with a fault planted.  Fault "valid" plants none."""
+    command = draw(st.sampled_from(sorted(FRONT_DOOR_FAULTS)))
+    fault = draw(st.sampled_from(("valid",) + FRONT_DOOR_FAULTS[command]))
+    junk = st.sampled_from([None, 5, "x", [], {}, [5], [[]], True, 1.5])
+    if fault == "not-object":
+        return command, fault, draw(st.sampled_from([5, [], "x", None, [1, 2]]))
+    if command == "embed":
+        gpt = {"dim": 2, "states": [[1.0, 0.0], [0.5, 0.5]],
+               "effects": [[1.0, 0.0], [0.0, 1.0]], "unit": [1.0, 1.0],
+               "sharp_contexts": [[0, 1]]}
+        doc = {"kind": "gpt", "gpt": gpt} if draw(st.booleans()) else gpt
+        if fault == "kind-without-gpt":
+            doc = {"kind": "gpt"}
+        elif fault == "wrong-kind":
+            doc = {"kind": draw(st.sampled_from(["quantum", "empirical",
+                                                 "prep-ensemble"]))}
+        elif fault == "unknown-kind":
+            doc = {"kind": draw(junk), "gpt": gpt}
+        elif fault == "gpt-not-object":
+            doc = {"kind": "gpt", "gpt": draw(junk.filter(
+                lambda v: not isinstance(v, dict)))}
+        elif fault == "missing-key":
+            del gpt[draw(st.sampled_from(["dim", "states", "effects", "unit"]))]
+        elif fault == "dim-junk":
+            gpt["dim"] = draw(st.sampled_from([None, [], {}, "x", 3, 1.5]))
+        elif fault == "states-junk":
+            gpt[draw(st.sampled_from(["states", "effects", "unit"]))] = draw(junk)
+        elif fault == "contexts-junk":
+            gpt["sharp_contexts"] = draw(st.sampled_from(
+                [5, [5], [["x"]], [[None]], [[[0]]], [[0, 0]], [[7]]]))
+        return command, fault, doc
+    doc = pentagon_graph_doc()
+    label = draw(st.sampled_from(sorted(doc["weights"])))
+    if fault in ("weights-junk", "projectors-junk"):
+        doc[fault.split("-")[0]] = draw(junk.filter(lambda v: not isinstance(v, dict)))
+    elif fault == "no-vertices":
+        doc.update(weights={}, edges=[], projectors={}, dim=10 ** 9)
+    elif fault == "edges-junk":
+        doc["edges"] = draw(junk.filter(lambda v: v != [] and not isinstance(v, dict)))
+    elif fault == "edge-junk":
+        doc["edges"].append(draw(st.sampled_from(
+            [[["P0"], "P1"], ["P0"], ["P0", "P1", "P2"], [1, 2], "P0", 5,
+             [None, "P1"], ["P0", "P0"]])))
+    elif fault == "unknown-label":
+        doc["edges"].append(["P0", "nobody"])
+    elif fault == "weight-junk":
+        doc["weights"][label] = draw(st.sampled_from(
+            ["1/0", "x", [], {}, None, -1, "-1/2"]))
+    elif fault == "projector-junk":
+        doc["projectors"][label] = draw(st.sampled_from(
+            [5, [], "x", {}, {"rows": 2, "cols": 2, "re": [1]},
+             {"rows": "x", "cols": 3, "re": []}]))
+    elif fault == "dim-junk":
+        doc["dim"] = draw(st.sampled_from([None, [], {}, "x", 2, 0, -3, 1e300]))
+    elif fault == "missing-dim":
+        del doc["dim"]
+    return command, fault, doc
+
+
+class TestFrontDoorFuzz:
+    """`embed` and `convert-bell` exit 0 or 2 with one line, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=front_door_documents())
+    def test_faults_exit_two_with_one_line(self, tmp_path_factory, drawn):
+        command, fault, doc = drawn
+        path = tmp_path_factory.mktemp("front") / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, str(path)])
+        assert "Traceback" not in err.getvalue()
+        if fault == "valid":
+            assert rc == 0, err.getvalue()
+            assert err.getvalue() == ""
+        else:
+            assert rc == 2, (command, fault, doc, err.getvalue())
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("command, doc", [
+        ("embed", {"kind": "gpt"}),
+        ("embed", 5),
+        ("convert-bell", {"weights": 5}),
+        ("convert-bell", {**pentagon_graph_doc(), "projectors": []}),
+        ("convert-bell", {**pentagon_graph_doc(), "edges": [[["a"], "b"]]}),
+    ])
+    def test_known_tracebacks_exit_two(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSharpEmbeddingAssembly:

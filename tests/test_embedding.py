@@ -9,7 +9,9 @@ brute-force or hand-derived oracles on small instances.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -34,7 +36,6 @@ from contextuality.embedding import (
     PrepEnsembleProblem,
     UnsharpEffectFlagged,
     build_assignment_polytope,
-    consistent_assignments,
     embed_search,
     embed_sharp,
     gpt_from_data,
@@ -74,7 +75,15 @@ from contextuality.scenario import (
     rationalize_model,
 )
 from contextuality.sheaf import solve_global_section
-from oracles import cycle_margin, enumerate_vertices, reference_hulls_intersect
+from oracles import (
+    atom_values,
+    cycle_margin,
+    enumerate_vertices,
+    reference_consistent_assignments,
+    reference_hulls_intersect,
+    reference_incidence_rows,
+    reference_sharp_mixture,
+)
 
 RNG = np.random.default_rng(20240818)
 
@@ -309,20 +318,23 @@ class TestSharpGptFromQuantum:
 
 
 class TestConsistentAssignments:
+    """The backtracking oracle that the sharp route's cross-checks rest on."""
+
     def test_classical_bit(self):
-        atoms, assignments = consistent_assignments(classical_bit_gpt())
+        atoms, assignments = reference_consistent_assignments(
+            classical_bit_gpt().sharp_contexts)
         assert atoms == (0, 1)
         assert sorted(assignments) == [(0, 1), (1, 0)]
 
     def test_kcbs_counts_pentagon_independent_sets(self):
         gpt = kcbs_gpt()
-        _, assignments = consistent_assignments(gpt)
+        _, assignments = reference_consistent_assignments(gpt.sharp_contexts)
         # one independent set of the pentagon per assignment: 1 + 5 + 5
         assert len(assignments) == 11
 
     def test_every_assignment_fires_once_per_context(self):
         gpt = kcbs_gpt()
-        atoms, assignments = consistent_assignments(gpt)
+        atoms, assignments = reference_consistent_assignments(gpt.sharp_contexts)
         position = {i: k for k, i in enumerate(atoms)}
         for a in assignments:
             for ctx in gpt.sharp_contexts:
@@ -342,8 +354,9 @@ class TestEmbedSharp:
         assert res.verdict == "refused"
         assert res.refusal_state == 0
         cert = res.certificate()
-        assert cert["kind"] == "simplex-embedding-refusal"
-        assert len(cert["farkas"]) == len(cert["rhs"])
+        assert (cert["kind"], cert["verdict"], cert["state"]) == (
+            "global-section", "infeasible", 0)
+        assert len(cert["dual"]) == len(cert["rhs"])
 
     def test_kcbs_maximally_mixed_embeds(self):
         res = embed_sharp(kcbs_gpt(np.eye(3) / 3))
@@ -371,25 +384,41 @@ class TestEmbedSharp:
             assert float(np.max(distance)) < 1e-8
 
     def test_verdict_matches_global_section(self):
+        # The embedding is read off the global section; the oracle decides
+        # the same question by the per-state mixture LP over the
+        # backtracked assignments.
         rng = np.random.default_rng(11)
         for _ in range(8):
             contexts = random_coarse_grained_contexts(rng)
             state = random_density(3, rng)
             gpt = sharp_gpt_from_quantum([state], contexts)
             res = embed_sharp(gpt)
-            sheaf = solve_global_section(induced_model(gpt, 0))
-            assert res.feasible == sheaf.feasible
+            oracle = reference_sharp_mixture(
+                gpt.sharp_contexts, atom_values(induced_model(gpt, 0)))
+            assert res.feasible == oracle.feasible
 
     def test_refusal_farkas_rechecked(self):
         gpt = kcbs_gpt()
         res = embed_sharp(gpt)
-        atoms, assignments = consistent_assignments(gpt)
-        rows = [[Fraction(a[pos]) for a in assignments]
-                for pos in range(len(atoms))]
-        rows.append([Fraction(1)] * len(assignments))
-        rhs = [Fraction(v) if not isinstance(v, Fraction) else v
-               for v in res.rhs_rows]
-        assert check_farkas(columns_from_rows(rows), rhs, res.refusal_farkas)
+        model = induced_model(gpt, res.refusal_state)
+        sc = model.scenario
+        rows = reference_incidence_rows(sc)
+        rhs = [model.tables[ctx][sec] for ctx in sc.contexts
+               for sec in itertools.product(*(sc.outcomes[m] for m in ctx))]
+        y = res.refusal_section.dual
+        assert len(y) == len(rows)
+        for col in zip(*rows):
+            assert sum(yi * a for yi, a in zip(y, col)) <= 0
+        assert sum(yi * v for yi, v in zip(y, rhs)) > 0
+
+    def test_sections_passed_in_are_read_not_resolved(self, monkeypatch):
+        gpt = kcbs_gpt(np.eye(3) / 3)
+        sections = [solve_global_section(induced_model(gpt, 0))]
+        monkeypatch.setattr(embedding, "solve_global_section",
+                            lambda model: pytest.fail("section solved again"))
+        res = embed_sharp(gpt, sections=sections)
+        assert res.feasible
+        assert verify_embedding(res.embedding, gpt).passed
 
     def test_multi_state_embedding(self):
         # The embedding reproduces the rationalized statistics the LPs
@@ -518,6 +547,19 @@ class TestExactInducedModel:
         classify_gpt(kcbs_gpt(random_density(3, rng)))
         require(len(calls) == 1, f"random state ran {len(calls)} box LPs")
 
+    def test_lp_path_keeps_small_denominators(self, monkeypatch):
+        # The box LP is centred on the 1/10**6 grid, so the vertex it
+        # returns keeps denominators near 10**6.
+        calls = []
+        solve = scenario.solve_box_eq
+        monkeypatch.setattr(scenario, "solve_box_eq",
+                            lambda *args: calls.append(args) or solve(*args))
+        gpt = kcbs_gpt(random_density(3, np.random.default_rng(3)))
+        values = atom_values(induced_model(gpt, 0))
+        require(len(calls) == 1, f"{len(calls)} box LPs, expected the LP path")
+        worst = max(v.denominator for v in values.values())
+        require(worst <= 2 * 10 ** 6, f"atom denominator {worst}")
+
     def test_random_pentagon_states_match_the_cycle_oracle(self):
         # Half random mixed states (mostly noncontextual), half near the
         # KCBS state (mostly contextual).  A margin within 1e-3 of the
@@ -543,6 +585,23 @@ class TestExactInducedModel:
                 require(got == (expected, expected),
                         f"{doc['kind']} document with margin {margin}: {got}")
         require(min(verdicts.values()) >= 10, f"one-sided draw {verdicts}")
+
+
+class TestTamperedSection:
+    """A section whose primal changed after its re-check yields no embedding.
+
+    `embed_sharp` reads the weights of solved sections without solving
+    again; its only guard on them is the explicit `EmbeddingUnverified`
+    raise, so this class also runs under ``python -O``.
+    """
+
+    def test_tampered_primal_raises(self):
+        gpt = classical_bit_gpt()
+        sections = [solve_global_section(induced_model(gpt, j)) for j in range(2)]
+        # state 0 fires atom 0; give it state 1's weights, which fire atom 1
+        sections[0] = dataclasses.replace(sections[0], primal=sections[1].primal)
+        with pytest.raises(EmbeddingUnverified, match="embedding assembly"):
+            embed_sharp(gpt, sections=sections)
 
 
 class TestEmbedSearch:
