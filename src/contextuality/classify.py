@@ -34,8 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from .embedding import (
-    DimensionTooLarge,
-    EmbeddingUnverified,
     Gpt,
     GptError,
     PrepEnsembleProblem,
@@ -43,23 +41,20 @@ from .embedding import (
     embed_search,
     embed_sharp,
     gpt_from_json,
-    induced_model,
     prep_nc_check,
     qubit_prep_ensemble,
     sharp_gpt_from_quantum,
 )
+from .exactlp import TooLargeError
 from .polytope import membership_from_section
 from .quantum import QuantumInputError, matrix_from_json, projective_context
 from .scenario import (
-    DisturbingModel,
     EmpiricalModel,
     SchemaError,
     from_quantum,
     model_from_json,
-    rationalize_model,
-    validate_no_disturbance,
 )
-from .sheaf import ScenarioTooLarge, solve_global_section
+from .sheaf import solve_global_section
 
 YES = "yes"
 NO = "no"
@@ -70,6 +65,9 @@ KINDS = ("empirical", "quantum", "gpt", "prep-ensemble")
 
 BELL_VALUES = (YES, NO, NOT_APPLICABLE)
 TRI_VALUES = (YES, NO, UNDECIDED)
+
+# Ontic-expansion verdict of each `embed_sharp` verdict.
+_SHARP_VERDICT = {"embeddable": YES, "refused": NO, "undecided": UNDECIDED}
 
 HIERARCHY_LEVELS = (
     "bell-nonlocal",
@@ -92,9 +90,7 @@ class RunConfig:
 
     kind: str | None = None
     seed: int = 0
-    nd_tol: float = 1e-9
     embed_restarts: int = 16
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in KINDS:
@@ -270,24 +266,19 @@ def classify_model(model: EmpiricalModel,
     table, and left undecided otherwise: a bare table carries no embedding
     structure to test.
     """
-    config = config or RunConfig()
-    nd = validate_no_disturbance(model, tol=config.nd_tol)
-    if not nd.passed:
-        raise DisturbingModel(str(nd))
-    rational = model if model.is_rational else rationalize_model(model)
     certificates: list = []
     notes: list = []
 
     section = None
     try:
-        section = solve_global_section(rational)
+        section = solve_global_section(model)
         ks = YES if section.feasible else NO
         certificates.append({"role": "ks", **section.certificate()})
-    except ScenarioTooLarge as exc:
+    except TooLargeError as exc:
         ks = UNDECIDED
         notes.append(f"global-section solver skipped: {exc}")
 
-    sides = bipartite_structure(rational)
+    sides = bipartite_structure(model)
     if sides is None:
         bell = NOT_APPLICABLE
         notes.append("no complete two-party structure; Bell verdict "
@@ -307,7 +298,7 @@ def classify_model(model: EmpiricalModel,
                              "kind": "implied-by-ks-contextuality"})
         notes.append("ontic-expansion verdict inferred: no global assignment "
                      "exists, so no noncontextual expansion exists")
-    elif ks == YES and _deterministic(rational):
+    elif ks == YES and _deterministic(section.model):
         sp = YES
         notes.append("deterministic table: the point assignment itself is a "
                      "noncontextual ontic model")
@@ -328,7 +319,6 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
     scenario's sharp effect algebra built and tested for a simplex
     embedding.  Bell is not applicable: the input declares no party split.
     """
-    config = config or RunConfig()
     model = from_quantum(state, contexts, sharing)
     certificates: list = []
     notes: list = ["quantum scenario declares no party split; Bell verdict "
@@ -338,7 +328,7 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
         section = solve_global_section(model)
         ks = YES if section.feasible else NO
         certificates.append({"role": "ks", **section.certificate()})
-    except ScenarioTooLarge as exc:
+    except TooLargeError as exc:
         ks = UNDECIDED
         notes.append(f"global-section solver skipped: {exc}")
 
@@ -350,33 +340,37 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
                      "exists, so no noncontextual expansion exists")
     else:
         try:
-            gpt = sharp_gpt_from_quantum([state], contexts)
-            result = embed_sharp(gpt)
-            sp = YES if result.feasible else NO
-            certificates.append({"role": "spekkens", **result.certificate()})
-        except ScenarioTooLarge as exc:
+            result = embed_sharp(sharp_gpt_from_quantum([state], contexts))
+        except TooLargeError as exc:
             sp = UNDECIDED
             notes.append("embedding constructor skipped: the sharp effect "
                          f"algebra's global section is too large: {exc}")
-        except (UnsharpEffectFlagged, GptError, EmbeddingUnverified) as exc:
+        except GptError as exc:
             sp = UNDECIDED
             notes.append(f"embedding route unavailable: {exc}")
+        else:
+            sp = _SHARP_VERDICT[result.verdict]
+            if result.note is None:
+                certificates.append({"role": "spekkens", **result.certificate()})
+            else:
+                notes.append(f"embedding route unavailable: {result.note}")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 
 def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationReport:
     """Classify a generalized probabilistic theory.
 
-    With declared sharp contexts, the assignment verdict runs the
-    global-section solver on every state's exact induced dichotomic model,
-    stopping at the first state without a global section.  On sharp
-    theories a simplex embedding exists exactly when every state has one,
-    so a "no" is inferred down to the ontic-expansion verdict, and a "yes"
-    hands the solved sections to the embedding constructor, which reads
-    its embedding off their weights and solves no LP of its own.  When the
-    constructor cannot assemble a verified linear embedding from the
-    per-state weights, or the sections were too large to solve, the
-    ontic-expansion verdict is undecided.
+    With declared sharp contexts both verdicts come from one
+    `embed_sharp` call, which solves every state's exact induced model and
+    stops at the first state without a global section.  On sharp theories
+    a simplex embedding exists exactly when every state has one, so a
+    refusal is an assignment "no" inferred down to the ontic-expansion
+    verdict.  When every section is feasible the assignment verdict is
+    "yes", and the ontic-expansion verdict is the constructor's: "yes" with
+    its embedding, or undecided with its note when an effect lies outside
+    the sharp contexts or no verified linear embedding assembles from the
+    per-state weights.  Sections too large to solve leave both verdicts
+    undecided.
     Without sharp contexts there is no outcome scenario to test, so the
     assignment verdict stays undecided and the heuristic embedding search
     can at most certify "yes" (its non-answers stay undecided).
@@ -386,40 +380,33 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     notes: list = []
 
     if gpt.sharp_contexts:
-        sections: list = []
         try:
-            for i in range(gpt.n_states):
-                sections.append(solve_global_section(induced_model(gpt, i)))
-                if not sections[-1].feasible:
-                    break
-        except (ScenarioTooLarge, UnsharpEffectFlagged) as exc:
+            result = embed_sharp(gpt)
+        except (TooLargeError, UnsharpEffectFlagged) as exc:
             ks = sp = UNDECIDED
             notes += [f"global-section route unavailable: {exc}",
                       "embedding constructor skipped: it reads the unsolved "
                       "global sections"]
         else:
-            if sections[-1].feasible:
-                ks = YES
-                notes.append(f"all {gpt.n_states} induced models admit "
-                             "global assignments")
-                try:
-                    result = embed_sharp(gpt, sections=sections)
-                    sp = YES
-                    certificates.append({"role": "spekkens",
-                                         **result.certificate()})
-                except (UnsharpEffectFlagged, GptError,
-                        EmbeddingUnverified) as exc:
-                    sp = UNDECIDED
-                    notes.append(f"embedding constructor unavailable: {exc}")
-            else:
+            if result.verdict == "refused":
                 ks = sp = NO
-                certificates.append({"role": "ks", "state": len(sections) - 1,
-                                     **sections[-1].certificate()})
+                certificates.append({"role": "ks", **result.certificate()})
                 certificates.append({"role": "spekkens",
                                      "kind": "implied-by-ks-contextuality"})
                 notes.append("ontic-expansion verdict inferred: an induced "
                              "model has no global assignment, so no "
                              "noncontextual expansion exists")
+            else:
+                ks = YES
+                sp = _SHARP_VERDICT[result.verdict]
+                notes.append(f"all {gpt.n_states} induced models admit "
+                             "global assignments")
+                if result.note is None:
+                    certificates.append({"role": "spekkens",
+                                         **result.certificate()})
+                else:
+                    notes.append("embedding constructor unavailable: "
+                                 f"{result.note}")
     else:
         ks = UNDECIDED
         notes.append("no sharp contexts declared; no outcome scenario for "
@@ -432,7 +419,7 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
             if result.verdict != "embeddable":
                 notes.append("embedding search is heuristic; its non-answer "
                              "leaves the verdict undecided")
-        except DimensionTooLarge as exc:
+        except TooLargeError as exc:
             sp = UNDECIDED
             notes.append(f"embedding search skipped: {exc}")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)

@@ -30,7 +30,6 @@ from .classify import (
     report_to_json,
 )
 from .embedding import (
-    EmbeddingUnverified,
     embed_search,
     embed_sharp,
     gpt_from_json,
@@ -298,15 +297,13 @@ def cmd_embed(args) -> dict:
     payload: dict = {"dim": gpt.dim, "states": gpt.n_states,
                      "effects": gpt.n_effects, "seed": args.seed}
     if gpt.sharp_contexts:
+        result = embed_sharp(gpt)
         payload["route"] = "sharp-constructor"
-        try:
-            result = embed_sharp(gpt)
-        except EmbeddingUnverified as exc:
-            payload["verdict"] = "undecided"
-            payload["note"] = str(exc)
+        payload["verdict"] = result.verdict
+        if result.note is not None:
+            payload["note"] = result.note
             payload["certificates"] = []
             return payload
-        payload["verdict"] = result.verdict
     else:
         result = embed_search(gpt, seed=args.seed, restarts=args.restarts)
         payload["route"] = "heuristic-search"

@@ -55,6 +55,7 @@ EMBED_TOL = 1e-9
 MERGE_TOL = 1e-10
 RANK_TOL = 1e-8
 MAX_EMBED_DIM = 10
+MAX_SEARCH_ITERATIONS = 12
 MAX_ASSIGNMENT_TUPLES = 2**12
 MAX_SUBSET_PAIRS = 20_000
 
@@ -69,14 +70,6 @@ class InconsistentUnit(GptError):
 
 class UnsharpEffectFlagged(GptError):
     """The declared sharp-context structure is not a resolution of the unit."""
-
-
-class EmbeddingUnverified(ValueError):
-    """Exact per-state mixtures exist, but no linear embedding passed its check."""
-
-
-class DimensionTooLarge(GptError):
-    """The heuristic embedding search only runs up to dimension 10."""
 
 
 class DecompositionMismatch(ValueError):
@@ -126,15 +119,17 @@ class Gpt:
 def make_gpt(states, effects, unit, sharp_contexts=(), *, tol: float = 1e-10) -> Gpt:
     """Validate and freeze a `Gpt`.
 
-    Checks that every pairing lands in [0, 1] within ``tol`` and that the
-    unit evaluates to 1 on every state; the unit is appended to the effect
-    list when no listed effect matches it.
+    Checks that every entry is finite, that every pairing lands in [0, 1]
+    within ``tol`` and that the unit evaluates to 1 on every state; the
+    unit is appended to the effect list when no listed effect matches it.
     """
     states = tuple(np.asarray(s, dtype=float).reshape(-1) for s in states)
     effects = tuple(np.asarray(e, dtype=float).reshape(-1) for e in effects)
     unit = np.asarray(unit, dtype=float).reshape(-1)
     if not states:
         raise GptError("a GPT needs at least one state")
+    if not all(np.isfinite(v).all() for v in (*states, *effects, unit)):
+        raise GptError("state, effect and unit entries must be finite")
     dim = unit.shape[0]
     for s in states:
         if s.shape[0] != dim:
@@ -165,13 +160,11 @@ def make_gpt(states, effects, unit, sharp_contexts=(), *, tol: float = 1e-10) ->
                sharp_contexts=contexts)
 
 
-def gpt_from_data(prob_matrix, *, unit_row: int | None = None,
-                  rank_tol: float = RANK_TOL,
-                  merge_tol: float = MERGE_TOL) -> Gpt:
+def gpt_from_data(prob_matrix, *, unit_row: int | None = None) -> Gpt:
     """Reconstruct a GPT from an effects-by-states probability table.
 
-    Duplicate rows/columns (identical statistics within ``merge_tol``) are
-    merged first; the table is then factored at numerical rank ``rank_tol``
+    Duplicate rows/columns (identical statistics within `MERGE_TOL`) are
+    merged first; the table is then factored at numerical rank `RANK_TOL`
     so the result is tomographically minimal.  A row of all ones is used as
     the unit if present, otherwise one is appended.
     """
@@ -190,7 +183,7 @@ def gpt_from_data(prob_matrix, *, unit_row: int | None = None,
     # Merge operationally equivalent columns (states), keeping the first.
     kept_cols: list[int] = []
     for j in range(table.shape[1]):
-        if not any(np.max(np.abs(table[:, j] - table[:, k])) <= merge_tol
+        if not any(np.max(np.abs(table[:, j] - table[:, k])) <= MERGE_TOL
                    for k in kept_cols):
             kept_cols.append(j)
     table = table[:, kept_cols]
@@ -198,12 +191,12 @@ def gpt_from_data(prob_matrix, *, unit_row: int | None = None,
     # Merge operationally equivalent rows (effects), keeping the first.
     kept_rows: list[int] = []
     for i in range(table.shape[0]):
-        if not any(np.max(np.abs(table[i] - table[k])) <= merge_tol
+        if not any(np.max(np.abs(table[i] - table[k])) <= MERGE_TOL
                    for k in kept_rows):
             kept_rows.append(i)
     if unit_row is not None:
         unit_row = min(k for k in kept_rows
-                       if np.max(np.abs(table[k] - table[unit_row])) <= merge_tol)
+                       if np.max(np.abs(table[k] - table[unit_row])) <= MERGE_TOL)
         unit_row = kept_rows.index(unit_row)
     table = table[kept_rows]
 
@@ -217,7 +210,7 @@ def gpt_from_data(prob_matrix, *, unit_row: int | None = None,
             unit_row = table.shape[0] - 1
 
     u_mat, svals, vt_mat = np.linalg.svd(table, full_matrices=False)
-    rank = int(np.sum(svals > rank_tol * max(1.0, float(svals[0]))))
+    rank = int(np.sum(svals > RANK_TOL * max(1.0, float(svals[0]))))
     effect_rows = u_mat[:, :rank] * svals[:rank]
     state_cols = vt_mat[:rank, :]
     residual = float(np.max(np.abs(effect_rows @ state_cols - table)))
@@ -371,8 +364,10 @@ class EmbeddingCheck:
 
 
 def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
-                     tol: float = EMBED_TOL, table=None) -> EmbeddingCheck:
+                     table=None) -> EmbeddingCheck:
     """Independently re-check simplex membership, cube membership, pairing.
+
+    Each invariant holds when its worst deviation is at most `EMBED_TOL`.
 
     The pairing of effect ``i`` and state ``j`` is compared with
     ``table[i][j]`` when an effects-by-states ``table`` is given, and with
@@ -397,8 +392,8 @@ def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
             lhs = float(np.dot(ke, embedding.embed_state(s)))
             want = float(np.dot(e, s)) if table is None else float(table[i][j])
             worst_pairing = max(worst_pairing, abs(lhs - want))
-    passed = (worst_simplex <= tol and worst_cube <= tol
-              and worst_pairing <= tol)
+    passed = (worst_simplex <= EMBED_TOL and worst_cube <= EMBED_TOL
+              and worst_pairing <= EMBED_TOL)
     return EmbeddingCheck(passed, worst_simplex, worst_cube, worst_pairing)
 
 
@@ -406,24 +401,28 @@ def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
 class EmbedSharpResult:
     """Outcome of the sharp embedding construction.
 
-    Embeddable: the embedding, the kept assignments (0/1 atom vectors) and
-    each state's weights on them.  Refused: the first state whose induced
-    model has no global section, and that infeasible section.
+    ``verdict`` is "embeddable", "refused" or "undecided".  Embeddable: the
+    embedding, the kept assignments (0/1 atom vectors) and each state's
+    weights on them.  Refused: the first state whose induced model has no
+    global section, and that infeasible section.  Undecided: every state's
+    section is feasible, and ``note`` says why no embedding was built.
     """
 
-    feasible: bool
-    embedding: SimplexEmbedding | None
+    verdict: str
     atom_indices: tuple
-    assignments: tuple
-    state_weights: tuple
-    refusal_state: int | None
-    refusal_section: SectionFeasibility | None
+    embedding: SimplexEmbedding | None = None
+    assignments: tuple = ()
+    state_weights: tuple = ()
+    refusal_state: int | None = None
+    refusal_section: SectionFeasibility | None = None
+    note: str | None = None
 
     @property
-    def verdict(self) -> str:
-        return "embeddable" if self.feasible else "refused"
+    def feasible(self) -> bool:
+        return self.verdict == "embeddable"
 
     def certificate(self) -> dict:
+        """The embedding, or the refusing section's; an undecided result has none."""
         if self.feasible:
             return {
                 "kind": "simplex-embedding",
@@ -451,46 +450,44 @@ def _atom_values(atom_indices, model) -> dict:
     return values
 
 
-def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL,
-                sections=()) -> EmbedSharpResult:
+def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
     """Simplex embedding of a sharp GPT, read off its solved global sections.
 
     A sharp GPT has a simplex embedding exactly when every state's induced
-    model has a global section.  `induced_model` raises
+    model has a global section, so each state's `induced_model` is solved
+    once, in order, and the first infeasible section is the refusal: its
+    re-checked Farkas dual is the certificate.  `induced_model` raises
     `UnsharpEffectFlagged` when a sharp context misses a sum of 1 on a
-    state, and so does this function for an effect that is neither the
-    unit nor in a sharp context.  ``sections`` may hold the solved
-    `SectionFeasibility` of `induced_model` for the first states, as the
-    caller already solved them; the others are solved here.  The first
-    infeasible section is the refusal, and its re-checked Farkas dual is
-    the certificate.
+    state, and the section solver raises `TooLargeError` above its column
+    cap.
 
+    When every section is feasible, the verdict is "undecided" with a note
+    for an effect that is neither the unit nor in a sharp context.
     Otherwise each section's primal is a mixture of global assignments of
     the measurements ``E{i}`` in atom order, so the assignments with weight
     in any state are the 0/1 atom vectors that fire one atom per context.
     Boolean-row kappa and iota are assembled from those weights by
-    pseudo-inverse and checked at ``tol``: simplex and cube membership, and
-    the pairing against the sections' exact atom probabilities.  Per-state
-    mixtures of linearly dependent states need not come from one linear
-    map, and a primal that does not reproduce its statistics fails too, so
-    `EmbeddingUnverified` is raised when the check fails.
+    pseudo-inverse and checked at `EMBED_TOL`: simplex and cube membership,
+    and the pairing against the sections' exact atom probabilities.
+    Per-state mixtures of linearly dependent states need not come from one
+    linear map, and a primal that does not reproduce its statistics fails
+    too, so a failed check is also "undecided" with a note.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
     atom_set = {i for ctx in gpt.sharp_contexts for i in ctx}
-    for i, e in enumerate(gpt.effects):
-        if i not in atom_set and np.max(np.abs(e - gpt.unit)) > 1e-9:
-            raise UnsharpEffectFlagged(
-                f"effect {i} is neither the unit nor covered by a sharp context")
-
     atom_indices = tuple(sorted(atom_set))
     solved = []
     for j in range(gpt.n_states):
-        section = (sections[j] if j < len(sections)
-                   else solve_global_section(induced_model(gpt, j)))
+        section = solve_global_section(induced_model(gpt, j))
         if not section.feasible:
-            return EmbedSharpResult(False, None, atom_indices, (), (), j, section)
+            return EmbedSharpResult("refused", atom_indices, refusal_state=j,
+                                    refusal_section=section)
         solved.append(section)
+    for i, e in enumerate(gpt.effects):
+        if i not in atom_set and np.max(np.abs(e - gpt.unit)) > 1e-9:
+            return EmbedSharpResult("undecided", atom_indices, note=(
+                f"effect {i} is neither the unit nor covered by a sharp context"))
 
     # Descending order puts the assignments firing lower atoms first, so on
     # a single context vertex i of the simplex is atom i firing.
@@ -514,15 +511,15 @@ def embed_sharp(gpt: Gpt, *, tol: float = EMBED_TOL,
     atom_values = [_atom_values(atom_indices, s.model) for s in solved]
     table = [[values.get(i, 1) for values in atom_values]
              for i in range(gpt.n_effects)]
-    check = verify_embedding(embedding, gpt, tol, table)
+    check = verify_embedding(embedding, gpt, table)
     if not check.passed:
-        raise EmbeddingUnverified(
+        return EmbedSharpResult("undecided", atom_indices, note=(
             "embedding assembly: the global sections' weights give no "
-            f"embedding within {tol:g} (simplex {check.worst_simplex:.1e}, "
-            f"cube {check.worst_cube:.1e}, pairing "
-            f"{check.worst_pairing:.1e})")
-    return EmbedSharpResult(True, embedding, atom_indices, kept_assignments,
-                            state_weights, None, None)
+            f"embedding within {EMBED_TOL:g} (simplex "
+            f"{check.worst_simplex:.1e}, cube {check.worst_cube:.1e}, "
+            f"pairing {check.worst_pairing:.1e})"))
+    return EmbedSharpResult("embeddable", atom_indices, embedding,
+                            kept_assignments, state_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -633,29 +630,29 @@ def _iota_step(gpt: Gpt, kappa: np.ndarray):
     return res.x[:-1].reshape(d, dim), float(res.x[-1])
 
 
-def embed_search(gpt: Gpt, *, seed: int = 0, restarts: int = 64,
-                 max_iterations: int = 12,
-                 tol: float = EMBED_TOL) -> EmbedSearchResult:
+def embed_search(gpt: Gpt, *, seed: int = 0,
+                 restarts: int = 64) -> EmbedSearchResult:
     """Heuristic search for an embedding into the simplex of size = GPT dim.
 
     Tries the identity maps first, then alternates linear programs (fix iota,
     solve kappa; fix kappa, solve iota) from ``restarts`` seeded random
-    starts.  Only invariant-verified embeddings are returned; anything else
+    starts, each for at most `MAX_SEARCH_ITERATIONS` rounds.  Only
+    invariant-verified embeddings are returned; anything else
     is the verdict "unknown" -- the heuristic can never certify
     non-embeddability.
     """
     if gpt.dim > MAX_EMBED_DIM:
-        raise DimensionTooLarge(
+        raise TooLargeError(
             f"embedding search supports dim <= {MAX_EMBED_DIM}, got {gpt.dim}")
     identity = SimplexEmbedding(d=gpt.dim, iota=np.eye(gpt.dim),
                                 kappa=np.eye(gpt.dim))
-    if verify_embedding(identity, gpt, tol).passed:
+    if verify_embedding(identity, gpt).passed:
         return EmbedSearchResult("embeddable", identity, 0, seed)
     rng = np.random.default_rng(seed)
     for restart in range(1, restarts + 1):
         iota = rng.normal(size=(gpt.dim, gpt.dim))
         previous = np.inf
-        for _ in range(max_iterations):
+        for _ in range(MAX_SEARCH_ITERATIONS):
             kappa, _ = _kappa_step(gpt, iota)
             if kappa is None:
                 break
@@ -664,7 +661,7 @@ def embed_search(gpt: Gpt, *, seed: int = 0, restarts: int = 64,
                 break
             iota = iota_new
             candidate = SimplexEmbedding(d=gpt.dim, iota=iota, kappa=kappa)
-            if gap <= 1e-10 and verify_embedding(candidate, gpt, tol).passed:
+            if gap <= 1e-10 and verify_embedding(candidate, gpt).passed:
                 return EmbedSearchResult("embeddable", candidate, restart, seed)
             if gap >= previous - 1e-12:
                 break
@@ -718,8 +715,8 @@ def qubit_prep_ensemble(r, axis=(0.0, 0.0, 1.0), q=None) -> PrepEnsembleProblem:
         raise ValueError(f"q must lie in [0, 1), got {q}")
     axis = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(axis))
-    if norm <= 0:
-        raise ValueError("axis must be a nonzero Bloch vector")
+    if not norm > 0 or not math.isfinite(norm):
+        raise ValueError("axis must be a finite nonzero Bloch vector")
     direction = axis / norm
     if r < 0:
         direction = -direction

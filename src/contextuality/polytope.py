@@ -12,12 +12,13 @@ two-party lift evaluated on the uniform maximally entangled vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import CertificateError, format_fraction
+from .exactlp import CertificateError, TooLargeError, format_fraction
 from .quantum import (
     eigen_projector,
     max_entangled,
@@ -30,16 +31,11 @@ from .scenario import (
     SchemaError,
     make_model,
     make_scenario,
-    rationalize_model,
 )
 from .sheaf import SectionFeasibility, solve_global_section
 
 MAX_GRAPH_VERTICES = 40
 MAX_LIFT_VERTICES = 10
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class ShapeMismatch(ValueError):
@@ -103,6 +99,8 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
                 for b in range(nB):
                     v = p.get((a, b, x, y), zero)
                     v = float(v) if has_float else (v if isinstance(v, Fraction) else Fraction(v))
+                    if has_float and not math.isfinite(v):
+                        raise ValueError(f"probability {v} at {(a, b, x, y)} is not finite")
                     if v < 0:
                         if not (has_float and v >= -1e-12):
                             raise ValueError(f"negative probability at {(a, b, x, y)}")
@@ -156,20 +154,6 @@ def behaviour_to_model(b: Behaviour) -> EmpiricalModel:
                 (a, bb): b.p[(a, bb, x, y)]
                 for a in range(b.nA) for bb in range(b.nB)}
     return make_model(sc, tables)
-
-
-def rationalize_behaviour(b: Behaviour, max_den: int = 10 ** 6) -> Behaviour:
-    """Nearby exactly no-signaling rational behaviour (via the empirical-model bridge)."""
-    if b.is_rational and no_signaling_report(b, tol=0.0).passed:
-        return b
-    model = rationalize_model(behaviour_to_model(b), max_den=max_den)
-    p = {}
-    for x in range(b.nX):
-        for y in range(b.nY):
-            table = model.tables[(f"A{x}", f"B{y}")]
-            for (a, bb), v in table.items():
-                p[(a, bb, x, y)] = v
-    return make_behaviour(b.nX, b.nY, b.nA, b.nB, p)
 
 
 def behaviour_from_quantum(state, alice, bob) -> Behaviour:
@@ -344,16 +328,16 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
 def membership_lp(b: Behaviour) -> MembershipResult:
     """Exact convex-mixture test against the deterministic vertices.
 
-    Float behaviours are first replaced by a nearby exactly no-signaling
-    rational behaviour, whose two-party model is solved by the global-section
-    LP and read as in `membership_from_section`.  Outside verdicts carry a
-    separating inequality whose bound is the exact vertex maximum, so the
-    behaviour's value exceeds the bound strictly and every vertex satisfies
-    it, both re-checkable by direct arithmetic.
+    The behaviour's two-party model is solved by the global-section LP,
+    which first replaces a float table by a nearby exactly no-signaling
+    rational one, and read as in `membership_from_section`.  Outside
+    verdicts carry a separating inequality whose bound is the exact vertex
+    maximum, so the behaviour's value exceeds the bound strictly and every
+    vertex satisfies it, both re-checkable by direct arithmetic.
     """
-    model = behaviour_to_model(rationalize_behaviour(b))
-    meas = model.scenario.measurements
-    return membership_from_section(solve_global_section(model), (meas[:b.nX], meas[b.nX:]))
+    section = solve_global_section(behaviour_to_model(b))
+    meas = section.model.scenario.measurements
+    return membership_from_section(section, (meas[:b.nX], meas[b.nX:]))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +538,7 @@ def weighted_independence_number(g: OrthogonalityGraph):
     """
     n = len(g.labels)
     if n > MAX_GRAPH_VERTICES:
-        raise TooLarge(f"{n} vertices exceed the supported {MAX_GRAPH_VERTICES}")
+        raise TooLargeError(f"{n} vertices exceed the supported {MAX_GRAPH_VERTICES}")
     idx = {l: i for i, l in enumerate(g.labels)}
     adj = [0] * n
     for a, b in g.edges:
@@ -672,7 +656,8 @@ class BipartiteLift:
         labels = self.graph.labels
         n = len(labels)
         if n > MAX_LIFT_VERTICES:
-            raise TooLarge(f"{n} vertices give 4^{n} strategies; refusing")
+            raise TooLargeError(f"{n} vertices exceed the supported "
+                                f"{MAX_LIFT_VERTICES} (2^{n} first-party answers)")
         idx = {l: i for i, l in enumerate(labels)}
         w = [self.graph.weights[l] for l in labels]
         nbrs = [[] for _ in labels]

@@ -97,9 +97,15 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    """The complex matrix of a `matrix_to_json` document; entries must be finite."""
+    try:
+        rows, cols = int(d["rows"]), int(d["cols"])
+    except OverflowError as exc:
+        raise QuantumInputError(f"matrix shape is not finite: {exc}") from exc
     re = np.array(d["re"], dtype=float).reshape(rows, cols)
     im = np.array(d.get("im", [0.0] * rows * cols), dtype=float).reshape(rows, cols)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise QuantumInputError("matrix entries must be finite")
     return re + 1j * im
 
 

@@ -1,18 +1,21 @@
 """Measurement scenarios, empirical models, no-disturbance checks, and sequential-statistics bounds.
 
 Probability entries are exact `Fraction`s when supplied as rationals and
-doubles otherwise.  Paths that feed exact feasibility solvers go through
-`rationalize_model`, which returns a nearby all-rational model that is
-exactly normalised and exactly marginal-consistent.  Independent rounding
-of the entries can break both properties, so the rounded model is used
-only when an exact check shows it keeps them; otherwise the model is
-rebuilt by exact LPs.  `rationalize_atoms` does the same for the atom
-probabilities of sharp contexts, from which exact induced models are built.
+doubles otherwise; NaN and infinite entries are rejected.  The
+global-section solver (`sheaf.solve_global_section`), which every
+empirical verdict reads, is the one caller of `rationalize_model`, which
+returns a nearby all-rational model that is exactly normalised and exactly
+marginal-consistent.  Independent rounding of the entries can break both
+properties, so the rounded model is used only when an exact check shows it
+keeps them; otherwise the model is rebuilt by exact LPs.
+`rationalize_atoms` does the same for the atom probabilities of sharp
+contexts, from which exact induced models are built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,7 +149,8 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
     Table keys may list a context's labels in any order; outcome tuples are
     permuted into canonical order.  Missing joint outcomes are filled with
     zero.  If any entry is a float the whole model is stored as floats,
-    otherwise everything is an exact `Fraction`.
+    otherwise everything is an exact `Fraction`.  NaN and infinite entries
+    are rejected.
     """
     staged: dict[tuple, dict] = {}
     for key, table in tables.items():
@@ -182,6 +186,8 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
             v = entries.get(outc, zero)
             if has_float:
                 v = float(v)
+                if not math.isfinite(v):
+                    raise ValueError(f"probability {v} in context {canon} is not finite")
                 if v < -1e-12:
                     raise ValueError(f"negative probability {v} in context {canon}")
                 v = max(0.0, v)
@@ -468,6 +474,10 @@ def sequential_stats_from_quantum(state, obs_a, obs_b) -> SequentialStats:
 # ---------------------------------------------------------------------------
 
 ZERO_TOL = 1e-9
+MAX_DEN = 10 ** 6
+# Half-width of the first rationalization box; each retry doubles it.
+SLACK = Fraction(1, 10 ** 5)
+BOX_ATTEMPTS = 10
 
 
 def _limit(x: float, max_den: int) -> Fraction:
@@ -486,13 +496,14 @@ def _exactly_consistent(model: EmpiricalModel) -> bool:
 
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
-               slack: Fraction, max_den: int, attempts: int = 10):
+               slack: Fraction, max_den: int):
     """Box LP ``rows x = rhs`` around the rounded float centres.
 
-    An infeasible box is retried with its half-width doubled.  Entries at or
-    below `ZERO_TOL` are pinned to zero for the first five attempts.
+    An infeasible box is retried with its half-width doubled, `BOX_ATTEMPTS`
+    times in all.  Entries at or below `ZERO_TOL` are pinned to zero for the
+    first five attempts.
     """
-    for attempt in range(attempts):
+    for attempt in range(BOX_ATTEMPTS):
         s = slack * (2 ** attempt)
         lower, upper = [], []
         for f, c in zip(values, centres):
@@ -510,39 +521,36 @@ def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
     return None
 
 
-def rationalize_atoms(values: list[float], contexts,
-                      max_den: int = 10 ** 6,
-                      slack: Fraction = Fraction(1, 10 ** 5)) -> list[Fraction]:
+def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
     """Nearby rationals for atom probabilities, each context summing to exactly 1.
 
     ``contexts`` lists index groups of ``values`` (the atoms of one sharp
     context each).  Every value is rounded once, by `rationalize_model`'s
-    rule; if every context then sums to exactly 1 the rounded values are
-    returned and no LP runs, so each moves by at most
-    max(1/(2 max_den), ZERO_TOL).  Otherwise one exact box LP, with one
+    rule at `MAX_DEN`; if every context then sums to exactly 1 the rounded
+    values are returned and no LP runs, so each moves by at most
+    max(1/(2 MAX_DEN), ZERO_TOL).  Otherwise one exact box LP, with one
     "context sums to 1" row per context, finds them under
     `rationalize_model`'s retry and zero-pinning policy at half-width
-    ``slack``, so each moves by at most 2**9 slack + 1/(2 max_den).  The box
-    is centred on the 1/max_den grid, so its bounds, and the vertex the LP
-    returns, keep denominators near max_den.
+    `SLACK`, so each moves by at most 2**9 SLACK + 1/(2 MAX_DEN).  The box
+    is centred on the 1/MAX_DEN grid, so its bounds, and the vertex the LP
+    returns, keep denominators near MAX_DEN.
     """
-    centres = [_round(f, max_den) for f in values]
+    centres = [_round(f, MAX_DEN) for f in values]
     if all(sum(centres[k] for k in ctx) == 1 for ctx in contexts):
         return centres
     rows = []
     for ctx in contexts:
         members = set(ctx)
         rows.append([Fraction(int(k in members)) for k in range(len(values))])
-    grid = [Fraction(round(f * max_den), max_den) for f in values]
+    grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
     sol = _solve_box(values, grid, rows, [Fraction(1)] * len(rows),
-                     slack, max_den)
+                     SLACK, MAX_DEN)
     if sol is None:
         raise ValueError("could not rationalize the atom probabilities")
     return sol
 
 
-def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
-                      slack: Fraction = Fraction(1, 10 ** 5)) -> EmpiricalModel:
+def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
     Already-rational exactly-consistent models pass through unchanged.  A
@@ -559,9 +567,9 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
     each constrained to agree with previously fixed sub-overlaps), then
     rebuilds each context table subject to the fixed overlap marginals.
     Each step is an exact box LP around the rounded entries, of half-width
-    `slack` for an overlap and `2 slack` for a table.  An infeasible box is
+    `SLACK` for an overlap and `2 SLACK` for a table.  An infeasible box is
     retried with its half-width doubled, up to 2**9 times the first, so an
-    entry can move by about 2**10 slack (1e-2 at the default) at most.
+    entry can move by about 2**10 SLACK (1e-2) at most.
     Entries at or below `ZERO_TOL` are pinned to exact zero for the first
     five attempts, so that downstream support arguments remain valid; from
     the sixth attempt on they are boxed like the others.
@@ -599,7 +607,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                                  else Fraction(0) for o in outs])
                     rhs.append(wv)
         centres = [_round(f, max_den) for f in values]
-        sol = _solve_box(values, centres, rows, rhs, slack, max_den)
+        sol = _solve_box(values, centres, rows, rhs, SLACK, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize overlap {u}")
         fixed[u] = dict(zip(outs, sol))
@@ -620,7 +628,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = 10 ** 6,
                                  else Fraction(0) for o in outs])
                     rhs.append(uv)
         centres = [rounded.tables[c][o] for o in outs]
-        sol = _solve_box(values, centres, rows, rhs, 2 * slack, max_den)
+        sol = _solve_box(values, centres, rows, rhs, 2 * SLACK, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize context {c}")
         new_tables[c] = dict(zip(outs, sol))

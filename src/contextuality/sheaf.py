@@ -22,6 +22,7 @@ from math import prod
 
 from .exactlp import (
     SparseColumns,
+    TooLargeError,
     format_fraction,
     require_certificate,
     solve_eq_nonneg_pruned,
@@ -31,10 +32,6 @@ from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationali
 # One column per global assignment: a 2**20-column section, such as a sharp
 # GPT's induced model with 20 atoms, already peaks near 0.5 GB.
 MAX_ASSIGNMENTS = 2 ** 20
-
-
-class ScenarioTooLarge(ValueError):
-    pass
 
 
 class InvalidCertificate(ValueError):
@@ -92,7 +89,7 @@ def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
     """
     q = global_assignment_count(scenario)
     if q > MAX_ASSIGNMENTS:
-        raise ScenarioTooLarge(
+        raise TooLargeError(
             f"{q} global assignments exceed the supported {MAX_ASSIGNMENTS}")
     rows = enumerate_local_sections(scenario)
     assignments = enumerate_global_assignments(scenario)
@@ -145,8 +142,12 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     """Exact feasibility of the global-section system for a (rationalized) model.
 
     The model is first replaced by a nearby exactly-consistent rational model
-    (`rationalize_model`), so the verdict is a statement about exact data.
-    Raises `DisturbingModel` when the input marginals disagree beyond 1e-9.
+    (`rationalize_model`), so the verdict is a statement about exact data;
+    `model` of the result is that exact model.  This is the one place that
+    rationalizes: callers hand over the parsed model as it is.  Raises
+    `DisturbingModel` when the input marginals disagree beyond 1e-9, and
+    `TooLargeError` when the scenario has more than `MAX_ASSIGNMENTS`
+    global assignments.
     """
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)

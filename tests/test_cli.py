@@ -268,6 +268,36 @@ class TestEmbedCommand:
         assert payload["verdict"] == "embeddable"
         assert "restarts_used" in payload
 
+    @pytest.mark.parametrize("states, verdict", [
+        ([[1.0, 0.0], [0.5, 0.5]], "undecided"),
+        # the sections are solved first, so a refusal is still reported
+        (None, "refused"),
+    ])
+    def test_uncovered_effect_prints_its_section_verdict(self, tmp_path,
+                                                         states, verdict):
+        if states is None:
+            psi, _, _ = kcbs_construction()
+            data = kcbs_gpt_json(psi)
+            data["effects"].append([0.0] * data["dim"])
+        else:
+            data = {"dim": 2, "states": states,
+                    "effects": [[1.0, 0.0], [0.0, 1.0], [0.25, 0.25]],
+                    "unit": [1.0, 1.0], "sharp_contexts": [[0, 1]]}
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps(data))
+        payload = run_json(tmp_path, ["embed", str(doc), "--emit-certificate"])
+        assert (payload["route"], payload["verdict"]) == ("sharp-constructor",
+                                                          verdict)
+        if verdict == "undecided":
+            assert payload["note"] == ("effect 2 is neither the unit nor "
+                                       "covered by a sharp context")
+            assert payload["certificates"] == []
+        else:
+            assert "note" not in payload
+            cert, = payload["certificates"]
+            assert (cert["kind"], cert["verdict"], cert["state"]) == (
+                "global-section", "infeasible", 0)
+
 
 class TestPrepNcCommand:
     def test_flags_route(self, tmp_path):
@@ -984,7 +1014,7 @@ class TestSharpEmbeddingAssembly:
     def failed_check(self, monkeypatch):
         from contextuality import embedding
 
-        def failed(emb, gpt, tol=embedding.EMBED_TOL, table=None):
+        def failed(emb, gpt, table=None):
             return embedding.EmbeddingCheck(False, 0.0, 0.0, 1.0)
 
         monkeypatch.setattr(embedding, "verify_embedding", failed)
@@ -1050,3 +1080,193 @@ class TestSharpRouteImports:
         for path in (coarse, sharp):
             payload = json.loads(Path(str(path) + ".out").read_text())
             assert payload["spekkens_noncontextual"] == "yes"
+
+
+def require(condition, message: str) -> None:
+    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
+    if not condition:
+        pytest.fail(message)
+
+
+def cli_run(path, argv) -> tuple:
+    """Exit code, standard output and standard error of one `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([argv[0], str(path), *argv[1:]])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def require_one_line_refusal(rc, out, err, what) -> None:
+    require(rc == 2, f"{what}: exit {rc}, stderr {err!r}")
+    require(out == "", f"{what}: printed {out!r}")
+    require(err.startswith("error: ") and err.count("\n") == 1,
+            f"{what}: stderr {err!r}")
+    require("Traceback" not in err, f"{what}: traceback")
+
+
+# The two documents that used to be classified with a NaN entry read as 0,
+# here with the entry at 0: each test plants a non-finite number.
+FINITE_GPT = {"kind": "gpt", "gpt": {"dim": 2, "states": [[0.0, 1.0]],
+                                     "effects": [[1.0, 0.0], [0.0, 1.0]],
+                                     "unit": [0.0, 1.0]}}
+FINITE_TABLE = {"kind": "empirical",
+                "model": {"measurements": [{"label": "A", "outcomes": [0, 1]}],
+                          "contexts": [["A"]],
+                          "tables": {"A": {"0": 0.0, "1": 1.0}}}}
+
+
+class TestNonFiniteFrontDoor:
+    """NaN and infinite entries exit 2 with one line, never a verdict.
+
+    Written with `require` instead of bare asserts, so that it also tests
+    something when pytest runs under ``python -O``.
+    """
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("command", ["classify", "embed"])
+    def test_gpt_entry(self, tmp_path, command, bad):
+        for vector in ("states", "effects", "unit"):
+            doc = json.loads(json.dumps(FINITE_GPT))
+            gpt = doc["gpt"]
+            (gpt[vector] if vector == "unit" else gpt[vector][0])[0] = bad
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            rc, out, err = cli_run(path, [command])
+            require_one_line_refusal(rc, out, err, f"{command} {vector} {bad}")
+            require("finite" in err, err)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_empirical_table_entry(self, tmp_path, bad):
+        doc = json.loads(json.dumps(FINITE_TABLE))
+        doc["model"]["tables"]["A"]["0"] = bad
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["classify"], ["classify", "--emit-certificate"]):
+            rc, out, err = cli_run(path, argv)
+            require_one_line_refusal(rc, out, err, f"table entry {bad}")
+            require("not finite" in err, err)
+
+    def test_finite_documents_classify(self, tmp_path):
+        for doc in (FINITE_GPT, FINITE_TABLE):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            rc, out, err = cli_run(path, ["classify"])
+            require(rc == 0 and err == "", f"{doc['kind']}: exit {rc}, {err!r}")
+
+
+def classify_base_document(kind: str) -> dict:
+    """A small valid `classify` document of each kind."""
+    if kind == "empirical":
+        return pr_box_doc()
+    if kind == "quantum":
+        projectors = pvm_from_observable(PAULIS["Z"], "Z").projectors
+        return {"kind": "quantum", "state": matrix_to_json(np.eye(2) / 2),
+                "contexts": [[{"label": "Z", "projectors": [
+                    matrix_to_json(p) for p in projectors]}]]}
+    if kind == "gpt":
+        return {"kind": "gpt", "gpt": {
+            "dim": 2, "states": [[1.0, 0.0], [0.5, 0.5]],
+            "effects": [[1.0, 0.0], [0.0, 1.0]], "unit": [1.0, 1.0],
+            "sharp_contexts": [[0, 1]]}}
+    return {"kind": "prep-ensemble", "r": "1/2", "axis": [0.0, 0.0, 1.0]}
+
+
+# Paths to required keys, and to numeric entries, of each base document.
+CLASSIFY_KEYS = {
+    "empirical": [("model",), ("model", "measurements"), ("model", "contexts"),
+                  ("model", "tables"), ("model", "measurements", 0, "outcomes")],
+    "quantum": [("state",), ("contexts",), ("state", "re"), ("state", "rows"),
+                ("contexts", 0, 0, "label"), ("contexts", 0, 0, "projectors")],
+    "gpt": [("gpt",), ("gpt", "dim"), ("gpt", "states"), ("gpt", "effects"),
+            ("gpt", "unit")],
+    "prep-ensemble": [("r",)],
+}
+CLASSIFY_ENTRIES = {
+    "empirical": [("model", "tables", "A0,B0", "0,0"),
+                  ("model", "tables", "A1,B1", "1,0")],
+    "quantum": [("state", "re", 0), ("state", "im", 3), ("state", "rows"),
+                ("contexts", 0, 0, "projectors", 0, "re", 0),
+                ("contexts", 0, 0, "projectors", 1, "im", 1)],
+    "gpt": [("gpt", "states", 0, 0), ("gpt", "effects", 1, 1), ("gpt", "unit", 0),
+            ("gpt", "dim")],
+    "prep-ensemble": [("r",), ("axis", 0), ("axis", 2)],
+}
+CLASSIFY_FAULTS = ("not-json", "not-object", "unknown-kind", "missing-kind",
+                   "missing-key", "non-finite")
+
+
+def oversized_document(n: int, exact: bool) -> dict:
+    """An n-cycle of binary measurements: 2**n global assignments."""
+    labels = [f"M{i}" for i in range(n)]
+    value = "1/4" if exact else 0.25
+    return {"kind": "empirical", "model": {
+        "measurements": [{"label": m, "outcomes": [0, 1]} for m in labels],
+        "contexts": [[labels[i], labels[(i + 1) % n]] for i in range(n)],
+        "tables": {f"{labels[i]},{labels[(i + 1) % n]}":
+                   {f"{a},{b}": value for a in (0, 1) for b in (0, 1)}
+                   for i in range(n)}}}
+
+
+@st.composite
+def classify_documents(draw):
+    """(fault, text of the document file): a valid `classify` document, an
+    oversized one, or one with a fault planted."""
+    fault = draw(st.sampled_from(("valid", "oversized") + CLASSIFY_FAULTS))
+    if fault == "not-json":
+        return fault, draw(st.sampled_from(
+            ["", "{", "[1,", '{"kind": }', "{'kind': 'gpt'}", "nul", "1/2",
+             '{"kind": "gpt",}']))
+    if fault == "not-object":
+        return fault, json.dumps(draw(st.sampled_from(
+            [5, [], "gpt", None, [{"kind": "gpt"}], 1.5, float("nan")])))
+    if fault == "oversized":
+        n = draw(st.integers(21, 24))
+        return fault, json.dumps(oversized_document(n, draw(st.booleans())))
+    kind = draw(st.sampled_from(sorted(CLASSIFY_KEYS)))
+    doc = classify_base_document(kind)
+    if fault == "unknown-kind":
+        doc["kind"] = draw(st.sampled_from(
+            [None, 5, "", "Empirical", "bell", [], {}, True]))
+    elif fault == "missing-kind":
+        del doc["kind"]
+    elif fault in ("missing-key", "non-finite"):
+        table = CLASSIFY_KEYS if fault == "missing-key" else CLASSIFY_ENTRIES
+        *parents, last = draw(st.sampled_from(table[kind]))
+        target = doc
+        for key in parents:
+            target = target[key]
+        if fault == "missing-key":
+            del target[last]
+        else:
+            target[last] = draw(st.sampled_from(
+                [float("nan"), float("inf"), -float("inf")]))
+    return fault, json.dumps(doc)
+
+
+class TestClassifyFrontDoorFuzz:
+    """`classify` exits 0 or 2, with one line on a fault and never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=classify_documents())
+    def test_exit_codes_and_one_line(self, tmp_path_factory, drawn):
+        fault, text = drawn
+        path = tmp_path_factory.mktemp("classify") / "doc.json"
+        path.write_text(text)
+        t0 = time.perf_counter()
+        rc, out, err = cli_run(path, ["classify", "--emit-certificate"])
+        elapsed = time.perf_counter() - t0
+        assert "Traceback" not in err
+        if fault == "valid":
+            assert rc == 0, err
+            assert err == ""
+        elif fault == "oversized":
+            assert rc == 0, err
+            payload = json.loads(out)
+            assert payload["ks_noncontextual"] == "undecided"
+            assert payload["notes"][0].startswith(
+                "global-section solver skipped: ")
+            assert elapsed < 1.0
+        else:
+            assert rc == 2, (fault, text, err)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err

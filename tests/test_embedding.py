@@ -26,8 +26,6 @@ from contextuality.classify import RunConfig, classify, classify_gpt
 from contextuality.embedding import (
     AssignmentPolytope,
     DecompositionMismatch,
-    DimensionTooLarge,
-    EmbeddingUnverified,
     EmptyAssignmentPolytope,
     EmbedSearchResult,
     GptError,
@@ -55,7 +53,12 @@ from contextuality.embedding import (
     _equivalence_system,
     _hull_pair_lp,
 )
-from contextuality.exactlp import check_farkas, check_solution, columns_from_rows
+from contextuality.exactlp import (
+    TooLargeError,
+    check_farkas,
+    check_solution,
+    columns_from_rows,
+)
 from contextuality.quantum import (
     PAULIS,
     bloch_state,
@@ -218,6 +221,14 @@ class TestMakeGpt:
         with pytest.raises(GptError):
             make_gpt([np.array([1.0, 0.0])], [np.array([1.0, 0.0])],
                      np.array([1.0, 1.0]), sharp_contexts=[(0, 7)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        state, effect, unit = [bad, 1.0], [1.0, 0.0], [0.0, 1.0]
+        for args in (([state], [effect], unit), ([[0.0, 1.0]], [state], unit),
+                     ([[0.0, 1.0]], [effect], [bad, 1.0])):
+            with pytest.raises(GptError, match="finite"):
+                make_gpt(*args)
 
     def test_duplicate_index_in_context_rejected(self):
         with pytest.raises(GptError):
@@ -411,14 +422,21 @@ class TestEmbedSharp:
             assert sum(yi * a for yi, a in zip(y, col)) <= 0
         assert sum(yi * v for yi, v in zip(y, rhs)) > 0
 
-    def test_sections_passed_in_are_read_not_resolved(self, monkeypatch):
-        gpt = kcbs_gpt(np.eye(3) / 3)
-        sections = [solve_global_section(induced_model(gpt, 0))]
+    def test_each_state_section_solved_once(self, monkeypatch):
+        states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
+        gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
+        solved = []
+        solve = embedding.solve_global_section
         monkeypatch.setattr(embedding, "solve_global_section",
-                            lambda model: pytest.fail("section solved again"))
-        res = embed_sharp(gpt, sections=sections)
+                            lambda model: solved.append(model) or solve(model))
+        res = embed_sharp(gpt)
         assert res.feasible
-        assert verify_embedding(res.embedding, gpt).passed
+        assert verify_embedding(res.embedding, gpt, table=exact_atom_table(gpt)).passed
+        assert len(solved) == 2
+        solved.clear()
+        res = embed_sharp(sharp_gpt_from_quantum([dm([1, 0, 0])] + states,
+                                                 kcbs_contexts()))
+        assert (res.verdict, res.refusal_state, len(solved)) == ("refused", 0, 1)
 
     def test_multi_state_embedding(self):
         # The embedding reproduces the rationalized statistics the LPs
@@ -441,8 +459,9 @@ class TestEmbedSharp:
         states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
         states.append((states[0] + states[1]) / 2)
         gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
-        with pytest.raises(EmbeddingUnverified, match="embedding assembly"):
-            embed_sharp(gpt)
+        res = embed_sharp(gpt)
+        assert (res.verdict, res.feasible, res.embedding) == ("undecided", False, None)
+        assert res.note.startswith("embedding assembly")
         report = classify_gpt(gpt)
         assert (report.ks_noncontextual, report.spekkens_noncontextual) == (
             "yes", "undecided")
@@ -462,14 +481,27 @@ class TestEmbedSharp:
         with pytest.raises(UnsharpEffectFlagged):
             embed_sharp(gpt)
 
-    def test_uncovered_effect_rejected(self):
-        states = [np.array([1.0, 0.0])]
+    def test_uncovered_effect_is_undecided(self, monkeypatch):
+        states = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
         effects = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                    np.array([0.25, 0.25])]
         gpt = make_gpt(states, effects, np.array([1.0, 1.0]),
                        sharp_contexts=[(0, 1)])
-        with pytest.raises(UnsharpEffectFlagged):
-            embed_sharp(gpt)
+        solved = []
+        solve = embedding.solve_global_section
+        monkeypatch.setattr(embedding, "solve_global_section",
+                            lambda model: solved.append(model) or solve(model))
+        res = embed_sharp(gpt)
+        # the sections are solved first: a refusal would still be reported
+        assert len(solved) == 2
+        assert (res.verdict, res.embedding, res.refusal_section) == (
+            "undecided", None, None)
+        assert res.note == ("effect 2 is neither the unit nor covered by a "
+                            "sharp context")
+        report = classify_gpt(gpt)
+        assert (report.ks_noncontextual, report.spekkens_noncontextual) == (
+            "yes", "undecided")
+        assert f"embedding constructor unavailable: {res.note}" in report.notes
 
 
 class TestExactInducedModel:
@@ -590,18 +622,24 @@ class TestExactInducedModel:
 class TestTamperedSection:
     """A section whose primal changed after its re-check yields no embedding.
 
-    `embed_sharp` reads the weights of solved sections without solving
-    again; its only guard on them is the explicit `EmbeddingUnverified`
-    raise, so this class also runs under ``python -O``.
+    `embed_sharp` reads the weights of the sections it solved without
+    re-checking them; its only guard on them is the embedding check, whose
+    failure is an explicit "undecided" result, so this class also runs
+    under ``python -O``.  Checks raise through `require`.
     """
 
-    def test_tampered_primal_raises(self):
+    def test_tampered_primal_is_undecided(self, monkeypatch):
         gpt = classical_bit_gpt()
-        sections = [solve_global_section(induced_model(gpt, j)) for j in range(2)]
+        honest = [solve_global_section(induced_model(gpt, j)) for j in range(2)]
         # state 0 fires atom 0; give it state 1's weights, which fire atom 1
-        sections[0] = dataclasses.replace(sections[0], primal=sections[1].primal)
-        with pytest.raises(EmbeddingUnverified, match="embedding assembly"):
-            embed_sharp(gpt, sections=sections)
+        tampered = iter([dataclasses.replace(honest[0], primal=honest[1].primal),
+                         honest[1]])
+        monkeypatch.setattr(embedding, "solve_global_section",
+                            lambda model: next(tampered))
+        res = embed_sharp(gpt)
+        require(res.verdict == "undecided" and res.embedding is None,
+                f"tampered section gave verdict {res.verdict}")
+        require(res.note.startswith("embedding assembly"), f"note {res.note!r}")
 
 
 class TestEmbedSearch:
@@ -645,7 +683,7 @@ class TestEmbedSearch:
     def test_dimension_guard(self):
         states = [np.ones(11) / 11]
         gpt = make_gpt(states, [np.ones(11)], np.ones(11))
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(TooLargeError, match="dim <= 10"):
             embed_search(gpt)
 
     def test_seed_determinism(self):

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from contextuality.exactlp import TooLargeError
 from contextuality.polytope import (
     CHSH_OPTIMAL_ANGLES,
     BipartiteLift,
@@ -32,7 +33,6 @@ from contextuality.polytope import (
     MissingProjectors,
     ShapeMismatch,
     TooFewContexts,
-    TooLarge,
     badziag_inequality,
     behaviour_from_json,
     behaviour_from_quantum,
@@ -49,7 +49,6 @@ from contextuality.polytope import (
     membership_lp,
     no_signaling_report,
     pr_box_behaviour,
-    rationalize_behaviour,
     sic_to_sdc_reduction,
     singlet_behaviour,
     weighted_independence_number,
@@ -98,6 +97,16 @@ class TestBehaviour:
         with pytest.raises(ValueError, match="sums to"):
             make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        p = {(0, 0, 0, 0): bad, (1, 1, 0, 0): 1.0}
+        with pytest.raises(ValueError, match="not finite"):
+            make_behaviour(1, 1, 2, 2, p)
+        doc = behaviour_to_json(make_behaviour(1, 1, 2, 2, {(1, 1, 0, 0): 1.0}))
+        doc["p"]["0,0|0,0"] = bad
+        with pytest.raises(SchemaError, match="not finite"):
+            behaviour_from_json(doc)
+
     def test_pr_box_signature(self):
         b = pr_box_behaviour()
         assert b.correlator(0, 0) == 1
@@ -124,7 +133,7 @@ class TestBehaviour:
 
     def test_rationalize_preserves_no_signaling_exactly(self):
         b = singlet_behaviour()
-        rb = rationalize_behaviour(b)
+        rb = membership_lp(b).behaviour
         assert rb.is_rational
         assert no_signaling_report(rb, tol=0.0).passed
         worst = max(abs(float(rb.p[c]) - b.p[c]) for c in b.coords())
@@ -336,7 +345,7 @@ class TestIndependenceNumber:
 
     def test_size_guard(self):
         g = make_orthogonality_graph({i: 1 for i in range(41)}, [])
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLargeError):
             weighted_independence_number(g)
 
 
@@ -409,6 +418,12 @@ class TestBipartiteLift:
         lift = contextuality_to_bell(g, 3)
         assert lift.bound == 0
         assert lift.quantum_value == pytest.approx(0.0, abs=1e-12)
+
+    def test_size_guard_counts_first_party_answers(self):
+        g = make_orthogonality_graph({i: 1 for i in range(11)}, [])
+        lift = BipartiteLift(graph=g, dim=2, bound=Fraction(0), quantum_value=0.0)
+        with pytest.raises(TooLargeError, match=r"2\^11 first-party answers"):
+            lift.ld_maximum()
 
     def test_projectors_required(self):
         g = make_orthogonality_graph({0: 1, 1: 1}, [(0, 1)])

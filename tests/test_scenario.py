@@ -139,6 +139,12 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="negative"):
             make_model(sc, {("A",): {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        sc = make_scenario([("A", (0, 1))], [["A"]])
+        with pytest.raises(ValueError, match="not finite"):
+            make_model(sc, {("A",): {(0,): bad, (1,): 1.0}})
+
     def test_float_presence_demotes_all_entries(self):
         sc = make_scenario([("A", (0, 1))], [["A"]])
         m = make_model(sc, {("A",): {(0,): 0.5, (1,): HALF}})
@@ -203,10 +209,19 @@ class TestNoDisturbance:
         assert validate_no_disturbance(pr_box_model()).passed
         assert exact_no_disturbance(pr_box_model())
 
+    @staticmethod
+    def count_marginals(monkeypatch) -> list:
+        calls = []
+        real = scenario.marginalize
+        monkeypatch.setattr(scenario, "marginalize",
+                            lambda *a: calls.append(a[1:]) or real(*a))
+        return calls
+
     def test_each_context_marginal_computed_once_per_check(self, monkeypatch):
         # 13 settings per party: 169 contexts, each overlapping others on its
         # A and its B measurement, so 338 (context, overlap) marginals per
-        # check.  Classifying runs the float check and the exact one.
+        # check.  An exact model is checked once, by the global-section
+        # solver's exact pass-through test.
         n = 13
         sc = make_scenario([(f"A{x}", (0, 1)) for x in range(n)]
                            + [(f"B{y}", (0, 1)) for y in range(n)],
@@ -214,14 +229,24 @@ class TestNoDisturbance:
         quarter = Fraction(1, 4)
         model = make_model(sc, {c: {o: quarter for o in sc.outcome_tuples(c)}
                                 for c in sc.contexts})
-        calls = []
-        real = scenario.marginalize
-        monkeypatch.setattr(scenario, "marginalize",
-                            lambda *a: calls.append(a[1:]) or real(*a))
+        calls = self.count_marginals(monkeypatch)
         report = classify_model(model)
         assert report.ks_noncontextual == "undecided"
-        assert len(calls) <= 2 * 338
-        assert len(calls) == 2 * len(set(calls))
+        assert len(calls) == 338
+        assert len(set(calls)) == 338
+
+    def test_float_box_checked_twice(self, monkeypatch):
+        # A float 2x2 box has 4 overlapping context pairs, 8 marginals per
+        # check: the float no-disturbance check, then the exact check of
+        # its rounded entries.
+        quarter = {o: 0.25 for o in itertools.product((0, 1), repeat=2)}
+        model = make_model(chsh_scenario(),
+                           {c: quarter for c in chsh_scenario().contexts})
+        calls = self.count_marginals(monkeypatch)
+        report = classify_model(model)
+        assert (report.bell_local, report.ks_noncontextual) == ("yes", "yes")
+        assert len(calls) == 16
+        assert len(set(calls)) == 8
 
 
 class TestFromQuantum:

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextuality.exactlp import TooLargeError
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
 from contextuality.scenario import (
     DisturbingModel,
@@ -34,7 +35,6 @@ from contextuality.scenario import (
 from contextuality.sheaf import (
     HiddenVariableModel,
     InvalidCertificate,
-    ScenarioTooLarge,
     build_incidence_matrix,
     enumerate_global_assignments,
     enumerate_local_sections,
@@ -180,7 +180,7 @@ class TestIncidenceMatrix:
         meas = [(f"M{i}", (0, 1)) for i in range(25)]
         contexts = [[f"M{i}" for i in range(5 * k, 5 * k + 5)] for k in range(5)]
         sc = make_scenario(meas, contexts)
-        with pytest.raises(ScenarioTooLarge):
+        with pytest.raises(TooLargeError, match="global assignments"):
             build_incidence_matrix(sc)
 
 
