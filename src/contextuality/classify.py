@@ -53,6 +53,7 @@ from .scenario import (
     SchemaError,
     from_quantum,
     model_from_json,
+    rational_literal,
 )
 from .sheaf import solve_global_section
 
@@ -471,13 +472,10 @@ class ParsedInput:
 
 
 def _exact_fraction(value, name: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, float):
         raise SchemaError(f"{name} must be exact: an integer or an 'a/b' "
                           f"string, got {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational literal for {name}: {value!r}") from exc
+    return rational_literal(value, f"rational literal for {name}")
 
 
 def prep_ensemble_from_json(doc: dict) -> PrepEnsembleProblem:

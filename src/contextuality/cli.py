@@ -58,7 +58,7 @@ from .quantum import (
     random_density,
     sup_norm,
 )
-from .scenario import SchemaError, from_quantum, validate_no_disturbance
+from .scenario import SchemaError, from_quantum, rational_literal, validate_no_disturbance
 from .sheaf import solve_global_section
 
 KCBS_SUM_BOUND = -3
@@ -356,15 +356,8 @@ def _pusey_stats_from_json(doc: dict):
                                   "be a list")
             row = []
             for v in values:
-                if isinstance(v, bool):
-                    raise SchemaError("probabilities must be numbers")
-                if isinstance(v, float):
-                    row.append(v)
-                else:
-                    try:
-                        row.append(Fraction(v))
-                    except (TypeError, ValueError, ZeroDivisionError) as exc:
-                        raise SchemaError(f"bad probability {v!r}") from exc
+                row.append(v if isinstance(v, float)
+                           else rational_literal(v, "probability"))
             converted[m_label] = tuple(row)
         stats[label] = converted
     raw_groups = doc.get("equivalences", [])
@@ -380,13 +373,7 @@ def _pusey_stats_from_json(doc: dict):
                                   "preparation labels to exact weights")
             mix = {}
             for label, w in raw_mix.items():
-                if isinstance(w, (bool, float)):
-                    raise SchemaError("equivalence weights must be exact "
-                                      "(int or 'a/b' string)")
-                try:
-                    mix[label] = Fraction(w)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
-                    raise SchemaError(f"bad weight {w!r}") from exc
+                mix[label] = rational_literal(w, "equivalence weight")
             group.append(mix)
         groups.append(group)
     return stats, groups or None
@@ -394,11 +381,7 @@ def _pusey_stats_from_json(doc: dict):
 
 def cmd_pusey(args) -> dict:
     if args.six_ensemble is not None:
-        try:
-            r = Fraction(args.six_ensemble)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad --six-ensemble value "
-                              f"{args.six_ensemble!r}") from exc
+        r = rational_literal(args.six_ensemble, "--six-ensemble value")
         stats, group, _ = six_ensemble_statistics(r)
         equivalences = [group]
     elif args.input:
@@ -422,7 +405,9 @@ def cmd_convert_bell(args) -> dict:
     if args.input:
         doc = _load_json(args.input)
         try:
-            weights = {l: Fraction(w) for l, w in doc["weights"].items()}
+            weights = {l: Fraction(w) if isinstance(w, float)
+                       else rational_literal(w, "vertex weight")
+                       for l, w in doc["weights"].items()}
             edges = [(a, b) for a, b in doc["edges"]]
             projectors = {l: matrix_from_json(m)
                           for l, m in doc["projectors"].items()}

@@ -463,9 +463,10 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
 
     When every section is feasible, the verdict is "undecided" with a note
     for an effect that is neither the unit nor in a sharp context.
-    Otherwise each section's primal is a mixture of global assignments of
-    the measurements ``E{i}`` in atom order, so the assignments with weight
-    in any state are the 0/1 atom vectors that fire one atom per context.
+    Otherwise each section's primal pairs global assignments of the
+    measurements ``E{i}`` in atom order with their positive weights, so the
+    assignments in any state's support are the 0/1 atom vectors that fire
+    one atom per context.
     Boolean-row kappa and iota are assembled from those weights by
     pseudo-inverse and checked at `EMBED_TOL`: simplex and cube membership,
     and the pairing against the sections' exact atom probabilities.
@@ -491,10 +492,9 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
 
     # Descending order puts the assignments firing lower atoms first, so on
     # a single context vertex i of the simplex is atom i firing.
-    kept = sorted({k for s in solved for k, w in enumerate(s.primal) if w},
-                  reverse=True)
-    kept_assignments = tuple(solved[0].matrix.assignments[k] for k in kept)
-    d = len(kept)
+    kept_assignments = tuple(sorted({t for s in solved for t, _ in s.primal},
+                                    reverse=True))
+    d = len(kept_assignments)
 
     # kappa: each kept assignment's Boolean row on the atoms and a 1 on the
     # unit, lifted to a linear map on effect vectors by pseudo-inverse.
@@ -503,7 +503,8 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
     effect_mat = np.array([gpt.effects[i] for i in atom_indices] + [gpt.unit])
     kappa = targets @ np.linalg.pinv(effect_mat).T
 
-    state_weights = tuple(tuple(s.primal[k] for k in kept) for s in solved)
+    state_weights = tuple(tuple(dict(s.primal).get(t, Fraction(0))
+                                for t in kept_assignments) for s in solved)
     iota = (np.array(state_weights, dtype=float).T
             @ np.linalg.pinv(np.array(gpt.states).T))
 

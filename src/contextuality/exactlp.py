@@ -1,42 +1,77 @@
 """Exact rational feasibility LPs with machine-checkable certificates.
 
 Every verdict this package emits reduces to feasibility of a linear system
-``{A x = b, x >= 0}`` over the rationals.  ``A`` is given by column as a
-`SparseColumns` (row indices and values of each column's nonzeros); callers
-holding dense rows convert with `columns_from_rows`.  Feasible instances
-return an exact nonnegative solution, infeasible instances return a Farkas
-certificate ``y`` with ``y^T A <= 0`` componentwise and ``y^T b > 0``;
-`check_solution` and `check_farkas` re-verify either by direct
-multiplication on the same columns, and `require_certificate` raises
-`CertificateError` when a re-check fails.
+``{A x = b, x >= 0}`` over the rationals.  ``A`` is a *column source*: an
+object with ``m`` rows that prices and hands out its columns one at a time,
+so a source with exponentially many columns never lists them.  It has:
 
-The solver is a revised phase-1 simplex with Bland's rule, run without
-``Fraction`` arithmetic.  Rows with ``b_i < 0`` are negated.  Each column
-``a_j`` is multiplied by ``s_j``, the lcm of its denominators, and ``b`` by
-``L``, the lcm of its denominators, so the whole system is integral.  The
-inverse of the integer basis matrix is kept as ``N / D`` with ``N`` an
-integer matrix and ``D`` its determinant; a pivot updates ``N`` and the basic
-values by integer-preserving (Bareiss) steps whose divisions are exact.
-Zero entries are skipped when pricing and when forming ``N a_j``.
+- ``price(y)``: the key of a column with ``y^T a > 0``, or None when every
+  column has ``y^T a <= 0``, for an integer vector ``y``;
+- ``column(key)``: ``(rows, values, s)`` with ``values`` the integers
+  ``s a_i`` on the nonzero rows of that column and ``s > 0``;
+- ``primal(pairs)``: a solution built from ``(key, value)`` pairs, the
+  nonzero variables; ``support(x)`` reads the pairs back, or gives None
+  when ``x`` does not fit the source.
+
+`SparseColumns` lists its columns (row indices and values of each column's
+nonzeros; `columns_from_rows` converts dense rows) and prices them by
+Bland's rule, the first column with positive ``y^T a_j``.  The
+global-section matrix of `sheaf.IncidenceMatrix` prices by the largest
+``y^T a_s`` over all global assignments, found by max-sum elimination.
+Feasible instances return an exact nonnegative solution, infeasible
+instances return a Farkas certificate ``y`` with ``y^T A <= 0``
+componentwise and ``y^T b > 0``; `check_solution` and `check_farkas`
+re-verify either, the primal by direct multiplication and the dual by the
+source's own pricing, and `require_certificate` raises `CertificateError`
+when a re-check fails.
+
+The solver is a revised phase-1 simplex run without ``Fraction``
+arithmetic.  Rows with ``b_i < 0`` are negated.  Each column ``a_j`` comes
+multiplied by ``s_j``, the lcm of its denominators, and ``b`` by ``L``,
+the lcm of its denominators, so the whole system is integral.  The inverse
+of the integer basis matrix is kept as ``N / D`` with ``N`` an integer
+matrix and ``D > 0``; a pivot updates ``N`` and the basic values by
+integer-preserving (Bareiss) steps whose divisions are exact.  Zero
+entries are skipped when pricing and when forming ``N a_j``.
+
+The leaving row is chosen by the lexicographic ratio test (Dantzig, Orden
+and Wolfe 1955): among rows with ``d_i > 0``, where ``d = B^-1 a_enter``,
+the lexicographically smallest row ``(x_i, (B^-1)_i) / d_i``, with the row
+of ``B^-1`` read from its last entry back.  No two rows tie, since
+``B^-1`` has full rank.  The start ``B = I``, ``x = b >= 0`` makes every
+row of ``[x_B | B^-1]`` lexicographically positive in that order, each
+pivot keeps it so, and the phase-1 row ``c_B [x_B | B^-1]`` then falls
+strictly in lexicographic order at every pivot with a positive reduced
+cost.  No basis repeats, so the simplex ends after finitely many pivots
+whichever improving column the source prices in, Bland's first or the
+section oracle's largest; a column that does not improve is refused with
+``ArithmeticError``.  Reading ``B^-1`` backwards sends a tie between rows
+that still hold their own artificials to the lowest row, as Bland's
+smallest-index tie-break would.
 
 The scaling cannot change a single pivot.  Scaling column ``j`` by
-``s_j > 0`` scales its reduced cost by ``s_j``, so the entering column
-(the first one with positive ``y^T a_j``) is the same.  The phase-1 dual
-``y = c_B B^-1`` does not move, because ``c_B`` is nonzero only on the
-unscaled artificial columns.  In one ratio test every ratio ``x_i / d_i``
-is multiplied by the same positive factor ``L / s_enter``, so the minimum
-and its ties, broken by the smallest basic index, fall on the same row.
-The pivots are therefore those of the plain rational simplex.  Mapping
-back returns the same rationals: a basic ``x_j`` is ``s_j X_i / (D L)``,
-where ``X = N (L b)`` is the integer basic vector, and ``y`` is the sum of
-the rows of ``N`` that hold an artificial, divided by ``D``.
+``s_j > 0`` scales its reduced cost by ``s_j``, so its sign is the same,
+and the section source's 0/1 columns are not scaled at all.  The phase-1
+dual ``y = c_B B^-1`` does not move, because ``c_B`` is nonzero only on the
+unscaled artificial columns.  In one ratio test every row
+``(x_i, (B^-1)_i) / d_i`` of the scaled system is the unscaled one with its
+first entry times ``L / s_enter`` and the rest times ``1 / s_enter``, so
+the lexicographic minimum falls on the same row.  The pivots are therefore
+those of the plain rational simplex.  Mapping back returns the same
+rationals: a basic ``x_j`` is ``s_j X_i / (D L)``, where ``X = N (L b)``
+is the integer basic vector, and ``y`` is the sum of the rows of ``N``
+that hold an artificial, divided by ``D``.  The loop stops once no
+artificial carries weight: later pivots would all be degenerate and move
+no variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -69,12 +104,13 @@ def format_fraction(f: Fraction) -> str:
 class Feasibility:
     """Outcome of an exact feasibility solve.
 
-    ``x`` is a nonnegative rational solution when ``feasible``; otherwise
-    ``farkas`` holds y with y^T A <= 0 and y^T b > 0.
+    ``x`` is a nonnegative rational solution when ``feasible``, in the
+    column source's `primal` form; otherwise ``farkas`` holds y with
+    y^T A <= 0 and y^T b > 0.
     """
 
     feasible: bool
-    x: tuple[Fraction, ...] | None = None
+    x: tuple | None = None
     farkas: tuple[Fraction, ...] | None = None
 
 
@@ -83,7 +119,7 @@ def _rational(v):
     return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
-def _clear(values) -> tuple[list[int], int]:
+def clear_denominators(values) -> tuple[list[int], int]:
     """Integers ``t`` and a scale ``s > 0`` with ``values[k] == t[k] / s``."""
     values = [_rational(v) for v in values]
     if all(type(v) is int for v in values):
@@ -94,11 +130,11 @@ def _clear(values) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class SparseColumns:
-    """An ``m x n`` matrix stored by column, the one input format of the LPs.
+    """An ``m x n`` matrix stored by column: the listed column source.
 
     ``cols[j]`` is ``(rows, values)``: the ascending row indices of column
-    ``j``'s nonzero entries and those entries, zeros omitted.  The solvers
-    and the re-checks read it; `columns_from_rows` converts dense rows.
+    ``j``'s nonzero entries and those entries, zeros omitted.  Keys are the
+    column indices, pricing is Bland's rule and the primal is dense.
     """
 
     m: int
@@ -107,6 +143,29 @@ class SparseColumns:
     @property
     def n(self) -> int:
         return len(self.cols)
+
+    @cached_property
+    def _integral(self) -> list:
+        return [(idx, *clear_denominators(vals)) for idx, vals in self.cols]
+
+    def price(self, y: Sequence[int]) -> int | None:
+        """Bland's rule: the first column with ``y^T a_j > 0``."""
+        for j, (idx, ints, _) in enumerate(self._integral):
+            if sum(map(mul, map(y.__getitem__, idx), ints)) > 0:
+                return j
+        return None
+
+    def column(self, j: int) -> tuple:
+        return self._integral[j]
+
+    def primal(self, pairs) -> tuple:
+        x = [Fraction(0)] * self.n
+        for j, v in pairs:
+            x[j] = v
+        return tuple(x)
+
+    def support(self, x) -> list | None:
+        return list(enumerate(x)) if len(x) == self.n else None
 
 
 def columns_from_rows(a_rows: Sequence[Sequence[Fraction]]) -> SparseColumns:
@@ -123,45 +182,45 @@ def columns_from_rows(a_rows: Sequence[Sequence[Fraction]]) -> SparseColumns:
     return SparseColumns(m, tuple(zip(map(tuple, idx), map(tuple, vals))))
 
 
-def check_farkas(a: SparseColumns, b: Sequence[Fraction],
-                 y: Sequence[Fraction]) -> bool:
-    """Re-verify a Farkas certificate by direct multiplication."""
-    m = a.m
-    if len(b) != m or len(y) != m:
-        return False
-    # Column j is checked as (Y / s) . (s_j a_j) with Y = s y and s_j a_j
-    # integral; the positive scales keep every sign.
-    ys, _ = _clear(y)
-    for idx, vals in a.cols:
-        ints, _ = _clear(vals)
-        if sum(ys[i] * v for i, v in zip(idx, ints)) > 0:
-            return False
-    return sum(y[i] * b[i] for i in range(m) if ys[i]) > 0
+def _farkas_fault(a, b: Sequence[Fraction], y: Sequence[Fraction]) -> str | None:
+    """Why ``y`` is no Farkas certificate for ``A x = b``, or None if it is one."""
+    if len(b) != a.m or len(y) != a.m:
+        return "has the wrong length"
+    # The source prices Y = s y, integral, against its own columns; the
+    # positive scale keeps every sign.
+    key = a.price(clear_denominators(y)[0])
+    if key is not None:
+        return f"scores column {key!r} above 0"
+    if sum(y[i] * b[i] for i in range(a.m) if y[i]) <= 0:
+        return "has y^T b <= 0"
+    return None
 
 
-def check_solution(a: SparseColumns, b: Sequence[Fraction],
-                   x: Sequence[Fraction]) -> bool:
+def check_farkas(a, b: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
+    """Re-verify a Farkas certificate: no column prices above 0, and y^T b > 0."""
+    return _farkas_fault(a, b, y) is None
+
+
+def check_solution(a, b: Sequence[Fraction], x) -> bool:
     """Re-verify a primal solution: A x = b exactly and x >= 0."""
-    m = a.m
-    if len(b) != m or len(x) != a.n:
+    pairs = a.support(x)
+    if pairs is None or len(b) != a.m:
         return False
-    if any(v < 0 for v in x):
+    if any(v < 0 for _, v in pairs):
         return False
     # x_j a_j = (x_j / s_j) (s_j a_j) with s_j a_j integral; the weights
     # x_j / s_j share one scale, so every row sum is an integer.
-    support = [j for j, v in enumerate(x) if v]
-    cleared = [_clear(a.cols[j][1]) for j in support]
-    weights, scale = _clear([Fraction(_rational(x[j]), s)
-                             for j, (_, s) in zip(support, cleared)])
-    totals = [0] * m
-    for j, w, (ints, _) in zip(support, weights, cleared):
-        for i, v in zip(a.cols[j][0], ints):
+    cols = [(a.column(j), v) for j, v in pairs if v]
+    weights, scale = clear_denominators([Fraction(_rational(v), s)
+                                         for (_, _, s), v in cols])
+    totals = [0] * a.m
+    for ((idx, ints, _), _), w in zip(cols, weights):
+        for i, v in zip(idx, ints):
             totals[i] += w * v
     return all(t == bi * scale for t, bi in zip(totals, b))
 
 
-def require_certificate(a: SparseColumns, b: Sequence[Fraction],
-                        result: Feasibility,
+def require_certificate(a, b: Sequence[Fraction], result: Feasibility,
                         what: str = "certificate") -> Feasibility:
     """Re-check ``result`` against ``A x = b``; raise `CertificateError` on failure.
 
@@ -171,23 +230,25 @@ def require_certificate(a: SparseColumns, b: Sequence[Fraction],
         if not check_solution(a, b, result.x):
             raise CertificateError(f"{what} primal failed re-verification")
     elif not check_farkas(a, b, result.farkas):
-        raise CertificateError(f"{what} dual failed re-verification")
+        fault = _farkas_fault(a, b, result.farkas)
+        raise CertificateError(f"{what} dual failed re-verification"
+                               + (f": it {fault}" if fault else ""))
     return result
 
 
-def solve_eq_nonneg(a: SparseColumns, b: Sequence[Fraction]) -> Feasibility:
-    """Decide ``{A x = b, x >= 0}`` exactly (revised phase-1 simplex, Bland's rule).
+def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
+    """Decide ``{A x = b, x >= 0}`` exactly (revised phase-1 simplex).
 
-    Artificial column ``n + i`` starts basic in row ``i``.  Each round prices
-    the structural columns in index order and enters the first with positive
-    ``y^T a_j``; the leaving row has the smallest ratio ``x_i / d_i`` over
-    ``d_i > 0``, ties going to the smallest basic index.  The arithmetic is
-    integer-preserving on the scaled system (module docstring), so the pivots
-    and the returned rationals are those of the plain ``Fraction`` simplex.
+    Artificial ``i`` starts basic in row ``i``.  Each round the column
+    source prices the dual and hands over the entering column; the leaving
+    row is the lexicographic minimum of the ratio test.  The arithmetic is
+    integer-preserving on the scaled system (module docstring), so the
+    pivots and the returned rationals are those of the plain ``Fraction``
+    simplex with the same rules.
     """
-    m, n = a.m, a.n
+    m = a.m
     if m == 0:
-        return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
+        return Feasibility(True, x=a.primal(()))
     sign = [1] * m
     rhs: list[Fraction] = []
     for i in range(m):
@@ -197,51 +258,51 @@ def solve_eq_nonneg(a: SparseColumns, b: Sequence[Fraction]) -> Feasibility:
             bi = -bi
         rhs.append(bi)
     flip = -1 in sign
-    # Column j scaled by s_j to integers.
-    cols: list[tuple[Sequence[int], list[int]]] = []
-    col_scale: list[int] = []
-    for idx, vals in a.cols:
-        if flip:
-            vals = [-_rational(v) if sign[i] < 0 else v for i, v in zip(idx, vals)]
-        ints, s = _clear(vals)
-        cols.append((idx, ints))
-        col_scale.append(s)
-    xb, rhs_scale = _clear(rhs)
+    xb, rhs_scale = clear_denominators(rhs)
 
     # B^-1 = binv / det with binv integral; the artificial basis is I.
+    # basis[i] is the key of the column basic in row i and scale[i] its s;
+    # arts lists the rows still holding their artificial.
     binv = [[int(i == k) for k in range(m)] for i in range(m)]
     det = 1
-    basis = list(range(n, n + m))
-    in_basis = [False] * n
+    basis: list = [None] * m
+    scale = [1] * m
+    arts = list(range(m))
 
     def dual() -> list[int]:
         # det * y, y = c_B B^-1 with c_B = 1 exactly on rows holding an artificial.
-        rows = [binv[k] for k in range(m) if basis[k] >= n]
+        rows = [binv[k] for k in arts]
         return [sum(col) for col in zip(*rows)] if rows else [0] * m
 
-    while True:
+    while any(xb[i] for i in arts):
         y = dual()
-        enter = -1
-        for j in range(n):  # Bland: smallest structural index with negative reduced cost
-            if in_basis[j]:
-                continue
-            idx, vals = cols[j]
-            if sum(y[i] * v for i, v in zip(idx, vals)) > 0:
-                enter = j
-                break
-        if enter < 0:
+        enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
+        if enter is None:
             break
-        idx, vals = cols[enter]
-        d = [sum(row[k] * v for k, v in zip(idx, vals)) for row in binv]
+        idx, vals, s = a.column(enter)
+        if flip:
+            vals = [-v if sign[i] < 0 else v for i, v in zip(idx, vals)]
+        if sum(map(mul, map(y.__getitem__, idx), vals)) <= 0:
+            # A source that prices a non-improving column could cycle.
+            raise ArithmeticError(f"column {enter!r} priced in does not improve")
+        d = [sum(map(mul, map(row.__getitem__, idx), vals)) for row in binv]
         leave = -1
         for i in range(m):
-            if d[i] > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                lhs, rhs_best = xb[i] * d[leave], xb[leave] * d[i]
-                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leave]):
-                    leave = i
+            if d[i] <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            # (x_i, binv_i) / d_i against the incumbent's, entry by entry.
+            dl, di = d[leave], d[i]
+            lhs, rhs_best = xb[i] * dl, xb[leave] * di
+            if lhs == rhs_best:
+                for u, w in zip(reversed(binv[i]), reversed(binv[leave])):
+                    lhs, rhs_best = u * dl, w * di
+                    if lhs != rhs_best:
+                        break
+            if lhs < rhs_best:
+                leave = i
         if leave < 0:
             raise ArithmeticError("phase-1 simplex unbounded; inputs inconsistent")
         piv = d[leave]
@@ -257,83 +318,18 @@ def solve_eq_nonneg(a: SparseColumns, b: Sequence[Fraction]) -> Feasibility:
                 binv[i] = [v * piv // det for v in binv[i]]
                 xb[i] = xb[i] * piv // det
         det = piv
-        if basis[leave] < n:
-            in_basis[basis[leave]] = False
+        if basis[leave] is None:
+            arts.remove(leave)
         basis[leave] = enter
-        in_basis[enter] = True
+        scale[leave] = s
 
-    residual = sum(xb[i] for i in range(m) if basis[i] >= n)
-    if residual == 0:
-        x = [Fraction(0)] * n
-        for i in range(m):
-            j = basis[i]
-            if j < n:
-                x[j] = Fraction(xb[i] * col_scale[j], det * rhs_scale)
-        return Feasibility(True, x=tuple(x))
+    if not any(xb[i] for i in arts):
+        return Feasibility(True, x=a.primal(
+            (basis[i], Fraction(xb[i] * scale[i], det * rhs_scale))
+            for i in range(m) if basis[i] is not None and xb[i]))
     y = dual()
     farkas = tuple(Fraction(y[i] * sign[i], det) for i in range(m))
     return Feasibility(False, farkas=farkas)
-
-
-def solve_eq_nonneg_pruned(a: SparseColumns,
-                           b: Sequence[Fraction]) -> Feasibility:
-    """``solve_eq_nonneg`` for entrywise-nonnegative A.
-
-    Rows with b_i = 0 force every column they touch to zero, so those columns
-    and rows are eliminated before the simplex runs and the certificate is
-    lifted back to the full system afterwards.
-    """
-    m, n = a.m, a.n
-    for i in range(m):
-        if b[i] < 0:
-            # nonnegative row can never produce a negative total
-            y = [Fraction(0)] * m
-            y[i] = Fraction(-1)
-            return Feasibility(False, farkas=tuple(y))
-    zero = [b[i] == 0 for i in range(m)]
-    if not any(zero):
-        return solve_eq_nonneg(a, b)
-    live_rows = [i for i in range(m) if not zero[i]]
-    if not live_rows:
-        return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
-    new_row = {i: k for k, i in enumerate(live_rows)}
-    live_cols: list[int] = []
-    dead_cols: list[int] = []
-    sub: list[tuple] = []
-    for j, (idx, vals) in enumerate(a.cols):
-        if any(zero[i] for i in idx):
-            dead_cols.append(j)
-        else:
-            live_cols.append(j)
-            sub.append((tuple(new_row[i] for i in idx), vals))
-    res = solve_eq_nonneg(SparseColumns(len(live_rows), tuple(sub)),
-                          [b[i] for i in live_rows])
-
-    if res.feasible:
-        x = [Fraction(0)] * n
-        for pos, j in enumerate(live_cols):
-            x[j] = res.x[pos]
-        return Feasibility(True, x=tuple(x))
-
-    y = [Fraction(0)] * m
-    for pos, i in enumerate(live_rows):
-        y[i] = res.farkas[pos]
-    # Dropped columns may still have y^T A_j > 0; push them down through the
-    # zero rows they touch (which contribute nothing to y^T b).  Sums run
-    # over integer weights w_i = scale * y_i, zero off the live rows.
-    w, scale = _clear(y)
-    shift = Fraction(0)
-    for j in dead_cols:
-        idx, vals = a.cols[j]
-        t = sum(w[i] * v for i, v in zip(idx, vals))
-        if t > 0:
-            c = sum(v for i, v in zip(idx, vals) if zero[i])
-            shift = max(shift, Fraction(t, scale * c))
-    if shift > 0:
-        for i in range(m):
-            if zero[i]:
-                y[i] = -shift
-    return Feasibility(False, farkas=tuple(y))
 
 
 def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],

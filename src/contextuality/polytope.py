@@ -272,7 +272,7 @@ class MembershipResult:
     def certificate(self) -> dict:
         cert: dict = {"kind": "local-polytope-membership", "verdict": self.verdict}
         if self.weights is not None:
-            cert["weights"] = [format_fraction(w) for w in self.weights]
+            cert["weights"] = [[k, format_fraction(w)] for k, w in self.weights]
         if self.separating is not None:
             cert["separating"] = self.separating.to_json()
             cert["value_on_behaviour"] = format_fraction(self.value)
@@ -286,10 +286,12 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
     `sides` lists party A's and party B's measurements of a complete
     two-party scenario.  There the deterministic vertices (f, g) are
     exactly the global assignments, so the section verdict is the
-    membership verdict, the primal holds the vertex weights, and the Farkas
-    dual y holds the separating coefficients, one per (a, b | x, y)
-    coordinate.  The bound is the largest sum of y over the contexts of one
-    assignment, at most 0 by the dual's re-check, and the behaviour scores
+    membership verdict, the primal's support pairs are the (vertex, weight)
+    pairs, and the Farkas dual y holds the separating coefficients, one per
+    (a, b | x, y) coordinate.  The bound is the largest sum of y over the
+    contexts of one assignment, read off the section's elimination oracle
+    with its lexicographically smallest maximizer as the witness vertex.
+    It is at most 0 by the dual's re-check, and the behaviour scores
     y^T v > 0; the strict gap is checked again here by a raise.
     """
     model, matrix = section.model, section.matrix
@@ -304,25 +306,30 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
         keys.append((index[ma][oa], index[mb][ob], setting[ma], setting[mb]))
     b = make_behaviour(len(side_a), len(side_b), n_a, n_b,
                        {k: model.tables[ctx][sec] for k, (ctx, sec) in zip(keys, matrix.rows)})
-    # Column of vertex k, the k-th (f, g) in lexicographic order: the
-    # assignments' axes, reordered to party A's then party B's measurements.
-    axes = [sc.measurements.index(m) for m in side_a + side_b]
-    shape = [len(sc.outcomes[m]) for m in sc.measurements]
-    column = np.arange(len(matrix.assignments)).reshape(shape).transpose(axes).ravel().tolist()
+    # Vertex k is the k-th (f, g) in lexicographic order: an assignment's
+    # outcome indices on party A's then party B's measurements, mixed radix.
+    at = {m: i for i, m in enumerate(sc.measurements)}
+
+    def vertex(s) -> int:
+        k = 0
+        for m in side_a + side_b:
+            k = k * len(sc.outcomes[m]) + index[m][s[at[m]]]
+        return k
+
     if section.feasible:
-        return MembershipResult(inside=True, weights=tuple(section.primal[j] for j in column),
+        return MembershipResult(inside=True,
+                                weights=tuple(sorted((vertex(s), w) for s, w in section.primal)),
                                 separating=None, value=None, witness_vertex=None, behaviour=b)
     y = section.dual
     coeff_at = dict(zip(keys, y))
     coeffs = {c: coeff_at[c] for c in b.coords()}
-    scores = [sum(y[i] for i in matrix.columns[j]) for j in column]
-    bound = max(scores)
+    bound, best = matrix.maximum(y)
     value = sum(coeffs[c] * b.p[c] for c in b.coords())
     if not value > bound:
         raise CertificateError("separating inequality fails to separate")
     return MembershipResult(inside=False, weights=None,
                             separating=LinearInequality(coeffs, bound, kind="bell"),
-                            value=value, witness_vertex=scores.index(bound), behaviour=b)
+                            value=value, witness_vertex=vertex(best), behaviour=b)
 
 
 def membership_lp(b: Behaviour) -> MembershipResult:

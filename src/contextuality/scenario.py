@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,9 +89,9 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
     """Validated scenario constructor.
 
     `measurements` is an ordered mapping/sequence of (label, outcomes);
-    `contexts` a list of label collections.  Every measurement must be covered,
-    every outcome set must have at least two elements, and no two contexts may
-    be equal as sets.
+    `contexts` a list of nonempty label collections.  Every measurement must
+    be covered, every outcome set must have at least two elements, and no two
+    contexts may be equal as sets.
     """
     if isinstance(measurements, dict):
         items = list(measurements.items())
@@ -116,6 +117,8 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
                 raise LabelMismatch(f"context references unknown measurement {lab!r}")
         if len(set(ctx)) != len(ctx):
             raise LabelMismatch(f"context {ctx} repeats a measurement")
+        if not ctx:
+            raise DegenerateContexts("a context must hold at least one measurement")
         canon.append(tuple(sorted(ctx, key=order.__getitem__)))
     if len({frozenset(c) for c in canon}) != len(canon):
         raise DegenerateContexts("two contexts contain the same measurement set")
@@ -649,19 +652,41 @@ def _value_to_json(v):
     return float(v)
 
 
+# Digits, and decimal exponent, of the longest exact literal a document may
+# hold: Fraction("1e30000000") would build a 30-million-digit integer.
+MAX_LITERAL_DIGITS = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+
+
+def rational_literal(value, what: str) -> Fraction:
+    """An int, or an exact string such as '3', '-1/2', '0.25' or '1e-3', as a Fraction.
+
+    The one reader of exact numbers in documents.  Bools, floats and other
+    types are refused, and so is a string with more than
+    `MAX_LITERAL_DIGITS` digits or a decimal exponent beyond that bound,
+    before any Fraction is built; every refusal is a `SchemaError` naming
+    ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{what} must be an integer or an exact string, "
+                          f"got {value!r}")
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if (sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS
+                or exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS):
+            shown = value if len(value) <= 24 else value[:24] + "..."
+            raise SchemaError(f"{what} {shown!r} exceeds {MAX_LITERAL_DIGITS} "
+                              "digits or a decimal exponent of that size")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad {what} {value!r}") from exc
+
+
 def _value_from_json(v):
-    if isinstance(v, bool):
-        raise SchemaError(f"probability entries must be numbers, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, float):
         return v
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {v!r}") from exc
-    raise SchemaError(f"unsupported probability entry {v!r}")
+    return rational_literal(v, "probability entry")
 
 
 def model_to_json(model: EmpiricalModel) -> dict:

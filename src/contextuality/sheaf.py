@@ -4,13 +4,21 @@ An empirical model extends to a single joint distribution over all
 measurements exactly when the linear system ``M x = v, x >= 0`` is feasible,
 where rows of the Boolean incidence matrix ``M`` index (context, local
 section) pairs, columns index global outcome assignments, and ``v`` stacks
-the context tables.  ``M`` is column-sparse: each column holds exactly one 1
-per context, at the row of the assignment's section there, and is computed
-once per assignment.  Feasibility is decided with the exact rational solver,
-so every verdict ships a certificate: feasible verdicts carry the weights of
-a hidden-variable model, infeasible verdicts carry a separating functional
-``y`` with ``y^T M <= 0`` and ``y^T v > 0``, both re-checked by direct
-multiplication before they are returned.
+the context tables.  Each column holds exactly one 1 per context, at the row
+of the assignment's section there, so for a dual ``y`` the column of
+assignment ``s`` scores ``y^T a_s = sum_c y[c, s|_c]``, a sum of one term
+per context.  `IncidenceMatrix` therefore never lists its columns: it is a
+column source for the exact solver whose pricing oracle finds the largest
+score, and the lexicographically smallest assignment attaining it, by
+max-sum variable elimination over the measurements ("bucket elimination",
+Dechter 1999).  Rows with ``v_i = 0`` are left out of the solved system and
+their sections are forbidden to the oracle, since no assignment through
+them can carry weight.  Feasibility is decided with the exact rational
+solver, so every verdict ships a certificate: feasible verdicts carry the
+(assignment, weight) pairs of a hidden-variable model, infeasible verdicts
+carry a separating functional ``y`` with ``y^T M <= 0`` and ``y^T v > 0``,
+both re-checked before they are returned, the primal by multiplication and
+the dual by the oracle's maximum.
 """
 
 from __future__ import annotations
@@ -18,19 +26,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
+from operator import getitem, mul
+from typing import Sequence
 
 from .exactlp import (
-    SparseColumns,
+    Feasibility,
     TooLargeError,
+    clear_denominators,
     format_fraction,
     require_certificate,
-    solve_eq_nonneg_pruned,
+    solve_eq_nonneg,
 )
 from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationalize_model
 
-# One column per global assignment: a 2**20-column section, such as a sharp
-# GPT's induced model with 20 atoms, already peaks near 0.5 GB.
+# The elimination's tables grow with the measurements that share contexts,
+# up to one entry per global assignment on a context-dense scenario, so the
+# assignment count stays capped.
 MAX_ASSIGNMENTS = 2 ** 20
 
 
@@ -38,82 +51,236 @@ class InvalidCertificate(ValueError):
     pass
 
 
-def enumerate_local_sections(scenario: MeasurementScenario) -> list[tuple]:
-    """All (context, joint outcome) pairs; contexts in declared order, outcomes lexicographic."""
-    out = []
-    for ctx in scenario.contexts:
-        for sec in scenario.outcome_tuples(ctx):
-            out.append((ctx, sec))
-    return out
-
-
 def global_assignment_count(scenario: MeasurementScenario) -> int:
     return prod(len(scenario.outcomes[m]) for m in scenario.measurements)
 
 
-def enumerate_global_assignments(scenario: MeasurementScenario) -> list[tuple]:
-    """All outcome assignments over every measurement, lexicographic in declared order."""
-    return list(itertools.product(*(scenario.outcomes[m] for m in scenario.measurements)))
+def enumerate_global_assignments(scenario: MeasurementScenario):
+    """Iterate over every outcome assignment, lexicographic in declared order.
+
+    The solver never lists the assignments; this is for inspecting small
+    scenarios.
+    """
+    return itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Boolean section-vs-assignment matrix with its row and column labels.
+def _index_map(union: tuple, scope: tuple, size: list) -> list | None:
+    """Where each entry of a table over ``union`` reads a table over ``scope``.
 
-    ``columns[j]`` lists the rows holding a 1 in column ``j``: the row of
-    assignment ``j``'s section in each context, in context order.
+    A table over a scope of measurement positions is mixed-radix in
+    ascending position order, the last position varying fastest.  None
+    when the two scopes are equal.
+    """
+    if scope == union:
+        return None
+    stride, step = {}, 1
+    for u in reversed(scope):
+        stride[u] = step
+        step *= size[u]
+    idx = [0]
+    for u in union:
+        s = stride.get(u, 0)
+        idx = [r + d * s for r in idx for d in range(size[u])]
+    return idx
+
+
+class _Elimination:
+    """Max-sum elimination of a scenario's measurements, last declared first.
+
+    The bucket of measurement ``v`` holds the contexts whose last
+    measurement is ``v`` and the messages of earlier eliminations that
+    reach it.  Eliminating ``v`` sums the bucket into one table over the
+    union of its scopes, all at positions ``<= v``, and maximizes ``v``
+    out; the message goes to the bucket of the union's next-to-last
+    measurement.  Decoding then fixes the measurements in declared order,
+    each to its smallest outcome that maximizes its bucket's table given
+    the earlier ones, which yields the lexicographically smallest maximizer.
+
+    ``steps`` lists each elimination as ``(v, union, parts, message)``;
+    a part ``(f, idx)`` reads context ``f``'s table, or for ``f`` at least
+    the context count a message, at ``idx`` (None: the same scope).
     """
 
-    scenario: MeasurementScenario
-    rows: tuple
-    assignments: tuple
-    columns: tuple
+    def __init__(self, scenario: MeasurementScenario):
+        pos = {m: i for i, m in enumerate(scenario.measurements)}
+        self.size = size = [len(scenario.outcomes[m]) for m in scenario.measurements]
+        self.outcomes = [scenario.outcomes[m] for m in scenario.measurements]
+        self.index = [{o: d for d, o in enumerate(outs)} for outs in self.outcomes]
+        self.ones = (1,) * len(scenario.contexts)
+        scopes = [tuple(pos[m] for m in ctx) for ctx in scenario.contexts]
+        self.contexts = len(scopes)
+        # Per context, its positions and their strides in the section's rank.
+        self.strides = []
+        for scope in scopes:
+            ranks, step = [], 1
+            for u in reversed(scope):
+                ranks.append(step)
+                step *= size[u]
+            self.strides.append((scope, tuple(reversed(ranks))))
+        bucket: list[list[int]] = [[] for _ in size]
+        for f, scope in enumerate(scopes):
+            bucket[scope[-1]].append(f)
+        self.steps = []
+        self.constants: list[int] = []
+        for v in reversed(range(len(size))):
+            union = tuple(sorted({u for f in bucket[v] for u in scopes[f]}))
+            msg = len(scopes)
+            scopes.append(union[:-1])
+            (bucket[union[-2]] if len(union) > 1 else self.constants).append(msg)
+            self.steps.append((v, union, [(f, _index_map(union, scopes[f], size))
+                                          for f in bucket[v]], msg))
+
+    def maximize(self, y: list, steps: list, constants: list) -> tuple:
+        """(largest total, outcome indices of its smallest maximizer).
+
+        ``steps`` and ``constants`` are the plan's, renumbered so that every
+        context part reads ``y``, table 0, and message ``f`` is table
+        ``f - contexts + 1``.
+        """
+        size = self.size
+        tables = [y] + [None] * len(steps)
+        kept = [None] * len(size)
+        for v, union, parts, msg in steps:
+            f = None
+            for t, idx in parts:
+                t = tables[t]
+                if f is None:
+                    f = t if idx is None else [t[i] for i in idx]
+                elif idx is None:
+                    f = [a + b for a, b in zip(f, t)]
+                else:
+                    f = [a + t[i] for a, i in zip(f, idx)]
+            k = size[v]
+            tables[msg] = list(map(max, *(f[d::k] for d in range(k))))
+            kept[v] = (union, f)
+        digits: list[int] = []
+        for v, k in enumerate(size):
+            union, f = kept[v]
+            base = 0
+            for u in union[:-1]:
+                base = base * size[u] + digits[u]
+            seg = f[base * k:(base + 1) * k]
+            digits.append(seg.index(max(seg)))
+        return sum(tables[t][0] for t in constants), digits
+
+
+class IncidenceMatrix:
+    """The section-vs-assignment 0/1 matrix as an implicit column source.
+
+    Row ``i`` is the local section ``rows[i]``.  The column of a global
+    assignment ``s``, a tuple of outcomes in declared measurement order,
+    holds a 1 at the row of ``s``'s section in each context; ``shape``
+    counts every assignment.  ``sections[c][r]`` is the row of context
+    ``c``'s section of lexicographic rank ``r``, or None when that section
+    is forbidden: an assignment through it has no column.  ``plan`` is the
+    scenario's elimination, shared by every matrix of one scenario.
+    """
+
+    def __init__(self, scenario: MeasurementScenario, rows: tuple,
+                 sections: tuple, plan: _Elimination):
+        self.scenario, self.rows, self.sections, self.plan = scenario, rows, sections, plan
+        self.m = len(rows)
+        self._forbids = any(None in secs for secs in sections)
+        self._columns: dict = {}
+
+    @cached_property
+    def _steps(self) -> tuple:
+        # The plan's steps and constants with context tables read from y; a
+        # forbidden section reads the slot past y's end.
+        ext = [tuple(self.m if r is None else r for r in secs) for secs in self.sections]
+        c = self.plan.contexts
+        steps = [(v, union, [(0, [ext[f][i] for i in (range(len(ext[f])) if idx is None else idx)])
+                             if f < c else (f - c + 1, idx) for f, idx in parts], msg - c + 1)
+                 for v, union, parts, msg in self.plan.steps]
+        return steps, [t - c + 1 for t in self.plan.constants]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.assignments))
+        return (self.m, global_assignment_count(self.scenario))
 
-    def sparse(self) -> SparseColumns:
-        """The matrix in the exact solver's column form."""
-        ones = (1,) * len(self.scenario.contexts)
-        return SparseColumns(len(self.rows), tuple((c, ones) for c in self.columns))
+    def restrict(self, keep: list[int]) -> IncidenceMatrix:
+        """The same scenario's matrix on the rows ``keep``, the others forbidden."""
+        new = {i: k for k, i in enumerate(keep)}
+        return IncidenceMatrix(self.scenario, tuple(self.rows[i] for i in keep),
+                               tuple(tuple(new.get(r) for r in secs)
+                                     for secs in self.sections), self.plan)
+
+    def _best(self, y: Sequence[int]) -> tuple:
+        """(largest y^T a_s, outcome indices of the smallest s attaining it)."""
+        # A forbidden section scores below any assignment with a column,
+        # whose score is at least -sum |y|.
+        low = -1 - sum(map(abs, y)) if self._forbids else 0
+        return self.plan.maximize(list(y) + [low], *self._steps)
+
+    def _assignment(self, digits) -> tuple:
+        s = tuple(map(getitem, self.plan.outcomes, digits))
+        if s not in self._columns:
+            at = digits.__getitem__
+            idx = tuple(secs[sum(map(mul, map(at, scope), ranks))]
+                        for secs, (scope, ranks) in zip(self.sections, self.plan.strides))
+            self._columns[s] = (idx, self.plan.ones, 1)
+        return s
+
+    def maximum(self, y) -> tuple:
+        """The largest ``y^T a_s`` and the lexicographically smallest ``s`` attaining it."""
+        ints, scale = clear_denominators(y)
+        score, digits = self._best(ints)
+        return Fraction(score, scale), self._assignment(digits)
+
+    def price(self, y: Sequence[int]):
+        """The best assignment if it scores above 0, else None."""
+        score, digits = self._best(y)
+        return self._assignment(digits) if score > 0 else None
+
+    def column(self, s) -> tuple:
+        if s not in self._columns:
+            index = self.plan.index
+            if len(s) != len(index):
+                raise ValueError(f"{len(s)} outcomes for {len(index)} measurements")
+            self._assignment([ix[o] for ix, o in zip(index, s)])
+        return self._columns[s]
+
+    def primal(self, pairs) -> tuple:
+        """The (assignment, weight) pairs, lexicographic in the assignments."""
+        index = self.plan.index
+        return tuple(sorted(pairs, key=lambda p: [ix[o] for ix, o in zip(index, p[0])]))
+
+    def support(self, x) -> list | None:
+        try:
+            pairs = [(tuple(s), w) for s, w in x]
+            if any(None in self.column(s)[0] for s, _ in pairs):
+                return None
+        except (TypeError, ValueError, KeyError):
+            return None
+        return pairs
 
 
 def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
-    """Entry (i, j) is 1 iff global assignment j restricts to local section i.
+    """The column source over all local sections, within the assignment cap.
 
-    Column j holds one 1 per context, at the context's first row plus the
-    lexicographic rank of j's section there.  The ranks of all assignments
-    in one context are built measurement by measurement in the assignments'
-    own lexicographic order, so no assignment is projected row by row.
+    Rows run over the contexts in declared order, each context's sections
+    in lexicographic order.
     """
     q = global_assignment_count(scenario)
     if q > MAX_ASSIGNMENTS:
         raise TooLargeError(
             f"{q} global assignments exceed the supported {MAX_ASSIGNMENTS}")
-    rows = enumerate_local_sections(scenario)
-    assignments = enumerate_global_assignments(scenario)
-    per_context = []
-    offset = 0
+    rows, sections = [], []
     for ctx in scenario.contexts:
-        stride, size = {}, 1
-        for m in reversed(ctx):
-            stride[m] = size
-            size *= len(scenario.outcomes[m])
-        ranks = [offset]
-        for m in scenario.measurements:
-            steps = [d * stride.get(m, 0) for d in range(len(scenario.outcomes[m]))]
-            ranks = [r + t for r in ranks for t in steps]
-        per_context.append(ranks)
-        offset += size
-    return IncidenceMatrix(scenario=scenario, rows=tuple(rows),
-                           assignments=tuple(assignments),
-                           columns=tuple(zip(*per_context)))
+        secs = scenario.outcome_tuples(ctx)
+        sections.append(tuple(range(len(rows), len(rows) + len(secs))))
+        rows += [(ctx, sec) for sec in secs]
+    return IncidenceMatrix(scenario, tuple(rows), tuple(sections),
+                           _Elimination(scenario))
 
 
 @dataclass(frozen=True)
 class SectionFeasibility:
-    """LP outcome plus the data needed to re-check it independently."""
+    """LP outcome plus the data needed to re-check it independently.
+
+    ``primal`` is the (assignment, weight) pairs of the positive weights,
+    lexicographic in the assignments; ``dual`` has one entry per row.
+    """
 
     feasible: bool
     primal: tuple | None
@@ -128,7 +295,8 @@ class SectionFeasibility:
     def certificate(self) -> dict:
         cert: dict = {"kind": "global-section", "verdict": self.verdict}
         if self.primal is not None:
-            cert["primal"] = [format_fraction(x) for x in self.primal]
+            cert["primal"] = [[",".join(map(str, s)), format_fraction(w)]
+                              for s, w in self.primal]
         if self.dual is not None:
             cert["dual"] = [format_fraction(y) for y in self.dual]
         cert["rows"] = ["|".join([",".join(map(str, ctx)), ",".join(map(str, sec))])
@@ -152,8 +320,21 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    a = matrix.sparse()
-    result = require_certificate(a, v, solve_eq_nonneg_pruned(a, v), "global-section")
+    live = [i for i, vi in enumerate(v) if vi]
+    lp = matrix if len(live) == len(v) else matrix.restrict(live)
+    result = solve_eq_nonneg(lp, [v[i] for i in live])
+    if not result.feasible and len(live) < len(v):
+        y = [Fraction(0)] * len(v)
+        for i, yi in zip(live, result.farkas):
+            y[i] = yi
+        # An assignment through a row with v_i = 0 had no column in the
+        # solved system.  Such rows add nothing to y^T v, so setting them to
+        # minus the largest score brings every such assignment to <= 0.
+        top = matrix.maximum(y)[0]
+        if top > 0:
+            y = [yi if vi else -top for yi, vi in zip(y, v)]
+        result = Feasibility(False, farkas=tuple(y))
+    require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)
 
@@ -189,18 +370,24 @@ class HiddenVariableModel:
         return make_model(self.scenario, tables)
 
 
-def hv_model_from_section(weights, scenario: MeasurementScenario) -> HiddenVariableModel:
-    """Hidden-variable model supported on the assignments a primal certificate selects."""
-    assignments = enumerate_global_assignments(scenario)
-    weights = [w if isinstance(w, Fraction) else Fraction(w) for w in weights]
-    if len(weights) != len(assignments):
-        raise InvalidCertificate(
-            f"expected {len(assignments)} weights, got {len(weights)}")
-    if any(w < 0 for w in weights):
-        raise InvalidCertificate("negative weight in primal certificate")
+def hv_model_from_section(support, scenario: MeasurementScenario) -> HiddenVariableModel:
+    """Hidden-variable model on the (assignment, weight) pairs of a primal certificate."""
+    meas = scenario.measurements
+    lams, weights = [], []
+    for s, w in support:
+        s = tuple(s)
+        if len(s) != len(meas) or any(o not in scenario.outcomes[m]
+                                      for m, o in zip(meas, s)):
+            raise InvalidCertificate(f"{list(s)} is not a global assignment")
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        if w < 0:
+            raise InvalidCertificate("negative weight in primal certificate")
+        if w:
+            lams.append(dict(zip(meas, s)))
+            weights.append(w)
+    if len({tuple(lam.values()) for lam in lams}) != len(lams):
+        raise InvalidCertificate("an assignment appears twice in the primal certificate")
     if sum(weights) != 1:
         raise InvalidCertificate(f"weights sum to {sum(weights)}, not 1")
-    support = [(t, w) for t, w in zip(assignments, weights) if w > 0]
-    lams = tuple(dict(zip(scenario.measurements, t)) for t, _ in support)
-    return HiddenVariableModel(scenario=scenario, assignments=lams,
-                               weights=tuple(w for _, w in support))
+    return HiddenVariableModel(scenario=scenario, assignments=tuple(lams),
+                               weights=tuple(weights))

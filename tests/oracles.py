@@ -4,8 +4,10 @@ The numeric oracles recompute expected values from first principles (Born
 rule plus a planar angle grid) without touching the package's solvers, so a
 test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
-kernel must match pivot for pivot, and `reference_incidence_rows` the dense
-row-by-row incidence matrix the column-sparse global-section LP must equal.
+kernel must match pivot for pivot on listed columns, `reference_incidence_rows`
+the dense row-by-row incidence matrix the implicit global-section matrix
+must equal, and `reference_argmax` the column-by-column scan its
+elimination oracle must agree with.
 `reference_membership_lp` (the dense-vertex local-polytope LP over its own
 vertex list `ld_vertex_boxes`) and `reference_hulls_intersect` run on that
 reference simplex, and `brute_force_lift_maximum` scans all 4^n strategy
@@ -75,11 +77,13 @@ def grid_scan_max(alpha=1.0):
 
 def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
                               b: Sequence[Fraction]) -> Feasibility:
-    """The ``Fraction`` Bland simplex that ``solve_eq_nonneg`` replaced, kept verbatim.
+    """The plain ``Fraction`` simplex that ``solve_eq_nonneg`` runs in integers.
 
-    Dense revised phase-1 simplex with an explicit rational B^-1.  The
-    package's integer-preserving kernel must return equal ``Feasibility``
-    objects: the same pivots give the same solution or Farkas vector.
+    Dense revised phase-1 simplex with an explicit rational B^-1, Bland's
+    entering column and the lexicographic ratio test.  The package's
+    integer-preserving kernel on `SparseColumns` must return equal
+    ``Feasibility`` objects: the same pivots give the same solution or
+    Farkas vector.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -121,13 +125,15 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
         if enter < 0:
             break
         d = [sum(binv[i][k] * cols[enter][k] for k in range(m)) for i in range(m)]
+        # Lexicographic ratio test: the smallest (x_i, B^-1 row i read from
+        # its last entry back) / d_i over d_i > 0.
         leave = -1
-        best: Fraction | None = None
+        best: list | None = None
         for i in range(m):
             if d[i] > 0:
-                ratio = xb[i] / d[i]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                key = [xb[i] / d[i]] + [v / d[i] for v in reversed(binv[i])]
+                if best is None or key < best:
+                    best = key
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-1 simplex unbounded; inputs inconsistent")
@@ -174,6 +180,23 @@ def reference_incidence_rows(scenario) -> list[tuple[int, ...]]:
     return [tuple(1 if tuple(t[pos[m]] for m in ctx) == sec else 0
                   for t in assignments)
             for ctx, sec in rows]
+
+
+def reference_argmax(scenario, y: Sequence) -> tuple:
+    """Largest ``y^T a_s`` over every global assignment, and its first maximizer.
+
+    Scores each column of `reference_incidence_rows` in turn; the columns
+    run lexicographically in declared order, so the first maximizer is the
+    lexicographically smallest one.
+    """
+    rows = reference_incidence_rows(scenario)
+    assignments = itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
+    best = None
+    for j, t in enumerate(assignments):
+        score = sum(yi for yi, row in zip(y, rows) if row[j])
+        if best is None or score > best[0]:
+            best = (score, t)
+    return best
 
 
 def ld_vertex_boxes(nX: int, nY: int, nA: int, nB: int) -> list[dict]:

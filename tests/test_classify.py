@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,8 @@ import pytest
 
 import contextuality
 from contextuality.cli import main
-from contextuality.exactlp import CertificateError
+from contextuality import sheaf
+from contextuality.exactlp import CertificateError, Feasibility, require_certificate
 from contextuality.polytope import membership_from_section
 from contextuality.sheaf import solve_global_section
 
@@ -51,6 +55,7 @@ from contextuality.quantum import (
     werner_state,
 )
 from contextuality.scenario import SchemaError, from_quantum, model_from_json
+from oracles import cycle_margin
 
 
 def uniform_chsh_tables() -> dict:
@@ -425,7 +430,7 @@ class TestClassifyGpt:
     def count_lps(monkeypatch):
         """Counts the exact LP solves, at every binding of the kernel, and
         the box LPs among them."""
-        from contextuality import embedding, exactlp, scenario
+        from contextuality import embedding, exactlp, scenario, sheaf
 
         calls = {"lp": 0, "box": 0}
         solve, box = exactlp.solve_eq_nonneg, scenario.solve_box_eq
@@ -438,7 +443,7 @@ class TestClassifyGpt:
             calls["box"] += 1
             return box(*args)
 
-        for module in (exactlp, embedding):
+        for module in (exactlp, embedding, sheaf):
             monkeypatch.setattr(module, "solve_eq_nonneg", counted_solve)
         monkeypatch.setattr(scenario, "solve_box_eq", counted_box)
         return calls
@@ -658,3 +663,149 @@ class TestForgedSectionDual:
             pytest.fail("a forged section dual did not exit 3")
         if "internal check failed" not in capsys.readouterr().err:
             pytest.fail("exit 3 without the internal-check message")
+
+
+def cycle_doc(n: int, v: Fraction) -> dict:
+    """Anticorrelated n-cycle with visibility v and uniform marginals."""
+    labels = [f"X{i}" for i in range(n)]
+    same, diff = str((1 - v) / 4), str((1 + v) / 4)
+    return {"kind": "empirical", "model": {
+        "measurements": [{"label": m, "outcomes": [0, 1]} for m in labels],
+        "contexts": [[labels[i], labels[(i + 1) % n]] for i in range(n)],
+        "tables": {f"{labels[i]},{labels[(i + 1) % n]}":
+                   {f"{a},{b}": same if a == b else diff
+                    for a in range(2) for b in range(2)} for i in range(n)}}}
+
+
+def box_doc(n: int, w: Fraction) -> dict:
+    """n settings per party: PR weight w on settings {0,1}^2, uniform elsewhere."""
+    tables = {}
+    for x in range(n):
+        for y in range(n):
+            tables[f"A{x},B{y}"] = {
+                f"{a},{b}": str(w * Fraction(int((a ^ b) == (x & y)), 2) + (1 - w) / 4
+                                if x < 2 and y < 2 else Fraction(1, 4))
+                for a in range(2) for b in range(2)}
+    return {"kind": "empirical", "model": {
+        "measurements": [{"label": f"{p}{k}", "outcomes": [0, 1]}
+                         for p in "AB" for k in range(n)],
+        "contexts": [[f"A{x}", f"B{y}"] for x in range(n) for y in range(n)],
+        "tables": tables}}
+
+
+class TestBeyondTheLadder:
+    """Sections the benchmark's rungs do not reach, solved without listing.
+
+    `enumerate_global_assignments` raises here, so each verdict comes from
+    the elimination oracle; the expected verdicts are the n-cycle test on
+    the correlators and, for the box, the same test on its CHSH square.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_listing(self, monkeypatch):
+        def refuse(scenario):
+            raise AssertionError("the global assignments were listed")
+
+        monkeypatch.setattr(sheaf, "enumerate_global_assignments", refuse)
+
+    @staticmethod
+    def classify_timed(doc):
+        start = time.perf_counter()
+        report = classify(doc, RunConfig())
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10, f"{elapsed:.1f} s"
+        assert not any("skipped" in note for note in report.notes)
+        return report
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_noisy_cycle(self, n):
+        v = Fraction(9, 10)
+        expected = "no" if cycle_margin([-v] * n) > 0 else "yes"
+        report = self.classify_timed(cycle_doc(n, v))
+        assert report.ks_noncontextual == expected == ("no" if n % 2 else "yes")
+        (ks,) = [c for c in report.certificates if c["role"] == "ks"]
+        assert ks["verdict"] == ("infeasible" if n % 2 else "feasible")
+
+    def test_five_setting_box(self):
+        w = Fraction(1, 3)
+        # Correlators of the CHSH square A0 B0 A1 B1: w, w, -w, w.
+        expected = "no" if cycle_margin([w, w, -w, w]) > 0 else "yes"
+        report = self.classify_timed(box_doc(5, w))
+        assert (report.bell_local, report.ks_noncontextual) == (expected, expected) \
+            == ("yes", "yes")
+        (bell,) = [c for c in report.certificates if c["role"] == "bell"]
+        assert sum(Fraction(p) for _, p in bell["weights"]) == 1
+
+
+class TestForgedDualAssignment:
+    """A dual forged to score one assignment above 0 is caught by the oracle.
+
+    Written without bare asserts so that it also tests something when
+    pytest itself runs under ``python -O``.
+    """
+
+    def test_oracle_names_the_assignment_in_process(self):
+        section, v, target = forged_dual(pr_box_doc())
+        try:
+            require_certificate(section.matrix, v, Feasibility(False, farkas=section.dual),
+                                "global-section")
+        except CertificateError as exc:
+            if repr(target) not in str(exc):
+                pytest.fail(f"the error does not name {target}: {exc}")
+        else:
+            pytest.fail("a forged section dual passed its re-check")
+
+    def test_oracle_names_the_assignment_under_python_O(self):
+        src = str(Path(contextuality.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        script = inspect.getsource(forged_dual) + FORGED_ASSIGNMENT_UNDER_O
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, json.dumps(pr_box_doc())],
+            env=env, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            pytest.fail(f"python -O subprocess: {proc.stderr.strip()}")
+
+
+def forged_dual(doc):
+    """A solved section whose dual now scores one assignment above 0.
+
+    Adding t to the assignment's row in every context lifts its score by
+    t times the context count and any other assignment's by less, so for
+    a large t it is the one maximizer.  Returns the forged section, its
+    right-hand side and the assignment.  It imports what it needs, because
+    its source also runs in a ``python -O`` subprocess.
+    """
+    import dataclasses
+
+    from contextuality.classify import parse_document
+    from contextuality.sheaf import solve_global_section
+
+    real = solve_global_section(parse_document(doc).model)
+    matrix = real.matrix
+    sc = matrix.scenario
+    target = tuple(sc.outcomes[m][-1] for m in sc.measurements)
+    rows = set(matrix.column(target)[0])
+    top = max(abs(y) for y in real.dual)
+    t = 2 * len(matrix.scenario.contexts) * top + 1
+    dual = tuple(y + t if i in rows else y for i, y in enumerate(real.dual))
+    v = [real.model.tables[ctx][sec] for ctx, sec in matrix.rows]
+    return dataclasses.replace(real, dual=dual), v, target
+
+
+FORGED_ASSIGNMENT_UNDER_O = """
+import json, sys
+from contextuality.exactlp import CertificateError, Feasibility, require_certificate
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+section, v, target = forged_dual(json.loads(sys.argv[1]))
+try:
+    require_certificate(section.matrix, v, Feasibility(False, farkas=section.dual),
+                        "global-section")
+    sys.exit("a forged section dual passed its re-check")
+except CertificateError as exc:
+    if repr(target) not in str(exc):
+        sys.exit(f"the error does not name {target}: {exc}")
+"""

@@ -37,6 +37,7 @@ from contextuality.quantum import (
     pvm_from_observable,
     tensor,
 )
+from contextuality.scenario import SchemaError, rational_literal
 from contextuality.sheaf import MAX_ASSIGNMENTS
 from oracles import ld_vertex_boxes, random_box
 
@@ -185,7 +186,7 @@ class TestClassifyCommand:
             def unbounded(a_rows, b):
                 raise ArithmeticError("forced for the exit-code test")
 
-            monkeypatch.setattr(sheaf, "solve_eq_nonneg_pruned", unbounded)
+            monkeypatch.setattr(sheaf, "solve_eq_nonneg", unbounded)
         doc = tmp_path / "pr.json"
         doc.write_text(json.dumps(pr_box_doc()))
         rc = main(["classify", str(doc)])
@@ -514,10 +515,11 @@ class TestBipartiteIndexMapping:
             (cert,) = [c for c in payload["certificates"] if c["role"] == "bell"]
             if pr_weight == 0:
                 assert cert["verdict"] == "inside"
-                weights = [Fraction(w) for w in cert["weights"]]
-                assert len(weights) == len(vertices) and min(weights) >= 0
+                weights = {k: Fraction(w) for k, w in cert["weights"]}
+                assert len(weights) == len(cert["weights"])
+                assert all(0 <= k < len(vertices) and w > 0 for k, w in weights.items())
                 for c in p:
-                    assert sum(w * v[c] for w, v in zip(weights, vertices)) == p[c]
+                    assert sum(w * vertices[k][c] for k, w in weights.items()) == p[c]
                 continue
             assert cert["verdict"] == "outside"
             sep = cert["separating"]
@@ -1152,6 +1154,53 @@ class TestNonFiniteFrontDoor:
             path.write_text(json.dumps(doc))
             rc, out, err = cli_run(path, ["classify"])
             require(rc == 0 and err == "", f"{doc['kind']}: exit {rc}, {err!r}")
+
+
+def oversized_literal_documents(value: str) -> dict:
+    """One document per exact-number reader, with ``value`` planted in it."""
+    return {
+        "table entry": (["classify"], {
+            "kind": "empirical", "model": {
+                "measurements": [{"label": "A", "outcomes": [0, 1]}],
+                "contexts": [["A"]], "tables": {"A": {"0": value, "1": "0"}}}}),
+        "prep r": (["classify"], {"kind": "prep-ensemble", "r": value}),
+        "pusey probability": (["pusey"], {
+            "preps": {"P": {"M": [value, "0"]}, "Q": {"M": ["1/2", "1/2"]}}}),
+        "pusey weight": (["pusey"], {
+            "preps": {"P": {"M": ["1", "0"]}, "Q": {"M": ["1/2", "1/2"]}},
+            "equivalences": [[{"P": value}, {"Q": "1"}]]}),
+        "bell weight": (["convert-bell"], {
+            "weights": {"a": value, "b": "1"}, "edges": [["a", "b"]],
+            "projectors": {}, "dim": 3}),
+    }
+
+
+class TestOversizedLiterals:
+    """Exact literals beyond the digit and exponent bound exit 2 at once."""
+
+    @pytest.mark.parametrize("value", ["1e30000000", "1e-30000000"])
+    def test_each_reader_refuses_before_building(self, tmp_path, value):
+        for what, (argv, doc) in oversized_literal_documents(value).items():
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            start = time.perf_counter()
+            rc, out, err = cli_run(path, argv)
+            elapsed = time.perf_counter() - start
+            require_one_line_refusal(rc, out, err, what)
+            require("exceeds 1000 digits" in err, f"{what}: {err!r}")
+            require(elapsed < 1.0, f"{what}: {elapsed:.2f} s")
+
+    def test_six_ensemble_argument(self, capsys):
+        require(main(["pusey", "--six-ensemble", "1e-30000000"]) == 2, "exit code")
+        require("exceeds 1000 digits" in capsys.readouterr().err, "message")
+
+    def test_literals_within_the_bound_are_read_exactly(self):
+        require(rational_literal("1e-1000", "x") == Fraction(1, 10 ** 1000), "1e-1000")
+        require(rational_literal("-3/4", "x") == Fraction(-3, 4), "-3/4")
+        require(rational_literal("1" * 1000, "x") == int("1" * 1000), "1000 digits")
+        for bad in ("1" * 1001, "1e1001", "0.5e-1_001", True, 0.5, None, "1/0", "x"):
+            with pytest.raises(SchemaError):
+                rational_literal(bad, "x")
 
 
 def classify_base_document(kind: str) -> dict:

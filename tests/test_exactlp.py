@@ -5,7 +5,10 @@ returned certificate with check_farkas; by Farkas' lemma the two cannot both
 exist, so a verified answer is a proof of the verdict.  Completeness is
 checked by planting known-feasible systems (b = A @ x0 with x0 >= 0).
 Pivot-for-pivot oracle: the integer-preserving kernel must return exactly
-the `Feasibility` of the plain ``Fraction`` simplex in `tests/oracles.py`.
+the `Feasibility` of the plain ``Fraction`` simplex in `tests/oracles.py`,
+which uses the same Bland pricing and lexicographic ratio test.  A column
+source that prices by the largest reduced cost must end with verified
+verdicts on degenerate systems.
 """
 
 import itertools
@@ -26,7 +29,6 @@ from contextuality.exactlp import (
     require_certificate,
     solve_box_eq,
     solve_eq_nonneg,
-    solve_eq_nonneg_pruned,
 )
 from oracles import enumerate_vertices, exact_rank, reference_solve_eq_nonneg
 
@@ -89,38 +91,6 @@ class TestSolveEqNonneg:
         assert check_solution(a, b, res.x)
 
 
-class TestPrunedSolver:
-    def test_zero_rhs_rows_kill_their_columns(self):
-        # column 0 touches the zero row, so only column 1 may carry weight
-        a = frac_columns([[1, 0], [1, 1]])
-        b = [F(0), F(1)]
-        res = solve_eq_nonneg_pruned(a, b)
-        assert res.feasible
-        assert res.x == (F(0), F(1))
-
-    def test_all_columns_dead_but_mass_required(self):
-        a = frac_columns([[1, 1], [1, 1]])
-        b = [F(0), F(1)]
-        res = solve_eq_nonneg_pruned(a, b)
-        assert not res.feasible
-        assert check_farkas(a, b, res.farkas)
-
-    def test_negative_rhs_immediately_infeasible(self):
-        a = frac_columns([[1, 2]])
-        b = [F(-1)]
-        res = solve_eq_nonneg_pruned(a, b)
-        assert not res.feasible
-        assert check_farkas(a, b, res.farkas)
-
-    def test_lifted_certificate_covers_dead_columns(self):
-        # dead column 0 has positive dual weight before lifting
-        a = frac_columns([[1, 0, 0], [1, 1, 1], [0, 1, 1]])
-        b = [F(0), F(2), F(1)]
-        res = solve_eq_nonneg_pruned(a, b)
-        assert not res.feasible
-        assert check_farkas(a, b, res.farkas)
-
-
 small_fracs = st.integers(min_value=-4, max_value=4).map(lambda n: F(n, 2))
 nonneg_fracs = st.integers(min_value=0, max_value=6).map(lambda n: F(n, 3))
 
@@ -156,25 +126,6 @@ def test_planted_feasible_systems_are_recognised(m, n, data):
     res = solve_eq_nonneg(cols, b)
     assert res.feasible
     assert check_solution(cols, b, res.x)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=4),
-    st.data(),
-)
-def test_pruned_solver_agrees_with_plain_solver(m, n, data):
-    a = [[data.draw(nonneg_fracs) for _ in range(n)] for _ in range(m)]
-    b = [data.draw(nonneg_fracs) for _ in range(m)]
-    cols = columns_from_rows(a)
-    reference = reference_solve_eq_nonneg(a, b)
-    pruned = solve_eq_nonneg_pruned(cols, b)
-    assert reference.feasible == pruned.feasible
-    if pruned.feasible:
-        assert check_solution(cols, b, pruned.x)
-    else:
-        assert check_farkas(cols, b, pruned.farkas)
 
 
 def solve_both(a, b):
@@ -251,6 +202,64 @@ def test_kernel_equals_reference_with_no_rows():
 def test_no_rows_keeps_the_column_count():
     assert solve_eq_nonneg(SparseColumns(0, (((), ()),) * 3), []) \
         == Feasibility(True, x=(F(0), F(0), F(0)))
+
+
+class LargestColumns(SparseColumns):
+    """Listed columns priced by the largest scaled y^T a_j, ties to the smallest j."""
+
+    def price(self, y):
+        best, key = 0, None
+        for j in range(self.n):
+            idx, ints, _ = self.column(j)
+            score = sum(y[i] * v for i, v in zip(idx, ints))
+            if score > best:
+                best, key = score, j
+        return key
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.data(),
+)
+def test_largest_pricing_ends_with_verified_verdicts(m, n, data):
+    """The lexicographic ratio test ends any pricing; degenerate ties included."""
+    a = [[data.draw(st.sampled_from([F(0), F(0), F(1), F(2), F(-1), F(1, 2)]))
+          for _ in range(n)] for _ in range(m)]
+    for j, k in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=3)):
+        for row in a:
+            row[k] = row[j]
+    b = [data.draw(st.sampled_from([F(0), F(0), F(1), F(2), F(-1)])) for _ in range(m)]
+    cols = LargestColumns(m, columns_from_rows(a).cols)
+    res = solve_eq_nonneg(cols, b)
+    assert res.feasible == reference_solve_eq_nonneg(a, b).feasible
+    assert require_certificate(cols, b, res) is res
+
+
+class TestColumnSource:
+    def test_primal_comes_in_the_source_form(self):
+        class Pairs(SparseColumns):
+            """Listed columns whose primal is its (index, value) support."""
+
+            def primal(self, pairs):
+                return tuple(sorted(pairs))
+
+            def support(self, x):
+                return list(x)
+
+        a = Pairs(2, columns_from_rows(frac_matrix([[1, 0, 1], [0, 1, 1]])).cols)
+        b = [F(1), F(1)]
+        res = solve_eq_nonneg(a, b)
+        assert res.feasible and all(w > 0 for _, w in res.x)
+        assert require_certificate(a, b, res) is res
+        assert not check_solution(a, b, res.x[:-1] + ((0, F(1)),))
+
+    def test_dual_fault_names_the_column_priced_above_zero(self):
+        a = frac_columns([[1, 1], [0, 1]])
+        with pytest.raises(CertificateError, match="scores column 1 above 0"):
+            require_certificate(a, [F(-1), F(1)], Feasibility(False, farkas=(F(-1), F(2))))
 
 
 class TestColumnForm:

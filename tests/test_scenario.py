@@ -104,6 +104,11 @@ class TestScenarioConstruction:
         with pytest.raises(DegenerateContexts):
             make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"], ["B", "A"]])
 
+    def test_empty_context_rejected(self):
+        # The section oracle eliminates each context's last measurement.
+        with pytest.raises(DegenerateContexts, match="at least one"):
+            make_scenario([("A", (0, 1))], [["A"], []])
+
     def test_unknown_label_rejected(self):
         with pytest.raises(LabelMismatch):
             make_scenario([("A", (0, 1))], [["A", "C"]])

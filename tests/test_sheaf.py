@@ -2,8 +2,13 @@
 
 Verification strategy:
 - matrix shapes and section counts are asserted against closed-form counts;
-- the column-sparse incidence matrix equals the dense row-by-row oracle
-  matrix on random scenarios;
+- the implicit incidence matrix's columns equal the dense row-by-row
+  oracle matrix on random scenarios;
+- on random exactly consistent models with up to 12 measurements, the
+  section verdict equals the reference simplex's, the support reproduces
+  the tables, every dual is <= 0 on every enumerated column, and the
+  elimination oracle's maximum and its smallest maximizer equal a
+  column-by-column scan;
 - every infeasible verdict's separating functional is re-multiplied against
   the oracle matrix in the test itself, independent of the library's own
   matrix and check;
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -37,12 +43,17 @@ from contextuality.sheaf import (
     InvalidCertificate,
     build_incidence_matrix,
     enumerate_global_assignments,
-    enumerate_local_sections,
     global_assignment_count,
     hv_model_from_section,
     solve_global_section,
 )
-from oracles import enumerate_vertices, reference_hulls_intersect, reference_incidence_rows
+from oracles import (
+    enumerate_vertices,
+    reference_argmax,
+    reference_hulls_intersect,
+    reference_incidence_rows,
+    reference_solve_eq_nonneg,
+)
 
 HALF = Fraction(1, 2)
 
@@ -126,20 +137,162 @@ def random_scenarios(draw):
 @given(random_scenarios())
 def test_sparse_columns_equal_dense_oracle(sc):
     mat = build_incidence_matrix(sc)
-    assert mat.columns == oracle_columns(sc)
-    assert mat.shape == (len(reference_incidence_rows(sc)), len(mat.columns))
+    assignments = list(enumerate_global_assignments(sc))
+    assert tuple(mat.column(t)[0] for t in assignments) == oracle_columns(sc)
+    assert mat.shape == (len(reference_incidence_rows(sc)), len(assignments))
+
+
+@st.composite
+def signed_models(draw, max_measurements=12, max_assignments=4096):
+    """Exactly consistent models on 1-12 measurements, contextual or not.
+
+    The tables are the marginals of one signed measure on the global
+    assignments, so they agree on shared measurements.  The measure is a
+    few random assignments with positive weights and, when the scenario
+    starts with a ring of two-measurement contexts, the ring's
+    quasi-probability core: the 2r assignments that alternate around the
+    ring but for one equal edge, less the two constant ones, all equal to
+    one assignment off the ring.  The core is perfectly anticorrelated on
+    every edge of the ring, whose length r is odd, so it is contextual; it
+    is kept only when every table entry stays nonnegative.  Sparse supports leave zero entries;
+    small scenarios may add uniform noise.
+    """
+    n = draw(st.integers(1, max_measurements))
+    sizes = []
+    for k in range(n):
+        three = (draw(st.booleans())
+                 and 3 * prod(sizes) * 2 ** (n - k - 1) <= max_assignments)
+        sizes.append(3 if three else 2)
+    labels = [f"M{k}" for k in range(n)]
+    ring = (labels[:draw(st.sampled_from(range(3, n + 1, 2)))]
+            if n >= 3 and draw(st.sampled_from([True, True, False])) else [])
+    contexts = [[a, b] for a, b in zip(ring, ring[1:] + ring[:1])]
+    contexts += draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+        min_size=0 if ring else 1, max_size=2 if ring else n + 2))
+    contexts = list({frozenset(c): c for c in contexts}.values())
+    covered = {lab for ctx in contexts for lab in ctx}
+    contexts += [[lab] for lab in labels if lab not in covered]
+    sc = make_scenario(list(zip(labels, (tuple(range(k)) for k in sizes))), contexts)
+    pos = {m: i for i, m in enumerate(sc.measurements)}
+
+    def assignment():
+        return tuple(draw(st.integers(0, k - 1)) for k in sizes)
+
+    def tables_of(measure):
+        tables = {}
+        for ctx in sc.contexts:
+            table = {sec: Fraction(0) for sec in sc.outcome_tuples(ctx)}
+            for t, w in measure:
+                table[tuple(t[pos[m]] for m in ctx)] += w
+            tables[ctx] = table
+        return tables
+
+    measure = [(assignment(), Fraction(draw(st.integers(1, 3))))
+               for _ in range(draw(st.integers(1, 3)))]
+    if ring:
+        rest, weight, r = assignment(), Fraction(draw(st.integers(1, 4))), len(ring)
+        core = []
+        for edge in range(r):
+            for first in (0, 1):
+                t = list(rest)
+                for j in range(r):
+                    t[pos[ring[(edge + 1 + j) % r]]] = first ^ (j % 2)
+                core.append((tuple(t), weight))
+        for bit in (0, 1):
+            t = list(rest)
+            for m in ring:
+                t[pos[m]] = bit
+            core.append((tuple(t), -weight))
+        tables = tables_of(measure + core)
+        if all(v >= 0 for table in tables.values() for v in table.values()):
+            measure += core
+    tables = tables_of(measure)
+    noise = draw(st.sampled_from([Fraction(0), HALF])) if prod(sizes) <= 64 else 0
+    total = sum(w for _, w in measure) + noise
+    return make_model(sc, {ctx: {sec: (v + noise / len(table)) / total
+                                 for sec, v in table.items()}
+                           for ctx, table in tables.items()})
+
+
+def reference_verdict(model) -> bool:
+    """Feasibility by the reference simplex on the dense oracle matrix.
+
+    Columns through a zero entry must carry no weight, so they are left
+    out, as are the zero rows; the verdict is unchanged.
+    """
+    sc = model.scenario
+    rows = reference_incidence_rows(sc)
+    v = [model.tables[ctx][sec] for ctx in sc.contexts for sec in sc.outcome_tuples(ctx)]
+    live = [i for i, vi in enumerate(v) if vi]
+    cols = [j for j in range(len(rows[0])) if all(v[i] for i, row in enumerate(rows) if row[j])]
+    a = [[Fraction(rows[i][j]) for j in cols] for i in live]
+    return reference_solve_eq_nonneg(a, [v[i] for i in live]).feasible if cols else False
+
+
+def recheck_against_enumeration(res) -> None:
+    """The support reproduces the tables, or the dual is <= 0 on every column."""
+    sc = res.model.scenario
+    rows = reference_incidence_rows(sc)
+    v = [res.model.tables[ctx][sec] for ctx, sec in res.matrix.rows]
+    assignments = list(enumerate_global_assignments(sc))
+    if res.feasible:
+        weight = dict(res.primal)
+        assert len(weight) == len(res.primal) and all(w > 0 for w in weight.values())
+        column = {t: j for j, t in enumerate(assignments)}
+        for row, vi in zip(rows, v):
+            assert sum(w for t, w in weight.items() if row[column[t]]) == vi
+    else:
+        y = res.dual
+        for j in range(len(assignments)):
+            assert sum(yi for yi, row in zip(y, rows) if row[j]) <= 0
+        assert sum(yi * vi for yi, vi in zip(y, v)) > 0
+        assert res.matrix.maximum(y) == reference_argmax(sc, y)
+
+
+class TestEliminationAgainstEnumeration:
+    """The section LP and its pricing oracle against plain enumeration.
+
+    The reference simplex runs in dense ``Fraction`` arithmetic, so the
+    verdict comparison runs up to 7 measurements and 128 columns; the
+    certificate re-checks, which prove the verdict on their own, run up to
+    12 measurements and 4096 columns.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_models(max_measurements=7, max_assignments=128))
+    def test_verdict_equals_the_reference_simplex(self, model):
+        res = solve_global_section(model)
+        assert res.feasible == reference_verdict(res.model)
+        recheck_against_enumeration(res)
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_models())
+    def test_certificates_against_every_column(self, model):
+        recheck_against_enumeration(solve_global_section(model))
+
+    @settings(max_examples=40, deadline=None)
+    @given(signed_models(), st.data())
+    def test_oracle_argmax_is_the_smallest_maximizer(self, model, data):
+        sc = model.scenario
+        mat = build_incidence_matrix(sc)
+        # Few distinct values, so that maximizers tie often.
+        y = [data.draw(st.sampled_from([-2, -1, 0, 0, 1, HALF])) for _ in mat.rows]
+        score, best = mat.maximum(y)
+        assert (score, best) == reference_argmax(sc, y)
+        assert mat.price(y) == (best if score > 0 else None)
 
 
 class TestSections:
     def test_counts(self):
         sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
-        assert len(enumerate_local_sections(sc)) == 4
-        assert len(enumerate_local_sections(kcbs_model().scenario)) == 20
-        assert len(enumerate_local_sections(pm_model().scenario)) == 48
+        assert len(build_incidence_matrix(sc).rows) == 4
+        assert len(build_incidence_matrix(kcbs_model().scenario).rows) == 20
+        assert len(build_incidence_matrix(pm_model().scenario).rows) == 48
 
     def test_lexicographic_order(self):
         sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
-        secs = [sec for _, sec in enumerate_local_sections(sc)]
+        secs = [sec for _, sec in build_incidence_matrix(sc).rows]
         assert secs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -148,7 +301,7 @@ class TestIncidenceMatrix:
         sc = make_scenario([("A", (0, 1))], [["A"]])
         mat = build_incidence_matrix(sc)
         assert mat.shape == (2, 2)
-        assert mat.columns == ((0,), (1,))
+        assert [mat.column((o,))[0] for o in (0, 1)] == [(0,), (1,)]
 
     def test_pentagon_shape(self):
         mat = build_incidence_matrix(kcbs_model().scenario)
@@ -164,17 +317,19 @@ class TestIncidenceMatrix:
             mat = build_incidence_matrix(model.scenario)
             p, q = mat.shape
             contexts = model.scenario.contexts
-            assert len(mat.columns) == q
-            for column in mat.columns:
+            assignments = list(enumerate_global_assignments(model.scenario))
+            assert len(assignments) == q
+            for t in assignments:
+                column = mat.column(t)[0]
                 assert [mat.rows[i][0] for i in column] == list(contexts)
                 assert all(0 <= i < p for i in column)
 
     def test_sparse_lp_form_is_all_ones(self):
-        mat = build_incidence_matrix(kcbs_model().scenario)
-        lp = mat.sparse()
-        assert (lp.m, lp.n) == mat.shape
-        assert [idx for idx, _ in lp.cols] == list(mat.columns)
-        assert all(vals == (1,) * 5 for _, vals in lp.cols)
+        sc = kcbs_model().scenario
+        mat = build_incidence_matrix(sc)
+        assert mat.m == mat.shape[0]
+        assert all(mat.column(t)[1:] == ((1,) * 5, 1)
+                   for t in enumerate_global_assignments(sc))
 
     def test_too_many_assignments_refused(self):
         meas = [(f"M{i}", (0, 1)) for i in range(25)]
@@ -190,10 +345,7 @@ class TestSolveGlobalSection:
         model = make_model(chsh_scenario(), tables)
         res = solve_global_section(model)
         assert res.feasible
-        assignments = enumerate_global_assignments(model.scenario)
-        target = assignments.index((0, 0, 0, 0))
-        assert res.primal[target] == 1
-        assert sum(res.primal) == 1
+        assert res.primal == (((0, 0, 0, 0), Fraction(1)),)
 
     def test_uniform_model_feasible_and_round_trips(self):
         tables = {c: {o: Fraction(1, 4) for o in itertools.product((0, 1), repeat=2)}
@@ -250,12 +402,17 @@ class TestSolveGlobalSection:
         assert len(cert["rows"]) == len(cert["rhs"]) == 16
 
 
+def support_pairs(weights, sc):
+    """The (assignment, weight) pairs of a dense weight list over all assignments."""
+    return [(t, w) for t, w in zip(enumerate_global_assignments(sc), weights) if w]
+
+
 class TestHiddenVariableModels:
     def test_dirac_weight_single_state(self):
         sc = chsh_scenario()
         weights = [Fraction(0)] * 16
         weights[5] = Fraction(1)
-        hv = hv_model_from_section(weights, sc)
+        hv = hv_model_from_section(support_pairs(weights, sc), sc)
         assert len(hv.assignments) == 1
         assert hv.weights == (Fraction(1),)
 
@@ -264,7 +421,7 @@ class TestHiddenVariableModels:
         weights = [Fraction(0)] * 16
         weights[0] = HALF
         weights[15] = HALF
-        hv = hv_model_from_section(weights, sc)
+        hv = hv_model_from_section(support_pairs(weights, sc), sc)
         assert hv.weights == (HALF, HALF)
         assert hv.assignments[0] == {"A0": 0, "A1": 0, "B0": 0, "B1": 0}
         assert hv.assignments[1] == {"A0": 1, "A1": 1, "B0": 1, "B1": 1}
@@ -273,7 +430,7 @@ class TestHiddenVariableModels:
         sc = chsh_scenario()
         weights = [Fraction(0)] * 16
         weights[3] = Fraction(1)
-        hv = hv_model_from_section(weights, sc)
+        hv = hv_model_from_section(support_pairs(weights, sc), sc)
         lam = hv.assignments[0]
         table = hv.response(lam, ("A0", "B0"))
         point = (lam["A0"], lam["B0"])
@@ -287,7 +444,7 @@ class TestHiddenVariableModels:
         raw = [Fraction(int(k), 1) for k in rng.integers(0, 9, size=16)]
         total = sum(raw)
         weights = [w / total for w in raw]
-        hv = hv_model_from_section(weights, sc)
+        hv = hv_model_from_section(support_pairs(weights, sc), sc)
         model = hv.induced_model()
         res = solve_global_section(model)
         assert res.feasible
@@ -297,14 +454,18 @@ class TestHiddenVariableModels:
     def test_invalid_certificates_rejected(self):
         sc = chsh_scenario()
         with pytest.raises(InvalidCertificate):
-            hv_model_from_section([Fraction(1)] * 3, sc)
+            hv_model_from_section([((0, 1, 0), Fraction(1))], sc)
+        with pytest.raises(InvalidCertificate):
+            hv_model_from_section([((0, 1, 0, 2), Fraction(1))], sc)
+        with pytest.raises(InvalidCertificate):
+            hv_model_from_section([((0, 0, 0, 0), HALF)] * 2, sc)
         bad = [Fraction(0)] * 16
         bad[0] = Fraction(2)
         bad[1] = Fraction(-1)
         with pytest.raises(InvalidCertificate):
-            hv_model_from_section(bad, sc)
+            hv_model_from_section(support_pairs(bad, sc), sc)
         with pytest.raises(InvalidCertificate):
-            hv_model_from_section([Fraction(1, 16)] * 15 + [Fraction(0)], sc)
+            hv_model_from_section(support_pairs([Fraction(1, 16)] * 15 + [Fraction(0)], sc), sc)
 
 
 class TestOracleEquivalence:
