@@ -8,7 +8,10 @@ Pivot-for-pivot oracle: the integer-preserving kernel must return exactly
 the `Feasibility` of the plain ``Fraction`` simplex in `tests/oracles.py`,
 which uses the same Bland pricing and lexicographic ratio test.  A column
 source that prices by the largest reduced cost must end with verified
-verdicts on degenerate systems.
+verdicts on degenerate systems.  Rows with ``b_i = 0`` are pruned by the
+section source, whose restriction forbids the columns through them; its
+verdicts must equal the plain solver's on the listed columns, and its lifted
+duals must verify against every column, the forbidden ones included.
 """
 
 import itertools
@@ -30,7 +33,18 @@ from contextuality.exactlp import (
     solve_box_eq,
     solve_eq_nonneg,
 )
-from oracles import enumerate_vertices, exact_rank, reference_solve_eq_nonneg
+from contextuality.scenario import make_model, make_scenario
+from contextuality.sheaf import (
+    build_incidence_matrix,
+    enumerate_global_assignments,
+    solve_global_section,
+)
+from oracles import (
+    enumerate_vertices,
+    exact_rank,
+    reference_incidence_rows,
+    reference_solve_eq_nonneg,
+)
 
 F = Fraction
 
@@ -91,6 +105,93 @@ class TestSolveEqNonneg:
         assert check_solution(a, b, res.x)
 
 
+BOX_CONTEXTS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
+
+
+def box_model(singles, zs):
+    """Two-setting box: P(m = 0) per measurement and P(0, 0) per context."""
+    sc = make_scenario([(m, (0, 1)) for m in ("A0", "A1", "B0", "B1")],
+                       [list(ctx) for ctx in BOX_CONTEXTS])
+    tables = {}
+    for (ma, mb), z in zip(BOX_CONTEXTS, zs):
+        a, b = singles[ma], singles[mb]
+        tables[(ma, mb)] = {(0, 0): z, (0, 1): a - z, (1, 0): b - z,
+                            (1, 1): 1 - a - b + z}
+    return make_model(sc, tables)
+
+
+def halves_box(*zs):
+    return box_model(dict.fromkeys(("A0", "A1", "B0", "B1"), F(1, 2)), zs)
+
+
+def pruned_system(model):
+    """(full section matrix, its rhs, the matrix on the nonzero rows, their rhs)."""
+    matrix = build_incidence_matrix(model.scenario)
+    v = [model.tables[ctx][sec] for ctx, sec in matrix.rows]
+    live = [i for i, vi in enumerate(v) if vi]
+    return matrix, v, matrix.restrict(live), [v[i] for i in live]
+
+
+def dense_primal(model, pairs):
+    """Section support pairs as a dense primal over the listed assignments."""
+    weight = dict(pairs)
+    return tuple(weight.get(t, F(0)) for t in enumerate_global_assignments(model.scenario))
+
+
+class TestPrunedSolver:
+    """Zero rows pruned by the section source, which forbids the columns through them."""
+
+    def test_zero_rhs_rows_kill_their_columns(self):
+        # only the sections (0, 1) and (1, 0) carry weight
+        sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
+        half = F(1, 2)
+        model = make_model(sc, {("A", "B"): {(0, 0): F(0), (0, 1): half,
+                                             (1, 0): half, (1, 1): F(0)}})
+        _, _, pruned, b = pruned_system(model)
+        res = solve_eq_nonneg(pruned, b)
+        assert res.feasible
+        assert res.x == (((0, 1), half), ((1, 0), half))
+        assert check_solution(pruned, b, res.x)
+        assert not check_solution(pruned, b, res.x + (((0, 0), F(0)),))
+
+    def test_all_columns_dead_but_mass_required(self):
+        # every assignment of the PR box passes through a zero section
+        model = halves_box(F(1, 2), F(1, 2), F(1, 2), F(0))
+        matrix, v, pruned, b = pruned_system(model)
+        assert pruned.maximum([F(1)] * pruned.m)[0] < 0
+        res = solve_eq_nonneg(pruned, b)
+        assert not res.feasible
+        assert check_farkas(pruned, b, res.farkas)
+        section = solve_global_section(model)
+        assert not section.feasible
+        assert check_farkas(matrix, v, section.dual)
+
+    def test_negative_rhs_immediately_infeasible(self):
+        sc = make_scenario([("A", (0, 1))], [["A"]])
+        model = make_model(sc, {("A",): {(0,): F(0), (1,): F(1)}})
+        _, _, pruned, _ = pruned_system(model)
+        b = [F(-1)]
+        res = solve_eq_nonneg(pruned, b)
+        assert res == Feasibility(False, farkas=(F(-1),))
+        assert check_farkas(pruned, b, res.farkas)
+
+    def test_lifted_certificate_covers_dead_columns(self):
+        # the live rows' dual scores dead assignments above 0 before lifting
+        model = halves_box(F(1, 2), F(1, 2), F(1, 2), F(1, 8))
+        matrix, v, pruned, b = pruned_system(model)
+        res = solve_eq_nonneg(pruned, b)
+        assert not res.feasible
+        live = iter(res.farkas)
+        unlifted = [next(live) if vi else F(0) for vi in v]
+        assert matrix.maximum(unlifted)[0] > 0
+        assert not check_farkas(matrix, v, unlifted)
+        section = solve_global_section(model)
+        assert check_farkas(matrix, v, section.dual)
+        assert any(y < 0 for y, vi in zip(section.dual, v) if not vi)
+        listed = columns_from_rows(frac_matrix(reference_incidence_rows(model.scenario)))
+        assert check_farkas(listed, v, section.dual)
+
+
 small_fracs = st.integers(min_value=-4, max_value=4).map(lambda n: F(n, 2))
 nonneg_fracs = st.integers(min_value=0, max_value=6).map(lambda n: F(n, 3))
 
@@ -126,6 +227,30 @@ def test_planted_feasible_systems_are_recognised(m, n, data):
     res = solve_eq_nonneg(cols, b)
     assert res.feasible
     assert check_solution(cols, b, res.x)
+
+
+quarters = st.sampled_from([F(k, 4) for k in range(5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries({m: quarters for m in ("A0", "A1", "B0", "B1")}), st.data())
+def test_pruned_solver_agrees_with_plain_solver(singles, data):
+    """Section verdicts on boxes with zero entries against the unpruned listed columns."""
+    zs = []
+    for ma, mb in BOX_CONTEXTS:
+        a, b = singles[ma], singles[mb]
+        zs.append(data.draw(st.sampled_from(
+            [F(k, 8) for k in range(9) if max(0, a + b - 1) <= F(k, 8) <= min(a, b)])))
+    model = box_model(singles, zs)
+    section = solve_global_section(model)
+    v = [model.tables[ctx][sec] for ctx, sec in section.matrix.rows]
+    listed = columns_from_rows(frac_matrix(reference_incidence_rows(model.scenario)))
+    plain = solve_eq_nonneg(listed, v)
+    assert section.feasible == plain.feasible
+    if section.feasible:
+        assert check_solution(listed, v, dense_primal(model, section.primal))
+    else:
+        assert check_farkas(listed, v, section.dual)
 
 
 def solve_both(a, b):
