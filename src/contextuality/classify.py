@@ -38,7 +38,7 @@ from .embedding import (
     GptError,
     PrepEnsembleProblem,
     UnsharpEffectFlagged,
-    embed_search,
+    embed_lp,
     embed_sharp,
     gpt_from_json,
     prep_nc_check,
@@ -67,8 +67,8 @@ KINDS = ("empirical", "quantum", "gpt", "prep-ensemble")
 BELL_VALUES = (YES, NO, NOT_APPLICABLE)
 TRI_VALUES = (YES, NO, UNDECIDED)
 
-# Ontic-expansion verdict of each `embed_sharp` verdict.
-_SHARP_VERDICT = {"embeddable": YES, "refused": NO, "undecided": UNDECIDED}
+# Ontic-expansion verdict of each `embed_sharp` and `embed_lp` verdict.
+_EMBED_VERDICT = {"embeddable": YES, "refused": NO, "undecided": UNDECIDED}
 
 HIERARCHY_LEVELS = (
     "bell-nonlocal",
@@ -87,11 +87,10 @@ class LatticeViolation(AssertionError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Execution knobs: expected input kind, seed, and solver limits."""
+    """Execution knobs: the expected input kind and the seed echoed in reports."""
 
     kind: str | None = None
     seed: int = 0
-    embed_restarts: int = 16
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in KINDS:
@@ -99,8 +98,6 @@ class RunConfig:
                               f"expected one of {KINDS}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise SchemaError("seed must be a nonnegative integer")
-        if self.embed_restarts < 1:
-            raise SchemaError("embed_restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,7 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
             sp = UNDECIDED
             notes.append(f"embedding route unavailable: {exc}")
         else:
-            sp = _SHARP_VERDICT[result.verdict]
+            sp = _EMBED_VERDICT[result.verdict]
             if result.note is None:
                 certificates.append({"role": "spekkens", **result.certificate()})
             else:
@@ -373,10 +370,11 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     per-state weights.  Sections too large to solve leave both verdicts
     undecided.
     Without sharp contexts there is no outcome scenario to test, so the
-    assignment verdict stays undecided and the heuristic embedding search
-    can at most certify "yes" (its non-answers stay undecided).
+    assignment verdict stays undecided, and the ontic-expansion verdict is
+    `embed_lp`'s: "yes" or "no" with its re-checked certificate, or
+    undecided with a note when the GPT does not rationalize or the LP
+    exceeds its column cap.
     """
-    config = config or RunConfig()
     certificates: list = []
     notes: list = []
 
@@ -399,7 +397,7 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
                              "noncontextual expansion exists")
             else:
                 ks = YES
-                sp = _SHARP_VERDICT[result.verdict]
+                sp = _EMBED_VERDICT[result.verdict]
                 notes.append(f"all {gpt.n_states} induced models admit "
                              "global assignments")
                 if result.note is None:
@@ -413,16 +411,16 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
         notes.append("no sharp contexts declared; no outcome scenario for "
                      "the assignment verdict")
         try:
-            result = embed_search(gpt, seed=config.seed,
-                                  restarts=config.embed_restarts)
-            sp = YES if result.verdict == "embeddable" else UNDECIDED
-            certificates.append({"role": "spekkens", **result.certificate()})
-            if result.verdict != "embeddable":
-                notes.append("embedding search is heuristic; its non-answer "
-                             "leaves the verdict undecided")
+            result = embed_lp(gpt)
         except TooLargeError as exc:
             sp = UNDECIDED
-            notes.append(f"embedding search skipped: {exc}")
+            notes.append(f"embedding LP skipped: {exc}")
+        else:
+            sp = _EMBED_VERDICT[result.verdict]
+            if result.note is None:
+                certificates.append({"role": "spekkens", **result.certificate()})
+            else:
+                notes.append(f"embedding LP unavailable: {result.note}")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 

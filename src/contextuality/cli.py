@@ -30,7 +30,7 @@ from .classify import (
     report_to_json,
 )
 from .embedding import (
-    embed_search,
+    embed_lp,
     embed_sharp,
     gpt_from_json,
     prep_nc_check,
@@ -167,8 +167,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_classify(args) -> dict:
     doc = _load_json(args.input)
-    config = RunConfig(kind=args.kind, seed=args.seed,
-                       embed_restarts=args.restarts)
+    config = RunConfig(kind=args.kind, seed=args.seed)
     report = classify(doc, config)
     payload = report_to_json(report,
                              include_certificates=args.emit_certificate)
@@ -299,16 +298,14 @@ def cmd_embed(args) -> dict:
     if gpt.sharp_contexts:
         result = embed_sharp(gpt)
         payload["route"] = "sharp-constructor"
-        payload["verdict"] = result.verdict
-        if result.note is not None:
-            payload["note"] = result.note
-            payload["certificates"] = []
-            return payload
     else:
-        result = embed_search(gpt, seed=args.seed, restarts=args.restarts)
-        payload["route"] = "heuristic-search"
-        payload["verdict"] = result.verdict
-        payload["restarts_used"] = result.restarts_used
+        result = embed_lp(gpt)
+        payload["route"] = "embedding-lp"
+    payload["verdict"] = result.verdict
+    if result.note is not None:
+        payload["note"] = result.note
+        payload["certificates"] = []
+        return payload
     payload["certificates"] = _certificates([result.certificate()],
                                             args.emit_certificate)
     return payload
@@ -481,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--kind", default=None,
                    choices=("empirical", "quantum", "gpt", "prep-ensemble"))
-    p.add_argument("--restarts", type=int, default=16,
-                   help="restarts for the heuristic embedding search")
+    p.add_argument("--restarts", type=int,
+                   help="accepted and ignored: the embedding of a GPT "
+                        "without sharp contexts is decided by one exact LP")
     _add_common(p, certificate=True)
     p.set_defaults(func=cmd_classify)
 
@@ -506,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="simplex-embedding test for a GPT")
     p.add_argument("input")
-    p.add_argument("--restarts", type=int, default=64,
-                   help="restarts for the heuristic search route")
+    p.add_argument("--restarts", type=int,
+                   help="accepted and ignored: the embedding of a GPT "
+                        "without sharp contexts is decided by one exact LP")
     _add_common(p, certificate=True)
     p.set_defaults(func=cmd_embed)
 

@@ -1,30 +1,34 @@
 """Generalized probabilistic theories and classicality embeddings.
 
-Verification strategy: every embedding returned by any search path is
-re-checked against the simplex, dual-hypercube, and probability
-reproduction invariants at 1e-9 before it reaches the caller.  The sharp
-constructor reads its embedding off the solved global sections of the
-exact (rationalized) induced models, so its pairing is checked against
-those rationalized statistics, not the float ones; the heuristic search
-checks against the GPT's float pairing.  A sharp refusal is an infeasible
-global section, whose Farkas dual the section solver re-multiplied
-against its incidence rows; the preparation-ensemble and
-assignment-polytope checkers run entirely in exact rational arithmetic.
+Verification strategy: the sharp constructor reads its embedding off the
+solved global sections of the exact (rationalized) induced models and
+re-checks it against the simplex, dual-hypercube, and probability
+reproduction invariants at 1e-9, against those rationalized statistics,
+not the float ones.  A sharp refusal is an infeasible global section,
+whose Farkas dual the section solver re-multiplied against its incidence
+rows.  Without sharp contexts, the embedding LP decides the rationalized
+GPT exactly and re-checks its certificate and its facet lists; the
+preparation-ensemble and assignment-polytope checkers also run entirely
+in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .exactlp import (
+    CertificateError,
     Feasibility,
     SparseColumns,
     TooLargeError,
+    clear_denominators,
     columns_from_rows,
     format_fraction,
     require_certificate,
@@ -43,6 +47,8 @@ from .quantum import (
     validate_density,
 )
 from .scenario import (
+    MAX_DEN,
+    ZERO_TOL,
     NonCommutingContext,
     SchemaError,
     make_model,
@@ -54,8 +60,7 @@ from .sheaf import SectionFeasibility, solve_global_section
 EMBED_TOL = 1e-9
 MERGE_TOL = 1e-10
 RANK_TOL = 1e-8
-MAX_EMBED_DIM = 10
-MAX_SEARCH_ITERATIONS = 12
+MAX_EMBED_COLUMNS = 2**12
 MAX_ASSIGNMENT_TUPLES = 2**12
 MAX_SUBSET_PAIRS = 20_000
 
@@ -122,6 +127,8 @@ def make_gpt(states, effects, unit, sharp_contexts=(), *, tol: float = 1e-10) ->
     Checks that every entry is finite, that every pairing lands in [0, 1]
     within ``tol`` and that the unit evaluates to 1 on every state; the
     unit is appended to the effect list when no listed effect matches it.
+    Sharp-context indices must be integers naming listed effects; a float
+    or a boolean is refused, not truncated.
     """
     states = tuple(np.asarray(s, dtype=float).reshape(-1) for s in states)
     effects = tuple(np.asarray(e, dtype=float).reshape(-1) for e in effects)
@@ -149,13 +156,16 @@ def make_gpt(states, effects, unit, sharp_contexts=(), *, tol: float = 1e-10) ->
             if val < -tol or val > 1.0 + tol:
                 raise GptError(f"probability {val} of effect {i} on state {j} "
                                "outside [0, 1]")
-    contexts = tuple(tuple(int(i) for i in ctx) for ctx in sharp_contexts)
+    contexts = tuple(tuple(ctx) for ctx in sharp_contexts)
     for ctx in contexts:
-        if len(set(ctx)) != len(ctx):
-            raise GptError(f"sharp context {ctx} repeats an effect index")
         for i in ctx:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise GptError(f"sharp context index {i!r} is not an integer")
             if not 0 <= i < len(effects):
                 raise GptError(f"sharp context {ctx} references unknown effect {i}")
+        if len(set(ctx)) != len(ctx):
+            raise GptError(f"sharp context {ctx} repeats an effect index")
+    contexts = tuple(tuple(map(int, ctx)) for ctx in contexts)
     return Gpt(dim=dim, states=states, effects=effects, unit=unit,
                sharp_contexts=contexts)
 
@@ -524,150 +534,254 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic embedding search (alternating LPs)
+# Exact embedding LP (Schmid et al., PRX Quantum 2, 010331, 2021; Selby et
+# al., PRL 132, 050202, 2024)
+
+
+def _snap(x: float) -> Fraction:
+    """Exact zero within `ZERO_TOL`, otherwise the nearest rational with
+    denominator at most `MAX_DEN`."""
+    return Fraction(0) if abs(x) <= ZERO_TOL else Fraction(x).limit_denominator(MAX_DEN)
+
+
+def _primitive(values) -> tuple:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    ints, _ = clear_denominators(values)
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def cone_facets(generators, limit: int | None = None) -> tuple | None:
+    """Facets of the cone spanned by rational generators, by double description.
+
+    The facet normals of cone(G) are the extreme rays of its dual
+    {h : g.h >= 0 for every generator g}.  The double-description method
+    (Motzkin et al. 1953, in the form of Fukuda and Prodon 1996) builds that
+    cone one generator at a time from the whole space, held as a lineality
+    basis and a list of rays.  A generator that is nonzero on some lineality
+    vector l cuts the space in half: l, oriented onto its positive side,
+    becomes a ray, and the other basis vectors and the rays are shifted
+    along l onto its zero set.  Any other generator keeps the rays on its
+    nonnegative side and crosses each adjacent pair of rays on opposite
+    sides.  Adjacency is the combinatorial test: no third ray is tight on
+    every generator that both are tight on.  All arithmetic is on primitive
+    integer vectors.
+
+    Returns the sorted primitive integer normals, or None when the
+    generators span a proper subspace, where facet normals are not unique.
+    Raises `TooLargeError` once more than ``limit`` rays are held.
+    """
+    gens = sorted({_primitive(g) for g in generators if any(g)})
+    if not gens:
+        return None
+    r = len(gens[0])
+    lineality = [tuple(int(i == k) for i in range(r)) for k in range(r)]
+    rays: list = []
+    zeros: list = []  # bit k is set when the ray is tight on gens[k]
+    for k, g in enumerate(gens):
+        cut = next((i for i, l in enumerate(lineality) if _dot(g, l)), None)
+        if cut is not None:
+            l0 = lineality.pop(cut)
+            if _dot(g, l0) < 0:
+                l0 = tuple(-v for v in l0)
+            gl = _dot(g, l0)
+            lineality = [_primitive([gl * a - _dot(g, l) * b
+                                     for a, b in zip(l, l0)])
+                         for l in lineality]
+            rays = [_primitive([gl * a - _dot(g, p) * b for a, b in zip(p, l0)])
+                    for p in rays] + [l0]
+            zeros = [z | 1 << k for z in zeros] + [(1 << k) - 1]
+            continue
+        vals = [_dot(g, ray) for ray in rays]
+        kept = [i for i, v in enumerate(vals) if v >= 0]
+        new_rays = [rays[i] for i in kept]
+        new_zeros = [zeros[i] | (1 << k if vals[i] == 0 else 0) for i in kept]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for n, vn in enumerate(vals):
+                if vn >= 0:
+                    continue
+                common = zeros[p] & zeros[n]
+                if common.bit_count() < r - len(lineality) - 2 or any(
+                        w != p and w != n and not common & ~z
+                        for w, z in enumerate(zeros)):
+                    continue
+                new_rays.append(_primitive([vp * a - vn * b
+                                            for a, b in zip(rays[n], rays[p])]))
+                new_zeros.append(common | 1 << k)
+        rays, zeros = new_rays, new_zeros
+        if limit is not None and len(rays) > limit:
+            raise TooLargeError(f"a cone's double description holds more "
+                                f"than {limit} rays")
+    return None if lineality else tuple(sorted(rays))
+
+
+def _require_facets(facets, generators, complete: bool, what: str) -> None:
+    """Re-check a facet list of cone(generators); raise `CertificateError`.
+
+    Every normal must be nonnegative on every generator.  A refusal also
+    needs the list complete: the facets of cone(facets) must all be rays of
+    the generators, so that {x : h.x >= 0 for every listed h} is no larger
+    than cone(generators) and no facet of it was dropped.
+    """
+    for h in facets:
+        if any(_dot(h, g) < 0 for g in generators):
+            raise CertificateError(f"{what} facet {list(h)} is negative on a "
+                                   "generator")
+    if complete:
+        dual = cone_facets(facets)
+        if dual is None or not set(dual) <= {_primitive(g) for g in generators}:
+            raise CertificateError(f"{what} facet list is incomplete")
+
+
+def _exact_fragment(gpt: Gpt):
+    """The accessible fragment of the rationalized GPT, or why there is none.
+
+    The float table has the unit's row first, then each effect's.  Its
+    rows that raise the rank (at `RANK_TOL`), in order, the unit's first,
+    set the fragment's dimension r and become coordinates:
+    a state is its rounded probabilities on those effects, rescaled so that
+    its unit coordinate is exactly 1, and an effect is its rounded
+    coefficients on them.  Probabilities and coefficients within
+    `ZERO_TOL` of 0 become exactly 0, the others the nearest rational with
+    denominator at most `MAX_DEN`.  The exact table is then the product of
+    the two, of rank at most r.
+
+    Returns (states, effects) as tuples of Fraction vectors, the unit being
+    the first basis vector, or a string naming the fault when an exact
+    probability falls outside [0, 1].
+    """
+    rows = np.array([gpt.unit, *gpt.effects])
+    table = rows @ np.array(gpt.states).T
+    tol = RANK_TOL * max(1.0, float(np.linalg.norm(table, 2)))
+    basis: list[int] = []
+    for i in range(len(rows)):
+        if np.linalg.matrix_rank(table[basis + [i]], tol=tol) > len(basis):
+            basis.append(i)
+    coords = [[_snap(v) for v in table[i]] for i in basis]
+    states = tuple(tuple(row[j] / coords[0][j] for row in coords)
+                   for j in range(gpt.n_states))
+    solved = np.linalg.lstsq(table[basis].T, table.T, rcond=None)[0].T
+    effects = []
+    for i in range(1, len(rows)):
+        if i in basis:
+            coeffs = tuple(Fraction(int(b == i)) for b in basis)
+        else:
+            coeffs = tuple(map(_snap, solved[i]))
+        for j, s in enumerate(states):
+            p = _dot(coeffs, s)
+            if not 0 <= p <= 1:
+                return (f"effect {i - 1} has rounded probability {float(p):.3g} "
+                        f"outside [0, 1] on state {j}")
+        effects.append(coeffs)
+    return states, tuple(effects)
 
 
 @dataclass(frozen=True, eq=False)
-class EmbedSearchResult:
-    """Outcome of the alternating-LP search at simplex size = GPT dimension."""
+class EmbedLpResult:
+    """Outcome of the exact embedding LP.
 
-    verdict: str  # "embeddable" | "unknown"
-    embedding: SimplexEmbedding | None
-    restarts_used: int
-    seed: int
+    ``verdict`` is "embeddable", "refused" or "undecided".  Decided results
+    carry the exact fragment (``states``, ``effects``; the unit is the
+    first basis vector), the primitive integer facet normals of its state
+    and effect cones, and either the nonzero entries ``(a, b, weight)`` of
+    sigma or the Farkas matrix.  Undecided: ``note`` names the rationalization
+    fault.
+    """
+
+    verdict: str
+    note: str | None = None
+    states: tuple = ()
+    effects: tuple = ()
+    state_facets: tuple = ()
+    effect_facets: tuple = ()
+    sigma: tuple = ()
+    farkas: tuple = ()
 
     def certificate(self) -> dict:
-        if self.embedding is None:
-            return {"kind": "embedding-search", "verdict": "unknown",
-                    "restarts": self.restarts_used, "seed": self.seed}
-        return {"kind": "embedding-search", "verdict": "embeddable",
-                "d": self.embedding.d,
-                "iota": self.embedding.iota.tolist(),
-                "kappa": self.embedding.kappa.tolist(),
-                "restarts": self.restarts_used, "seed": self.seed}
+        cert = {
+            "kind": "simplex-embedding-lp",
+            "verdict": self.verdict,
+            "fragment": {
+                "states": [[format_fraction(v) for v in s] for s in self.states],
+                "effects": [[format_fraction(v) for v in e]
+                            for e in self.effects]},
+            "state_facets": [list(h) for h in self.state_facets],
+            "effect_facets": [list(h) for h in self.effect_facets],
+        }
+        if self.verdict == "embeddable":
+            cert["sigma"] = [[a, b, format_fraction(w)] for a, b, w in self.sigma]
+        else:
+            cert["farkas"] = [[format_fraction(v) for v in row]
+                              for row in self.farkas]
+        return cert
 
 
-def _kappa_step(gpt: Gpt, iota: np.ndarray):
-    from scipy.optimize import linprog
+def embed_lp(gpt: Gpt) -> EmbedLpResult:
+    """Decide simplex embeddability of a GPT with one exact LP.
 
-    d, dim = iota.shape
-    n_vars = d * dim + 1
-    images = [iota @ s for s in gpt.states]
-    a_ub = []
-    b_ub = []
-    for i, e in enumerate(gpt.effects):
-        for j, s in enumerate(gpt.states):
-            coeff = np.zeros(n_vars)
-            for l in range(d):
-                coeff[l * dim:(l + 1) * dim] = e * images[j][l]
-            p = float(np.dot(e, s))
-            coeff[-1] = -1.0
-            a_ub.append(coeff.copy())
-            b_ub.append(p)
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            a_ub.append(coeff2)
-            b_ub.append(-p)
-        for l in range(d):
-            coeff = np.zeros(n_vars)
-            coeff[l * dim:(l + 1) * dim] = -e
-            a_ub.append(coeff)
-            b_ub.append(0.0)
-            coeff = np.zeros(n_vars)
-            coeff[l * dim:(l + 1) * dim] = e
-            a_ub.append(coeff)
-            b_ub.append(1.0)
-    c = np.zeros(n_vars)
-    c[-1] = 1.0
-    res = linprog(c=c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  bounds=[(None, None)] * (n_vars - 1) + [(0, None)],
-                  method="highs")
-    if not res.success:
-        return None, np.inf
-    return res.x[:-1].reshape(d, dim), float(res.x[-1])
+    The GPT is rationalized once (`_exact_fragment`).  On its accessible
+    fragment of dimension r, H_S and H_E list the facet normals of the
+    state cone and of the effect cone, the cone of the effects, the unit
+    and each unit minus an effect (`cone_facets`).  A simplex embedding
+    exists exactly when some entrywise nonnegative sigma has
+    H_E^T sigma H_S = I (Schmid et al. 2021; Selby et al. 2024): each nonzero
+    sigma_ab is an ontic state, answering effect e with
+    (h_a.e) / (h_a.unit) and weighted by sigma_ab (h_a.unit) (h_b.s) in state
+    s.  That is one `SparseColumns` LP with r^2 rows and a column per facet
+    pair.
 
-
-def _iota_step(gpt: Gpt, kappa: np.ndarray):
-    from scipy.optimize import linprog
-
-    d, dim = kappa.shape
-    n_vars = d * dim + 1
-    keffs = [kappa @ e for e in gpt.effects]
-    a_ub = []
-    b_ub = []
-    a_eq = []
-    b_eq = []
-    for j, s in enumerate(gpt.states):
-        for i, e in enumerate(gpt.effects):
-            coeff = np.zeros(n_vars)
-            for l in range(d):
-                coeff[l * dim:(l + 1) * dim] = s * keffs[i][l]
-            p = float(np.dot(e, s))
-            coeff[-1] = -1.0
-            a_ub.append(coeff.copy())
-            b_ub.append(p)
-            coeff2 = -coeff
-            coeff2[-1] = -1.0
-            a_ub.append(coeff2)
-            b_ub.append(-p)
-        for l in range(d):
-            coeff = np.zeros(n_vars)
-            coeff[l * dim:(l + 1) * dim] = -s
-            a_ub.append(coeff)
-            b_ub.append(0.0)
-        coeff = np.zeros(n_vars)
-        for l in range(d):
-            coeff[l * dim:(l + 1) * dim] = s
-        a_eq.append(coeff)
-        b_eq.append(1.0)
-    c = np.zeros(n_vars)
-    c[-1] = 1.0
-    res = linprog(c=c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=[(None, None)] * (n_vars - 1) + [(0, None)],
-                  method="highs")
-    if not res.success:
-        return None, np.inf
-    return res.x[:-1].reshape(d, dim), float(res.x[-1])
-
-
-def embed_search(gpt: Gpt, *, seed: int = 0,
-                 restarts: int = 64) -> EmbedSearchResult:
-    """Heuristic search for an embedding into the simplex of size = GPT dim.
-
-    Tries the identity maps first, then alternates linear programs (fix iota,
-    solve kappa; fix kappa, solve iota) from ``restarts`` seeded random
-    starts, each for at most `MAX_SEARCH_ITERATIONS` rounds.  Only
-    invariant-verified embeddings are returned; anything else
-    is the verdict "unknown" -- the heuristic can never certify
-    non-embeddability.
+    sigma is the certificate for "embeddable", and a Farkas matrix Y, with
+    h_a^T Y h_b <= 0 for every pair and trace(Y) > 0, for "refused".  Both
+    are re-checked by `require_certificate`, every listed facet is
+    re-checked against the cone's generators, and a refusal also re-checks
+    that the facet lists are complete (`_require_facets`).  Raises
+    `TooLargeError` when the LP would exceed `MAX_EMBED_COLUMNS` columns.
     """
-    if gpt.dim > MAX_EMBED_DIM:
-        raise TooLargeError(
-            f"embedding search supports dim <= {MAX_EMBED_DIM}, got {gpt.dim}")
-    identity = SimplexEmbedding(d=gpt.dim, iota=np.eye(gpt.dim),
-                                kappa=np.eye(gpt.dim))
-    if verify_embedding(identity, gpt).passed:
-        return EmbedSearchResult("embeddable", identity, 0, seed)
-    rng = np.random.default_rng(seed)
-    for restart in range(1, restarts + 1):
-        iota = rng.normal(size=(gpt.dim, gpt.dim))
-        previous = np.inf
-        for _ in range(MAX_SEARCH_ITERATIONS):
-            kappa, _ = _kappa_step(gpt, iota)
-            if kappa is None:
-                break
-            iota_new, gap = _iota_step(gpt, kappa)
-            if iota_new is None:
-                break
-            iota = iota_new
-            candidate = SimplexEmbedding(d=gpt.dim, iota=iota, kappa=kappa)
-            if gap <= 1e-10 and verify_embedding(candidate, gpt).passed:
-                return EmbedSearchResult("embeddable", candidate, restart, seed)
-            if gap >= previous - 1e-12:
-                break
-            previous = gap
-    return EmbedSearchResult("unknown", None, restarts, seed)
+    fragment = _exact_fragment(gpt)
+    if isinstance(fragment, str):
+        return EmbedLpResult("undecided", note=f"rationalization: {fragment}")
+    states, effects = fragment
+    r = len(states[0])
+    unit = tuple(int(k == 0) for k in range(r))
+    state_gens = [_primitive(s) for s in states]
+    effect_gens = [_primitive(v) for v in (
+        unit, *effects, *(tuple(u - x for u, x in zip(unit, e)) for e in effects))
+        if any(v)]
+    # A full-dimensional pointed cone has at least r facets.
+    h_s = cone_facets(state_gens, limit=MAX_EMBED_COLUMNS // r)
+    if h_s is None:
+        return EmbedLpResult("undecided", note=(
+            f"rationalization: the rounded states span fewer than {r} "
+            "dimensions"))
+    h_e = cone_facets(effect_gens, limit=MAX_EMBED_COLUMNS // len(h_s))
+    if len(h_e) * len(h_s) > MAX_EMBED_COLUMNS:
+        raise TooLargeError(f"embedding LP of {len(h_e)} x {len(h_s)} facet "
+                            f"pairs exceeds {MAX_EMBED_COLUMNS} columns")
+    cols = []
+    for a in h_e:
+        for b in h_s:
+            entries = [(p * r + q, x * y) for p, x in enumerate(a) if x
+                       for q, y in enumerate(b) if y]
+            cols.append((tuple(i for i, _ in entries), tuple(v for _, v in entries)))
+    lp = SparseColumns(r * r, tuple(cols))
+    rhs = [int(p == q) for p in range(r) for q in range(r)]
+    res = require_certificate(lp, rhs, solve_eq_nonneg(lp, rhs), "embedding LP")
+    _require_facets(h_s, state_gens, not res.feasible, "state-cone")
+    _require_facets(h_e, effect_gens, not res.feasible, "effect-cone")
+    found = dict(states=states, effects=effects, state_facets=h_s,
+                 effect_facets=h_e)
+    if res.feasible:
+        sigma = tuple((j // len(h_s), j % len(h_s), w)
+                      for j, w in enumerate(res.x) if w)
+        return EmbedLpResult("embeddable", sigma=sigma, **found)
+    farkas = tuple(tuple(res.farkas[p * r:(p + 1) * r]) for p in range(r))
+    return EmbedLpResult("refused", farkas=farkas, **found)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,10 +1355,9 @@ def gpt_from_json(data) -> Gpt:
         if isinstance(exc, (InconsistentUnit, UnsharpEffectFlagged)):
             raise
         raise SchemaError(f"malformed GPT JSON: {exc}") from exc
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed GPT dim {data['dim']!r}") from exc
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SchemaError(f"malformed GPT dim {dim!r}: not an integer")
     if dim != gpt.dim:
         raise SchemaError(f"declared dim {data['dim']} != vector length {gpt.dim}")
     return gpt

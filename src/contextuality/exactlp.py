@@ -78,8 +78,8 @@ from typing import Sequence
 class TooLargeError(ValueError):
     """Input exceeds a documented size cap; the package's one size refusal.
 
-    The caps are the global-section column count, the heuristic embedding
-    search's dimension, the assignment-polytope and Pusey-scan sizes, and
+    The caps are the global-section column count, the embedding LP's
+    column count, the assignment-polytope and Pusey-scan sizes, and
     the graph sizes of the exclusivity bounds.  `classify` maps it to an
     undecided verdict with a note; the other subcommands exit 2.
     """

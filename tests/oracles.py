@@ -22,13 +22,16 @@ a sharp GPT's 0/1 atom assignments by backtracking over its contexts, and
 `reference_sharp_mixture` is the per-state mixture LP over them on
 `reference_solve_eq_nonneg`: the sharp embedding route the package now
 reads off the global-section LP, kept as an independent second route.
+`brute_force_facets` lists the facets of a cone from every
+(dim - 1)-subset of its generators, against the package's double
+description.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -466,3 +469,37 @@ def reference_sharp_mixture(sharp_contexts, values: dict) -> Feasibility:
     rows = [[Fraction(a[pos]) for a in assignments] for pos in range(len(atoms))]
     rows.append([Fraction(1)] * len(assignments))
     return reference_solve_eq_nonneg(rows, [values[i] for i in atoms] + [Fraction(1)])
+
+
+def brute_force_facets(generators) -> tuple | None:
+    """Facet normals of cone(generators), one (d-1)-subset at a time.
+
+    Each subset of d - 1 generators of rank d - 1 has a one-dimensional
+    nullspace; its primitive integer normal n (or -n) is a facet when it is
+    nonnegative on every generator.  Returns the sorted distinct normals,
+    or None when the generators span fewer than d dimensions.  It shares
+    nothing with the package's double-description method.
+    """
+    gens = [[Fraction(v) for v in g] for g in generators]
+    d = len(gens[0])
+    if exact_rank(gens) < d:
+        return None
+    facets = set()
+    for subset in itertools.combinations(gens, d - 1):
+        reduced, pivots = row_reduce([list(g) for g in subset])
+        if len(pivots) != d - 1:
+            continue
+        free = next(c for c in range(d) if c not in pivots)
+        normal = [Fraction(0)] * d
+        normal[free] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            normal[c] = -row[free]
+        dots = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        if min(dots) < 0 < max(dots):
+            continue
+        if min(dots) < 0:
+            normal = [-v for v in normal]
+        scale = lcm(*(v.denominator for v in normal))
+        ints = [int(v * scale) for v in normal]
+        facets.add(tuple(v // gcd(*ints) for v in ints))
+    return tuple(sorted(facets))

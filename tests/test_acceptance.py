@@ -408,7 +408,7 @@ class TestCriterion8ImplicationLattice:
                                         for v in raw], dtype=float))
             effects = [np.eye(d)[i] for i in range(d)]
             gpt = make_gpt(states, effects, np.ones(d), sharp_contexts=())
-            reports.append(classify_gpt(gpt, RunConfig(embed_restarts=4)))
+            reports.append(classify_gpt(gpt, RunConfig()))
         for _ in range(50):
             r = Fraction(int(rng.integers(-9, 10)), 10)
             axis = rng.normal(size=3)

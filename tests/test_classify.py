@@ -472,16 +472,19 @@ class TestClassifyGpt:
         assert (ks["role"], ks["kind"], ks["state"]) == ("ks", "global-section", 0)
         assert (sp["role"], sp["kind"]) == ("spekkens", "implied-by-ks-contextuality")
 
-    def test_gpt_without_contexts_uses_search(self):
+    def test_gpt_without_contexts_uses_embedding_lp(self, monkeypatch):
         gpt = sharp_gpt_from_quantum([np.eye(3, dtype=complex) / 3],
                                      kcbs_contexts())
         data = gpt_to_json(gpt)
         data["sharp_contexts"] = []
-        report = classify({"kind": "gpt", "gpt": data},
-                          RunConfig(embed_restarts=8))
-        assert report.bell_local == "not-applicable"
-        assert report.ks_noncontextual == "undecided"
-        assert report.spekkens_noncontextual in ("yes", "undecided")
+        calls = self.count_lps(monkeypatch)
+        report = classify({"kind": "gpt", "gpt": data}, RunConfig())
+        assert verdicts(report) == ("not-applicable", "undecided", "yes")
+        # one state: a one-dimensional fragment and a single LP
+        (cert,) = report.certificates
+        assert (cert["kind"], cert["fragment"]["states"]) == (
+            "simplex-embedding-lp", [["1/1"]])
+        assert calls == {"lp": 1, "box": 0}
 
 
 class TestClassifyPrepEnsemble:
@@ -557,7 +560,8 @@ class TestParseDocument:
             RunConfig(kind="mystery")
 
     def test_config_rejects_bad_restarts(self):
-        with pytest.raises(SchemaError):
+        # The embedding restarts knob is gone: the embedding LP has no restarts.
+        with pytest.raises(TypeError):
             RunConfig(embed_restarts=0)
 
 

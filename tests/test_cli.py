@@ -254,7 +254,7 @@ class TestEmbedCommand:
         payload = run_json(tmp_path, ["embed", str(doc)])
         assert payload["verdict"] == "embeddable"
 
-    def test_search_route_reports_restarts(self, tmp_path):
+    def test_lp_route_ignores_restarts(self, tmp_path):
         data = {
             "dim": 2,
             "states": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
@@ -264,10 +264,13 @@ class TestEmbedCommand:
         }
         doc = tmp_path / "g.json"
         doc.write_text(json.dumps(data))
-        payload = run_json(tmp_path, ["embed", str(doc), "--restarts", "4"])
-        assert payload["route"] == "heuristic-search"
-        assert payload["verdict"] == "embeddable"
-        assert "restarts_used" in payload
+        payloads = [run_json(tmp_path, ["embed", str(doc), *extra])
+                    for extra in ([], ["--restarts", "4"], ["--restarts", "0"])]
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0]["route"] == "embedding-lp"
+        assert payloads[0]["verdict"] == "embeddable"
+        assert payloads[0]["certificates"] == [
+            {"kind": "simplex-embedding-lp", "verdict": "embeddable"}]
 
     @pytest.mark.parametrize("states, verdict", [
         ([[1.0, 0.0], [0.5, 0.5]], "undecided"),
@@ -1052,15 +1055,20 @@ from contextuality.cli import main
 for path in sys.argv[1:]:
     if main(["classify", path, "--out", path + ".out"]) != 0:
         sys.exit(f"classify {path} failed")
-if "scipy.optimize" in sys.modules:
-    sys.exit("the sharp embedding route imported scipy.optimize")
+    if path.endswith("plain.json") and main(["embed", path, "--out",
+                                             path + ".embed"]) != 0:
+        sys.exit(f"embed {path} failed")
+if "scipy" in sys.modules:
+    sys.exit("an embedding route imported scipy")
 """
 
 
 class TestSharpRouteImports:
     def test_sharp_route_never_imports_scipy_optimize(self, tmp_path):
-        # Both documents are noncontextual, so the embedding is assembled:
-        # the path that used to fall back to scipy's HiGHS LP.
+        # Both sharp documents are noncontextual, so the embedding is
+        # assembled: the path that used to fall back to scipy's HiGHS LP.
+        # The GPT without sharp contexts takes the exact embedding LP, which
+        # replaced a scipy search, through both classify and embed.
         import contextuality
 
         coarse = tmp_path / "coarse.json"
@@ -1071,17 +1079,24 @@ class TestSharpRouteImports:
         sharp = tmp_path / "sharp.json"
         sharp.write_text(json.dumps(
             {"kind": "gpt", "gpt": kcbs_gpt_json(rho / np.trace(rho).real)}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"kind": "gpt", "gpt": {
+            "dim": 2, "states": [[1.0, 0.0], [0.25, 0.75]],
+            "effects": [[1.0, 0.0], [0.0, 1.0]], "unit": [1.0, 1.0]}}))
         src = str(Path(contextuality.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", SHARP_ROUTE_IMPORTS, str(coarse), str(sharp)],
+            [sys.executable, "-c", SHARP_ROUTE_IMPORTS, str(coarse), str(sharp),
+             str(plain)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        for path in (coarse, sharp):
+        for path in (coarse, sharp, plain):
             payload = json.loads(Path(str(path) + ".out").read_text())
             assert payload["spekkens_noncontextual"] == "yes"
+        payload = json.loads(Path(str(plain) + ".embed").read_text())
+        assert payload["verdict"] == "embeddable"
 
 
 def require(condition, message: str) -> None:
@@ -1154,6 +1169,30 @@ class TestNonFiniteFrontDoor:
             path.write_text(json.dumps(doc))
             rc, out, err = cli_run(path, ["classify"])
             require(rc == 0 and err == "", f"{doc['kind']}: exit {rc}, {err!r}")
+
+
+class TestNonIntegerGptFields:
+    """Float or boolean sharp-context indices and dims are refused, not
+    truncated: exit 2 with one line."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("sharp_contexts", [[0.5, 1]]), ("sharp_contexts", [[True, False]]),
+        ("sharp_contexts", [[0, 1.0]]), ("dim", 2.7), ("dim", 2.0),
+        ("dim", True)])
+    @pytest.mark.parametrize("command", ["classify", "embed"])
+    def test_refused(self, tmp_path, command, field, value):
+        gpt = {"dim": 2, "states": [[1.0, 0.0], [0.5, 0.5]],
+               "effects": [[1.0, 0.0], [0.0, 1.0]], "unit": [1.0, 1.0],
+               "sharp_contexts": [[0, 1]]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "gpt", "gpt": gpt}))
+        rc, out, err = cli_run(path, [command])
+        require(rc == 0, f"valid document: exit {rc}, {err!r}")
+        gpt[field] = value
+        path.write_text(json.dumps({"kind": "gpt", "gpt": gpt}))
+        rc, out, err = cli_run(path, [command])
+        require_one_line_refusal(rc, out, err, f"{command} {field} {value}")
+        require("not an integer" in err, err)
 
 
 def oversized_literal_documents(value: str) -> dict:

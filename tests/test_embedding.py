@@ -1,7 +1,9 @@
 """Tests for GPT reconstruction, simplex embeddings, and preparation checks.
 
 Verification strategy: embeddings are re-checked against all three defining
-invariants independently of the search path; refusal and infeasibility
+invariants independently of the constructor, and the exact embedding LP's
+certificates are rebuilt into an ontological model or re-multiplied by
+hand, with facet lists checked against brute force; refusal and infeasibility
 certificates are re-multiplied against reconstructed constraint rows;
 verdicts are cross-checked against the global-section solver and against
 brute-force or hand-derived oracles on small instances.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -20,21 +23,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import embedding, scenario
-from contextuality.classify import RunConfig, classify, classify_gpt
+from contextuality.classify import RunConfig, classify, classify_gpt, report_to_json
 from contextuality.embedding import (
     AssignmentPolytope,
     DecompositionMismatch,
     EmptyAssignmentPolytope,
-    EmbedSearchResult,
     GptError,
     InconsistentUnit,
     OntModel,
     PrepEnsembleProblem,
     UnsharpEffectFlagged,
     build_assignment_polytope,
-    embed_search,
+    cone_facets,
+    embed_lp,
     embed_sharp,
     gpt_from_data,
     gpt_from_json,
@@ -54,6 +59,8 @@ from contextuality.embedding import (
     _hull_pair_lp,
 )
 from contextuality.exactlp import (
+    CertificateError,
+    Feasibility,
     TooLargeError,
     check_farkas,
     check_solution,
@@ -80,6 +87,7 @@ from contextuality.scenario import (
 from contextuality.sheaf import solve_global_section
 from oracles import (
     atom_values,
+    brute_force_facets,
     cycle_margin,
     enumerate_vertices,
     reference_consistent_assignments,
@@ -642,55 +650,288 @@ class TestTamperedSection:
         require(res.note.startswith("embedding assembly"), f"note {res.note!r}")
 
 
-class TestEmbedSearch:
-    def test_simplex_identity_first_try(self):
+def classical_triangle(rng) -> dict:
+    """A classical 3-outcome theory seen through a random linear frame.
+
+    Drawn as the benchmark's classical GPT documents are: states are points
+    of a triangle and effects its facet indicators, so a simplex embedding
+    exists, and no sharp contexts are declared.
+    """
+    while True:
+        t = rng.normal(size=(3, 3))
+        if abs(np.linalg.det(t)) > 0.5:
+            break
+    t_inv_t = np.linalg.inv(t).T
+    states = [[float(v) for v in t @ rng.dirichlet(np.ones(3))] for _ in range(4)]
+    effects = [[float(v) for v in t_inv_t @ e] for e in np.eye(3)]
+    unit = [float(v) for v in t_inv_t @ np.ones(3)]
+    return {"dim": 3, "states": states, "effects": effects, "unit": unit}
+
+
+def hexagon_rebit(visibility=1.0):
+    """Six rebit states at 60 degree steps (Bloch length ``visibility``) and
+    the six pure effects along them (Mazurek et al., Nat. Commun. 7, 11780,
+    2016)."""
+    half = 3 ** 0.5 / 2
+    dirs = [(1.0, 0.0), (0.5, half), (-0.5, half), (-1.0, 0.0), (-0.5, -half),
+            (0.5, -half)]
+    return make_gpt([(1.0, visibility * x, visibility * y) for x, y in dirs],
+                    [(0.5, x / 2, y / 2) for x, y in dirs], (1.0, 0.0, 0.0))
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def fragment_generators(res):
+    """The state cone's and the effect cone's generators of a decided result."""
+    unit = tuple(int(k == 0) for k in range(len(res.states[0])))
+    effects = [unit, *res.effects,
+               *(tuple(u - x for u, x in zip(unit, e)) for e in res.effects)]
+    return list(res.states), [e for e in effects if any(e)], unit
+
+
+def require_ontic_model(res) -> None:
+    """Rebuild the ontological model of an embeddable result and check it.
+
+    Each ``(a, b, w)`` of sigma is an ontic state: weight
+    ``w (h_a.unit) (h_b.s)`` in state s and response ``(h_a.e) / (h_a.unit)``
+    to effect e.  Weights must be nonnegative and sum to 1, responses must
+    lie in [0, 1], and the model must reproduce every exact fragment
+    probability.  Plain arithmetic, independent of the LP kernel's re-check.
+    """
+    states, effects, unit = fragment_generators(res)
+    h_e, h_s = res.effect_facets, res.state_facets
+    require(res.verdict == "embeddable" and res.sigma, f"verdict {res.verdict}")
+    for a, b, w in res.sigma:
+        require(w > 0, f"sigma entry {w}")
+        require(all(dot(h_s[b], s) >= 0 for s in states), "negative weight")
+        require(all(0 <= dot(h_e[a], e) <= dot(h_e[a], unit) for e in effects),
+                "response outside [0, 1]")
+    for s in states:
+        require(sum(w * dot(h_e[a], unit) * dot(h_s[b], s)
+                    for a, b, w in res.sigma) == 1, "weights do not sum to 1")
+        for e in effects:
+            require(sum(w * dot(h_e[a], e) * dot(h_s[b], s)
+                        for a, b, w in res.sigma) == dot(e, s),
+                    "the ontic model misses a probability")
+
+
+def require_refusal(res) -> None:
+    """Re-check a refusal: the Farkas matrix, and complete facet lists.
+
+    Completeness is checked against `brute_force_facets`, which shares no
+    code with the double-description method.
+    """
+    states, effects, _ = fragment_generators(res)
+    require(res.verdict == "refused", f"verdict {res.verdict}")
+    require(res.state_facets == brute_force_facets(states), "state facets")
+    require(res.effect_facets == brute_force_facets(effects), "effect facets")
+    y = res.farkas
+    require(sum(y[p][p] for p in range(len(y))) > 0, "trace(Y) <= 0")
+    for a in res.effect_facets:
+        for b in res.state_facets:
+            require(dot(a, [dot(row, b) for row in y]) <= 0,
+                    f"h_a^T Y h_b > 0 at {a}, {b}")
+
+
+class TestExactEmbedding:
+    """`embed_lp`: one exact LP decides embeddability without sharp contexts."""
+
+    def test_simplex_identity(self):
         states = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                   np.array([0.2, 0.3, 0.5])]
         effects = [np.eye(3)[i] for i in range(3)]
-        gpt = make_gpt(states, effects, np.ones(3))
-        res = embed_search(gpt, seed=5)
-        assert res.verdict == "embeddable"
-        assert res.restarts_used == 0
+        res = embed_lp(make_gpt(states, effects, np.ones(3)))
+        require_ontic_model(res)
+        require(len(res.state_facets) == len(res.effect_facets) == 3,
+                "a triangle's cones have three facets")
 
     def test_noisy_classical_embeds(self):
         shrink = 0.7
         states = [shrink * np.eye(3)[i] + (1 - shrink) / 3 * np.ones(3)
                   for i in range(3)]
         effects = [np.eye(3)[i] for i in range(3)]
-        gpt = make_gpt(states, effects, np.ones(3))
-        res = embed_search(gpt, seed=5)
-        assert res.verdict == "embeddable"
-        assert verify_embedding(res.embedding, gpt).passed
+        require_ontic_model(embed_lp(make_gpt(states, effects, np.ones(3))))
 
-    def test_rotated_bit_found_by_alternation(self):
+    def test_rotated_bit_embeds(self):
         t = np.array([[2.0, 1.0], [1.0, 1.0]])
         tinv = np.linalg.inv(t)
         states = [tinv @ np.array([1.0, 0.0]), tinv @ np.array([0.0, 1.0]),
                   tinv @ np.array([0.5, 0.5])]
         effects = [t.T @ np.eye(2)[i] for i in range(2)]
-        gpt = make_gpt(states, effects, t.T @ np.ones(2))
-        res = embed_search(gpt, seed=11, restarts=16)
-        assert res.verdict == "embeddable"
-        assert res.restarts_used >= 1
-        assert verify_embedding(res.embedding, gpt).passed
+        require_ontic_model(embed_lp(make_gpt(states, effects, t.T @ np.ones(2))))
 
-    def test_full_qubit_unknown(self):
+    def test_pauli_table_qubit_embeds(self):
+        # The stabilizer qubit's Pauli eigenstates and effects: Spekkens's
+        # toy bit, which has a noncontextual model.
         gpt = gpt_from_data(pauli_tomography_table())
-        res = embed_search(gpt, seed=3, restarts=8)
-        assert res.verdict == "unknown"
-        assert res.embedding is None
+        res = embed_lp(gpt)
+        require_ontic_model(res)
+        exact = [[float(dot(e, s)) for s in res.states] for e in res.effects]
+        np.testing.assert_allclose(exact, gpt.table(), atol=1e-9)
 
-    def test_dimension_guard(self):
-        states = [np.ones(11) / 11]
-        gpt = make_gpt(states, [np.ones(11)], np.ones(11))
-        with pytest.raises(TooLargeError, match="dim <= 10"):
-            embed_search(gpt)
+    def test_bench_triangles_embed(self):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            doc = {"kind": "gpt", "gpt": classical_triangle(rng)}
+            report = classify(doc, RunConfig())
+            require(report.spekkens_noncontextual == "yes"
+                    and report.ks_noncontextual == "undecided",
+                    f"triangle verdicts {report}")
+            require([c["kind"] for c in report.certificates]
+                    == ["simplex-embedding-lp"], "certificate kind")
+        rng = np.random.default_rng(20241018)
+        for _ in range(200):
+            gpt = gpt_from_json(classical_triangle(rng))
+            res = embed_lp(gpt)
+            require_ontic_model(res)
+            exact = [[float(dot(e, s)) for s in res.states] for e in res.effects]
+            np.testing.assert_allclose(exact, gpt.table(), atol=1e-6)
 
-    def test_seed_determinism(self):
-        gpt = gpt_from_data(pauli_tomography_table())
-        a = embed_search(gpt, seed=9, restarts=4)
-        b = embed_search(gpt, seed=9, restarts=4)
-        assert (a.verdict, a.restarts_used) == (b.verdict, b.restarts_used)
+    def test_pure_hexagon_refused(self):
+        res = embed_lp(hexagon_rebit())
+        require_refusal(res)
+        report = classify_gpt(hexagon_rebit())
+        require((report.ks_noncontextual, report.spekkens_noncontextual,
+                 report.hierarchy_level)
+                == ("undecided", "no", "spekkens-contextual"), f"{report}")
+
+    def test_half_visibility_hexagon_embeds(self):
+        require_ontic_model(embed_lp(hexagon_rebit(0.5)))
+
+    def test_unrationalizable_gpt_is_undecided(self):
+        # A pure pentagon rebit: irrational directions leave its zero
+        # probabilities slightly negative once the coefficients are rounded.
+        angles = [2 * np.pi * k / 5 for k in range(5)]
+        gpt = make_gpt([(1.0, np.cos(a), np.sin(a)) for a in angles],
+                       [(0.5, -np.cos(a) / 2, -np.sin(a) / 2) for a in angles],
+                       (1.0, 0.0, 0.0))
+        res = embed_lp(gpt)
+        require(res.verdict == "undecided"
+                and res.note.startswith("rationalization: "), f"{res}")
+        report = classify_gpt(gpt)
+        require(report.spekkens_noncontextual == "undecided"
+                and report.certificates == (), f"{report}")
+        require(any(n.startswith("embedding LP unavailable: rationalization")
+                    for n in report.notes), f"{report.notes}")
+
+    def test_column_cap(self):
+        # 70 states and 70 effects on circles: 70 x 70 facet pairs.
+        angles = [2 * np.pi * k / 70 for k in range(70)]
+        gpt = make_gpt([(1.0, np.cos(a) / 2, np.sin(a) / 2) for a in angles],
+                       [(0.5, np.cos(a) / 2, np.sin(a) / 2) for a in angles],
+                       (1.0, 0.0, 0.0))
+        with pytest.raises(TooLargeError):
+            embed_lp(gpt)
+        report = classify_gpt(gpt)
+        require(report.spekkens_noncontextual == "undecided", f"{report}")
+        require(any(n.startswith("embedding LP skipped") for n in report.notes),
+                f"{report.notes}")
+
+    def test_certificate_is_deterministic(self):
+        doc = {"kind": "gpt", "gpt": gpt_to_json(hexagon_rebit())}
+        a, b = (json.dumps(report_to_json(classify(doc, RunConfig())),
+                           sort_keys=True) for _ in range(2))
+        require(a == b, "two runs differ")
+
+
+@st.composite
+def cone_generators(draw):
+    """3-8 small integer generators in dimension 2-4, with repeats, sums of
+    earlier generators, zero vectors, several on one plane, or all of them
+    in a proper subspace."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(3, 8))
+    entry = st.integers(-3, 3)
+    mode = draw(st.sampled_from(["free", "redundant", "coplanar", "deficient"]))
+    gens = []
+    for _ in range(n):
+        if mode == "redundant" and len(gens) >= 2 and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+            gens.append(tuple(a + b for a, b in zip(gens[i], gens[j])))
+        else:
+            g = [draw(entry) for _ in range(d)]
+            if mode == "deficient" or (mode == "coplanar" and draw(st.booleans())):
+                g[-1] = g[0]
+            gens.append(tuple(g))
+    return gens
+
+
+class TestConeFacets:
+    @settings(max_examples=300, deadline=None)
+    @given(gens=cone_generators())
+    def test_double_description_matches_brute_force(self, gens):
+        assert cone_facets(gens) == brute_force_facets(gens)
+
+    def test_degenerate_pair_is_not_adjacent(self):
+        # Two rays here share r - 2 tight generators without being adjacent,
+        # so the count of common tight generators alone would admit them.
+        gens = [(-2, 3, -1, -2), (-1, -3, -2, -1), (2, 3, -2, -1), (1, -3, -2, 3),
+                (2, 3, 1, 0), (-1, 3, 2, -3), (-2, -2, -3, 2), (-2, 1, 0, -2)]
+        assert cone_facets(gens) == brute_force_facets(gens)
+
+    def test_cube_and_ray_limit(self):
+        cube = [(1, *signs) for signs in itertools.product((-1, 1), repeat=3)]
+        assert cone_facets(cube) == brute_force_facets(cube)
+        assert len(cone_facets(cube)) == 6
+        with pytest.raises(TooLargeError):
+            cone_facets(cube, limit=5)
+
+
+class TestForgedEmbeddingLp:
+    """Forged embedding-LP certificates raise `CertificateError`.
+
+    Written with raises only, so the class also checks under ``python -O``.
+    """
+
+    def test_tampered_sigma(self, monkeypatch):
+        honest = embedding.solve_eq_nonneg
+
+        def tampered(a, b):
+            x = list(honest(a, b).x)
+            j = next(j for j, w in enumerate(x) if w)
+            x[j] += 1
+            return Feasibility(True, x=tuple(x))
+
+        monkeypatch.setattr(embedding, "solve_eq_nonneg", tampered)
+        with pytest.raises(CertificateError, match="embedding LP primal"):
+            embed_lp(gpt_from_json(classical_triangle(np.random.default_rng(5))))
+
+    def test_tampered_farkas(self, monkeypatch):
+        honest = embedding.solve_eq_nonneg
+
+        def tampered(a, b):
+            return Feasibility(False, farkas=tuple(-v for v in honest(a, b).farkas))
+
+        monkeypatch.setattr(embedding, "solve_eq_nonneg", tampered)
+        with pytest.raises(CertificateError, match="embedding LP dual"):
+            embed_lp(hexagon_rebit())
+
+    def test_flipped_facet(self, monkeypatch):
+        honest = embedding.cone_facets
+
+        def flip_first(gens, limit=None):
+            facets = honest(gens, limit)
+            return (tuple(-v for v in facets[0]),) + facets[1:]
+
+        monkeypatch.setattr(embedding, "cone_facets", flip_first)
+        with pytest.raises(CertificateError, match="negative on a generator"):
+            embed_lp(gpt_from_json(classical_triangle(np.random.default_rng(5))))
+
+    def test_dropped_facet(self, monkeypatch):
+        honest = embedding.cone_facets
+        calls = []
+
+        def drop_first(gens, limit=None):
+            calls.append(gens)
+            facets = honest(gens, limit)
+            return facets[1:] if len(calls) == 1 else facets
+
+        monkeypatch.setattr(embedding, "cone_facets", drop_first)
+        with pytest.raises(CertificateError, match="state-cone facet list is "
+                                                   "incomplete"):
+            embed_lp(hexagon_rebit())
 
 
 class TestQubitPrepEnsemble:
@@ -1180,20 +1421,29 @@ for what, call in embedding_lps(embedding).items():
 
 
 def embedding_lps(embedding):
-    """The Pusey route's two LPs, each on an infeasible instance.
+    """The Pusey route's two LPs and the embedding LP, each on an infeasible
+    instance.
 
     Orthogonal Z eigenstates: their hulls do not meet, and they cannot be
     declared the same preparation.  In the second call the scan's only LP
     is feasible (``up`` and ``up2`` coincide), so the first Farkas re-check
-    is the equivalence LP's.
+    is the equivalence LP's.  The pure hexagon rebit has no simplex
+    embedding.
     """
     up = embedding.build_assignment_polytope("up", (("Z", 2),), {"Z": (1, 0)})
     down = embedding.build_assignment_polytope("down", (("Z", 2),), {"Z": (0, 1)})
     preps = {"up": {"Z": (1, 0)}, "up2": {"Z": (1, 0)}, "down": {"Z": (0, 1)}}
+    half = 3 ** 0.5 / 2
+    dirs = [(1.0, 0.0), (0.5, half), (-0.5, half), (-1.0, 0.0), (-0.5, -half),
+            (0.5, -half)]
+    hexagon = embedding.make_gpt([(1.0, x, y) for x, y in dirs],
+                                 [(0.5, x / 2, y / 2) for x, y in dirs],
+                                 (1.0, 0.0, 0.0))
     return {
         "hull pair": lambda: embedding._hull_pair_lp([up], [down]),
         "equivalence": lambda: embedding.pusey_incomplete_check(
             preps, declared_equivalences=[[{"up": 1}, {"down": 1}]]),
+        "embedding LP": lambda: embedding.embed_lp(hexagon),
     }
 
 
