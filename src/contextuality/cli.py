@@ -264,6 +264,8 @@ def _pm_assignment_count(rows: list[int], cols: list[int]) -> int:
 
 
 def cmd_pm_square(args) -> dict:
+    if args.trials < 0:
+        raise ValueError(f"trials must be a nonnegative integer, got {args.trials}")
     rows, cols = _pm_signs()
     satisfying = _pm_assignment_count(rows, cols)
     contexts = _pm_contexts()

@@ -313,9 +313,11 @@ def induced_model(gpt: Gpt, state_index: int):
 
     The atom probabilities are made exact once, by `rationalize_atoms`:
     rounding alone when it already makes every distinct context sum to
-    exactly 1, one box LP over the atoms otherwise.  Every table then sums
-    to exactly 1 and the overlap marginals agree exactly, so
-    `rationalize_model` passes the model through unchanged.
+    exactly 1; else grid rounding with one atom that only its context holds
+    set to what the others leave; one box LP over the atoms when that
+    fails.  Every table then sums to exactly 1 and the overlap marginals
+    agree exactly, so `rationalize_model` passes the model through
+    unchanged.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")

@@ -7,9 +7,10 @@ empirical verdict reads, is the one caller of `rationalize_model`, which
 returns a nearby all-rational model that is exactly normalised and exactly
 marginal-consistent.  Independent rounding of the entries can break both
 properties, so the rounded model is used only when an exact check shows it
-keeps them; otherwise the model is rebuilt by exact LPs.
-`rationalize_atoms` does the same for the atom probabilities of sharp
-contexts, from which exact induced models are built.
+keeps them; otherwise the model is rebuilt from shared rounded coordinates,
+and by exact LPs when that rebuild fails its checks.  `rationalize_atoms`
+does the same for the atom probabilities of sharp contexts, from which
+exact induced models are built.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -524,28 +526,64 @@ def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
     return None
 
 
+def _pin_dependent_atoms(values: list[float], grid: list[Fraction],
+                         contexts) -> list[Fraction] | None:
+    """`grid` with one atom per context set to 1 minus the context's other atoms.
+
+    Each context's dependent atom is its largest atom above `ZERO_TOL` that
+    lies in no other context.  None when a context has no such atom, or
+    when a dependent atom comes out negative or moves from its float by
+    more than (atoms in its context)/MAX_DEN.
+    """
+    count = Counter(k for ctx in contexts for k in ctx)
+    out = list(grid)
+    for ctx in contexts:
+        free = [k for k in ctx if count[k] == 1 and values[k] > ZERO_TOL]
+        if not free:
+            return None
+        k = max(free, key=values.__getitem__)
+        out[k] = 1 - sum(grid[j] for j in ctx if j != k)
+        if out[k] < 0 or abs(out[k] - Fraction(values[k])) > Fraction(len(ctx), MAX_DEN):
+            return None
+    return out
+
+
 def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
     """Nearby rationals for atom probabilities, each context summing to exactly 1.
 
     ``contexts`` lists index groups of ``values`` (the atoms of one sharp
-    context each).  Every value is rounded once, by `rationalize_model`'s
-    rule at `MAX_DEN`; if every context then sums to exactly 1 the rounded
-    values are returned and no LP runs, so each moves by at most
-    max(1/(2 MAX_DEN), ZERO_TOL).  Otherwise one exact box LP, with one
-    "context sums to 1" row per context, finds them under
-    `rationalize_model`'s retry and zero-pinning policy at half-width
-    `SLACK`, so each moves by at most 2**9 SLACK + 1/(2 MAX_DEN).  The box
-    is centred on the 1/MAX_DEN grid, so its bounds, and the vertex the LP
-    returns, keep denominators near MAX_DEN.
+    context each).  Three stages, the first that succeeds wins:
+
+    1. Every value is rounded once, by `rationalize_model`'s rule at
+       `MAX_DEN`.  If every context then sums to exactly 1 the rounded
+       values are returned, so each moves by at most
+       max(1/(2 MAX_DEN), ZERO_TOL).
+    2. Every value is rounded to the 1/MAX_DEN grid (so values at or
+       below `ZERO_TOL` become 0), and one dependent atom per context, the
+       largest above `ZERO_TOL` that no other context holds, is set to 1
+       minus the context's other atoms.  This is accepted when every
+       dependent atom is >= 0 and within k/MAX_DEN of its float, k being
+       its context's size; the other atoms move by at most 1/(2 MAX_DEN).
+       Denominators divide MAX_DEN.
+    3. One exact box LP, with one "context sums to 1" row per context,
+       under `rationalize_model`'s retry and zero-pinning policy at
+       half-width `SLACK`, so each value moves by at most
+       2**9 SLACK + 1/(2 MAX_DEN).  The box is centred on the grid, so its
+       bounds, and the vertex the LP returns, keep denominators near
+       MAX_DEN.  Only a context without an exclusive atom above
+       `ZERO_TOL`, or a failed stage 2, reaches it.
     """
     centres = [_round(f, MAX_DEN) for f in values]
     if all(sum(centres[k] for k in ctx) == 1 for ctx in contexts):
         return centres
+    grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
+    pinned = _pin_dependent_atoms(values, grid, contexts)
+    if pinned is not None:
+        return pinned
     rows = []
     for ctx in contexts:
         members = set(ctx)
         rows.append([Fraction(int(k in members)) for k in range(len(values))])
-    grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
     sol = _solve_box(values, grid, rows, [Fraction(1)] * len(rows),
                      SLACK, MAX_DEN)
     if sol is None:
@@ -553,29 +591,109 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
     return sol
 
 
+def _mobius(arr: np.ndarray, sign: int) -> None:
+    """In place, along every axis, add `sign` times the other slots to the last slot.
+
+    With sign +1 a joint table becomes its coordinates: where an axis sits
+    at its last outcome, that measurement is summed out.  Sign -1 undoes it.
+    """
+    for axis in range(arr.ndim):
+        head = (slice(None),) * axis
+        arr[head + (-1,)] += sign * arr[head + (slice(0, -1),)].sum(axis=axis)
+
+
+def _subset_blocks(context, shape) -> list:
+    """(S, slice of S's coordinates, its shape) for every subset S of `context`.
+
+    A measurement in S ranges over all but its last outcome; one outside S
+    sits at its last outcome, where the coordinates sum it out.
+    """
+    blocks = []
+    for inside in itertools.product((False, True), repeat=len(shape)):
+        blocks.append((tuple(m for m, i in zip(context, inside) if i),
+                       tuple(slice(0, n - 1) if i else slice(n - 1, n)
+                             for n, i in zip(shape, inside)),
+                       tuple(n - 1 if i else 1 for n, i in zip(shape, inside))))
+    return blocks
+
+
+def _coordinate_model(sc: MeasurementScenario, floats: dict,
+                      max_den: int) -> EmpiricalModel | None:
+    """Every table rebuilt from one shared set of grid-rounded coordinates, or None.
+
+    A coordinate (Collins-Gisin) is P(x_m = o_m for m in S) with S inside a
+    context and no o_m the last outcome of m.  It is read from the first
+    context that contains S and rounded to the 1/max_den grid; the empty S
+    is exactly 1.  Each table is rebuilt from the coordinates of its
+    subsets by inclusion-exclusion, so it sums to exactly 1 and its
+    marginal on every overlap is the same function of the same shared
+    coordinates.  None unless every entry is >= 0, every entry whose float
+    is at most `ZERO_TOL` is exactly 0, and every entry of an N-entry table
+    is within N/max_den of its float (an entry sums at most N coordinates,
+    each within about 1/(2 max_den) of its float).
+    """
+    arrays = {c: np.array([floats[c].get(o, 0.0) for o in sc.outcome_tuples(c)])
+              .reshape([len(sc.outcomes[m]) for m in c]) for c in sc.contexts}
+    blocks = {c: _subset_blocks(c, arr.shape) for c, arr in arrays.items()}
+    coords: dict = {(): np.array([max_den])}
+    for c, arr in arrays.items():
+        g = arr.copy()
+        _mobius(g, 1)
+        g = np.rint(g * max_den).astype(np.int64)
+        for s, ix, _ in blocks[c]:
+            if s not in coords:
+                coords[s] = g[ix]
+
+    tables = {}
+    for c, arr in arrays.items():
+        rebuilt = np.empty(arr.shape, dtype=np.int64)
+        for s, ix, shape in blocks[c]:
+            rebuilt[ix] = coords[s].reshape(shape)
+        _mobius(rebuilt, -1)
+        if ((rebuilt < 0).any() or (rebuilt[arr <= ZERO_TOL] != 0).any()
+                or (np.abs(rebuilt - arr * max_den) > arr.size).any()):
+            return None
+        tables[c] = {o: Fraction(v, max_den) for o, v
+                     in zip(sc.outcome_tuples(c), rebuilt.ravel().tolist())}
+    return EmpiricalModel(scenario=sc, tables=tables)
+
+
 def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
     Already-rational exactly-consistent models pass through unchanged.  A
     model whose marginals disagree by more than `ND_TOL` raises
-    `DisturbingModel`.  Otherwise every entry is rounded once: entries at or
-    below `ZERO_TOL` become an exact zero and the others the nearest
-    rational with denominator at most `max_den`, so each moves by at most
-    max(1/(2 max_den), ZERO_TOL).  If every rounded table sums to exactly 1
-    and the rounded marginals agree exactly, the rounded model is returned
-    and no LP runs.  A rounded model that fails this check is never
-    corrected entry by entry; it is discarded for the LP path below.
+    `DisturbingModel`.  Otherwise three stages run in turn, and the first
+    whose result passes its checks is returned:
 
-    The LP path fixes overlap distributions first (smallest overlaps first,
-    each constrained to agree with previously fixed sub-overlaps), then
-    rebuilds each context table subject to the fixed overlap marginals.
-    Each step is an exact box LP around the rounded entries, of half-width
-    `SLACK` for an overlap and `2 SLACK` for a table.  An infeasible box is
-    retried with its half-width doubled, up to 2**9 times the first, so an
-    entry can move by about 2**10 SLACK (1e-2) at most.
-    Entries at or below `ZERO_TOL` are pinned to exact zero for the first
-    five attempts, so that downstream support arguments remain valid; from
-    the sixth attempt on they are boxed like the others.
+    1. Entry rounding.  Every entry is rounded once: entries at or below
+       `ZERO_TOL` become an exact zero and the others the nearest rational
+       with denominator at most `max_den`, so each moves by at most
+       max(1/(2 max_den), ZERO_TOL).  Kept only when every rounded table
+       sums to exactly 1 and the rounded marginals agree exactly, which
+       makes a float copy of a small-denominator model come back as that
+       model.  A rounded model that fails is never corrected entry by
+       entry.
+    2. Coordinates (`_coordinate_model`).  The Collins-Gisin coordinates
+       are rounded once to the 1/max_den grid and every table is rebuilt
+       from them by inclusion-exclusion, exactly consistent by
+       construction.  Kept when every entry is >= 0, every entry at or
+       below `ZERO_TOL` is exactly 0, and every entry of an N-entry table
+       lies within N/max_den of its float.  Denominators divide max_den.
+       It fails where a zero entry is a sum of several nonzero
+       coordinates, such as the parity zeros of the Peres-Mermin square:
+       their rounding errors need not cancel.
+    3. Box LPs.  Overlap distributions are fixed first (smallest overlaps
+       first, each constrained to agree with previously fixed
+       sub-overlaps), then each context table is rebuilt subject to the
+       fixed overlap marginals.  Each step is an exact box LP around the
+       rounded entries, of half-width `SLACK` for an overlap and
+       `2 SLACK` for a table.  An infeasible box is retried with its
+       half-width doubled, up to 2**9 times the first, so an entry can
+       move by about 2**10 SLACK (1e-2) at most.  Entries at or below
+       `ZERO_TOL` are pinned to exact zero for the first five attempts, so
+       that downstream support arguments remain valid; from the sixth
+       attempt on they are boxed like the others.
     """
     if model.is_rational and _exactly_consistent(model):
         return model
@@ -591,6 +709,9 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
         for c in sc.contexts})
     if _exactly_consistent(rounded):
         return rounded
+    rebuilt = _coordinate_model(sc, float_tables, max_den)
+    if rebuilt is not None:
+        return rebuilt
 
     overlaps = {overlap for _, _, overlap in _overlap_pairs(sc)}
     ordered = sorted(overlaps, key=lambda u: (len(u), u))

@@ -120,6 +120,14 @@ class TestNamedScenarios:
         assert payload["global_section_verdicts"] == ["infeasible",
                                                       "infeasible"]
 
+    def test_pm_square_refuses_negative_trials(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["pm-square", "--trials", "-1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: trials must be a nonnegative integer, got -1\n"
+
     def test_convert_bell_default(self, tmp_path):
         payload = run_json(tmp_path, ["convert-bell"])
         assert payload["labels"] == ["P0", "P1", "P2", "P3", "P4"]

@@ -82,6 +82,7 @@ from contextuality.scenario import (
     ZERO_TOL,
     NonCommutingContext,
     SchemaError,
+    rationalize_atoms,
     rationalize_model,
 )
 from contextuality.sheaf import solve_global_section
@@ -123,6 +124,22 @@ def kcbs_gpt(state=None):
         psi[0] = 1.0
         state = dm(psi)
     return sharp_gpt_from_quantum([state], kcbs_contexts())
+
+
+def shared_atom_gpt(state):
+    """A 4-dimensional GPT whose first sharp context has no exclusive atom.
+
+    Its contexts are {A, B}, {A, P2, P3} and {B, P0, P1}, with A = P0 + P1
+    and B = P2 + P3 for one random basis P0..P3: A and B both lie in two
+    contexts, so the atoms of {A, B} cannot be pinned by their context.
+    """
+    u = random_unitary(4, np.random.default_rng(41))
+    p = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
+    a, b = p[0] + p[1], p[2] + p[3]
+    contexts = [[projective_context("AB", [a, b])],
+                [projective_context("A23", [a, p[2], p[3]])],
+                [projective_context("B01", [b, p[0], p[1]])]]
+    return sharp_gpt_from_quantum([state], contexts)
 
 
 # How far `induced_model` may move an atom: one box LP retried up to 2**9
@@ -513,7 +530,7 @@ class TestEmbedSharp:
 
 
 class TestExactInducedModel:
-    """`induced_model` is exact: one rounding, or one box LP over the atoms.
+    """`induced_model` is exact: one rounding, one pinned atom per context, or one box LP.
 
     Checks raise through `require` rather than bare asserts, so the class
     also tests something under ``python -O``.
@@ -530,6 +547,7 @@ class TestExactInducedModel:
             [random_density(3, rng)], random_coarse_grained_contexts(rng))
         yield "two states", sharp_gpt_from_quantum(
             [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])], kcbs_contexts())
+        yield "shared atoms", shared_atom_gpt(random_density(4, rng))
 
     def test_rational_and_every_context_sums_to_one(self):
         for name, gpt in self.gpts():
@@ -583,9 +601,52 @@ class TestExactInducedModel:
         classify_gpt(kcbs_gpt(np.eye(3) / 3))
         require(len(calls) == 0,
                 f"maximally mixed state ran {len(calls)} box LPs")
+        # Each pentagon context's atom 1 - P_j - P_j+1 is its own, so it
+        # absorbs the context's rounding and no LP runs.
         rng = np.random.default_rng(3)
         classify_gpt(kcbs_gpt(random_density(3, rng)))
-        require(len(calls) == 1, f"random state ran {len(calls)} box LPs")
+        require(len(calls) == 0, f"random state ran {len(calls)} box LPs")
+        induced_model(shared_atom_gpt(random_density(4, rng)), 0)
+        require(len(calls) == 1,
+                f"a context without its own atom ran {len(calls)} box LPs")
+
+    def test_pinned_atoms_stay_on_the_grid(self, monkeypatch):
+        # Without an LP, the shared atoms P_j are rounded to the 10**-6
+        # grid, and each context's own atom 1 - P_j - P_j+1 takes what is
+        # left: within 3 grid steps, as the context holds three atoms.
+        monkeypatch.setattr(scenario, "solve_box_eq",
+                            lambda *args: pytest.fail("box LP ran"))
+        gpt = kcbs_gpt(random_density(3, np.random.default_rng(3)))
+        exact = exact_atom_table(gpt)
+        held = [i for ctx in gpt.sharp_contexts for i in ctx]
+        for i in set(held):
+            moved = abs(Fraction(gpt.probability(i, 0)) - exact[i][0])
+            bound = (Fraction(3, 10 ** 6) if held.count(i) == 1
+                     else Fraction(1, 2 * 10 ** 6))
+            require(moved <= bound, f"atom {i} moved by {float(moved)}")
+            require(10 ** 6 % exact[i][0].denominator == 0,
+                    f"atom {i} is {exact[i][0]}")
+
+    @pytest.mark.parametrize("values", [
+        # Atoms 0-2 round up by 0.45 grid steps each, so the own atoms at
+        # 0.35 steps would come out at -1 step.
+        [0.20000055, 0.30000055, 0.49999855, 3.5e-7, 3.5e-7],
+        # Atoms 0-2 round down, and the own atoms are zero, so no atom may
+        # take up the missing step.
+        [0.2000003, 0.3000003, 0.4999994, 0.0, 0.0],
+    ], ids=["negative", "zero"])
+    def test_unpinnable_contexts_take_the_lp(self, monkeypatch, values):
+        calls = []
+        solve = scenario.solve_box_eq
+        monkeypatch.setattr(scenario, "solve_box_eq",
+                            lambda *args: calls.append(args) or solve(*args))
+        contexts = [[0, 1, 2, 3], [0, 1, 2, 4]]
+        exact = rationalize_atoms(values, contexts)
+        require(len(calls) == 1, f"{len(calls)} box LPs, expected the LP path")
+        for ctx in contexts:
+            require(sum(exact[k] for k in ctx) == 1, f"context {ctx} is not exact")
+        for f, x in zip(values, exact):
+            require(x >= 0 and (f > ZERO_TOL or x == 0), f"{f} became {x}")
 
     def test_lp_path_keeps_small_denominators(self, monkeypatch):
         # The box LP is centred on the 1/10**6 grid, so the vertex it
@@ -594,7 +655,7 @@ class TestExactInducedModel:
         solve = scenario.solve_box_eq
         monkeypatch.setattr(scenario, "solve_box_eq",
                             lambda *args: calls.append(args) or solve(*args))
-        gpt = kcbs_gpt(random_density(3, np.random.default_rng(3)))
+        gpt = shared_atom_gpt(random_density(4, np.random.default_rng(3)))
         values = atom_values(induced_model(gpt, 0))
         require(len(calls) == 1, f"{len(calls)} box LPs, expected the LP path")
         worst = max(v.denominator for v in values.values())

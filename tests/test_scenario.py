@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextuality import scenario
@@ -31,6 +31,7 @@ from contextuality.quantum import (
     dm,
     kcbs_construction,
     peres_mermin_square,
+    projective_context,
     pvm_from_observable,
     random_density,
 )
@@ -340,13 +341,14 @@ class TestSequentialBounds:
 
 
 @st.composite
-def small_denominator_models(draw):
-    """A classical mixture of global assignments with small integer weights.
+def mixture_models(draw, weights):
+    """A classical mixture of global assignments, weighted by draws from `weights`.
 
     Measurements have 2 or 3 outcomes; contexts are the consecutive pairs of
     a 3- or 4-cycle, so every measurement is shared by two contexts, plus
     optionally the triple {M0, M1, M2}, which contains two of the pairs.
-    Returns the scenario and its exact tables.
+    Integer weights give exact tables, float weights float tables.  Returns
+    the scenario and its tables.
     """
     n = draw(st.integers(3, 4))
     labels = [f"M{i}" for i in range(n)]
@@ -357,15 +359,15 @@ def small_denominator_models(draw):
     sc = make_scenario(list(zip(labels, outcomes)), contexts)
     points = draw(st.lists(st.tuples(*(st.sampled_from(o) for o in outcomes)),
                            min_size=1, max_size=4))
-    weights = draw(st.lists(st.integers(1, 5), min_size=len(points),
-                            max_size=len(points)))
-    total = sum(weights)
+    drawn = draw(st.lists(weights, min_size=len(points), max_size=len(points)))
+    total = sum(drawn)
+    exact = isinstance(total, int)
     tables = {}
     for c in sc.contexts:
         idx = [labels.index(m) for m in c]
-        table = {o: Fraction(0) for o in sc.outcome_tuples(c)}
-        for point, w in zip(points, weights):
-            table[tuple(point[i] for i in idx)] += Fraction(w, total)
+        table = {o: Fraction(0) if exact else 0.0 for o in sc.outcome_tuples(c)}
+        for point, w in zip(points, drawn):
+            table[tuple(point[i] for i in idx)] += Fraction(w, total) if exact else w / total
         tables[c] = table
     return sc, tables
 
@@ -424,7 +426,7 @@ class TestRationalize:
             assert worst < 1e-3
 
     @settings(max_examples=120, deadline=None)
-    @given(small_denominator_models())
+    @given(mixture_models(st.integers(1, 5)))
     def test_float_copies_of_small_denominator_models_come_back_exactly(self, drawn):
         sc, tables = drawn
         floats = make_model(sc, {c: {o: float(v) for o, v in t.items()}
@@ -463,6 +465,136 @@ class TestRationalize:
             # orthogonal consecutive projectors: the zero stays pinned
             assert m.tables[ctx][(1, 1)] <= 1e-9
             assert r.tables[ctx][(1, 1)] == 0
+
+
+def require(condition, message: str) -> None:
+    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
+    if not condition:
+        pytest.fail(message)
+
+
+def exactly_consistent(sc, tables) -> bool:
+    """Every table sums to exactly 1 and agrees exactly with every other on their overlap.
+
+    Summed here, entry by entry, with no `scenario` helper.
+    """
+    if any(sum(t.values(), Fraction(0)) != 1 for t in tables.values()):
+        return False
+    for ca, cb in itertools.combinations(sc.contexts, 2):
+        shared = [m for m in ca if m in cb]
+        margins = []
+        for c in (ca, cb):
+            margin = {}
+            for outc, v in tables[c].items():
+                key = tuple(outc[c.index(m)] for m in shared)
+                margin[key] = margin.get(key, Fraction(0)) + v
+            margins.append(margin)
+        if shared and margins[0] != margins[1]:
+            return False
+    return True
+
+
+class TestCoordinateRationalization:
+    """Float models the entry rounding cannot make exact are rebuilt from
+    shared grid-rounded coordinates, with no LP, whenever that keeps every
+    entry nonnegative, every zero at zero and every entry near its float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixture_models(st.floats(0.01, 1.0)),
+           st.one_of(st.just(0.0), st.floats(0.01, 0.2)))
+    def test_rebuilt_tables_are_exact_and_near_their_floats(self, drawn, noise):
+        # A `noise` share of the uniform mixture of every global point
+        # leaves no entry zero.
+        sc, mixed = drawn
+        tables = {c: {o: (1 - noise) * v + noise / len(t) for o, v in t.items()}
+                  for c, t in mixed.items()}
+        entry_rounded = {c: {o: Fraction(0) if v <= 1e-9
+                             else Fraction(v).limit_denominator(10 ** 6)
+                             for o, v in t.items()} for c, t in tables.items()}
+        assume(not exactly_consistent(sc, entry_rounded))
+        m = make_model(sc, tables)
+        rebuilt = scenario._coordinate_model(sc, dict(m.tables), 10 ** 6)
+        # Entries of a full-support mixture are at least 0.01 / 27, far
+        # above the rounding error, so the stage cannot refuse them.
+        require(rebuilt is not None or noise == 0,
+                "the coordinate stage refused a full-support model")
+        assume(rebuilt is not None)
+        with no_lp():
+            r = rationalize_model(m)
+        require(r.tables == rebuilt.tables, "rationalize_model skipped the stage")
+        require(exactly_consistent(sc, r.tables), "rebuilt model is not exact")
+        for c, table in tables.items():
+            bound = Fraction(len(table), 10 ** 6)
+            for outc, v in table.items():
+                x = r.tables[c][outc]
+                require(x >= 0, f"{c} {outc}: negative entry {x}")
+                require(v > 1e-9 or x == 0, f"{c} {outc}: float {v} became {x}")
+                require(abs(x - Fraction(v)) <= bound,
+                        f"{c} {outc}: {x} is {float(x) - v:.2e} from {v}")
+                require(10 ** 6 % x.denominator == 0,
+                        f"{c} {outc}: denominator {x.denominator}")
+
+    def test_negative_rebuilt_entry_is_refused(self):
+        # P(A=0) and P(B=0) round up by 0.45 grid steps and P(0, 0) down by
+        # 0.3, so the entry (1, 1) at 0.2 steps would be rebuilt at -1 step.
+        sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
+        m = make_model(sc, {("A", "B"): {(0, 0): 0.2000003, (0, 1): 0.30000025,
+                                         (1, 0): 0.49999925, (1, 1): 2e-7}})
+        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is None,
+                "the coordinate stage accepted a negative entry")
+        r = rationalize_model(m)
+        require(exactly_consistent(sc, r.tables), "not exact")
+        require(min(r.tables[("A", "B")].values()) >= 0, "negative entry")
+
+    def test_bound_refuses_a_grid_finer_than_the_model_agrees(self):
+        # The two tables disagree on P(A=0) by 5e-10, within the
+        # no-disturbance tolerance.  On the 1e-12 grid the table that does
+        # not host that coordinate moves by 500 steps, beyond its bound of 4.
+        sc = make_scenario([("A", (0, 1)), ("B", (0, 1)), ("C", (0, 1))],
+                           [["A", "B"], ["A", "C"]])
+        m = make_model(sc, {
+            ("A", "B"): {(0, 0): 0.1, (0, 1): 0.3, (1, 0): 0.25, (1, 1): 0.35},
+            ("A", "C"): {(0, 0): 0.2, (0, 1): 0.2000000005, (1, 0): 0.3,
+                         (1, 1): 0.2999999995}})
+        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is not None,
+                "the coordinate stage refused the model on the 1e-6 grid")
+        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 12) is None,
+                "the coordinate stage accepted entries beyond its bound")
+
+    def test_pentagon_with_the_firing_outcome_first_needs_no_lp(self):
+        # The zero of each context, both projectors firing, is a coordinate
+        # of its own, so it rounds to an exact zero.
+        _, obs, _ = kcbs_construction()
+        eye = np.eye(3)
+        pvms = [projective_context(f"A{j}", [(eye + a) / 2, (eye - a) / 2], [1, -1])
+                for j, a in enumerate(obs)]
+        contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+        for seed in range(5):
+            m = from_quantum(random_density(3, np.random.default_rng(200 + seed)),
+                             contexts)
+            with no_lp():
+                r = rationalize_model(m)
+            require(exactly_consistent(m.scenario, r.tables),
+                    f"seed {seed}: not exact")
+            for ctx in r.scenario.contexts:
+                require(m.tables[ctx][(1, 1)] <= 1e-9 and r.tables[ctx][(1, 1)] == 0,
+                        f"seed {seed}: {ctx} lost its zero")
+
+    def test_peres_mermin_zeros_cancel_so_the_lp_runs(self, monkeypatch):
+        # Half of every Peres-Mermin table is zero by parity, and those
+        # zeros are sums of several nonzero coordinates: rounding them
+        # independently leaves some entry nonzero, so the LP rebuilds it.
+        rho = random_density(4, np.random.default_rng(7))
+        m = from_quantum(rho, pm_contexts())
+        calls = []
+        real = scenario.solve_box_eq
+        monkeypatch.setattr(scenario, "solve_box_eq",
+                            lambda *a: calls.append(1) or real(*a))
+        require(scenario._coordinate_model(m.scenario, dict(m.tables), 10 ** 6) is None,
+                "the coordinate stage accepted a Peres-Mermin model")
+        r = rationalize_model(m)
+        require(calls, "no box LP ran")
+        require(exactly_consistent(m.scenario, r.tables), "not exact")
 
 
 class TestJson:
