@@ -65,7 +65,19 @@ KCBS_SUM_BOUND = -3
 
 
 def _json_safe(obj):
-    """Recursively convert Fractions, numpy scalars, arrays, and tuples."""
+    """Recursively convert Fractions, numpy scalars, arrays, and tuples.
+
+    Plain JSON values and containers are told apart by exact type first;
+    only what is left meets the isinstance checks, where numpy's abstract
+    scalar types are slow to test.
+    """
+    kind = type(obj)
+    if kind is str or kind is int or kind is float or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): _json_safe(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_json_safe(x) for x in obj]
     if isinstance(obj, Fraction):
         if obj.denominator == 1:
             return str(obj.numerator)

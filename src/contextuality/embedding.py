@@ -982,14 +982,18 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     component masses at a single ontic state, equal across all declared
     decompositions and normalizable to carry weight.  All patterns failing
     is a proof of preparation contextuality; a satisfiable pattern (as with
-    a single decomposition) is reported feasible.
+    a single decomposition) is reported feasible.  The system is built
+    once, over every component; a pattern's LP keeps the columns of its
+    alive components, in order, which is `_pattern_system` of that pattern.
     """
     _verify_decompositions(problem)
+    labels, rows, rhs = _pattern_system(problem, ())
+    full = columns_from_rows(rows)
     cases = []
     feasible_any = False
     for choice in itertools.product(*problem.orthogonal_pairs):
-        alive, rows, rhs = _pattern_system(problem, choice)
-        a = columns_from_rows(rows)
+        a = SparseColumns(full.m, tuple(col for label, col in zip(labels, full.cols)
+                                        if label not in choice))
         res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs),
                                   "preparation pattern")
         if res.feasible:

@@ -31,6 +31,8 @@ from .scenario import (
     SchemaError,
     make_model,
     make_scenario,
+    rational_literal,
+    sums_to_one,
 )
 from .sheaf import SectionFeasibility, solve_global_section
 
@@ -94,7 +96,7 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
     full = {}
     for x in range(nX):
         for y in range(nY):
-            s = zero
+            values = []
             for a in range(nA):
                 for b in range(nB):
                     v = p.get((a, b, x, y), zero)
@@ -106,9 +108,10 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
                             raise ValueError(f"negative probability at {(a, b, x, y)}")
                         v = 0.0
                     full[(a, b, x, y)] = v
-                    s = s + v
-            if abs(float(s) - 1.0) > 1e-12:
-                raise ValueError(f"slice (x={x}, y={y}) sums to {float(s)}, not 1")
+                    values.append(v)
+            if (abs(sum(values) - 1.0) > 1e-12 if has_float
+                    else not sums_to_one(values)):
+                raise ValueError(f"slice (x={x}, y={y}) sums to {float(sum(values))}, not 1")
     for key in p:
         a, b, x, y = key
         if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
@@ -209,15 +212,10 @@ def behaviour_from_json(doc: dict) -> Behaviour:
             raise SchemaError(f"bad behaviour key {key!r}") from exc
         if isinstance(val, bool):
             raise SchemaError(f"probability entries must be numbers, got {val!r}")
-        if isinstance(val, int):
-            p[(a, b, x, y)] = Fraction(val)
-        elif isinstance(val, float):
+        if isinstance(val, float):
             p[(a, b, x, y)] = val
-        elif isinstance(val, str):
-            try:
-                p[(a, b, x, y)] = Fraction(val)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"bad rational literal {val!r}") from exc
+        elif isinstance(val, (int, str)):
+            p[(a, b, x, y)] = rational_literal(val, "probability entry")
         else:
             raise SchemaError(f"unsupported probability entry {val!r}")
     try:

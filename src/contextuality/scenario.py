@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import solve_box_eq
+from .exactlp import clear_denominators, solve_box_eq
 from .quantum import ProjectiveContext, sup_norm
 
 ND_TOL = 1e-9
@@ -201,12 +201,12 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
                 if v < 0:
                     raise ValueError(f"negative probability {v} in context {canon}")
             full[outc] = v
-        total = sum(full.values())
         # A float table may be off by as much as the no-disturbance check
         # forgives; `rationalize_model` makes it exactly normalised.  An
         # exact table must sum to exactly 1.
-        if abs(total - 1.0) > ND_TOL if has_float else total != 1:
-            raise ValueError(f"context {canon} table sums to {total}, not 1")
+        if (abs(sum(full.values()) - 1.0) > ND_TOL if has_float
+                else not sums_to_one(full.values())):
+            raise ValueError(f"context {canon} table sums to {sum(full.values())}, not 1")
         tables_out[canon] = full
     return EmpiricalModel(scenario=scenario, tables=tables_out)
 
@@ -214,6 +214,23 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
 # ---------------------------------------------------------------------------
 # Marginals and no-disturbance
 # ---------------------------------------------------------------------------
+
+def sums_to_one(values) -> bool:
+    """Exact values sum to exactly 1, added as integers over their common denominator."""
+    ints, scale = clear_denominators(values)
+    return sum(ints) == scale
+
+
+def _integer_tables(model: EmpiricalModel) -> tuple[dict, int]:
+    """An exact model's tables as integers over one common denominator, and that denominator.
+
+    Sums and marginals of the integer tables are the exact ones times the
+    denominator, so the exact checks compare integers.
+    """
+    ints, scale = clear_denominators([v for t in model.tables.values() for v in t.values()])
+    it = iter(ints)
+    return {c: dict(zip(t, it)) for c, t in model.tables.items()}, scale
+
 
 def marginalize(table: dict, context, subset) -> dict:
     """Sum a joint table over the measurements outside `subset`.
@@ -260,19 +277,19 @@ def _overlap_pairs(sc: MeasurementScenario):
             yield ca, cb, tuple(m for m in sc.measurements if m in shared)
 
 
-def _overlap_marginals(model: EmpiricalModel):
-    """`_overlap_pairs` with the marginals of both contexts on their overlap.
+def _overlap_marginals(sc: MeasurementScenario, tables: dict):
+    """`_overlap_pairs` with the marginals of both contexts' `tables` on their overlap.
 
     Each (context, overlap) marginal is computed once and shared by every
     pair that needs it.
     """
     cache: dict[tuple, dict] = {}
-    for ca, cb, overlap in _overlap_pairs(model.scenario):
+    for ca, cb, overlap in _overlap_pairs(sc):
         pair = []
         for c in (ca, cb):
             m = cache.get((c, overlap))
             if m is None:
-                m = cache[c, overlap] = marginalize(model.tables[c], c, overlap)
+                m = cache[c, overlap] = marginalize(tables[c], c, overlap)
             pair.append(m)
         yield ca, cb, overlap, pair[0], pair[1]
 
@@ -282,7 +299,7 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
     sc = model.scenario
     worst = 0.0
     worst_pair = None
-    for ca, cb, overlap, ma, mb in _overlap_marginals(model):
+    for ca, cb, overlap, ma, mb in _overlap_marginals(sc, model.tables):
         for outc in sc.outcome_tuples(overlap):
             d = abs(float(ma.get(outc, 0)) - float(mb.get(outc, 0)))
             if d > worst:
@@ -294,9 +311,14 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
 
 def exact_no_disturbance(model: EmpiricalModel) -> bool:
     """Exact marginal agreement; meaningful only for all-rational models."""
-    for _, _, _, ma, mb in _overlap_marginals(model):
+    return _marginals_agree(model.scenario, _integer_tables(model)[0])
+
+
+def _marginals_agree(sc: MeasurementScenario, tables: dict) -> bool:
+    """Every overlap marginal of integer `tables` agrees exactly."""
+    for _, _, _, ma, mb in _overlap_marginals(sc, tables):
         for outc in set(ma) | set(mb):
-            if ma.get(outc, Fraction(0)) != mb.get(outc, Fraction(0)):
+            if ma.get(outc, 0) != mb.get(outc, 0):
                 return False
     return True
 
@@ -496,8 +518,25 @@ def _round(x: float, max_den: int) -> Fraction:
 
 def _exactly_consistent(model: EmpiricalModel) -> bool:
     """Every table sums to exactly 1 and every overlap marginal agrees exactly."""
-    return (all(sum(t.values()) == 1 for t in model.tables.values())
-            and exact_no_disturbance(model))
+    tables, scale = _integer_tables(model)
+    return (all(sum(t.values()) == scale for t in tables.values())
+            and _marginals_agree(model.scenario, tables))
+
+
+def _rounded_model(sc: MeasurementScenario, floats: dict,
+                   max_den: int) -> EmpiricalModel | None:
+    """Every entry rounded once by `_round`, or None.
+
+    None at the first table whose rounded entries do not sum to exactly 1,
+    or when the rounded marginals disagree.
+    """
+    tables = {}
+    for c in sc.contexts:
+        tables[c] = {o: _round(floats[c].get(o, 0.0), max_den) for o in sc.outcome_tuples(c)}
+        if not sums_to_one(tables[c].values()):
+            return None
+    rounded = EmpiricalModel(scenario=sc, tables=tables)
+    return rounded if exact_no_disturbance(rounded) else None
 
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
@@ -574,7 +613,7 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
        `ZERO_TOL`, or a failed stage 2, reaches it.
     """
     centres = [_round(f, MAX_DEN) for f in values]
-    if all(sum(centres[k] for k in ctx) == 1 for ctx in contexts):
+    if all(sums_to_one([centres[k] for k in ctx]) for ctx in contexts):
         return centres
     grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
     pinned = _pin_dependent_atoms(values, grid, contexts)
@@ -666,14 +705,15 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
     `DisturbingModel`.  Otherwise three stages run in turn, and the first
     whose result passes its checks is returned:
 
-    1. Entry rounding.  Every entry is rounded once: entries at or below
-       `ZERO_TOL` become an exact zero and the others the nearest rational
-       with denominator at most `max_den`, so each moves by at most
-       max(1/(2 max_den), ZERO_TOL).  Kept only when every rounded table
-       sums to exactly 1 and the rounded marginals agree exactly, which
-       makes a float copy of a small-denominator model come back as that
-       model.  A rounded model that fails is never corrected entry by
-       entry.
+    1. Entry rounding (`_rounded_model`).  Every entry is rounded once:
+       entries at or below `ZERO_TOL` become an exact zero and the others
+       the nearest rational with denominator at most `max_den`, so each
+       moves by at most max(1/(2 max_den), ZERO_TOL).  Kept only when every
+       rounded table sums to exactly 1 and the rounded marginals agree
+       exactly, which makes a float copy of a small-denominator model come
+       back as that model.  The stage stops at the first table that does
+       not sum to exactly 1, before rounding the tables after it.  A
+       rounded model that fails is never corrected entry by entry.
     2. Coordinates (`_coordinate_model`).  The Collins-Gisin coordinates
        are rounded once to the 1/max_den grid and every table is rebuilt
        from them by inclusion-exclusion, exactly consistent by
@@ -704,10 +744,8 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
 
     sc = model.scenario
     float_tables = {c: {o: float(v) for o, v in t.items()} for c, t in model.tables.items()}
-    rounded = EmpiricalModel(scenario=sc, tables={
-        c: {o: _round(float_tables[c].get(o, 0.0), max_den) for o in sc.outcome_tuples(c)}
-        for c in sc.contexts})
-    if _exactly_consistent(rounded):
+    rounded = _rounded_model(sc, float_tables, max_den)
+    if rounded is not None:
         return rounded
     rebuilt = _coordinate_model(sc, float_tables, max_den)
     if rebuilt is not None:
@@ -751,7 +789,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
                     rows.append([Fraction(1) if tuple(o[i] for i in idx) == uo
                                  else Fraction(0) for o in outs])
                     rhs.append(uv)
-        centres = [rounded.tables[c][o] for o in outs]
+        centres = [_round(f, max_den) for f in values]
         sol = _solve_box(values, centres, rows, rhs, 2 * SLACK, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize context {c}")

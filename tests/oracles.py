@@ -24,7 +24,9 @@ a sharp GPT's 0/1 atom assignments by backtracking over its contexts, and
 reads off the global-section LP, kept as an independent second route.
 `brute_force_facets` lists the facets of a cone from every
 (dim - 1)-subset of its generators, against the package's double
-description.
+description.  `exactly_consistent` sums an exact model's tables and
+overlap marginals entry by entry in ``Fraction`` arithmetic, against the
+package's integer checks.
 """
 
 from __future__ import annotations
@@ -503,3 +505,25 @@ def brute_force_facets(generators) -> tuple | None:
         ints = [int(v * scale) for v in normal]
         facets.add(tuple(v // gcd(*ints) for v in ints))
     return tuple(sorted(facets))
+
+
+def exactly_consistent(scenario, tables) -> bool:
+    """Every table sums to exactly 1 and agrees exactly with every other on their overlap.
+
+    ``tables`` maps each context of ``scenario`` to its exact table.  Summed
+    here, entry by entry in ``Fraction`` arithmetic, with no package helper.
+    """
+    if any(sum(t.values(), Fraction(0)) != 1 for t in tables.values()):
+        return False
+    for ca, cb in itertools.combinations(scenario.contexts, 2):
+        shared = [m for m in ca if m in cb]
+        margins = []
+        for c in (ca, cb):
+            margin = {}
+            for outc, v in tables[c].items():
+                key = tuple(outc[c.index(m)] for m in shared)
+                margin[key] = margin.get(key, Fraction(0)) + v
+            margins.append(margin)
+        if shared and margins[0] != margins[1]:
+            return False
+    return True

@@ -28,6 +28,7 @@ from fractions import Fraction
 from contextuality import cli
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
+from contextuality.polytope import behaviour_from_json
 from contextuality.quantum import (
     PAULIS,
     kcbs_construction,
@@ -1248,6 +1249,31 @@ class TestOversizedLiterals:
         for bad in ("1" * 1001, "1e1001", "0.5e-1_001", True, 0.5, None, "1/0", "x"):
             with pytest.raises(SchemaError):
                 rational_literal(bad, "x")
+
+
+class TestBehaviourLiterals:
+    """The two-party behaviour reader takes its exact entries through
+    `rational_literal`, so the digit and exponent bound holds there too."""
+
+    @staticmethod
+    def doc(value) -> dict:
+        return {"nX": 1, "nY": 1, "nA": 2, "nB": 2,
+                "p": {"0,0|0,0": value, "1,1|0,0": "1"}}
+
+    @pytest.mark.parametrize("value", ["1e-1500", "1e1500", "1" * 1500])
+    def test_oversized_literal_refused(self, value):
+        with pytest.raises(SchemaError, match="exceeds 1000 digits"):
+            behaviour_from_json(self.doc(value))
+
+    def test_exact_entries_within_the_bound_are_read(self):
+        b = behaviour_from_json({"nX": 1, "nY": 1, "nA": 2, "nB": 2,
+                                 "p": {"0,0|0,0": "1/4", "0,1|0,0": "0.25",
+                                       "1,0|0,0": 0, "1,1|0,0": "1/2"}})
+        require(b.p[(0, 1, 0, 0)] == Fraction(1, 4) and b.p[(1, 0, 0, 0)] == 0,
+                f"entries read as {b.p}")
+        for bad in ("1/0", "x", None, True):
+            with pytest.raises(SchemaError):
+                behaviour_from_json(self.doc(bad))
 
 
 def classify_base_document(kind: str) -> dict:

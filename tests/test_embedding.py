@@ -65,6 +65,7 @@ from contextuality.exactlp import (
     check_farkas,
     check_solution,
     columns_from_rows,
+    solve_eq_nonneg,
 )
 from contextuality.quantum import (
     PAULIS,
@@ -1103,6 +1104,49 @@ class TestPrepNcCheck:
         problem = qubit_prep_ensemble(Fraction(1, 2), axis=(1.0, 1.0, 1.0))
         result = prep_nc_check(problem)
         assert result.verdict == "infeasible"
+
+
+class TestPrepPatternSystem:
+    """`prep_nc_check` builds its exact system once and solves each pattern
+    over the alive columns; every case must be the solve of the system that
+    `_pattern_system` builds for that pattern alone, certificate for
+    certificate."""
+
+    @staticmethod
+    def require_cases_match_per_pattern_solves(problem):
+        result = prep_nc_check(problem)
+        patterns = list(itertools.product(*problem.orthogonal_pairs))
+        require(len(result.cases) == len(patterns) == 16,
+                f"{len(result.cases)} cases")
+        for case, dead in zip(result.cases, patterns):
+            _, rows, rhs = embedding._pattern_system(problem, dead)
+            res = solve_eq_nonneg(columns_from_rows(rows), rhs)
+            require(case.dead == dead, f"case order: {case.dead} for {dead}")
+            require(case.feasible == res.feasible, f"{dead}: verdict")
+            require(case.solution == (res.x if res.feasible else None),
+                    f"{dead}: primal {case.solution} against {res.x}")
+            require(case.farkas == (None if res.feasible else res.farkas),
+                    f"{dead}: Farkas {case.farkas} against {res.farkas}")
+        return result
+
+    @pytest.mark.parametrize("r, axis, q", [
+        ("0", (0.0, 0.0, 1.0), None),
+        ("1/2", (0.0, 0.0, 1.0), None),
+        ("-2/5", (1.0, 1.0, 1.0), None),
+        ("3/4", (0.0, 1.0, 0.0), "1/3"),
+        ("1/3", (1.0, 2.0, 2.0), None),
+    ])
+    def test_each_case_is_its_own_pattern_solve(self, r, axis, q):
+        problem = qubit_prep_ensemble(Fraction(r), axis=axis,
+                                      q=None if q is None else Fraction(q))
+        result = self.require_cases_match_per_pattern_solves(problem)
+        require(result.verdict == "infeasible", f"r = {r}: {result.verdict}")
+
+    def test_feasible_cases_of_one_decomposition(self):
+        problem = qubit_prep_ensemble(Fraction(2, 7), axis=(1.0, 0.0, 0.0))
+        single = dataclasses.replace(problem, decompositions=problem.decompositions[:1])
+        result = self.require_cases_match_per_pattern_solves(single)
+        require(any(case.feasible for case in result.cases), "no feasible case")
 
 
 def dense_rows(a):

@@ -101,6 +101,13 @@ class TestBehaviour:
         with pytest.raises(ValueError, match="sums to"):
             make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): Fraction(1, 2)})
 
+    def test_exact_slice_must_sum_to_exactly_one(self):
+        p = {(0, 0, 0, 0): Fraction(1, 2), (1, 1, 0, 0): Fraction(1, 2) + Fraction(1, 10 ** 14)}
+        with pytest.raises(ValueError, match="sums to"):
+            make_behaviour(1, 1, 2, 2, p)
+        # A float slice keeps its 1e-12 tolerance.
+        make_behaviour(1, 1, 2, 2, {k: float(v) for k, v in p.items()})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, bad):
         p = {(0, 0, 0, 0): bad, (1, 1, 0, 0): 1.0}

@@ -15,6 +15,7 @@ Verification strategy:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -57,6 +58,7 @@ from contextuality.scenario import (
     sequential_stats_from_quantum,
     validate_no_disturbance,
 )
+from oracles import exactly_consistent
 
 RNG = np.random.default_rng(20240818)
 
@@ -340,6 +342,12 @@ class TestSequentialBounds:
                             p_ab={(1, 1): 1.0}, p_bab={(1, 1): 1.0})
 
 
+def require(condition, message: str) -> None:
+    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
+    if not condition:
+        pytest.fail(message)
+
+
 @st.composite
 def mixture_models(draw, weights):
     """A classical mixture of global assignments, weighted by draws from `weights`.
@@ -379,29 +387,31 @@ def no_lp():
 
 
 class TestRationalize:
+    """Rationalized models are checked by `oracles.exactly_consistent`, which
+    sums in ``Fraction`` arithmetic, not by the package's own exact checks."""
+
     def test_exact_model_passes_through(self):
         m = pr_box_model()
-        assert rationalize_model(m) is m
+        require(rationalize_model(m) is m, "exact model rebuilt")
 
     def test_kcbs_float_model_becomes_exact(self):
         m = kcbs_model()
         r = rationalize_model(m)
-        assert r.is_rational
-        assert exact_no_disturbance(r)
+        require(r.is_rational, "not rational")
+        require(exactly_consistent(r.scenario, r.tables), "not exact")
         for ctx in m.scenario.contexts:
-            assert sum(r.tables[ctx].values()) == 1
             for outc, v in m.tables[ctx].items():
-                assert abs(float(r.tables[ctx][outc]) - v) < 1e-3
+                require(abs(float(r.tables[ctx][outc]) - v) < 1e-3, f"{ctx} {outc} moved")
         # orthogonal consecutive projectors force an exact zero
         for ctx in r.scenario.contexts:
-            assert r.tables[ctx][(1, 1)] == 0
+            require(r.tables[ctx][(1, 1)] == 0, f"{ctx} lost its zero")
 
     def test_magic_square_zeros_are_pinned(self):
         rho = random_density(4, np.random.default_rng(7))
         r = rationalize_model(from_quantum(rho, pm_contexts()))
-        assert exact_no_disturbance(r)
+        require(exactly_consistent(r.scenario, r.tables), "not exact")
         zeros = sum(1 for t in r.tables.values() for v in t.values() if v == 0)
-        assert zeros == 6 * 4
+        require(zeros == 6 * 4, f"{zeros} zeros")
 
     def test_disturbing_model_rejected(self):
         sc = make_scenario(
@@ -420,10 +430,10 @@ class TestRationalize:
             rho = random_density(3, np.random.default_rng(200 + seed))
             m = from_quantum(rho, contexts)
             r = rationalize_model(m)
-            assert exact_no_disturbance(r)
+            require(exactly_consistent(r.scenario, r.tables), f"seed {seed}: not exact")
             worst = max(abs(float(r.tables[c][o]) - m.tables[c][o])
                         for c in m.scenario.contexts for o in m.tables[c])
-            assert worst < 1e-3
+            require(worst < 1e-3, f"seed {seed}: an entry moved by {worst:.2e}")
 
     @settings(max_examples=120, deadline=None)
     @given(mixture_models(st.integers(1, 5)))
@@ -433,20 +443,20 @@ class TestRationalize:
                                  for c, t in tables.items()})
         with no_lp():
             r = rationalize_model(floats)
-        assert r.tables == tables
+        require(r.tables == tables, "the float copy did not come back")
 
     @pytest.mark.parametrize("max_den", [10 ** 3, 10 ** 6])
     def test_fast_path_entries_within_half_a_grid_step(self, max_den):
         m = kcbs_model()
         with no_lp():
             r = rationalize_model(m, max_den=max_den)
-        assert r.is_rational and exact_no_disturbance(r)
+        require(r.is_rational, "not rational")
+        require(exactly_consistent(r.scenario, r.tables), "not exact")
         bound = Fraction(1, 2 * max_den)
         for c, table in m.tables.items():
-            assert sum(r.tables[c].values()) == 1
             for outc, v in table.items():
-                assert r.tables[c][outc].denominator <= max_den
-                assert abs(r.tables[c][outc] - Fraction(v)) <= bound
+                require(r.tables[c][outc].denominator <= max_den, f"{c} {outc}: denominator")
+                require(abs(r.tables[c][outc] - Fraction(v)) <= bound, f"{c} {outc}: moved")
 
     def test_random_pentagon_state_takes_the_lp_path(self, monkeypatch):
         _, obs, _ = kcbs_construction()
@@ -458,40 +468,13 @@ class TestRationalize:
         monkeypatch.setattr(scenario, "solve_box_eq",
                             lambda *a: calls.append(1) or real(*a))
         r = rationalize_model(m)
-        assert calls
-        assert r.is_rational and exact_no_disturbance(r)
+        require(calls, "no box LP ran")
+        require(r.is_rational, "not rational")
+        require(exactly_consistent(r.scenario, r.tables), "not exact")
         for ctx in r.scenario.contexts:
-            assert sum(r.tables[ctx].values()) == 1
             # orthogonal consecutive projectors: the zero stays pinned
-            assert m.tables[ctx][(1, 1)] <= 1e-9
-            assert r.tables[ctx][(1, 1)] == 0
-
-
-def require(condition, message: str) -> None:
-    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
-    if not condition:
-        pytest.fail(message)
-
-
-def exactly_consistent(sc, tables) -> bool:
-    """Every table sums to exactly 1 and agrees exactly with every other on their overlap.
-
-    Summed here, entry by entry, with no `scenario` helper.
-    """
-    if any(sum(t.values(), Fraction(0)) != 1 for t in tables.values()):
-        return False
-    for ca, cb in itertools.combinations(sc.contexts, 2):
-        shared = [m for m in ca if m in cb]
-        margins = []
-        for c in (ca, cb):
-            margin = {}
-            for outc, v in tables[c].items():
-                key = tuple(outc[c.index(m)] for m in shared)
-                margin[key] = margin.get(key, Fraction(0)) + v
-            margins.append(margin)
-        if shared and margins[0] != margins[1]:
-            return False
-    return True
+            require(m.tables[ctx][(1, 1)] <= 1e-9, f"{ctx}: float entry not zero")
+            require(r.tables[ctx][(1, 1)] == 0, f"{ctx} lost its zero")
 
 
 class TestCoordinateRationalization:
@@ -595,6 +578,159 @@ class TestCoordinateRationalization:
         r = rationalize_model(m)
         require(calls, "no box LP ran")
         require(exactly_consistent(m.scenario, r.tables), "not exact")
+
+
+@st.composite
+def rational_models(draw):
+    """An exact 3- or 4-cycle (`mixture_models`) or two-setting box, and its tables.
+
+    Box tables mix 1-4 global points and a Popescu-Rohrlich component with
+    integer weights.  When the perturb flag is drawn, one entry of one table
+    moves by +1/den and another entry of the same table by -1/den, den the
+    common denominator of the model: every table still sums to 1, so only
+    the marginal check can fail.
+    """
+    if draw(st.booleans()):
+        sc, tables = draw(mixture_models(st.integers(1, 5)))
+    else:
+        sc = chsh_scenario()
+        points = draw(st.lists(st.tuples(*[st.sampled_from((0, 1))] * 4),
+                               min_size=1, max_size=4))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(points),
+                                max_size=len(points)))
+        pr = draw(st.integers(0, 3))
+        total = sum(weights) + pr
+        tables = {}
+        for c in sc.contexts:
+            x, y = int(c[0][1]), int(c[1][1])
+            table = {(a, b): Fraction(pr, 2 * total) if a ^ b == x * y else Fraction(0)
+                     for a in (0, 1) for b in (0, 1)}
+            for point, w in zip(points, weights):
+                table[point[x], point[2 + y]] += Fraction(w, total)
+            tables[c] = table
+    if draw(st.booleans()):
+        den = math.lcm(*(v.denominator for t in tables.values() for v in t.values()))
+        table = tables[draw(st.sampled_from(sc.contexts))]
+        down = draw(st.sampled_from(sorted(o for o, v in table.items() if v)))
+        up = draw(st.sampled_from(sorted(o for o in table if o != down)))
+        table[down] -= Fraction(1, den)
+        table[up] += Fraction(1, den)
+    return sc, tables
+
+
+class TestIntegerConsistencyChecks:
+    """The exact checks run on integer tables over one common denominator;
+    they must agree with `oracles.exactly_consistent`, which sums each
+    table and marginal in ``Fraction`` arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_models())
+    def test_checks_agree_with_fraction_sums(self, drawn):
+        sc, tables = drawn
+        m = make_model(sc, tables)
+        expected = exactly_consistent(sc, m.tables)
+        require(exact_no_disturbance(m) == expected,
+                f"exact_no_disturbance is {not expected}")
+        require(scenario._exactly_consistent(m) == expected,
+                f"the pass-through test is {not expected}")
+        if expected:
+            require(rationalize_model(m) is m, "a consistent model was rebuilt")
+        else:
+            with pytest.raises(DisturbingModel):
+                rationalize_model(m)
+
+    def test_table_off_by_one_part_in_its_denominator(self):
+        # Built without `make_model`, which would refuse the table.
+        sc = chsh_scenario()
+        tables = dict(pr_box_model().tables)
+        tables[sc.contexts[0]] = {**tables[sc.contexts[0]], (0, 1): Fraction(1, 10 ** 15)}
+        m = EmpiricalModel(scenario=sc, tables=tables)
+        require(not exactly_consistent(sc, tables), "the oracle accepted the table")
+        require(not scenario._exactly_consistent(m), "the pass-through test accepted it")
+
+
+def round_every_table(sc, floats) -> dict:
+    """Every entry of every table rounded by `scenario._round` at `MAX_DEN`."""
+    return {c: {o: scenario._round(floats[c].get(o, 0.0), scenario.MAX_DEN)
+                for o in sc.outcome_tuples(c)} for c in sc.contexts}
+
+
+def float_tables(m) -> dict:
+    return {c: {o: float(v) for o, v in t.items()} for c, t in m.tables.items()}
+
+
+def coarse_graining_model(rng):
+    """Two-outcome coarse-grainings {0,1}, {0,2}, {0} of one random 4-dimensional basis."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u, _ = np.linalg.qr(g)
+    rays = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+    meas = []
+    for k, block in enumerate([(0, 1), (0, 2), (0,)]):
+        q = sum(rays[i] for i in block)
+        meas.append(projective_context(f"M{k}", [q, np.eye(4) - q], [0, 1]))
+    return from_quantum(random_density(4, rng),
+                        [[meas[0], meas[1]], [meas[1], meas[2]], [meas[0], meas[2]]])
+
+
+class TestEarlyExitRounding:
+    """Entry rounding stops at the first table that does not sum to 1.  It
+    must accept and return what rounding every table first accepts, and the
+    box-LP chain must still centre every table on its rounded entries."""
+
+    @staticmethod
+    def require_same_as_rounding_every_table(m):
+        sc, floats = m.scenario, float_tables(m)
+        everything = round_every_table(sc, floats)
+        expected = everything if exactly_consistent(sc, everything) else None
+        got = scenario._rounded_model(sc, floats, scenario.MAX_DEN)
+        require((got is None) == (expected is None),
+                f"entry rounding {'refused' if got is None else 'accepted'} the model")
+        if expected is not None:
+            require(got.tables == expected, "entry rounding changed an entry")
+            require(rationalize_model(m).tables == expected, "rationalize_model did not use it")
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(mixture_models(st.integers(1, 5)), mixture_models(st.floats(0.01, 1.0))))
+    def test_float_copies_of_rational_models(self, drawn):
+        sc, tables = drawn
+        self.require_same_as_rounding_every_table(
+            make_model(sc, {c: {o: float(v) for o, v in t.items()} for c, t in tables.items()}))
+
+    def test_coarse_graining_stops_at_its_first_table(self, monkeypatch):
+        m = coarse_graining_model(np.random.default_rng(5))
+        sc = m.scenario
+        require(self.require_same_as_rounding_every_table(m) is None,
+                "entry rounding accepted a coarse-graining model")
+        everything = round_every_table(sc, float_tables(m))
+        first = next(k for k, c in enumerate(sc.contexts)
+                     if sum(everything[c].values(), Fraction(0)) != 1)
+        calls = []
+        real = scenario._round
+        monkeypatch.setattr(scenario, "_round", lambda *a: calls.append(1) or real(*a))
+        scenario._rounded_model(sc, float_tables(m), scenario.MAX_DEN)
+        entries = sum(len(everything[c]) for c in sc.contexts[:first + 1])
+        require(first < len(sc.contexts) - 1, "no table left to skip")
+        require(len(calls) == entries, f"{len(calls)} entries rounded, not {entries}")
+
+    def test_peres_mermin_box_lps_centre_on_every_rounded_table(self, monkeypatch):
+        # Entry and coordinate rounding both fail on Peres-Mermin, so each
+        # table's box LP runs, centred on that table's rounded entries.
+        m = from_quantum(random_density(4, np.random.default_rng(7)), pm_contexts())
+        sc = m.scenario
+        require(self.require_same_as_rounding_every_table(m) is None,
+                "entry rounding accepted a Peres-Mermin model")
+        everything = round_every_table(sc, float_tables(m))
+        centres = []
+        real = scenario._solve_box
+        monkeypatch.setattr(scenario, "_solve_box",
+                            lambda values, c, *rest: centres.append(list(c))
+                            or real(values, c, *rest))
+        r = rationalize_model(m)
+        tables = [c for c in centres if len(c) == 8]
+        require(tables == [[everything[c][o] for o in sc.outcome_tuples(c)]
+                           for c in sc.contexts], "a table's box LP is centred elsewhere")
+        require(exactly_consistent(sc, r.tables), "not exact")
 
 
 class TestJson:
