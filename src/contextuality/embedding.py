@@ -983,8 +983,9 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     decompositions and normalizable to carry weight.  All patterns failing
     is a proof of preparation contextuality; a satisfiable pattern (as with
     a single decomposition) is reported feasible.  The system is built
-    once, over every component; a pattern's LP keeps the columns of its
-    alive components, in order, which is `_pattern_system` of that pattern.
+    once, over every component, and its columns' denominators are cleared
+    once; a pattern's LP keeps the columns of its alive components, in
+    order, which is `_pattern_system` of that pattern.
     """
     _verify_decompositions(problem)
     labels, rows, rhs = _pattern_system(problem, ())
@@ -992,8 +993,7 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     cases = []
     feasible_any = False
     for choice in itertools.product(*problem.orthogonal_pairs):
-        a = SparseColumns(full.m, tuple(col for label, col in zip(labels, full.cols)
-                                        if label not in choice))
+        a = full.select([j for j, label in enumerate(labels) if label not in choice])
         res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs),
                                   "preparation pattern")
         if res.feasible:

@@ -158,6 +158,14 @@ class SparseColumns:
     def column(self, j: int) -> tuple:
         return self._integral[j]
 
+    def select(self, keep: Sequence[int]) -> SparseColumns:
+        """The columns ``keep``, in order, sharing this matrix's integral columns."""
+        sub = SparseColumns(self.m, tuple(self.cols[j] for j in keep))
+        ints = self._integral
+        # Filled in where `cached_property` keeps its value.
+        sub.__dict__["_integral"] = [ints[j] for j in keep]
+        return sub
+
     def primal(self, pairs) -> tuple:
         x = [Fraction(0)] * self.n
         for j, v in pairs:

@@ -26,6 +26,7 @@ from .quantum import (
     tensor,
 )
 from .scenario import (
+    ND_TOL,
     EmpiricalModel,
     LabelMismatch,
     SchemaError,
@@ -90,7 +91,10 @@ class Behaviour:
 
 
 def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
-    """Validated constructor; missing entries are filled with zero."""
+    """Validated constructor; missing entries are filled with zero.
+
+    A float slice may miss 1 by up to `ND_TOL`, as a `make_model` table may.
+    """
     has_float = any(isinstance(v, float) for v in p.values())
     zero = 0.0 if has_float else Fraction(0)
     full = {}
@@ -109,7 +113,7 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
                         v = 0.0
                     full[(a, b, x, y)] = v
                     values.append(v)
-            if (abs(sum(values) - 1.0) > 1e-12 if has_float
+            if (abs(sum(values) - 1.0) > ND_TOL if has_float
                     else not sums_to_one(values)):
                 raise ValueError(f"slice (x={x}, y={y}) sums to {float(sum(values))}, not 1")
     for key in p:

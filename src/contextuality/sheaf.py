@@ -11,14 +11,26 @@ per context.  `IncidenceMatrix` therefore never lists its columns: it is a
 column source for the exact solver whose pricing oracle finds the largest
 score, and the lexicographically smallest assignment attaining it, by
 max-sum variable elimination over the measurements ("bucket elimination",
-Dechter 1999).  Rows with ``v_i = 0`` are left out of the solved system and
-their sections are forbidden to the oracle, since no assignment through
-them can carry weight.  Feasibility is decided with the exact rational
-solver, so every verdict ships a certificate: feasible verdicts carry the
-(assignment, weight) pairs of a hidden-variable model, infeasible verdicts
-carry a separating functional ``y`` with ``y^T M <= 0`` and ``y^T v > 0``,
-both re-checked before they are returned, the primal by multiplication and
-the dual by the oracle's maximum.
+Dechter 1999).
+
+Most rows are linear combinations of others (normalization, and the
+marginals that overlapping contexts share), so the LP is solved on a row
+basis chosen in closed form, the Collins-Gisin basis of
+`IncidenceMatrix.basis`: as many rows as Collins-Gisin coordinates, one
+per coordinate.  An exactly consistent ``v`` satisfies every row once it
+satisfies the basis rows.  Rows with ``v_i = 0`` are left out of the
+solved system as well and their sections are forbidden to the oracle,
+since no assignment through them can carry weight; the other rows outside
+the basis leave the system and are priced as 0.  Feasibility is decided
+with the exact rational solver, so every verdict ships a certificate:
+feasible verdicts carry the (assignment, weight) pairs of a hidden-variable
+model, infeasible verdicts carry a separating functional ``y`` with
+``y^T M <= 0`` and ``y^T v > 0``, lifted to every row: 0 on the rows left
+out of the basis, and minus the largest score on the zero rows when some
+assignment through them scores above 0.  The certificate lists every row
+and its rhs, and both kinds are re-checked on the full matrix before they
+are returned, the primal by multiplication and the dual by the oracle's
+maximum.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import getitem, mul
+from operator import add, getitem, itemgetter, mul
 from typing import Sequence
 
 from .exactlp import (
@@ -45,6 +57,9 @@ from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationali
 # up to one entry per global assignment on a context-dense scenario, so the
 # assignment count stays capped.
 MAX_ASSIGNMENTS = 2 ** 20
+
+# `IncidenceMatrix.sections` entry of a section with no row in the system.
+OUTSIDE = -1
 
 
 class InvalidCertificate(ValueError):
@@ -99,6 +114,8 @@ class _Elimination:
     ``steps`` lists each elimination as ``(v, union, parts, message)``;
     a part ``(f, idx)`` reads context ``f``'s table, or for ``f`` at least
     the context count a message, at ``idx`` (None: the same scope).
+    ``decode[v]`` lists the positions before ``v`` in its union and their
+    strides in the union table's rank.
     """
 
     def __init__(self, scenario: MeasurementScenario):
@@ -129,39 +146,40 @@ class _Elimination:
             (bucket[union[-2]] if len(union) > 1 else self.constants).append(msg)
             self.steps.append((v, union, [(f, _index_map(union, scopes[f], size))
                                           for f in bucket[v]], msg))
+        self.decode: list = [None] * len(size)
+        for v, union, _, _ in self.steps:
+            strides, step = [], 1
+            for u in reversed(union):
+                strides.append(step)
+                step *= size[u]
+            self.decode[v] = (union[:-1], tuple(reversed(strides))[:-1])
 
-    def maximize(self, y: list, steps: list, constants: list) -> tuple:
+    def maximize(self, buf: list, steps: list, constants: list) -> tuple:
         """(largest total, outcome indices of its smallest maximizer).
 
-        ``steps`` and ``constants`` are the plan's, renumbered so that every
-        context part reads ``y``, table 0, and message ``f`` is table
-        ``f - contexts + 1``.
+        ``buf`` holds the context tables and room for every message;
+        ``steps`` lists each elimination as ``(v, gathers, start, end)``,
+        where each gather reads one part of the bucket's sum from ``buf``
+        and the message goes to ``buf[start:end]``, and ``constants`` are
+        the slots of the one-entry messages.
         """
         size = self.size
-        tables = [y] + [None] * len(steps)
         kept = [None] * len(size)
-        for v, union, parts, msg in steps:
-            f = None
-            for t, idx in parts:
-                t = tables[t]
-                if f is None:
-                    f = t if idx is None else [t[i] for i in idx]
-                elif idx is None:
-                    f = [a + b for a, b in zip(f, t)]
-                else:
-                    f = [a + t[i] for a, i in zip(f, idx)]
+        for v, gathers, start, end in steps:
+            parts = iter(gathers)
+            f = next(parts)(buf)
+            for part in parts:
+                f = list(map(add, f, part(buf)))
             k = size[v]
-            tables[msg] = list(map(max, *(f[d::k] for d in range(k))))
-            kept[v] = (union, f)
+            buf[start:end] = map(max, *(f[d::k] for d in range(k)))
+            kept[v] = f
         digits: list[int] = []
-        for v, k in enumerate(size):
-            union, f = kept[v]
-            base = 0
-            for u in union[:-1]:
-                base = base * size[u] + digits[u]
-            seg = f[base * k:(base + 1) * k]
+        at = digits.__getitem__
+        for f, k, (prev, strides) in zip(kept, size, self.decode):
+            base = sum(map(mul, map(at, prev), strides))
+            seg = f[base:base + k]
             digits.append(seg.index(max(seg)))
-        return sum(tables[t][0] for t in constants), digits
+        return sum(map(buf.__getitem__, constants)), digits
 
 
 class IncidenceMatrix:
@@ -170,10 +188,16 @@ class IncidenceMatrix:
     Row ``i`` is the local section ``rows[i]``.  The column of a global
     assignment ``s``, a tuple of outcomes in declared measurement order,
     holds a 1 at the row of ``s``'s section in each context; ``shape``
-    counts every assignment.  ``sections[c][r]`` is the row of context
-    ``c``'s section of lexicographic rank ``r``, or None when that section
-    is forbidden: an assignment through it has no column.  ``plan`` is the
+    counts every assignment.  ``sections[c][r]`` says what becomes of
+    context ``c``'s section of lexicographic rank ``r``: its row; None
+    when the section is forbidden, so that an assignment through it has no
+    column; or `OUTSIDE` when the section has no row in this system, so
+    that it is priced as 0 and has no entry in a column.  ``plan`` is the
     scenario's elimination, shared by every matrix of one scenario.
+
+    `basis` picks the rows of the Collins-Gisin row basis, on which
+    `solve_global_section` solves; `restrict` builds the matrix on chosen
+    rows.
     """
 
     def __init__(self, scenario: MeasurementScenario, rows: tuple,
@@ -181,26 +205,73 @@ class IncidenceMatrix:
         self.scenario, self.rows, self.sections, self.plan = scenario, rows, sections, plan
         self.m = len(rows)
         self._forbids = any(None in secs for secs in sections)
+        self._outside = any(OUTSIDE in secs for secs in sections)
         self._columns: dict = {}
 
     @cached_property
     def _steps(self) -> tuple:
-        # The plan's steps and constants with context tables read from y; a
-        # forbidden section reads the slot past y's end.
-        ext = [tuple(self.m if r is None else r for r in secs) for secs in self.sections]
-        c = self.plan.contexts
-        steps = [(v, union, [(0, [ext[f][i] for i in (range(len(ext[f])) if idx is None else idx)])
-                             if f < c else (f - c + 1, idx) for f, idx in parts], msg - c + 1)
-                 for v, union, parts, msg in self.plan.steps]
-        return steps, [t - c + 1 for t in self.plan.constants]
+        # The plan's steps, constants and message room for one buffer: y,
+        # then the slot a forbidden section reads, then the slot (0) a
+        # section outside the system reads, then the messages in turn.
+        slot = {None: self.m, OUTSIDE: self.m + 1}
+        tables = [tuple(slot.get(r, r) for r in secs) for secs in self.sections]
+        size, end = self.plan.size, self.m + 2
+        steps = []
+        for v, union, parts, _ in self.plan.steps:
+            start, end = end, end + prod(size[u] for u in union[:-1])
+            steps.append((v, [itemgetter(*(tables[f] if idx is None
+                                           else map(tables[f].__getitem__, idx)))
+                              for f, idx in parts], start, end))
+            tables.append(range(start, end))
+        return steps, [tables[t][0] for t in self.plan.constants], [0] * (end - self.m - 2)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.m, global_assignment_count(self.scenario))
 
-    def restrict(self, keep: list[int]) -> IncidenceMatrix:
-        """The same scenario's matrix on the rows ``keep``, the others forbidden."""
-        new = {i: k for k, i in enumerate(keep)}
+    def basis(self) -> list[int]:
+        """The rows of the Collins-Gisin row basis, ascending.
+
+        Row ``(c, s)`` is kept unless N(s), the measurements of ``c`` whose
+        outcome in ``s`` is not their last outcome, lies inside an earlier
+        context.  As a function of the assignment, the row is the product
+        over ``c`` of ``[x_m = s_m]``, with ``[x_m = last]`` written as
+        ``1 - sum_{o != last} [x_m = o]``.  Expanded, it is the coordinate
+        ``prod_{m in N(s)} [x_m = s_m]`` plus coordinates over strict
+        supersets of N(s) inside ``c`` (Collins and Gisin, J. Phys. A 37,
+        1775, 2004).  Each coordinate over a set S is the leading term of
+        exactly one kept row, that of the first context containing S, and
+        the coordinates are linearly independent.  Taken by decreasing
+        |N(s)|, the kept rows are unitriangular in the coordinates, so they
+        are independent and span every row: there are
+        ``sum_S prod_{m in S} (k_m - 1)`` of them, over the sets S inside
+        some context.  Computed on a matrix over all sections.
+        """
+        # A set of measurements is a bit mask over the declared positions;
+        # N(s) sums, over the context, the bit of each outcome not last.
+        sc = self.scenario
+        bit = {m: 1 << i for i, m in enumerate(sc.measurements)}
+        bits = {m: [bit[m]] * (len(sc.outcomes[m]) - 1) + [0] for m in bit}
+        covered: set = set()
+        keep = []
+        for ctx, secs in zip(sc.contexts, self.sections):
+            # Sections run in lexicographic order, as does the product.
+            keep += [i for i, n in zip(secs, map(sum, itertools.product(*map(bits.get, ctx))))
+                     if n not in covered]
+            whole = sub = sum(map(bit.get, ctx))
+            while sub:
+                covered.add(sub)
+                sub = (sub - 1) & whole
+            covered.add(0)
+        return keep
+
+    def restrict(self, keep: list[int], outside=()) -> IncidenceMatrix:
+        """The same scenario's matrix on the rows ``keep``.
+
+        The rows ``outside`` leave the system, the others are forbidden.
+        """
+        new = dict.fromkeys(outside, OUTSIDE)
+        new.update((i, k) for k, i in enumerate(keep))
         return IncidenceMatrix(self.scenario, tuple(self.rows[i] for i in keep),
                                tuple(tuple(new.get(r) for r in secs)
                                      for secs in self.sections), self.plan)
@@ -208,9 +279,10 @@ class IncidenceMatrix:
     def _best(self, y: Sequence[int]) -> tuple:
         """(largest y^T a_s, outcome indices of the smallest s attaining it)."""
         # A forbidden section scores below any assignment with a column,
-        # whose score is at least -sum |y|.
+        # whose score is at least -sum |y|; a section outside scores 0.
         low = -1 - sum(map(abs, y)) if self._forbids else 0
-        return self.plan.maximize(list(y) + [low], *self._steps)
+        steps, constants, room = self._steps
+        return self.plan.maximize([*y, low, 0, *room], steps, constants)
 
     def _assignment(self, digits) -> tuple:
         s = tuple(map(getitem, self.plan.outcomes, digits))
@@ -218,7 +290,11 @@ class IncidenceMatrix:
             at = digits.__getitem__
             idx = tuple(secs[sum(map(mul, map(at, scope), ranks))]
                         for secs, (scope, ranks) in zip(self.sections, self.plan.strides))
-            self._columns[s] = (idx, self.plan.ones, 1)
+            if self._outside:
+                idx = tuple(r for r in idx if r != OUTSIDE)
+                self._columns[s] = (idx, (1,) * len(idx), 1)
+            else:
+                self._columns[s] = (idx, self.plan.ones, 1)
         return s
 
     def maximum(self, y) -> tuple:
@@ -312,7 +388,9 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     The model is first replaced by a nearby exactly-consistent rational model
     (`rationalize_model`), so the verdict is a statement about exact data;
     `model` of the result is that exact model.  This is the one place that
-    rationalizes: callers hand over the parsed model as it is.  Raises
+    rationalizes: callers hand over the parsed model as it is.  The LP runs
+    on the basis rows with a nonzero right-hand side; the result's
+    certificate covers every row.  Raises
     `DisturbingModel` when the input marginals disagree beyond 1e-9, and
     `TooLargeError` when the scenario has more than `MAX_ASSIGNMENTS`
     global assignments.
@@ -320,19 +398,22 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    live = [i for i, vi in enumerate(v) if vi]
-    lp = matrix if len(live) == len(v) else matrix.restrict(live)
-    result = solve_eq_nonneg(lp, [v[i] for i in live])
-    if not result.feasible and len(live) < len(v):
+    basis = matrix.basis()
+    live = [i for i in basis if v[i]]
+    kept = set(basis)
+    outside = [i for i, vi in enumerate(v) if vi and i not in kept]
+    result = solve_eq_nonneg(matrix.restrict(live, outside), [v[i] for i in live])
+    if not result.feasible:
         y = [Fraction(0)] * len(v)
         for i, yi in zip(live, result.farkas):
             y[i] = yi
         # An assignment through a row with v_i = 0 had no column in the
         # solved system.  Such rows add nothing to y^T v, so setting them to
         # minus the largest score brings every such assignment to <= 0.
-        top = matrix.maximum(y)[0]
-        if top > 0:
-            y = [yi if vi else -top for yi, vi in zip(y, v)]
+        if not all(v):
+            top = matrix.maximum(y)[0]
+            if top > 0:
+                y = [yi if vi else -top for yi, vi in zip(y, v)]
         result = Feasibility(False, farkas=tuple(y))
     require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,

@@ -1148,6 +1148,23 @@ class TestPrepPatternSystem:
         result = self.require_cases_match_per_pattern_solves(single)
         require(any(case.feasible for case in result.cases), "no feasible case")
 
+    def test_pattern_lps_share_the_cleared_columns(self, monkeypatch):
+        # 16 pattern LPs of 4 alive components each read the 8 integral
+        # columns of the shared system, not 64 fresh ones.
+        solved = []
+
+        def recording_solve(a, b):
+            solved.append(a)
+            return solve_eq_nonneg(a, b)
+
+        monkeypatch.setattr(embedding, "solve_eq_nonneg", recording_solve)
+        prep_nc_check(qubit_prep_ensemble(Fraction(1, 3)))
+        columns = [a.column(j) for a in solved for j in range(a.n)]
+        require(len(solved) == 16 and len(columns) == 64,
+                f"{len(solved)} LPs over {len(columns)} columns")
+        require(len({id(col) for col in columns}) == 8,
+                f"{len({id(col) for col in columns})} distinct integral columns")
+
 
 def dense_rows(a):
     """The rows of a `SparseColumns`, with every zero written out."""

@@ -105,8 +105,15 @@ class TestBehaviour:
         p = {(0, 0, 0, 0): Fraction(1, 2), (1, 1, 0, 0): Fraction(1, 2) + Fraction(1, 10 ** 14)}
         with pytest.raises(ValueError, match="sums to"):
             make_behaviour(1, 1, 2, 2, p)
-        # A float slice keeps its 1e-12 tolerance.
+        # A float slice keeps its float tolerance.
         make_behaviour(1, 1, 2, 2, {k: float(v) for k, v in p.items()})
+
+    def test_float_slice_tolerance_is_the_model_tolerance(self):
+        # make_model forgives a float table's miss up to ND_TOL; so does a slice.
+        near = make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): 0.5, (1, 1, 0, 0): 0.5 + 1e-11})
+        assert membership_lp(near).inside
+        with pytest.raises(ValueError, match="sums to"):
+            make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): 0.5, (1, 1, 0, 0): 0.5 + 1e-8})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entries_rejected(self, bad):

@@ -16,7 +16,11 @@ Verification strategy:
   oracles: support counting over deterministic assignments, and exact
   convex-hull membership among the deterministic behaviours;
 - feasible verdicts are round-tripped through the induced hidden-variable
-  model, which must reproduce the tables exactly in rational arithmetic.
+  model, which must reproduce the tables exactly in rational arithmetic;
+- the Collins-Gisin row basis the LP solves on has the Collins-Gisin rank,
+  spans the full system by exact row reduction, and gives the verdict of
+  a plain solve of the full listed system, with a dual of 0 on its
+  dropped rows.
 """
 
 from __future__ import annotations
@@ -27,10 +31,19 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contextuality.exactlp import TooLargeError
+from contextuality import sheaf
+from contextuality.exactlp import (
+    Feasibility,
+    SparseColumns,
+    TooLargeError,
+    check_farkas,
+    check_solution,
+    require_certificate,
+    solve_eq_nonneg,
+)
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
 from contextuality.scenario import (
     DisturbingModel,
@@ -49,6 +62,7 @@ from contextuality.sheaf import (
 )
 from oracles import (
     enumerate_vertices,
+    exact_rank,
     reference_argmax,
     reference_hulls_intersect,
     reference_incidence_rows,
@@ -533,3 +547,175 @@ class TestOracleEquivalence:
             v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
             verts = enumerate_vertices(a_rows, v)
             assert res.feasible == (len(verts) > 0)
+
+
+def require(condition, message: str) -> None:
+    """A check that also runs under ``python -O``, where ``assert`` is stripped."""
+    if not condition:
+        raise AssertionError(message)
+
+
+def cg_rank(sc) -> int:
+    """sum_S prod_{m in S} (k_m - 1) over the measurement sets S inside a context."""
+    inside = {frozenset(sub) for ctx in sc.contexts for k in range(len(ctx) + 1)
+              for sub in itertools.combinations(ctx, k)}
+    return sum(prod(len(sc.outcomes[m]) - 1 for m in s) for s in inside)
+
+
+def box_scenario(n, k=2):
+    """n settings per party, k outcomes each, every Alice-Bob pair a context."""
+    alice, bob = [f"A{i}" for i in range(n)], [f"B{i}" for i in range(n)]
+    return make_scenario([(m, tuple(range(k))) for m in alice + bob],
+                         [[a, b] for a in alice for b in bob])
+
+
+def cycle_scenario(n):
+    labels = [f"M{i}" for i in range(n)]
+    return make_scenario([(m, (0, 1)) for m in labels],
+                         [[labels[i], labels[(i + 1) % n]] for i in range(n)])
+
+
+def mixed_scenario():
+    """Two-, three- and four-outcome measurements in contexts of two and three."""
+    return make_scenario([("A", (0, 1)), ("B", (0, 1, 2)), ("C", (0, 1, 2, 3)), ("D", (0, 1))],
+                         [["A", "B", "C"], ["C", "D"], ["A", "D"]])
+
+
+def uniform_model(sc):
+    return make_model(sc, {ctx: {sec: Fraction(1, len(sc.outcome_tuples(ctx)))
+                                 for sec in sc.outcome_tuples(ctx)}
+                           for ctx in sc.contexts})
+
+
+def noisy_cycle_model(n, vis=Fraction(9, 10)):
+    """Anticorrelated n-cycle at visibility ``vis``: no zero entries, contextual for odd n < 20."""
+    sc = cycle_scenario(n)
+    apart, same = (1 + vis) / 4, (1 - vis) / 4
+    return make_model(sc, {ctx: {(0, 0): same, (0, 1): apart, (1, 0): apart, (1, 1): same}
+                           for ctx in sc.contexts})
+
+
+def listed_system(model):
+    """The full section system with every assignment's column listed.
+
+    Built from the scenario alone: one row per (context, section) in
+    declared order, one column per global assignment.
+    """
+    sc = model.scenario
+    rows = [(ctx, sec) for ctx in sc.contexts for sec in sc.outcome_tuples(ctx)]
+    at = {row: i for i, row in enumerate(rows)}
+    pos = {m: i for i, m in enumerate(sc.measurements)}
+    cols = tuple((tuple(sorted(at[ctx, tuple(t[pos[m]] for m in ctx)] for ctx in sc.contexts)),
+                  (1,) * len(sc.contexts))
+                 for t in enumerate_global_assignments(sc))
+    return SparseColumns(len(rows), cols), [model.tables[ctx][sec] for ctx, sec in rows]
+
+
+ROW_BASIS_SCENARIOS = {
+    "box2": lambda: box_scenario(2),
+    "box3": lambda: box_scenario(3),
+    "box4": lambda: box_scenario(4),
+    "box2-3-outcomes": lambda: box_scenario(2, 3),
+    "cycle3": lambda: cycle_scenario(3),
+    "cycle5": lambda: cycle_scenario(5),
+    "cycle9": lambda: cycle_scenario(9),
+    "cycle12": lambda: cycle_scenario(12),
+    "square3x3": lambda: pm_model().scenario,
+    "mixed": mixed_scenario,
+}
+
+
+class TestRowBasis:
+    """The section LP solves on the Collins-Gisin row basis.
+
+    The basis size must be the Collins-Gisin rank, its rows independent and
+    spanning the full system by exact row reduction, the solved system
+    must have exactly the basis rows with a nonzero right-hand side, and
+    every verdict must equal an independent solve of the full listed system,
+    with certificates that pass on the full matrix and read 0 on dropped
+    rows.
+    """
+
+    @staticmethod
+    def solved_rows(model, monkeypatch) -> list:
+        sizes = []
+
+        def recording_solve(a, b):
+            sizes.append(a.m)
+            return solve_eq_nonneg(a, b)
+
+        monkeypatch.setattr(sheaf, "solve_eq_nonneg", recording_solve)
+        res = solve_global_section(model)
+        monkeypatch.undo()
+        return sizes, res
+
+    @pytest.mark.parametrize("name", ROW_BASIS_SCENARIOS)
+    def test_solved_rows_are_the_collins_gisin_rank(self, name, monkeypatch):
+        sc = ROW_BASIS_SCENARIOS[name]()
+        basis = build_incidence_matrix(sc).basis()
+        require(len(basis) == cg_rank(sc), f"{name}: {len(basis)} rows, rank {cg_rank(sc)}")
+        sizes, res = self.solved_rows(uniform_model(sc), monkeypatch)
+        require(sizes == [cg_rank(sc)], f"{name}: solved {sizes}")
+        require(res.feasible, f"{name}: uniform model infeasible")
+
+    @pytest.mark.parametrize("name", ["box2", "box2-3-outcomes", "cycle5", "mixed"])
+    def test_basis_rows_are_independent_and_span(self, name):
+        sc = ROW_BASIS_SCENARIOS[name]()
+        dense = [[Fraction(e) for e in row] for row in reference_incidence_rows(sc)]
+        basis = build_incidence_matrix(sc).basis()
+        rank = exact_rank([dense[i] for i in basis])
+        require(rank == len(basis) == exact_rank(dense),
+                f"{name}: basis rank {rank} of {len(basis)}, full rank {exact_rank(dense)}")
+
+    @pytest.mark.parametrize("model, live, solved, feasible", [
+        (pr_box_model, 8, 4, False),
+        (lambda: noisy_cycle_model(12, Fraction(1)), 24, 12, True),
+    ])
+    def test_zero_rows_leave_the_solved_system(self, model, live, solved, feasible,
+                                               monkeypatch):
+        model = model()
+        mat = build_incidence_matrix(model.scenario)
+        v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
+        require(sum(1 for vi in v if vi) == live, "live rows")
+        require(sum(1 for i in mat.basis() if v[i]) == solved, "live basis rows")
+        sizes, res = self.solved_rows(model, monkeypatch)
+        require(sizes == [solved], f"solved {sizes}")
+        require(res.feasible == feasible, res.verdict)
+
+    @pytest.mark.parametrize("model", [pr_box_model, kcbs_model, pm_model,
+                                       lambda: noisy_cycle_model(5)])
+    def test_dual_is_zero_on_dropped_rows(self, model):
+        res = solve_global_section(model())
+        require(not res.feasible, "feasible")
+        v = [res.model.tables[ctx][sec] for ctx, sec in res.matrix.rows]
+        kept = set(res.matrix.basis())
+        dropped = [i for i, vi in enumerate(v) if vi and i not in kept]
+        require(dropped, "no dropped row with a nonzero rhs")
+        require(all(res.dual[i] == 0 for i in dropped),
+                f"dual {[res.dual[i] for i in dropped]} on dropped rows")
+        cert = res.certificate()
+        require(len(cert["dual"]) == len(cert["rows"]) == len(cert["rhs"]) == res.matrix.m,
+                "certificate does not list every row")
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_models(max_measurements=7, max_assignments=128))
+    @example(pr_box_model())
+    @example(noisy_cycle_model(5))
+    @example(noisy_cycle_model(6))
+    def test_verdicts_equal_the_full_listed_system(self, model):
+        res = solve_global_section(model)
+        listed, v = listed_system(res.model)
+        plain = solve_eq_nonneg(listed, v)
+        require(res.feasible == plain.feasible, f"{res.verdict} against {plain.feasible}")
+        require_certificate(res.matrix, v, Feasibility(res.feasible, x=res.primal,
+                                                       farkas=res.dual), "row basis")
+        if res.feasible:
+            weight = dict(res.primal)
+            dense = tuple(weight.get(t, Fraction(0))
+                          for t in enumerate_global_assignments(res.model.scenario))
+            require(check_solution(listed, v, dense), "primal fails the listed system")
+        else:
+            require(check_farkas(listed, v, res.dual), "dual fails the listed system")
+            kept = set(res.matrix.basis())
+            require(all(res.dual[i] == 0 for i, vi in enumerate(v) if vi and i not in kept),
+                    "dual nonzero on a dropped row")
