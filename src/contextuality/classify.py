@@ -365,9 +365,10 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     refusal is an assignment "no" inferred down to the ontic-expansion
     verdict.  When every section is feasible the assignment verdict is
     "yes", and the ontic-expansion verdict is the constructor's: "yes" with
-    its embedding, or undecided with its note when an effect lies outside
-    the sharp contexts or no verified linear embedding assembles from the
-    per-state weights.  Sections too large to solve leave both verdicts
+    the 0/1 responses and exact state weights it read off the sections, or
+    undecided with its note when an effect lies outside the sharp contexts
+    or those weights or responses fail a span test, so that no linear map
+    prints them.  Sections too large to solve leave both verdicts
     undecided.
     Without sharp contexts there is no outcome scenario to test, so the
     assignment verdict stays undecided, and the ontic-expansion verdict is
@@ -430,19 +431,20 @@ def classify_prep_ensemble(problem: PrepEnsembleProblem,
 
     An infeasible case analysis certifies preparation contextuality
     (ontic-expansion verdict "no"); a feasible analysis upgrades to "yes"
-    only when an explicit ontic model was materialized.  Measurement-side
-    verdicts do not apply: the input declares no measurement contexts.
+    only when there is one decomposition, whose components are then each
+    their own ontic state.  Measurement-side verdicts do not apply: the
+    input declares no measurement contexts.
     """
-    config = config or RunConfig()
     result = prep_nc_check(problem)
     certificates = [{"role": "spekkens", **result.certificate()}]
     notes = ["preparation ensemble declares no measurement contexts; "
              "assignment verdict undecided, Bell not applicable"]
     if not result.feasible:
         sp = NO
-    elif result.model is not None:
+    elif len(problem.decompositions) == 1:
         sp = YES
-        notes.append("explicit ontic model constructed and verified")
+        notes.append("one decomposition: each component is its own ontic "
+                     "state")
     else:
         sp = UNDECIDED
         notes.append("case analysis found no obstruction, but no ontic "
@@ -504,17 +506,26 @@ def _quantum_from_json(doc: dict):
         for raw_ctx in raw_contexts:
             members = []
             for raw_pc in raw_ctx:
+                if not isinstance(raw_pc["label"], str):
+                    raise SchemaError(f"measurement label {raw_pc['label']!r} "
+                                      "is not a string")
+                outcomes = raw_pc.get("outcomes")
+                if outcomes is not None and any(
+                        isinstance(o, (list, dict)) for o in outcomes):
+                    raise SchemaError(f"outcomes of measurement "
+                                      f"{raw_pc['label']!r} must be numbers "
+                                      f"or strings, got {outcomes!r}")
                 projs = [matrix_from_json(p) for p in raw_pc["projectors"]]
-                members.append(projective_context(
-                    raw_pc["label"], projs,
-                    outcomes=raw_pc.get("outcomes")))
+                members.append(projective_context(raw_pc["label"], projs,
+                                                  outcomes=outcomes))
             contexts.append(members)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed projective context: {exc}") from exc
     except QuantumInputError as exc:
         raise SchemaError(str(exc)) from exc
     sharing = doc.get("sharing")
-    if sharing is not None and not isinstance(sharing, dict):
+    if sharing is not None and not (isinstance(sharing, dict) and all(
+            isinstance(v, str) for v in sharing.values())):
         raise SchemaError("sharing must map measurement labels to labels")
     return state, tuple(contexts), sharing
 
@@ -619,10 +630,14 @@ def report_to_json(report: ClassificationReport,
     if report.claims:
         doc["claims"] = dict(report.claims)
         doc["claim_check"] = report.claim_check
-    if include_certificates:
-        doc["certificates"] = [dict(c) for c in report.certificates]
-    else:
-        doc["certificates"] = [
-            {k: c[k] for k in ("role", "kind", "verdict", "scope") if k in c}
-            for c in report.certificates]
+    doc["certificates"] = certificates_to_json(report.certificates,
+                                               include_certificates)
     return doc
+
+
+def certificates_to_json(certificates, include_certificates: bool = True) -> list:
+    """Certificate payloads, or their role, kind, verdict and scope if asked."""
+    if include_certificates:
+        return [dict(c) for c in certificates]
+    return [{k: c[k] for k in ("role", "kind", "verdict", "scope") if k in c}
+            for c in certificates]

@@ -24,6 +24,7 @@ import numpy as np
 from .classify import (
     LatticeViolation,
     RunConfig,
+    certificates_to_json,
     classify,
     parse_document,
     prep_ensemble_from_json,
@@ -137,13 +138,6 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _certificates(certs: list[dict], emit: bool) -> list[dict]:
-    if emit:
-        return certs
-    return [{k: c[k] for k in ("role", "kind", "verdict", "scope") if k in c}
-            for c in certs]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -205,8 +199,8 @@ def cmd_kcbs(args) -> dict:
         "csw_bound": csw.bound,
         "csw_violated": csw.violated,
         "seed": args.seed,
-        "certificates": _certificates([section.certificate()],
-                                      args.emit_certificate),
+        "certificates": certificates_to_json([section.certificate()],
+                                             args.emit_certificate),
     }
 
 
@@ -229,8 +223,8 @@ def cmd_chsh(args) -> dict:
         "local_bound": CHSH_LOCAL_BOUND,
         "membership": membership.verdict,
         "seed": args.seed,
-        "certificates": _certificates([membership.certificate()],
-                                      args.emit_certificate),
+        "certificates": certificates_to_json([membership.certificate()],
+                                             args.emit_certificate),
     }
 
 
@@ -297,7 +291,7 @@ def cmd_pm_square(args) -> dict:
         "global_section_verdicts": verdicts,
         "trials": args.trials,
         "seed": args.seed,
-        "certificates": _certificates(certs, args.emit_certificate),
+        "certificates": certificates_to_json(certs, args.emit_certificate),
     }
 
 
@@ -320,8 +314,8 @@ def cmd_embed(args) -> dict:
         payload["note"] = result.note
         payload["certificates"] = []
         return payload
-    payload["certificates"] = _certificates([result.certificate()],
-                                            args.emit_certificate)
+    payload["certificates"] = certificates_to_json([result.certificate()],
+                                                   args.emit_certificate)
     return payload
 
 
@@ -345,10 +339,11 @@ def cmd_prep_nc(args) -> dict:
         "verdict": result.verdict,
         "cases": len(result.cases),
         "infeasible_cases": sum(1 for c in result.cases if not c.feasible),
-        "model_constructed": result.model is not None,
+        "model_constructed": (result.feasible
+                              and len(problem.decompositions) == 1),
         "seed": args.seed,
-        "certificates": _certificates([result.certificate()],
-                                      args.emit_certificate),
+        "certificates": certificates_to_json([result.certificate()],
+                                             args.emit_certificate),
     }
 
 
@@ -407,8 +402,8 @@ def cmd_pusey(args) -> dict:
         "pairs_checked": result.pairs_checked,
         "pairs_covered": result.pairs_covered,
         "seed": args.seed,
-        "certificates": _certificates([result.certificate()],
-                                      args.emit_certificate),
+        "certificates": certificates_to_json([result.certificate()],
+                                             args.emit_certificate),
     }
 
 

@@ -1,15 +1,18 @@
 """Generalized probabilistic theories and classicality embeddings.
 
-Verification strategy: the sharp constructor reads its embedding off the
-solved global sections of the exact (rationalized) induced models and
-re-checks it against the simplex, dual-hypercube, and probability
-reproduction invariants at 1e-9, against those rationalized statistics,
-not the float ones.  A sharp refusal is an infeasible global section,
-whose Farkas dual the section solver re-multiplied against its incidence
-rows.  Without sharp contexts, the embedding LP decides the rationalized
-GPT exactly and re-checks its certificate and its facet lists; the
-preparation-ensemble and assignment-polytope checkers also run entirely
-in exact rational arithmetic.
+Verification strategy: the sharp constructor reads its certificate off
+the solved global sections of the exact (rationalized) induced models:
+0/1 atom responses and each state's exact weights on them.  Simplex and
+cube membership hold exactly, and so does the pairing with those
+rationalized statistics (not the float ones), since each section's primal
+is re-checked against them; two span tests at `RANK_TOL` decide whether
+linear maps print the responses and weights.  A sharp refusal is an
+infeasible global section, whose Farkas dual the section solver
+re-multiplied against its incidence rows.  Without sharp contexts, the
+embedding LP decides the rationalized GPT exactly and re-checks its
+certificate and its facet lists; the preparation-ensemble and
+assignment-polytope checkers also run entirely in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .exactlp import (
     Feasibility,
     SparseColumns,
     TooLargeError,
+    check_solution,
     clear_denominators,
     columns_from_rows,
     format_fraction,
@@ -57,7 +61,6 @@ from .scenario import (
 )
 from .sheaf import SectionFeasibility, solve_global_section
 
-EMBED_TOL = 1e-9
 MERGE_TOL = 1e-10
 RANK_TOL = 1e-8
 MAX_EMBED_COLUMNS = 2**12
@@ -347,74 +350,12 @@ def induced_model(gpt: Gpt, state_index: int):
 
 
 @dataclass(frozen=True, eq=False)
-class SimplexEmbedding:
-    """Linear maps placing states in a simplex and effects in its dual cube.
-
-    ``iota`` and ``kappa`` are d-by-dim matrices acting on state and effect
-    vectors; probabilities are preserved as ``kappa(e) . iota(s)``.
-    """
-
-    d: int
-    iota: np.ndarray
-    kappa: np.ndarray
-
-    def embed_state(self, state) -> np.ndarray:
-        return self.iota @ np.asarray(state, dtype=float)
-
-    def embed_effect(self, effect) -> np.ndarray:
-        return self.kappa @ np.asarray(effect, dtype=float)
-
-
-@dataclass(frozen=True)
-class EmbeddingCheck:
-    """Worst-case deviations of an embedding from the three invariants."""
-
-    passed: bool
-    worst_simplex: float
-    worst_cube: float
-    worst_pairing: float
-
-
-def verify_embedding(embedding: SimplexEmbedding, gpt: Gpt,
-                     table=None) -> EmbeddingCheck:
-    """Independently re-check simplex membership, cube membership, pairing.
-
-    Each invariant holds when its worst deviation is at most `EMBED_TOL`.
-
-    The pairing of effect ``i`` and state ``j`` is compared with
-    ``table[i][j]`` when an effects-by-states ``table`` is given, and with
-    the GPT's own probability otherwise.
-    """
-    worst_simplex = 0.0
-    worst_cube = 0.0
-    worst_pairing = 0.0
-    for s in gpt.states:
-        img = embedding.embed_state(s)
-        worst_simplex = max(worst_simplex,
-                            float(-np.min(img)),
-                            abs(float(np.sum(img)) - 1.0))
-    for e in gpt.effects:
-        img = embedding.embed_effect(e)
-        worst_cube = max(worst_cube,
-                         float(-np.min(img)),
-                         float(np.max(img)) - 1.0)
-    for i, e in enumerate(gpt.effects):
-        ke = embedding.embed_effect(e)
-        for j, s in enumerate(gpt.states):
-            lhs = float(np.dot(ke, embedding.embed_state(s)))
-            want = float(np.dot(e, s)) if table is None else float(table[i][j])
-            worst_pairing = max(worst_pairing, abs(lhs - want))
-    passed = (worst_simplex <= EMBED_TOL and worst_cube <= EMBED_TOL
-              and worst_pairing <= EMBED_TOL)
-    return EmbeddingCheck(passed, worst_simplex, worst_cube, worst_pairing)
-
-
-@dataclass(frozen=True, eq=False)
 class EmbedSharpResult:
     """Outcome of the sharp embedding construction.
 
     ``verdict`` is "embeddable", "refused" or "undecided".  Embeddable: the
-    embedding, the kept assignments (0/1 atom vectors) and each state's
+    kept assignments, each a 0/1 atom vector that is one ontic state's
+    response to the atoms (the unit answers 1), and each state's exact
     weights on them.  Refused: the first state whose induced model has no
     global section, and that infeasible section.  Undecided: every state's
     section is feasible, and ``note`` says why no embedding was built.
@@ -422,7 +363,6 @@ class EmbedSharpResult:
 
     verdict: str
     atom_indices: tuple
-    embedding: SimplexEmbedding | None = None
     assignments: tuple = ()
     state_weights: tuple = ()
     refusal_state: int | None = None
@@ -439,7 +379,7 @@ class EmbedSharpResult:
             return {
                 "kind": "simplex-embedding",
                 "verdict": "embeddable",
-                "d": self.embedding.d,
+                "d": len(self.assignments),
                 "atoms": list(self.atom_indices),
                 "assignments": [list(a) for a in self.assignments],
                 "state_weights": [[format_fraction(w) for w in ws]
@@ -449,23 +389,25 @@ class EmbedSharpResult:
                 **self.refusal_section.certificate()}
 
 
-def _atom_values(atom_indices, model) -> dict:
-    """Exact "atom fired" probability of each atom in an induced model."""
-    values = {}
-    for atom in atom_indices:
-        label = f"E{atom}"
-        context = next(ctx for ctx in model.scenario.contexts if label in ctx)
-        slot = context.index(label)
-        # marginal of "atom fired"; any containing context gives the same value
-        values[atom] = sum(v for o, v in model.tables[context].items()
-                           if o[slot] == 1)
-    return values
+def _in_span(rows, vectors, scale: float | None = None) -> bool:
+    """Whether every row of ``vectors`` lies in the span of ``rows``.
+
+    The rank decision of both GPT routes: the numerical rank, at `RANK_TOL`
+    times the larger of 1 and ``scale`` (by default the spectral norm of
+    ``rows``), does not grow when ``vectors`` join ``rows``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if scale is None:
+        scale = float(np.linalg.norm(rows, 2))
+    tol = RANK_TOL * max(1.0, scale)
+    return (np.linalg.matrix_rank(np.vstack([rows, vectors]), tol=tol)
+            == np.linalg.matrix_rank(rows, tol=tol))
 
 
 def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
     """Simplex embedding of a sharp GPT, read off its solved global sections.
 
-    A sharp GPT has a simplex embedding exactly when every state's induced
+    A sharp GPT has a simplex embedding only if every state's induced
     model has a global section, so each state's `induced_model` is solved
     once, in order, and the first infeasible section is the refusal: its
     re-checked Farkas dual is the certificate.  `induced_model` raises
@@ -478,13 +420,25 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
     Otherwise each section's primal pairs global assignments of the
     measurements ``E{i}`` in atom order with their positive weights, so the
     assignments in any state's support are the 0/1 atom vectors that fire
-    one atom per context.
-    Boolean-row kappa and iota are assembled from those weights by
-    pseudo-inverse and checked at `EMBED_TOL`: simplex and cube membership,
-    and the pairing against the sections' exact atom probabilities.
-    Per-state mixtures of linearly dependent states need not come from one
-    linear map, and a primal that does not reproduce its statistics fails
-    too, so a failed check is also "undecided" with a note.
+    one atom per context.  The printed certificate is those assignments,
+    each an ontic state answering the atoms with its bits and the unit
+    with 1, and each state's weights on them.  It is a simplex embedding
+    exactly when the two maps it prints are linear, which two span tests
+    decide (`_in_span`):
+
+    - each assignment's weights, one per state, lie in the span of the
+      state vectors' coordinates, so one linear iota gives every state's
+      weights;
+    - each response row, its bits and a 1, lies in the span of the atom
+      effects' and the unit's coordinates, so one linear kappa gives it:
+      the row keeps every linear relation among the atoms and the unit.
+
+    The rest is exact: the weights are nonnegative and sum to 1, the bits
+    are 0/1, and each section's primal reproduces its state's exact atom
+    probabilities, which `check_solution` re-checks here.  A failed test is
+    "undecided" with a note: per-state mixtures of linearly dependent
+    states need not come from one linear map, and assignments that fire
+    one of two equal atoms but not the other come from none.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
@@ -504,35 +458,27 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
 
     # Descending order puts the assignments firing lower atoms first, so on
     # a single context vertex i of the simplex is atom i firing.
-    kept_assignments = tuple(sorted({t for s in solved for t, _ in s.primal},
-                                    reverse=True))
-    d = len(kept_assignments)
-
-    # kappa: each kept assignment's Boolean row on the atoms and a 1 on the
-    # unit, lifted to a linear map on effect vectors by pseudo-inverse.
-    targets = np.hstack([np.array(kept_assignments, dtype=float),
-                         np.ones((d, 1))])
-    effect_mat = np.array([gpt.effects[i] for i in atom_indices] + [gpt.unit])
-    kappa = targets @ np.linalg.pinv(effect_mat).T
-
+    assignments = tuple(sorted({t for s in solved for t, _ in s.primal},
+                               reverse=True))
     state_weights = tuple(tuple(dict(s.primal).get(t, Fraction(0))
-                                for t in kept_assignments) for s in solved)
-    iota = (np.array(state_weights, dtype=float).T
-            @ np.linalg.pinv(np.array(gpt.states).T))
-
-    embedding = SimplexEmbedding(d=d, iota=iota, kappa=kappa)
-    atom_values = [_atom_values(atom_indices, s.model) for s in solved]
-    table = [[values.get(i, 1) for values in atom_values]
-             for i in range(gpt.n_effects)]
-    check = verify_embedding(embedding, gpt, table)
-    if not check.passed:
-        return EmbedSharpResult("undecided", atom_indices, note=(
-            "embedding assembly: the global sections' weights give no "
-            f"embedding within {EMBED_TOL:g} (simplex "
-            f"{check.worst_simplex:.1e}, cube {check.worst_cube:.1e}, "
-            f"pairing {check.worst_pairing:.1e})"))
-    return EmbedSharpResult("embeddable", atom_indices, embedding,
-                            kept_assignments, state_weights)
+                                for t in assignments) for s in solved)
+    rechecked = all(check_solution(s.matrix, [s.model.tables[ctx][sec]
+                                              for ctx, sec in s.matrix.rows],
+                                   s.primal) for s in solved)
+    effects = [gpt.effects[i] for i in atom_indices] + [gpt.unit]
+    if not rechecked:
+        fault = "a section's weights miss its state's atom probabilities"
+    elif not _in_span(np.array(gpt.states).T,
+                      np.array(state_weights, dtype=float).T):
+        fault = "the global sections' weights are not linear in the states"
+    elif not _in_span(np.array(effects).T, [(*t, 1) for t in assignments]):
+        fault = ("the assignments' responses break a linear relation among "
+                 "the atoms and the unit")
+    else:
+        return EmbedSharpResult("embeddable", atom_indices, assignments,
+                                state_weights)
+    return EmbedSharpResult("undecided", atom_indices,
+                            note=f"embedding assembly: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +606,10 @@ def _exact_fragment(gpt: Gpt):
     """
     rows = np.array([gpt.unit, *gpt.effects])
     table = rows @ np.array(gpt.states).T
-    tol = RANK_TOL * max(1.0, float(np.linalg.norm(table, 2)))
+    scale = float(np.linalg.norm(table, 2))
     basis: list[int] = []
     for i in range(len(rows)):
-        if np.linalg.matrix_rank(table[basis + [i]], tol=tol) > len(basis):
+        if not _in_span(table[basis], table[i:i + 1], scale):
             basis.append(i)
     coords = [[_snap(v) for v in table[i]] for i in basis]
     states = tuple(tuple(row[j] / coords[0][j] for row in coords)
@@ -890,26 +836,6 @@ def _verify_decompositions(problem: PrepEnsembleProblem,
 
 
 @dataclass(frozen=True, eq=False)
-class OntModel:
-    """Finite ontological model: distributions per preparation, responses per effect."""
-
-    ontic_labels: tuple
-    mu: dict
-    xi: dict
-
-
-def verify_ont_model(model: OntModel, expectations, tol: float = EMBED_TOL) -> bool:
-    """Check sum_lambda xi_e mu_p against each expected probability."""
-    for (prep, effect), expected in expectations.items():
-        mu = model.mu[prep]
-        xi = model.xi[effect]
-        value = float(sum(float(x) * float(m) for x, m in zip(xi, mu)))
-        if abs(value - float(expected)) > tol:
-            return False
-    return True
-
-
-@dataclass(frozen=True, eq=False)
 class PrepNcCase:
     """One support pattern: which member of each orthogonal pair is dead."""
 
@@ -925,7 +851,6 @@ class PrepNcResult:
 
     feasible: bool
     cases: tuple
-    model: OntModel | None
 
     @property
     def verdict(self) -> str:
@@ -1001,28 +926,7 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
             cases.append(PrepNcCase(choice, True, res.x, None))
         else:
             cases.append(PrepNcCase(choice, False, None, res.farkas))
-    model = None
-    if feasible_any and len(problem.decompositions) == 1:
-        model = _single_decomposition_model(problem)
-    return PrepNcResult(feasible_any, tuple(cases), model)
-
-
-def _single_decomposition_model(problem: PrepEnsembleProblem) -> OntModel:
-    """Trivial exact model: one ontic state per component of the decomposition."""
-    merged: dict[str, Fraction] = {}
-    for weight, label in problem.decompositions[0]:
-        merged[label] = merged.get(label, Fraction(0)) + Fraction(weight)
-    labels = tuple(merged)
-    mu = {"target": tuple(merged[l] for l in labels)}
-    for k, label in enumerate(labels):
-        mu[label] = tuple(Fraction(1) if i == k else Fraction(0)
-                          for i in range(len(labels)))
-    xi = {}
-    for effect_label, state in problem.component_states.items():
-        xi[effect_label] = tuple(
-            float(np.real(np.trace(state @ problem.component_states[l])))
-            for l in labels)
-    return OntModel(ontic_labels=labels, mu=mu, xi=xi)
+    return PrepNcResult(feasible_any, tuple(cases))
 
 
 # ---------------------------------------------------------------------------

@@ -879,6 +879,16 @@ def model_from_json(doc: dict) -> EmpiricalModel:
         raw_tables = doc["tables"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc
+    for label, outcomes in meas:
+        if not isinstance(label, str):
+            raise SchemaError(f"measurement label {label!r} is not a string")
+        if any(isinstance(o, (list, dict)) for o in outcomes):
+            raise SchemaError(f"outcomes of measurement {label!r} must be "
+                              f"numbers or strings, got {list(outcomes)!r}")
+    if not all(isinstance(lab, str) for ctx in contexts for lab in ctx):
+        raise SchemaError("context members must be measurement labels")
+    if not isinstance(raw_tables, dict):
+        raise SchemaError("'tables' must map context keys to outcome tables")
     try:
         scenario = make_scenario(meas, contexts)
     except ValueError as exc:
@@ -886,6 +896,9 @@ def model_from_json(doc: dict) -> EmpiricalModel:
 
     tables = {}
     for key, table in raw_tables.items():
+        if not isinstance(table, dict):
+            raise SchemaError(f"table {key!r} must map outcome keys to "
+                              "probabilities")
         labels = tuple(key.split(","))
         try:
             canon = scenario.canonical_context(labels)

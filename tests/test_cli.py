@@ -1021,39 +1021,68 @@ class TestFrontDoorFuzz:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def equal_atoms_gpt_json(state) -> dict:
+    """Two sharp contexts {0, 1} and {2, 3} whose atoms 0, 2 and 1, 3 are equal."""
+    return {"dim": 2, "states": [state],
+            "effects": [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            "unit": [1.0, 1.0], "sharp_contexts": [[0, 1], [2, 3]]}
+
+
+def nested_coarse_grainings_doc() -> dict:
+    """Measurements {P0, P1, P2+P3} and {P0+P1, P2, P3} on the maximally mixed ququart."""
+    p = [np.diag(row) for row in np.eye(4)]
+    measurements = [("M1", [p[0], p[1], p[2] + p[3]]),
+                    ("M2", [p[0] + p[1], p[2], p[3]])]
+    return {"kind": "quantum", "state": matrix_to_json(np.eye(4) / 4),
+            "contexts": [[{"label": label,
+                           "projectors": [matrix_to_json(q) for q in projs]}]
+                         for label, projs in measurements]}
+
+
 class TestSharpEmbeddingAssembly:
-    """A sharp embedding that fails its float check leaves the verdict undecided."""
+    """Sections whose 0/1 responses no linear map gives leave the verdict undecided.
 
-    @pytest.fixture
-    def failed_check(self, monkeypatch):
-        from contextuality import embedding
-
-        def failed(emb, gpt, table=None):
-            return embedding.EmbeddingCheck(False, 0.0, 0.0, 1.0)
-
-        monkeypatch.setattr(embedding, "verify_embedding", failed)
+    Written with `require` instead of bare asserts, so that it also tests
+    something when pytest runs under ``python -O``.
+    """
 
     @pytest.mark.parametrize("kind", ["gpt", "quantum"])
-    def test_forced_failure_exits_zero_undecided(self, tmp_path, failed_check,
-                                                 kind):
+    def test_forced_failure_exits_zero_undecided(self, tmp_path, kind):
         if kind == "gpt":
-            doc = {"kind": "gpt",
-                   "gpt": kcbs_gpt_json(np.eye(3, dtype=complex) / 3)}
+            doc = {"kind": "gpt", "gpt": equal_atoms_gpt_json([0.5, 0.5])}
         else:
-            doc = coarse_graining_doc(np.random.default_rng(8))
+            doc = nested_coarse_grainings_doc()
         rc, out, err = classify_bytes(tmp_path / "doc.json", doc)
-        assert rc == 0, err
+        require(rc == 0 and err == "", f"exit {rc}, {err!r}")
         payload = json.loads(out)
-        assert payload["ks_noncontextual"] == "yes"
-        assert payload["spekkens_noncontextual"] == "undecided"
-        assert any("embedding assembly" in note for note in payload["notes"])
+        require((payload["ks_noncontextual"], payload["spekkens_noncontextual"])
+                == ("yes", "undecided"), f"{payload}")
+        require(any("embedding assembly" in note for note in payload["notes"]),
+                f"{payload['notes']}")
+        require(all(c.get("kind") != "simplex-embedding"
+                    for c in payload["certificates"]), f"{payload}")
 
-    def test_forced_failure_in_embed_command(self, tmp_path, failed_check):
-        doc = tmp_path / "g.json"
-        doc.write_text(json.dumps(kcbs_gpt_json(np.eye(3, dtype=complex) / 3)))
-        payload = run_json(tmp_path, ["embed", str(doc)])
-        assert payload["verdict"] == "undecided"
-        assert "embedding assembly" in payload["note"]
+    def test_forced_failure_in_embed_command(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(equal_atoms_gpt_json([0.5, 0.5])))
+        rc, out, err = cli_run(path, ["embed"])
+        require(rc == 0 and err == "", f"exit {rc}, {err!r}")
+        payload = json.loads(out)
+        require(payload["verdict"] == "undecided", f"{payload}")
+        require(payload["note"].startswith("embedding assembly"), payload["note"])
+        require(payload["certificates"] == [], f"{payload}")
+
+    def test_linear_responses_stay_embeddable(self, tmp_path):
+        # On state (1, 0) atoms 0 and 2 both fire, as their equal vectors must.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(equal_atoms_gpt_json([1.0, 0.0])))
+        rc, out, err = cli_run(path, ["embed", "--emit-certificate"])
+        require(rc == 0 and err == "", f"exit {rc}, {err!r}")
+        payload = json.loads(out)
+        require(payload["verdict"] == "embeddable", f"{payload}")
+        cert = payload["certificates"][0]
+        require((cert["d"], cert["assignments"], cert["state_weights"])
+                == (1, [[1, 0, 1, 0]], [["1/1"]]), f"{cert}")
 
 
 SHARP_ROUTE_IMPORTS = """
@@ -1178,6 +1207,51 @@ class TestNonFiniteFrontDoor:
             path.write_text(json.dumps(doc))
             rc, out, err = cli_run(path, ["classify"])
             require(rc == 0 and err == "", f"{doc['kind']}: exit {rc}, {err!r}")
+
+
+def malformed_field_document(fault: str) -> dict:
+    """A valid empirical or quantum document with one field of the wrong type."""
+    if fault.startswith("quantum"):
+        doc = classify_base_document("quantum")
+        if fault == "quantum-label-list":
+            doc["contexts"][0][0]["label"] = ["Z"]
+        else:
+            doc["sharing"] = {"Z": []}
+        return doc
+    doc = pr_box_doc()
+    model = doc["model"]
+    if fault == "tables-list":
+        model["tables"] = list(model["tables"].values())
+    elif fault == "table-int":
+        model["tables"]["A0,B0"] = 5
+    elif fault == "label-list":
+        model["measurements"][0]["label"] = ["A0"]
+    else:
+        model["measurements"][0]["outcomes"] = [{}, []]
+    return doc
+
+
+class TestMalformedFieldRefusals:
+    """A field of the wrong JSON type exits 2 with one line naming it.
+
+    Written with `require` instead of bare asserts, so that it also tests
+    something when pytest runs under ``python -O``.
+    """
+
+    @pytest.mark.parametrize("fault, field", [
+        ("tables-list", "'tables'"), ("table-int", "table 'A0,B0'"),
+        ("label-list", "measurement label ['A0']"),
+        ("outcomes-unhashable", "outcomes of measurement 'A0'"),
+        ("quantum-label-list", "measurement label ['Z']"),
+        ("quantum-sharing-list", "sharing"),
+    ])
+    @pytest.mark.parametrize("command", ["classify", "validate", "embed"])
+    def test_exits_two_naming_the_field(self, tmp_path, command, fault, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(malformed_field_document(fault)))
+        rc, out, err = cli_run(path, [command])
+        require_one_line_refusal(rc, out, err, f"{command} {fault}")
+        require(field in err, f"{command} {fault}: {err!r}")
 
 
 class TestNonIntegerGptFields:

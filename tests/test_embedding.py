@@ -1,9 +1,10 @@
 """Tests for GPT reconstruction, simplex embeddings, and preparation checks.
 
-Verification strategy: embeddings are re-checked against all three defining
-invariants independently of the constructor, and the exact embedding LP's
-certificates are rebuilt into an ontological model or re-multiplied by
-hand, with facet lists checked against brute force; refusal and infeasibility
+Verification strategy: sharp embeddings are re-checked exactly from their
+printed certificate (0/1 responses firing one atom per context, simplex
+weights, and weights times responses equal to the exact atom
+probabilities), and the exact embedding LP's certificates are rebuilt
+into an ontological model or re-multiplied by hand, with facet lists checked against brute force; refusal and infeasibility
 certificates are re-multiplied against reconstructed constraint rows;
 verdicts are cross-checked against the global-section solver and against
 brute-force or hand-derived oracles on small instances.
@@ -27,14 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextuality import embedding, scenario
-from contextuality.classify import RunConfig, classify, classify_gpt, report_to_json
+from contextuality.classify import (
+    RunConfig,
+    classify,
+    classify_gpt,
+    classify_prep_ensemble,
+    report_to_json,
+)
 from contextuality.embedding import (
     AssignmentPolytope,
     DecompositionMismatch,
     EmptyAssignmentPolytope,
     GptError,
     InconsistentUnit,
-    OntModel,
     PrepEnsembleProblem,
     UnsharpEffectFlagged,
     build_assignment_polytope,
@@ -52,8 +58,6 @@ from contextuality.embedding import (
     qubit_prep_ensemble,
     sharp_gpt_from_quantum,
     six_ensemble_statistics,
-    verify_embedding,
-    verify_ont_model,
     _bipartitions,
     _equivalence_system,
     _hull_pair_lp,
@@ -172,6 +176,34 @@ def exact_atom_table(gpt):
                     fired[int(ctx[outcome.index(1)][1:])] = value
         columns.append([fired.get(i, Fraction(1)) for i in range(gpt.n_effects)])
     return [list(row) for row in zip(*columns)]
+
+
+def require_sharp_certificate(res, gpt) -> None:
+    """Re-check an embeddable `embed_sharp` result from its certificate, exactly.
+
+    Every assignment is a 0/1 atom vector firing one atom per sharp
+    context, every state's weights are nonnegative and sum to 1, and
+    weights times responses (the bits on the atoms, 1 on the unit) equal
+    `exact_atom_table` entry by entry.
+    """
+    require(res.feasible, f"verdict {res.verdict}: {res.note}")
+    position = {atom: k for k, atom in enumerate(res.atom_indices)}
+    for t in res.assignments:
+        require(set(t) <= {0, 1}, f"assignment {t} is not 0/1")
+        for ctx in gpt.sharp_contexts:
+            require(sum(t[position[i]] for i in ctx) == 1,
+                    f"assignment {t} does not fire one atom of {ctx}")
+    require(res.certificate()["d"] == len(res.assignments), "d")
+    table = exact_atom_table(gpt)
+    require(len(res.state_weights) == gpt.n_states, "one weight row per state")
+    for j, weights in enumerate(res.state_weights):
+        require(len(weights) == len(res.assignments) and min(weights) >= 0
+                and sum(weights) == 1, f"state {j}'s weights {weights}")
+        for i in range(gpt.n_effects):
+            paired = sum(w * (t[position[i]] if i in position else 1)
+                         for w, t in zip(weights, res.assignments))
+            require(paired == table[i][j], f"effect {i} on state {j}: "
+                    f"{paired} != {table[i][j]}")
 
 
 def pentagon_projectors():
@@ -380,10 +412,12 @@ class TestConsistentAssignments:
 
 class TestEmbedSharp:
     def test_classical_bit_identity(self):
-        res = embed_sharp(classical_bit_gpt())
-        assert res.feasible
-        assert res.embedding.d == 2
-        np.testing.assert_allclose(res.embedding.iota, np.eye(2), atol=1e-9)
+        gpt = classical_bit_gpt()
+        res = embed_sharp(gpt)
+        require_sharp_certificate(res, gpt)
+        one, zero = Fraction(1), Fraction(0)
+        assert res.assignments == ((1, 0), (0, 1))
+        assert res.state_weights == ((one, zero), (zero, one))
 
     def test_kcbs_pure_state_refused(self):
         res = embed_sharp(kcbs_gpt())
@@ -396,10 +430,8 @@ class TestEmbedSharp:
         assert len(cert["dual"]) == len(cert["rhs"])
 
     def test_kcbs_maximally_mixed_embeds(self):
-        res = embed_sharp(kcbs_gpt(np.eye(3) / 3))
-        assert res.feasible
-        check = verify_embedding(res.embedding, kcbs_gpt(np.eye(3) / 3))
-        assert check.passed
+        gpt = kcbs_gpt(np.eye(3) / 3)
+        require_sharp_certificate(embed_sharp(gpt), gpt)
 
     def test_dimension_equals_primal_support(self):
         basis = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
@@ -408,17 +440,20 @@ class TestEmbedSharp:
         state = np.diag([0.5, 0.5, 0.0])
         gpt = sharp_gpt_from_quantum([state], [[pc]])
         res = embed_sharp(gpt)
-        assert res.feasible
-        assert res.embedding.d == 2
+        require_sharp_certificate(res, gpt)
+        assert len(res.assignments) == res.certificate()["d"] == 2
 
     def test_kappa_rows_boolean(self):
+        # kappa's rows are the printed responses: 0/1 on the atoms, one
+        # firing atom per context.
         gpt = kcbs_gpt(np.eye(3) / 3)
         res = embed_sharp(gpt)
-        for atom in res.atom_indices:
-            image = res.embedding.embed_effect(gpt.effects[atom])
-            distance = np.min(np.stack([np.abs(image), np.abs(image - 1.0)]),
-                              axis=0)
-            assert float(np.max(distance)) < 1e-8
+        position = {atom: k for k, atom in enumerate(res.atom_indices)}
+        assert res.assignments
+        for t in res.assignments:
+            assert set(t) <= {0, 1}
+            assert all(sum(t[position[i]] for i in ctx) == 1
+                       for ctx in gpt.sharp_contexts)
 
     def test_verdict_matches_global_section(self):
         # The embedding is read off the global section; the oracle decides
@@ -456,8 +491,7 @@ class TestEmbedSharp:
         monkeypatch.setattr(embedding, "solve_global_section",
                             lambda model: solved.append(model) or solve(model))
         res = embed_sharp(gpt)
-        assert res.feasible
-        assert verify_embedding(res.embedding, gpt, table=exact_atom_table(gpt)).passed
+        require_sharp_certificate(res, gpt)
         assert len(solved) == 2
         solved.clear()
         res = embed_sharp(sharp_gpt_from_quantum([dm([1, 0, 0])] + states,
@@ -470,28 +504,46 @@ class TestEmbedSharp:
         states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
         gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
         res = embed_sharp(gpt)
-        assert res.feasible
+        require_sharp_certificate(res, gpt)
         exact = exact_atom_table(gpt)
-        assert verify_embedding(res.embedding, gpt, table=exact).passed
         floats = gpt.table()
         assert all(abs(Fraction(floats[i][j]) - exact[i][j]) <= ATOM_BOUND
                    for i in range(gpt.n_effects) for j in range(gpt.n_states))
 
     def test_linearly_dependent_states_are_unverified(self):
         # The third state is the equal mixture of the first two, but each
-        # state's mixture is solved on its own, so no one linear map
-        # reproduces all three: the assembly reports, it does not raise a
+        # state's mixture is solved on its own, so the weights fail the
+        # state span test: the assembly reports, it does not raise a
         # certificate error.
         states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
         states.append((states[0] + states[1]) / 2)
         gpt = sharp_gpt_from_quantum(states, kcbs_contexts())
         res = embed_sharp(gpt)
-        assert (res.verdict, res.feasible, res.embedding) == ("undecided", False, None)
-        assert res.note.startswith("embedding assembly")
+        assert (res.verdict, res.feasible, res.assignments) == ("undecided", False, ())
+        assert res.note == ("embedding assembly: the global sections' weights "
+                            "are not linear in the states")
         report = classify_gpt(gpt)
         assert (report.ks_noncontextual, report.spekkens_noncontextual) == (
             "yes", "undecided")
         assert any("embedding assembly" in note for note in report.notes)
+
+    def test_responses_must_keep_the_atoms_linear_relations(self):
+        # Atoms 0 and 2 are one vector, so are atoms 1 and 3.  On (1/2, 1/2)
+        # the sections may fire atom 0 with atom 3, which no linear kappa
+        # answers; on (1, 0) both equal atoms fire, and the response is linear.
+        effects = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        mixed = make_gpt([[0.5, 0.5]], effects, [1.0, 1.0],
+                         sharp_contexts=[(0, 1), (2, 3)])
+        res = embed_sharp(mixed)
+        assert (res.verdict, res.assignments) == ("undecided", ())
+        assert res.note == ("embedding assembly: the assignments' responses "
+                            "break a linear relation among the atoms and the "
+                            "unit")
+        pure = make_gpt([[1.0, 0.0]], effects, [1.0, 1.0],
+                        sharp_contexts=[(0, 1), (2, 3)])
+        res = embed_sharp(pure)
+        require_sharp_certificate(res, pure)
+        assert res.assignments == ((1, 0, 1, 0),)
 
     def test_no_sharp_contexts_rejected(self):
         gpt = make_gpt([np.array([1.0, 0.0])], [np.array([1.0, 0.0])],
@@ -520,8 +572,8 @@ class TestEmbedSharp:
         res = embed_sharp(gpt)
         # the sections are solved first: a refusal would still be reported
         assert len(solved) == 2
-        assert (res.verdict, res.embedding, res.refusal_section) == (
-            "undecided", None, None)
+        assert (res.verdict, res.assignments, res.refusal_section) == (
+            "undecided", (), None)
         assert res.note == ("effect 2 is neither the unit nor covered by a "
                             "sharp context")
         report = classify_gpt(gpt)
@@ -692,10 +744,10 @@ class TestExactInducedModel:
 class TestTamperedSection:
     """A section whose primal changed after its re-check yields no embedding.
 
-    `embed_sharp` reads the weights of the sections it solved without
-    re-checking them; its only guard on them is the embedding check, whose
-    failure is an explicit "undecided" result, so this class also runs
-    under ``python -O``.  Checks raise through `require`.
+    `embed_sharp` re-checks each section's primal against that section's
+    exact statistics before it prints the weights; a failure is an explicit
+    "undecided" result, so this class also runs under ``python -O``.
+    Checks raise through `require`.
     """
 
     def test_tampered_primal_is_undecided(self, monkeypatch):
@@ -707,7 +759,7 @@ class TestTamperedSection:
         monkeypatch.setattr(embedding, "solve_global_section",
                             lambda model: next(tampered))
         res = embed_sharp(gpt)
-        require(res.verdict == "undecided" and res.embedding is None,
+        require(res.verdict == "undecided" and not res.assignments,
                 f"tampered section gave verdict {res.verdict}")
         require(res.note.startswith("embedding assembly"), f"note {res.note!r}")
 
@@ -1076,6 +1128,8 @@ class TestPrepNcCheck:
             assert case.solution is None
 
     def test_single_decomposition_feasible_with_model(self):
+        # One decomposition: each component is its own ontic state, and the
+        # target is the mixture of them with the decomposition's weights.
         problem = qubit_prep_ensemble(Fraction(1, 2))
         single = PrepEnsembleProblem(
             target=problem.target, q=problem.q,
@@ -1084,15 +1138,15 @@ class TestPrepNcCheck:
             orthogonal_pairs=problem.orthogonal_pairs)
         result = prep_nc_check(single)
         assert result.verdict == "feasible"
-        assert isinstance(result.model, OntModel)
-        expectations = {}
-        for e_label, e_state in single.component_states.items():
-            expectations[("target", e_label)] = float(
-                np.real(np.trace(e_state @ single.target)))
-            for l in result.model.ontic_labels:
-                expectations[(l, e_label)] = float(
-                    np.real(np.trace(e_state @ single.component_states[l])))
-        assert verify_ont_model(result.model, expectations)
+        weights = [w for w, _ in single.decompositions[0]]
+        assert min(weights) >= 0 and sum(weights) == 1
+        mixture = sum(float(w) * single.component_states[label]
+                      for w, label in single.decompositions[0])
+        assert sup_norm(mixture - single.target) < 1e-12
+        report = classify_prep_ensemble(single)
+        assert report.spekkens_noncontextual == "yes"
+        assert ("one decomposition: each component is its own ontic state"
+                in report.notes)
 
     def test_certificate_has_cases_field(self):
         cert = prep_nc_check(qubit_prep_ensemble(Fraction(1, 2))).certificate()
