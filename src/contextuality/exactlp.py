@@ -30,9 +30,19 @@ arithmetic.  Rows with ``b_i < 0`` are negated.  Each column ``a_j`` comes
 multiplied by ``s_j``, the lcm of its denominators, and ``b`` by ``L``,
 the lcm of its denominators, so the whole system is integral.  The inverse
 of the integer basis matrix is kept as ``N / D`` with ``N`` an integer
-matrix and ``D > 0``; a pivot updates ``N`` and the basic values by
-integer-preserving (Bareiss) steps whose divisions are exact.  Zero
-entries are skipped when pricing and when forming ``N a_j``.
+matrix and ``D > 0``; a pivot on ``p = (N a_j)_r`` updates ``N`` and the
+basic values by integer-preserving (Bareiss) steps whose divisions are
+exact, row ``i`` becoming ``(p N_i - d_i N_r) / D``.  When ``p = D`` no
+row rescales: each row with ``d_i != 0`` is updated in place, as
+``N_i - d_i N_r / D`` term by term, and only where the leaving row ``N_r``
+is nonzero.  The phase-1 dual ``D y``, the sum of the rows of ``N`` that
+hold an artificial, is not summed from those rows but kept current, in
+``O(m)`` per pivot: it becomes ``(p (D y - [r held one] N_r) - (sum of
+d_k over the rows still holding one) N_r) / D``.  A 0/1 column, as every
+section column is, gets its reduced cost and ``N a_j`` by summing
+entries, with no products.  Zero entries are skipped when pricing and
+when forming ``N a_j``.  None of this changes a pivot or a returned
+rational: the integers are the ones the full Bareiss step would compute.
 
 The leaving row is chosen by the lexicographic ratio test (Dantzig, Orden
 and Wolfe 1955): among rows with ``d_i > 0``, where ``d = B^-1 a_enter``,
@@ -71,7 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 
@@ -252,9 +262,12 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
     row is the lexicographic minimum of the ratio test.  The arithmetic is
     integer-preserving on the scaled system (module docstring), so the
     pivots and the returned rationals are those of the plain ``Fraction``
-    simplex with the same rules.
+    simplex with the same rules.  Raises ``ValueError`` unless ``b`` has
+    one entry per row.
     """
     m = a.m
+    if len(b) != m:
+        raise ValueError(f"right-hand side has {len(b)} entries for {m} rows")
     if m == 0:
         return Feasibility(True, x=a.primal(()))
     sign = [1] * m
@@ -270,30 +283,34 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
 
     # B^-1 = binv / det with binv integral; the artificial basis is I.
     # basis[i] is the key of the column basic in row i and scale[i] its s;
-    # arts lists the rows still holding their artificial.
+    # arts lists the rows still holding their artificial.  y is det times
+    # the dual c_B B^-1, c_B = 1 exactly on the rows in arts: the sum of
+    # those rows of binv, kept current by each pivot.
     binv = [[int(i == k) for k in range(m)] for i in range(m)]
     det = 1
     basis: list = [None] * m
     scale = [1] * m
     arts = list(range(m))
-
-    def dual() -> list[int]:
-        # det * y, y = c_B B^-1 with c_B = 1 exactly on rows holding an artificial.
-        rows = [binv[k] for k in arts]
-        return [sum(col) for col in zip(*rows)] if rows else [0] * m
+    y = [1] * m
 
     while any(xb[i] for i in arts):
-        y = dual()
         enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
         if enter is None:
             break
         idx, vals, s = a.column(enter)
         if flip:
             vals = [-v if sign[i] < 0 else v for i, v in zip(idx, vals)]
-        if sum(map(mul, map(y.__getitem__, idx), vals)) <= 0:
+        if len(idx) > 1 and vals.count(1) == len(idx):
+            # A 0/1 column: every product is a plain read.
+            get = itemgetter(*idx)
+            score = sum(get(y))
+            d = [sum(get(row)) for row in binv]
+        else:
+            score = sum(map(mul, map(y.__getitem__, idx), vals))
+            d = [sum(map(mul, map(row.__getitem__, idx), vals)) for row in binv]
+        if score <= 0:
             # A source that prices a non-improving column could cycle.
             raise ArithmeticError(f"column {enter!r} priced in does not improve")
-        d = [sum(map(mul, map(row.__getitem__, idx), vals)) for row in binv]
         leave = -1
         for i in range(m):
             if d[i] <= 0:
@@ -315,19 +332,34 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
             raise ArithmeticError("phase-1 simplex unbounded; inputs inconsistent")
         piv = d[leave]
         lrow, lx = binv[leave], xb[leave]
-        for i in range(m):
-            f = d[i]
-            if i == leave or (f == 0 and piv == det):
-                continue
-            if f:
-                binv[i] = [(v * piv - f * w) // det for v, w in zip(binv[i], lrow)]
-                xb[i] = (xb[i] * piv - f * lx) // det
-            else:
-                binv[i] = [v * piv // det for v in binv[i]]
-                xb[i] = xb[i] * piv // det
-        det = piv
-        if basis[leave] is None:
+        held = basis[leave] is None
+        if held:
             arts.remove(leave)
+        # The new y sums (piv binv_k - d_k lrow) / det over the rows k left
+        # in arts; the leaving row drops out of the sum if it was in it.
+        c = piv * held + sum(d[k] for k in arts)
+        y = [(v * piv - c * w) // det for v, w in zip(y, lrow)]
+        if piv == det:
+            # No row rescales: (v det - f w) / det = v - f w / det, exact
+            # term by term, and only where the leaving row is nonzero.
+            nz = [(k, w) for k, w in enumerate(lrow) if w]
+            for i, f in enumerate(d):
+                if f and i != leave:
+                    row = binv[i]
+                    for k, w in nz:
+                        row[k] -= f * w // det
+                    xb[i] -= f * lx // det
+        else:
+            for i, f in enumerate(d):
+                if i == leave:
+                    continue
+                if f:
+                    binv[i] = [(v * piv - f * w) // det for v, w in zip(binv[i], lrow)]
+                    xb[i] = (xb[i] * piv - f * lx) // det
+                else:
+                    binv[i] = [v * piv // det for v in binv[i]]
+                    xb[i] = xb[i] * piv // det
+        det = piv
         basis[leave] = enter
         scale[leave] = s
 
@@ -335,7 +367,6 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
         return Feasibility(True, x=a.primal(
             (basis[i], Fraction(xb[i] * scale[i], det * rhs_scale))
             for i in range(m) if basis[i] is not None and xb[i]))
-    y = dual()
     farkas = tuple(Fraction(y[i] * sign[i], det) for i in range(m))
     return Feasibility(False, farkas=farkas)
 

@@ -115,7 +115,8 @@ class _Elimination:
     a part ``(f, idx)`` reads context ``f``'s table, or for ``f`` at least
     the context count a message, at ``idx`` (None: the same scope).
     ``decode[v]`` lists the positions before ``v`` in its union and their
-    strides in the union table's rank.
+    strides in the union table's rank.  ``scopes[c]`` lists context
+    ``c``'s positions.
     """
 
     def __init__(self, scenario: MeasurementScenario):
@@ -125,15 +126,7 @@ class _Elimination:
         self.index = [{o: d for d, o in enumerate(outs)} for outs in self.outcomes]
         self.ones = (1,) * len(scenario.contexts)
         scopes = [tuple(pos[m] for m in ctx) for ctx in scenario.contexts]
-        self.contexts = len(scopes)
-        # Per context, its positions and their strides in the section's rank.
-        self.strides = []
-        for scope in scopes:
-            ranks, step = [], 1
-            for u in reversed(scope):
-                ranks.append(step)
-                step *= size[u]
-            self.strides.append((scope, tuple(reversed(ranks))))
+        self.scopes = tuple(scopes)
         bucket: list[list[int]] = [[] for _ in size]
         for f, scope in enumerate(scopes):
             bucket[scope[-1]].append(f)
@@ -158,27 +151,29 @@ class _Elimination:
         """(largest total, outcome indices of its smallest maximizer).
 
         ``buf`` holds the context tables and room for every message;
-        ``steps`` lists each elimination as ``(v, gathers, start, end)``,
-        where each gather reads one part of the bucket's sum from ``buf``
+        ``steps`` lists each elimination as ``(v, first, rest, k, start,
+        end)``, where the gathers ``first`` and ``rest`` read the parts of
+        the bucket's sum from ``buf``, ``k`` is the outcome count of ``v``
         and the message goes to ``buf[start:end]``, and ``constants`` are
         the slots of the one-entry messages.
         """
-        size = self.size
-        kept = [None] * len(size)
-        for v, gathers, start, end in steps:
-            parts = iter(gathers)
-            f = next(parts)(buf)
-            for part in parts:
+        kept = [None] * len(self.size)
+        for v, first, rest, k, start, end in steps:
+            f = first(buf)
+            for part in rest:
                 f = list(map(add, f, part(buf)))
-            k = size[v]
-            buf[start:end] = map(max, *(f[d::k] for d in range(k)))
+            buf[start:end] = (map(max, f[::2], f[1::2]) if k == 2
+                              else map(max, *(f[d::k] for d in range(k))))
             kept[v] = f
         digits: list[int] = []
         at = digits.__getitem__
-        for f, k, (prev, strides) in zip(kept, size, self.decode):
+        for f, k, (prev, strides) in zip(kept, self.size, self.decode):
             base = sum(map(mul, map(at, prev), strides))
-            seg = f[base:base + k]
-            digits.append(seg.index(max(seg)))
+            if k == 2:
+                digits.append(0 if f[base] >= f[base + 1] else 1)
+            else:
+                seg = f[base:base + k]
+                digits.append(seg.index(max(seg)))
         return sum(map(buf.__getitem__, constants)), digits
 
 
@@ -219,11 +214,25 @@ class IncidenceMatrix:
         steps = []
         for v, union, parts, _ in self.plan.steps:
             start, end = end, end + prod(size[u] for u in union[:-1])
-            steps.append((v, [itemgetter(*(tables[f] if idx is None
-                                           else map(tables[f].__getitem__, idx)))
-                              for f, idx in parts], start, end))
+            first, *rest = [itemgetter(*(tables[f] if idx is None
+                                         else map(tables[f].__getitem__, idx)))
+                            for f, idx in parts]
+            steps.append((v, first, rest, size[v], start, end))
             tables.append(range(start, end))
         return steps, [tables[t][0] for t in self.plan.constants], [0] * (end - self.m - 2)
+
+    @cached_property
+    def _lookup(self) -> list:
+        # Per context: the getter of its outcome digits from an
+        # assignment's, and the entry of ``sections`` at each digit key
+        # (a bare digit for a one-measurement context).
+        size = self.plan.size
+        lookup = []
+        for secs, scope in zip(self.sections, self.plan.scopes):
+            keys = (itertools.product(*(range(size[u]) for u in scope)) if len(scope) > 1
+                    else range(size[scope[0]]))
+            lookup.append((itemgetter(*scope), dict(zip(keys, secs))))
+        return lookup
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -287,14 +296,13 @@ class IncidenceMatrix:
     def _assignment(self, digits) -> tuple:
         s = tuple(map(getitem, self.plan.outcomes, digits))
         if s not in self._columns:
-            at = digits.__getitem__
-            idx = tuple(secs[sum(map(mul, map(at, scope), ranks))]
-                        for secs, (scope, ranks) in zip(self.sections, self.plan.strides))
             if self._outside:
-                idx = tuple(r for r in idx if r != OUTSIDE)
+                idx = tuple(r for get, rows in self._lookup
+                            if (r := rows[get(digits)]) != OUTSIDE)
                 self._columns[s] = (idx, (1,) * len(idx), 1)
             else:
-                self._columns[s] = (idx, self.plan.ones, 1)
+                self._columns[s] = (tuple(rows[get(digits)] for get, rows in self._lookup),
+                                    self.plan.ones, 1)
         return s
 
     def maximum(self, y) -> tuple:

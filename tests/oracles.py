@@ -4,7 +4,8 @@ The numeric oracles recompute expected values from first principles (Born
 rule plus a planar angle grid) without touching the package's solvers, so a
 test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
-kernel must match pivot for pivot on listed columns, `reference_incidence_rows`
+kernel must match pivot for pivot, on listed columns by Bland's rule and on
+the section source by the largest score, `reference_incidence_rows`
 the dense row-by-row incidence matrix the implicit global-section matrix
 must equal, and `reference_argmax` the column-by-column scan its
 elimination oracle must agree with.
@@ -81,14 +82,17 @@ def grid_scan_max(alpha=1.0):
 
 
 def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
-                              b: Sequence[Fraction]) -> Feasibility:
+                              b: Sequence[Fraction],
+                              largest: bool = False) -> Feasibility:
     """The plain ``Fraction`` simplex that ``solve_eq_nonneg`` runs in integers.
 
     Dense revised phase-1 simplex with an explicit rational B^-1, Bland's
-    entering column and the lexicographic ratio test.  The package's
-    integer-preserving kernel on `SparseColumns` must return equal
-    ``Feasibility`` objects: the same pivots give the same solution or
-    Farkas vector.
+    entering column (or, with ``largest``, the column of largest
+    ``y^T a_j``, ties to the smallest ``j``) and the lexicographic ratio
+    test.  The package's integer-preserving kernel must return equal
+    ``Feasibility`` objects, on `SparseColumns` against Bland's rule and
+    on the section source against the largest score: the same pivots give
+    the same solution or Farkas vector.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -120,13 +124,15 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
 
     while True:
         y = dual()
-        enter = -1
-        for j in range(n):  # Bland: smallest structural index with negative reduced cost
+        enter, top = -1, 0
+        for j in range(n):  # Bland's first improving column, or the largest score
             if in_basis[j]:
                 continue
-            if sum(y[i] * cols[j][i] for i in range(m)) > 0:
-                enter = j
-                break
+            score = sum(y[i] * cols[j][i] for i in range(m))
+            if score > top:
+                enter, top = j, score
+                if not largest:
+                    break
         if enter < 0:
             break
         d = [sum(binv[i][k] * cols[enter][k] for k in range(m)) for i in range(m)]
@@ -187,18 +193,26 @@ def reference_incidence_rows(scenario) -> list[tuple[int, ...]]:
             for ctx, sec in rows]
 
 
-def reference_argmax(scenario, y: Sequence) -> tuple:
+def reference_argmax(scenario, y: Sequence, keep=None, outside=()) -> tuple | None:
     """Largest ``y^T a_s`` over every global assignment, and its first maximizer.
 
     Scores each column of `reference_incidence_rows` in turn; the columns
     run lexicographically in declared order, so the first maximizer is the
-    lexicographically smallest one.
+    lexicographically smallest one.  With ``keep``, ``y`` has one entry per
+    row ``keep[k]``: the rows ``outside`` score 0, and an assignment
+    through any other row has no column.  None when no column is left.
     """
     rows = reference_incidence_rows(scenario)
+    if keep is None:
+        keep = range(len(rows))
+    weight = dict(zip(keep, y))
+    dead = [row for i, row in enumerate(rows) if i not in weight and i not in outside]
     assignments = itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
     best = None
     for j, t in enumerate(assignments):
-        score = sum(yi for yi, row in zip(y, rows) if row[j])
+        if any(row[j] for row in dead):
+            continue
+        score = sum(yi for i, yi in weight.items() if rows[i][j])
         if best is None or score > best[0]:
             best = (score, t)
     return best

@@ -416,6 +416,11 @@ class TestColumnForm:
         a = frac_columns([[1, 1]])
         assert not check_farkas(a, [F(-1), F(0)], [F(-1)])
 
+    @pytest.mark.parametrize("b", [[F(1)], [F(1), F(0), F(2)]], ids=["short", "long"])
+    def test_solver_refuses_a_rhs_of_the_wrong_length(self, b):
+        with pytest.raises(ValueError, match=f"right-hand side has {len(b)} entries for 2 rows"):
+            solve_eq_nonneg(frac_columns([[1, 0], [0, 1]]), b)
+
     def test_shape_mismatch_raises_certificate_error(self):
         a = frac_columns([[1]])
         with pytest.raises(CertificateError, match="primal"):

@@ -20,7 +20,12 @@ Verification strategy:
 - the Collins-Gisin row basis the LP solves on has the Collins-Gisin rank,
   spans the full system by exact row reduction, and gives the verdict of
   a plain solve of the full listed system, with a dual of 0 on its
-  dropped rows.
+  dropped rows;
+- the solved system pivots as the reference simplex does when it prices
+  the largest score: the same weights or the same Farkas vector, and a
+  pinned number of pricing rounds on three ladder-sized models;
+- on that restricted system, with forbidden and outside sections, the
+  oracle's maximum, price, columns and support equal enumeration's.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from contextuality.exactlp import (
     TooLargeError,
     check_farkas,
     check_solution,
+    clear_denominators,
     require_certificate,
     solve_eq_nonneg,
 )
@@ -719,3 +725,123 @@ class TestRowBasis:
             kept = set(res.matrix.basis())
             require(all(res.dual[i] == 0 for i, vi in enumerate(v) if vi and i not in kept),
                     "dual nonzero on a dropped row")
+
+
+def ladder_box(n, w):
+    """n settings per party: the PR box at weight w against white noise on
+    the first two settings of each party, uniform tables elsewhere."""
+    sc = box_scenario(n)
+    tables = {}
+    for a, b in sc.contexts:
+        x, y = int(a[1:]), int(b[1:])
+        tables[(a, b)] = {(p, q): (w * (HALF if p ^ q == x & y else 0) + (1 - w) / 4
+                                   if x < 2 and y < 2 else Fraction(1, 4))
+                          for p in (0, 1) for q in (0, 1)}
+    return make_model(sc, tables)
+
+
+def section_system(model):
+    """The full matrix, its rhs, and the live and outside rows `solve_global_section` uses.
+
+    Live rows are the basis rows with a nonzero rhs, outside rows the other
+    nonzero rows; the zero rows are the forbidden ones.
+    """
+    mat = build_incidence_matrix(model.scenario)
+    v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
+    basis = mat.basis()
+    kept = set(basis)
+    return (mat, v, [i for i in basis if v[i]],
+            [i for i, vi in enumerate(v) if vi and i not in kept])
+
+
+class TestSectionPivots:
+    """The section LP pivots as the reference simplex that prices the largest score.
+
+    `solve_eq_nonneg` on ``restrict(live, outside)`` must return the same
+    weight per assignment, or the same Farkas vector, as
+    `reference_solve_eq_nonneg` with ``largest=True`` on the dense listed
+    system: live rows only, the columns through a zero row dropped, the
+    rest in lexicographic order.  Both take the largest score with ties to
+    the lexicographically smallest assignment, and the same lexicographic
+    ratio test.  The pricing rounds of three ladder-sized models are pinned.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_models(max_measurements=7, max_assignments=128))
+    @example(pr_box_model())
+    @example(noisy_cycle_model(5))
+    @example(box_model(HALF, Fraction(1, 4), Fraction(1, 4), 0))
+    def test_same_result_as_the_largest_score_reference(self, model):
+        mat, v, live, outside = section_system(model)
+        rhs = [v[i] for i in live]
+        res = solve_eq_nonneg(mat.restrict(live, outside), rhs)
+        dense = reference_incidence_rows(model.scenario)
+        zero = [row for row, vi in zip(dense, v) if not vi]
+        cols = [j for j in range(len(dense[0])) if not any(row[j] for row in zero)]
+        ref = reference_solve_eq_nonneg([[Fraction(dense[i][j]) for j in cols] for i in live],
+                                        rhs, largest=True)
+        require(res.feasible == ref.feasible, f"{res.feasible} against {ref.feasible}")
+        if ref.feasible:
+            assignments = list(enumerate_global_assignments(model.scenario))
+            weights = {assignments[j]: w for j, w in zip(cols, ref.x) if w}
+            require(dict(res.x) == weights, f"weights {res.x} against {weights}")
+        else:
+            require(res.farkas == ref.farkas, f"dual {res.farkas} against {ref.farkas}")
+
+    @pytest.mark.parametrize("model, feasible, rounds", [
+        (lambda: noisy_cycle_model(9), False, 42),
+        (lambda: ladder_box(3, Fraction(1, 3)), True, 23),
+        (lambda: ladder_box(3, Fraction(2, 3)), False, 28),
+    ], ids=["noisy-9-cycle", "local-3-setting-box", "nonlocal-3-setting-box"])
+    def test_pricing_rounds_are_pinned(self, model, feasible, rounds, monkeypatch):
+        calls = []
+
+        def counting_solve(a, b):
+            price = a.price
+
+            def counting(y):
+                calls.append(y)
+                return price(y)
+
+            a.price = counting
+            return solve_eq_nonneg(a, b)
+
+        monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
+        res = solve_global_section(model())
+        monkeypatch.undo()
+        require(res.feasible == feasible, res.verdict)
+        require(len(calls) == rounds, f"{len(calls)} pricing rounds, {rounds} expected")
+
+
+class TestRestrictedOracle:
+    """The oracle of ``restrict(live, outside)`` against enumeration.
+
+    On the system the section LP solves, zero rows forbid their sections
+    and outside rows score 0: `maximum` must equal the column scan of
+    `reference_argmax` over the columns left, `price` must give its
+    maximizer exactly when it scores above 0, and `column` and `support`
+    must give every assignment's live rows, None at a forbidden section.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_models(max_measurements=7, max_assignments=256), st.data())
+    def test_oracle_against_enumeration(self, model, data):
+        sc = model.scenario
+        mat, v, live, outside = section_system(model)
+        sub = mat.restrict(live, outside)
+        # Few distinct values, so that maximizers tie often.
+        y = [data.draw(st.sampled_from([-2, -1, 0, 0, 1, HALF])) for _ in live]
+        ref = reference_argmax(sc, y, live, outside)
+        if ref is not None:
+            require(sub.maximum(y) == ref, f"maximum {sub.maximum(y)} against {ref}")
+        priced = sub.price(clear_denominators(y)[0])
+        expected = ref[1] if ref is not None and ref[0] > 0 else None
+        require(priced == expected, f"priced {priced} against {expected}")
+        at = {row: i for i, row in enumerate(mat.rows)}
+        pos = {m: i for i, m in enumerate(sc.measurements)}
+        row_of = {i: k for k, i in enumerate(live)}
+        for t in enumerate_global_assignments(sc):
+            full = [at[ctx, tuple(t[pos[m]] for m in ctx)] for ctx in sc.contexts]
+            idx = tuple(row_of.get(i) for i in full if i not in outside)
+            require(sub.column(t) == (idx, (1,) * len(idx), 1), f"column of {t}")
+            require((sub.support([(t, 1)]) is None) == (None in idx), f"support of {t}")
