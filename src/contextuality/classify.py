@@ -41,9 +41,9 @@ from .embedding import (
     embed_lp,
     embed_sharp,
     gpt_from_json,
+    gpt_from_pass,
     prep_nc_check,
     qubit_prep_ensemble,
-    sharp_gpt_from_quantum,
 )
 from .exactlp import TooLargeError
 from .polytope import membership_from_section
@@ -51,8 +51,8 @@ from .quantum import QuantumInputError, matrix_from_json, projective_context
 from .scenario import (
     EmpiricalModel,
     SchemaError,
-    from_quantum,
     model_from_json,
+    quantum_pass,
     rational_literal,
 )
 from .sheaf import solve_global_section
@@ -311,13 +311,22 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
                      sharing: dict | None = None) -> ClassificationReport:
     """Classify a quantum scenario: a state plus commuting projective contexts.
 
-    The assignment verdict is the global-section verdict of the Born-rule
-    empirical model.  A "no" propagates down to the ontic-expansion verdict
-    before any embedding runs; only when a global assignment exists is the
-    scenario's sharp effect algebra built and tested for a simplex
-    embedding.  Bell is not applicable: the input declares no party split.
+    One `quantum_pass` checks the state and contexts and computes every
+    product projector, atom and Born probability, and `rationalize_atoms`
+    makes the atoms exact once, for both verdicts.  The assignment verdict
+    is the global-section verdict of the model whose entries are those
+    exact atoms; where it is not exactly consistent (a marginal summing
+    different atoms, as in the Peres-Mermin square) the section solver
+    rationalizes the float Born tables instead.  A "no" propagates down to
+    the ontic-expansion verdict before any embedding runs; only when a
+    global assignment may exist is the sharp GPT built and its induced
+    model, from the same exact atoms, tested for a simplex embedding.  Bell
+    is not applicable: the input declares no party split.
     """
-    model = from_quantum(state, contexts, sharing)
+    qp = quantum_pass([state], contexts, sharing)
+    floats = qp.float_model()
+    exact = qp.exact_atoms()
+    model = qp.exact_model(exact) or floats
     certificates: list = []
     notes: list = ["quantum scenario declares no party split; Bell verdict "
                    "not applicable"]
@@ -338,7 +347,7 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
                      "exists, so no noncontextual expansion exists")
     else:
         try:
-            result = embed_sharp(sharp_gpt_from_quantum([state], contexts))
+            result = embed_sharp(gpt_from_pass(qp), [exact])
         except TooLargeError as exc:
             sp = UNDECIDED
             notes.append("embedding constructor skipped: the sharp effect "
@@ -501,11 +510,18 @@ def _quantum_from_json(doc: dict):
         raw_contexts = doc["contexts"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"quantum input needs 'state' and 'contexts': {exc}") from exc
+    # A measurement repeated with identical JSON is parsed and checked once,
+    # and every context holding it shares the one object.
+    parsed: list = []
     contexts = []
     try:
         for raw_ctx in raw_contexts:
             members = []
             for raw_pc in raw_ctx:
+                known = next((pc for raw, pc in parsed if raw == raw_pc), None)
+                if known is not None:
+                    members.append(known)
+                    continue
                 if not isinstance(raw_pc["label"], str):
                     raise SchemaError(f"measurement label {raw_pc['label']!r} "
                                       "is not a string")
@@ -518,6 +534,7 @@ def _quantum_from_json(doc: dict):
                 projs = [matrix_from_json(p) for p in raw_pc["projectors"]]
                 members.append(projective_context(raw_pc["label"], projs,
                                                   outcomes=outcomes))
+                parsed.append((raw_pc, members[-1]))
             contexts.append(members)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed projective context: {exc}") from exc

@@ -1,8 +1,11 @@
 """Generalized probabilistic theories and classicality embeddings.
 
 Verification strategy: the sharp constructor reads its certificate off
-the solved global sections of the exact (rationalized) induced models:
-0/1 atom responses and each state's exact weights on them.  Simplex and
+the solved global sections of the exact induced models: 0/1 atom
+responses and each state's exact weights on them.  A quantum document's
+induced model is built from the exact atoms that `classify_quantum` made
+once for both verdicts (`scenario.QuantumPass.exact_atoms`); any other
+GPT's atoms are made exact here.  Simplex and
 cube membership hold exactly, and so does the pairing with those
 rationalized statistics (not the float ones), since each section's primal
 is re-checked against them; two span tests at `RANK_TOL` decide whether
@@ -43,25 +46,22 @@ from .quantum import (
     CONSTRUCTION_TOL,
     ID2,
     PAULIS,
-    ProjectiveContext,
     bloch_state,
-    dm,
     eigen_projector,
     sup_norm,
-    validate_density,
 )
 from .scenario import (
     MAX_DEN,
     ZERO_TOL,
-    NonCommutingContext,
+    QuantumPass,
     SchemaError,
     make_model,
     make_scenario,
+    quantum_pass,
     rationalize_atoms,
 )
 from .sheaf import SectionFeasibility, solve_global_section
 
-MERGE_TOL = 1e-10
 RANK_TOL = 1e-8
 MAX_EMBED_COLUMNS = 2**12
 MAX_ASSIGNMENT_TUPLES = 2**12
@@ -173,67 +173,6 @@ def make_gpt(states, effects, unit, sharp_contexts=(), *, tol: float = 1e-10) ->
                sharp_contexts=contexts)
 
 
-def gpt_from_data(prob_matrix, *, unit_row: int | None = None) -> Gpt:
-    """Reconstruct a GPT from an effects-by-states probability table.
-
-    Duplicate rows/columns (identical statistics within `MERGE_TOL`) are
-    merged first; the table is then factored at numerical rank `RANK_TOL`
-    so the result is tomographically minimal.  A row of all ones is used as
-    the unit if present, otherwise one is appended.
-    """
-    table = np.asarray(prob_matrix, dtype=float)
-    if table.ndim != 2 or table.size == 0:
-        raise GptError("probability table must be a nonempty 2-D array")
-    if np.min(table) < -1e-10 or np.max(table) > 1.0 + 1e-10:
-        raise GptError("probability table entries must lie in [0, 1]")
-    if unit_row is not None:
-        if not 0 <= unit_row < table.shape[0]:
-            raise GptError(f"unit row index {unit_row} out of range")
-        if np.max(np.abs(table[unit_row] - 1.0)) > 1e-10:
-            raise InconsistentUnit(
-                f"declared unit row {unit_row} is not identically 1")
-
-    # Merge operationally equivalent columns (states), keeping the first.
-    kept_cols: list[int] = []
-    for j in range(table.shape[1]):
-        if not any(np.max(np.abs(table[:, j] - table[:, k])) <= MERGE_TOL
-                   for k in kept_cols):
-            kept_cols.append(j)
-    table = table[:, kept_cols]
-
-    # Merge operationally equivalent rows (effects), keeping the first.
-    kept_rows: list[int] = []
-    for i in range(table.shape[0]):
-        if not any(np.max(np.abs(table[i] - table[k])) <= MERGE_TOL
-                   for k in kept_rows):
-            kept_rows.append(i)
-    if unit_row is not None:
-        unit_row = min(k for k in kept_rows
-                       if np.max(np.abs(table[k] - table[unit_row])) <= MERGE_TOL)
-        unit_row = kept_rows.index(unit_row)
-    table = table[kept_rows]
-
-    if unit_row is None:
-        ones = [i for i in range(table.shape[0])
-                if np.max(np.abs(table[i] - 1.0)) <= 1e-10]
-        if ones:
-            unit_row = ones[0]
-        else:
-            table = np.vstack([table, np.ones(table.shape[1])])
-            unit_row = table.shape[0] - 1
-
-    u_mat, svals, vt_mat = np.linalg.svd(table, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL * max(1.0, float(svals[0]))))
-    effect_rows = u_mat[:, :rank] * svals[:rank]
-    state_cols = vt_mat[:rank, :]
-    residual = float(np.max(np.abs(effect_rows @ state_cols - table)))
-    if residual > 1e-7:
-        raise GptError(f"rank-{rank} factorization residual {residual} too large")
-    states = [state_cols[:, j] for j in range(state_cols.shape[1])]
-    effects = [effect_rows[i] for i in range(effect_rows.shape[0])]
-    return make_gpt(states, effects, effect_rows[unit_row], tol=1e-9)
-
-
 def hermitian_to_vector(matrix) -> np.ndarray:
     """Embed a Hermitian matrix as a real vector whose dot is the trace pairing.
 
@@ -244,68 +183,31 @@ def hermitian_to_vector(matrix) -> np.ndarray:
     return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
 
-def sharp_gpt_from_quantum(states, contexts, *, tol: float = 1e-10) -> Gpt:
+def sharp_gpt_from_quantum(states, contexts) -> Gpt:
     """GPT of density matrices against the atoms of commuting projective contexts.
 
     Each context is a list of `ProjectiveContext` measurements; its atoms are
     the nonzero products of one projector per measurement.  Atoms equal
-    within ``tol`` are shared across contexts, which is what carries the
-    compatibility structure into the GPT.
+    within 1e-10 are shared across contexts, which is what carries the
+    compatibility structure into the GPT.  `quantum_pass` checks the states
+    and contexts and finds the atoms; `gpt_from_pass` builds the GPT.
     """
-    dms = []
-    for s in states:
-        arr = np.asarray(s, dtype=complex)
-        if arr.ndim == 1 or (arr.ndim == 2 and 1 in arr.shape):
-            arr = dm(arr)
-        validate_density(arr)
-        dms.append(arr)
-    hdim = dms[0].shape[0]
-    norm_contexts = []
-    for ctx in contexts:
-        if isinstance(ctx, ProjectiveContext):
-            ctx = [ctx]
-        norm_contexts.append(list(ctx))
+    return gpt_from_pass(quantum_pass(states, contexts))
 
-    atoms: list[np.ndarray] = []
 
-    def atom_index(candidate: np.ndarray) -> int:
-        for k, existing in enumerate(atoms):
-            if sup_norm(existing - candidate) <= tol:
-                return k
-        atoms.append(candidate)
-        return len(atoms) - 1
-
-    sharp_contexts = []
-    for ctx in norm_contexts:
-        for pc_a, pc_b in itertools.combinations(ctx, 2):
-            for pa in pc_a.projectors:
-                for pb in pc_b.projectors:
-                    if sup_norm(pa @ pb - pb @ pa) > tol:
-                        raise NonCommutingContext(
-                            f"measurements {pc_a.label!r} and {pc_b.label!r} "
-                            "do not commute")
-        indices = []
-        for combo in itertools.product(*[pc.projectors for pc in ctx]):
-            prod = np.eye(hdim, dtype=complex)
-            for p in combo:
-                prod = prod @ p
-            prod = (prod + prod.conj().T) / 2
-            if sup_norm(prod) <= tol:
-                continue
-            indices.append(atom_index(prod))
-        sharp_contexts.append(tuple(indices))
-
-    effects = [hermitian_to_vector(a) for a in atoms]
-    gpt_states = [hermitian_to_vector(r) for r in dms]
-    unit = hermitian_to_vector(np.eye(hdim, dtype=complex))
-    return make_gpt(gpt_states, effects, unit, sharp_contexts, tol=1e-9)
+def gpt_from_pass(qp: QuantumPass) -> Gpt:
+    """The pass's states against its atoms, one sharp context per context."""
+    unit = hermitian_to_vector(np.eye(qp.states[0].shape[0]))
+    return make_gpt([hermitian_to_vector(r) for r in qp.states],
+                    [hermitian_to_vector(a) for a in qp.atoms], unit,
+                    qp.sharp_contexts, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Sharp embedding (read off the global sections of the induced models)
 
 
-def induced_model(gpt: Gpt, state_index: int):
+def induced_model(gpt: Gpt, state_index: int, exact=None):
     """Exact dichotomic model of the sharp contexts on one state.
 
     Each flagged effect becomes a two-outcome measurement; within a context
@@ -314,13 +216,17 @@ def induced_model(gpt: Gpt, state_index: int):
     equal atom sets, such as two coarse-grainings that both refine the whole
     basis, give equal tables, so one copy of each is kept.
 
-    The atom probabilities are made exact once, by `rationalize_atoms`:
-    rounding alone when it already makes every distinct context sum to
-    exactly 1; else grid rounding with one atom that only its context holds
-    set to what the others leave; one box LP over the atoms when that
-    fails.  Every table then sums to exactly 1 and the overlap marginals
-    agree exactly, so `rationalize_model` passes the model through
-    unchanged.
+    The weights are ``exact``, the state's exact probabilities of the
+    flagged effects in index order, when the caller has them: a quantum
+    document's atoms are made exact once, for both verdicts.  Otherwise
+    `rationalize_atoms` makes the float probabilities exact: rounding alone
+    when it already makes every distinct context sum to exactly 1; else
+    grid rounding with one atom that only its context holds set to what the
+    others leave; one box LP over the atoms when that fails.  Either way
+    every table sums to exactly 1 and the overlap marginals agree exactly,
+    so `rationalize_model` passes the model through unchanged.  A context
+    whose float probabilities miss a sum of 1 by more than 1e-9 raises
+    `UnsharpEffectFlagged`.
     """
     if not gpt.sharp_contexts:
         raise UnsharpEffectFlagged("no sharp contexts declared")
@@ -338,8 +244,9 @@ def induced_model(gpt: Gpt, state_index: int):
                 f"sharp context {ctx} resolves to total probability {total} "
                 f"on state {state_index}")
         contexts.append(ordered)
-    exact = rationalize_atoms(probs, [[position[i] for i in ctx]
-                                      for ctx in contexts])
+    if exact is None:
+        exact = rationalize_atoms(probs, [[position[i] for i in ctx]
+                                          for ctx in contexts])
     tables = {}
     for ctx in contexts:
         tables[tuple(f"E{i}" for i in ctx)] = {
@@ -404,12 +311,13 @@ def _in_span(rows, vectors, scale: float | None = None) -> bool:
             == np.linalg.matrix_rank(rows, tol=tol))
 
 
-def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
+def embed_sharp(gpt: Gpt, exact=None) -> EmbedSharpResult:
     """Simplex embedding of a sharp GPT, read off its solved global sections.
 
     A sharp GPT has a simplex embedding only if every state's induced
     model has a global section, so each state's `induced_model` is solved
-    once, in order, and the first infeasible section is the refusal: its
+    once, in order, from ``exact[j]`` when the caller has made state j's
+    atoms exact, and the first infeasible section is the refusal: its
     re-checked Farkas dual is the certificate.  `induced_model` raises
     `UnsharpEffectFlagged` when a sharp context misses a sum of 1 on a
     state, and the section solver raises `TooLargeError` above its column
@@ -446,7 +354,8 @@ def embed_sharp(gpt: Gpt) -> EmbedSharpResult:
     atom_indices = tuple(sorted(atom_set))
     solved = []
     for j in range(gpt.n_states):
-        section = solve_global_section(induced_model(gpt, j))
+        section = solve_global_section(
+            induced_model(gpt, j, None if exact is None else exact[j]))
         if not section.feasible:
             return EmbedSharpResult("refused", atom_indices, refusal_state=j,
                                     refusal_section=section)

@@ -134,10 +134,10 @@ def validate_density(rho, tol: float = EQUALITY_TOL) -> np.ndarray:
     if not is_hermitian(m, tol):
         raise NonHermitianEffect("density matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-        raise QuantumInputError(f"trace must be 1, got {np.trace(m)}")
+        raise QuantumInputError(f"density matrix trace must be 1, got {np.trace(m)}")
     eigs = np.linalg.eigvalsh(m)
     if eigs.min() < -1e-10:
-        raise QuantumInputError(f"negative eigenvalue {eigs.min()}")
+        raise QuantumInputError(f"density matrix has a negative eigenvalue {eigs.min()}")
     return m
 
 

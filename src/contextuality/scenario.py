@@ -10,7 +10,10 @@ properties, so the rounded model is used only when an exact check shows it
 keeps them; otherwise the model is rebuilt from shared rounded coordinates,
 and by exact LPs when that rebuild fails its checks.  `rationalize_atoms`
 does the same for the atom probabilities of sharp contexts, from which
-exact induced models are built.
+exact induced models are built.  A quantum document is read once by
+`quantum_pass`, and its exact atoms build the models of both verdicts,
+except where the atom model is not exactly consistent: then the float
+Born tables are rationalized.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlp import clear_denominators, solve_box_eq
-from .quantum import ProjectiveContext, sup_norm
+from .quantum import DimensionMismatch, ProjectiveContext, sup_norm, validate_density
 
 ND_TOL = 1e-9
 SHARING_TOL = 1e-10
@@ -327,68 +330,167 @@ def _marginals_agree(sc: MeasurementScenario, tables: dict) -> bool:
 # Quantum -> empirical conversion
 # ---------------------------------------------------------------------------
 
-def from_quantum(state: np.ndarray, contexts, sharing: dict | None = None) -> EmpiricalModel:
-    """Empirical model of a density matrix under commuting projective contexts.
+@dataclass(frozen=True, eq=False)
+class QuantumPass:
+    """Products, atoms and Born probabilities of one quantum document, computed once.
 
-    `contexts` is a list of contexts, each a list of `ProjectiveContext`
-    measurements.  `sharing` maps measurement labels to scenario labels so the
-    same observable appearing in several contexts is identified; it defaults
-    to the identity on labels.  Repeated labels must carry identical outcome
-    lists and projectors (sup-norm within 1e-10), and measurements within one
-    context must commute projector-by-projector (within 1e-10).
+    A product picks one projector per measurement of a context and
+    multiplies them in the context's order.  ``keys`` lists every product,
+    context by context in `itertools.product` order over the measurements'
+    projectors, as (canonical context, canonical outcome tuple), and
+    ``born[j, p]`` is Tr(state_j product_p), clamped at 0.  A product whose
+    Hermitian part has sup norm at most `SHARING_TOL` is zero; any other
+    takes the first atom within `SHARING_TOL` (sup norm) of its Hermitian
+    part, which is a new atom when there is none.  ``atom_of`` maps
+    products to atoms (None for a zero product), ``first`` maps atoms to
+    the product that made them, and ``sharp_contexts`` lists each context's
+    atoms in product order.
     """
-    sharing = dict(sharing or {})
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 2 and state.shape[1] == 1:
-        state = state @ state.conj().T
 
-    seen: dict[str, ProjectiveContext] = {}
-    order: list[str] = []
-    ctx_labels: list[list[str]] = []
-    ctx_members: list[list[ProjectiveContext]] = []
-    for ctx in contexts:
-        members = [ctx] if isinstance(ctx, ProjectiveContext) else list(ctx)
-        labels = []
-        for pc in members:
+    states: tuple
+    scenario: MeasurementScenario
+    keys: tuple
+    born: np.ndarray
+    atoms: np.ndarray
+    atom_of: tuple
+    first: tuple
+    sharp_contexts: tuple
+
+    def float_model(self) -> EmpiricalModel:
+        """The first state's Born tables; `DisturbingModel` when marginals disagree beyond `ND_TOL`."""
+        tables: dict = {c: {} for c in self.scenario.contexts}
+        for (c, o), p in zip(self.keys, self.born[0].tolist()):
+            tables[c][o] = p
+        model = make_model(self.scenario, tables)
+        report = validate_no_disturbance(model)
+        if not report.passed:
+            raise DisturbingModel(str(report))
+        return model
+
+    def exact_atoms(self) -> list[Fraction]:
+        """The first state's atom probabilities made exact by `rationalize_atoms`.
+
+        Its contexts are the distinct sorted atom sets of the sharp
+        contexts, in document order, as in `embedding.induced_model`.
+        """
+        return rationalize_atoms(self.born[0, list(self.first)].tolist(), list(
+            dict.fromkeys(tuple(sorted(c)) for c in self.sharp_contexts)))
+
+    def exact_model(self, exact) -> EmpiricalModel | None:
+        """Tables of the products' `exact` atom values (0 for a zero product), or None.
+
+        None unless the model is exactly consistent; it need not be when a
+        marginal sums different atoms, as in the Peres-Mermin square.
+        """
+        sc = self.scenario
+        value = {key: Fraction(0) if k is None else exact[k]
+                 for key, k in zip(self.keys, self.atom_of)}
+        model = EmpiricalModel(scenario=sc, tables={
+            c: {o: value[c, o] for o in sc.outcome_tuples(c)} for c in sc.contexts})
+        return model if _exactly_consistent(model) else None
+
+
+def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
+    """Check a quantum document once and compute its products, atoms and Born tables.
+
+    Each state is a density matrix, or a ket standing for its outer
+    product, and must pass `validate_density` (square, Hermitian, trace 1,
+    positive semidefinite) at every measurement's dimension.  `contexts` is
+    a list of contexts, each a list of `ProjectiveContext` measurements.
+    `sharing` maps measurement labels to scenario labels so the same
+    observable appearing in several contexts is identified; it defaults to
+    the identity on labels.  Repeated labels must carry identical outcome
+    lists and projectors (sup norm within `SHARING_TOL`), and measurements
+    within one context must commute projector by projector (within
+    `SHARING_TOL`).  Each measurement object and each pair is checked
+    once.  All products are formed together, one batched matrix product
+    per measurement slot, and their Born probabilities in one contraction.
+    """
+    dms = [validate_density(np.outer(s, np.conj(s)) if np.ndim(s) == 1 or 1 in np.shape(s)
+                            else s) for s in states]
+    dim = dms[0].shape[0]
+    if any(r.shape[0] != dim for r in dms):
+        raise DimensionMismatch("the states differ in dimension")
+    sharing = sharing or {}
+    members = [[c] if isinstance(c, ProjectiveContext) else list(c) for c in contexts]
+    # Slot 0 is the identity, which pads contexts with fewer measurements.
+    seen, slot, mats, pairs, labels = {}, {}, [np.eye(dim)], {}, []
+    for ctx in members:
+        for pc in ctx:
+            if id(pc) in slot:
+                continue
+            if pc.projectors[0].shape[0] != dim:
+                raise DimensionMismatch(f"measurement {pc.label!r} acts on dimension "
+                                        f"{pc.projectors[0].shape[0]}, the state on {dim}")
+            slot[id(pc)] = len(mats)
+            mats.extend(pc.projectors)
             lab = sharing.get(pc.label, pc.label)
-            if lab in seen:
-                prev = seen[lab]
-                if prev.outcomes != pc.outcomes:
-                    raise InconsistentSharing(f"label {lab!r} re-used with different outcomes")
-                diff = max(sup_norm(p - q) for p, q in zip(prev.projectors, pc.projectors))
-                if diff > SHARING_TOL:
-                    raise InconsistentSharing(
-                        f"label {lab!r} re-used with different projectors (diff {diff:.2e})")
-            else:
-                seen[lab] = pc
-                order.append(lab)
-            labels.append(lab)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                for p in members[i].projectors:
-                    for q in members[j].projectors:
-                        if sup_norm(p @ q - q @ p) > SHARING_TOL:
-                            raise NonCommutingContext(
-                                f"measurements {labels[i]!r} and {labels[j]!r} do not commute")
-        ctx_labels.append(labels)
-        ctx_members.append(members)
+            prev = seen.setdefault(lab, pc)
+            if prev is pc:
+                continue
+            if prev.outcomes != pc.outcomes:
+                raise InconsistentSharing(f"label {lab!r} re-used with different outcomes")
+            diff = max(sup_norm(p - q) for p, q in zip(prev.projectors, pc.projectors))
+            if diff > SHARING_TOL:
+                raise InconsistentSharing(
+                    f"label {lab!r} re-used with different projectors (diff {diff:.2e})")
+        labels.append([sharing.get(pc.label, pc.label) for pc in ctx])
+        for a, b in itertools.combinations(ctx, 2):
+            for i, k in itertools.product(range(len(a.projectors)), range(len(b.projectors))):
+                pairs.setdefault((slot[id(a)] + i, slot[id(b)] + k), (a.label, b.label))
+    sc = make_scenario([(lab, pc.outcomes) for lab, pc in seen.items()], labels)
+    mats = np.array(mats, dtype=complex)
+    if pairs:
+        left, right = (mats[list(ix)] for ix in zip(*pairs))
+        bad = np.flatnonzero(np.abs(left @ right - right @ left).max(axis=(1, 2)) > SHARING_TOL)
+        if bad.size:
+            raise NonCommutingContext("measurements {!r} and {!r} do not commute".format(
+                *list(pairs.values())[bad[0]]))
 
-    scenario = make_scenario([(lab, seen[lab].outcomes) for lab in order], ctx_labels)
-    tables = {}
-    for labels, members in zip(ctx_labels, ctx_members):
-        table = {}
-        for picks in itertools.product(*(range(len(m.outcomes)) for m in members)):
-            op = np.eye(state.shape[0], dtype=complex)
-            for m, k in zip(members, picks):
-                op = op @ m.projectors[k]
-            p = float(np.trace(state @ op).real)
-            table[tuple(m.outcomes[k] for m, k in zip(members, picks))] = max(0.0, p)
-        tables[tuple(labels)] = table
-    model = make_model(scenario, tables)
-    report = validate_no_disturbance(model)
-    if not report.passed:
-        raise DisturbingModel(str(report))
-    return model
+    width = max(map(len, members), default=1)
+    picks, keys = [], []
+    for ctx, row, canon in zip(members, labels, sc.contexts):
+        perm = [row.index(m) for m in canon]
+        for pick in itertools.product(*(range(len(pc.projectors)) for pc in ctx)):
+            picks.append([slot[id(pc)] + k for pc, k in zip(ctx, pick)]
+                         + [0] * (width - len(ctx)))
+            keys.append((canon, tuple(ctx[t].outcomes[pick[t]] for t in perm)))
+    picks = np.array(picks, dtype=int).reshape(-1, width)
+    prods = mats[picks[:, 0]]
+    for t in range(1, width):
+        prods = prods @ mats[picks[:, t]]
+    born = np.maximum(np.einsum("sij,pji->sp", np.array(dms), prods).real, 0.0)
+
+    herm = (prods + prods.conj().transpose(0, 2, 1)) / 2
+    live = (np.abs(herm).max(axis=(1, 2)) > SHARING_TOL).tolist()
+    # Pairwise sup-norm distances, in blocks of at most 2**20 matrix entries.
+    n = len(keys)
+    step = max(1, 2**20 // (n * dim * dim + 1))
+    near = [row for i in range(0, n, step) for row in (np.abs(
+        herm[i:i + step, None] - herm[None]).max(axis=(2, 3)) <= SHARING_TOL).tolist()]
+    atom_of, first = [None] * n, []
+    for p, row in enumerate(near):
+        if live[p] and atom_of[p] is None:
+            for q in range(p, n):
+                if row[q] and live[q] and atom_of[q] is None:
+                    atom_of[q] = len(first)
+            first.append(p)
+    sharp: dict = {c: [] for c in sc.contexts}
+    for (c, _), k in zip(keys, atom_of):
+        if k is not None:
+            sharp[c].append(k)
+    return QuantumPass(states=tuple(dms), scenario=sc, keys=tuple(keys), born=born,
+                       atoms=herm[first], atom_of=tuple(atom_of), first=tuple(first),
+                       sharp_contexts=tuple(map(tuple, sharp.values())))
+
+
+def from_quantum(state: np.ndarray, contexts, sharing: dict | None = None) -> EmpiricalModel:
+    """Float Born-rule model of a density matrix under commuting projective contexts.
+
+    The tables of `quantum_pass`, which checks the state, the sharing and
+    commutation; the model passes the float no-disturbance check.
+    """
+    return quantum_pass([state], contexts, sharing).float_model()
 
 
 # ---------------------------------------------------------------------------

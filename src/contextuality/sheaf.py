@@ -51,7 +51,7 @@ from .exactlp import (
     require_certificate,
     solve_eq_nonneg,
 )
-from .scenario import EmpiricalModel, MeasurementScenario, make_model, rationalize_model
+from .scenario import EmpiricalModel, MeasurementScenario, rationalize_model
 
 # The elimination's tables grow with the measurements that share contexts,
 # up to one entry per global assignment on a context-dense scenario, so the
@@ -60,10 +60,6 @@ MAX_ASSIGNMENTS = 2 ** 20
 
 # `IncidenceMatrix.sections` entry of a section with no row in the system.
 OUTSIDE = -1
-
-
-class InvalidCertificate(ValueError):
-    pass
 
 
 def global_assignment_count(scenario: MeasurementScenario) -> int:
@@ -426,57 +422,3 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)
-
-
-@dataclass(frozen=True)
-class HiddenVariableModel:
-    """Finite hidden-variable model with deterministic factorising responses.
-
-    Each hidden state assigns one outcome to every measurement; responses are
-    Dirac deltas on the assigned outcomes, so joint responses factorise across
-    the measurements of any context by construction.
-    """
-
-    scenario: MeasurementScenario
-    assignments: tuple
-    weights: tuple
-
-    def response(self, assignment: dict, context) -> dict:
-        """Joint response of one hidden state on a context: a Dirac table."""
-        context = self.scenario.canonical_context(context)
-        point = tuple(assignment[m] for m in context)
-        return {sec: Fraction(1) if sec == point else Fraction(0)
-                for sec in self.scenario.outcome_tuples(context)}
-
-    def induced_model(self) -> EmpiricalModel:
-        """Push the hidden-state mixture forward to context tables (exact)."""
-        tables = {}
-        for ctx in self.scenario.contexts:
-            table = {sec: Fraction(0) for sec in self.scenario.outcome_tuples(ctx)}
-            for lam, w in zip(self.assignments, self.weights):
-                table[tuple(lam[m] for m in ctx)] += w
-            tables[ctx] = table
-        return make_model(self.scenario, tables)
-
-
-def hv_model_from_section(support, scenario: MeasurementScenario) -> HiddenVariableModel:
-    """Hidden-variable model on the (assignment, weight) pairs of a primal certificate."""
-    meas = scenario.measurements
-    lams, weights = [], []
-    for s, w in support:
-        s = tuple(s)
-        if len(s) != len(meas) or any(o not in scenario.outcomes[m]
-                                      for m, o in zip(meas, s)):
-            raise InvalidCertificate(f"{list(s)} is not a global assignment")
-        w = w if isinstance(w, Fraction) else Fraction(w)
-        if w < 0:
-            raise InvalidCertificate("negative weight in primal certificate")
-        if w:
-            lams.append(dict(zip(meas, s)))
-            weights.append(w)
-    if len({tuple(lam.values()) for lam in lams}) != len(lams):
-        raise InvalidCertificate("an assignment appears twice in the primal certificate")
-    if sum(weights) != 1:
-        raise InvalidCertificate(f"weights sum to {sum(weights)}, not 1")
-    return HiddenVariableModel(scenario=scenario, assignments=tuple(lams),
-                               weights=tuple(weights))

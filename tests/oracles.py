@@ -27,19 +27,30 @@ reads off the global-section LP, kept as an independent second route.
 (dim - 1)-subset of its generators, against the package's double
 description.  `exactly_consistent` sums an exact model's tables and
 overlap marginals entry by entry in ``Fraction`` arithmetic, against the
-package's integer checks.
+package's integer checks.  `reference_born_tables` and
+`reference_sharp_atoms` are the per-context product loops that once built
+a quantum document's Born tables and sharp atoms one matrix product at a
+time, against the package's one batched pass.  `gpt_from_data` rebuilds
+a tomographically minimal GPT from an effects-by-states table by an SVD
+factorization, for tests that need a GPT given only its statistics.
+`hv_model_from_section` reads a section's primal certificate as a
+`HiddenVariableModel` of deterministic responses, whose pushed-forward
+tables must give back the model.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from contextuality.embedding import RANK_TOL, Gpt, GptError, InconsistentUnit, make_gpt
 from contextuality.exactlp import Feasibility, TooLargeError
+from contextuality.scenario import EmpiricalModel, MeasurementScenario, make_model
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -541,3 +552,175 @@ def exactly_consistent(scenario, tables) -> bool:
         if shared and margins[0] != margins[1]:
             return False
     return True
+
+
+def reference_born_tables(state, contexts, sharing=None) -> dict:
+    """Born tables of commuting projective contexts, one product at a time.
+
+    Keyed by each context's scenario labels in document order, with
+    outcome tuples in the same order; a product starts from the identity
+    and multiplies the picked projectors in the context's order.
+    """
+    sharing = sharing or {}
+    state = np.asarray(state, dtype=complex)
+    tables = {}
+    for members in contexts:
+        table = {}
+        for picks in itertools.product(*(range(len(m.outcomes)) for m in members)):
+            op = np.eye(state.shape[0], dtype=complex)
+            for m, k in zip(members, picks):
+                op = op @ m.projectors[k]
+            p = float(np.trace(state @ op).real)
+            table[tuple(m.outcomes[k] for m, k in zip(members, picks))] = max(0.0, p)
+        tables[tuple(sharing.get(m.label, m.label) for m in members)] = table
+    return tables
+
+
+def reference_sharp_atoms(contexts, tol: float = 1e-10) -> tuple[list, tuple]:
+    """Atoms and sharp contexts of commuting projective contexts, one product at a time.
+
+    Each product's Hermitian part is dropped when its sup norm is at most
+    ``tol`` and otherwise joins the first atom within ``tol`` of it, or is
+    appended as a new atom.  Returns the atoms and each context's atom
+    indices in product order.
+    """
+    atoms: list = []
+    sharp_contexts = []
+    for members in contexts:
+        dim = members[0].projectors[0].shape[0]
+        indices = []
+        for combo in itertools.product(*(m.projectors for m in members)):
+            prod = np.eye(dim, dtype=complex)
+            for p in combo:
+                prod = prod @ p
+            prod = (prod + prod.conj().T) / 2
+            if np.max(np.abs(prod)) <= tol:
+                continue
+            known = [k for k, a in enumerate(atoms) if np.max(np.abs(a - prod)) <= tol]
+            if not known:
+                atoms.append(prod)
+            indices.append(known[0] if known else len(atoms) - 1)
+        sharp_contexts.append(tuple(indices))
+    return atoms, tuple(sharp_contexts)
+
+
+MERGE_TOL = 1e-10
+
+
+def gpt_from_data(prob_matrix, *, unit_row: int | None = None) -> Gpt:
+    """Reconstruct a GPT from an effects-by-states probability table.
+
+    Duplicate rows/columns (identical statistics within `MERGE_TOL`) are
+    merged first; the table is then factored at numerical rank `RANK_TOL`
+    so the result is tomographically minimal.  A row of all ones is used as
+    the unit if present, otherwise one is appended.
+    """
+    table = np.asarray(prob_matrix, dtype=float)
+    if table.ndim != 2 or table.size == 0:
+        raise GptError("probability table must be a nonempty 2-D array")
+    if np.min(table) < -1e-10 or np.max(table) > 1.0 + 1e-10:
+        raise GptError("probability table entries must lie in [0, 1]")
+    if unit_row is not None:
+        if not 0 <= unit_row < table.shape[0]:
+            raise GptError(f"unit row index {unit_row} out of range")
+        if np.max(np.abs(table[unit_row] - 1.0)) > 1e-10:
+            raise InconsistentUnit(
+                f"declared unit row {unit_row} is not identically 1")
+
+    # Merge operationally equivalent columns (states), keeping the first.
+    kept_cols: list[int] = []
+    for j in range(table.shape[1]):
+        if not any(np.max(np.abs(table[:, j] - table[:, k])) <= MERGE_TOL
+                   for k in kept_cols):
+            kept_cols.append(j)
+    table = table[:, kept_cols]
+
+    # Merge operationally equivalent rows (effects), keeping the first.
+    kept_rows: list[int] = []
+    for i in range(table.shape[0]):
+        if not any(np.max(np.abs(table[i] - table[k])) <= MERGE_TOL
+                   for k in kept_rows):
+            kept_rows.append(i)
+    if unit_row is not None:
+        unit_row = min(k for k in kept_rows
+                       if np.max(np.abs(table[k] - table[unit_row])) <= MERGE_TOL)
+        unit_row = kept_rows.index(unit_row)
+    table = table[kept_rows]
+
+    if unit_row is None:
+        ones = [i for i in range(table.shape[0])
+                if np.max(np.abs(table[i] - 1.0)) <= 1e-10]
+        if ones:
+            unit_row = ones[0]
+        else:
+            table = np.vstack([table, np.ones(table.shape[1])])
+            unit_row = table.shape[0] - 1
+
+    u_mat, svals, vt_mat = np.linalg.svd(table, full_matrices=False)
+    rank = int(np.sum(svals > RANK_TOL * max(1.0, float(svals[0]))))
+    effect_rows = u_mat[:, :rank] * svals[:rank]
+    state_cols = vt_mat[:rank, :]
+    residual = float(np.max(np.abs(effect_rows @ state_cols - table)))
+    if residual > 1e-7:
+        raise GptError(f"rank-{rank} factorization residual {residual} too large")
+    states = [state_cols[:, j] for j in range(state_cols.shape[1])]
+    effects = [effect_rows[i] for i in range(effect_rows.shape[0])]
+    return make_gpt(states, effects, effect_rows[unit_row], tol=1e-9)
+
+
+class InvalidCertificate(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class HiddenVariableModel:
+    """Finite hidden-variable model with deterministic factorising responses.
+
+    Each hidden state assigns one outcome to every measurement; responses are
+    Dirac deltas on the assigned outcomes, so joint responses factorise across
+    the measurements of any context by construction.
+    """
+
+    scenario: MeasurementScenario
+    assignments: tuple
+    weights: tuple
+
+    def response(self, assignment: dict, context) -> dict:
+        """Joint response of one hidden state on a context: a Dirac table."""
+        context = self.scenario.canonical_context(context)
+        point = tuple(assignment[m] for m in context)
+        return {sec: Fraction(1) if sec == point else Fraction(0)
+                for sec in self.scenario.outcome_tuples(context)}
+
+    def induced_model(self) -> EmpiricalModel:
+        """Push the hidden-state mixture forward to context tables (exact)."""
+        tables = {}
+        for ctx in self.scenario.contexts:
+            table = {sec: Fraction(0) for sec in self.scenario.outcome_tuples(ctx)}
+            for lam, w in zip(self.assignments, self.weights):
+                table[tuple(lam[m] for m in ctx)] += w
+            tables[ctx] = table
+        return make_model(self.scenario, tables)
+
+
+def hv_model_from_section(support, scenario: MeasurementScenario) -> HiddenVariableModel:
+    """Hidden-variable model on the (assignment, weight) pairs of a primal certificate."""
+    meas = scenario.measurements
+    lams, weights = [], []
+    for s, w in support:
+        s = tuple(s)
+        if len(s) != len(meas) or any(o not in scenario.outcomes[m]
+                                      for m, o in zip(meas, s)):
+            raise InvalidCertificate(f"{list(s)} is not a global assignment")
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        if w < 0:
+            raise InvalidCertificate("negative weight in primal certificate")
+        if w:
+            lams.append(dict(zip(meas, s)))
+            weights.append(w)
+    if len({tuple(lam.values()) for lam in lams}) != len(lams):
+        raise InvalidCertificate("an assignment appears twice in the primal certificate")
+    if sum(weights) != 1:
+        raise InvalidCertificate(f"weights sum to {sum(weights)}, not 1")
+    return HiddenVariableModel(scenario=scenario, assignments=tuple(lams),
+                               weights=tuple(weights))

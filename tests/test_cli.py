@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ import time
 from fractions import Fraction
 
 from contextuality import cli
+from contextuality.classify import classify
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
 from contextuality.polytope import behaviour_from_json
@@ -40,7 +42,7 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import SchemaError, rational_literal
 from contextuality.sheaf import MAX_ASSIGNMENTS
-from oracles import ld_vertex_boxes, random_box
+from oracles import cycle_margin, ld_vertex_boxes, random_box
 
 
 def kcbs_gpt_json(state):
@@ -670,6 +672,93 @@ def coarse_graining_doc(rng) -> dict:
     rho = h @ h.conj().T
     return {"kind": "quantum", "state": matrix_to_json(rho / np.trace(rho).real),
             "contexts": [[meas[0], meas[1]], [meas[1], meas[2]], [meas[0], meas[2]]]}
+
+
+def pentagon_doc(rng) -> tuple[dict, bool]:
+    """A random qutrit pentagon document at least 1/20 from the cycle bound, and whether it is contextual."""
+    projs = [np.outer(v, v.conj()) for v in kcbs_vectors()]
+    sign = [2 * p - np.eye(3) for p in projs]
+    while True:
+        psi = np.array([1, 0, 0]) + 0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        psi /= np.linalg.norm(psi)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        w = rng.uniform(0, 1)
+        rho = w * np.outer(psi, psi.conj()) + (1 - w) * (g @ g.conj().T) / np.trace(g @ g.conj().T).real
+        margin = cycle_margin([float(np.trace(rho @ sign[j] @ sign[(j + 1) % 5]).real)
+                               for j in range(5)])
+        if abs(margin) >= 1 / 20:
+            break
+    meas = [{"label": f"A{j}", "projectors": [matrix_to_json(p), matrix_to_json(np.eye(3) - p)]}
+            for j, p in enumerate(projs)]
+    return ({"kind": "quantum", "state": matrix_to_json(rho),
+             "contexts": [[meas[j], meas[(j + 1) % 5]] for j in range(5)]}, margin > 0)
+
+
+class TestAtomCorpus:
+    """Quantum documents whose verdicts the exact atoms must keep.
+
+    Every coarse-graining document has a global section, in each of its 8
+    projector orders; rounding the Born tables one entry at a time pushed
+    some of them to a wrong "no".  The pentagon documents keep the cycle
+    inequality's verdict.
+    """
+
+    def test_coarse_grainings_in_every_projector_order(self):
+        wrong = []
+        for k in range(40):
+            doc = coarse_graining_doc(np.random.default_rng(1000 + k))
+            for flips in itertools.product((False, True), repeat=3):
+                flipped = json.loads(json.dumps(doc))
+                for ctx in flipped["contexts"]:
+                    for m in ctx:
+                        if flips[int(m["label"][1:])]:
+                            m["projectors"].reverse()
+                report = classify(flipped)
+                if (report.ks_noncontextual, report.spekkens_noncontextual) != ("yes", "yes"):
+                    wrong.append((k, flips))
+        if wrong:
+            pytest.fail(f"{len(wrong)} of 320 documents not yes/yes: {wrong[:5]}")
+
+    def test_random_pentagons_keep_the_cycle_verdict(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for _ in range(60):
+            doc, contextual = pentagon_doc(rng)
+            report = classify(doc)
+            expected = "no" if contextual else "yes"
+            got = (report.ks_noncontextual, report.spekkens_noncontextual)
+            if got != (expected, expected):
+                pytest.fail(f"verdicts {got}, the cycle inequality says {expected}")
+            seen.add(expected)
+        if seen != {"yes", "no"}:
+            pytest.fail(f"the corpus must hold both verdicts, got {seen}")
+
+
+class TestQuantumStateFrontDoor:
+    """The state is checked once, before either verdict route, by classify and validate alike."""
+
+    @staticmethod
+    def cases():
+        rho = np.zeros((3, 3))
+        rho[0, 0] = 1
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 0.3, -0.3
+        kcbs = pentagon_doc(np.random.default_rng(3))[0]
+        cg = coarse_graining_doc(np.random.default_rng(4))
+        yield "not Hermitian", {**kcbs, "state": matrix_to_json(rho + skew)}
+        yield "negative eigenvalue", {**cg, "state": matrix_to_json(np.diag([.6, .6, -.1, -.1]))}
+        yield "acts on dimension 4, the state on 3", {**cg, "state": matrix_to_json(np.eye(3) / 3)}
+
+    @pytest.mark.parametrize("subcommand", ["classify", "validate"])
+    def test_bad_states_exit_two_naming_the_fault(self, tmp_path, subcommand):
+        for fault, doc in self.cases():
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([subcommand, str(path)])
+            if rc != 2 or fault not in err.getvalue():
+                pytest.fail(f"{fault}: exit {rc}, stderr {err.getvalue()!r}")
 
 
 class TestFloatDocuments:

@@ -47,7 +47,6 @@ from contextuality.embedding import (
     cone_facets,
     embed_lp,
     embed_sharp,
-    gpt_from_data,
     gpt_from_json,
     gpt_to_json,
     hermitian_to_vector,
@@ -96,6 +95,7 @@ from oracles import (
     brute_force_facets,
     cycle_margin,
     enumerate_vertices,
+    gpt_from_data,
     reference_consistent_assignments,
     reference_hulls_intersect,
     reference_incidence_rows,

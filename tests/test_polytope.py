@@ -65,7 +65,6 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import SchemaError
 from contextuality.sheaf import (
-    HiddenVariableModel,
     enumerate_global_assignments,
     solve_global_section,
 )
@@ -83,6 +82,7 @@ def uniform_behaviour(nX=2, nY=2, nA=2, nB=2):
 
 
 from oracles import (  # noqa: E402
+    HiddenVariableModel,
     brute_force_lift_maximum,
     correlator_grid,
     grid_scan_max,

@@ -15,6 +15,7 @@ Verification strategy:
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +30,7 @@ from contextuality.classify import classify_model
 from contextuality.quantum import (
     PAULI_X,
     PAULI_Z,
+    DimensionMismatch,
     dm,
     kcbs_construction,
     peres_mermin_square,
@@ -58,7 +60,7 @@ from contextuality.scenario import (
     sequential_stats_from_quantum,
     validate_no_disturbance,
 )
-from oracles import exactly_consistent
+from oracles import exactly_consistent, reference_born_tables, reference_sharp_atoms
 
 RNG = np.random.default_rng(20240818)
 
@@ -303,6 +305,86 @@ class TestFromQuantum:
         px = pvm_from_observable(PAULI_X, "M")
         with pytest.raises(InconsistentSharing):
             from_quantum(dm([1, 0]), [[pz], [px]])
+
+
+def cg_contexts(rng, flips=(False, False, False)):
+    """Coarse-grainings {0,1}, {0,2}, {0} of one random basis; a flip lists the complement first."""
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rays = [np.outer(u[:, i], u[:, i].conj()) for i in range(4)]
+    meas = []
+    for k, (block, flip) in enumerate(zip([(0, 1), (0, 2), (0,)], flips)):
+        q = sum(rays[i] for i in block)
+        projs = [np.eye(4) - q, q] if flip else [q, np.eye(4) - q]
+        meas.append(projective_context(f"M{k}", projs))
+    return [[meas[0], meas[1]], [meas[1], meas[2]], [meas[0], meas[2]]]
+
+
+def reference_cases():
+    """(name, state, contexts, sharing) for the shared pass against the product loops."""
+    rng = np.random.default_rng(77)
+    _, obs, _ = kcbs_construction()
+    pvms = [pvm_from_observable(a, f"A{j}") for j, a in enumerate(obs)]
+    pentagon = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+    yield "pentagon", dm([1, 0, 0]), pentagon, None
+    yield "pentagon, random state", random_density(3, rng), pentagon, None
+    for flips in itertools.product((False, True), repeat=3):
+        yield f"coarse-grainings {flips}", random_density(4, rng), cg_contexts(rng, flips), None
+    yield "Peres-Mermin", random_density(4, rng), pm_contexts(), None
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    basis = [np.outer(u[:, i], u[:, i].conj()) for i in range(3)]
+    fine = projective_context("fine", basis, ["a", "b", "c"])
+    coarse = projective_context("coarse", [basis[0], np.eye(3) - basis[0]])
+    other = projective_context("other", [basis[1], np.eye(3) - basis[1]])
+    yield "3-outcome", random_density(3, rng), [[fine, coarse], [coarse, other]], None
+    copy = projective_context("coarse again", coarse.projectors)
+    yield ("sharing", random_density(3, rng), [[fine, coarse], [copy, other]],
+           {"coarse again": "coarse"})
+
+
+class TestQuantumPassReference:
+    """The batched pass against the product loops it replaced (`oracles`)."""
+
+    @pytest.mark.parametrize("case", list(reference_cases()), ids=lambda c: c[0])
+    def test_tables_atoms_and_sharp_contexts(self, case):
+        _, state, contexts, sharing = case
+        qp = scenario.quantum_pass([state], contexts, sharing)
+        model = from_quantum(state, contexts, sharing)
+        for labels, table in reference_born_tables(state, contexts, sharing).items():
+            canon = model.scenario.canonical_context(labels)
+            for outc, p in table.items():
+                key = tuple(outc[labels.index(m)] for m in canon)
+                require(abs(model.tables[canon][key] - p) <= 1e-12, f"{labels} {outc}")
+        atoms, sharp_contexts = reference_sharp_atoms(contexts)
+        require(qp.sharp_contexts == sharp_contexts, "sharp contexts differ")
+        require(len(qp.atoms) == len(atoms), "atom counts differ")
+        for mine, theirs in zip(qp.atoms, atoms):
+            require(np.max(np.abs(mine - theirs)) <= 1e-12, "atoms differ")
+
+    @pytest.mark.parametrize("case", list(reference_cases()), ids=lambda c: c[0])
+    def test_exact_model_reads_the_atoms(self, case):
+        name, state, contexts, sharing = case
+        qp = scenario.quantum_pass([state], contexts, sharing)
+        exact = qp.exact_atoms()
+        model = qp.exact_model(exact)
+        # Peres-Mermin marginals sum different atoms, so they need not agree.
+        require((model is None) == (name == "Peres-Mermin"), f"{name}: wrong route")
+        if model is None:
+            return
+        require(exactly_consistent(model.scenario, model.tables), name)
+        for (c, o), k in zip(qp.keys, qp.atom_of):
+            require(model.tables[c][o] == (0 if k is None else exact[k]), f"{c} {o}")
+
+    def test_states_and_measurements_must_share_a_dimension(self):
+        contexts = cg_contexts(np.random.default_rng(5))
+        for states in ([np.eye(3) / 3], [np.eye(4) / 4, np.eye(3) / 3]):
+            with pytest.raises(DimensionMismatch):
+                scenario.quantum_pass(states, contexts)
+
+    def test_pm_square_still_prints_three_infeasible(self, capsys):
+        from contextuality.cli import main
+        require(main(["pm-square", "--trials", "3", "--seed", "5"]) == 0, "exit code")
+        out = json.loads(capsys.readouterr().out)
+        require(out["global_section_verdicts"] == ["infeasible"] * 3, str(out))
 
 
 class TestSequentialBounds:

@@ -58,17 +58,17 @@ from contextuality.scenario import (
     from_quantum,
 )
 from contextuality.sheaf import (
-    HiddenVariableModel,
-    InvalidCertificate,
     build_incidence_matrix,
     enumerate_global_assignments,
     global_assignment_count,
-    hv_model_from_section,
     solve_global_section,
 )
 from oracles import (
+    HiddenVariableModel,
+    InvalidCertificate,
     enumerate_vertices,
     exact_rank,
+    hv_model_from_section,
     reference_argmax,
     reference_hulls_intersect,
     reference_incidence_rows,
