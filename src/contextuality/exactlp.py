@@ -11,13 +11,16 @@ so a source with exponentially many columns never lists them.  It has:
   ``s a_i`` on the nonzero rows of that column and ``s > 0``;
 - ``primal(pairs)``: a solution built from ``(key, value)`` pairs, the
   nonzero variables; ``support(x)`` reads the pairs back, or gives None
-  when ``x`` does not fit the source.
+  when ``x`` does not fit the source;
+- ``costs``: ``m`` positive integers, the phase-1 cost of each row's
+  artificial.
 
 `SparseColumns` lists its columns (row indices and values of each column's
-nonzeros; `columns_from_rows` converts dense rows) and prices them by
-Bland's rule, the first column with positive ``y^T a_j``.  The
-global-section matrix of `sheaf.IncidenceMatrix` prices by the largest
-``y^T a_s`` over all global assignments, found by max-sum elimination.
+nonzeros; `columns_from_rows` converts dense rows), prices them by
+Bland's rule, the first column with positive ``y^T a_j``, and costs every
+artificial 1.  The global-section matrix of `sheaf.IncidenceMatrix`
+prices by the largest ``y^T a_s`` over all global assignments, found by
+max-sum elimination, and weighs each row's artificial by its section.
 Feasible instances return an exact nonnegative solution, infeasible
 instances return a Farkas certificate ``y`` with ``y^T A <= 0``
 componentwise and ``y^T b > 0``; `check_solution` and `check_farkas`
@@ -35,10 +38,12 @@ basic values by integer-preserving (Bareiss) steps whose divisions are
 exact, row ``i`` becoming ``(p N_i - d_i N_r) / D``.  When ``p = D`` no
 row rescales: each row with ``d_i != 0`` is updated in place, as
 ``N_i - d_i N_r / D`` term by term, and only where the leaving row ``N_r``
-is nonzero.  The phase-1 dual ``D y``, the sum of the rows of ``N`` that
-hold an artificial, is not summed from those rows but kept current, in
-``O(m)`` per pivot: it becomes ``(p (D y - [r held one] N_r) - (sum of
-d_k over the rows still holding one) N_r) / D``.  A 0/1 column, as every
+is nonzero.  Phase 1 minimizes ``c^T x_art``, the artificials weighted by
+the source's positive costs ``c``.  Its dual ``D y = c_B N``, the sum of
+the rows of ``N`` that hold an artificial each times its cost, starts at
+``c`` and is not summed from those rows but kept current, in ``O(m)`` per
+pivot: it becomes ``(p D y - C N_r) / D`` with ``C = p c_r [r held one] +
+(sum of c_k d_k over the rows k still holding one)``.  A 0/1 column, as every
 section column is, gets its reduced cost and ``N a_j`` by summing
 entries, with no products.  Zero entries are skipped when pricing and
 when forming ``N a_j``.  None of this changes a pivot or a returned
@@ -52,12 +57,21 @@ of ``B^-1`` read from its last entry back.  No two rows tie, since
 row of ``[x_B | B^-1]`` lexicographically positive in that order, each
 pivot keeps it so, and the phase-1 row ``c_B [x_B | B^-1]`` then falls
 strictly in lexicographic order at every pivot with a positive reduced
-cost.  No basis repeats, so the simplex ends after finitely many pivots
-whichever improving column the source prices in, Bland's first or the
-section oracle's largest; a column that does not improve is refused with
-``ArithmeticError``.  Reading ``B^-1`` backwards sends a tie between rows
-that still hold their own artificials to the lowest row, as Bland's
-smallest-index tie-break would.
+cost: a pivot on row ``r`` subtracts ``(y^T a_j / d_r) [x_r | (B^-1)_r]``,
+a positive multiple of a lexicographically positive row, whatever the
+positive costs.  No basis repeats, so the simplex ends after finitely
+many pivots whichever improving column the source prices in, Bland's
+first or the section oracle's largest; a column that does not improve is
+refused with ``ArithmeticError``.  Reading ``B^-1`` backwards sends a tie
+between rows that still hold their own artificials to the lowest row, as
+Bland's smallest-index tie-break would.
+
+Since every cost is positive, the phase-1 optimum ``c_B x_B`` is 0
+exactly when the system is feasible.  When it stops above 0 with no
+column priced in, ``y = c_B B^-1`` is a Farkas vector: ``y^T a_j <= 0``
+for every column, which is what pricing found, and ``y^T b = c_B B^-1 b
+= c_B x_B > 0``.  The costs steer which column improves most and hence
+the pivots; they do not touch the verdict or the certificate's checks.
 
 The scaling cannot change a single pivot.  Scaling column ``j`` by
 ``s_j > 0`` scales its reduced cost by ``s_j``, so its sign is the same,
@@ -69,8 +83,9 @@ first entry times ``L / s_enter`` and the rest times ``1 / s_enter``, so
 the lexicographic minimum falls on the same row.  The pivots are therefore
 those of the plain rational simplex.  Mapping back returns the same
 rationals: a basic ``x_j`` is ``s_j X_i / (D L)``, where ``X = N (L b)``
-is the integer basic vector, and ``y`` is the sum of the rows of ``N``
-that hold an artificial, divided by ``D``.  The loop stops once no
+is the integer basic vector, and ``y`` is ``c_B N / D``, the sum over the
+rows that hold an artificial of that row of ``N`` times its cost,
+divided by ``D``.  The loop stops once no
 artificial carries weight: later pivots would all be degenerate and move
 no variable.
 """
@@ -144,7 +159,8 @@ class SparseColumns:
 
     ``cols[j]`` is ``(rows, values)``: the ascending row indices of column
     ``j``'s nonzero entries and those entries, zeros omitted.  Keys are the
-    column indices, pricing is Bland's rule and the primal is dense.
+    column indices, pricing is Bland's rule, every phase-1 cost is 1 and
+    the primal is dense.
     """
 
     m: int
@@ -153,6 +169,10 @@ class SparseColumns:
     @property
     def n(self) -> int:
         return len(self.cols)
+
+    @property
+    def costs(self) -> tuple:
+        return (1,) * self.m
 
     @cached_property
     def _integral(self) -> list:
@@ -257,17 +277,25 @@ def require_certificate(a, b: Sequence[Fraction], result: Feasibility,
 def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
     """Decide ``{A x = b, x >= 0}`` exactly (revised phase-1 simplex).
 
-    Artificial ``i`` starts basic in row ``i``.  Each round the column
-    source prices the dual and hands over the entering column; the leaving
-    row is the lexicographic minimum of the ratio test.  The arithmetic is
-    integer-preserving on the scaled system (module docstring), so the
-    pivots and the returned rationals are those of the plain ``Fraction``
-    simplex with the same rules.  Raises ``ValueError`` unless ``b`` has
-    one entry per row.
+    Artificial ``i`` starts basic in row ``i`` with the phase-1 cost
+    ``a.costs[i]``, so the dual starts at the costs.  Each round the
+    column source prices the dual and hands over the entering column; the
+    leaving row is the lexicographic minimum of the ratio test.  The
+    arithmetic is integer-preserving on the scaled system (module
+    docstring), so the pivots and the returned rationals are those of the
+    plain ``Fraction`` simplex with the same rules and costs.  Raises
+    ``ValueError`` unless ``b`` has one entry per row and the costs are
+    one positive integer per row.
     """
     m = a.m
     if len(b) != m:
         raise ValueError(f"right-hand side has {len(b)} entries for {m} rows")
+    cost = list(a.costs)
+    if len(cost) != m:
+        raise ValueError(f"{len(cost)} phase-1 costs for {m} rows")
+    for i, c in enumerate(cost):
+        if type(c) is not int or c <= 0:
+            raise ValueError(f"phase-1 cost {c!r} of row {i} is not a positive integer")
     if m == 0:
         return Feasibility(True, x=a.primal(()))
     sign = [1] * m
@@ -284,14 +312,14 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
     # B^-1 = binv / det with binv integral; the artificial basis is I.
     # basis[i] is the key of the column basic in row i and scale[i] its s;
     # arts lists the rows still holding their artificial.  y is det times
-    # the dual c_B B^-1, c_B = 1 exactly on the rows in arts: the sum of
-    # those rows of binv, kept current by each pivot.
+    # the dual c_B B^-1, c_B = cost on the rows in arts and 0 elsewhere:
+    # the cost-weighted sum of those rows of binv, kept current by each pivot.
     binv = [[int(i == k) for k in range(m)] for i in range(m)]
     det = 1
     basis: list = [None] * m
     scale = [1] * m
     arts = list(range(m))
-    y = [1] * m
+    y = cost[:]
 
     while any(xb[i] for i in arts):
         enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
@@ -335,9 +363,9 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
         held = basis[leave] is None
         if held:
             arts.remove(leave)
-        # The new y sums (piv binv_k - d_k lrow) / det over the rows k left
-        # in arts; the leaving row drops out of the sum if it was in it.
-        c = piv * held + sum(d[k] for k in arts)
+        # The new y sums cost_k (piv binv_k - d_k lrow) / det over the rows
+        # k left in arts; the leaving row drops out of the sum if it was in it.
+        c = piv * cost[leave] * held + sum(cost[k] * d[k] for k in arts)
         y = [(v * piv - c * w) // det for v, w in zip(y, lrow)]
         if piv == det:
             # No row rescales: (v det - f w) / det = v - f w / det, exact

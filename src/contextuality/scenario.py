@@ -24,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -146,6 +147,14 @@ class EmpiricalModel:
     def is_rational(self) -> bool:
         return all(isinstance(v, Fraction)
                    for t in self.tables.values() for v in t.values())
+
+    @cached_property
+    def exactly_consistent(self) -> bool:
+        """Rational, every table sums to exactly 1 and every overlap marginal agrees.
+
+        Checked once per model: the tables are not to be changed after.
+        """
+        return self.is_rational and _exactly_consistent(self)
 
     def table(self, context) -> dict:
         return self.tables[self.scenario.canonical_context(context)]
@@ -387,7 +396,7 @@ class QuantumPass:
                  for key, k in zip(self.keys, self.atom_of)}
         model = EmpiricalModel(scenario=sc, tables={
             c: {o: value[c, o] for o in sc.outcome_tuples(c)} for c in sc.contexts})
-        return model if _exactly_consistent(model) else None
+        return model if model.exactly_consistent else None
 
 
 def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
@@ -837,7 +846,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
        that downstream support arguments remain valid; from the sixth
        attempt on they are boxed like the others.
     """
-    if model.is_rational and _exactly_consistent(model):
+    if model.exactly_consistent:
         return model
 
     report = validate_no_disturbance(model)

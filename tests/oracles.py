@@ -5,9 +5,9 @@ rule plus a planar angle grid) without touching the package's solvers, so a
 test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
 kernel must match pivot for pivot, on listed columns by Bland's rule and on
-the section source by the largest score, `reference_incidence_rows`
-the dense row-by-row incidence matrix the implicit global-section matrix
-must equal, and `reference_argmax` the column-by-column scan its
+the section source by the largest score and the same phase-1 costs,
+`reference_incidence_rows` the dense row-by-row incidence matrix the
+implicit global-section matrix must equal, and `reference_argmax` the column-by-column scan its
 elimination oracle must agree with.
 `reference_membership_lp` (the dense-vertex local-polytope LP over its own
 vertex list `ld_vertex_boxes`) and `reference_hulls_intersect` run on that
@@ -94,21 +94,24 @@ def grid_scan_max(alpha=1.0):
 
 def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
                               b: Sequence[Fraction],
-                              largest: bool = False) -> Feasibility:
+                              largest: bool = False,
+                              costs: Sequence[int] | None = None) -> Feasibility:
     """The plain ``Fraction`` simplex that ``solve_eq_nonneg`` runs in integers.
 
     Dense revised phase-1 simplex with an explicit rational B^-1, Bland's
     entering column (or, with ``largest``, the column of largest
     ``y^T a_j``, ties to the smallest ``j``) and the lexicographic ratio
-    test.  The package's integer-preserving kernel must return equal
-    ``Feasibility`` objects, on `SparseColumns` against Bland's rule and
-    on the section source against the largest score: the same pivots give
-    the same solution or Farkas vector.
+    test.  Artificial ``i`` costs ``costs[i]`` in the phase-1 objective,
+    1 when ``costs`` is None.  The package's integer-preserving kernel
+    must return equal ``Feasibility`` objects, on `SparseColumns` against
+    Bland's rule and on the section source against the largest score and
+    the row costs: the same pivots give the same solution or Farkas vector.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
     if m == 0:
         return Feasibility(True, x=tuple(Fraction(0) for _ in range(n)))
+    cost = [1] * m if costs is None else list(costs)
     sign = [1] * m
     cols: list[list[Fraction]] = [[Fraction(0)] * m for _ in range(n)]
     rhs: list[Fraction] = []
@@ -129,8 +132,8 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
     xb = rhs[:]
 
     def dual() -> list[Fraction]:
-        # y = c_B B^-1 with c_B = 1 exactly on rows still holding an artificial.
-        return [sum(binv[k][i] for k in range(m) if basis[k] >= n)
+        # y = c_B B^-1: each row still holding artificial k - n, times its cost.
+        return [sum(cost[basis[k] - n] * binv[k][i] for k in range(m) if basis[k] >= n)
                 for i in range(m)]
 
     while True:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import time
 from fractions import Fraction
 
-from contextuality import cli
+from contextuality import cli, scenario
 from contextuality.classify import classify
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
@@ -732,6 +732,20 @@ class TestAtomCorpus:
             seen.add(expected)
         if seen != {"yes", "no"}:
             pytest.fail(f"the corpus must hold both verdicts, got {seen}")
+
+    def test_each_exact_model_is_checked_once(self, monkeypatch):
+        # The atom model is checked by `exact_model`, and the section's
+        # pass-through reads that answer back; the induced model of the
+        # sharp route gets its own check.
+        checked = []
+        honest = scenario._exactly_consistent
+        monkeypatch.setattr(scenario, "_exactly_consistent",
+                            lambda m: checked.append(m) or honest(m))
+        report = classify(coarse_graining_doc(np.random.default_rng(1000)))
+        monkeypatch.undo()
+        assert (report.ks_noncontextual, report.spekkens_noncontextual) == ("yes", "yes")
+        if len(checked) != 2 or checked[0] is checked[1]:
+            pytest.fail(f"{len(checked)} consistency checks, 2 distinct models expected")
 
 
 class TestQuantumStateFrontDoor:

@@ -172,7 +172,10 @@ class TestPrunedSolver:
         _, _, pruned, _ = pruned_system(model)
         b = [F(-1)]
         res = solve_eq_nonneg(pruned, b)
-        assert res == Feasibility(False, farkas=(F(-1),))
+        # The row's section is all last outcomes, so its artificial costs
+        # |c| + 1 = 2 and the Farkas vector c_B B^-1 is 2 times the flip.
+        assert pruned.costs == (2,)
+        assert res == Feasibility(False, farkas=(F(-2),))
         assert check_farkas(pruned, b, res.farkas)
 
     def test_lifted_certificate_covers_dead_columns(self):

@@ -721,6 +721,19 @@ class TestIntegerConsistencyChecks:
             with pytest.raises(DisturbingModel):
                 rationalize_model(m)
 
+    def test_a_model_is_checked_once(self, monkeypatch):
+        m = pr_box_model()
+        checked = []
+        honest = scenario._exactly_consistent
+        monkeypatch.setattr(scenario, "_exactly_consistent",
+                            lambda model: checked.append(model) or honest(model))
+        require(m.exactly_consistent and m.exactly_consistent, "PR box not exact")
+        require(rationalize_model(m) is m, "a consistent model was rebuilt")
+        require(checked == [m], f"{len(checked)} checks of one model")
+        floats = make_model(m.scenario, float_tables(m))
+        require(not floats.exactly_consistent, "a float model passed")
+        require(checked == [m], "a float model was summed")
+
     def test_table_off_by_one_part_in_its_denominator(self):
         # Built without `make_model`, which would refuse the table.
         sc = chsh_scenario()

@@ -22,8 +22,12 @@ Verification strategy:
   a plain solve of the full listed system, with a dual of 0 on its
   dropped rows;
 - the solved system pivots as the reference simplex does when it prices
-  the largest score: the same weights or the same Farkas vector, and a
-  pinned number of pricing rounds on three ladder-sized models;
+  the largest score with the same phase-1 costs: the same weights or the
+  same Farkas vector, and a pinned number of pricing rounds on three
+  ladder-sized models and three noisy cycles of 14 to 20 measurements;
+- listed columns cost 1 each, section rows ``|c| + 1 - |N(s)|``, any
+  positive costs give the costed reference's pivots, and costs that are
+  not one positive integer per row are refused;
 - on that restricted system, with forbidden and outside sections, the
   oracle's maximum, price, columns and support equal enumeration's.
 """
@@ -47,6 +51,7 @@ from contextuality.exactlp import (
     check_farkas,
     check_solution,
     clear_denominators,
+    columns_from_rows,
     require_certificate,
     solve_eq_nonneg,
 )
@@ -754,6 +759,37 @@ def section_system(model):
             [i for i, vi in enumerate(v) if vi and i not in kept])
 
 
+def row_cost(sc, ctx, sec):
+    """``|c| + 1 - |N(s)|``: N(s) holds the measurements not at their last outcome."""
+    not_last = [m for m, o in zip(ctx, sec) if o != sc.outcomes[m][-1]]
+    return len(ctx) + 1 - len(not_last)
+
+
+def priced_section(model, monkeypatch, limit=1000):
+    """`solve_global_section`'s result and the pricing rounds of its LP.
+
+    More than ``limit`` rounds fail at once: a kernel whose phase-1 dual
+    drifts from ``c_B B^-1`` may cycle rather than end.
+    """
+    calls = []
+
+    def counting_solve(a, b):
+        price = a.price
+
+        def counting(y):
+            calls.append(y)
+            require(len(calls) <= limit, f"more than {limit} pricing rounds")
+            return price(y)
+
+        a.price = counting
+        return solve_eq_nonneg(a, b)
+
+    monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
+    res = solve_global_section(model)
+    monkeypatch.undo()
+    return res, len(calls)
+
+
 class TestSectionPivots:
     """The section LP pivots as the reference simplex that prices the largest score.
 
@@ -762,8 +798,10 @@ class TestSectionPivots:
     `reference_solve_eq_nonneg` with ``largest=True`` on the dense listed
     system: live rows only, the columns through a zero row dropped, the
     rest in lexicographic order.  Both take the largest score with ties to
-    the lexicographically smallest assignment, and the same lexicographic
-    ratio test.  The pricing rounds of three ladder-sized models are pinned.
+    the lexicographically smallest assignment, the same lexicographic
+    ratio test and the same phase-1 costs, which the test reads off the
+    rows as ``|c| + 1 - |N(s)|``.  The pricing rounds of three ladder-sized
+    models are pinned.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -779,7 +817,9 @@ class TestSectionPivots:
         zero = [row for row, vi in zip(dense, v) if not vi]
         cols = [j for j in range(len(dense[0])) if not any(row[j] for row in zero)]
         ref = reference_solve_eq_nonneg([[Fraction(dense[i][j]) for j in cols] for i in live],
-                                        rhs, largest=True)
+                                        rhs, largest=True,
+                                        costs=[row_cost(model.scenario, *mat.rows[i])
+                                               for i in live])
         require(res.feasible == ref.feasible, f"{res.feasible} against {ref.feasible}")
         if ref.feasible:
             assignments = list(enumerate_global_assignments(model.scenario))
@@ -789,28 +829,100 @@ class TestSectionPivots:
             require(res.farkas == ref.farkas, f"dual {res.farkas} against {ref.farkas}")
 
     @pytest.mark.parametrize("model, feasible, rounds", [
-        (lambda: noisy_cycle_model(9), False, 42),
-        (lambda: ladder_box(3, Fraction(1, 3)), True, 23),
-        (lambda: ladder_box(3, Fraction(2, 3)), False, 28),
+        (lambda: noisy_cycle_model(9), False, 25),
+        (lambda: ladder_box(3, Fraction(1, 3)), True, 19),
+        (lambda: ladder_box(3, Fraction(2, 3)), False, 24),
     ], ids=["noisy-9-cycle", "local-3-setting-box", "nonlocal-3-setting-box"])
     def test_pricing_rounds_are_pinned(self, model, feasible, rounds, monkeypatch):
-        calls = []
-
-        def counting_solve(a, b):
-            price = a.price
-
-            def counting(y):
-                calls.append(y)
-                return price(y)
-
-            a.price = counting
-            return solve_eq_nonneg(a, b)
-
-        monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
-        res = solve_global_section(model())
-        monkeypatch.undo()
+        res, calls = priced_section(model(), monkeypatch)
         require(res.feasible == feasible, res.verdict)
-        require(len(calls) == rounds, f"{len(calls)} pricing rounds, {rounds} expected")
+        require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
+
+
+class CostedColumns(SparseColumns):
+    """Listed columns priced by Bland's rule with the phase-1 costs ``weights``.
+
+    Pricing fails after 1000 rounds, more than a system of at most 5 rows
+    and 12 columns has bases, so a kernel that cycles fails the test.
+    """
+
+    def __init__(self, m, cols, weights):
+        super().__init__(m, cols)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "rounds", [])
+
+    @property
+    def costs(self):
+        return self.weights
+
+    def price(self, y):
+        self.rounds.append(y)
+        require(len(self.rounds) <= 1000, "more than 1000 pricing rounds")
+        return super().price(y)
+
+
+class TestWeightedPhaseOne:
+    """Phase 1 weighs each artificial by its row's cost.
+
+    The section rows cost ``|c| + 1 - |N(s)|`` and listed columns 1.  With
+    any positive costs the kernel pivots as the reference simplex given
+    the same costs, and a cost vector that is not one positive integer
+    per row is refused.  The pricing rounds of three noisy cycles past
+    the ladder are pinned; the 20-cycle has exactly `MAX_ASSIGNMENTS`
+    global assignments.
+    """
+
+    @pytest.mark.parametrize("n, feasible, rounds", [
+        (14, True, 49), (19, False, 50), (20, True, 74),
+    ], ids=["noisy-14-cycle", "noisy-19-cycle", "noisy-20-cycle"])
+    def test_pricing_rounds_on_long_noisy_cycles(self, n, feasible, rounds, monkeypatch):
+        model = noisy_cycle_model(n)
+        require(global_assignment_count(model.scenario) <= sheaf.MAX_ASSIGNMENTS, "over the cap")
+        res, calls = priced_section(model, monkeypatch)
+        require(res.feasible == feasible, res.verdict)
+        require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
+
+    def test_section_rows_cost_by_their_last_outcomes(self):
+        model = uniform_model(mixed_scenario())
+        mat, _, live, outside = section_system(model)
+        sub = mat.restrict(live, outside)
+        require(mat.costs == tuple(row_cost(model.scenario, *row) for row in mat.rows),
+                f"costs {mat.costs}")
+        require(sub.costs == tuple(mat.costs[i] for i in live), f"restricted costs {sub.costs}")
+
+    def test_listed_columns_cost_one(self):
+        a = columns_from_rows([[Fraction(1), Fraction(0), Fraction(2)],
+                               [Fraction(0), Fraction(1), Fraction(1)]])
+        require(a.costs == (1, 1), f"costs {a.costs}")
+        require(a.select([2]).costs == (1, 1), "selected costs")
+
+    @pytest.mark.parametrize("weights, match", [
+        ((1, 0), "cost 0 of row 1 is not a positive integer"),
+        ((2, -1), "cost -1 of row 1 is not a positive integer"),
+        ((1, 1.0), "cost 1.0 of row 1 is not a positive integer"),
+        ((1,), "1 phase-1 costs for 2 rows"),
+        ((1, 1, 1), "3 phase-1 costs for 2 rows"),
+    ], ids=["zero", "negative", "float", "short", "long"])
+    def test_bad_costs_are_refused(self, weights, match):
+        a = CostedColumns(2, columns_from_rows([[Fraction(1), Fraction(0)],
+                                                [Fraction(0), Fraction(1)]]).cols, weights)
+        with pytest.raises(ValueError, match=match):
+            solve_eq_nonneg(a, [Fraction(1), Fraction(1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_costed_kernel_equals_the_costed_reference(self, m, n, data):
+        entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(2),
+                                   Fraction(-1), HALF])
+        a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+        b = [data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]))
+             for _ in range(m)]
+        weights = data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+        cols = CostedColumns(m, columns_from_rows(a).cols, weights)
+        res = solve_eq_nonneg(cols, b)
+        ref = reference_solve_eq_nonneg(a, b, costs=weights)
+        require(res == ref, f"{res} against {ref}")
+        require(require_certificate(cols, b, res) is res, "certificate")
 
 
 class TestRestrictedOracle:
