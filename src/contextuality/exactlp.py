@@ -224,12 +224,14 @@ def _farkas_fault(a, b: Sequence[Fraction], y: Sequence[Fraction]) -> str | None
     """Why ``y`` is no Farkas certificate for ``A x = b``, or None if it is one."""
     if len(b) != a.m or len(y) != a.m:
         return "has the wrong length"
-    # The source prices Y = s y, integral, against its own columns; the
-    # positive scale keeps every sign.
-    key = a.price(clear_denominators(y)[0])
+    # The source prices Y = s y, integral, against its own columns, and
+    # y^T b has the sign of Y^T B for B = t b integral; the positive scales
+    # keep every sign.
+    ys = clear_denominators(y)[0]
+    key = a.price(ys)
     if key is not None:
         return f"scores column {key!r} above 0"
-    if sum(y[i] * b[i] for i in range(a.m) if y[i]) <= 0:
+    if sum(map(mul, ys, clear_denominators(b)[0])) <= 0:
         return "has y^T b <= 0"
     return None
 
@@ -246,16 +248,18 @@ def check_solution(a, b: Sequence[Fraction], x) -> bool:
         return False
     if any(v < 0 for _, v in pairs):
         return False
-    # x_j a_j = (x_j / s_j) (s_j a_j) with s_j a_j integral; the weights
-    # x_j / s_j share one scale, so every row sum is an integer.
-    cols = [(a.column(j), v) for j, v in pairs if v]
-    weights, scale = clear_denominators([Fraction(_rational(v), s)
-                                         for (_, _, s), v in cols])
+    # x_j a_j = (x_j / s_j) (s_j a_j) with s_j a_j integral.  Over the lcm
+    # L of the denominators of the weights x_j / s_j every row sum is an
+    # integer t_i, and A x = b holds when t_i q_i = p_i L for b_i = p_i / q_i.
+    cols = [(a.column(j), _rational(v)) for j, v in pairs if v]
+    scale = lcm(*(v.denominator * s for (_, _, s), v in cols))
     totals = [0] * a.m
-    for ((idx, ints, _), _), w in zip(cols, weights):
-        for i, v in zip(idx, ints):
-            totals[i] += w * v
-    return all(t == bi * scale for t, bi in zip(totals, b))
+    for (idx, ints, s), v in cols:
+        w = v.numerator * (scale // (v.denominator * s))
+        for i, n in zip(idx, ints):
+            totals[i] += w * n
+    return all(t * bi.denominator == bi.numerator * scale
+               for t, bi in zip(totals, map(_rational, b)))
 
 
 def require_certificate(a, b: Sequence[Fraction], result: Feasibility,
@@ -301,8 +305,8 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
     sign = [1] * m
     rhs: list[Fraction] = []
     for i in range(m):
-        bi = Fraction(b[i])
-        if bi < 0:
+        bi = _rational(b[i])
+        if bi.numerator < 0:
             sign[i] = -1
             bi = -bi
         rhs.append(bi)

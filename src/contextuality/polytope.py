@@ -29,10 +29,8 @@ from .scenario import (
     ND_TOL,
     EmpiricalModel,
     LabelMismatch,
-    SchemaError,
     make_model,
     make_scenario,
-    rational_literal,
     sums_to_one,
 )
 from .sheaf import SectionFeasibility, solve_global_section
@@ -198,34 +196,6 @@ def behaviour_to_json(b: Behaviour) -> dict:
         return float(v)
     return {"nX": b.nX, "nY": b.nY, "nA": b.nA, "nB": b.nB,
             "p": {f"{a},{b}|{x},{y}": enc(v) for (a, b, x, y), v in b.p.items()}}
-
-
-def behaviour_from_json(doc: dict) -> Behaviour:
-    try:
-        nX, nY, nA, nB = (int(doc[k]) for k in ("nX", "nY", "nA", "nB"))
-        raw = doc["p"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"missing or malformed behaviour field: {exc}") from exc
-    p = {}
-    for key, val in raw.items():
-        try:
-            outs, setts = key.split("|")
-            a, b = (int(t) for t in outs.split(","))
-            x, y = (int(t) for t in setts.split(","))
-        except ValueError as exc:
-            raise SchemaError(f"bad behaviour key {key!r}") from exc
-        if isinstance(val, bool):
-            raise SchemaError(f"probability entries must be numbers, got {val!r}")
-        if isinstance(val, float):
-            p[(a, b, x, y)] = val
-        elif isinstance(val, (int, str)):
-            p[(a, b, x, y)] = rational_literal(val, "probability entry")
-        else:
-            raise SchemaError(f"unsupported probability entry {val!r}")
-    try:
-        return make_behaviour(nX, nY, nA, nB, p)
-    except (ValueError, ShapeMismatch) as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

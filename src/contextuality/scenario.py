@@ -1,7 +1,9 @@
 """Measurement scenarios, empirical models, no-disturbance checks, and sequential-statistics bounds.
 
 Probability entries are exact `Fraction`s when supplied as rationals and
-doubles otherwise; NaN and infinite entries are rejected.  The
+doubles otherwise; NaN and infinite entries are rejected.  An exact model
+is put over one common denominator once, by `make_model`, and every exact
+check reads those integer tables (`EmpiricalModel.integer_tables`).  The
 global-section solver (`sheaf.solve_global_section`), which every
 empirical verdict reads, is the one caller of `rationalize_model`, which
 returns a nearby all-rational model that is exactly normalised and exactly
@@ -22,9 +24,10 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem, itemgetter
 
 import numpy as np
 
@@ -78,13 +81,42 @@ class MeasurementScenario:
     measurements: tuple
     outcomes: dict
     contexts: tuple
+    _joint_outcomes: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
-    def outcome_tuples(self, context) -> list[tuple]:
-        """Joint outcomes of a context, lexicographic in canonical label order."""
-        return list(itertools.product(*(self.outcomes[m] for m in context)))
+    @cached_property
+    def _order(self) -> dict:
+        return {m: i for i, m in enumerate(self.measurements)}
+
+    @cached_property
+    def overlaps(self) -> tuple:
+        """(ca, cb, overlap) for every pair of contexts that share a measurement.
+
+        Pairs come in `itertools.combinations` order; the overlap lists the
+        shared labels in canonical order.
+        """
+        members = {c: set(c) for c in self.contexts}
+        out = []
+        for ca, cb in itertools.combinations(self.contexts, 2):
+            shared = members[ca] & members[cb]
+            if shared:
+                out.append((ca, cb, tuple(m for m in self.measurements if m in shared)))
+        return tuple(out)
+
+    def outcome_tuples(self, context) -> tuple:
+        """Joint outcomes of a context, lexicographic in canonical label order.
+
+        Formed once per context of this scenario.
+        """
+        context = tuple(context)
+        joint = self._joint_outcomes.get(context)
+        if joint is None:
+            joint = self._joint_outcomes[context] = tuple(
+                itertools.product(*(self.outcomes[m] for m in context)))
+        return joint
 
     def canonical_context(self, labels) -> tuple:
-        order = {m: i for i, m in enumerate(self.measurements)}
+        order = self._order
         for lab in labels:
             if lab not in order:
                 raise LabelMismatch(f"unknown measurement {lab!r}")
@@ -149,6 +181,19 @@ class EmpiricalModel:
                    for t in self.tables.values() for v in t.values())
 
     @cached_property
+    def integer_tables(self) -> tuple[dict, int]:
+        """The tables as integers over one common denominator, and that denominator.
+
+        Sums and marginals of the integer tables are the exact ones times
+        the denominator, so the exact checks compare integers.  Formed once
+        per model (by `make_model` for exact input): the tables are not to
+        be changed after.
+        """
+        ints, scale = clear_denominators([v for t in self.tables.values() for v in t.values()])
+        it = iter(ints)
+        return {c: dict(zip(t, it)) for c, t in self.tables.items()}, scale
+
+    @cached_property
     def exactly_consistent(self) -> bool:
         """Rational, every table sums to exactly 1 and every overlap marginal agrees.
 
@@ -164,17 +209,27 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
     """Validated model constructor.
 
     Table keys may list a context's labels in any order; outcome tuples are
-    permuted into canonical order.  Missing joint outcomes are filled with
-    zero.  If any entry is a float the whole model is stored as floats,
-    otherwise everything is an exact `Fraction`.  NaN and infinite entries
-    are rejected.
+    permuted into canonical order.  Two keys for one context are refused.
+    Missing joint outcomes are filled with zero.  If any entry is a float
+    the whole model is stored as floats, otherwise everything is an exact
+    `Fraction`.  NaN and infinite entries are rejected.  An exact model's
+    denominators are cleared once, and its signs and sums are checked on
+    the integer tables it keeps (`EmpiricalModel.integer_tables`).
     """
+    declared = set(scenario.contexts)
     staged: dict[tuple, dict] = {}
+    named: dict[tuple, object] = {}
     for key, table in tables.items():
         labels = tuple(key) if not isinstance(key, str) else tuple(key.split(","))
         canon = scenario.canonical_context(labels)
-        if canon not in scenario.contexts:
+        if canon not in declared:
             raise LabelMismatch(f"{labels} is not a declared context")
+        if canon in staged:
+            raise ValueError(f"tables {named[canon]!r} and {key!r} are both context {canon}")
+        named[canon] = key
+        if labels == canon and table.keys() <= set(scenario.outcome_tuples(canon)):
+            staged[canon] = table
+            continue
         perm = [labels.index(m) for m in canon]
         entries = {}
         for outc, val in table.items():
@@ -189,38 +244,44 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
 
     has_float = any(isinstance(v, float)
                     for t in staged.values() for v in t.values())
-    zero = 0.0 if has_float else Fraction(0)
-
     tables_out: dict[tuple, dict] = {}
     for canon, entries in staged.items():
         valid = scenario.outcome_tuples(canon)
-        valid_set = set(valid)
-        for outc in entries:
-            if outc not in valid_set:
-                raise ValueError(f"outcome {outc} not valid for context {canon}")
-        full = {}
-        for outc in valid:
-            v = entries.get(outc, zero)
-            if has_float:
-                v = float(v)
-                if not math.isfinite(v):
-                    raise ValueError(f"probability {v} in context {canon} is not finite")
-                if v < -1e-12:
-                    raise ValueError(f"negative probability {v} in context {canon}")
-                v = max(0.0, v)
-            else:
-                v = v if isinstance(v, Fraction) else Fraction(v)
-                if v < 0:
-                    raise ValueError(f"negative probability {v} in context {canon}")
-            full[outc] = v
+        if not entries.keys() <= set(valid):
+            bad = next(outc for outc in entries if outc not in valid)
+            raise ValueError(f"outcome {bad} not valid for context {canon}")
+        full = tables_out[canon] = {outc: entries.get(outc, 0) for outc in valid}
+        if not has_float:
+            for outc, v in full.items():
+                if not isinstance(v, Fraction):
+                    full[outc] = Fraction(v)
+            continue
+        for outc, v in full.items():
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"probability {v} in context {canon} is not finite")
+            if v < -1e-12:
+                raise ValueError(f"negative probability {v} in context {canon}")
+            full[outc] = max(0.0, v)
         # A float table may be off by as much as the no-disturbance check
-        # forgives; `rationalize_model` makes it exactly normalised.  An
-        # exact table must sum to exactly 1.
-        if (abs(sum(full.values()) - 1.0) > ND_TOL if has_float
-                else not sums_to_one(full.values())):
+        # forgives; `rationalize_model` makes it exactly normalised.
+        if abs(sum(full.values()) - 1.0) > ND_TOL:
             raise ValueError(f"context {canon} table sums to {sum(full.values())}, not 1")
-        tables_out[canon] = full
-    return EmpiricalModel(scenario=scenario, tables=tables_out)
+    model = EmpiricalModel(scenario=scenario, tables=tables_out)
+    if has_float:
+        return model
+    # An exact table must sum to exactly 1: over the model's one common
+    # denominator, its integers must sum to that denominator.
+    ints, scale = model.integer_tables
+    for canon, table in ints.items():
+        if min(table.values()) < 0:
+            outc = next(outc for outc, n in table.items() if n < 0)
+            raise ValueError(f"negative probability {tables_out[canon][outc]} "
+                             f"in context {canon}")
+        total = sum(table.values())
+        if total != scale:
+            raise ValueError(f"context {canon} table sums to {Fraction(total, scale)}, not 1")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +294,22 @@ def sums_to_one(values) -> bool:
     return sum(ints) == scale
 
 
-def _integer_tables(model: EmpiricalModel) -> tuple[dict, int]:
-    """An exact model's tables as integers over one common denominator, and that denominator.
-
-    Sums and marginals of the integer tables are the exact ones times the
-    denominator, so the exact checks compare integers.
-    """
-    ints, scale = clear_denominators([v for t in model.tables.values() for v in t.values()])
-    it = iter(ints)
-    return {c: dict(zip(t, it)) for c, t in model.tables.items()}, scale
-
-
 def marginalize(table: dict, context, subset) -> dict:
     """Sum a joint table over the measurements outside `subset`.
 
     `context` names the positions of the joint outcome tuples; the result is
-    keyed by outcome tuples in the order `subset` lists its labels.
+    keyed by outcome tuples in the order `subset` lists its labels, gathered
+    by one getter per position of `subset`.
     """
     context = tuple(context)
     subset = tuple(subset)
     if not set(subset) <= set(context):
         raise NotASubset(f"{subset} is not a subset of {context}")
     idx = [context.index(m) for m in subset]
+    keys = zip(*(map(itemgetter(i), table) for i in idx)) if idx else [()] * len(table)
     out: dict = {}
-    for outc, v in table.items():
-        key = tuple(outc[i] for i in idx)
-        out[key] = out.get(key, v * 0) + v
+    for key, v in zip(keys, table.values()):
+        out[key] = out[key] + v if key in out else v
     return out
 
 
@@ -276,27 +327,14 @@ class NoDisturbanceReport:
                 f"between {a} and {b} on {overlap})")
 
 
-def _overlap_pairs(sc: MeasurementScenario):
-    """(ca, cb, overlap) for every pair of contexts that share a measurement.
-
-    Pairs come in `itertools.combinations` order; the overlap lists the
-    shared labels in canonical order.
-    """
-    members = {c: set(c) for c in sc.contexts}
-    for ca, cb in itertools.combinations(sc.contexts, 2):
-        shared = members[ca] & members[cb]
-        if shared:
-            yield ca, cb, tuple(m for m in sc.measurements if m in shared)
-
-
 def _overlap_marginals(sc: MeasurementScenario, tables: dict):
-    """`_overlap_pairs` with the marginals of both contexts' `tables` on their overlap.
+    """The scenario's overlaps with the marginals of both contexts' `tables` on them.
 
     Each (context, overlap) marginal is computed once and shared by every
     pair that needs it.
     """
     cache: dict[tuple, dict] = {}
-    for ca, cb, overlap in _overlap_pairs(sc):
+    for ca, cb, overlap in sc.overlaps:
         pair = []
         for c in (ca, cb):
             m = cache.get((c, overlap))
@@ -322,16 +360,16 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
 
 
 def exact_no_disturbance(model: EmpiricalModel) -> bool:
-    """Exact marginal agreement; meaningful only for all-rational models."""
-    return _marginals_agree(model.scenario, _integer_tables(model)[0])
+    """Exact marginal agreement, on the model's integer tables."""
+    return _marginals_agree(model.scenario, model.integer_tables[0])
 
 
 def _marginals_agree(sc: MeasurementScenario, tables: dict) -> bool:
     """Every overlap marginal of integer `tables` agrees exactly."""
     for _, _, _, ma, mb in _overlap_marginals(sc, tables):
-        for outc in set(ma) | set(mb):
-            if ma.get(outc, 0) != mb.get(outc, 0):
-                return False
+        if ma != mb and any(ma.get(outc, 0) != mb.get(outc, 0)
+                            for outc in ma.keys() | mb.keys()):
+            return False
     return True
 
 
@@ -629,7 +667,7 @@ def _round(x: float, max_den: int) -> Fraction:
 
 def _exactly_consistent(model: EmpiricalModel) -> bool:
     """Every table sums to exactly 1 and every overlap marginal agrees exactly."""
-    tables, scale = _integer_tables(model)
+    tables, scale = model.integer_tables
     return (all(sum(t.values()) == scale for t in tables.values())
             and _marginals_agree(model.scenario, tables))
 
@@ -862,7 +900,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
     if rebuilt is not None:
         return rebuilt
 
-    overlaps = {overlap for _, _, overlap in _overlap_pairs(sc)}
+    overlaps = {overlap for _, _, overlap in sc.overlaps}
     ordered = sorted(overlaps, key=lambda u: (len(u), u))
 
     fixed: dict[tuple, dict] = {}
@@ -925,7 +963,7 @@ def _value_to_json(v):
 # Digits, and decimal exponent, of the longest exact literal a document may
 # hold: Fraction("1e30000000") would build a 30-million-digit integer.
 MAX_LITERAL_DIGITS = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
 def rational_literal(value, what: str) -> Fraction:
@@ -935,28 +973,36 @@ def rational_literal(value, what: str) -> Fraction:
     types are refused, and so is a string with more than
     `MAX_LITERAL_DIGITS` digits or a decimal exponent beyond that bound,
     before any Fraction is built; every refusal is a `SchemaError` naming
-    ``what``.
+    ``what``.  A string is read as ``Fraction(value)`` reads it: an integer
+    or a 'p/q' string by one or two `int` calls, a decimal or exponent form
+    by `Fraction` itself.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what} must be an integer or an exact string, "
                           f"got {value!r}")
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        if (sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS
-                or exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS):
-            shown = value if len(value) <= 24 else value[:24] + "..."
-            raise SchemaError(f"{what} {shown!r} exceeds {MAX_LITERAL_DIGITS} "
-                              "digits or a decimal exponent of that size")
-    try:
+    if isinstance(value, int):
         return Fraction(value)
+    exponent = _EXPONENT.search(value)
+    try:
+        oversized = (len(value) > MAX_LITERAL_DIGITS
+                     and sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS
+                     or exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS)
+        if not oversized:
+            if "." in value or exponent:
+                return Fraction(value)
+            # `int` strips less whitespace than `Fraction` (not U+001C-U+001F),
+            # and Fraction allows no space or sign next to the slash.
+            num, slash, den = value.strip().partition("/")
+            if not slash:
+                return Fraction(int(num))
+            if num[-1:].isdecimal() and den[:1].isdecimal():
+                return Fraction(int(num), int(den))
+            raise ValueError(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad {what} {value!r}") from exc
-
-
-def _value_from_json(v):
-    if isinstance(v, float):
-        return v
-    return rational_literal(v, "probability entry")
+    shown = value if len(value) <= 24 else value[:24] + "..."
+    raise SchemaError(f"{what} {shown!r} exceeds {MAX_LITERAL_DIGITS} "
+                      "digits or a decimal exponent of that size")
 
 
 def model_to_json(model: EmpiricalModel) -> dict:
@@ -975,15 +1021,15 @@ def model_to_json(model: EmpiricalModel) -> dict:
     }
 
 
-def _match_outcome(token: str, declared) -> object:
-    for o in declared:
-        if str(o) == token:
-            return o
-    raise SchemaError(f"outcome token {token!r} not among declared outcomes {declared}")
-
-
 def model_from_json(doc: dict) -> EmpiricalModel:
-    """Parse {"measurements", "contexts", "tables"}; rationals accepted as "3/10"."""
+    """Parse {"measurements", "contexts", "tables"}; rationals accepted as "3/10".
+
+    An outcome token names the first declared outcome whose `str` it is,
+    found in one dict per measurement.  Float entries stay floats; every
+    other entry goes through `rational_literal`, once per distinct string
+    of the document.  `make_model` then permutes, fills and checks the
+    tables.
+    """
     try:
         meas = [(m["label"], tuple(m["outcomes"])) for m in doc["measurements"]]
         contexts = [list(c) for c in doc["contexts"]]
@@ -1005,6 +1051,10 @@ def model_from_json(doc: dict) -> EmpiricalModel:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
+    # Reversed, so that a token two outcomes share names the first.
+    tokens = {m: {str(o): o for o in reversed(outcomes)}
+              for m, outcomes in scenario.outcomes.items()}
+    literals: dict[str, Fraction] = {}
     tables = {}
     for key, table in raw_tables.items():
         if not isinstance(table, dict):
@@ -1012,18 +1062,31 @@ def model_from_json(doc: dict) -> EmpiricalModel:
                               "probabilities")
         labels = tuple(key.split(","))
         try:
-            canon = scenario.canonical_context(labels)
+            scenario.canonical_context(labels)
         except LabelMismatch as exc:
             raise SchemaError(str(exc)) from exc
+        lookups = [tokens[m] for m in labels]
         entries = {}
         for okey, val in table.items():
-            tokens = okey.split(",")
-            if len(tokens) != len(labels):
+            parts = okey.split(",")
+            if len(parts) != len(labels):
                 raise SchemaError(f"outcome key {okey!r} has wrong arity for {key!r}")
-            outc = tuple(_match_outcome(t, scenario.outcomes[m])
-                         for t, m in zip(tokens, labels))
-            entries[outc] = _value_from_json(val)
-        tables[labels] = entries
+            try:
+                outc = tuple(map(getitem, lookups, parts))
+            except KeyError:
+                t, m = next((t, m) for t, m in zip(parts, labels) if t not in tokens[m])
+                raise SchemaError(f"outcome token {t!r} not among declared outcomes "
+                                  f"{scenario.outcomes[m]}") from None
+            if type(val) is str:
+                v = literals.get(val)
+                if v is None:
+                    v = literals[val] = rational_literal(val, "probability entry")
+            elif isinstance(val, float):
+                v = val
+            else:
+                v = rational_literal(val, "probability entry")
+            entries[outc] = v
+        tables[key] = entries
     try:
         return make_model(scenario, tables)
     except ValueError as exc:

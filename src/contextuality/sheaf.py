@@ -74,15 +74,6 @@ def global_assignment_count(scenario: MeasurementScenario) -> int:
     return prod(len(scenario.outcomes[m]) for m in scenario.measurements)
 
 
-def enumerate_global_assignments(scenario: MeasurementScenario):
-    """Iterate over every outcome assignment, lexicographic in declared order.
-
-    The solver never lists the assignments; this is for inspecting small
-    scenarios.
-    """
-    return itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
-
-
 def _index_map(union: tuple, scope: tuple, size: list) -> list | None:
     """Where each entry of a table over ``union`` reads a table over ``scope``.
 

@@ -35,12 +35,20 @@ a tomographically minimal GPT from an effects-by-states table by an SVD
 factorization, for tests that need a GPT given only its statistics.
 `hv_model_from_section` reads a section's primal certificate as a
 `HiddenVariableModel` of deterministic responses, whose pushed-forward
-tables must give back the model.
+tables must give back the model.  `enumerate_global_assignments` lists a
+scenario's global assignments, which the package never lists.
+`reference_rational_literal` and `reference_model_from_json` read exact
+documents as the package once did, ``Fraction(str)`` per literal and one
+entry, token scan and table at a time, against its one integer pass;
+`behaviour_from_json` reads the two-party behaviour documents the tests
+write.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -50,7 +58,15 @@ import numpy as np
 
 from contextuality.embedding import RANK_TOL, Gpt, GptError, InconsistentUnit, make_gpt
 from contextuality.exactlp import Feasibility, TooLargeError
-from contextuality.scenario import EmpiricalModel, MeasurementScenario, make_model
+from contextuality.polytope import Behaviour, ShapeMismatch, make_behaviour
+from contextuality.scenario import (
+    EmpiricalModel,
+    MeasurementScenario,
+    SchemaError,
+    make_model,
+    make_scenario,
+    rational_literal,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -727,3 +743,147 @@ def hv_model_from_section(support, scenario: MeasurementScenario) -> HiddenVaria
         raise InvalidCertificate(f"weights sum to {sum(weights)}, not 1")
     return HiddenVariableModel(scenario=scenario, assignments=tuple(lams),
                                weights=tuple(weights))
+
+
+def enumerate_global_assignments(scenario: MeasurementScenario):
+    """Every outcome assignment, lexicographic in declared order."""
+    return itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
+
+
+def behaviour_from_json(doc: dict) -> Behaviour:
+    """A two-party behaviour {"nX", "nY", "nA", "nB", "p": {"a,b|x,y": value}}.
+
+    Exact entries go through the package's `rational_literal`, floats stay
+    floats; `make_behaviour` checks the shape and the sums.
+    """
+    try:
+        nX, nY, nA, nB = (int(doc[k]) for k in ("nX", "nY", "nA", "nB"))
+        raw = doc["p"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"missing or malformed behaviour field: {exc}") from exc
+    p = {}
+    for key, val in raw.items():
+        try:
+            outs, setts = key.split("|")
+            a, b = (int(t) for t in outs.split(","))
+            x, y = (int(t) for t in setts.split(","))
+        except ValueError as exc:
+            raise SchemaError(f"bad behaviour key {key!r}") from exc
+        if isinstance(val, bool):
+            raise SchemaError(f"probability entries must be numbers, got {val!r}")
+        if isinstance(val, float):
+            p[(a, b, x, y)] = val
+        elif isinstance(val, (int, str)):
+            p[(a, b, x, y)] = rational_literal(val, "probability entry")
+        else:
+            raise SchemaError(f"unsupported probability entry {val!r}")
+    try:
+        return make_behaviour(nX, nY, nA, nB, p)
+    except (ValueError, ShapeMismatch) as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+REFERENCE_MAX_DIGITS = 1000
+
+
+def reference_rational_literal(value, what: str = "literal") -> Fraction:
+    """An exact literal read by ``Fraction(value)`` behind the package's digit bound.
+
+    Ints and strings only.  A string with more than 1000 digits, or with a
+    decimal exponent beyond 1000 in size, is refused before it is read, and
+    so is an exponent that is no integer.  Refusals are `SchemaError`s
+    worded as `scenario.rational_literal` words them.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{what} must be an integer or an exact string, got {value!r}")
+    bad = SchemaError(f"bad {what} {value!r}")
+    if isinstance(value, str):
+        oversized = sum(c.isdigit() for c in value) > REFERENCE_MAX_DIGITS
+        exponent = re.search(r"[eE]([-+]?[\d_]+)", value)
+        if not oversized and exponent:
+            try:
+                oversized = abs(int(exponent.group(1))) > REFERENCE_MAX_DIGITS
+            except ValueError as exc:
+                raise bad from exc
+        if oversized:
+            shown = value if len(value) <= 24 else value[:24] + "..."
+            raise SchemaError(f"{what} {shown!r} exceeds {REFERENCE_MAX_DIGITS} "
+                              "digits or a decimal exponent of that size")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise bad from exc
+
+
+def reference_model_from_json(doc: dict) -> EmpiricalModel:
+    """The tables of an empirical document read one entry, token and table at a time.
+
+    The document's measurements and contexts must be well formed.  Each
+    outcome token is the first declared outcome whose `str` it is, found by
+    a scan; each entry is a float or goes through
+    `reference_rational_literal`; each table is permuted into canonical
+    order, filled with zeros, checked for signs and summed on its own, in
+    ``Fraction`` arithmetic for an exact model.  Refusals are `SchemaError`s
+    worded as `scenario.model_from_json` words them, two tables for one
+    context included.
+    """
+    sc = make_scenario([(m["label"], tuple(m["outcomes"])) for m in doc["measurements"]],
+                       doc["contexts"])
+    order = list(sc.measurements)
+    read = []
+    for key, table in doc["tables"].items():
+        if not isinstance(table, dict):
+            raise SchemaError(f"table {key!r} must map outcome keys to probabilities")
+        labels = tuple(key.split(","))
+        for lab in labels:
+            if lab not in order:
+                raise SchemaError(f"unknown measurement {lab!r}")
+        entries = {}
+        for okey, val in table.items():
+            tokens = okey.split(",")
+            if len(tokens) != len(labels):
+                raise SchemaError(f"outcome key {okey!r} has wrong arity for {key!r}")
+            outc = []
+            for token, m in zip(tokens, labels):
+                match = [o for o in sc.outcomes[m] if str(o) == token]
+                if not match:
+                    raise SchemaError(f"outcome token {token!r} not among declared "
+                                      f"outcomes {sc.outcomes[m]}")
+                outc.append(match[0])
+            entries[tuple(outc)] = (val if isinstance(val, float)
+                                    else reference_rational_literal(val, "probability entry"))
+        read.append((key, labels, entries))
+
+    given: dict = {}
+    for key, labels, entries in read:
+        canon = tuple(sorted(labels, key=order.index))
+        if canon not in sc.contexts:
+            raise SchemaError(f"{labels} is not a declared context")
+        if canon in given:
+            raise SchemaError(f"tables {given[canon][0]!r} and {key!r} are both context {canon}")
+        given[canon] = key, {tuple(o[labels.index(m)] for m in canon): v
+                             for o, v in entries.items()}
+    missing = [c for c in sc.contexts if c not in given]
+    if missing:
+        raise SchemaError(f"no table supplied for contexts {missing}")
+    floats = any(isinstance(v, float) for _, t in given.values() for v in t.values())
+    tables = {}
+    for canon, (_, entries) in given.items():
+        full = {}
+        for outc in itertools.product(*(sc.outcomes[m] for m in canon)):
+            v = entries.get(outc, 0.0 if floats else Fraction(0))
+            if floats:
+                v = float(v)
+                if not math.isfinite(v):
+                    raise SchemaError(f"probability {v} in context {canon} is not finite")
+                if v < -1e-12:
+                    raise SchemaError(f"negative probability {v} in context {canon}")
+                v = max(0.0, v)
+            elif v < 0:
+                raise SchemaError(f"negative probability {v} in context {canon}")
+            full[outc] = v
+        total = sum(full.values(), 0.0 if floats else Fraction(0))
+        if abs(total - 1.0) > 1e-9 if floats else total != 1:
+            raise SchemaError(f"context {canon} table sums to {total}, not 1")
+        tables[canon] = full
+    return EmpiricalModel(scenario=sc, tables=tables)

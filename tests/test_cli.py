@@ -30,7 +30,6 @@ from contextuality import cli, scenario
 from contextuality.classify import classify
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
-from contextuality.polytope import behaviour_from_json
 from contextuality.quantum import (
     PAULIS,
     kcbs_construction,
@@ -42,7 +41,7 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import SchemaError, rational_literal
 from contextuality.sheaf import MAX_ASSIGNMENTS
-from oracles import cycle_margin, ld_vertex_boxes, random_box
+from oracles import behaviour_from_json, cycle_margin, ld_vertex_boxes, random_box
 
 
 def kcbs_gpt_json(state):

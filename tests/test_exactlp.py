@@ -36,10 +36,10 @@ from contextuality.exactlp import (
 from contextuality.scenario import make_model, make_scenario
 from contextuality.sheaf import (
     build_incidence_matrix,
-    enumerate_global_assignments,
     solve_global_section,
 )
 from oracles import (
+    enumerate_global_assignments,
     enumerate_vertices,
     exact_rank,
     reference_incidence_rows,

@@ -34,7 +34,6 @@ from contextuality.polytope import (
     ShapeMismatch,
     TooFewContexts,
     badziag_inequality,
-    behaviour_from_json,
     behaviour_from_quantum,
     behaviour_to_json,
     behaviour_to_model,
@@ -64,10 +63,7 @@ from contextuality.quantum import (
     werner_state,
 )
 from contextuality.scenario import SchemaError
-from contextuality.sheaf import (
-    enumerate_global_assignments,
-    solve_global_section,
-)
+from contextuality.sheaf import solve_global_section
 
 RNG = np.random.default_rng(20240819)
 
@@ -83,8 +79,10 @@ def uniform_behaviour(nX=2, nY=2, nA=2, nB=2):
 
 from oracles import (  # noqa: E402
     HiddenVariableModel,
+    behaviour_from_json,
     brute_force_lift_maximum,
     correlator_grid,
+    enumerate_global_assignments,
     grid_scan_max,
     ld_vertex_boxes,
     random_box,

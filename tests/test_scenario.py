@@ -56,11 +56,18 @@ from contextuality.scenario import (
     marginalize,
     model_from_json,
     model_to_json,
+    rational_literal,
     rationalize_model,
     sequential_stats_from_quantum,
     validate_no_disturbance,
 )
-from oracles import exactly_consistent, reference_born_tables, reference_sharp_atoms
+from oracles import (
+    exactly_consistent,
+    reference_born_tables,
+    reference_model_from_json,
+    reference_rational_literal,
+    reference_sharp_atoms,
+)
 
 RNG = np.random.default_rng(20240818)
 
@@ -872,3 +879,220 @@ class TestJson:
         for c in m.scenario.contexts:
             for o, v in m.tables[c].items():
                 assert float(again.tables[c][o]) == pytest.approx(v, abs=1e-15)
+
+
+def read_outcome(reader, *args):
+    """What `reader` returns, or the message of the `SchemaError` it raises."""
+    try:
+        return reader(*args)
+    except SchemaError as exc:
+        return f"refused: {exc}"
+
+
+ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                     "\u0665\u0666\u0667\u0668\u0669")
+
+LITERAL_CORPUS = [
+    # integers, signs, leading zeros, whitespace
+    "3", "+3", "-3", "007", "-0", "+0", " 3", "3 ", "\t3\n", "+ 3", "- 3", "++3",
+    "\u00a03\u3000", "\x1c3\x1f", "\u200b3",
+    # p/q with signs, whitespace and zeros
+    "1/2", "+1/2", "-1/2", " 1/2", "1/2 ", "\n-1/2\t", "1 /2", "1/ 2", "1 / 2",
+    "1/+2", "1/-2", "-1/-2", "1/ -2", "007/010", "0/5", "-0/5", "1/0", "0/0", "-1/0",
+    "1/2/3", "/2", "1/", "/", "+/2", "1//2",
+    # underscores
+    "1_000", "1__000", "_1", "1_", "1_0/2_0", "1/2_", "1/_2", "_1/2", "1_/2",
+    # decimals and exponents
+    "0.25", ".5", "5.", "-.5", "+0.5", "1.5/2", "1/2.5", "1e3", "1E-3", "-2.5e-1",
+    "1e", "e5", "1e+5", "1e1_0", "1e_5", "1e5_", "1_e5", "1.5_0", "1_.5", "1.e2",
+    "1e1000", "1e-1000", "1e1001", "1e-1001", "0.5e-1_001", "1/2e3", "1/2e3000",
+    # Unicode digits
+    "12".translate(ARABIC), "1/2".translate(ARABIC), "1e3".translate(ARABIC),
+    "\uff11\uff12", "\uff11/\uff12", "\u00b2", "\u00bd", "1/\u00b2",
+    # not numbers
+    "", " ", "nan", "inf", "-inf", "0x10", "1j", "x", "1,2",
+    # the digit bound
+    "1" * 1000, "1" * 1001, " " * 1001 + "1", "1/" + "1" * 998, "1/" + "1" * 999,
+    # non-strings
+    0, 7, -3, 10 ** 2000, True, False, 0.5, None, [1], {"p": 1},
+]
+
+
+# The characters exact literals are made of.
+LITERAL_CHARACTERS = "0123456789/._eE+- \u0661\t"
+
+
+class TestLiteralReader:
+    """`rational_literal` reads integer and 'p/q' strings with `int` and
+    leaves decimal and exponent forms to `Fraction`; it must accept, refuse
+    and value every literal as `oracles.reference_rational_literal`, which
+    reads each with `Fraction(str)` behind the same bound, does."""
+
+    @pytest.mark.parametrize("value", LITERAL_CORPUS, ids=lambda v: repr(v)[:24])
+    def test_corpus_matches_the_reference(self, value):
+        got = read_outcome(rational_literal, value, "x")
+        want = read_outcome(reference_rational_literal, value, "x")
+        require(got == want and type(got) is type(want), f"{value!r}: {got!r}, not {want!r}")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(LITERAL_CHARACTERS, max_size=8))
+    def test_short_strings_match_the_reference(self, value):
+        got = read_outcome(rational_literal, value, "x")
+        want = read_outcome(reference_rational_literal, value, "x")
+        require(got == want, f"{value!r}: {got!r}, not {want!r}")
+
+    @pytest.mark.parametrize("value", ["1e_5", "1e5_", "1e_", "2E-_3"])
+    def test_malformed_exponent_is_a_bad_entry(self, value):
+        with pytest.raises(SchemaError, match="bad probability entry"):
+            rational_literal(value, "probability entry")
+        doc = {"measurements": [{"label": "A", "outcomes": [0, 1]}],
+               "contexts": [["A"]], "tables": {"A": {"0": value, "1": "1"}}}
+        with pytest.raises(SchemaError, match="bad probability entry"):
+            model_from_json(doc)
+
+    def test_exponent_in_other_digits_is_bounded(self):
+        # Seven Arabic-Indic nines: an exponent near 10^7, refused unread.
+        value = "1e" + "9999999".translate(ARABIC)
+        with pytest.raises(SchemaError, match="exceeds 1000 digits"):
+            rational_literal(value, "x")
+        require(rational_literal("1e" + "3".translate(ARABIC), "x") == 1000,
+                "a small exponent in other digits")
+
+
+def write_literal(draw, v: Fraction) -> object:
+    """One exact way, drawn, of writing ``v`` in a document."""
+    p, q = v.numerator, v.denominator
+    d = next((d for d in range(7) if 10 ** d % q == 0), None)
+    forms = ["pq", "pq-scaled", "pq-spaced"]
+    if q == 1:
+        forms += ["int", "int-string"]
+    if d is not None:
+        forms += ["decimal", "exponent"]
+    form = draw(st.sampled_from(forms))
+    if form == "int":
+        return p
+    if form == "int-string":
+        return draw(st.sampled_from(["", "+", "00", " "])) + str(p)
+    if form == "pq-scaled":
+        k = draw(st.integers(2, 12))
+        return f"{p * k}/{q * k}"
+    if form == "pq-spaced":
+        text = (draw(st.sampled_from(["+", " ", "\t0"])) + f"{p}/{q}"
+                + draw(st.sampled_from(["", " ", "\n"])))
+        return text.translate(ARABIC) if draw(st.booleans()) else text
+    if form in ("decimal", "exponent"):
+        n = p * 10 ** d // q
+        if form == "exponent":
+            return f"{n}e-{d}"
+        digits = str(n).rjust(d + 1, "0")
+        return f"{digits[:len(digits) - d]}.{digits[len(digits) - d:]}" if d else digits
+    return f"{p}/{q}"
+
+
+FAULTS = (None, None, None, "negative", "off", "token", "literal", "float", "missing",
+          "arity")
+
+
+@st.composite
+def exact_documents(draw):
+    """An empirical document with context keys and outcome keys in a drawn order.
+
+    The scenario is an n-cycle (n from 3 to 5) or a two-setting box, its
+    measurements with outcomes (0, 1), ("a", "b") or (0, 1, 2).  Each table
+    has drawn weights; each entry is written by `write_literal`, and zero
+    entries may be left out.  In 7 of 10 documents a drawn fault makes one
+    entry negative, moves one off its table's sum, writes an unknown token,
+    a bad literal, a float or a key of the wrong arity, or drops a table.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 5))
+        labels = [f"M{i}" for i in range(n)]
+        contexts = [[labels[i], labels[(i + 1) % n]] for i in range(n)]
+    else:
+        labels = ["A0", "A1", "B0", "B1"]
+        contexts = [[a, b] for a in labels[:2] for b in labels[2:]]
+    outcomes = {m: draw(st.sampled_from([[0, 1], ["a", "b"], [0, 1, 2]])) for m in labels}
+    tables = {}
+    for ctx in draw(st.permutations(contexts)):
+        order = draw(st.permutations(ctx))
+        joint = list(itertools.product(*(outcomes[m] for m in order)))
+        weights = draw(st.lists(st.integers(0, 4), min_size=len(joint), max_size=len(joint)))
+        weights[draw(st.integers(0, len(joint) - 1))] += 1
+        entries = {}
+        for outc, w in draw(st.permutations(list(zip(joint, weights)))):
+            if w == 0 and draw(st.booleans()):
+                continue
+            entries[",".join(map(str, outc))] = write_literal(draw, Fraction(w, sum(weights)))
+        tables[",".join(order)] = entries
+    fault = draw(st.sampled_from(FAULTS))
+    key = draw(st.sampled_from(sorted(tables)))
+    okey = draw(st.sampled_from(sorted(tables[key])))
+    if fault == "negative":
+        tables[key][okey] = "-1/7"
+    elif fault == "off":
+        tables[key][okey] = str(rational_literal(tables[key][okey], "x") + Fraction(1, 97))
+    elif fault == "token":
+        tables[key]["9z," + okey.split(",", 1)[1]] = "0"
+    elif fault == "literal":
+        tables[key][okey] = draw(st.sampled_from(["1/-2", "1e_5", "x", True, None, "1/0"]))
+    elif fault == "float":
+        tables[key][okey] = float(rational_literal(tables[key][okey], "x"))
+    elif fault == "missing":
+        del tables[key]
+    elif fault == "arity":
+        tables[key][okey + ",0"] = "0"
+    return {"measurements": [{"label": m, "outcomes": outcomes[m]} for m in labels],
+            "contexts": contexts, "tables": tables}
+
+
+class TestDocumentReaderReference:
+    """`model_from_json` resolves tokens by dict, reads each literal once
+    and clears the denominators once per model; on random documents with
+    permuted context keys it must accept, refuse and read what
+    `oracles.reference_model_from_json`, one entry and table at a time,
+    does, and its integer tables must be the exact tables over their
+    common denominator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_documents())
+    def test_tables_match_the_reference(self, doc):
+        got = read_outcome(model_from_json, doc)
+        want = read_outcome(reference_model_from_json, doc)
+        if isinstance(want, str) or isinstance(got, str):
+            require(got == want, f"{got!r}, not {want!r}")
+            return
+        require(list(got.tables.items()) == list(want.tables.items()),
+                "the tables differ")
+        require(all(type(v) is type(w) for c in want.tables
+                    for v, w in zip(got.tables[c].values(), want.tables[c].values())),
+                "an entry changed type")
+        if want.is_rational:
+            ints, scale = got.integer_tables
+            require(all(Fraction(ints[c][o], scale) == v for c, t in want.tables.items()
+                        for o, v in t.items()), "the integer tables differ")
+            require(all(sum(t.values()) == scale for t in ints.values()),
+                    "an integer table does not sum to the scale")
+
+    def test_a_shared_token_names_the_first_declared_outcome(self):
+        doc = {"measurements": [{"label": "A", "outcomes": ["1", 1, 2]}],
+               "contexts": [["A"]], "tables": {"A": {"1": "1/3", "2": "2/3"}}}
+        got, want = model_from_json(doc), reference_model_from_json(doc)
+        require(got.tables == want.tables == {("A",): {("1",): Fraction(1, 3), (1,): 0,
+                                                      (2,): Fraction(2, 3)}},
+                f"read {got.tables}")
+
+
+class TestDuplicateTables:
+    """Two tables for one context are refused, naming both keys."""
+
+    def test_document_with_both_key_orders(self):
+        doc = model_to_json(pr_box_model())
+        doc["tables"]["B0,A0"] = doc["tables"]["A0,B0"]
+        with pytest.raises(SchemaError, match="tables 'A0,B0' and 'B0,A0' are both context"):
+            model_from_json(doc)
+
+    def test_make_model_with_both_key_orders(self):
+        sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
+        table = {(0, 1): HALF, (1, 0): HALF}
+        with pytest.raises(ValueError, match=r"tables \('B', 'A'\) and 'A,B' are both context"):
+            make_model(sc, {("B", "A"): table, "A,B": table})

@@ -64,13 +64,13 @@ from contextuality.scenario import (
 )
 from contextuality.sheaf import (
     build_incidence_matrix,
-    enumerate_global_assignments,
     global_assignment_count,
     solve_global_section,
 )
 from oracles import (
     HiddenVariableModel,
     InvalidCertificate,
+    enumerate_global_assignments,
     enumerate_vertices,
     exact_rank,
     hv_model_from_section,
