@@ -227,16 +227,13 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
         if canon in staged:
             raise ValueError(f"tables {named[canon]!r} and {key!r} are both context {canon}")
         named[canon] = key
-        if labels == canon and table.keys() <= set(scenario.outcome_tuples(canon)):
-            staged[canon] = table
-            continue
         perm = [labels.index(m) for m in canon]
         entries = {}
         for outc, val in table.items():
             outc = tuple(outc) if isinstance(outc, (tuple, list)) else (outc,)
             if len(outc) != len(canon):
                 raise ValueError(f"outcome {outc} has wrong arity for context {canon}")
-            entries[tuple(outc[i] for i in perm)] = val
+            entries[tuple(map(outc.__getitem__, perm))] = val
         staged[canon] = entries
     missing = [c for c in scenario.contexts if c not in staged]
     if missing:
@@ -246,11 +243,11 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
                     for t in staged.values() for v in t.values())
     tables_out: dict[tuple, dict] = {}
     for canon, entries in staged.items():
-        valid = scenario.outcome_tuples(canon)
-        if not entries.keys() <= set(valid):
-            bad = next(outc for outc in entries if outc not in valid)
+        full = tables_out[canon] = {outc: entries.get(outc, 0)
+                                    for outc in scenario.outcome_tuples(canon)}
+        if not entries.keys() <= full.keys():
+            bad = next(outc for outc in entries if outc not in full)
             raise ValueError(f"outcome {bad} not valid for context {canon}")
-        full = tables_out[canon] = {outc: entries.get(outc, 0) for outc in valid}
         if not has_float:
             for outc, v in full.items():
                 if not isinstance(v, Fraction):
@@ -974,8 +971,9 @@ def rational_literal(value, what: str) -> Fraction:
     `MAX_LITERAL_DIGITS` digits or a decimal exponent beyond that bound,
     before any Fraction is built; every refusal is a `SchemaError` naming
     ``what``.  A string is read as ``Fraction(value)`` reads it: an integer
-    or a 'p/q' string by one or two `int` calls, a decimal or exponent form
-    by `Fraction` itself.
+    or a 'p/q' string by one or two `int` calls, and every other form (a
+    decimal, an exponent, an underscore, a space or sign beside the slash)
+    by `Fraction` itself, whose grammar varies with the Python version.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what} must be an integer or an exact string, "
@@ -988,16 +986,19 @@ def rational_literal(value, what: str) -> Fraction:
                      and sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS
                      or exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS)
         if not oversized:
-            if "." in value or exponent:
+            # `int` reads underscores on every Python version, Fraction
+            # only from 3.11 on.
+            if "." in value or "_" in value or exponent:
                 return Fraction(value)
-            # `int` strips less whitespace than `Fraction` (not U+001C-U+001F),
-            # and Fraction allows no space or sign next to the slash.
+            # `int` strips less whitespace than `Fraction` (not U+001C-U+001F).
             num, slash, den = value.strip().partition("/")
             if not slash:
                 return Fraction(int(num))
             if num[-1:].isdecimal() and den[:1].isdecimal():
                 return Fraction(int(num), int(den))
-            raise ValueError(value)
+            # A space or sign next to the slash: Fraction reads spaces
+            # there from Python 3.12 on.
+            return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad {what} {value!r}") from exc
     shown = value if len(value) <= 24 else value[:24] + "..."
@@ -1026,9 +1027,8 @@ def model_from_json(doc: dict) -> EmpiricalModel:
 
     An outcome token names the first declared outcome whose `str` it is,
     found in one dict per measurement.  Float entries stay floats; every
-    other entry goes through `rational_literal`, once per distinct string
-    of the document.  `make_model` then permutes, fills and checks the
-    tables.
+    other entry goes through `rational_literal`.  `make_model` then
+    permutes, fills and checks the tables.
     """
     try:
         meas = [(m["label"], tuple(m["outcomes"])) for m in doc["measurements"]]
@@ -1054,7 +1054,6 @@ def model_from_json(doc: dict) -> EmpiricalModel:
     # Reversed, so that a token two outcomes share names the first.
     tokens = {m: {str(o): o for o in reversed(outcomes)}
               for m, outcomes in scenario.outcomes.items()}
-    literals: dict[str, Fraction] = {}
     tables = {}
     for key, table in raw_tables.items():
         if not isinstance(table, dict):
@@ -1077,15 +1076,8 @@ def model_from_json(doc: dict) -> EmpiricalModel:
                 t, m = next((t, m) for t, m in zip(parts, labels) if t not in tokens[m])
                 raise SchemaError(f"outcome token {t!r} not among declared outcomes "
                                   f"{scenario.outcomes[m]}") from None
-            if type(val) is str:
-                v = literals.get(val)
-                if v is None:
-                    v = literals[val] = rational_literal(val, "probability entry")
-            elif isinstance(val, float):
-                v = val
-            else:
-                v = rational_literal(val, "probability entry")
-            entries[outc] = v
+            entries[outc] = (val if isinstance(val, float)
+                             else rational_literal(val, "probability entry"))
         tables[key] = entries
     try:
         return make_model(scenario, tables)

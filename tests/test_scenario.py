@@ -924,7 +924,7 @@ LITERAL_CHARACTERS = "0123456789/._eE+- \u0661\t"
 
 class TestLiteralReader:
     """`rational_literal` reads integer and 'p/q' strings with `int` and
-    leaves decimal and exponent forms to `Fraction`; it must accept, refuse
+    leaves every other form to `Fraction`; it must accept, refuse
     and value every literal as `oracles.reference_rational_literal`, which
     reads each with `Fraction(str)` behind the same bound, does."""
 
@@ -940,6 +940,22 @@ class TestLiteralReader:
         got = read_outcome(rational_literal, value, "x")
         want = read_outcome(reference_rational_literal, value, "x")
         require(got == want, f"{value!r}: {got!r}, not {want!r}")
+
+    @pytest.mark.parametrize("value", ["1_000", "1_0/2_0", "1 / 2", "1 /2", "1/ 2"])
+    def test_version_dependent_forms_are_read_by_fraction(self, value):
+        # Fraction reads underscores from Python 3.11 on and spaces beside
+        # the slash from 3.12 on; these forms must be accepted or refused as
+        # the running Fraction(str) does, so a Fraction that reads every
+        # string as 7 reads them all as 7.
+        class Sevens(Fraction):
+            def __new__(cls, numerator=0, denominator=None):
+                if isinstance(numerator, str):
+                    return super().__new__(cls, 7)
+                return super().__new__(cls, numerator, denominator)
+
+        with mock.patch.object(scenario, "Fraction", Sevens):
+            require(rational_literal("10/20", "x") == Fraction(1, 2), "int path")
+            require(rational_literal(value, "x") == 7, f"{value!r} not read by Fraction")
 
     @pytest.mark.parametrize("value", ["1e_5", "1e5_", "1e_", "2E-_3"])
     def test_malformed_exponent_is_a_bad_entry(self, value):
