@@ -28,7 +28,6 @@ composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +47,7 @@ from .embedding import (
 from .exactlp import TooLargeError
 from .polytope import membership_from_section
 from .quantum import QuantumInputError, matrix_from_json, projective_context
+from .record import Fresh, Record
 from .scenario import (
     EmpiricalModel,
     SchemaError,
@@ -85,8 +85,7 @@ class LatticeViolation(AssertionError):
     """Bug sentinel: an assembled report broke the implication lattice."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Execution knobs: the expected input kind and the seed echoed in reports."""
 
     kind: str | None = None
@@ -100,8 +99,7 @@ class RunConfig:
             raise SchemaError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Three-verdict classicality report with certificates and notes."""
 
     bell_local: str
@@ -465,8 +463,7 @@ def classify_prep_ensemble(problem: PrepEnsembleProblem,
 # Document parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(Record):
     """One parsed classifier input document."""
 
     kind: str
@@ -477,7 +474,7 @@ class ParsedInput:
     gpt: Gpt | None = None
     problem: PrepEnsembleProblem | None = None
     attachment: PrepEnsembleProblem | None = None
-    claims: dict = field(default_factory=dict)
+    claims: dict = Fresh(dict)
 
 
 def _exact_fraction(value, name: str) -> Fraction:

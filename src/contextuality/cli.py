@@ -96,6 +96,43 @@ def _json_safe(obj):
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a `_json_safe` payload.
+
+    An ``indent`` sends `json.dumps` to its pure-Python encoder; this one
+    recursive pass writes the same bytes, encoding strings, the most common
+    values, without a call of its own.  ``pad`` is the newline and
+    indentation that close the enclosing container.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join([
+            f"{_encode_str(k)}: "
+            f"{_encode_str(v) if type(v) is str else _json_text(v, inner)}"
+            for k, v in sorted(value.items())])
+        return "{" + inner + body + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        body = ("," + inner).join([_encode_str(x) if type(x) is str else _json_text(x, inner)
+                                   for x in value])
+        return "[" + inner + body + pad + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and value - value == 0:
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def _render_text(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
@@ -122,7 +159,7 @@ def _render_text(value, indent: int = 0) -> list[str]:
 def _emit(payload: dict, args) -> None:
     payload = _json_safe(payload)
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(_render_text(payload)) + "\n"
     if args.out:
@@ -578,7 +615,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args)
     except LatticeViolation as exc:
         print(f"internal lattice violation: {exc}", file=sys.stderr)
         return 3
@@ -588,7 +625,6 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
     return 0
 
 

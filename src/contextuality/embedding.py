@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -50,6 +49,7 @@ from .quantum import (
     eigen_projector,
     sup_norm,
 )
+from .record import Record
 from .scenario import (
     MAX_DEN,
     ZERO_TOL,
@@ -92,8 +92,7 @@ class EmptyAssignmentPolytope(ValueError):
 # GPT construction
 
 
-@dataclass(frozen=True, eq=False)
-class Gpt:
+class Gpt(Record, eq=False):
     """Finite prepare-measure theory: vectors with a probability pairing.
 
     ``states`` and ``effects`` are dim-vectors; the probability of effect
@@ -256,8 +255,7 @@ def induced_model(gpt: Gpt, state_index: int, exact=None):
     return make_model(make_scenario(measurements, list(tables)), tables)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbedSharpResult:
+class EmbedSharpResult(Record, eq=False):
     """Outcome of the sharp embedding construction.
 
     ``verdict`` is "embeddable", "refused" or "undecided".  Embeddable: the
@@ -539,8 +537,7 @@ def _exact_fragment(gpt: Gpt):
     return states, tuple(effects)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbedLpResult:
+class EmbedLpResult(Record, eq=False):
     """Outcome of the exact embedding LP.
 
     ``verdict`` is "embeddable", "refused" or "undecided".  Decided results
@@ -645,8 +642,7 @@ def embed_lp(gpt: Gpt) -> EmbedLpResult:
 # Preparation noncontextuality for qubit ensembles
 
 
-@dataclass(frozen=True, eq=False)
-class PrepEnsembleProblem:
+class PrepEnsembleProblem(Record, eq=False):
     """A mixed qubit state with several declared convex decompositions.
 
     ``decompositions`` lists (weight, component label) terms; every
@@ -744,8 +740,7 @@ def _verify_decompositions(problem: PrepEnsembleProblem,
                 f"{sup_norm(total - problem.target)}")
 
 
-@dataclass(frozen=True, eq=False)
-class PrepNcCase:
+class PrepNcCase(Record, eq=False):
     """One support pattern: which member of each orthogonal pair is dead."""
 
     dead: tuple
@@ -754,8 +749,7 @@ class PrepNcCase:
     farkas: tuple | None
 
 
-@dataclass(frozen=True, eq=False)
-class PrepNcResult:
+class PrepNcResult(Record, eq=False):
     """Outcome of the exact case analysis over support patterns."""
 
     feasible: bool
@@ -842,8 +836,7 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
 # Assignment-polytope route (no tomographic completeness assumed)
 
 
-@dataclass(frozen=True, eq=False)
-class AssignmentPolytope:
+class AssignmentPolytope(Record, eq=False):
     """The distributions over deterministic assignments that reproduce one
     preparation's statistics: ``{z >= 0 : A z = b}`` with A = `matrix` and
     b = `rhs`."""
@@ -939,8 +932,7 @@ def _bipartitions(n: int):
         yield (s, t)
 
 
-@dataclass(frozen=True, eq=False)
-class PuseyResult:
+class PuseyResult(Record, eq=False):
     """Outcome of the assignment-polytope contextuality scan."""
 
     verdict: str  # "contextual" | "inconclusive"

@@ -92,12 +92,13 @@ no variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import itemgetter, mul
 from typing import Sequence
+
+from .record import Record
 
 
 class TooLargeError(ValueError):
@@ -125,8 +126,7 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(Record):
     """Outcome of an exact feasibility solve.
 
     ``x`` is a nonnegative rational solution when ``feasible``, in the
@@ -153,8 +153,7 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-@dataclass(frozen=True)
-class SparseColumns:
+class SparseColumns(Record):
     """An ``m x n`` matrix stored by column: the listed column source.
 
     ``cols[j]`` is ``(rows, values)``: the ascending row indices of column

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from .quantum import (
     sup_norm,
     tensor,
 )
+from .record import Record
 from .scenario import (
     ND_TOL,
     EmpiricalModel,
@@ -55,8 +55,7 @@ class MissingProjectors(ValueError):
 # Behaviours
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Behaviour:
+class Behaviour(Record):
     """Two-party conditional table p(a, b | x, y) with integer-indexed settings/outcomes."""
 
     nX: int
@@ -121,8 +120,7 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
     return Behaviour(nX=nX, nY=nY, nA=nA, nB=nB, p=full)
 
 
-@dataclass(frozen=True)
-class NoSignalingReport:
+class NoSignalingReport(Record):
     passed: bool
     worst_violation: float
 
@@ -189,21 +187,11 @@ def behaviour_from_quantum(state, alice, bob) -> Behaviour:
     return make_behaviour(len(alice), len(bob), nA, nB, p)
 
 
-def behaviour_to_json(b: Behaviour) -> dict:
-    def enc(v):
-        if isinstance(v, Fraction):
-            return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-        return float(v)
-    return {"nX": b.nX, "nY": b.nY, "nA": b.nA, "nB": b.nB,
-            "p": {f"{a},{b}|{x},{y}": enc(v) for (a, b, x, y), v in b.p.items()}}
-
-
 # ---------------------------------------------------------------------------
 # Membership: a view over the global-section LP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(Record):
     """Functional sum of coefficients[a,b,x,y] * p(a,b|x,y) bounded above."""
 
     coefficients: dict
@@ -228,8 +216,7 @@ def evaluate_inequality(ineq: LinearInequality, b: Behaviour):
     return value, bool(value <= ineq.bound + tol)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     inside: bool
     weights: tuple | None
     separating: LinearInequality | None
@@ -388,8 +375,7 @@ def pr_box_behaviour() -> Behaviour:
 # Pairwise-correlation noncontextuality bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairwiseCorrelationInequality:
+class PairwiseCorrelationInequality(Record):
     """Functional sum of singles minus sum over compatible pairs, bounded by n(d-2)-2.
 
     `d` counts measurement contexts (not the Hilbert dimension; the two
@@ -457,8 +443,7 @@ def badziag_inequality(n: int, d: int | None = None,
 # Orthogonality graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrthogonalityGraph:
+class OrthogonalityGraph(Record):
     labels: tuple
     weights: dict
     edges: tuple
@@ -557,8 +542,7 @@ def weighted_independence_number(g: OrthogonalityGraph):
     return best_value, witness
 
 
-@dataclass(frozen=True)
-class ExclusivityReport:
+class ExclusivityReport(Record):
     lhs: float
     bound: Fraction
     violated: bool
@@ -607,8 +591,7 @@ def csw_inequality(g: OrthogonalityGraph, singles: dict | None = None,
 # Two-party lift of an exclusivity inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BipartiteLift:
+class BipartiteLift(Record):
     """Two-party functional lifted from an orthogonality graph.
 
     Value = sum_i w_i P(1,1 | i, i) - sum_{(i,j) in E} max(w_i, w_j)/2

@@ -19,11 +19,10 @@ deterministic functions of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quantum import PAULIS, born_prob, dagger, eigen_projector
+from .record import Record
 
 BASES = ("X", "Y", "Z")
 CORE_GATES = ("X", "Z")
@@ -44,8 +43,7 @@ def _check_basis(basis) -> str:
     return basis
 
 
-@dataclass(frozen=True)
-class QslState:
+class QslState(Record):
     """Two-bit state: computational bit `x0` and phase bit `p0`."""
 
     x0: int
@@ -56,8 +54,7 @@ class QslState:
         _check_bit(self.p0, "p0")
 
 
-@dataclass(frozen=True)
-class QslProgram:
+class QslProgram(Record):
     """Prepare-transform-measure circuit with shot count and seed.
 
     `gates` come from the core set `{X, Z}`; the bit-swap gate `SWAP` is
@@ -206,8 +203,7 @@ def _run_single(program: QslProgram, word: int) -> int:
     return outcome
 
 
-@dataclass(frozen=True)
-class QslRunResult:
+class QslRunResult(Record):
     """Transcript of a program run: per-shot outcomes plus frequencies."""
 
     program: QslProgram

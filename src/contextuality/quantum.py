@@ -8,9 +8,9 @@ larger inputs are rejected rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .record import Record
 
 CONSTRUCTION_TOL = 1e-10
 EQUALITY_TOL = 1e-12
@@ -184,8 +184,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     raise ValueError("keep must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class ProjectiveContext:
+class ProjectiveContext(Record):
     """One projective measurement: orthogonal projectors resolving the identity."""
 
     label: str

@@ -24,7 +24,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem, itemgetter
@@ -33,6 +32,7 @@ import numpy as np
 
 from .exactlp import clear_denominators, solve_box_eq
 from .quantum import DimensionMismatch, ProjectiveContext, sup_norm, validate_density
+from .record import Record
 
 ND_TOL = 1e-9
 SHARING_TOL = 1e-10
@@ -70,8 +70,7 @@ class InconsistentSharing(ValueError):
 # Scenario and model containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasurementScenario:
+class MeasurementScenario(Record):
     """Measurements with finite outcome sets plus a cover of compatible contexts.
 
     Contexts are stored in canonical form: measurement labels ordered by their
@@ -81,8 +80,11 @@ class MeasurementScenario:
     measurements: tuple
     outcomes: dict
     contexts: tuple
-    _joint_outcomes: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
+
+    @cached_property
+    def _joint_outcomes(self) -> dict:
+        """`outcome_tuples`' results by context, filled as contexts are asked for."""
+        return {}
 
     @cached_property
     def _order(self) -> dict:
@@ -168,8 +170,7 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
                                contexts=tuple(canon))
 
 
-@dataclass(frozen=True)
-class EmpiricalModel:
+class EmpiricalModel(Record):
     """Per-context joint outcome distributions over a measurement scenario."""
 
     scenario: MeasurementScenario
@@ -310,8 +311,7 @@ def marginalize(table: dict, context, subset) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class NoDisturbanceReport:
+class NoDisturbanceReport(Record):
     passed: bool
     worst_violation: float
     worst_pair: tuple | None
@@ -374,8 +374,7 @@ def _marginals_agree(sc: MeasurementScenario, tables: dict) -> bool:
 # Quantum -> empirical conversion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class QuantumPass:
+class QuantumPass(Record, eq=False):
     """Products, atoms and Born probabilities of one quantum document, computed once.
 
     A product picks one projector per measurement of a context and
@@ -541,8 +540,7 @@ def from_quantum(state: np.ndarray, contexts, sharing: dict | None = None) -> Em
 # Sequential-measurement statistics (diagnostic only)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequentialStats:
+class SequentialStats(Record):
     """Outcome statistics for sequences over two +-1 observables A and B.
 
     `p_a`, `p_b`: single-measurement distributions over {+1, -1}.
@@ -578,8 +576,7 @@ def _pair_correlator(dist: dict) -> float:
     return sum(a * b * float(p) for (a, b), p in dist.items())
 
 
-@dataclass(frozen=True)
-class FlipErrorReport:
+class FlipErrorReport(Record):
     corr_joint: float
     corr_sequential: float
     lhs: float

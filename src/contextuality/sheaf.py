@@ -44,7 +44,6 @@ maximum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -59,6 +58,7 @@ from .exactlp import (
     require_certificate,
     solve_eq_nonneg,
 )
+from .record import Record
 from .scenario import EmpiricalModel, MeasurementScenario, rationalize_model
 
 # The elimination's tables grow with the measurements that share contexts,
@@ -365,8 +365,7 @@ def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
                            _Elimination(scenario))
 
 
-@dataclass(frozen=True)
-class SectionFeasibility:
+class SectionFeasibility(Record):
     """LP outcome plus the data needed to re-check it independently.
 
     ``primal`` is the (assignment, weight) pairs of the positive weights,

@@ -40,8 +40,8 @@ scenario's global assignments, which the package never lists.
 `reference_rational_literal` and `reference_model_from_json` read exact
 documents as the package once did, ``Fraction(str)`` per literal and one
 entry, token scan and table at a time, against its one integer pass;
-`behaviour_from_json` reads the two-party behaviour documents the tests
-write.
+`behaviour_to_json` and `behaviour_from_json` write and read the two-party
+behaviour documents of the tests.
 """
 
 from __future__ import annotations
@@ -748,6 +748,16 @@ def hv_model_from_section(support, scenario: MeasurementScenario) -> HiddenVaria
 def enumerate_global_assignments(scenario: MeasurementScenario):
     """Every outcome assignment, lexicographic in declared order."""
     return itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
+
+
+def behaviour_to_json(b: Behaviour) -> dict:
+    """The document `behaviour_from_json` reads: exact entries as strings, others as floats."""
+    def enc(v):
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+        return float(v)
+    return {"nX": b.nX, "nY": b.nY, "nA": b.nA, "nB": b.nB,
+            "p": {f"{a},{b}|{x},{y}": enc(v) for (a, b, x, y), v in b.p.items()}}
 
 
 def behaviour_from_json(doc: dict) -> Behaviour:

@@ -10,7 +10,6 @@ Report serialization must be byte-identical across repeated runs.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -28,7 +27,7 @@ import contextuality
 from contextuality.cli import main
 from contextuality.exactlp import CertificateError, Feasibility, require_certificate
 from contextuality.polytope import membership_from_section
-from contextuality.sheaf import solve_global_section
+from contextuality.sheaf import SectionFeasibility, solve_global_section
 
 from contextuality.classify import (
     HIERARCHY_LEVELS,
@@ -599,9 +598,10 @@ class TestPublicApi:
 
 
 FORGED_DUAL_UNDER_O = """
-import dataclasses, importlib, json, sys, tempfile
+import importlib, json, sys, tempfile
 from contextuality import cli, exactlp, polytope
 from contextuality.scenario import model_from_json
+from contextuality.sheaf import SectionFeasibility
 
 classify = importlib.import_module("contextuality.classify")
 
@@ -609,7 +609,8 @@ if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
 doc = json.loads(sys.argv[1])
 real = classify.solve_global_section(model_from_json(doc["model"]))
-forged = dataclasses.replace(real, dual=tuple(-y for y in real.dual))
+forged = SectionFeasibility(real.feasible, real.primal, tuple(-y for y in real.dual),
+                            real.matrix, real.model)
 sides = classify.bipartite_structure(real.model)
 try:
     polytope.membership_from_section(forged, sides)
@@ -628,7 +629,8 @@ sys.exit(0 if code == 3 else f"cli exit code {code}, expected 3")
 def forged_section(doc):
     """The PR box's section with its Farkas dual negated: it separates nothing."""
     real = solve_global_section(parse_document(doc).model)
-    return dataclasses.replace(real, dual=tuple(-y for y in real.dual))
+    return SectionFeasibility(real.feasible, real.primal, tuple(-y for y in real.dual),
+                              real.matrix, real.model)
 
 
 class TestForgedSectionDual:
@@ -774,10 +776,8 @@ def forged_dual(doc):
     right-hand side and the assignment.  It imports what it needs, because
     its source also runs in a ``python -O`` subprocess.
     """
-    import dataclasses
-
     from contextuality.classify import parse_document
-    from contextuality.sheaf import solve_global_section
+    from contextuality.sheaf import SectionFeasibility, solve_global_section
 
     real = solve_global_section(parse_document(doc).model)
     matrix = real.matrix
@@ -788,7 +788,8 @@ def forged_dual(doc):
     t = 2 * len(matrix.scenario.contexts) * top + 1
     dual = tuple(y + t if i in rows else y for i, y in enumerate(real.dual))
     v = [real.model.tables[ctx][sec] for ctx, sec in matrix.rows]
-    return dataclasses.replace(real, dual=dual), v, target
+    forged = SectionFeasibility(real.feasible, real.primal, dual, real.matrix, real.model)
+    return forged, v, target
 
 
 FORGED_ASSIGNMENT_UNDER_O = """

@@ -14,18 +14,20 @@ import io
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import time
 from fractions import Fraction
 
+import contextuality
 from contextuality import cli, scenario
 from contextuality.classify import classify
 from contextuality.cli import build_parser, main
@@ -1209,8 +1211,6 @@ class TestSharpRouteImports:
         # assembled: the path that used to fall back to scipy's HiGHS LP.
         # The GPT without sharp contexts takes the exact embedding LP, which
         # replaced a scipy search, through both classify and embed.
-        import contextuality
-
         coarse = tmp_path / "coarse.json"
         coarse.write_text(json.dumps(coarse_graining_doc(np.random.default_rng(4))))
         rng = np.random.default_rng(4)
@@ -1223,14 +1223,10 @@ class TestSharpRouteImports:
         plain.write_text(json.dumps({"kind": "gpt", "gpt": {
             "dim": 2, "states": [[1.0, 0.0], [0.25, 0.75]],
             "effects": [[1.0, 0.0], [0.0, 1.0]], "unit": [1.0, 1.0]}}))
-        src = str(Path(contextuality.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", SHARP_ROUTE_IMPORTS, str(coarse), str(sharp),
              str(plain)],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=package_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         for path in (coarse, sharp, plain):
             payload = json.loads(Path(str(path) + ".out").read_text())
@@ -1568,3 +1564,113 @@ class TestClassifyFrontDoorFuzz:
             assert rc == 2, (fault, text, err)
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def package_env() -> dict:
+    """The environment with this checkout's package first on ``PYTHONPATH``."""
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+STARTUP_IMPORTS = """
+import json, sys
+
+import contextuality.cli
+
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestStartupImports:
+    """Importing the CLI loads every package module and generates no dataclass code."""
+
+    def test_cli_import_loads_the_package_without_dataclasses(self):
+        proc = subprocess.run([sys.executable, "-c", STARTUP_IMPORTS], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        require(proc.returncode == 0, proc.stderr)
+        loaded = set(json.loads(proc.stdout))
+        require("dataclasses" not in loaded, "importing the CLI imported dataclasses")
+        package = {f"contextuality.{m.name}" for m in pkgutil.iter_modules(contextuality.__path__)}
+        require("contextuality.record" in package and "contextuality.cli" in package,
+                f"package modules: {sorted(package)}")
+        require(package <= loaded, f"not loaded: {sorted(package - loaded)}")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(st.text(max_size=4), max_size=5)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=25)
+
+OP_PAYLOADS = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import workloads
+from contextuality import cli
+
+payloads = []
+emit = cli._emit
+cli._emit = lambda payload, args: payloads.append(cli._json_safe(payload)) or emit(payload, args)
+for name, generate in sorted(workloads.GENERATORS.items()):
+    for index, op in enumerate(generate(1, 1.0)):
+        argv = op.argv
+        if op.doc is not None:
+            path = Path(sys.argv[2]) / f"{name}-{index}.json"
+            path.write_text(json.dumps(op.doc))
+            argv = [str(path) if a == "{doc}" else a for a in argv]
+        out, before = io.StringIO(), len(payloads)
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0 or len(payloads) != before + 1:
+            sys.exit(f"{name} op {index}: exit {code}")
+        expected = json.dumps(payloads[-1], sort_keys=True, indent=2)
+        if cli._json_text(payloads[-1]) != expected or out.getvalue() != expected + "\\n":
+            sys.exit(f"{name} op {index}: the writer's bytes differ from json.dumps")
+print(len(payloads))
+"""
+
+
+class TestJsonWriter:
+    """`cli._json_text` writes ``json.dumps(v, sort_keys=True, indent=2)``'s bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values)
+    @example(value=["\"\\/\b\f\n\r\t\x00\x1f\x7f", "é€😀 ", "\ud83d", ""])
+    @example(value={"b": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**40],
+                    "a": [True, False, None, {}, [], [[]], {"": {}}], "\x01é": "x"})
+    @example(value=[])
+    @example(value={})
+    @example(value="\u0000")
+    @example(value=1.0)
+    def test_against_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        require(cli._json_text(value) == expected, f"{value!r}")
+
+    def test_every_benchmark_op_payload(self, tmp_path):
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        proc = subprocess.run([sys.executable, "-c", OP_PAYLOADS, str(bench), str(tmp_path)],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        require(proc.returncode == 0, proc.stderr[-2000:])
+        require(int(proc.stdout) > 100, f"only {proc.stdout.strip()} payloads")
+
+
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written is an input error: exit 2, one line."""
+
+    @pytest.mark.parametrize("command", [["kcbs"], ["classify", "{doc}"]], ids=["kcbs", "classify"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_one_line_refusal(self, tmp_path, command, target):
+        doc = tmp_path / "pr.json"
+        doc.write_text(json.dumps(pr_box_doc()))
+        out_path = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+        argv = [str(doc) if a == "{doc}" else a for a in command] + ["--out", str(out_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"{command[0]} {target}")
+        require(str(out_path) in err.getvalue(), f"the path is not named: {err.getvalue()!r}")

@@ -12,7 +12,6 @@ brute-force or hand-derived oracles on small instances.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import itertools
 import json
@@ -89,7 +88,7 @@ from contextuality.scenario import (
     rationalize_atoms,
     rationalize_model,
 )
-from contextuality.sheaf import solve_global_section
+from contextuality.sheaf import SectionFeasibility, solve_global_section
 from oracles import (
     atom_values,
     brute_force_facets,
@@ -754,8 +753,10 @@ class TestTamperedSection:
         gpt = classical_bit_gpt()
         honest = [solve_global_section(induced_model(gpt, j)) for j in range(2)]
         # state 0 fires atom 0; give it state 1's weights, which fire atom 1
-        tampered = iter([dataclasses.replace(honest[0], primal=honest[1].primal),
-                         honest[1]])
+        first = honest[0]
+        forged = SectionFeasibility(first.feasible, honest[1].primal, first.dual,
+                                    first.matrix, first.model)
+        tampered = iter([forged, honest[1]])
         monkeypatch.setattr(embedding, "solve_global_section",
                             lambda model: next(tampered))
         res = embed_sharp(gpt)
@@ -1198,7 +1199,10 @@ class TestPrepPatternSystem:
 
     def test_feasible_cases_of_one_decomposition(self):
         problem = qubit_prep_ensemble(Fraction(2, 7), axis=(1.0, 0.0, 0.0))
-        single = dataclasses.replace(problem, decompositions=problem.decompositions[:1])
+        single = PrepEnsembleProblem(problem.target, problem.q,
+                                     problem.component_states,
+                                     problem.decompositions[:1],
+                                     problem.orthogonal_pairs)
         result = self.require_cases_match_per_pattern_solves(single)
         require(any(case.feasible for case in result.cases), "no feasible case")
 

@@ -35,7 +35,6 @@ from contextuality.polytope import (
     TooFewContexts,
     badziag_inequality,
     behaviour_from_quantum,
-    behaviour_to_json,
     behaviour_to_model,
     chsh_value,
     contextuality_to_bell,
@@ -80,6 +79,7 @@ def uniform_behaviour(nX=2, nY=2, nA=2, nB=2):
 from oracles import (  # noqa: E402
     HiddenVariableModel,
     behaviour_from_json,
+    behaviour_to_json,
     brute_force_lift_maximum,
     correlator_grid,
     enumerate_global_assignments,
