@@ -47,11 +47,11 @@ def require(condition, message: str) -> None:
         pytest.fail(message)
 
 
-def field_values(cls, tag: str = "") -> tuple:
+def field_values(cls) -> tuple:
     """Valid values for ``cls``'s fields; distinct strings where nothing is checked."""
     if cls in VALID:
         return VALID[cls]
-    return tuple(f"{cls.__qualname__}.{name}{tag}" for name in cls._fields)
+    return tuple(f"{cls.__qualname__}.{name}" for name in cls._fields)
 
 
 def frozen_dataclass(cls):
