@@ -45,7 +45,7 @@ from .embedding import (
     qubit_prep_ensemble,
 )
 from .exactlp import TooLargeError
-from .polytope import membership_from_section
+from .polytope import bipartite_structure, membership_from_section
 from .quantum import QuantumInputError, matrix_from_json, projective_context
 from .record import Fresh, Record
 from .scenario import (
@@ -191,55 +191,6 @@ def assemble_report(bell: str, ks: str, sp: str, certificates=(), notes=(),
     return report
 
 
-# ---------------------------------------------------------------------------
-# Bipartite structure detection
-# ---------------------------------------------------------------------------
-
-def bipartite_structure(model: EmpiricalModel) -> tuple[tuple, tuple] | None:
-    """Detect a complete two-party layout in a scenario, or return `None`.
-
-    Requires every context to pair two measurements, the co-occurrence graph
-    to be two-colorable, every cross pair to appear as a context, and each
-    side's measurements to share an outcome count.  The side containing the
-    first declared measurement is reported first.
-    """
-    sc = model.scenario
-    if not sc.contexts or any(len(c) != 2 for c in sc.contexts):
-        return None
-    neighbours: dict = {m: set() for m in sc.measurements}
-    for a, b in sc.contexts:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    colour: dict = {}
-    for start in sc.measurements:
-        if start in colour:
-            continue
-        colour[start] = 0
-        queue = [start]
-        while queue:
-            m = queue.pop()
-            for nb in neighbours[m]:
-                if nb not in colour:
-                    colour[nb] = 1 - colour[m]
-                    queue.append(nb)
-                elif colour[nb] == colour[m]:
-                    return None
-    side_a = tuple(m for m in sc.measurements if colour[m] == 0)
-    side_b = tuple(m for m in sc.measurements if colour[m] == 1)
-    if not side_a or not side_b:
-        return None
-    if len(sc.contexts) != len(side_a) * len(side_b):
-        return None
-    pairs = {frozenset(c) for c in sc.contexts}
-    if any(frozenset((a, b)) not in pairs for a in side_a for b in side_b):
-        return None
-    if len({len(sc.outcomes[m]) for m in side_a}) != 1:
-        return None
-    if len({len(sc.outcomes[m]) for m in side_b}) != 1:
-        return None
-    return side_a, side_b
-
-
 def _deterministic(model: EmpiricalModel) -> bool:
     return all(v == 0 or v == 1
                for table in model.tables.values() for v in table.values())
@@ -249,8 +200,7 @@ def _deterministic(model: EmpiricalModel) -> bool:
 # Per-kind classifiers
 # ---------------------------------------------------------------------------
 
-def classify_model(model: EmpiricalModel,
-                   config: RunConfig | None = None) -> ClassificationReport:
+def classify_model(model: EmpiricalModel) -> ClassificationReport:
     """Classify an empirical model (per-context outcome tables).
 
     The assignment verdict comes from the exact global-section solver.  When
@@ -305,8 +255,7 @@ def classify_model(model: EmpiricalModel,
     return assemble_report(bell, ks, sp, certificates, notes)
 
 
-def classify_quantum(state, contexts, config: RunConfig | None = None,
-                     sharing: dict | None = None) -> ClassificationReport:
+def classify_quantum(state, contexts, sharing: dict | None = None) -> ClassificationReport:
     """Classify a quantum scenario: a state plus commuting projective contexts.
 
     One `quantum_pass` checks the state and contexts and computes every
@@ -362,7 +311,7 @@ def classify_quantum(state, contexts, config: RunConfig | None = None,
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 
-def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationReport:
+def classify_gpt(gpt: Gpt) -> ClassificationReport:
     """Classify a generalized probabilistic theory.
 
     With declared sharp contexts both verdicts come from one
@@ -432,8 +381,7 @@ def classify_gpt(gpt: Gpt, config: RunConfig | None = None) -> ClassificationRep
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 
-def classify_prep_ensemble(problem: PrepEnsembleProblem,
-                           config: RunConfig | None = None) -> ClassificationReport:
+def classify_prep_ensemble(problem: PrepEnsembleProblem) -> ClassificationReport:
     """Classify a qubit preparation ensemble via the exact case analysis.
 
     An infeasible case analysis certifies preparation contextuality
@@ -613,14 +561,13 @@ def classify(doc: dict, config: RunConfig | None = None) -> ClassificationReport
         raise SchemaError(f"input kind {parsed.kind!r} does not match "
                           f"configured kind {config.kind!r}")
     if parsed.kind == "empirical":
-        report = classify_model(parsed.model, config)
+        report = classify_model(parsed.model)
     elif parsed.kind == "quantum":
-        report = classify_quantum(parsed.state, parsed.contexts, config,
-                                  sharing=parsed.sharing)
+        report = classify_quantum(parsed.state, parsed.contexts, sharing=parsed.sharing)
     elif parsed.kind == "gpt":
-        report = classify_gpt(parsed.gpt, config)
+        report = classify_gpt(parsed.gpt)
     else:
-        report = classify_prep_ensemble(parsed.problem, config)
+        report = classify_prep_ensemble(parsed.problem)
 
     sp = report.spekkens_noncontextual
     certificates = report.certificates

@@ -251,12 +251,12 @@ def cmd_chsh(args) -> dict:
             raise SchemaError("--angles needs four comma-separated numbers")
     else:
         angles = CHSH_OPTIMAL_ANGLES
-    behaviour = singlet_behaviour(angles, alpha=args.alpha)
-    membership = membership_lp(behaviour)
+    model = singlet_behaviour(angles, alpha=args.alpha)
+    membership = membership_lp(model)
     return {
         "alpha": args.alpha,
         "angles": list(angles),
-        "chsh_value": float(chsh_value(behaviour)),
+        "chsh_value": float(chsh_value(model)),
         "local_bound": CHSH_LOCAL_BOUND,
         "membership": membership.verdict,
         "seed": args.seed,
@@ -612,8 +612,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _options() -> tuple[frozenset, frozenset]:
+    """The option strings that take one value, and all option strings, of every subcommand."""
+    valued, options = set(), set()
+    parsers = [_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(action.option_strings)
+            if action.option_strings and action.nargs is None:
+                valued.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return frozenset(valued), frozenset(options)
+
+
+def _join_values(argv) -> list:
+    """Write ``--opt value`` as ``--opt=value`` where the value starts with ``-``.
+
+    argparse reads a value such as ``-2/5`` or ``-0.5,0,0.3,0.2`` as an
+    option of its own and exits 2.  Only options that take a value are
+    joined, and never to an option string, so a missing value still exits 2.
+    """
+    valued, options = _options()
+    out: list = []
+    for token in argv:
+        if out and out[-1] in valued and token.startswith("-") and token not in options:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         _emit(args.func(args), args)
     except LatticeViolation as exc:

@@ -4,7 +4,7 @@ Membership in the local polytope is read off the global-section LP of the
 two-party model: its deterministic vertices are the global assignments, so
 the section weights are the vertex weights and the section's Farkas dual is
 a separating inequality whose bound, the exact maximum over the vertices,
-the behaviour exceeds strictly.  Graph machinery covers weighted
+the model exceeds strictly.  Graph machinery covers weighted
 independence numbers, single-system exclusivity inequalities, and their
 two-party lift evaluated on the uniform maximally entangled vector.
 """
@@ -12,7 +12,6 @@ two-party lift evaluated on the uniform maximally entangled vector.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +24,7 @@ from .quantum import (
     tensor,
 )
 from .record import Record
-from .scenario import (
-    ND_TOL,
-    EmpiricalModel,
-    LabelMismatch,
-    make_model,
-    make_scenario,
-    sums_to_one,
-)
+from .scenario import EmpiricalModel, LabelMismatch, make_model, make_scenario
 from .sheaf import SectionFeasibility, solve_global_section
 
 MAX_GRAPH_VERTICES = 40
@@ -52,115 +44,30 @@ class MissingProjectors(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Behaviours
+# Two-party models
 # ---------------------------------------------------------------------------
 
-class Behaviour(Record):
-    """Two-party conditional table p(a, b | x, y) with integer-indexed settings/outcomes."""
+def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> EmpiricalModel:
+    """Two-party model of the table p(a, b | x, y); missing entries are zero.
 
-    nX: int
-    nY: int
-    nA: int
-    nB: int
-    p: dict
-
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(v, Fraction) for v in self.p.values())
-
-    def prob(self, a, b, x, y):
-        return self.p[(a, b, x, y)]
-
-    def coords(self) -> list[tuple]:
-        return [(a, b, x, y)
-                for x in range(self.nX) for y in range(self.nY)
-                for a in range(self.nA) for b in range(self.nB)]
-
-    def vector(self) -> list:
-        return [self.p[c] for c in self.coords()]
-
-    def correlator(self, x: int, y: int) -> float:
-        """E(x, y) with outcome index 0 valued +1 and index 1 valued -1 (dichotomic only)."""
-        if self.nA != 2 or self.nB != 2:
-            raise ShapeMismatch("correlators need dichotomic outcomes on both sides")
-        return sum((1 - 2 * a) * (1 - 2 * b) * self.p[(a, b, x, y)]
-                   for a in range(2) for b in range(2))
-
-
-def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> Behaviour:
-    """Validated constructor; missing entries are filled with zero.
-
-    A float slice may miss 1 by up to `ND_TOL`, as a `make_model` table may.
+    Its measurements are A0..A{nX-1} with outcomes range(nA) and
+    B0..B{nY-1} with outcomes range(nB); its contexts are the pairs
+    (A_x, B_y), x-major.  `make_model` checks the entries.
     """
-    has_float = any(isinstance(v, float) for v in p.values())
-    zero = 0.0 if has_float else Fraction(0)
-    full = {}
-    for x in range(nX):
-        for y in range(nY):
-            values = []
-            for a in range(nA):
-                for b in range(nB):
-                    v = p.get((a, b, x, y), zero)
-                    v = float(v) if has_float else (v if isinstance(v, Fraction) else Fraction(v))
-                    if has_float and not math.isfinite(v):
-                        raise ValueError(f"probability {v} at {(a, b, x, y)} is not finite")
-                    if v < 0:
-                        if not (has_float and v >= -1e-12):
-                            raise ValueError(f"negative probability at {(a, b, x, y)}")
-                        v = 0.0
-                    full[(a, b, x, y)] = v
-                    values.append(v)
-            if (abs(sum(values) - 1.0) > ND_TOL if has_float
-                    else not sums_to_one(values)):
-                raise ValueError(f"slice (x={x}, y={y}) sums to {float(sum(values))}, not 1")
     for key in p:
         a, b, x, y = key
         if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
             raise ShapeMismatch(f"entry {key} outside declared ranges")
-    return Behaviour(nX=nX, nY=nY, nA=nA, nB=nB, p=full)
+    meas = [(f"A{x}", range(nA)) for x in range(nX)] + \
+           [(f"B{y}", range(nB)) for y in range(nY)]
+    tables = {(f"A{x}", f"B{y}"): {} for x in range(nX) for y in range(nY)}
+    for (a, b, x, y), v in p.items():
+        tables[f"A{x}", f"B{y}"][a, b] = v
+    return make_model(make_scenario(meas, tables), tables)
 
 
-class NoSignalingReport(Record):
-    passed: bool
-    worst_violation: float
-
-
-def no_signaling_report(b: Behaviour, tol: float = 1e-9) -> NoSignalingReport:
-    """Marginal of each side must not depend on the other side's setting.
-
-    Rational tables are compared exactly (a zero tolerance is then meaningful).
-    """
-    worst = 0
-    for x in range(b.nX):
-        for a in range(b.nA):
-            margs = [sum(b.p[(a, bb, x, y)] for bb in range(b.nB))
-                     for y in range(b.nY)]
-            worst = max(worst, max(margs) - min(margs))
-    for y in range(b.nY):
-        for bb in range(b.nB):
-            margs = [sum(b.p[(a, bb, x, y)] for a in range(b.nA))
-                     for x in range(b.nX)]
-            worst = max(worst, max(margs) - min(margs))
-    return NoSignalingReport(passed=worst <= tol, worst_violation=float(worst))
-
-
-def behaviour_to_model(b: Behaviour) -> EmpiricalModel:
-    """Bipartite empirical model with one context per setting pair."""
-    meas = [(f"A{x}", tuple(range(b.nA))) for x in range(b.nX)] + \
-           [(f"B{y}", tuple(range(b.nB))) for y in range(b.nY)]
-    contexts = [[f"A{x}", f"B{y}"] for x in range(b.nX) for y in range(b.nY)]
-    sc = make_scenario(meas, contexts)
-    tables = {}
-    for x in range(b.nX):
-        for y in range(b.nY):
-            tables[(f"A{x}", f"B{y}")] = {
-                (a, bb): b.p[(a, bb, x, y)]
-                for a in range(b.nA) for bb in range(b.nB)}
-    return make_model(sc, tables)
-
-
-def behaviour_from_quantum(state, alice, bob) -> Behaviour:
-    """Born-rule behaviour for per-setting projective measurements on a bipartite state.
+def behaviour_from_quantum(state, alice, bob) -> EmpiricalModel:
+    """Born-rule two-party model for per-setting projective measurements on a bipartite state.
 
     `alice` and `bob` list one `ProjectiveContext` per setting; outcome indices
     follow each measurement's projector order.  All settings on a side must
@@ -187,33 +94,61 @@ def behaviour_from_quantum(state, alice, bob) -> Behaviour:
     return make_behaviour(len(alice), len(bob), nA, nB, p)
 
 
+def bipartite_structure(model: EmpiricalModel) -> tuple[tuple, tuple] | None:
+    """Detect a complete two-party layout in a scenario, or return `None`.
+
+    Every context must pair a measurement of party A with one of party B,
+    every such pair must be a context, and each side's measurements must
+    share an outcome count.  The contexts then form a complete bipartite
+    graph, so party B is the neighbours of the first declared measurement
+    and party A, reported first, the rest.
+    """
+    sc = model.scenario
+    if not sc.contexts or any(len(c) != 2 for c in sc.contexts):
+        return None
+    first = sc.measurements[0]
+    side_b = tuple(m for m in sc.measurements if (first, m) in sc.contexts)
+    side_a = tuple(m for m in sc.measurements if m not in side_b)
+    if not side_b or len(sc.contexts) != len(side_a) * len(side_b) or \
+            any((a in side_b) == (b in side_b) for a, b in sc.contexts):
+        return None
+    if any(len({len(sc.outcomes[m]) for m in side}) != 1 for side in (side_a, side_b)):
+        return None
+    return side_a, side_b
+
+
+def _coordinates(sc, sides) -> dict:
+    """Each (context, section) of a complete two-party scenario as (a, b, x, y).
+
+    x and y are the positions of party A's and party B's measurements in
+    `sides`, a and b the positions of their outcomes.
+    """
+    side_a, side_b = sides
+    setting = {m: x for x, m in enumerate(side_a)} | {m: y for y, m in enumerate(side_b)}
+    coords = {}
+    for ctx in sc.contexts:
+        for sec in sc.outcome_tuples(ctx):
+            (ma, oa), (mb, ob) = zip(ctx, sec) if ctx[0] in side_a else zip(ctx[::-1], sec[::-1])
+            coords[ctx, sec] = (sc.outcomes[ma].index(oa), sc.outcomes[mb].index(ob),
+                                setting[ma], setting[mb])
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # Membership: a view over the global-section LP
 # ---------------------------------------------------------------------------
 
 class LinearInequality(Record):
-    """Functional sum of coefficients[a,b,x,y] * p(a,b|x,y) bounded above."""
+    """Two-party functional sum of coefficients[a,b,x,y] * p(a,b|x,y) bounded above."""
 
     coefficients: dict
     bound: Fraction
-    kind: str = "bell"
 
     def to_json(self) -> dict:
-        return {"kind": self.kind,
+        return {"kind": "bell",
                 "coefficients": {f"{a},{b}|{x},{y}": format_fraction(Fraction(v))
                                  for (a, b, x, y), v in self.coefficients.items()},
                 "bound": format_fraction(Fraction(self.bound))}
-
-
-def evaluate_inequality(ineq: LinearInequality, b: Behaviour):
-    """Exact inner product plus the satisfied flag (tolerance 1e-12 for float tables)."""
-    value = 0
-    for key, coeff in ineq.coefficients.items():
-        if key not in b.p:
-            raise ShapeMismatch(f"coefficient key {key} outside behaviour shape")
-        value = value + coeff * b.p[key]
-    tol = 0 if b.is_rational else 1e-12
-    return value, bool(value <= ineq.bound + tol)
 
 
 class MembershipResult(Record):
@@ -222,7 +157,7 @@ class MembershipResult(Record):
     separating: LinearInequality | None
     value: Fraction | None
     witness_vertex: int | None
-    behaviour: Behaviour
+    model: EmpiricalModel
 
     @property
     def verdict(self) -> str:
@@ -243,28 +178,20 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
     """Local-polytope membership read off a solved global-section LP.
 
     `sides` lists party A's and party B's measurements of a complete
-    two-party scenario.  There the deterministic vertices (f, g) are
-    exactly the global assignments, so the section verdict is the
-    membership verdict, the primal's support pairs are the (vertex, weight)
-    pairs, and the Farkas dual y holds the separating coefficients, one per
-    (a, b | x, y) coordinate.  The bound is the largest sum of y over the
-    contexts of one assignment, read off the section's elimination oracle
-    with its lexicographically smallest maximizer as the witness vertex.
-    It is at most 0 by the dual's re-check, and the behaviour scores
-    y^T v > 0; the strict gap is checked again here by a raise.
+    two-party scenario (`bipartite_structure`).  There the deterministic
+    vertices (f, g) are exactly the global assignments, so the section
+    verdict is the membership verdict, the primal's support pairs are the
+    (vertex, weight) pairs, and the Farkas dual y holds the separating
+    coefficients, one per (a, b | x, y) coordinate.  The bound is the
+    largest sum of y over the contexts of one assignment, read off the
+    section's elimination oracle with its lexicographically smallest
+    maximizer as the witness vertex.  It is at most 0 by the dual's
+    re-check, and the section's exact model scores y^T v > 0; the strict
+    gap is checked again here by a raise.
     """
     model, matrix = section.model, section.matrix
     sc = model.scenario
     side_a, side_b = sides
-    setting = {m: x for x, m in enumerate(side_a)} | {m: y for y, m in enumerate(side_b)}
-    index = {m: {o: i for i, o in enumerate(sc.outcomes[m])} for m in sc.measurements}
-    n_a, n_b = len(sc.outcomes[side_a[0]]), len(sc.outcomes[side_b[0]])
-    keys = []
-    for ctx, sec in matrix.rows:
-        (ma, oa), (mb, ob) = zip(ctx, sec) if ctx[0] in side_a else zip(ctx[::-1], sec[::-1])
-        keys.append((index[ma][oa], index[mb][ob], setting[ma], setting[mb]))
-    b = make_behaviour(len(side_a), len(side_b), n_a, n_b,
-                       {k: model.tables[ctx][sec] for k, (ctx, sec) in zip(keys, matrix.rows)})
     # Vertex k is the k-th (f, g) in lexicographic order: an assignment's
     # outcome indices on party A's then party B's measurements, mixed radix.
     at = {m: i for i, m in enumerate(sc.measurements)}
@@ -272,38 +199,41 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
     def vertex(s) -> int:
         k = 0
         for m in side_a + side_b:
-            k = k * len(sc.outcomes[m]) + index[m][s[at[m]]]
+            outcomes = sc.outcomes[m]
+            k = k * len(outcomes) + outcomes.index(s[at[m]])
         return k
 
     if section.feasible:
         return MembershipResult(inside=True,
                                 weights=tuple(sorted((vertex(s), w) for s, w in section.primal)),
-                                separating=None, value=None, witness_vertex=None, behaviour=b)
+                                separating=None, value=None, witness_vertex=None, model=model)
     y = section.dual
-    coeff_at = dict(zip(keys, y))
-    coeffs = {c: coeff_at[c] for c in b.coords()}
+    coords = _coordinates(sc, sides)
+    coeffs = {coords[row]: yi for row, yi in zip(matrix.rows, y)}
     bound, best = matrix.maximum(y)
-    value = sum(coeffs[c] * b.p[c] for c in b.coords())
+    value = sum(yi * model.tables[ctx][sec] for yi, (ctx, sec) in zip(y, matrix.rows))
     if not value > bound:
         raise CertificateError("separating inequality fails to separate")
     return MembershipResult(inside=False, weights=None,
-                            separating=LinearInequality(coeffs, bound, kind="bell"),
-                            value=value, witness_vertex=vertex(best), behaviour=b)
+                            separating=LinearInequality(coeffs, bound),
+                            value=value, witness_vertex=vertex(best), model=model)
 
 
-def membership_lp(b: Behaviour) -> MembershipResult:
-    """Exact convex-mixture test against the deterministic vertices.
+def membership_lp(model: EmpiricalModel) -> MembershipResult:
+    """Exact convex-mixture test of a two-party model against the deterministic vertices.
 
-    The behaviour's two-party model is solved by the global-section LP,
-    which first replaces a float table by a nearby exactly no-signaling
-    rational one, and read as in `membership_from_section`.  Outside
+    The model is solved by the global-section LP, which first replaces a
+    float table by a nearby exactly no-signaling rational one, and read as
+    in `membership_from_section`, the route `classify` takes.  Outside
     verdicts carry a separating inequality whose bound is the exact vertex
-    maximum, so the behaviour's value exceeds the bound strictly and every
-    vertex satisfies it, both re-checkable by direct arithmetic.
+    maximum, so the model's value exceeds the bound strictly and every
+    vertex satisfies it, both re-checkable by direct arithmetic.  Raises
+    `ShapeMismatch` when the model has no complete two-party layout.
     """
-    section = solve_global_section(behaviour_to_model(b))
-    meas = section.model.scenario.measurements
-    return membership_from_section(section, (meas[:b.nX], meas[b.nX:]))
+    sides = bipartite_structure(model)
+    if sides is None:
+        raise ShapeMismatch("the model has no complete two-party layout")
+    return membership_from_section(solve_global_section(model), sides)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +243,22 @@ def membership_lp(b: Behaviour) -> MembershipResult:
 CHSH_OPTIMAL_ANGLES = (0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4)
 
 
-def chsh_value(b: Behaviour):
-    """|E(0,0) - E(0,1)| + |E(1,0) + E(1,1)| for a 2-setting dichotomic behaviour."""
-    if b.nX != 2 or b.nY != 2:
-        raise ShapeMismatch("the two-setting functional needs nX = nY = 2")
-    e = {(x, y): b.correlator(x, y) for x in range(2) for y in range(2)}
+def chsh_value(model: EmpiricalModel):
+    """|E(0,0) - E(0,1)| + |E(1,0) + E(1,1)| for a 2-setting dichotomic two-party model.
+
+    E(x, y) is the correlator of settings x and y with outcome index 0
+    valued +1 and index 1 valued -1, read off the model's tables.
+    """
+    sc = model.scenario
+    sides = bipartite_structure(model)
+    if sides is None or any(len(side) != 2 or len(sc.outcomes[side[0]]) != 2
+                            for side in sides):
+        raise ShapeMismatch("the two-setting functional needs two dichotomic "
+                            "settings per party")
+    p = {key: model.tables[ctx][sec] for (ctx, sec), key in _coordinates(sc, sides).items()}
+    e = {(x, y): sum((1 - 2 * a) * (1 - 2 * b) * p[a, b, x, y]
+                     for a in range(2) for b in range(2))
+         for x in range(2) for y in range(2)}
     return abs(e[(0, 0)] - e[(0, 1)]) + abs(e[(1, 0)] + e[(1, 1)])
 
 
@@ -328,8 +269,8 @@ def measurement_angle_context(theta: float, label: str):
     """Dichotomic spin measurement in the x-z plane at the given angle.
 
     Outcome index 0 is the +1 eigenvector, index 1 the -1 eigenvector, so
-    behaviour correlators reproduce the familiar -cos(angle difference) law
-    on the two-qubit singlet.
+    the model's correlators reproduce the familiar -cos(angle difference)
+    law on the two-qubit singlet.
     """
     from .quantum import PAULI_X, PAULI_Z, projective_context
 
@@ -339,8 +280,8 @@ def measurement_angle_context(theta: float, label: str):
     return projective_context(label, [plus, minus], (0, 1))
 
 
-def singlet_behaviour(angles=CHSH_OPTIMAL_ANGLES, alpha: float = 1.0) -> Behaviour:
-    """Behaviour of the singlet (or its white-noise mixture) at four planar angles.
+def singlet_behaviour(angles=CHSH_OPTIMAL_ANGLES, alpha: float = 1.0) -> EmpiricalModel:
+    """Two-party model of the singlet (or its white-noise mixture) at four planar angles.
 
     `angles` lists Alice's two settings then Bob's two settings.
     """
@@ -350,25 +291,6 @@ def singlet_behaviour(angles=CHSH_OPTIMAL_ANGLES, alpha: float = 1.0) -> Behavio
     alice = [measurement_angle_context(a0, "A0"), measurement_angle_context(a1, "A1")]
     bob = [measurement_angle_context(b0, "B0"), measurement_angle_context(b1, "B1")]
     return behaviour_from_quantum(werner_state(alpha), alice, bob)
-
-
-def pr_box_behaviour() -> Behaviour:
-    """Extremal no-signaling box: outcomes agree except on the (0, 1) setting pair.
-
-    The anticorrelated pair is placed where `chsh_value` subtracts, so this
-    box attains the algebraic maximum 4 of the implemented functional.
-    """
-    h = Fraction(1, 2)
-    p = {}
-    for x in range(2):
-        for y in range(2):
-            if x == 0 and y == 1:
-                p[(0, 1, x, y)] = h
-                p[(1, 0, x, y)] = h
-            else:
-                p[(0, 0, x, y)] = h
-                p[(1, 1, x, y)] = h
-    return make_behaviour(2, 2, 2, 2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -659,25 +581,3 @@ def contextuality_to_bell(g: OrthogonalityGraph, d: int) -> BipartiteLift:
         value -= w / 2 * (joint(a, b) + joint(b, a))
     alpha, _ = weighted_independence_number(g)
     return BipartiteLift(graph=g, dim=d, bound=alpha, quantum_value=value)
-
-
-# ---------------------------------------------------------------------------
-# State-independent to state-dependent reduction
-# ---------------------------------------------------------------------------
-
-def sic_to_sdc_reduction(observables, chosen, eigenvalue):
-    """Use one observable of a set as a preparation and drop it from the set.
-
-    `observables` maps labels to Hermitian matrices.  Returns (reduced
-    observables, post-measurement state), where the state is the normalised
-    projection onto the chosen observable's eigenspace at `eigenvalue`.
-    Raises `BadEigenvalue` when the eigenvalue is not in the spectrum.
-    """
-    observables = dict(observables)
-    if chosen not in observables:
-        raise LabelMismatch(f"{chosen!r} is not among the observables")
-    proj = eigen_projector(observables[chosen], eigenvalue)
-    rank = float(np.trace(proj).real)
-    post_state = proj / rank
-    reduced = {l: m for l, m in observables.items() if l != chosen}
-    return reduced, post_state

@@ -178,31 +178,6 @@ def shot_words(seed: int, shots: int) -> np.ndarray:
     return np.asarray(raw[0::4], dtype=np.uint64)
 
 
-class _WordBits:
-    """Feeds successive bits of one shot word through the `rng` interface."""
-
-    def __init__(self, word: int):
-        self._word = int(word)
-        self._pos = 0
-
-    def integers(self, low: int, high: int) -> int:
-        assert (low, high) == (0, 2)
-        bit = (self._word >> self._pos) & 1
-        self._pos += 1
-        return bit
-
-
-def _run_single(program: QslProgram, word: int) -> int:
-    """Replay one shot from its randomness word via the scalar operations."""
-    bits = _WordBits(word)
-    basis, value = program.preparation
-    state = qsl_prepare(basis, value, bits)
-    for gate in program.gates:
-        state = _GATE_FUNCS[gate](state)
-    outcome, _ = qsl_measure(state, program.measurement, bits)
-    return outcome
-
-
 class QslRunResult(Record):
     """Transcript of a program run: per-shot outcomes plus frequencies."""
 

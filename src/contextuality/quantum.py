@@ -67,13 +67,6 @@ def is_hermitian(a, tol: float = EQUALITY_TOL) -> bool:
     return m.shape[0] == m.shape[1] and sup_norm(m - m.conj().T) <= tol
 
 
-def is_unitary(a, tol: float = EQUALITY_TOL) -> bool:
-    m = _as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return sup_norm(m @ m.conj().T - np.eye(m.shape[0])) <= tol
-
-
 def is_projector(a, tol: float = EQUALITY_TOL) -> bool:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -168,20 +161,6 @@ def expectation(rho, observable) -> float:
     if not is_hermitian(a, 1e-10):
         raise NonHermitianEffect("observable is not Hermitian")
     return float(np.trace(r @ a).real)
-
-
-def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite state; keep in {0, 1}."""
-    d0, d1 = dims
-    m = _as_matrix(rho)
-    if m.shape != (d0 * d1, d0 * d1):
-        raise DimensionMismatch(f"state shape {m.shape} does not match dims {dims}")
-    t = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ijkj->ik", t)
-    if keep == 1:
-        return np.einsum("ijil->jl", t)
-    raise ValueError("keep must be 0 or 1")
 
 
 class ProjectiveContext(Record):
@@ -347,13 +326,6 @@ def bloch_state(n: np.ndarray) -> np.ndarray:
     if n.shape != (3,) or np.linalg.norm(n) > 1 + 1e-12:
         raise QuantumInputError(f"Bloch vector must be a 3-vector of norm <= 1, got {n}")
     return 0.5 * (ID2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

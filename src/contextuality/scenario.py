@@ -1,4 +1,4 @@
-"""Measurement scenarios, empirical models, no-disturbance checks, and sequential-statistics bounds.
+"""Measurement scenarios, empirical models, no-disturbance checks, and exact rationalization.
 
 Probability entries are exact `Fraction`s when supplied as rationals and
 doubles otherwise; NaN and infinite entries are rejected.  An exact model
@@ -534,109 +534,6 @@ def from_quantum(state: np.ndarray, contexts, sharing: dict | None = None) -> Em
     commutation; the model passes the float no-disturbance check.
     """
     return quantum_pass([state], contexts, sharing).float_model()
-
-
-# ---------------------------------------------------------------------------
-# Sequential-measurement statistics (diagnostic only)
-# ---------------------------------------------------------------------------
-
-class SequentialStats(Record):
-    """Outcome statistics for sequences over two +-1 observables A and B.
-
-    `p_a`, `p_b`: single-measurement distributions over {+1, -1}.
-    `p_ab`: joint distribution over outcome pairs of the sequence A then B.
-    `p_bab`: joint distribution over the first and third outcomes of the
-    sequence B, A, B (middle outcome discarded).
-    `hv_ab`: optional joint counterfactual distribution assigning both
-    single-shot values at once; defaults to `p_ab`.
-    `flip_joint`: optional joint distribution of the single-shot B outcome
-    and the second outcome of the A-then-B sequence; defaults to `p_bab`.
-    """
-
-    p_a: dict
-    p_b: dict
-    p_ab: dict
-    p_bab: dict
-    hv_ab: dict | None = None
-    flip_joint: dict | None = None
-
-    def __post_init__(self):
-        for name in ("p_a", "p_b", "p_ab", "p_bab", "hv_ab", "flip_joint"):
-            dist = getattr(self, name)
-            if dist is None:
-                continue
-            vals = list(dist.values())
-            if any(float(v) < -1e-12 or float(v) > 1 + 1e-12 for v in vals):
-                raise ValueError(f"{name} has entries outside [0, 1]")
-            if abs(sum(float(v) for v in vals) - 1.0) > 1e-9:
-                raise ValueError(f"{name} is not normalised")
-
-
-def _pair_correlator(dist: dict) -> float:
-    return sum(a * b * float(p) for (a, b), p in dist.items())
-
-
-class FlipErrorReport(Record):
-    corr_joint: float
-    corr_sequential: float
-    lhs: float
-    p_flip: float
-    p_err: float
-    chain_holds: bool
-
-
-def flip_error_bounds(stats: SequentialStats, tol: float = 1e-12) -> FlipErrorReport:
-    """Disagreement bounds linking joint, sequential, and repeated statistics.
-
-    Checks the two-step chain: the gap between the joint correlator and the
-    sequential correlator is at most twice the flip probability of B across
-    an intervening A, which in turn is at most twice the error probability
-    read off the B,A,B sequence.  Diagnostic only; never feeds verdicts.
-    """
-    hv = stats.hv_ab if stats.hv_ab is not None else stats.p_ab
-    flip = stats.flip_joint if stats.flip_joint is not None else stats.p_bab
-    corr_joint = _pair_correlator(hv)
-    corr_seq = _pair_correlator(stats.p_ab)
-    lhs = abs(corr_joint - corr_seq)
-    p_flip = float(flip.get((1, -1), 0)) + float(flip.get((-1, 1), 0))
-    p_err = float(stats.p_bab.get((1, -1), 0)) + float(stats.p_bab.get((-1, 1), 0))
-    chain = (lhs <= 2 * p_flip + tol) and (2 * p_flip <= 2 * p_err + tol)
-    return FlipErrorReport(corr_joint=corr_joint, corr_sequential=corr_seq,
-                           lhs=lhs, p_flip=p_flip, p_err=p_err, chain_holds=chain)
-
-
-def sequential_stats_from_quantum(state, obs_a, obs_b) -> SequentialStats:
-    """Statistics of projective sequences of two +-1 observables under state-update.
-
-    Post-measurement states follow the projection postulate; the middle
-    outcome of the B,A,B sequence is summed out.
-    """
-    from .quantum import eigen_projector
-
-    rho = np.asarray(state, dtype=complex)
-    if rho.ndim == 2 and rho.shape[1] == 1:
-        rho = rho @ rho.conj().T
-    proj_a = {s: eigen_projector(obs_a, s) for s in (1, -1)}
-    proj_b = {s: eigen_projector(obs_b, s) for s in (1, -1)}
-
-    def prob(op, sigma):
-        return max(0.0, float(np.trace(sigma @ op).real))
-
-    p_a = {s: prob(proj_a[s], rho) for s in (1, -1)}
-    p_b = {s: prob(proj_b[s], rho) for s in (1, -1)}
-    p_ab = {}
-    for a in (1, -1):
-        for b in (1, -1):
-            p_ab[(a, b)] = prob(proj_b[b] @ proj_a[a] @ rho @ proj_a[a], np.eye(len(rho)))
-    p_bab = {}
-    for b1 in (1, -1):
-        for b3 in (1, -1):
-            total = 0.0
-            for a in (1, -1):
-                chain = proj_a[a] @ proj_b[b1] @ rho @ proj_b[b1] @ proj_a[a]
-                total += prob(proj_b[b3] @ chain, np.eye(len(rho)))
-            p_bab[(b1, b3)] = total
-    return SequentialStats(p_a=p_a, p_b=p_b, p_ab=p_ab, p_bab=p_bab)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,16 @@ scenario's global assignments, which the package never lists.
 documents as the package once did, ``Fraction(str)`` per literal and one
 entry, token scan and table at a time, against its one integer pass;
 `behaviour_to_json` and `behaviour_from_json` write and read the two-party
-behaviour documents of the tests.
+behaviour documents of the tests, `behaviour_table` and `correlator` read a
+`make_behaviour` model by its labels, and `pr_box_model` is the
+Popescu-Rohrlich box as such a model.  `reference_bipartite_structure`
+finds a complete two-party layout by two-colouring the co-occurrence
+graph, against the package's neighbour read-off.  The last sections hold
+helpers that only tests use: sequential-measurement statistics and their
+flip-error bounds, unitarity and partial-trace checks, Haar-random
+unitaries, the reduction of a state-independent set to a state-dependent
+one, and the replay of one shot of the two-bit simulator from its
+randomness word.
 """
 
 from __future__ import annotations
@@ -58,9 +67,19 @@ import numpy as np
 
 from contextuality.embedding import RANK_TOL, Gpt, GptError, InconsistentUnit, make_gpt
 from contextuality.exactlp import Feasibility, TooLargeError
-from contextuality.polytope import Behaviour, ShapeMismatch, make_behaviour
+from contextuality.polytope import ShapeMismatch, make_behaviour
+from contextuality.qsl import _GATE_FUNCS, QslProgram, qsl_measure, qsl_prepare
+from contextuality.quantum import (
+    EQUALITY_TOL,
+    DimensionMismatch,
+    _as_matrix,
+    eigen_projector,
+    sup_norm,
+)
+from contextuality.record import Record
 from contextuality.scenario import (
     EmpiricalModel,
+    LabelMismatch,
     MeasurementScenario,
     SchemaError,
     make_model,
@@ -750,18 +769,94 @@ def enumerate_global_assignments(scenario: MeasurementScenario):
     return itertools.product(*(scenario.outcomes[m] for m in scenario.measurements))
 
 
-def behaviour_to_json(b: Behaviour) -> dict:
+def reference_bipartite_structure(sc: MeasurementScenario) -> tuple | None:
+    """A complete two-party layout found by two-colouring the co-occurrence graph.
+
+    Every context must pair two measurements, the graph must be
+    two-colourable with both colours used, every cross pair must be a
+    context, and each side's measurements must share an outcome count.  The
+    side holding the first declared measurement comes first.  None otherwise.
+    """
+    if not sc.contexts or any(len(c) != 2 for c in sc.contexts):
+        return None
+    neighbours: dict = {m: set() for m in sc.measurements}
+    for a, b in sc.contexts:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    colour: dict = {}
+    for start in sc.measurements:
+        if start in colour:
+            continue
+        colour[start] = 0
+        queue = [start]
+        while queue:
+            m = queue.pop()
+            for nb in neighbours[m]:
+                if nb not in colour:
+                    colour[nb] = 1 - colour[m]
+                    queue.append(nb)
+                elif colour[nb] == colour[m]:
+                    return None
+    side_a = tuple(m for m in sc.measurements if colour[m] == 0)
+    side_b = tuple(m for m in sc.measurements if colour[m] == 1)
+    if not side_a or not side_b or len(sc.contexts) != len(side_a) * len(side_b):
+        return None
+    pairs = {frozenset(c) for c in sc.contexts}
+    if any(frozenset((a, b)) not in pairs for a in side_a for b in side_b):
+        return None
+    if len({len(sc.outcomes[m]) for m in side_a}) != 1 or \
+            len({len(sc.outcomes[m]) for m in side_b}) != 1:
+        return None
+    return side_a, side_b
+
+
+def pr_box_model() -> EmpiricalModel:
+    """Extremal no-signaling box: outcomes agree except on the (0, 1) setting pair.
+
+    The anticorrelated pair is placed where `chsh_value` subtracts, so this
+    box attains the algebraic maximum 4 of the implemented functional.
+    """
+    h = Fraction(1, 2)
+    p = {}
+    for x in range(2):
+        for y in range(2):
+            if x == 0 and y == 1:
+                p[(0, 1, x, y)] = h
+                p[(1, 0, x, y)] = h
+            else:
+                p[(0, 0, x, y)] = h
+                p[(1, 1, x, y)] = h
+    return make_behaviour(2, 2, 2, 2, p)
+
+
+def behaviour_table(model: EmpiricalModel) -> dict:
+    """The entries p(a, b | x, y) of a `make_behaviour` model, read off its (A_x, B_y) labels."""
+    return {(a, b, int(ma[1:]), int(mb[1:])): v
+            for (ma, mb), table in model.tables.items() for (a, b), v in table.items()}
+
+
+def correlator(model: EmpiricalModel, x: int, y: int):
+    """E(x, y) of a dichotomic `make_behaviour` model: outcome index 0 is +1, index 1 is -1."""
+    return sum((1 - 2 * a) * (1 - 2 * b) * v
+               for (a, b), v in model.tables[f"A{x}", f"B{y}"].items())
+
+
+def behaviour_to_json(model: EmpiricalModel) -> dict:
     """The document `behaviour_from_json` reads: exact entries as strings, others as floats."""
     def enc(v):
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
         return float(v)
-    return {"nX": b.nX, "nY": b.nY, "nA": b.nA, "nB": b.nB,
-            "p": {f"{a},{b}|{x},{y}": enc(v) for (a, b, x, y), v in b.p.items()}}
+    sc = model.scenario
+    sides = [[m for m in sc.measurements if m[0] == party] for party in "AB"]
+    return {"nX": len(sides[0]), "nY": len(sides[1]),
+            "nA": len(sc.outcomes[sides[0][0]]), "nB": len(sc.outcomes[sides[1][0]]),
+            "p": {f"{a},{b}|{x},{y}": enc(v)
+                  for (a, b, x, y), v in behaviour_table(model).items()}}
 
 
-def behaviour_from_json(doc: dict) -> Behaviour:
-    """A two-party behaviour {"nX", "nY", "nA", "nB", "p": {"a,b|x,y": value}}.
+def behaviour_from_json(doc: dict) -> EmpiricalModel:
+    """A two-party model {"nX", "nY", "nA", "nB", "p": {"a,b|x,y": value}}.
 
     Exact entries go through the package's `rational_literal`, floats stay
     floats; `make_behaviour` checks the shape and the sums.
@@ -897,3 +992,187 @@ def reference_model_from_json(doc: dict) -> EmpiricalModel:
             raise SchemaError(f"context {canon} table sums to {total}, not 1")
         tables[canon] = full
     return EmpiricalModel(scenario=sc, tables=tables)
+
+
+# ---------------------------------------------------------------------------
+# Sequential-measurement statistics (diagnostic only)
+# ---------------------------------------------------------------------------
+
+class SequentialStats(Record):
+    """Outcome statistics for sequences over two +-1 observables A and B.
+
+    `p_a`, `p_b`: single-measurement distributions over {+1, -1}.
+    `p_ab`: joint distribution over outcome pairs of the sequence A then B.
+    `p_bab`: joint distribution over the first and third outcomes of the
+    sequence B, A, B (middle outcome discarded).
+    `hv_ab`: optional joint counterfactual distribution assigning both
+    single-shot values at once; defaults to `p_ab`.
+    `flip_joint`: optional joint distribution of the single-shot B outcome
+    and the second outcome of the A-then-B sequence; defaults to `p_bab`.
+    """
+
+    p_a: dict
+    p_b: dict
+    p_ab: dict
+    p_bab: dict
+    hv_ab: dict | None = None
+    flip_joint: dict | None = None
+
+    def __post_init__(self):
+        for name in ("p_a", "p_b", "p_ab", "p_bab", "hv_ab", "flip_joint"):
+            dist = getattr(self, name)
+            if dist is None:
+                continue
+            vals = list(dist.values())
+            if any(float(v) < -1e-12 or float(v) > 1 + 1e-12 for v in vals):
+                raise ValueError(f"{name} has entries outside [0, 1]")
+            if abs(sum(float(v) for v in vals) - 1.0) > 1e-9:
+                raise ValueError(f"{name} is not normalised")
+
+
+def _pair_correlator(dist: dict) -> float:
+    return sum(a * b * float(p) for (a, b), p in dist.items())
+
+
+class FlipErrorReport(Record):
+    corr_joint: float
+    corr_sequential: float
+    lhs: float
+    p_flip: float
+    p_err: float
+    chain_holds: bool
+
+
+def flip_error_bounds(stats: SequentialStats, tol: float = 1e-12) -> FlipErrorReport:
+    """Disagreement bounds linking joint, sequential, and repeated statistics.
+
+    Checks the two-step chain: the gap between the joint correlator and the
+    sequential correlator is at most twice the flip probability of B across
+    an intervening A, which in turn is at most twice the error probability
+    read off the B,A,B sequence.  Diagnostic only; never feeds verdicts.
+    """
+    hv = stats.hv_ab if stats.hv_ab is not None else stats.p_ab
+    flip = stats.flip_joint if stats.flip_joint is not None else stats.p_bab
+    corr_joint = _pair_correlator(hv)
+    corr_seq = _pair_correlator(stats.p_ab)
+    lhs = abs(corr_joint - corr_seq)
+    p_flip = float(flip.get((1, -1), 0)) + float(flip.get((-1, 1), 0))
+    p_err = float(stats.p_bab.get((1, -1), 0)) + float(stats.p_bab.get((-1, 1), 0))
+    chain = (lhs <= 2 * p_flip + tol) and (2 * p_flip <= 2 * p_err + tol)
+    return FlipErrorReport(corr_joint=corr_joint, corr_sequential=corr_seq,
+                           lhs=lhs, p_flip=p_flip, p_err=p_err, chain_holds=chain)
+
+
+def sequential_stats_from_quantum(state, obs_a, obs_b) -> SequentialStats:
+    """Statistics of projective sequences of two +-1 observables under state-update.
+
+    Post-measurement states follow the projection postulate; the middle
+    outcome of the B,A,B sequence is summed out.
+    """
+    rho = np.asarray(state, dtype=complex)
+    if rho.ndim == 2 and rho.shape[1] == 1:
+        rho = rho @ rho.conj().T
+    proj_a = {s: eigen_projector(obs_a, s) for s in (1, -1)}
+    proj_b = {s: eigen_projector(obs_b, s) for s in (1, -1)}
+
+    def prob(op, sigma):
+        return max(0.0, float(np.trace(sigma @ op).real))
+
+    p_a = {s: prob(proj_a[s], rho) for s in (1, -1)}
+    p_b = {s: prob(proj_b[s], rho) for s in (1, -1)}
+    p_ab = {}
+    for a in (1, -1):
+        for b in (1, -1):
+            p_ab[(a, b)] = prob(proj_b[b] @ proj_a[a] @ rho @ proj_a[a], np.eye(len(rho)))
+    p_bab = {}
+    for b1 in (1, -1):
+        for b3 in (1, -1):
+            total = 0.0
+            for a in (1, -1):
+                chain = proj_a[a] @ proj_b[b1] @ rho @ proj_b[b1] @ proj_a[a]
+                total += prob(proj_b[b3] @ chain, np.eye(len(rho)))
+            p_bab[(b1, b3)] = total
+    return SequentialStats(p_a=p_a, p_b=p_b, p_ab=p_ab, p_bab=p_bab)
+
+
+# ---------------------------------------------------------------------------
+# Matrix helpers
+# ---------------------------------------------------------------------------
+
+def is_unitary(a, tol: float = EQUALITY_TOL) -> bool:
+    m = _as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return sup_norm(m @ m.conj().T - np.eye(m.shape[0])) <= tol
+
+
+def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Trace out one factor of a bipartite state; keep in {0, 1}."""
+    d0, d1 = dims
+    m = _as_matrix(rho)
+    if m.shape != (d0 * d1, d0 * d1):
+        raise DimensionMismatch(f"state shape {m.shape} does not match dims {dims}")
+    t = m.reshape(d0, d1, d0, d1)
+    if keep == 0:
+        return np.einsum("ijkj->ik", t)
+    if keep == 1:
+        return np.einsum("ijil->jl", t)
+    raise ValueError("keep must be 0 or 1")
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# ---------------------------------------------------------------------------
+# State-independent to state-dependent reduction
+# ---------------------------------------------------------------------------
+
+def sic_to_sdc_reduction(observables, chosen, eigenvalue):
+    """Use one observable of a set as a preparation and drop it from the set.
+
+    `observables` maps labels to Hermitian matrices.  Returns (reduced
+    observables, post-measurement state), where the state is the normalised
+    projection onto the chosen observable's eigenspace at `eigenvalue`.
+    Raises `BadEigenvalue` when the eigenvalue is not in the spectrum.
+    """
+    observables = dict(observables)
+    if chosen not in observables:
+        raise LabelMismatch(f"{chosen!r} is not among the observables")
+    proj = eigen_projector(observables[chosen], eigenvalue)
+    rank = float(np.trace(proj).real)
+    post_state = proj / rank
+    reduced = {l: m for l, m in observables.items() if l != chosen}
+    return reduced, post_state
+
+
+# ---------------------------------------------------------------------------
+# Shot replay of the two-bit simulator
+# ---------------------------------------------------------------------------
+
+class _WordBits:
+    """Feeds successive bits of one shot word through the `rng` interface."""
+
+    def __init__(self, word: int):
+        self._word = int(word)
+        self._pos = 0
+
+    def integers(self, low: int, high: int) -> int:
+        assert (low, high) == (0, 2)
+        bit = (self._word >> self._pos) & 1
+        self._pos += 1
+        return bit
+
+
+def _run_single(program: QslProgram, word: int) -> int:
+    """Replay one shot from its randomness word via the scalar operations."""
+    bits = _WordBits(word)
+    basis, value = program.preparation
+    state = qsl_prepare(basis, value, bits)
+    for gate in program.gates:
+        state = _GATE_FUNCS[gate](state)
+    outcome, _ = qsl_measure(state, program.measurement, bits)
+    return outcome

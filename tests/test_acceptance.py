@@ -19,8 +19,10 @@ import pytest
 
 from oracles import (
     atom_values,
+    behaviour_table,
     grid_scan_max,
     ld_vertex_boxes,
+    random_unitary,
     reference_membership_lp,
     reference_sharp_mixture,
 )
@@ -65,7 +67,6 @@ from contextuality.quantum import (
     projective_context,
     pvm_from_observable,
     random_density,
-    random_unitary,
     sup_norm,
 )
 from contextuality.scenario import model_from_json
@@ -212,7 +213,8 @@ class TestCriterion2Chsh:
         ineq = result.separating
         vertex_values = []
         for vb in vertices:
-            vertex_values.append(sum(coeff * vb.p.get(key, Fraction(0))
+            p = behaviour_table(vb)
+            vertex_values.append(sum(coeff * p.get(key, Fraction(0))
                                      for key, coeff
                                      in ineq.coefficients.items()))
         assert max(vertex_values) == ineq.bound
@@ -236,12 +238,8 @@ class TestCriterion3WernerGap:
         assert all(not case.feasible for case in nc.cases)
         doc = {"kind": "empirical", "model": None,
                "prep_ensemble": {"r": "0"}}
-        tables = {}
-        for x in range(2):
-            for y in range(2):
-                tables[f"A{x},B{y}"] = {
-                    f"{a},{b}": float(behaviour.p[(a, b, x, y)])
-                    for a in range(2) for b in range(2)}
+        tables = {",".join(ctx): {f"{a},{b}": float(v) for (a, b), v in table.items()}
+                  for ctx, table in behaviour.tables.items()}
         doc["model"] = {
             "measurements": [{"label": f"A{x}", "outcomes": [0, 1]}
                              for x in range(2)]
@@ -393,11 +391,11 @@ class TestCriterion8ImplicationLattice:
             reports.append(classify(doc, RunConfig()))
         for _ in range(50):
             state, contexts = random_sharp_instance(rng)
-            reports.append(classify_quantum(state, contexts, RunConfig()))
+            reports.append(classify_quantum(state, contexts))
         for _ in range(30):
             state, contexts = random_sharp_instance(rng)
             gpt = sharp_gpt_from_quantum([state], contexts)
-            reports.append(classify_gpt(gpt, RunConfig()))
+            reports.append(classify_gpt(gpt))
         for _ in range(20):
             d = int(rng.integers(2, 5))
             n_states = int(rng.integers(1, 4))
@@ -408,14 +406,14 @@ class TestCriterion8ImplicationLattice:
                                         for v in raw], dtype=float))
             effects = [np.eye(d)[i] for i in range(d)]
             gpt = make_gpt(states, effects, np.ones(d), sharp_contexts=())
-            reports.append(classify_gpt(gpt, RunConfig()))
+            reports.append(classify_gpt(gpt))
         for _ in range(50):
             r = Fraction(int(rng.integers(-9, 10)), 10)
             axis = rng.normal(size=3)
             while float(np.linalg.norm(axis)) < 1e-6:
                 axis = rng.normal(size=3)
             problem = qubit_prep_ensemble(r, tuple(axis))
-            reports.append(classify_prep_ensemble(problem, RunConfig()))
+            reports.append(classify_prep_ensemble(problem))
         assert len(reports) == 500
         violations = [detail for detail in map(check_implications, reports)
                       if detail is not None]

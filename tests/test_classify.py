@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +28,7 @@ import pytest
 import contextuality
 from contextuality.cli import main
 from contextuality.exactlp import CertificateError, Feasibility, require_certificate
-from contextuality.polytope import membership_from_section
+from contextuality.polytope import bipartite_structure, membership_from_section
 from contextuality.sheaf import SectionFeasibility, solve_global_section
 
 from contextuality.classify import (
@@ -34,7 +36,6 @@ from contextuality.classify import (
     LatticeViolation,
     RunConfig,
     assemble_report,
-    bipartite_structure,
     check_implications,
     classify,
     hierarchy_level,
@@ -52,8 +53,8 @@ from contextuality.quantum import (
     pvm_from_observable,
     werner_state,
 )
-from contextuality.scenario import SchemaError, from_quantum, model_from_json
-from oracles import cycle_margin
+from contextuality.scenario import SchemaError, from_quantum, make_scenario, model_from_json
+from oracles import cycle_margin, reference_bipartite_structure
 
 
 def uniform_chsh_tables() -> dict:
@@ -92,15 +93,9 @@ def pr_box_doc() -> dict:
     return chsh_model_doc(tables)
 
 
-def behaviour_doc(behaviour) -> dict:
-    tables = {}
-    for x in range(behaviour.nX):
-        for y in range(behaviour.nY):
-            t = {}
-            for a in range(behaviour.nA):
-                for b in range(behaviour.nB):
-                    t[f"{a},{b}"] = float(behaviour.p[(a, b, x, y)])
-            tables[f"A{x},B{y}"] = t
+def behaviour_doc(model) -> dict:
+    tables = {",".join(ctx): {f"{a},{b}": float(v) for (a, b), v in table.items()}
+              for ctx, table in model.tables.items()}
     return chsh_model_doc(tables)
 
 
@@ -269,6 +264,30 @@ class TestBipartiteDetection:
                              for j in range(3)])
         model = from_quantum(psi, contexts)
         assert bipartite_structure(model) is None
+
+    def test_matches_the_two_colouring_reference(self):
+        """Random pair scenarios, half of them complete two-party layouts."""
+        rng = np.random.default_rng(59)
+        found = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            labels = [f"M{i}" for i in rng.permutation(n)]
+            if trial % 2:
+                k = int(rng.integers(1, n))
+                pairs = [(a, b) for a in labels[:k] for b in labels[k:]]
+                pairs = [p for p in pairs if rng.random() < 0.9] or pairs[:1]
+            else:
+                pairs = [p for p in itertools.combinations(labels, 2) if rng.random() < 0.5]
+            covered = {m for p in pairs for m in p}
+            if not pairs or len(covered) < n:
+                continue
+            outcomes = {m: tuple(range(int(rng.choice([2, 2, 3])))) for m in labels}
+            sc = make_scenario([(m, outcomes[m]) for m in sorted(labels)], pairs)
+            model = types.SimpleNamespace(scenario=sc)
+            want = reference_bipartite_structure(sc)
+            assert bipartite_structure(model) == want, sc
+            found += want is not None
+        assert found >= 30
 
 
 class TestClassifyEmpirical:
@@ -509,7 +528,7 @@ class TestClassifyPrepEnsemble:
                              (Fraction(1, 2), "down")),),
             orthogonal_pairs=(("up", "down"),),
         )
-        report = classify_prep_ensemble(problem, RunConfig())
+        report = classify_prep_ensemble(problem)
         assert report.spekkens_noncontextual == "yes"
         assert report.hierarchy_level == "spekkens-noncontextual"
 
@@ -611,7 +630,7 @@ doc = json.loads(sys.argv[1])
 real = classify.solve_global_section(model_from_json(doc["model"]))
 forged = SectionFeasibility(real.feasible, real.primal, tuple(-y for y in real.dual),
                             real.matrix, real.model)
-sides = classify.bipartite_structure(real.model)
+sides = polytope.bipartite_structure(real.model)
 try:
     polytope.membership_from_section(forged, sides)
     sys.exit("a forged section dual did not raise")

@@ -341,6 +341,35 @@ class TestPrepNcCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNegativeOptionValues:
+    """A value that starts with ``-`` reads as the option's value, written
+    with a space or joined by ``=``, and a missing value still exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["prep-nc", "--r", "-2/5"],
+        ["pusey", "--six-ensemble", "-1/2"],
+        ["chsh", "--angles", "-0.5,0,0.3,0.2"],
+        ["prep-nc", "--r", "1/2", "--axis", "-1,0,0"],
+    ], ids=["prep-nc-r", "pusey-six-ensemble", "chsh-angles", "prep-nc-axis"])
+    def test_spaced_value_equals_joined_value(self, tmp_path, argv):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        spaced = run_json(tmp_path, argv)
+        assert spaced == run_json(tmp_path, joined)
+        if argv[0] == "chsh":
+            assert spaced["angles"] == [-0.5, 0.0, 0.3, 0.2]
+
+    @pytest.mark.parametrize("argv", [
+        ["prep-nc", "--r"],
+        ["prep-nc", "--r", "--seed", "1"],
+        ["chsh", "--angles", "-h"],
+    ])
+    def test_missing_value_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestPuseyCommand:
     def test_six_ensemble(self, tmp_path):
         payload = run_json(tmp_path, ["pusey", "--six-ensemble", "1/2"])
@@ -1441,8 +1470,9 @@ class TestBehaviourLiterals:
         b = behaviour_from_json({"nX": 1, "nY": 1, "nA": 2, "nB": 2,
                                  "p": {"0,0|0,0": "1/4", "0,1|0,0": "0.25",
                                        "1,0|0,0": 0, "1,1|0,0": "1/2"}})
-        require(b.p[(0, 1, 0, 0)] == Fraction(1, 4) and b.p[(1, 0, 0, 0)] == 0,
-                f"entries read as {b.p}")
+        table = b.tables[("A0", "B0")]
+        require(table[(0, 1)] == Fraction(1, 4) and table[(1, 0)] == 0,
+                f"entries read as {table}")
         for bad in ("1/0", "x", None, True):
             with pytest.raises(SchemaError):
                 behaviour_from_json(self.doc(bad))

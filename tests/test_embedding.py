@@ -78,7 +78,6 @@ from contextuality.quantum import (
     projective_context,
     pvm_from_observable,
     random_density,
-    random_unitary,
     sup_norm,
 )
 from contextuality.scenario import (
@@ -95,6 +94,7 @@ from oracles import (
     cycle_margin,
     enumerate_vertices,
     gpt_from_data,
+    random_unitary,
     reference_consistent_assignments,
     reference_hulls_intersect,
     reference_incidence_rows,

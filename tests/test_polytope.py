@@ -35,19 +35,14 @@ from contextuality.polytope import (
     TooFewContexts,
     badziag_inequality,
     behaviour_from_quantum,
-    behaviour_to_model,
     chsh_value,
     contextuality_to_bell,
     csw_inequality,
-    evaluate_inequality,
     graph_from_projectors,
     kcbs_graph,
     make_behaviour,
     make_orthogonality_graph,
     membership_lp,
-    no_signaling_report,
-    pr_box_behaviour,
-    sic_to_sdc_reduction,
     singlet_behaviour,
     weighted_independence_number,
 )
@@ -61,7 +56,13 @@ from contextuality.quantum import (
     tensor,
     werner_state,
 )
-from contextuality.scenario import SchemaError
+from contextuality.scenario import (
+    SchemaError,
+    exact_no_disturbance,
+    make_model,
+    make_scenario,
+    validate_no_disturbance,
+)
 from contextuality.sheaf import solve_global_section
 
 RNG = np.random.default_rng(20240819)
@@ -79,14 +80,18 @@ def uniform_behaviour(nX=2, nY=2, nA=2, nB=2):
 from oracles import (  # noqa: E402
     HiddenVariableModel,
     behaviour_from_json,
+    behaviour_table,
     behaviour_to_json,
     brute_force_lift_maximum,
+    correlator,
     correlator_grid,
     enumerate_global_assignments,
     grid_scan_max,
     ld_vertex_boxes,
+    pr_box_model,
     random_box,
     reference_membership_lp,
+    sic_to_sdc_reduction,
 )
 
 
@@ -123,24 +128,39 @@ class TestBehaviour:
         with pytest.raises(SchemaError, match="not finite"):
             behaviour_from_json(doc)
 
+    def test_key_outside_declared_ranges_rejected(self):
+        for key in ((2, 0, 0, 0), (0, 1, 0, 1), (0, 0, -1, 0)):
+            with pytest.raises(ShapeMismatch, match="outside declared ranges"):
+                make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): Fraction(1), key: Fraction(0)})
+
+    def test_layout_is_the_two_party_scenario(self):
+        b = make_behaviour(2, 3, 2, 3, {(0, 0, x, y): Fraction(1)
+                                        for x in range(2) for y in range(3)})
+        sc = b.scenario
+        assert sc.measurements == ("A0", "A1", "B0", "B1", "B2")
+        assert sc.contexts == tuple((f"A{x}", f"B{y}") for x in range(2) for y in range(3))
+        assert sc.outcomes["A1"] == (0, 1) and sc.outcomes["B2"] == (0, 1, 2)
+        assert b.tables[("A1", "B2")][(0, 0)] == 1 and b.tables[("A1", "B2")][(1, 2)] == 0
+
     def test_pr_box_signature(self):
-        b = pr_box_behaviour()
-        assert b.correlator(0, 0) == 1
-        assert b.correlator(0, 1) == -1
-        assert b.correlator(1, 1) == 1
-        assert no_signaling_report(b).passed
+        b = pr_box_model()
+        assert correlator(b, 0, 0) == 1
+        assert correlator(b, 0, 1) == -1
+        assert correlator(b, 1, 1) == 1
+        assert exact_no_disturbance(b)
+        assert validate_no_disturbance(b).passed
 
     def test_singlet_correlators_follow_cosine_law(self):
         b = singlet_behaviour((0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4))
         angles = {(0, 0): (0, np.pi / 4), (0, 1): (0, 3 * np.pi / 4),
                   (1, 0): (np.pi / 2, np.pi / 4), (1, 1): (np.pi / 2, 3 * np.pi / 4)}
         for (x, y), (ta, tb) in angles.items():
-            assert b.correlator(x, y) == pytest.approx(-np.cos(ta - tb), abs=1e-12)
+            assert correlator(b, x, y) == pytest.approx(-np.cos(ta - tb), abs=1e-12)
 
     def test_json_round_trip(self):
-        b = pr_box_behaviour()
+        b = pr_box_model()
         again = behaviour_from_json(behaviour_to_json(b))
-        assert again.p == b.p
+        assert again.tables == b.tables
 
     def test_json_bad_key_rejected(self):
         with pytest.raises(SchemaError):
@@ -149,10 +169,13 @@ class TestBehaviour:
 
     def test_rationalize_preserves_no_signaling_exactly(self):
         b = singlet_behaviour()
-        rb = membership_lp(b).behaviour
+        rb = membership_lp(b).model
         assert rb.is_rational
-        assert no_signaling_report(rb, tol=0.0).passed
-        worst = max(abs(float(rb.p[c]) - b.p[c]) for c in b.coords())
+        assert exact_no_disturbance(rb)
+        assert validate_no_disturbance(rb, tol=0.0).passed
+        floats, exact = behaviour_table(b), behaviour_table(rb)
+        assert exact.keys() == floats.keys()
+        worst = max(abs(float(exact[c]) - floats[c]) for c in floats)
         assert worst < 1e-3
 
 
@@ -161,11 +184,11 @@ class TestLdVertices:
 
     def test_counts(self):
         for n, count in ((2, 16), (3, 64)):
-            model = behaviour_to_model(uniform_behaviour(nX=n, nY=n))
+            model = uniform_behaviour(nX=n, nY=n)
             assert solve_global_section(model).matrix.shape[1] == count
 
     def test_vertex_behaviour_entries_are_boolean(self):
-        model = behaviour_to_model(uniform_behaviour())
+        model = uniform_behaviour()
         sc = model.scenario
         for t in itertools.islice(enumerate_global_assignments(sc), 4):
             point = HiddenVariableModel(sc, (dict(zip(sc.measurements, t)),),
@@ -182,7 +205,7 @@ class TestChshValue:
         assert all(v <= 2 for v in values)
 
     def test_pr_box_reaches_four(self):
-        assert chsh_value(pr_box_behaviour()) == 4
+        assert chsh_value(pr_box_model()) == 4
 
     def test_singlet_optimal_value(self):
         b = singlet_behaviour(CHSH_OPTIMAL_ANGLES)
@@ -201,6 +224,8 @@ class TestChshValue:
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
             chsh_value(uniform_behaviour(nX=3, nY=2))
+        with pytest.raises(ShapeMismatch):
+            chsh_value(uniform_behaviour(nA=3))
 
 
 class TestMembership:
@@ -217,26 +242,40 @@ class TestMembership:
         res = membership_lp(singlet_behaviour(CHSH_OPTIMAL_ANGLES))
         assert not res.inside
         ineq = res.separating
+
+        def evaluate(model):
+            p = behaviour_table(model)
+            assert ineq.coefficients.keys() == p.keys()
+            return sum(coeff * p[key] for key, coeff in ineq.coefficients.items())
+
         for v in vertex_behaviours():
-            value, ok = evaluate_inequality(ineq, v)
-            assert ok and value <= ineq.bound
-        value, ok = evaluate_inequality(ineq, res.behaviour)
-        assert not ok and value > ineq.bound
+            assert evaluate(v) <= ineq.bound
+        value = evaluate(res.model)
+        assert value > ineq.bound
         assert value == res.value
 
     def test_pr_box_outside(self):
-        assert not membership_lp(pr_box_behaviour()).inside
+        assert not membership_lp(pr_box_model()).inside
+
+    def test_model_without_two_party_layout_rejected(self):
+        pentagon = make_model(
+            make_scenario([(f"M{j}", (0, 1)) for j in range(5)],
+                          [[f"M{j}", f"M{(j + 1) % 5}"] for j in range(5)]),
+            {(f"M{j}", f"M{(j + 1) % 5}"): {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+             for j in range(5)})
+        with pytest.raises(ShapeMismatch, match="two-party"):
+            membership_lp(pentagon)
 
     def test_werner_04_inside(self):
         res = membership_lp(singlet_behaviour(CHSH_OPTIMAL_ANGLES, alpha=0.4))
         assert res.inside
 
     def test_convex_mixture_of_inside_stays_inside(self):
-        u = uniform_behaviour()
-        w = membership_lp(singlet_behaviour(CHSH_OPTIMAL_ANGLES, alpha=0.4)).behaviour
+        u = behaviour_table(uniform_behaviour())
+        w = behaviour_table(
+            membership_lp(singlet_behaviour(CHSH_OPTIMAL_ANGLES, alpha=0.4)).model)
         lam = Fraction(1, 3)
-        mix = make_behaviour(2, 2, 2, 2, {
-            c: lam * u.p[c] + (1 - lam) * w.p[c] for c in u.coords()})
+        mix = make_behaviour(2, 2, 2, 2, {c: lam * u[c] + (1 - lam) * w[c] for c in u})
         assert membership_lp(mix).inside
 
     def test_matches_global_section_verdict_on_random_boxes(self):
@@ -505,10 +544,10 @@ class TestQuantumBehaviourBridge:
         b = behaviour_from_quantum(werner_state(0.4),
                                    [pvm_from_observable(PAULI_Z, "A0")],
                                    [pvm_from_observable(PAULI_Z, "B0")])
-        assert b.nX == b.nY == 1
+        assert b.scenario.measurements == ("A0", "B0")
         # eigh orders eigenvalues ascending, so index 0 is the -1 outcome on
         # both sides and the correlator convention still yields -(0.4)
-        assert b.correlator(0, 0) == pytest.approx(-0.4, abs=1e-12)
+        assert correlator(b, 0, 0) == pytest.approx(-0.4, abs=1e-12)
 
     def test_outcome_count_mismatch_rejected(self):
         qutrit = pvm_from_observable(np.diag([1.0, 2.0, 3.0]), "A1")

@@ -29,8 +29,8 @@ from contextuality.qsl import (
     run_program,
     shot_words,
     statistical_fidelity,
-    _run_single,
 )
+from oracles import _run_single
 
 ALL_STATES = [QslState(x, p) for x in (0, 1) for p in (0, 1)]
 

@@ -32,25 +32,23 @@ from contextuality.quantum import (
     expectation,
     is_hermitian,
     is_projector,
-    is_unitary,
     kcbs_construction,
     kcbs_vectors,
     ket,
     matrix_from_json,
     matrix_to_json,
     max_entangled,
-    partial_trace,
     peres_mermin_square,
     projective_context,
     pvm_from_observable,
     random_density,
-    random_unitary,
     singlet,
     sup_norm,
     tensor,
     validate_density,
     werner_state,
 )
+from oracles import is_unitary, partial_trace, random_unitary
 
 RNG = np.random.default_rng(20240817)
 

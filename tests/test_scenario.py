@@ -47,9 +47,7 @@ from contextuality.scenario import (
     NonCommutingContext,
     NotASubset,
     SchemaError,
-    SequentialStats,
     exact_no_disturbance,
-    flip_error_bounds,
     from_quantum,
     make_model,
     make_scenario,
@@ -58,15 +56,17 @@ from contextuality.scenario import (
     model_to_json,
     rational_literal,
     rationalize_model,
-    sequential_stats_from_quantum,
     validate_no_disturbance,
 )
 from oracles import (
+    SequentialStats,
     exactly_consistent,
+    flip_error_bounds,
     reference_born_tables,
     reference_model_from_json,
     reference_rational_literal,
     reference_sharp_atoms,
+    sequential_stats_from_quantum,
 )
 
 RNG = np.random.default_rng(20240818)
