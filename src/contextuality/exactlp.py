@@ -49,6 +49,12 @@ entries, with no products.  Zero entries are skipped when pricing and
 when forming ``N a_j``.  None of this changes a pivot or a returned
 rational: the integers are the ones the full Bareiss step would compute.
 
+A caller may offer start columns, keys it expects in a solution, such as
+the section solver's greedy assignments: before any pricing each enters
+in turn when its reduced cost under the current dual is positive, and is
+passed over otherwise (a crash start, Bixby 1992).  They pivot by the
+same ratio test as priced columns, so the argument below holds for them.
+
 The leaving row is chosen by the lexicographic ratio test (Dantzig, Orden
 and Wolfe 1955): among rows with ``d_i > 0``, where ``d = B^-1 a_enter``,
 the lexicographically smallest row ``(x_i, (B^-1)_i) / d_i``, with the row
@@ -61,8 +67,9 @@ cost: a pivot on row ``r`` subtracts ``(y^T a_j / d_r) [x_r | (B^-1)_r]``,
 a positive multiple of a lexicographically positive row, whatever the
 positive costs.  No basis repeats, so the simplex ends after finitely
 many pivots whichever improving column the source prices in, Bland's
-first or the section oracle's largest; a column that does not improve is
-refused with ``ArithmeticError``.  Reading ``B^-1`` backwards sends a tie
+first or the section oracle's largest, and whichever start columns
+enter; a priced column that does not improve is refused with
+``ArithmeticError``.  Reading ``B^-1`` backwards sends a tie
 between rows that still hold their own artificials to the lowest row, as
 Bland's smallest-index tie-break would.
 
@@ -277,13 +284,16 @@ def require_certificate(a, b: Sequence[Fraction], result: Feasibility,
     return result
 
 
-def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
+def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
     """Decide ``{A x = b, x >= 0}`` exactly (revised phase-1 simplex).
 
     Artificial ``i`` starts basic in row ``i`` with the phase-1 cost
-    ``a.costs[i]``, so the dual starts at the costs.  Each round the
-    column source prices the dual and hands over the entering column; the
-    leaving row is the lexicographic minimum of the ratio test.  The
+    ``a.costs[i]``, so the dual starts at the costs.  The column keys
+    ``start`` are offered first, in order, without pricing: each enters
+    when its reduced cost under the current dual is positive and is passed
+    over otherwise.  Then each round the column source prices the dual and
+    hands over the entering column.  The leaving row is always the
+    lexicographic minimum of the ratio test.  The
     arithmetic is integer-preserving on the scaled system (module
     docstring), so the pivots and the returned rationals are those of the
     plain ``Fraction`` simplex with the same rules and costs.  Raises
@@ -324,24 +334,30 @@ def solve_eq_nonneg(a, b: Sequence[Fraction]) -> Feasibility:
     arts = list(range(m))
     y = cost[:]
 
+    offered = list(reversed(start))
     while any(xb[i] for i in arts):
-        enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
-        if enter is None:
-            break
+        crash = bool(offered)
+        if crash:
+            enter = offered.pop()
+        else:
+            enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
+            if enter is None:
+                break
         idx, vals, s = a.column(enter)
         if flip:
             vals = [-v if sign[i] < 0 else v for i, v in zip(idx, vals)]
-        if len(idx) > 1 and vals.count(1) == len(idx):
-            # A 0/1 column: every product is a plain read.
-            get = itemgetter(*idx)
-            score = sum(get(y))
-            d = [sum(get(row)) for row in binv]
-        else:
-            score = sum(map(mul, map(y.__getitem__, idx), vals))
-            d = [sum(map(mul, map(row.__getitem__, idx), vals)) for row in binv]
+        # A 0/1 column: every product is a plain read.
+        get = itemgetter(*idx) if len(idx) > 1 and vals.count(1) == len(idx) else None
+        score = sum(get(y)) if get else sum(map(mul, map(y.__getitem__, idx), vals))
         if score <= 0:
+            if crash:
+                continue
             # A source that prices a non-improving column could cycle.
             raise ArithmeticError(f"column {enter!r} priced in does not improve")
+        if get:
+            d = [sum(get(row)) for row in binv]
+        else:
+            d = [sum(map(mul, map(row.__getitem__, idx), vals)) for row in binv]
         leave = -1
         for i in range(m):
             if d[i] <= 0:

@@ -13,6 +13,19 @@ score, and the lexicographically smallest assignment attaining it, by
 max-sum variable elimination over the measurements ("bucket elimination",
 Dechter 1999).
 
+Before any LP, `IncidenceMatrix.greedy` decomposes ``v`` by bottlenecks.
+It keeps ``v`` as one integer residual over every row.  Each step takes
+the assignment whose smallest residual entry is largest, found by the
+same elimination over (max, min) in place of (max, +) (the generalized
+distributive law, Aji and McEliece 2000) and decoded as pricing decodes.
+It subtracts that entry from the assignment's row in every context and
+records the assignment with that weight.  Each step zeroes an entry, so
+there are at most as many steps as rows.  When the residual reaches 0 the
+recorded pairs are the primal and no LP runs.  Otherwise `section_lp`
+decides, started from the greedy's assignments (a crash start, Bixby
+1992): each enters, before any pricing, when it improves the phase-1
+objective.  A ``no`` comes only from the LP's Farkas vector.
+
 Most rows are linear combinations of others (normalization, and the
 marginals that overlapping contexts share), so the LP is solved on a row
 basis chosen in closed form, the Collins-Gisin basis of
@@ -29,8 +42,8 @@ N(s); weighing them lightly keeps the largest-score pricing from first
 bringing in the assignments through many of them, which makes phase 1
 long (the noisy 20-cycle takes 74 pricing rounds, 414 with unit costs).
 Any positive costs leave the verdict and the certificate's checks as
-they are (`exactlp`).  Feasibility is decided
-with the exact rational solver, so every verdict ships a certificate:
+they are (`exactlp`).  Feasibility is decided in exact rational
+arithmetic, so every verdict ships a certificate:
 feasible verdicts carry the (assignment, weight) pairs of a hidden-variable
 model, infeasible verdicts carry a separating functional ``y`` with
 ``y^T M <= 0`` and ``y^T v > 0``, lifted to every row: 0 on the rows left
@@ -45,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 from operator import add, getitem, itemgetter, mul
 from typing import Sequence
@@ -95,16 +108,19 @@ def _index_map(union: tuple, scope: tuple, size: list) -> list | None:
 
 
 class _Elimination:
-    """Max-sum elimination of a scenario's measurements, last declared first.
+    """Max-sum or max-min elimination of a scenario's measurements, last declared first.
 
     The bucket of measurement ``v`` holds the contexts whose last
     measurement is ``v`` and the messages of earlier eliminations that
-    reach it.  Eliminating ``v`` sums the bucket into one table over the
-    union of its scopes, all at positions ``<= v``, and maximizes ``v``
-    out; the message goes to the bucket of the union's next-to-last
-    measurement.  Decoding then fixes the measurements in declared order,
-    each to its smallest outcome that maximizes its bucket's table given
-    the earlier ones, which yields the lexicographically smallest maximizer.
+    reach it.  Eliminating ``v`` combines the bucket (by sum, or by
+    minimum) into one table over the union of its scopes, all at positions
+    ``<= v``, and maximizes ``v`` out; the message goes to the bucket of
+    the union's next-to-last measurement.  Decoding then fixes the
+    measurements in declared order, each to its smallest outcome that
+    maximizes its bucket's table given the earlier ones.  Under sum this
+    yields the lexicographically smallest maximizer; under minimum it
+    yields a maximizer, since the bucket's table bounds the total, but an
+    outcome below the table's largest entry may reach the total too.
 
     ``steps`` lists each elimination as ``(v, union, parts, message)``;
     a part ``(f, idx)`` reads context ``f``'s table, or for ``f`` at least
@@ -142,22 +158,77 @@ class _Elimination:
                 step *= size[u]
             self.decode[v] = (union[:-1], tuple(reversed(strides))[:-1])
 
-    def maximize(self, buf: list, steps: list, constants: list) -> tuple:
-        """(largest total, outcome indices of its smallest maximizer).
+    @cached_property
+    def compiled(self) -> tuple:
+        """The gathers of `maximize` on a buffer of every section, then the messages.
 
-        ``buf`` holds the context tables and room for every message;
-        ``steps`` lists each elimination as ``(v, first, rest, k, start,
-        end)``, where the gathers ``first`` and ``rest`` read the parts of
-        the bucket's sum from ``buf``, ``k`` is the outcome count of ``v``
-        and the message goes to ``buf[start:end]``, and ``constants`` are
-        the slots of the one-entry messages.
+        The buffer holds each context's table in turn, in lexicographic
+        section order, which is the row order of the full incidence
+        matrix; the messages follow.  Returns ``(steps, constants, room)``:
+        each elimination as ``(v, first, rest, k, start, end)``, where the
+        gathers ``first`` and ``rest`` read the parts of the bucket's
+        table, ``k`` is the outcome count of ``v`` and the message goes to
+        ``buf[start:end]``; the slots of the one-entry messages; and zeros
+        for the message room.  Built once per scenario, so every matrix of
+        the scenario, and both semirings, share it.
         """
+        size, end = self.size, 0
+        tables: list = []
+        for scope in self.scopes:
+            start, end = end, end + prod(size[u] for u in scope)
+            tables.append(range(start, end))
+        sections = end
+        steps = []
+        for v, union, parts, _ in self.steps:
+            start, end = end, end + prod(size[u] for u in union[:-1])
+            first, *rest = [itemgetter(*(tables[f] if idx is None
+                                         else map(tables[f].__getitem__, idx)))
+                            for f, idx in parts]
+            steps.append((v, first, rest, size[v], start, end))
+            tables.append(range(start, end))
+        return steps, [tables[t][0] for t in self.constants], [0] * (end - sections)
+
+    @cached_property
+    def lookup(self) -> list:
+        """Per context, where its section of an assignment sits in the buffer.
+
+        Each entry pairs the getter of the context's outcome digits from an
+        assignment's with a dict from those digits (a bare digit for a
+        one-measurement context) to the position in the buffer of
+        `compiled`.  Built once per scenario and shared like `compiled`.
+        """
+        size, lookup, end = self.size, [], 0
+        for scope in self.scopes:
+            keys = (itertools.product(*(range(size[u]) for u in scope)) if len(scope) > 1
+                    else range(size[scope[0]]))
+            at = dict(zip(keys, itertools.count(end)))
+            lookup.append((itemgetter(*scope), at))
+            end += len(at)
+        return lookup
+
+    def maximize(self, tables: list, combine=add) -> tuple:
+        """(largest total, outcome indices of the maximizer the decoding picks).
+
+        ``tables`` holds every section's entry in the order of `compiled`.
+        ``combine``, ``add`` or ``min``, joins the entries an assignment
+        reads, one per context: ``add`` gives the largest sum (max-sum),
+        ``min`` the largest smallest entry (max-min).  Both distribute over ``max``, so one
+        elimination serves either (the generalized distributive law, Aji
+        and McEliece 2000).
+        """
+        steps, constants, room = self.compiled
+        buf = [*tables, *room]
         kept = [None] * len(self.size)
         for v, first, rest, k, start, end in steps:
             f = first(buf)
             for part in rest:
-                f = list(map(add, f, part(buf)))
-            buf[start:end] = (map(max, f[::2], f[1::2]) if k == 2
+                if combine is add:
+                    f = list(map(add, f, part(buf)))
+                else:
+                    # Comprehensions beat map(min, ...) and map(max, ...)
+                    # of two lists up to threefold.
+                    f = [a if a < b else b for a, b in zip(f, part(buf))]
+            buf[start:end] = ([a if a > b else b for a, b in zip(f[::2], f[1::2])] if k == 2
                               else map(max, *(f[d::k] for d in range(k))))
             kept[v] = f
         digits: list[int] = []
@@ -169,7 +240,7 @@ class _Elimination:
             else:
                 seg = f[base:base + k]
                 digits.append(seg.index(max(seg)))
-        return sum(map(buf.__getitem__, constants)), digits
+        return reduce(combine, map(buf.__getitem__, constants)), digits
 
 
 class IncidenceMatrix:
@@ -199,35 +270,18 @@ class IncidenceMatrix:
         self._columns: dict = {}
 
     @cached_property
-    def _steps(self) -> tuple:
-        # The plan's steps, constants and message room for one buffer: y,
-        # then the slot a forbidden section reads, then the slot (0) a
-        # section outside the system reads, then the messages in turn.
+    def _gather(self):
+        # The getter of the plan's section entries from [*y, low, 0]: y at
+        # a section's row, low at a forbidden section, 0 at one outside the
+        # system.  None when the entries are y itself, on the full matrix.
         slot = {None: self.m, OUTSIDE: self.m + 1}
-        tables = [tuple(slot.get(r, r) for r in secs) for secs in self.sections]
-        size, end = self.plan.size, self.m + 2
-        steps = []
-        for v, union, parts, _ in self.plan.steps:
-            start, end = end, end + prod(size[u] for u in union[:-1])
-            first, *rest = [itemgetter(*(tables[f] if idx is None
-                                         else map(tables[f].__getitem__, idx)))
-                            for f, idx in parts]
-            steps.append((v, first, rest, size[v], start, end))
-            tables.append(range(start, end))
-        return steps, [tables[t][0] for t in self.plan.constants], [0] * (end - self.m - 2)
+        flat = [slot.get(r, r) for r in self._flat]
+        return None if flat == list(range(self.m)) else itemgetter(*flat)
 
     @cached_property
-    def _lookup(self) -> list:
-        # Per context: the getter of its outcome digits from an
-        # assignment's, and the entry of ``sections`` at each digit key
-        # (a bare digit for a one-measurement context).
-        size = self.plan.size
-        lookup = []
-        for secs, scope in zip(self.sections, self.plan.scopes):
-            keys = (itertools.product(*(range(size[u]) for u in scope)) if len(scope) > 1
-                    else range(size[scope[0]]))
-            lookup.append((itemgetter(*scope), dict(zip(keys, secs))))
-        return lookup
+    def _flat(self) -> list:
+        # ``sections`` in the order of the plan's buffer.
+        return [r for secs in self.sections for r in secs]
 
     @cached_property
     def costs(self) -> tuple:
@@ -296,20 +350,21 @@ class IncidenceMatrix:
         """(largest y^T a_s, outcome indices of the smallest s attaining it)."""
         # A forbidden section scores below any assignment with a column,
         # whose score is at least -sum |y|; a section outside scores 0.
+        if self._gather is None:
+            return self.plan.maximize(y)
         low = -1 - sum(map(abs, y)) if self._forbids else 0
-        steps, constants, room = self._steps
-        return self.plan.maximize([*y, low, 0, *room], steps, constants)
+        return self.plan.maximize(self._gather([*y, low, 0]))
 
     def _assignment(self, digits) -> tuple:
         s = tuple(map(getitem, self.plan.outcomes, digits))
         if s not in self._columns:
+            flat = self._flat
+            idx = tuple(flat[at[get(digits)]] for get, at in self.plan.lookup)
             if self._outside:
-                idx = tuple(r for get, rows in self._lookup
-                            if (r := rows[get(digits)]) != OUTSIDE)
+                idx = tuple(r for r in idx if r != OUTSIDE)
                 self._columns[s] = (idx, (1,) * len(idx), 1)
             else:
-                self._columns[s] = (tuple(rows[get(digits)] for get, rows in self._lookup),
-                                    self.plan.ones, 1)
+                self._columns[s] = (idx, self.plan.ones, 1)
         return s
 
     def maximum(self, y) -> tuple:
@@ -330,6 +385,37 @@ class IncidenceMatrix:
                 raise ValueError(f"{len(s)} outcomes for {len(index)} measurements")
             self._assignment([ix[o] for ix, o in zip(index, s)])
         return self._columns[s]
+
+    def greedy(self, residual: list[int], scale: int) -> tuple[list, bool]:
+        """Greedy bottleneck decomposition of ``v`` on a matrix of every section.
+
+        ``residual`` starts as the integers ``scale v`` (as
+        `clear_denominators` forms them) and is used up in place.  Each
+        step takes the assignment whose smallest residual entry, over its
+        section in every context, is largest, by the max-min elimination
+        with the pricing oracle's decoding; it subtracts that entry from
+        each of those rows and records the assignment with the entry over
+        ``scale`` as its weight.  The steps stop when no assignment has a
+        positive smallest entry, or when the residual runs out.  Each step
+        zeroes a positive entry, so there are at most ``m`` of them.
+        Returns the (assignment, weight) pairs, distinct assignments in the
+        order taken, and whether the residual reached 0, when the pairs
+        solve ``M x = v`` with ``x >= 0``.
+        """
+        # Every context's table sums to 1 and each step takes t from one
+        # entry of each, so every context's residual sums to ``left``.
+        left = sum(residual[i] for i in self.sections[0])
+        pairs = []
+        while left > 0:
+            t, digits = self.plan.maximize(residual, min)
+            if t <= 0:
+                break
+            s = self._assignment(digits)
+            for i in self._columns[s][0]:
+                residual[i] -= t
+            left -= t
+            pairs.append((s, Fraction(t, scale)))
+        return pairs, not any(residual)
 
     def primal(self, pairs) -> tuple:
         """The (assignment, weight) pairs, lexicographic in the assignments."""
@@ -396,39 +482,59 @@ class SectionFeasibility(Record):
         return cert
 
 
+def section_lp(matrix: IncidenceMatrix, v: list, start=()) -> Feasibility:
+    """The section LP of ``M x = v`` on its basis rows, with a certificate over every row.
+
+    ``matrix`` lists every section (`build_incidence_matrix`).  The LP runs
+    on the basis rows with a nonzero right-hand side, the other nonzero
+    rows outside the system and the zero rows forbidden; the assignments
+    ``start`` are offered as its first columns.  A Farkas vector is lifted
+    to every row.
+    """
+    basis = matrix.basis()
+    live = [i for i in basis if v[i]]
+    kept = set(basis)
+    outside = [i for i, vi in enumerate(v) if vi and i not in kept]
+    result = solve_eq_nonneg(matrix.restrict(live, outside), [v[i] for i in live],
+                             start=start)
+    if result.feasible:
+        return result
+    y = [Fraction(0)] * len(v)
+    for i, yi in zip(live, result.farkas):
+        y[i] = yi
+    # An assignment through a row with v_i = 0 had no column in the
+    # solved system.  Such rows add nothing to y^T v, so setting them to
+    # minus the largest score brings every such assignment to <= 0.
+    if not all(v):
+        top = matrix.maximum(y)[0]
+        if top > 0:
+            y = [yi if vi else -top for yi, vi in zip(y, v)]
+    return Feasibility(False, farkas=tuple(y))
+
+
 def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     """Exact feasibility of the global-section system for a (rationalized) model.
 
     The model is first replaced by a nearby exactly-consistent rational model
     (`rationalize_model`), so the verdict is a statement about exact data;
     `model` of the result is that exact model.  This is the one place that
-    rationalizes: callers hand over the parsed model as it is.  The LP runs
-    on the basis rows with a nonzero right-hand side; the result's
-    certificate covers every row.  Raises
-    `DisturbingModel` when the input marginals disagree beyond 1e-9, and
-    `TooLargeError` when the scenario has more than `MAX_ASSIGNMENTS`
-    global assignments.
+    rationalizes: callers hand over the parsed model as it is.  The greedy
+    decomposition (`IncidenceMatrix.greedy`) runs first; when it leaves a
+    residual, `section_lp` decides, started from the greedy's assignments.
+    The result's certificate covers every row and is re-checked on the full
+    matrix whichever stage found it.  Raises `DisturbingModel` when the
+    input marginals disagree beyond 1e-9, and `TooLargeError` when the
+    scenario has more than `MAX_ASSIGNMENTS` global assignments.
     """
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    basis = matrix.basis()
-    live = [i for i in basis if v[i]]
-    kept = set(basis)
-    outside = [i for i, vi in enumerate(v) if vi and i not in kept]
-    result = solve_eq_nonneg(matrix.restrict(live, outside), [v[i] for i in live])
-    if not result.feasible:
-        y = [Fraction(0)] * len(v)
-        for i, yi in zip(live, result.farkas):
-            y[i] = yi
-        # An assignment through a row with v_i = 0 had no column in the
-        # solved system.  Such rows add nothing to y^T v, so setting them to
-        # minus the largest score brings every such assignment to <= 0.
-        if not all(v):
-            top = matrix.maximum(y)[0]
-            if top > 0:
-                y = [yi if vi else -top for yi, vi in zip(y, v)]
-        result = Feasibility(False, farkas=tuple(y))
+    ints, scale = rational.integer_tables
+    pairs, whole = matrix.greedy([ints[ctx][sec] for ctx, sec in matrix.rows], scale)
+    if whole:
+        result = Feasibility(True, x=matrix.primal(pairs))
+    else:
+        result = section_lp(matrix, v, [s for s, _ in pairs])
     require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)

@@ -130,14 +130,17 @@ def grid_scan_max(alpha=1.0):
 def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
                               b: Sequence[Fraction],
                               largest: bool = False,
-                              costs: Sequence[int] | None = None) -> Feasibility:
+                              costs: Sequence[int] | None = None,
+                              start: Sequence[int] = ()) -> Feasibility:
     """The plain ``Fraction`` simplex that ``solve_eq_nonneg`` runs in integers.
 
     Dense revised phase-1 simplex with an explicit rational B^-1, Bland's
     entering column (or, with ``largest``, the column of largest
     ``y^T a_j``, ties to the smallest ``j``) and the lexicographic ratio
-    test.  Artificial ``i`` costs ``costs[i]`` in the phase-1 objective,
-    1 when ``costs`` is None.  The package's integer-preserving kernel
+    test.  The columns ``start`` are offered first, in order: each enters
+    when ``y^T a_j > 0`` and is passed over otherwise.  Artificial ``i``
+    costs ``costs[i]`` in the phase-1 objective, 1 when ``costs`` is
+    None.  The package's integer-preserving kernel
     must return equal ``Feasibility`` objects, on `SparseColumns` against
     Bland's rule and on the section source against the largest score and
     the row costs: the same pivots give the same solution or Farkas vector.
@@ -171,10 +174,16 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
         return [sum(cost[basis[k] - n] * binv[k][i] for k in range(m) if basis[k] >= n)
                 for i in range(m)]
 
+    offered = list(reversed(start))
     while True:
         y = dual()
         enter, top = -1, 0
-        for j in range(n):  # Bland's first improving column, or the largest score
+        while offered and enter < 0:
+            j = offered.pop()
+            if sum(y[i] * cols[j][i] for i in range(m)) > 0:
+                enter = j
+        for j in range(n if enter < 0 else 0):
+            # Bland's first improving column, or the largest score.
             if in_basis[j]:
                 continue
             score = sum(y[i] * cols[j][i] for i in range(m))

@@ -51,7 +51,6 @@ from contextuality.quantum import (
     max_entangled,
     projective_context,
     pvm_from_observable,
-    werner_state,
 )
 from contextuality.scenario import SchemaError, from_quantum, make_scenario, model_from_json
 from oracles import cycle_margin, reference_bipartite_structure
@@ -452,9 +451,9 @@ class TestClassifyGpt:
         calls = {"lp": 0, "box": 0}
         solve, box = exactlp.solve_eq_nonneg, scenario.solve_box_eq
 
-        def counted_solve(*args):
+        def counted_solve(*args, **kwargs):
             calls["lp"] += 1
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         def counted_box(*args):
             calls["box"] += 1
@@ -467,16 +466,24 @@ class TestClassifyGpt:
 
     def test_noncontextual_gpt_solves_one_lp_per_state(self, monkeypatch):
         # Dyadic atom probabilities round exactly, so no box LP runs; each
-        # state's global section is the only LP, and the embedding reads it.
+        # state's global section is solved once, and the embedding reads
+        # it.  One context's table is always peeled off whole by the greedy
+        # decomposition, so no section LP runs either.
+        from contextuality import embedding
+
         basis = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
         contexts = [[projective_context("fine", basis),
                      projective_context("coarse", [basis[0], basis[1] + basis[2]])]]
         states = [basis[0], basis[1], np.diag([0.5, 0.25, 0.25]).astype(complex)]
         gpt = sharp_gpt_from_quantum(states, contexts)
         calls = self.count_lps(monkeypatch)
+        solved = []
+        solve = embedding.solve_global_section
+        monkeypatch.setattr(embedding, "solve_global_section",
+                            lambda model: solved.append(model) or solve(model))
         report = classify({"kind": "gpt", "gpt": gpt_to_json(gpt)}, RunConfig())
         assert verdicts(report) == ("not-applicable", "yes", "yes")
-        assert calls == {"lp": 3, "box": 0}
+        assert (len(solved), calls) == (3, {"lp": 0, "box": 0})
 
     def test_contextual_gpt_stops_at_its_first_state(self, monkeypatch):
         psi, _, _ = kcbs_construction()

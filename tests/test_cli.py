@@ -46,14 +46,14 @@ from contextuality.sheaf import MAX_ASSIGNMENTS
 from oracles import behaviour_from_json, cycle_margin, ld_vertex_boxes, random_box
 
 
-def kcbs_gpt_json(state):
+def kcbs_gpt_json(*states):
     _, observables, _ = kcbs_construction()
     contexts = []
     for j in range(5):
         k = (j + 1) % 5
         contexts.append([pvm_from_observable(observables[j], f"A{j}"),
                          pvm_from_observable(observables[k], f"A{k}")])
-    return gpt_to_json(sharp_gpt_from_quantum([state], contexts))
+    return gpt_to_json(sharp_gpt_from_quantum(list(states), contexts))
 
 
 def pr_box_doc() -> dict:
@@ -195,7 +195,7 @@ class TestClassifyCommand:
         if failure == "recheck":
             monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
         else:
-            def unbounded(a_rows, b):
+            def unbounded(*args, **kwargs):
                 raise ArithmeticError("forced for the exit-code test")
 
             monkeypatch.setattr(sheaf, "solve_eq_nonneg", unbounded)
@@ -1161,6 +1161,16 @@ def equal_atoms_gpt_json(state) -> dict:
             "unit": [1.0, 1.0], "sharp_contexts": [[0, 1], [2, 3]]}
 
 
+def dependent_states_gpt_json() -> dict:
+    """The pentagon GPT on three states, the third the equal mixture of the others.
+
+    Each state's section is solved on its own, so the weights are not
+    linear in the states and the sharp embedding's state span test fails.
+    """
+    states = [np.eye(3) / 3, np.diag([0.5, 0.25, 0.25])]
+    return kcbs_gpt_json(*states, (states[0] + states[1]) / 2)
+
+
 def nested_coarse_grainings_doc() -> dict:
     """Measurements {P0, P1, P2+P3} and {P0+P1, P2, P3} on the maximally mixed ququart."""
     p = [np.diag(row) for row in np.eye(4)]
@@ -1173,7 +1183,7 @@ def nested_coarse_grainings_doc() -> dict:
 
 
 class TestSharpEmbeddingAssembly:
-    """Sections whose 0/1 responses no linear map gives leave the verdict undecided.
+    """Sections that fail a span test of the sharp embedding leave the verdict undecided.
 
     Written with `require` instead of bare asserts, so that it also tests
     something when pytest runs under ``python -O``.
@@ -1182,7 +1192,7 @@ class TestSharpEmbeddingAssembly:
     @pytest.mark.parametrize("kind", ["gpt", "quantum"])
     def test_forced_failure_exits_zero_undecided(self, tmp_path, kind):
         if kind == "gpt":
-            doc = {"kind": "gpt", "gpt": equal_atoms_gpt_json([0.5, 0.5])}
+            doc = {"kind": "gpt", "gpt": dependent_states_gpt_json()}
         else:
             doc = nested_coarse_grainings_doc()
         rc, out, err = classify_bytes(tmp_path / "doc.json", doc)
@@ -1197,7 +1207,7 @@ class TestSharpEmbeddingAssembly:
 
     def test_forced_failure_in_embed_command(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(equal_atoms_gpt_json([0.5, 0.5])))
+        path.write_text(json.dumps(dependent_states_gpt_json()))
         rc, out, err = cli_run(path, ["embed"])
         require(rc == 0 and err == "", f"exit {rc}, {err!r}")
         payload = json.loads(out)

@@ -64,14 +64,12 @@ from contextuality.exactlp import (
     CertificateError,
     Feasibility,
     TooLargeError,
-    check_farkas,
     check_solution,
     columns_from_rows,
     solve_eq_nonneg,
 )
 from contextuality.quantum import (
     PAULIS,
-    bloch_state,
     dm,
     kcbs_vectors,
     matrix_to_json,
@@ -528,16 +526,18 @@ class TestEmbedSharp:
 
     def test_responses_must_keep_the_atoms_linear_relations(self):
         # Atoms 0 and 2 are one vector, so are atoms 1 and 3.  On (1/2, 1/2)
-        # the sections may fire atom 0 with atom 3, which no linear kappa
-        # answers; on (1, 0) both equal atoms fire, and the response is linear.
+        # the greedy decomposition fires the equal atoms together, (1,0,1,0)
+        # and (0,1,0,1), which keeps the atoms' relations; on (1, 0) both
+        # equal atoms fire, and the response is linear.  Sections that fire
+        # atom 0 with atom 3 would break it: `TestSharpEmbeddingAssembly`
+        # covers that exit on dependent states.
         effects = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
         mixed = make_gpt([[0.5, 0.5]], effects, [1.0, 1.0],
                          sharp_contexts=[(0, 1), (2, 3)])
         res = embed_sharp(mixed)
-        assert (res.verdict, res.assignments) == ("undecided", ())
-        assert res.note == ("embedding assembly: the assignments' responses "
-                            "break a linear relation among the atoms and the "
-                            "unit")
+        require_sharp_certificate(res, mixed)
+        assert (res.verdict, res.assignments) == (
+            "embeddable", ((1, 0, 1, 0), (0, 1, 0, 1)))
         pure = make_gpt([[1.0, 0.0]], effects, [1.0, 1.0],
                         sharp_contexts=[(0, 1), (2, 3)])
         res = embed_sharp(pure)

@@ -38,7 +38,6 @@ from contextuality.polytope import (
     chsh_value,
     contextuality_to_bell,
     csw_inequality,
-    graph_from_projectors,
     kcbs_graph,
     make_behaviour,
     make_orthogonality_graph,
@@ -48,7 +47,6 @@ from contextuality.polytope import (
 )
 from contextuality.quantum import (
     BadEigenvalue,
-    PAULI_X,
     PAULI_Z,
     dm,
     peres_mermin_square,
@@ -84,7 +82,6 @@ from oracles import (  # noqa: E402
     behaviour_to_json,
     brute_force_lift_maximum,
     correlator,
-    correlator_grid,
     enumerate_global_assignments,
     grid_scan_max,
     ld_vertex_boxes,

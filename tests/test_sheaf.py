@@ -29,7 +29,14 @@ Verification strategy:
   positive costs give the costed reference's pivots, and costs that are
   not one positive integer per row are refused;
 - on that restricted system, with forbidden and outside sections, the
-  oracle's maximum, price, columns and support equal enumeration's.
+  oracle's maximum, price, columns and support equal enumeration's;
+- the greedy decomposition ahead of the LP takes, at each step, the
+  largest bottleneck a scan of every assignment finds; a complete one
+  passes `check_solution` on the full and the listed system and runs no
+  LP, the verdict equals the reference simplex's on mixtures of
+  deterministic assignments, a stalled one starts the LP from its
+  assignments with pinned pricing rounds, and start columns pivot as in
+  the reference simplex offered the same columns.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from contextuality.sheaf import (
     solve_global_section,
 )
 from oracles import (
-    HiddenVariableModel,
     InvalidCertificate,
     enumerate_global_assignments,
     enumerate_vertices,
@@ -649,14 +655,20 @@ class TestRowBasis:
 
     @staticmethod
     def solved_rows(model, monkeypatch) -> list:
+        """The row count of each LP `section_lp` solves for an exact model, and its result.
+
+        The LP step runs on its own: through `solve_global_section` the
+        greedy decomposition decides the uniform models with no LP.
+        """
         sizes = []
 
-        def recording_solve(a, b):
+        def recording_solve(a, b, start=()):
             sizes.append(a.m)
-            return solve_eq_nonneg(a, b)
+            return solve_eq_nonneg(a, b, start)
 
         monkeypatch.setattr(sheaf, "solve_eq_nonneg", recording_solve)
-        res = solve_global_section(model)
+        mat = build_incidence_matrix(model.scenario)
+        res = sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows])
         monkeypatch.undo()
         return sizes, res
 
@@ -691,7 +703,7 @@ class TestRowBasis:
         require(sum(1 for i in mat.basis() if v[i]) == solved, "live basis rows")
         sizes, res = self.solved_rows(model, monkeypatch)
         require(sizes == [solved], f"solved {sizes}")
-        require(res.feasible == feasible, res.verdict)
+        require(res.feasible == feasible, f"feasible: {res.feasible}")
 
     @pytest.mark.parametrize("model", [pr_box_model, kcbs_model, pm_model,
                                        lambda: noisy_cycle_model(5)])
@@ -766,14 +778,17 @@ def row_cost(sc, ctx, sec):
 
 
 def priced_section(model, monkeypatch, limit=1000):
-    """`solve_global_section`'s result and the pricing rounds of its LP.
+    """`section_lp`'s result on an exact model and its pricing rounds.
 
-    More than ``limit`` rounds fail at once: a kernel whose phase-1 dual
-    drifts from ``c_B B^-1`` may cycle rather than end.
+    The LP step runs on its own, from the all-artificial basis, so the
+    greedy decomposition neither decides the model nor starts the LP
+    (`TestGreedySections` pins that route).  More than ``limit`` rounds
+    fail at once: a kernel whose phase-1 dual drifts from ``c_B B^-1``
+    may cycle rather than end.
     """
     calls = []
 
-    def counting_solve(a, b):
+    def counting_solve(a, b, start=()):
         price = a.price
 
         def counting(y):
@@ -782,10 +797,11 @@ def priced_section(model, monkeypatch, limit=1000):
             return price(y)
 
         a.price = counting
-        return solve_eq_nonneg(a, b)
+        return solve_eq_nonneg(a, b, start)
 
     monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
-    res = solve_global_section(model)
+    mat = build_incidence_matrix(model.scenario)
+    res = sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows])
     monkeypatch.undo()
     return res, len(calls)
 
@@ -835,7 +851,7 @@ class TestSectionPivots:
     ], ids=["noisy-9-cycle", "local-3-setting-box", "nonlocal-3-setting-box"])
     def test_pricing_rounds_are_pinned(self, model, feasible, rounds, monkeypatch):
         res, calls = priced_section(model(), monkeypatch)
-        require(res.feasible == feasible, res.verdict)
+        require(res.feasible == feasible, f"feasible: {res.feasible}")
         require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
 
 
@@ -879,7 +895,7 @@ class TestWeightedPhaseOne:
         model = noisy_cycle_model(n)
         require(global_assignment_count(model.scenario) <= sheaf.MAX_ASSIGNMENTS, "over the cap")
         res, calls = priced_section(model, monkeypatch)
-        require(res.feasible == feasible, res.verdict)
+        require(res.feasible == feasible, f"feasible: {res.feasible}")
         require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
 
     def test_section_rows_cost_by_their_last_outcomes(self):
@@ -957,3 +973,212 @@ class TestRestrictedOracle:
             idx = tuple(row_of.get(i) for i in full if i not in outside)
             require(sub.column(t) == (idx, (1,) * len(idx), 1), f"column of {t}")
             require((sub.support([(t, 1)]) is None) == (None in idx), f"support of {t}")
+
+
+def twisted_model(sc):
+    """A non-disturbing model with uniform marginals that is often contextual.
+
+    On a two-party box, context (A_x, B_y) of k-outcome measurements has
+    ``b = a + x y mod k`` with probability 1/k each (the PR box for k = 2);
+    on any other scenario each two-measurement context is uniform over
+    unequal outcome pairs, perfectly anticorrelated for k = 2, which an odd
+    binary cycle cannot be.
+    """
+    tables = {}
+    for ctx in sc.contexts:
+        secs = sc.outcome_tuples(ctx)
+        k = len(sc.outcomes[ctx[0]])
+        if all(m[0] in "AB" for m in ctx) and len(ctx) == 2 and ctx[0][0] != ctx[1][0]:
+            x, y = int(ctx[0][1:]), int(ctx[1][1:])
+            hit = [b == (a + x * y) % k for a, b in secs]
+        else:
+            hit = [a != b for a, b in secs]
+        tables[ctx] = {sec: Fraction(h, sum(hit)) for sec, h in zip(secs, hit)}
+    return tables
+
+
+@st.composite
+def deterministic_mixtures(draw):
+    """Rational mixtures of deterministic assignments, some with a contextual part.
+
+    The scenario is a binary n-cycle (n = 3..6), a binary box with 2 or 3
+    settings per party, a three-outcome box with 2 settings, or a cycle of
+    three three-outcome measurements.  One to five drawn assignments get
+    integer weights, and with weight 0, 1/5, 1/2 or 4/5 the mixture takes
+    in `twisted_model`'s tables.
+    """
+    family = draw(st.sampled_from(["cycle", "box", "box3", "ternary"]))
+    if family == "cycle":
+        sc = cycle_scenario(draw(st.integers(3, 6)))
+    elif family == "box":
+        sc = box_scenario(draw(st.integers(2, 3)))
+    elif family == "box3":
+        sc = box_scenario(2, 3)
+    else:
+        labels = ["T0", "T1", "T2"]
+        sc = make_scenario([(m, (0, 1, 2)) for m in labels],
+                           [["T0", "T1"], ["T1", "T2"], ["T0", "T2"]])
+    pos = {m: i for i, m in enumerate(sc.measurements)}
+    picks = draw(st.lists(st.tuples(
+        st.tuples(*(st.sampled_from(sc.outcomes[m]) for m in sc.measurements)),
+        st.integers(1, 4)), min_size=1, max_size=5))
+    total = sum(w for _, w in picks)
+    twist = draw(st.sampled_from([Fraction(0), Fraction(1, 5), HALF, Fraction(4, 5)]))
+    twisted = twisted_model(sc)
+    tables = {}
+    for ctx in sc.contexts:
+        table = {sec: twist * twisted[ctx][sec] for sec in sc.outcome_tuples(ctx)}
+        for t, w in picks:
+            table[tuple(t[pos[m]] for m in ctx)] += (1 - twist) * Fraction(w, total)
+        tables[ctx] = table
+    return make_model(sc, tables)
+
+
+def replay_greedy(model, pairs) -> list:
+    """Replay the greedy steps by scanning every assignment; return the residual.
+
+    Each step's weight must be the largest smallest residual entry over
+    every column of `reference_incidence_rows`, and its assignment must
+    attain it.  Checks raise through `require`.
+    """
+    sc = model.scenario
+    dense = reference_incidence_rows(sc)
+    residual = [model.tables[ctx][sec] for ctx in sc.contexts for sec in sc.outcome_tuples(ctx)]
+    assignments = list(enumerate_global_assignments(sc))
+    cols = [[i for i, row in enumerate(dense) if row[j]] for j in range(len(assignments))]
+    for s, w in pairs:
+        best = max(min(residual[i] for i in col) for col in cols)
+        col = cols[assignments.index(s)]
+        require(w == best > 0, f"step weight {w}, largest bottleneck {best}")
+        require(min(residual[i] for i in col) == w, f"{s} does not attain {w}")
+        for i in col:
+            residual[i] -= w
+    require(max(min(residual[i] for i in col) for col in cols) <= 0 or not any(residual),
+            "the greedy stopped with a positive bottleneck left")
+    return residual
+
+
+def section_route(model, monkeypatch) -> tuple:
+    """`solve_global_section`'s result, its LP solves and their pricing rounds."""
+    solves, rounds = [], []
+
+    def counting_solve(a, b, start=()):
+        solves.append(list(start))
+        price = a.price
+
+        def counting(y):
+            rounds.append(y)
+            require(len(rounds) <= 1000, "more than 1000 pricing rounds")
+            return price(y)
+
+        a.price = counting
+        return solve_eq_nonneg(a, b, start)
+
+    monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
+    res = solve_global_section(model)
+    monkeypatch.undo()
+    return res, solves, len(rounds)
+
+
+class TestGreedySections:
+    """The greedy bottleneck decomposition ahead of the section LP.
+
+    On random rational mixtures of deterministic assignments, some with a
+    contextual part, each greedy step must take the largest bottleneck
+    that a scan of every assignment finds; a complete decomposition must
+    pass `check_solution` and the listed system's own check, and the
+    verdict of `solve_global_section` must equal the reference simplex's
+    on the dense listed system.  A stalled decomposition hands its
+    assignments to the LP as start columns, which the kernel offers as the
+    reference simplex does.  Checks raise through `require`, so the class
+    also tests something under ``python -O``.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(deterministic_mixtures())
+    @example(noisy_cycle_model(5))
+    @example(noisy_cycle_model(6))
+    @example(pr_box_model())
+    @example(ladder_box(3, Fraction(1, 3)))
+    def test_greedy_against_enumeration(self, model):
+        mat = build_incidence_matrix(model.scenario)
+        v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
+        pairs, whole = mat.greedy(*clear_denominators(v))
+        require(len(pairs) <= sum(1 for vi in v if vi), f"{len(pairs)} steps")
+        residual = replay_greedy(model, pairs)
+        require(whole == (not any(residual)), "whole disagrees with the residual")
+        res = solve_global_section(model)
+        require(res.feasible == reference_verdict(model),
+                f"verdict {res.verdict} against the reference simplex")
+        if whole:
+            require(check_solution(mat, v, pairs), "greedy primal fails check_solution")
+            listed, rhs = listed_system(model)
+            weight = dict(pairs)
+            dense = tuple(weight.get(t, Fraction(0))
+                          for t in enumerate_global_assignments(model.scenario))
+            require(check_solution(listed, rhs, dense), "greedy primal fails the listed system")
+            require(res.primal == mat.primal(pairs), "the section is not the greedy's")
+        elif not res.feasible:
+            recheck_dual(res)
+
+    @pytest.mark.parametrize("model", [
+        lambda: uniform_model(box_scenario(4)),
+        lambda: uniform_model(mixed_scenario()),
+        lambda: uniform_model(pm_model().scenario),
+        lambda: noisy_cycle_model(12, Fraction(1)),
+        lambda: noisy_cycle_model(20),
+        lambda: ladder_box(2, Fraction(1, 3)),
+    ], ids=["uniform-box4", "uniform-mixed", "uniform-square3x3", "sharp-12-cycle",
+            "noisy-20-cycle", "local-2-setting-box"])
+    def test_complete_decomposition_runs_no_lp(self, model, monkeypatch):
+        res, solves, _ = section_route(model(), monkeypatch)
+        require(res.feasible and solves == [], f"{res.verdict}, LP solves {solves}")
+        require(check_solution(res.matrix, [res.model.tables[ctx][sec]
+                                            for ctx, sec in res.matrix.rows], res.primal),
+                "primal fails check_solution")
+
+    def test_stalled_odd_cycle_gives_a_rechecked_no(self, monkeypatch):
+        # Every alternating assignment of the noisy 9-cycle crosses one equal
+        # edge, at 1/40: 18 such steps cover 9/20 and leave no assignment
+        # clear of a zeroed entry.
+        model = noisy_cycle_model(9)
+        mat = build_incidence_matrix(model.scenario)
+        pairs, whole = mat.greedy(*clear_denominators(
+            [model.tables[ctx][sec] for ctx, sec in mat.rows]))
+        require(not whole and len(pairs) == 18, f"{len(pairs)} steps, whole {whole}")
+        require(sum(w for _, w in pairs) == Fraction(9, 20), "covered weight")
+        res, solves, rounds = section_route(model, monkeypatch)
+        require(not res.feasible, res.verdict)
+        require(solves == [[s for s, _ in pairs]], "the LP did not start from the greedy")
+        recheck_dual(res)
+        require(rounds == 7, f"{rounds} pricing rounds, 7 expected")
+
+    @pytest.mark.parametrize("model, feasible, rounds", [
+        (lambda: noisy_cycle_model(5), False, 3),
+        (lambda: ladder_box(3, Fraction(1, 3)), True, 18),
+        (lambda: ladder_box(3, Fraction(2, 3)), False, 10),
+        (lambda: noisy_cycle_model(19), False, 17),
+    ], ids=["noisy-5-cycle", "local-3-setting-box", "nonlocal-3-setting-box",
+            "noisy-19-cycle"])
+    def test_pricing_rounds_from_the_greedy_start(self, model, feasible, rounds,
+                                                  monkeypatch):
+        # From the all-artificial basis these take 13, 19, 24 and 50 rounds.
+        res, solves, calls = section_route(model(), monkeypatch)
+        require(res.feasible == feasible and len(solves) == 1, res.verdict)
+        require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_start_columns_pivot_as_the_reference(self, m, n, data):
+        entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(2),
+                                   Fraction(-1), HALF])
+        a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
+        b = [data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]))
+             for _ in range(m)]
+        # Repeats and columns that do not improve are passed over.
+        start = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        cols = columns_from_rows(a)
+        res = solve_eq_nonneg(cols, b, start)
+        ref = reference_solve_eq_nonneg(a, b, start=start)
+        require(res == ref, f"{res} against {ref}")
+        require(require_certificate(cols, b, res) is res, "certificate")
