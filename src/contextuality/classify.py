@@ -51,6 +51,7 @@ from .record import Fresh, Record
 from .scenario import (
     EmpiricalModel,
     SchemaError,
+    json_list,
     model_from_json,
     quantum_pass,
     rational_literal,
@@ -471,11 +472,10 @@ def _quantum_from_json(doc: dict):
                     raise SchemaError(f"measurement label {raw_pc['label']!r} "
                                       "is not a string")
                 outcomes = raw_pc.get("outcomes")
+                what = f"outcomes of measurement {raw_pc['label']!r}"
                 if outcomes is not None and any(
-                        isinstance(o, (list, dict)) for o in outcomes):
-                    raise SchemaError(f"outcomes of measurement "
-                                      f"{raw_pc['label']!r} must be numbers "
-                                      f"or strings, got {outcomes!r}")
+                        isinstance(o, (list, dict)) for o in json_list(outcomes, what)):
+                    raise SchemaError(f"{what} must be numbers or strings, got {outcomes!r}")
                 projs = [matrix_from_json(p) for p in raw_pc["projectors"]]
                 members.append(projective_context(raw_pc["label"], projs,
                                                   outcomes=outcomes))

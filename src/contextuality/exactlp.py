@@ -327,7 +327,9 @@ def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
     # arts lists the rows still holding their artificial.  y is det times
     # the dual c_B B^-1, c_B = cost on the rows in arts and 0 elsewhere:
     # the cost-weighted sum of those rows of binv, kept current by each pivot.
-    binv = [[int(i == k) for k in range(m)] for i in range(m)]
+    binv = [[0] * m for _ in range(m)]
+    for i, row in enumerate(binv):
+        row[i] = 1
     det = 1
     basis: list = [None] * m
     scale = [1] * m

@@ -900,6 +900,17 @@ def rational_literal(value, what: str) -> Fraction:
                       "digits or a decimal exponent of that size")
 
 
+def json_list(value, what: str):
+    """``value`` when it is a JSON array (a list, or a tuple), else a `SchemaError`.
+
+    A string iterates one character at a time, so one where a list belongs
+    would pass for a list of one-character labels or outcomes.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def model_to_json(model: EmpiricalModel) -> dict:
     sc = model.scenario
     return {
@@ -925,8 +936,11 @@ def model_from_json(doc: dict) -> EmpiricalModel:
     permutes, fills and checks the tables.
     """
     try:
-        meas = [(m["label"], tuple(m["outcomes"])) for m in doc["measurements"]]
-        contexts = [list(c) for c in doc["contexts"]]
+        meas = [(m["label"], tuple(json_list(m["outcomes"], f"outcomes of measurement "
+                                                            f"{m['label']!r}")))
+                for m in json_list(doc["measurements"], "'measurements'")]
+        contexts = [list(json_list(c, "a context"))
+                    for c in json_list(doc["contexts"], "'contexts'")]
         raw_tables = doc["tables"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc

@@ -11,7 +11,11 @@ per context.  `IncidenceMatrix` therefore never lists its columns: it is a
 column source for the exact solver whose pricing oracle finds the largest
 score, and the lexicographically smallest assignment attaining it, by
 max-sum variable elimination over the measurements ("bucket elimination",
-Dechter 1999).
+Dechter 1999).  Its plan, `_Plan`, is laid out once per scenario, in one
+pass over a buffer of every context's sections: from each context's base
+and outcome strides it reads the elimination's gathers and decoding
+strides, where an assignment's sections sit, and the row basis and
+phase-1 costs below.  Every matrix of the scenario shares the plan.
 
 Before any LP, `IncidenceMatrix.greedy` decomposes ``v`` by bottlenecks.
 It keeps ``v`` as one integer residual over every row.  Each step takes
@@ -58,7 +62,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import prod
 from operator import add, getitem, itemgetter, mul
 from typing import Sequence
@@ -79,7 +83,7 @@ from .scenario import EmpiricalModel, MeasurementScenario, rationalize_model
 # assignment count stays capped.
 MAX_ASSIGNMENTS = 2 ** 20
 
-# `IncidenceMatrix.sections` entry of a section with no row in the system.
+# `IncidenceMatrix.flat` entry of a section with no row in the system.
 OUTSIDE = -1
 
 
@@ -87,29 +91,34 @@ def global_assignment_count(scenario: MeasurementScenario) -> int:
     return prod(len(scenario.outcomes[m]) for m in scenario.measurements)
 
 
-def _index_map(union: tuple, scope: tuple, size: list) -> list | None:
-    """Where each entry of a table over ``union`` reads a table over ``scope``.
+def _shape(sizes: tuple) -> tuple:
+    """What contexts of one shape share, by section in lexicographic order.
 
-    A table over a scope of measurement positions is mixed-radix in
-    ascending position order, the last position varying fastest.  None
-    when the two scopes are equal.
+    A dict from a section's outcome indices (a bare index for one
+    measurement) to its offset in the context's table; the mask of the
+    measurements not at their last outcome, bit ``i`` for the context's
+    ``i``-th; and the section's phase-1 cost.
     """
-    if scope == union:
-        return None
-    stride, step = {}, 1
-    for u in reversed(scope):
-        stride[u] = step
-        step *= size[u]
-    idx = [0]
-    for u in union:
-        s = stride.get(u, 0)
-        idx = [r + d * s for r in idx for d in range(size[u])]
-    return idx
+    keys = list(itertools.product(*map(range, sizes)))
+    masks = [sum(1 << i for i, (d, k) in enumerate(zip(key, sizes)) if d < k - 1)
+             for key in keys]
+    return (dict(zip(keys if len(sizes) > 1 else range(sizes[0]), itertools.count())),
+            masks, [len(sizes) + 1 - n.bit_count() for n in masks])
 
 
-class _Elimination:
-    """Max-sum or max-min elimination of a scenario's measurements, last declared first.
+class _Plan:
+    """A scenario's section layout, elimination, row basis and costs, in one pass.
 
+    The buffer holds each context's table in turn, in lexicographic section
+    order, which is the row order of the full incidence matrix; the
+    elimination's messages follow.  A table over measurement positions,
+    ascending as in a canonical context, is mixed-radix with the last
+    position varying fastest: the entry of outcome indices ``d`` sits at
+    the table's base plus ``sum_u d_u stride_u``.  Every gather, decode
+    stride, lookup position, basis row and cost is read off these bases
+    and strides as the pass lays the tables out.
+
+    The elimination maximizes the measurements out, last declared first.
     The bucket of measurement ``v`` holds the contexts whose last
     measurement is ``v`` and the messages of earlier eliminations that
     reach it.  Eliminating ``v`` combines the bucket (by sum, or by
@@ -122,104 +131,111 @@ class _Elimination:
     yields a maximizer, since the bucket's table bounds the total, but an
     outcome below the table's largest entry may reach the total too.
 
-    ``steps`` lists each elimination as ``(v, union, parts, message)``;
-    a part ``(f, idx)`` reads context ``f``'s table, or for ``f`` at least
-    the context count a message, at ``idx`` (None: the same scope).
-    ``decode[v]`` lists the positions before ``v`` in its union and their
-    strides in the union table's rank.  ``scopes[c]`` lists context
-    ``c``'s positions.
+    ``steps`` lists each elimination as ``(v, first, rest, k, start,
+    end)``: the gathers ``first`` and ``rest`` read the bucket's parts from
+    the buffer, ``k`` is the outcome count of ``v`` and the message goes to
+    ``buf[start:end]``.  ``constants`` holds the slots of the one-entry
+    messages and ``room`` zeros for the messages.  ``decode[v]`` lists the
+    positions before ``v`` in its union and their strides in the union's
+    table.  ``lookup[c]`` pairs the getter of context ``c``'s outcome
+    indices from an assignment's with the context's base and the offsets
+    of `_shape`; ``sections[c]`` is its range of rows.  ``basis`` holds the
+    rows of `IncidenceMatrix.basis`.  ``costs[i]`` is the phase-1 cost of
+    row ``(c, s)``'s artificial, ``|c| + 1 - |N(s)|``, with N(s) the
+    measurements of ``c`` whose outcome in ``s`` is not their last
+    outcome, as in the basis: it runs from 1, on a section with no last
+    outcome, to ``|c| + 1`` on the all-last one.  Every matrix of the
+    scenario, and both semirings, share one plan.
     """
 
     def __init__(self, scenario: MeasurementScenario):
         pos = {m: i for i, m in enumerate(scenario.measurements)}
-        self.size = size = [len(scenario.outcomes[m]) for m in scenario.measurements]
         self.outcomes = [scenario.outcomes[m] for m in scenario.measurements]
+        self.size = size = [len(outs) for outs in self.outcomes]
         self.index = [{o: d for d, o in enumerate(outs)} for outs in self.outcomes]
         self.ones = (1,) * len(scenario.contexts)
-        scopes = [tuple(pos[m] for m in ctx) for ctx in scenario.contexts]
-        self.scopes = tuple(scopes)
+        # Each table's scope, base and strides: the contexts', then the messages'.
+        scopes, bases, strides = [], [], []
         bucket: list[list[int]] = [[] for _ in size]
-        for f, scope in enumerate(scopes):
-            bucket[scope[-1]].append(f)
-        self.steps = []
-        self.constants: list[int] = []
-        for v in reversed(range(len(size))):
-            union = tuple(sorted({u for f in bucket[v] for u in scopes[f]}))
-            msg = len(scopes)
-            scopes.append(union[:-1])
-            (bucket[union[-2]] if len(union) > 1 else self.constants).append(msg)
-            self.steps.append((v, union, [(f, _index_map(union, scopes[f], size))
-                                          for f in bucket[v]], msg))
-        self.decode: list = [None] * len(size)
-        for v, union, _, _ in self.steps:
-            strides, step = [], 1
-            for u in reversed(union):
-                strides.append(step)
+        shapes: dict = {}
+        self.lookup, self.sections, self.basis, costs = [], [], [], []
+        # A set of measurements is a bit mask over the declared positions;
+        # ``covered`` holds the subsets of the contexts laid out so far.
+        covered: set = set()
+        end = 0
+        for f, ctx in enumerate(scenario.contexts):
+            scope = tuple(map(pos.__getitem__, ctx))
+            sizes = tuple(map(size.__getitem__, scope))
+            if sizes not in shapes:
+                shapes[sizes] = _shape(sizes)
+            offsets, masks, cost = shapes[sizes]
+            stride, step = {}, 1
+            for u in reversed(scope):
+                stride[u] = step
                 step *= size[u]
-            self.decode[v] = (union[:-1], tuple(reversed(strides))[:-1])
-
-    @cached_property
-    def compiled(self) -> tuple:
-        """The gathers of `maximize` on a buffer of every section, then the messages.
-
-        The buffer holds each context's table in turn, in lexicographic
-        section order, which is the row order of the full incidence
-        matrix; the messages follow.  Returns ``(steps, constants, room)``:
-        each elimination as ``(v, first, rest, k, start, end)``, where the
-        gathers ``first`` and ``rest`` read the parts of the bucket's
-        table, ``k`` is the outcome count of ``v`` and the message goes to
-        ``buf[start:end]``; the slots of the one-entry messages; and zeros
-        for the message room.  Built once per scenario, so every matrix of
-        the scenario, and both semirings, share it.
-        """
-        size, end = self.size, 0
-        tables: list = []
-        for scope in self.scopes:
-            start, end = end, end + prod(size[u] for u in scope)
-            tables.append(range(start, end))
+            subsets = [0]
+            for u in scope:
+                subsets += [t | 1 << u for t in subsets]
+            rows = range(end, end + step)
+            self.basis += [r for r, n in zip(rows, masks) if subsets[n] not in covered]
+            covered.update(subsets)
+            costs += cost
+            self.lookup.append((itemgetter(*scope), end, offsets))
+            self.sections.append(rows)
+            scopes.append(scope)
+            bases.append(end)
+            strides.append(stride)
+            bucket[scope[-1]].append(f)
+            end += step
+        self.costs = tuple(costs)
+        self.steps, self.constants = [], []
+        self.decode: list = [None] * len(size)
         sections = end
-        steps = []
-        for v, union, parts, _ in self.steps:
-            start, end = end, end + prod(size[u] for u in union[:-1])
-            first, *rest = [itemgetter(*(tables[f] if idx is None
-                                         else map(tables[f].__getitem__, idx)))
-                            for f, idx in parts]
-            steps.append((v, first, rest, size[v], start, end))
-            tables.append(range(start, end))
-        return steps, [tables[t][0] for t in self.constants], [0] * (end - sections)
-
-    @cached_property
-    def lookup(self) -> list:
-        """Per context, where its section of an assignment sits in the buffer.
-
-        Each entry pairs the getter of the context's outcome digits from an
-        assignment's with a dict from those digits (a bare digit for a
-        one-measurement context) to the position in the buffer of
-        `compiled`.  Built once per scenario and shared like `compiled`.
-        """
-        size, lookup, end = self.size, [], 0
-        for scope in self.scopes:
-            keys = (itertools.product(*(range(size[u]) for u in scope)) if len(scope) > 1
-                    else range(size[scope[0]]))
-            at = dict(zip(keys, itertools.count(end)))
-            lookup.append((itemgetter(*scope), at))
-            end += len(at)
-        return lookup
+        for v in reversed(range(len(size))):
+            union = sorted({u for f in bucket[v] for u in scopes[f]})
+            prev, k = tuple(union[:-1]), size[v]
+            union_strides, step = [], k
+            for u in reversed(prev):
+                union_strides.append(step)
+                step *= size[u]
+            union_strides.reverse()
+            gathers = []
+            for f in bucket[v]:
+                base = bases[f]
+                if len(scopes[f]) == len(union):
+                    gathers.append(itemgetter(*range(base, base + step)))
+                    continue
+                # Every part holds v, at stride 1: it varies innermost.
+                idx, stride = [base], strides[f]
+                for u in prev:
+                    s, n = stride.get(u, 0), size[u]
+                    idx = [r + o for r in idx for o in (range(0, s * n, s) if s else (0,) * n)]
+                gathers.append(itemgetter(*[r + d for r in idx for d in range(k)]))
+            start, end = end, end + step // k
+            self.steps.append((v, gathers[0], gathers[1:], k, start, end))
+            self.decode[v] = (prev, tuple(union_strides))
+            if prev:
+                bucket[prev[-1]].append(len(scopes))
+            else:
+                self.constants.append(start)
+            scopes.append(prev)
+            bases.append(start)
+            strides.append({u: s // k for u, s in zip(prev, union_strides)})
+        self.room = [0] * (end - sections)
 
     def maximize(self, tables: list, combine=add) -> tuple:
         """(largest total, outcome indices of the maximizer the decoding picks).
 
-        ``tables`` holds every section's entry in the order of `compiled`.
-        ``combine``, ``add`` or ``min``, joins the entries an assignment
-        reads, one per context: ``add`` gives the largest sum (max-sum),
-        ``min`` the largest smallest entry (max-min).  Both distribute over ``max``, so one
-        elimination serves either (the generalized distributive law, Aji
-        and McEliece 2000).
+        ``tables`` holds every section's entry in row order.  ``combine``,
+        ``add`` or ``min``, joins the entries an assignment reads, one per
+        context: ``add`` gives the largest sum (max-sum), ``min`` the
+        largest smallest entry (max-min).  Both distribute over ``max``, so
+        one elimination serves either (the generalized distributive law,
+        Aji and McEliece 2000).
         """
-        steps, constants, room = self.compiled
-        buf = [*tables, *room]
+        buf = [*tables, *self.room]
         kept = [None] * len(self.size)
-        for v, first, rest, k, start, end in steps:
+        for v, first, rest, k, start, end in self.steps:
             f = first(buf)
             for part in rest:
                 if combine is add:
@@ -240,7 +256,7 @@ class _Elimination:
             else:
                 seg = f[base:base + k]
                 digits.append(seg.index(max(seg)))
-        return reduce(combine, map(buf.__getitem__, constants)), digits
+        return reduce(combine, map(buf.__getitem__, self.constants)), digits
 
 
 class IncidenceMatrix:
@@ -249,51 +265,33 @@ class IncidenceMatrix:
     Row ``i`` is the local section ``rows[i]``.  The column of a global
     assignment ``s``, a tuple of outcomes in declared measurement order,
     holds a 1 at the row of ``s``'s section in each context; ``shape``
-    counts every assignment.  ``sections[c][r]`` says what becomes of
-    context ``c``'s section of lexicographic rank ``r``: its row; None
-    when the section is forbidden, so that an assignment through it has no
-    column; or `OUTSIDE` when the section has no row in this system, so
-    that it is priced as 0 and has no entry in a column.  ``plan`` is the
-    scenario's elimination, shared by every matrix of one scenario.
+    counts every assignment.  ``plan`` is the scenario's `_Plan`, shared
+    by every matrix of one scenario.  ``flat[p]`` says what becomes of the
+    section at row ``p`` of the full matrix: its row here; None when the
+    section is forbidden, so that an assignment through it has no column;
+    or `OUTSIDE` when the section has no row in this system, so that it is
+    priced as 0 and has no entry in a column.  ``costs[i]`` weighs row
+    ``i``'s phase-1 artificial (`_Plan`).
 
     `basis` picks the rows of the Collins-Gisin row basis, on which
     `solve_global_section` solves; `restrict` builds the matrix on chosen
-    rows.  `costs` weighs each row's phase-1 artificial by its section.
+    rows.
     """
 
-    def __init__(self, scenario: MeasurementScenario, rows: tuple,
-                 sections: tuple, plan: _Elimination):
-        self.scenario, self.rows, self.sections, self.plan = scenario, rows, sections, plan
+    def __init__(self, scenario: MeasurementScenario, rows: tuple, plan: _Plan,
+                 flat: Sequence, costs: tuple):
+        self.scenario, self.rows, self.plan, self.flat, self.costs = (
+            scenario, rows, plan, flat, costs)
         self.m = len(rows)
-        self._forbids = any(None in secs for secs in sections)
-        self._outside = any(OUTSIDE in secs for secs in sections)
-        self._columns: dict = {}
-
-    @cached_property
-    def _gather(self):
+        restricted = not isinstance(flat, range)
+        self._forbids = restricted and None in flat
+        self._outside = restricted and OUTSIDE in flat
         # The getter of the plan's section entries from [*y, low, 0]: y at
         # a section's row, low at a forbidden section, 0 at one outside the
-        # system.  None when the entries are y itself, on the full matrix.
+        # system.  None on the full matrix, whose entries are y itself.
         slot = {None: self.m, OUTSIDE: self.m + 1}
-        flat = [slot.get(r, r) for r in self._flat]
-        return None if flat == list(range(self.m)) else itemgetter(*flat)
-
-    @cached_property
-    def _flat(self) -> list:
-        # ``sections`` in the order of the plan's buffer.
-        return [r for secs in self.sections for r in secs]
-
-    @cached_property
-    def costs(self) -> tuple:
-        """The phase-1 cost of row ``(c, s)``'s artificial: ``|c| + 1 - |N(s)|``.
-
-        N(s) holds the measurements of ``c`` whose outcome in ``s`` is not
-        their last outcome, as in `basis`, so the cost runs from 1, on a
-        section with no last outcome, to ``|c| + 1`` on the all-last one.
-        """
-        last = {m: outs[-1] for m, outs in self.scenario.outcomes.items()}
-        return tuple(1 + sum(o == last[m] for m, o in zip(ctx, sec))
-                     for ctx, sec in self.rows)
+        self._gather = itemgetter(*map(slot.get, flat, flat)) if restricted else None
+        self._columns: dict = {}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -315,36 +313,22 @@ class IncidenceMatrix:
         |N(s)|, the kept rows are unitriangular in the coordinates, so they
         are independent and span every row: there are
         ``sum_S prod_{m in S} (k_m - 1)`` of them, over the sets S inside
-        some context.  Computed on a matrix over all sections.
+        some context.  Read off the plan, as rows of the full matrix.
         """
-        # A set of measurements is a bit mask over the declared positions;
-        # N(s) sums, over the context, the bit of each outcome not last.
-        sc = self.scenario
-        bit = {m: 1 << i for i, m in enumerate(sc.measurements)}
-        bits = {m: [bit[m]] * (len(sc.outcomes[m]) - 1) + [0] for m in bit}
-        covered: set = set()
-        keep = []
-        for ctx, secs in zip(sc.contexts, self.sections):
-            # Sections run in lexicographic order, as does the product.
-            keep += [i for i, n in zip(secs, map(sum, itertools.product(*map(bits.get, ctx))))
-                     if n not in covered]
-            whole = sub = sum(map(bit.get, ctx))
-            while sub:
-                covered.add(sub)
-                sub = (sub - 1) & whole
-            covered.add(0)
-        return keep
+        return self.plan.basis
 
     def restrict(self, keep: list[int], outside=()) -> IncidenceMatrix:
-        """The same scenario's matrix on the rows ``keep``.
+        """The same scenario's matrix on the rows ``keep`` of the full matrix.
 
         The rows ``outside`` leave the system, the others are forbidden.
         """
-        new = dict.fromkeys(outside, OUTSIDE)
-        new.update((i, k) for k, i in enumerate(keep))
-        return IncidenceMatrix(self.scenario, tuple(self.rows[i] for i in keep),
-                               tuple(tuple(new.get(r) for r in secs)
-                                     for secs in self.sections), self.plan)
+        flat: list = [None] * len(self.plan.costs)
+        for i in outside:
+            flat[i] = OUTSIDE
+        for k, i in enumerate(keep):
+            flat[i] = k
+        return IncidenceMatrix(self.scenario, tuple(map(self.rows.__getitem__, keep)),
+                               self.plan, flat, tuple(map(self.plan.costs.__getitem__, keep)))
 
     def _best(self, y: Sequence[int]) -> tuple:
         """(largest y^T a_s, outcome indices of the smallest s attaining it)."""
@@ -358,8 +342,8 @@ class IncidenceMatrix:
     def _assignment(self, digits) -> tuple:
         s = tuple(map(getitem, self.plan.outcomes, digits))
         if s not in self._columns:
-            flat = self._flat
-            idx = tuple(flat[at[get(digits)]] for get, at in self.plan.lookup)
+            flat = self.flat
+            idx = tuple(flat[base + at[get(digits)]] for get, base, at in self.plan.lookup)
             if self._outside:
                 idx = tuple(r for r in idx if r != OUTSIDE)
                 self._columns[s] = (idx, (1,) * len(idx), 1)
@@ -404,7 +388,7 @@ class IncidenceMatrix:
         """
         # Every context's table sums to 1 and each step takes t from one
         # entry of each, so every context's residual sums to ``left``.
-        left = sum(residual[i] for i in self.sections[0])
+        left = sum(residual[i] for i in self.plan.sections[0])
         pairs = []
         while left > 0:
             t, digits = self.plan.maximize(residual, min)
@@ -442,13 +426,10 @@ def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
     if q > MAX_ASSIGNMENTS:
         raise TooLargeError(
             f"{q} global assignments exceed the supported {MAX_ASSIGNMENTS}")
-    rows, sections = [], []
-    for ctx in scenario.contexts:
-        secs = scenario.outcome_tuples(ctx)
-        sections.append(tuple(range(len(rows), len(rows) + len(secs))))
-        rows += [(ctx, sec) for sec in secs]
-    return IncidenceMatrix(scenario, tuple(rows), tuple(sections),
-                           _Elimination(scenario))
+    plan = _Plan(scenario)
+    rows = tuple([(ctx, sec) for ctx in scenario.contexts
+                  for sec in scenario.outcome_tuples(ctx)])
+    return IncidenceMatrix(scenario, rows, plan, range(len(rows)), plan.costs)
 
 
 class SectionFeasibility(Record):
@@ -475,8 +456,10 @@ class SectionFeasibility(Record):
                               for s, w in self.primal]
         if self.dual is not None:
             cert["dual"] = [format_fraction(y) for y in self.dual]
-        cert["rows"] = ["|".join([",".join(map(str, ctx)), ",".join(map(str, sec))])
-                        for ctx, sec in self.matrix.rows]
+        # Each context's label, and each distinct section's, is built once.
+        head = {ctx: ",".join(map(str, ctx)) + "|" for ctx in self.matrix.scenario.contexts}
+        tail = {sec: ",".join(map(str, sec)) for sec in {sec for _, sec in self.matrix.rows}}
+        cert["rows"] = [head[ctx] + tail[sec] for ctx, sec in self.matrix.rows]
         cert["rhs"] = [format_fraction(self.model.tables[ctx][sec])
                        for ctx, sec in self.matrix.rows]
         return cert

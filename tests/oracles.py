@@ -8,7 +8,10 @@ kernel must match pivot for pivot, on listed columns by Bland's rule and on
 the section source by the largest score and the same phase-1 costs,
 `reference_incidence_rows` the dense row-by-row incidence matrix the
 implicit global-section matrix must equal, and `reference_argmax` the column-by-column scan its
-elimination oracle must agree with.
+elimination oracle must agree with.  `reference_section_plan` builds a
+scenario's section plan (elimination gathers, decode strides, lookup
+positions, row basis, costs and restricted row maps) pass by pass, as the
+package built it before its one-pass plan.
 `reference_membership_lp` (the dense-vertex local-polytope LP over its own
 vertex list `ld_vertex_boxes`) and `reference_hulls_intersect` run on that
 reference simplex, and `brute_force_lift_maximum` scans all 4^n strategy
@@ -274,6 +277,145 @@ def reference_argmax(scenario, y: Sequence, keep=None, outside=()) -> tuple | No
         if best is None or score > best[0]:
             best = (score, t)
     return best
+
+
+def _index_map(union: tuple, scope: tuple, size: list) -> list | None:
+    """Where each entry of a table over ``union`` reads a table over ``scope``.
+
+    A table over a scope of measurement positions is mixed-radix in
+    ascending position order, the last position varying fastest.  None
+    when the two scopes are equal.
+    """
+    if scope == union:
+        return None
+    stride, step = {}, 1
+    for u in reversed(scope):
+        stride[u] = step
+        step *= size[u]
+    idx = [0]
+    for u in union:
+        s = stride.get(u, 0)
+        idx = [r + d * s for r in idx for d in range(size[u])]
+    return idx
+
+
+class _ReferenceSectionPlan:
+    """A scenario's section plan built pass by pass, as the package once built it.
+
+    The elimination's steps come from `_index_map` per bucket part, the
+    buffer gathers (``compiled``) map those indices through each table's
+    range, ``lookup`` is one dict per context from outcome indices to
+    buffer positions, ``basis`` and ``costs`` are derived from the
+    sections' outcome tuples, and `restrict` builds the restricted row map
+    from per-context section tuples.  ``maximize`` runs the elimination
+    over these gathers entry by entry.
+    """
+
+    def __init__(self, scenario: MeasurementScenario):
+        self.scenario = scenario
+        pos = {m: i for i, m in enumerate(scenario.measurements)}
+        self.size = size = [len(scenario.outcomes[m]) for m in scenario.measurements]
+        scopes = [tuple(pos[m] for m in ctx) for ctx in scenario.contexts]
+        self.scopes = tuple(scopes)
+        bucket: list[list[int]] = [[] for _ in size]
+        for f, scope in enumerate(scopes):
+            bucket[scope[-1]].append(f)
+        self.elimination = []
+        self.message_tables: list[int] = []
+        for v in reversed(range(len(size))):
+            union = tuple(sorted({u for f in bucket[v] for u in scopes[f]}))
+            msg = len(scopes)
+            scopes.append(union[:-1])
+            (bucket[union[-2]] if len(union) > 1 else self.message_tables).append(msg)
+            self.elimination.append((v, union, [(f, _index_map(union, scopes[f], size))
+                                                for f in bucket[v]], msg))
+        self.decode: list = [None] * len(size)
+        for v, union, _, _ in self.elimination:
+            strides, step = [], 1
+            for u in reversed(union):
+                strides.append(step)
+                step *= size[u]
+            self.decode[v] = (union[:-1], tuple(reversed(strides))[:-1])
+        # ``compiled``: the gathers on a buffer of every section, then the messages.
+        end, tables = 0, []
+        for scope in self.scopes:
+            start, end = end, end + math.prod(size[u] for u in scope)
+            tables.append(range(start, end))
+        self.sections = tables[:]
+        rows = end
+        self.steps = []
+        for v, union, parts, _ in self.elimination:
+            start, end = end, end + math.prod(size[u] for u in union[:-1])
+            gathers = [tuple(tables[f] if idx is None else map(tables[f].__getitem__, idx))
+                       for f, idx in parts]
+            self.steps.append((v, gathers[0], gathers[1:], size[v], start, end))
+            tables.append(range(start, end))
+        self.constants = [tables[t][0] for t in self.message_tables]
+        self.room = [0] * (end - rows)
+        # ``lookup``: per context, its outcome-index getter and a dict to buffer positions.
+        self.lookup, end = [], 0
+        for scope in self.scopes:
+            keys = (itertools.product(*(range(size[u]) for u in scope)) if len(scope) > 1
+                    else range(size[scope[0]]))
+            at = dict(zip(keys, itertools.count(end)))
+            self.lookup.append((scope, at))
+            end += len(at)
+        self.rows = [(ctx, sec) for ctx in scenario.contexts
+                     for sec in scenario.outcome_tuples(ctx)]
+        last = {m: outs[-1] for m, outs in scenario.outcomes.items()}
+        self.costs = tuple(1 + sum(o == last[m] for m, o in zip(ctx, sec))
+                           for ctx, sec in self.rows)
+        # ``basis``: N(s) as a bit mask, kept unless inside an earlier context.
+        bit = {m: 1 << i for i, m in enumerate(scenario.measurements)}
+        bits = {m: [bit[m]] * (len(scenario.outcomes[m]) - 1) + [0] for m in bit}
+        covered: set = set()
+        self.basis = []
+        for ctx, secs in zip(scenario.contexts, self.sections):
+            self.basis += [i for i, n in zip(secs, map(sum, itertools.product(*map(bits.get, ctx))))
+                           if n not in covered]
+            whole = sub = sum(map(bit.get, ctx))
+            while sub:
+                covered.add(sub)
+                sub = (sub - 1) & whole
+            covered.add(0)
+
+    def restrict(self, keep: Sequence[int], outside=()) -> tuple:
+        """(row map, costs, gather) of the matrix on the rows ``keep``.
+
+        The row map gives each full row's row in the restricted system,
+        None when forbidden and -1 when outside; the gather lists, per
+        full row, its slot in ``[*y, low, 0]``.
+        """
+        new = dict.fromkeys(outside, -1)
+        new.update((i, k) for k, i in enumerate(keep))
+        flat = [new.get(r) for secs in self.sections for r in secs]
+        slot = {None: len(keep), -1: len(keep) + 1}
+        return flat, tuple(self.costs[i] for i in keep), [slot.get(r, r) for r in flat]
+
+    def maximize(self, tables: list, combine) -> tuple:
+        """(largest total, outcome indices the decoding picks), entry by entry."""
+        buf = [*tables, *self.room]
+        kept = [None] * len(self.size)
+        for v, first, rest, k, start, end in self.steps:
+            f = [buf[i] for i in first]
+            for part in rest:
+                f = [combine(a, buf[i]) for a, i in zip(f, part)]
+            buf[start:end] = [max(f[j:j + k]) for j in range(0, len(f), k)]
+            kept[v] = f
+        digits: list[int] = []
+        for f, k, (prev, strides) in zip(kept, self.size, self.decode):
+            base = sum(digits[u] * s for u, s in zip(prev, strides))
+            seg = f[base:base + k]
+            digits.append(seg.index(max(seg)))
+        total = buf[self.constants[0]]
+        for i in self.constants[1:]:
+            total = combine(total, buf[i])
+        return total, digits
+
+
+def reference_section_plan(scenario: MeasurementScenario) -> _ReferenceSectionPlan:
+    """The section plan of `_ReferenceSectionPlan`, for comparison with `sheaf`'s."""
+    return _ReferenceSectionPlan(scenario)
 
 
 def ld_vertex_boxes(nX: int, nY: int, nA: int, nB: int) -> list[dict]:

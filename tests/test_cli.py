@@ -1368,11 +1368,48 @@ def malformed_field_document(fault: str) -> dict:
     return doc
 
 
+def string_field_documents(fault: str) -> tuple:
+    """A valid document, the same with a string where it has a list, and the field.
+
+    Read one character at a time, each string would pass for the list of
+    its characters: the contexts ``A`` and ``B``, the context {A, B}, or
+    the outcomes ``'0'`` and ``'1'``.
+    """
+    if fault == "quantum-outcomes-string":
+        good = classify_base_document("quantum")
+        good["contexts"][0][0]["outcomes"] = ["0", "1"]
+        bad = json.loads(json.dumps(good))
+        bad["contexts"][0][0]["outcomes"] = "01"
+        return good, bad, "outcomes of measurement 'Z'"
+    half = {"0": "1/2", "1": "1/2"}
+    model = {"measurements": [{"label": "A", "outcomes": [0, 1]},
+                              {"label": "B", "outcomes": [0, 1]}],
+             "contexts": [["A"], ["B"]], "tables": {"A": half, "B": half}}
+    if fault == "context-string":
+        model["contexts"] = [["A", "B"]]
+        model["tables"] = {"A,B": {"0,0": "1/2", "1,1": "1/2"}}
+    elif fault == "outcomes-string":
+        model["measurements"][0]["outcomes"] = ["0", "1"]
+    good = {"kind": "empirical", "model": model}
+    bad = json.loads(json.dumps(good))
+    if fault == "contexts-string":
+        bad["model"]["contexts"] = "AB"
+        return good, bad, "'contexts' must be a list"
+    if fault == "context-string":
+        bad["model"]["contexts"] = ["AB"]
+        return good, bad, "a context must be a list"
+    bad["model"]["measurements"][0]["outcomes"] = "01"
+    return good, bad, "outcomes of measurement 'A' must be a list"
+
+
 class TestMalformedFieldRefusals:
     """A field of the wrong JSON type exits 2 with one line naming it.
 
-    Written with `require` instead of bare asserts, so that it also tests
-    something when pytest runs under ``python -O``.
+    A string where a list belongs is refused too, where reading it one
+    character at a time once gave a document of other contexts or
+    outcomes that exited 0.  Written with `require` instead of bare
+    asserts, so that it also tests something when pytest runs under
+    ``python -O``.
     """
 
     @pytest.mark.parametrize("fault, field", [
@@ -1386,6 +1423,20 @@ class TestMalformedFieldRefusals:
     def test_exits_two_naming_the_field(self, tmp_path, command, fault, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(malformed_field_document(fault)))
+        rc, out, err = cli_run(path, [command])
+        require_one_line_refusal(rc, out, err, f"{command} {fault}")
+        require(field in err, f"{command} {fault}: {err!r}")
+
+    @pytest.mark.parametrize("fault", ["contexts-string", "context-string",
+                                       "outcomes-string", "quantum-outcomes-string"])
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_a_string_is_not_read_as_a_list(self, tmp_path, command, fault):
+        good, bad, field = string_field_documents(fault)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(good))
+        rc, _, err = cli_run(path, [command])
+        require(rc == 0, f"{command} {fault}: the list form exits {rc}, {err!r}")
+        path.write_text(json.dumps(bad))
         rc, out, err = cli_run(path, [command])
         require_one_line_refusal(rc, out, err, f"{command} {fault}")
         require(field in err, f"{command} {fault}: {err!r}")

@@ -36,14 +36,20 @@ Verification strategy:
   LP, the verdict equals the reference simplex's on mixtures of
   deterministic assignments, a stalled one starts the LP from its
   assignments with pinned pricing rounds, and start columns pivot as in
-  the reference simplex offered the same columns.
+  the reference simplex offered the same columns;
+- the one-pass section plan equals the pass-by-pass reference plan on
+  random scenarios declared in shuffled order: its gathers, decode
+  strides, lookup positions, row basis, costs and restricted row maps,
+  and the elimination's value and decoded digits under sum and minimum.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import prod
+from operator import add
 
 import numpy as np
 import pytest
@@ -83,6 +89,7 @@ from oracles import (
     reference_argmax,
     reference_hulls_intersect,
     reference_incidence_rows,
+    reference_section_plan,
     reference_solve_eq_nonneg,
 )
 
@@ -1182,3 +1189,76 @@ class TestGreedySections:
         ref = reference_solve_eq_nonneg(a, b, start=start)
         require(res == ref, f"{res} against {ref}")
         require(require_certificate(cols, b, res) is res, "certificate")
+
+
+@st.composite
+def shuffled_scenarios(draw):
+    """Measurements of 2-4 outcomes declared in a drawn order, and contexts
+    of 1-3 of them, each listed in a drawn order and overlapping: often a
+    ring of pairs through the measurements in a drawn order, whose
+    elimination passes messages on to wider tables, then up to 4 drawn
+    contexts; each measurement not yet covered gets a context of its own."""
+    labels = draw(st.permutations([f"M{k}" for k in range(draw(st.integers(1, 5)))]))
+    measurements = [(lab, tuple(range(draw(st.integers(2, 4))))) for lab in labels]
+    ring = draw(st.permutations(labels)) if len(labels) >= 3 and draw(st.booleans()) else []
+    contexts = [[a, b] for a, b in zip(ring, ring[1:] + ring[:1])]
+    contexts += draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True),
+        min_size=0 if ring else 1, max_size=4))
+    contexts = list({frozenset(c): c for c in contexts}.values())
+    covered = {lab for ctx in contexts for lab in ctx}
+    contexts += [[lab] for lab in labels if lab not in covered]
+    return make_scenario(measurements, contexts)
+
+
+class TestSectionPlanReference:
+    """The one-pass section plan against the pass-by-pass reference plan.
+
+    `oracles.reference_section_plan` builds the plan as the package once
+    did: one index map per bucket part mapped through each table's range,
+    one dict per context for the lookup, and the basis, costs and
+    restricted row maps from the sections' outcome tuples.  On random
+    scenarios the package's plan must give the same gathers (read as index
+    tuples), decode strides, lookup positions, basis rows, costs and
+    restricted maps, and its elimination the same value and digits under
+    sum and minimum on random integer tables.  Checks raise through
+    `require`, so the class also tests something under ``python -O``.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_scenarios(), st.randoms(use_true_random=False))
+    @example(cycle_scenario(5), random.Random(5))
+    @example(box_scenario(3), random.Random(3))
+    @example(mixed_scenario(), random.Random(0))
+    def test_plan_equals_the_reference(self, sc, rnd):
+        mat = build_incidence_matrix(sc)
+        plan, ref = mat.plan, reference_section_plan(sc)
+        n = len(mat.rows)
+        require(mat.rows == tuple(ref.rows) and n == len(ref.costs), "rows")
+        buffer = range(n + len(plan.room))
+        steps = [(v, first(buffer), [g(buffer) for g in rest], k, start, end)
+                 for v, first, rest, k, start, end in plan.steps]
+        require(steps == ref.steps, f"gathers {steps} against {ref.steps}")
+        require(plan.constants == ref.constants and plan.room == ref.room, "message slots")
+        require(plan.decode == ref.decode, f"decode {plan.decode} against {ref.decode}")
+        for (get, base, offsets), (scope, at) in zip(plan.lookup, ref.lookup, strict=True):
+            for key, p in at.items():
+                digits = [0] * len(sc.measurements)
+                for u, d in zip(scope, key if len(scope) > 1 else (key,)):
+                    digits[u] = d
+                require(get(digits) == key and base + offsets[key] == p,
+                        f"lookup of {key} in context {scope}")
+        require(mat.basis() == ref.basis, f"basis {mat.basis()} against {ref.basis}")
+        require(mat.costs == ref.costs, f"costs {mat.costs} against {ref.costs}")
+        # Each row kept, outside or forbidden, as the draw falls.
+        fate = [rnd.randrange(3) for _ in range(n)]
+        keep = [i for i in range(n) if fate[i] == 0]
+        outside = [i for i in range(n) if fate[i] == 1]
+        sub = mat.restrict(keep, outside)
+        flat, costs, slots = ref.restrict(keep, outside)
+        require(list(sub.flat) == flat and sub.costs == costs, "restricted row map")
+        require(list(sub._gather(range(len(keep) + 2))) == slots, "restricted gather")
+        tables = [rnd.randint(-3, 3) for _ in range(n)]
+        for combine in (add, min):
+            got, want = plan.maximize(tables, combine), ref.maximize(tables, combine)
+            require(got == want, f"{combine.__name__}: {got} against {want}")
