@@ -260,21 +260,23 @@ def classify_quantum(state, contexts, sharing: dict | None = None) -> Classifica
     """Classify a quantum scenario: a state plus commuting projective contexts.
 
     One `quantum_pass` checks the state and contexts and computes every
-    product projector, atom and Born probability, and `rationalize_atoms`
-    makes the atoms exact once, for both verdicts.  The assignment verdict
-    is the global-section verdict of the model whose entries are those
-    exact atoms; where it is not exactly consistent (a marginal summing
-    different atoms, as in the Peres-Mermin square) the section solver
-    rationalizes the float Born tables instead.  A "no" propagates down to
+    product projector, atom and Born probability, and the atoms are made
+    exact once, for both verdicts (`QuantumPass.exact_atoms`): exact Born
+    values where every atom is a Gaussian-rational matrix, as Pauli
+    products are, else rounded floats.  The assignment verdict is the
+    global-section verdict of the model whose entries are those exact
+    atoms; where it is not exactly consistent (rounded atoms, and a
+    marginal summing different atoms, as in a Peres-Mermin square turned
+    to an irrational basis) the section solver rationalizes the float Born
+    tables instead (`QuantumPass.section_model`).  A "no" propagates down to
     the ontic-expansion verdict before any embedding runs; only when a
     global assignment may exist is the sharp GPT built and its induced
     model, from the same exact atoms, tested for a simplex embedding.  Bell
     is not applicable: the input declares no party split.
     """
     qp = quantum_pass([state], contexts, sharing)
-    floats = qp.float_model()
+    model = qp.section_model()
     exact = qp.exact_atoms()
-    model = qp.exact_model(exact) or floats
     certificates: list = []
     notes: list = ["quantum scenario declares no party split; Bell verdict "
                    "not applicable"]

@@ -55,11 +55,18 @@ from .quantum import (
     kcbs_construction,
     matrix_from_json,
     peres_mermin_square,
+    projective_context,
     pvm_from_observable,
     random_density,
     sup_norm,
 )
-from .scenario import SchemaError, from_quantum, rational_literal, validate_no_disturbance
+from .scenario import (
+    SchemaError,
+    from_quantum,
+    quantum_pass,
+    rational_literal,
+    validate_no_disturbance,
+)
 from .sheaf import solve_global_section
 
 KCBS_SUM_BOUND = -3
@@ -163,14 +170,18 @@ def _emit(payload: dict, args) -> None:
     else:
         text = "\n".join(_render_text(payload)) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at ``path``, decoded from UTF-8, -16 or -32 as `json.loads` detects.
+
+    The bytes are read whatever the locale's encoding (RFC 8259).
+    """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -226,7 +237,7 @@ def cmd_kcbs(args) -> dict:
         k = (j + 1) % 5
         contexts.append([pvm_from_observable(observables[j], f"A{j}"),
                          pvm_from_observable(observables[k], f"A{k}")])
-    section = solve_global_section(from_quantum(psi, contexts))
+    section = solve_global_section(quantum_pass([psi], contexts).section_model())
     csw = csw_inequality(kcbs_graph(), state=psi)
     return {
         "correlator_sum": total,
@@ -265,20 +276,20 @@ def cmd_chsh(args) -> dict:
     }
 
 
-def _pm_contexts() -> list:
-    grid = peres_mermin_square()
-    contexts = []
-    for i in range(3):
-        contexts.append([pvm_from_observable(grid[i][j], PM_LABELS[i][j])
-                         for j in range(3)])
-    for j in range(3):
-        contexts.append([pvm_from_observable(grid[i][j], PM_LABELS[i][j])
-                         for i in range(3)])
-    return contexts
+def _pm_contexts(grid) -> list:
+    """The square's rows, then its columns, each observable P measured once.
+
+    P squares to the identity, so its projectors for outcomes -1 and 1 are
+    (I - P)/2 and (I + P)/2, exact in floats.
+    """
+    eye = np.eye(4)
+    rows = [[projective_context(label, [(eye - p) / 2, (eye + p) / 2], [-1, 1])
+             for p, label in zip(row, labels)]
+            for row, labels in zip(grid, PM_LABELS)]
+    return rows + [list(column) for column in zip(*rows)]
 
 
-def _pm_signs() -> tuple[list[int], list[int]]:
-    grid = peres_mermin_square()
+def _pm_signs(grid) -> tuple[list[int], list[int]]:
     eye = np.eye(4)
 
     def sign(product: np.ndarray) -> int:
@@ -294,30 +305,26 @@ def _pm_signs() -> tuple[list[int], list[int]]:
 
 
 def _pm_assignment_count(rows: list[int], cols: list[int]) -> int:
-    count = 0
-    for bits in itertools.product((1, -1), repeat=9):
-        grid = [bits[0:3], bits[3:6], bits[6:9]]
-        ok = all(grid[i][0] * grid[i][1] * grid[i][2] == rows[i]
-                 for i in range(3))
-        ok = ok and all(grid[0][j] * grid[1][j] * grid[2][j] == cols[j]
-                        for j in range(3))
-        if ok:
-            count += 1
-    return count
+    """How many of the 512 +/-1 fillings of the square give every row and column its sign."""
+    grids = np.array(list(itertools.product((1, -1), repeat=9))).reshape(-1, 3, 3)
+    ok = ((grids.prod(axis=2) == rows).all(axis=1)
+          & (grids.prod(axis=1) == cols).all(axis=1))
+    return int(ok.sum())
 
 
 def cmd_pm_square(args) -> dict:
     if args.trials < 0:
         raise ValueError(f"trials must be a nonnegative integer, got {args.trials}")
-    rows, cols = _pm_signs()
+    grid = peres_mermin_square()
+    rows, cols = _pm_signs(grid)
     satisfying = _pm_assignment_count(rows, cols)
-    contexts = _pm_contexts()
+    contexts = _pm_contexts(grid)
     rng = np.random.default_rng(args.seed)
     verdicts = []
     certs = []
     for _ in range(args.trials):
         section = solve_global_section(
-            from_quantum(random_density(4, rng), contexts))
+            quantum_pass([random_density(4, rng)], contexts).section_model())
         verdicts.append(section.verdict)
         certs.append(section.certificate())
     return {

@@ -37,6 +37,7 @@ from .exactlp import (
     clear_denominators,
     columns_from_rows,
     format_fraction,
+    nearest_fraction,
     require_certificate,
     solve_eq_nonneg,
     to_fraction,
@@ -395,8 +396,8 @@ def embed_sharp(gpt: Gpt, exact=None) -> EmbedSharpResult:
 
 def _snap(x: float) -> Fraction:
     """Exact zero within `ZERO_TOL`, otherwise the nearest rational with
-    denominator at most `MAX_DEN`."""
-    return Fraction(0) if abs(x) <= ZERO_TOL else Fraction(x).limit_denominator(MAX_DEN)
+    denominator at most `MAX_DEN` (`nearest_fraction`)."""
+    return Fraction(0) if abs(x) <= ZERO_TOL else Fraction(*nearest_fraction(x, MAX_DEN))
 
 
 def _primitive(values) -> tuple:
@@ -875,7 +876,7 @@ def _normalize_stats(probs, n_outcomes: int, max_den: int = 10**6):
         if not isinstance(p, float):
             values.append(to_fraction(p))
         elif math.isfinite(p):
-            values.append(Fraction(p).limit_denominator(max_den))
+            values.append(Fraction(*nearest_fraction(p, max_den)))
         else:
             raise SchemaError(f"probability {p} is not finite")
     if len(values) != n_outcomes:
@@ -1127,7 +1128,7 @@ def six_ensemble_statistics(r, axis=(0.0, 0.0, 1.0), *, max_den: int = 10**6):
             plus = eigen_projector(PAULIS[basis], 1.0)
             p0 = float(np.real(np.trace(plus @ state)))
             p0 = min(1.0, max(0.0, p0))
-            frac = Fraction(p0).limit_denominator(max_den)
+            frac = Fraction(*nearest_fraction(p0, max_den))
             per[basis] = (frac, 1 - frac)
         stats[label] = per
     group = []

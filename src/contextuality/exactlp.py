@@ -129,6 +129,34 @@ def to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def nearest_fraction(x: float, max_den: int) -> tuple[int, int]:
+    """``Fraction(x).limit_denominator(max_den)`` as coprime (numerator, denominator).
+
+    The same continued-fraction rule, run on the integers of
+    ``x.as_integer_ratio()`` with no `Fraction` built: the last convergent
+    of ``x`` with denominator at most ``max_den``, or the semiconvergent
+    with the largest such denominator when it lies strictly nearer.
+    """
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 lies d/(q1 den) from x and 1/(q1 (q0 + k q1)) from the
+    # semiconvergent, which lies on the other side of x.
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 

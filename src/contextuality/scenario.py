@@ -10,12 +10,17 @@ returns a nearby all-rational model that is exactly normalised and exactly
 marginal-consistent.  Independent rounding of the entries can break both
 properties, so the rounded model is used only when an exact check shows it
 keeps them; otherwise the model is rebuilt from shared rounded coordinates,
-and by exact LPs when that rebuild fails its checks.  `rationalize_atoms`
-does the same for the atom probabilities of sharp contexts, from which
-exact induced models are built.  A quantum document is read once by
-`quantum_pass`, and its exact atoms build the models of both verdicts,
-except where the atom model is not exactly consistent: then the float
-Born tables are rationalized.
+and by exact LPs when that rebuild fails its checks.  Every float is
+rounded to a nearby fraction on integers (`exactlp.nearest_fraction`).
+`rationalize_atoms` does the same for the atom probabilities of sharp
+contexts, from which exact induced models are built.  A quantum document
+is read once by `quantum_pass`, and its exact atoms build the models of
+both verdicts.  Where every atom is a matrix of Gaussian rationals with a
+power-of-two denominator, as products of Pauli projectors are, the atoms
+are exact Born values: the traces with one rounded Hermitian, trace-1
+state, in integers, so every table is exactly consistent by linearity.
+Otherwise the atoms are rounded floats, and where their model is not
+exactly consistent the float Born tables are rationalized instead.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from operator import getitem, itemgetter
 
 import numpy as np
 
-from .exactlp import clear_denominators, solve_box_eq
+from .exactlp import clear_denominators, nearest_fraction, solve_box_eq
 from .quantum import DimensionMismatch, ProjectiveContext, sup_norm, validate_density
 from .record import Record
 
@@ -129,9 +134,9 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
     """Validated scenario constructor.
 
     `measurements` is an ordered mapping/sequence of (label, outcomes);
-    `contexts` a list of nonempty label collections.  Every measurement must
-    be covered, every outcome set must have at least two elements, and no two
-    contexts may be equal as sets.
+    `contexts` a nonempty list of nonempty label collections.  Every
+    measurement must be covered, every outcome set must have at least two
+    elements, and no two contexts may be equal as sets.
     """
     if isinstance(measurements, dict):
         items = list(measurements.items())
@@ -160,9 +165,11 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
         if not ctx:
             raise DegenerateContexts("a context must hold at least one measurement")
         canon.append(tuple(sorted(ctx, key=order.__getitem__)))
+    if not canon:
+        raise DegenerateContexts("a scenario needs at least one context")
     if len({frozenset(c) for c in canon}) != len(canon):
         raise DegenerateContexts("two contexts contain the same measurement set")
-    covered = set().union(*map(set, canon)) if canon else set()
+    covered = set().union(*map(set, canon))
     missing = [m for m in labels if m not in covered]
     if missing:
         raise ValueError(f"measurements not covered by any context: {missing}")
@@ -286,12 +293,6 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
 # Marginals and no-disturbance
 # ---------------------------------------------------------------------------
 
-def sums_to_one(values) -> bool:
-    """Exact values sum to exactly 1, added as integers over their common denominator."""
-    ints, scale = clear_denominators(values)
-    return sum(ints) == scale
-
-
 def marginalize(table: dict, context, subset) -> dict:
     """Sum a joint table over the measurements outside `subset`.
 
@@ -410,21 +411,49 @@ class QuantumPass(Record, eq=False):
             raise DisturbingModel(str(report))
         return model
 
+    @cached_property
+    def _exact(self) -> tuple[list, EmpiricalModel | None]:
+        """`exact_atoms` and `exact_model`, made once."""
+        floats = self.born[0, list(self.first)]
+        exact = _exact_born(self.states[0], self.atoms, floats)
+        model = None if exact is None else self._atom_model(exact)
+        if model is None:
+            exact = rationalize_atoms(floats.tolist(), list(
+                dict.fromkeys(tuple(sorted(c)) for c in self.sharp_contexts)))
+            model = self._atom_model(exact)
+        return exact, model
+
     def exact_atoms(self) -> list[Fraction]:
-        """The first state's atom probabilities made exact by `rationalize_atoms`.
+        """The first state's atom probabilities, made exact once.
 
-        Its contexts are the distinct sorted atom sets of the sharp
-        contexts, in document order, as in `embedding.induced_model`.
+        Where every atom is a Gaussian-rational matrix (`_exact_born`),
+        they are its exact Born values on the rounded state, kept when the
+        model of the products (`exact_model`) is exactly consistent, as it
+        is by linearity.  Otherwise they are the float probabilities made
+        exact by `rationalize_atoms`, whose contexts are the distinct
+        sorted atom sets of the sharp contexts, in document order, as in
+        `embedding.induced_model`.
         """
-        return rationalize_atoms(self.born[0, list(self.first)].tolist(), list(
-            dict.fromkeys(tuple(sorted(c)) for c in self.sharp_contexts)))
+        return self._exact[0]
 
-    def exact_model(self, exact) -> EmpiricalModel | None:
-        """Tables of the products' `exact` atom values (0 for a zero product), or None.
+    def exact_model(self) -> EmpiricalModel | None:
+        """Tables of the products' `exact_atoms` values (0 for a zero product), or None.
 
-        None unless the model is exactly consistent; it need not be when a
-        marginal sums different atoms, as in the Peres-Mermin square.
+        None unless the model is exactly consistent; rounded atoms need not
+        make it so when a marginal sums different atoms, as in a
+        Peres-Mermin square turned to an irrational basis.
         """
+        return self._exact[1]
+
+    def section_model(self) -> EmpiricalModel:
+        """The model the assignment verdict reads: `exact_model`, else `float_model`.
+
+        The float tables are built, and checked for no-disturbance, first.
+        """
+        floats = self.float_model()
+        return self.exact_model() or floats
+
+    def _atom_model(self, exact) -> EmpiricalModel | None:
         sc = self.scenario
         value = {key: Fraction(0) if k is None else exact[k]
                  for key, k in zip(self.keys, self.atom_of)}
@@ -547,13 +576,15 @@ SLACK = Fraction(1, 10 ** 5)
 BOX_ATTEMPTS = 10
 
 
-def _limit(x: float, max_den: int) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
+def _round(x: float, max_den: int) -> tuple[int, int]:
+    """(0, 1) at or below `ZERO_TOL`, otherwise `nearest_fraction` at max_den."""
+    return (0, 1) if x <= ZERO_TOL else nearest_fraction(x, max_den)
 
 
-def _round(x: float, max_den: int) -> Fraction:
-    """Exact zero at or below `ZERO_TOL`, otherwise the nearest rational with denominator <= max_den."""
-    return Fraction(0) if x <= ZERO_TOL else _limit(x, max_den)
+def _sums_to_one(pairs) -> bool:
+    """(numerator, denominator) pairs sum to exactly 1, added as integers over their lcm."""
+    scale = math.lcm(*(q for _, q in pairs))
+    return sum(p * (scale // q) for p, q in pairs) == scale
 
 
 def _exactly_consistent(model: EmpiricalModel) -> bool:
@@ -567,16 +598,29 @@ def _rounded_model(sc: MeasurementScenario, floats: dict,
                    max_den: int) -> EmpiricalModel | None:
     """Every entry rounded once by `_round`, or None.
 
-    None at the first table whose rounded entries do not sum to exactly 1,
-    or when the rounded marginals disagree.
+    None at the first table whose rounded entries do not sum to exactly 1
+    (`_sums_to_one`), or when the rounded marginals disagree, compared as
+    integers over the model's common denominator, which the model keeps as
+    its `EmpiricalModel.integer_tables`.
     """
-    tables = {}
+    rounded = {}
     for c in sc.contexts:
-        tables[c] = {o: _round(floats[c].get(o, 0.0), max_den) for o in sc.outcome_tuples(c)}
-        if not sums_to_one(tables[c].values()):
+        table = floats[c]
+        pairs = rounded[c] = [_round(table.get(o, 0.0), max_den) for o in sc.outcome_tuples(c)]
+        if not _sums_to_one(pairs):
             return None
-    rounded = EmpiricalModel(scenario=sc, tables=tables)
-    return rounded if exact_no_disturbance(rounded) else None
+    scale = math.lcm(*(q for pairs in rounded.values() for _, q in pairs))
+    ints = {c: dict(zip(sc.outcome_tuples(c), [p * (scale // q) for p, q in pairs]))
+            for c, pairs in rounded.items()}
+    if not _marginals_agree(sc, ints):
+        return None
+    model = EmpiricalModel(scenario=sc, tables={
+        c: dict(zip(sc.outcome_tuples(c), [Fraction(p, q) for p, q in pairs]))
+        for c, pairs in rounded.items()})
+    # The denominators are coprime to their numerators, so `scale` is the
+    # one `clear_denominators` would find.
+    model.__dict__["integer_tables"] = ints, scale
+    return model
 
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
@@ -596,7 +640,7 @@ def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
                     lower.append(Fraction(0))
                     upper.append(Fraction(0))
                     continue
-                c = _limit(f, max_den)
+                c = Fraction(*nearest_fraction(f, max_den))
             lower.append(max(Fraction(0), c - s))
             upper.append(min(Fraction(1), c + s))
         sol = solve_box_eq(rows, rhs, lower, upper)
@@ -652,9 +696,9 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
        MAX_DEN.  Only a context without an exclusive atom above
        `ZERO_TOL`, or a failed stage 2, reaches it.
     """
-    centres = [_round(f, MAX_DEN) for f in values]
-    if all(sums_to_one([centres[k] for k in ctx]) for ctx in contexts):
-        return centres
+    rounded = [_round(f, MAX_DEN) for f in values]
+    if all(_sums_to_one([rounded[k] for k in ctx]) for ctx in contexts):
+        return [Fraction(p, q) for p, q in rounded]
     grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
     pinned = _pin_dependent_atoms(values, grid, contexts)
     if pinned is not None:
@@ -668,6 +712,70 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
     if sol is None:
         raise ValueError("could not rationalize the atom probabilities")
     return sol
+
+
+# Exact atoms are taken on the 1/2**ATOM_BITS grid, and only when every
+# entry's real and imaginary parts lie within ATOM_TOL of it.
+ATOM_BITS = 20
+ATOM_TOL = 1e-12
+
+
+def _dyadic(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Real and imaginary parts of ``mats`` times 2**ATOM_BITS, as int64, or None.
+
+    None unless each part lies within `ATOM_TOL` (before scaling) of an
+    integer, and that integer is at most 2**ATOM_BITS in size, as an entry
+    of a product of projectors is.
+    """
+    scaled = mats * 2 ** ATOM_BITS
+    parts = []
+    for part in (scaled.real, scaled.imag):
+        near = np.rint(part)
+        if (np.abs(part - near).max() > ATOM_TOL * 2 ** ATOM_BITS
+                or np.abs(near).max() > 2 ** ATOM_BITS):
+            return None
+        parts.append(near.astype(np.int64))
+    return parts[0], parts[1]
+
+
+def _grid_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian, trace-exactly-1 state near ``rho`` on the 1/MAX_DEN grid.
+
+    As int64 real and imaginary parts times `MAX_DEN`.  The upper triangle
+    is rounded entry by entry and mirrored, and the first largest diagonal
+    entry then takes what brings the trace to exactly `MAX_DEN`: at most
+    d/2 steps for a trace within 1e-12 of 1.
+    """
+    re, im = np.rint(rho.real * MAX_DEN), np.rint(rho.imag * MAX_DEN)
+    re = (np.triu(re) + np.triu(re, 1).T).astype(np.int64)
+    im = (np.triu(im, 1) - np.triu(im, 1).T).astype(np.int64)
+    k = int(np.argmax(np.diagonal(re)))
+    re[k, k] += MAX_DEN - int(np.trace(re))
+    return re, im
+
+
+def _exact_born(rho: np.ndarray, atoms: np.ndarray, floats: np.ndarray) -> list[Fraction] | None:
+    """tr(rho~ A) in exact integers for each atom A snapped by `_dyadic`, or None.
+
+    rho~ is `_grid_state` of ``rho``.  Both are Hermitian, so the trace is
+    real: the sum over i, j of Re(rho~_ij) Re(A_ji) - Im(rho~_ij) Im(A_ji),
+    over MAX_DEN * 2**ATOM_BITS.  No int64 overflows: a state's entries are
+    at most 1 in size, so rho~'s integers are at most MAX_DEN + d < 2**20
+    (d <= 16), the atoms' at most 2**20, and each trace adds 2 d**2 <= 2**9
+    products, so every sum is below 2**49.  None when an atom does not
+    snap, when a value comes out negative, or when one whose float
+    ``floats`` is at most `ZERO_TOL` is not exactly 0.
+    """
+    snapped = _dyadic(atoms)
+    if snapped is None:
+        return None
+    re, im = _grid_state(rho)
+    values = (np.einsum("ij,aji->a", re, snapped[0])
+              - np.einsum("ij,aji->a", im, snapped[1])).tolist()
+    if min(values) < 0 or any(v and f <= ZERO_TOL for v, f in zip(values, floats.tolist())):
+        return None
+    den = MAX_DEN << ATOM_BITS
+    return [Fraction(v, den) for v in values]
 
 
 def _mobius(arr: np.ndarray, sign: int) -> None:
@@ -808,7 +916,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
                     rows.append([Fraction(1) if tuple(o[i] for i in idx) == wo
                                  else Fraction(0) for o in outs])
                     rhs.append(wv)
-        centres = [_round(f, max_den) for f in values]
+        centres = [Fraction(*_round(f, max_den)) for f in values]
         sol = _solve_box(values, centres, rows, rhs, SLACK, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize overlap {u}")
@@ -829,7 +937,7 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
                     rows.append([Fraction(1) if tuple(o[i] for i in idx) == uo
                                  else Fraction(0) for o in outs])
                     rhs.append(uv)
-        centres = [_round(f, max_den) for f in values]
+        centres = [Fraction(*_round(f, max_den)) for f in values]
         sol = _solve_box(values, centres, rows, rhs, 2 * SLACK, max_den)
         if sol is None:
             raise ValueError(f"could not rationalize context {c}")

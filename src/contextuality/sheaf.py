@@ -465,19 +465,20 @@ class SectionFeasibility(Record):
         return cert
 
 
-def section_lp(matrix: IncidenceMatrix, v: list, start=()) -> Feasibility:
+def section_lp(matrix: IncidenceMatrix, v: list, ints: list, start=()) -> Feasibility:
     """The section LP of ``M x = v`` on its basis rows, with a certificate over every row.
 
-    ``matrix`` lists every section (`build_incidence_matrix`).  The LP runs
-    on the basis rows with a nonzero right-hand side, the other nonzero
-    rows outside the system and the zero rows forbidden; the assignments
-    ``start`` are offered as its first columns.  A Farkas vector is lifted
-    to every row.
+    ``matrix`` lists every section (`build_incidence_matrix`), and ``ints``
+    is ``v`` times a positive scale, as integers, on which the zero tests
+    run.  The LP runs on the basis rows with a nonzero right-hand side, the
+    other nonzero rows outside the system and the zero rows forbidden; the
+    assignments ``start`` are offered as its first columns.  A Farkas
+    vector is lifted to every row.
     """
     basis = matrix.basis()
-    live = [i for i in basis if v[i]]
+    live = [i for i in basis if ints[i]]
     kept = set(basis)
-    outside = [i for i, vi in enumerate(v) if vi and i not in kept]
+    outside = [i for i, vi in enumerate(ints) if vi and i not in kept]
     result = solve_eq_nonneg(matrix.restrict(live, outside), [v[i] for i in live],
                              start=start)
     if result.feasible:
@@ -488,10 +489,10 @@ def section_lp(matrix: IncidenceMatrix, v: list, start=()) -> Feasibility:
     # An assignment through a row with v_i = 0 had no column in the
     # solved system.  Such rows add nothing to y^T v, so setting them to
     # minus the largest score brings every such assignment to <= 0.
-    if not all(v):
+    if not all(ints):
         top = matrix.maximum(y)[0]
         if top > 0:
-            y = [yi if vi else -top for yi, vi in zip(y, v)]
+            y = [yi if vi else -top for yi, vi in zip(y, ints)]
     return Feasibility(False, farkas=tuple(y))
 
 
@@ -512,12 +513,13 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     rational = rationalize_model(model)
     matrix = build_incidence_matrix(model.scenario)
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
-    ints, scale = rational.integer_tables
-    pairs, whole = matrix.greedy([ints[ctx][sec] for ctx, sec in matrix.rows], scale)
+    tables, scale = rational.integer_tables
+    ints = [tables[ctx][sec] for ctx, sec in matrix.rows]
+    pairs, whole = matrix.greedy(list(ints), scale)  # the greedy spends its residual
     if whole:
         result = Feasibility(True, x=matrix.primal(pairs))
     else:
-        result = section_lp(matrix, v, [s for s, _ in pairs])
+        result = section_lp(matrix, v, ints, [s for s, _ in pairs])
     require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)

@@ -793,6 +793,50 @@ def reference_sharp_atoms(contexts, tol: float = 1e-10) -> tuple[list, tuple]:
     return atoms, tuple(sharp_contexts)
 
 
+def reference_exact_born(state, atoms, max_den: int = 10 ** 6, bits: int = 20,
+                         tol: float = 1e-12) -> list | None:
+    """tr(rho~ A) for each atom, one ``Fraction`` entry at a time, or None.
+
+    Each real and imaginary part of an atom is taken as the nearest
+    multiple of 2**-bits, and None is returned unless every one lies within
+    ``tol`` of its float.  rho~ rounds each entry on and above the diagonal
+    of ``state`` to the nearest multiple of 1/max_den (half to even) and
+    mirrors it below; its first largest diagonal entry is then set to 1
+    minus the others.  Complex products are (re, im) pairs of Fractions.
+    """
+    state = np.asarray(state, dtype=complex)
+    dim = state.shape[0]
+    snapped = []
+    for atom in atoms:
+        entries = {}
+        for i, j in itertools.product(range(dim), repeat=2):
+            pair = []
+            for x in (float(atom[i, j].real), float(atom[i, j].imag)):
+                near = Fraction(round(x * 2 ** bits), 2 ** bits)
+                if abs(Fraction(x) - near) > Fraction(tol):
+                    return None
+                pair.append(near)
+            entries[i, j] = tuple(pair)
+        snapped.append(entries)
+    rho = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            re = Fraction(round(float(state[i, j].real) * max_den), max_den)
+            im = Fraction(round(float(state[i, j].imag) * max_den), max_den) if i != j else 0
+            rho[i, j], rho[j, i] = (re, im), (re, -im)
+    diagonal = [rho[i, i][0] for i in range(dim)]
+    top = diagonal.index(max(diagonal))
+    rho[top, top] = (1 - sum(d for i, d in enumerate(diagonal) if i != top), 0)
+    values = []
+    for entries in snapped:
+        total = Fraction(0)
+        for i, j in itertools.product(range(dim), repeat=2):
+            (a, b), (c, d) = rho[i, j], entries[j, i]
+            total += a * c - b * d
+        values.append(total)
+    return values
+
+
 MERGE_TOL = 1e-10
 
 

@@ -34,11 +34,14 @@ from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
 from contextuality.quantum import (
     PAULIS,
+    PM_LABELS,
     kcbs_construction,
     kcbs_vectors,
     matrix_to_json,
+    peres_mermin_square,
     projective_context,
     pvm_from_observable,
+    random_density,
     tensor,
 )
 from contextuality.scenario import SchemaError, rational_literal
@@ -1441,6 +1444,19 @@ class TestMalformedFieldRefusals:
         require_one_line_refusal(rc, out, err, f"{command} {fault}")
         require(field in err, f"{command} {fault}: {err!r}")
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "empirical", "model": {"measurements": [], "contexts": [], "tables": {}}},
+        {"kind": "quantum", "state": {"rows": 2, "cols": 2, "re": [1, 0, 0, 0]},
+         "contexts": []},
+    ], ids=["empirical", "quantum"])
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_no_context_is_refused(self, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = cli_run(path, [command])
+        require_one_line_refusal(rc, out, err, f"{command} {doc['kind']}")
+        require("at least one context" in err, f"{command}: {err!r}")
+
 
 class TestNonIntegerGptFields:
     """Float or boolean sharp-context indices and dims are refused, not
@@ -1765,3 +1781,89 @@ class TestUnwritableOut:
             rc = main(argv)
         require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"{command[0]} {target}")
         require(str(out_path) in err.getvalue(), f"the path is not named: {err.getvalue()!r}")
+
+
+def quantum_doc(state, contexts) -> dict:
+    """The quantum document of a state and contexts of `ProjectiveContext` measurements."""
+    return {"kind": "quantum", "state": matrix_to_json(state),
+            "contexts": [[{"label": pc.label, "outcomes": list(pc.outcomes),
+                           "projectors": [matrix_to_json(p) for p in pc.projectors]}
+                          for pc in ctx] for ctx in contexts]}
+
+
+class TestNamedSectionsMatchClassify:
+    """`kcbs` and `pm-square` print the assignment section `classify` finds on their documents."""
+
+    @staticmethod
+    def classify_section(tmp_path, doc) -> dict:
+        payload = run_json(tmp_path, ["classify", write_doc(tmp_path, doc), "--emit-certificate"])
+        section = next(c for c in payload["certificates"] if c["role"] == "ks")
+        return {k: v for k, v in section.items() if k != "role"}
+
+    def test_kcbs(self, tmp_path):
+        _, observables, _ = kcbs_construction()
+        pvms = [pvm_from_observable(a, f"A{j}") for j, a in enumerate(observables)]
+        contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+        doc = quantum_doc(np.diag([1.0, 0.0, 0.0]), contexts)
+        [section] = run_json(tmp_path, ["kcbs", "--emit-certificate"])["certificates"]
+        require(section == self.classify_section(tmp_path, doc), "the sections differ")
+
+    def test_pm_square(self, tmp_path):
+        payload = run_json(tmp_path, ["pm-square", "--trials", "3", "--seed", "11",
+                                      "--emit-certificate"])
+        grid, eye = peres_mermin_square(), np.eye(4)
+        rows = [[projective_context(label, [(eye - p) / 2, (eye + p) / 2], [-1, 1])
+                 for p, label in zip(row, labels)] for row, labels in zip(grid, PM_LABELS)]
+        contexts = rows + [list(col) for col in zip(*rows)]
+        rng = np.random.default_rng(11)
+        for section in payload["certificates"]:
+            doc = quantum_doc(random_density(4, rng), contexts)
+            require(section == self.classify_section(tmp_path, doc), "the sections differ")
+            require(section["verdict"] == "infeasible", section["verdict"])
+
+
+def write_doc(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+LABELLED_DOC = {"kind": "empirical", "model": {
+    "measurements": [{"label": "Aψ", "outcomes": [0, 1]}, {"label": "B", "outcomes": [0, 1]}],
+    "contexts": [["Aψ", "B"]],
+    "tables": {"Aψ,B": {"0,0": "1/2", "1,1": "1/2"}}}}
+
+
+class TestDocumentEncoding:
+    """Documents are read as JSON bytes, UTF-8, -16 or -32, whatever the locale's encoding."""
+
+    def test_utf8_label_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(LABELLED_DOC, ensure_ascii=False).encode("utf-8"))
+        out = tmp_path / "report.txt"
+        env = {**package_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env.pop("LANG", None)
+        proc = subprocess.run([sys.executable, "-m", "contextuality.cli", "classify", str(path),
+                               "--emit-certificate", "--format", "text", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        require(proc.returncode == 0, proc.stderr)
+        require("Aψ" in out.read_text(encoding="utf-8"), "the label is not in the report")
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32",
+                                          "utf-32-le"])
+    def test_every_json_encoding_reads_alike(self, tmp_path, encoding):
+        outs = []
+        for name, coding in (("utf-8", "utf-8"), (encoding, encoding)):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(json.dumps(LABELLED_DOC, ensure_ascii=False).encode(coding))
+            out = tmp_path / f"{name}.out"
+            require(main(["classify", str(path), "--emit-certificate", "--out", str(out)]) == 0,
+                    f"{name} was refused")
+            outs.append(out.read_bytes())
+        require(outs[0] == outs[1], f"{encoding} reads differently")
+
+    def test_undecodable_bytes_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"kind": "empirical", "label": "\xff\xfe\xfd"}')
+        require(main(["classify", str(path)]) == 2, "not refused")
+        require("can't decode" in capsys.readouterr().err, "the fault is not named")

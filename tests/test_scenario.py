@@ -22,14 +22,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contextuality import scenario
 from contextuality.classify import classify_model
+from contextuality.exactlp import nearest_fraction
 from contextuality.quantum import (
     PAULI_X,
     PAULI_Z,
+    PAULIS,
     DimensionMismatch,
     dm,
     kcbs_construction,
@@ -63,6 +65,7 @@ from oracles import (
     exactly_consistent,
     flip_error_bounds,
     reference_born_tables,
+    reference_exact_born,
     reference_model_from_json,
     reference_rational_literal,
     reference_sharp_atoms,
@@ -120,6 +123,11 @@ class TestScenarioConstruction:
         # The section oracle eliminates each context's last measurement.
         with pytest.raises(DegenerateContexts, match="at least one"):
             make_scenario([("A", (0, 1))], [["A"], []])
+
+    def test_no_context_rejected(self):
+        # The section solver reads the first context's sections.
+        with pytest.raises(DegenerateContexts, match="at least one context"):
+            make_scenario([], [])
 
     def test_unknown_label_rejected(self):
         with pytest.raises(LabelMismatch):
@@ -372,11 +380,10 @@ class TestQuantumPassReference:
         name, state, contexts, sharing = case
         qp = scenario.quantum_pass([state], contexts, sharing)
         exact = qp.exact_atoms()
-        model = qp.exact_model(exact)
-        # Peres-Mermin marginals sum different atoms, so they need not agree.
-        require((model is None) == (name == "Peres-Mermin"), f"{name}: wrong route")
-        if model is None:
-            return
+        model = qp.exact_model()
+        # Peres-Mermin marginals sum different atoms; its Pauli projectors
+        # are exact, so its atoms are exact Born values and agree anyway.
+        require(model is not None, f"{name}: no exact model")
         require(exactly_consistent(model.scenario, model.tables), name)
         for (c, o), k in zip(qp.keys, qp.atom_of):
             require(model.tables[c][o] == (0 if k is None else exact[k]), f"{c} {o}")
@@ -752,9 +759,14 @@ class TestIntegerConsistencyChecks:
 
 
 def round_every_table(sc, floats) -> dict:
-    """Every entry of every table rounded by `scenario._round` at `MAX_DEN`."""
-    return {c: {o: scenario._round(floats[c].get(o, 0.0), scenario.MAX_DEN)
-                for o in sc.outcome_tuples(c)} for c in sc.contexts}
+    """Every entry of every table rounded as `scenario._round` rounds it, in `Fraction`s.
+
+    0 at or below `ZERO_TOL`, else ``Fraction.limit_denominator`` at `MAX_DEN`.
+    """
+    return {c: {o: Fraction(0) if x <= scenario.ZERO_TOL
+                else Fraction(x).limit_denominator(scenario.MAX_DEN)
+                for o in sc.outcome_tuples(c) for x in [floats[c].get(o, 0.0)]}
+            for c in sc.contexts}
 
 
 def float_tables(m) -> dict:
@@ -833,6 +845,167 @@ class TestEarlyExitRounding:
         require(tables == [[everything[c][o] for o in sc.outcome_tuples(c)]
                            for c in sc.contexts], "a table's box LP is centred elsewhere")
         require(exactly_consistent(sc, r.tables), "not exact")
+
+
+class TestNearestFraction:
+    """`nearest_fraction` is ``Fraction.limit_denominator`` on integers, bit for bit."""
+
+    @staticmethod
+    def require_limit_denominator(x, max_den):
+        expected = Fraction(x).limit_denominator(max_den)
+        got = nearest_fraction(x, max_den)
+        require(got == (expected.numerator, expected.denominator),
+                f"{x!r} at {max_den}: {got}, not {expected}")
+
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(0, 1), st.floats(-1e-6, 1e-6),
+                       st.floats(scenario.ZERO_TOL, 2 * scenario.ZERO_TOL)),
+           max_den=st.integers(1, 10 ** 6))
+    @example(x=0.0, max_den=1)
+    @example(x=-0.0, max_den=10 ** 6)
+    @example(x=5e-324, max_den=10 ** 6)
+    @example(x=-5e-324, max_den=1)
+    @example(x=2.2250738585072014e-308, max_den=10 ** 6)
+    @example(x=math.nextafter(scenario.ZERO_TOL, 1), max_den=10 ** 6)
+    @example(x=1 / 3, max_den=2)
+    @example(x=0.5, max_den=1)
+    @example(x=1.5, max_den=1)
+    @example(x=2.5, max_den=1)
+    @example(x=1e300, max_den=10 ** 6)
+    def test_against_limit_denominator(self, x, max_den):
+        self.require_limit_denominator(x, max_den)
+
+    def test_every_max_den_on_fixed_values(self):
+        # Every bound below 2000, then every 4999th up to 10**6, on pi - 3,
+        # 1/pi and the float just above 1/2.
+        for x in (math.pi - 3, 0.3183098861837907, math.nextafter(0.5, 1)):
+            for max_den in itertools.chain(range(1, 2000), range(2000, 10 ** 6 + 1, 4999)):
+                self.require_limit_denominator(x, max_den)
+
+    def test_numpy_floats(self):
+        for x in np.random.default_rng(3).random(200):
+            self.require_limit_denominator(x, 10 ** 6)
+
+
+def exact_pm_contexts():
+    """The Peres-Mermin rows, then columns, with projectors (I - P)/2 and (I + P)/2."""
+    grid = peres_mermin_square()
+    labels = [["Z1", "Z2", "ZZ"], ["X2", "X1", "XX"], ["ZX", "XZ", "YY"]]
+    rows = [[sign_measurement(grid[r][c], labels[r][c]) for c in range(3)] for r in range(3)]
+    return rows + [list(col) for col in zip(*rows)]
+
+
+def sign_measurement(p, label):
+    eye = np.eye(len(p))
+    return projective_context(label, [(eye - p) / 2, (eye + p) / 2], [-1, 1])
+
+
+def mermin_star_contexts():
+    """Mermin's star: five contexts of four commuting three-qubit Pauli products."""
+    def pauli(word):
+        m = np.eye(1)
+        for c in word:
+            m = np.kron(m, np.eye(2) if c == "I" else PAULIS[c])
+        return m
+    lines = ["XII IXI IIX XXX", "YII IYI IIX YYX", "YII IXI IIY YXY",
+             "XII IYI IIY XYY", "XXX YYX YXY XYY"]
+    made: dict = {}
+    return [[made.setdefault(w, sign_measurement(pauli(w), w)) for w in line.split()]
+            for line in lines]
+
+
+def pm_state(a2, b2, delta):
+    """sqrt(a2)|00> + sqrt(b2)|01> + c|10> + c|11>, the last two amplitudes tilted by 1 +/- delta.
+
+    The atom |1->, of the column {Z1, X2, ZX}, has probability
+    2 (c delta)**2 before normalising.  The rounded state of `scenario._exact_born` puts
+    the trace correction on the |10> entry, which moves that atom's exact
+    value by half a grid step.
+    """
+    c = math.sqrt((1 - a2 - b2) / 2)
+    psi = np.array([math.sqrt(a2), math.sqrt(b2), c * (1 + delta), c * (1 - delta)])
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi)
+
+
+class TestExactBornAtoms:
+    """Exact Born values against `oracles.reference_exact_born`, and the fallbacks."""
+
+    @staticmethod
+    def passes():
+        rng = np.random.default_rng(2026)
+        for _ in range(6):
+            yield "Peres-Mermin", random_density(4, rng), exact_pm_contexts()
+        yield "Peres-Mermin by eigh", random_density(4, rng), pm_contexts()
+        for _ in range(3):
+            yield "Mermin star", random_density(8, rng), mermin_star_contexts()
+        yield "Mermin star, GHZ", dm([1, 0, 0, 0, 0, 0, 0, 1]), mermin_star_contexts()
+
+    def test_atoms_and_models_against_the_reference(self):
+        for name, state, contexts in self.passes():
+            qp = scenario.quantum_pass([state], contexts)
+            reference = reference_exact_born(state, qp.atoms)
+            require(reference is not None and min(reference) >= 0, f"{name}: bad case")
+            exact = qp.exact_atoms()
+            require(exact == reference, f"{name}: atoms differ from the reference")
+            model = qp.exact_model()
+            require(model is not None and exactly_consistent(model.scenario, model.tables),
+                    f"{name}: the exact model is not exactly consistent")
+            for (c, o), k in zip(qp.keys, qp.atom_of):
+                require(model.tables[c][o] == (0 if k is None else exact[k]), f"{name} {c} {o}")
+            # The README's bound: d**2/MAX_DEN from the state, 2 d 1e-12 from the atoms.
+            d = state.shape[0]
+            floats = qp.born[0, list(qp.first)]
+            worst = max(abs(float(v) - f) for v, f in zip(exact, floats))
+            require(worst <= d * d / scenario.MAX_DEN + 2 * d * 1e-12, f"{name}: moved {worst}")
+            require(qp.section_model() is model, f"{name}: the section reads another model")
+
+    def test_peres_mermin_runs_no_box_lp(self):
+        with no_lp():
+            for _, state, contexts in self.passes():
+                qp = scenario.quantum_pass([state], contexts)
+                require(rationalize_model(qp.section_model()) is qp.exact_model(), "rebuilt")
+
+    @staticmethod
+    def require_fallback(state, contexts):
+        qp = scenario.quantum_pass([state], contexts)
+        floats = qp.born[0, list(qp.first)].tolist()
+        contexts = list(dict.fromkeys(tuple(sorted(c)) for c in qp.sharp_contexts))
+        require(scenario._exact_born(state, qp.atoms, qp.born[0, list(qp.first)]) is None,
+                "the exact Born values were kept")
+        require(qp.exact_atoms() == scenario.rationalize_atoms(floats, contexts),
+                "the atoms are not the rounded floats")
+        return qp, reference_exact_born(state, qp.atoms)
+
+    def test_irrational_pentagon_rounds_its_floats(self):
+        pentagon = next(c for name, _, c, _ in reference_cases() if name == "pentagon")
+        for state in (dm([1, 0, 0]), random_density(3, np.random.default_rng(8))):
+            _, reference = self.require_fallback(state, pentagon)
+            require(reference is None, "the pentagon's atoms snapped")
+
+    def test_negative_atom_falls_back(self):
+        state = pm_state(0.10000055, 0.20000155, 1.2e-4)
+        qp, reference = self.require_fallback(state, exact_pm_contexts())
+        floats = qp.born[0, list(qp.first)]
+        negative = [k for k, v in enumerate(reference) if v < 0]
+        require(negative and all(floats[k] > scenario.ZERO_TOL for k in negative),
+                f"no negative atom above ZERO_TOL: {negative}")
+        require(all(v == 0 for v, f in zip(reference, floats) if f <= scenario.ZERO_TOL),
+                "a zero atom is not exactly 0")
+
+    def test_zero_atom_off_zero_falls_back(self):
+        state = pm_state(0.10000045, 0.20000145, 0)
+        qp, reference = self.require_fallback(state, exact_pm_contexts())
+        floats = qp.born[0, list(qp.first)]
+        require(min(reference) >= 0, "a negative atom")
+        require(any(v != 0 for v, f in zip(reference, floats) if f <= scenario.ZERO_TOL),
+                "every zero atom is exactly 0")
+
+    def test_tilted_state_keeps_its_exact_values(self):
+        state = pm_state(0.10000045, 0.20000145, 1.2e-4)
+        qp = scenario.quantum_pass([state], exact_pm_contexts())
+        require(qp.exact_atoms() == reference_exact_born(state, qp.atoms), "fell back")
 
 
 class TestJson:

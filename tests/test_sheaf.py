@@ -674,8 +674,7 @@ class TestRowBasis:
             return solve_eq_nonneg(a, b, start)
 
         monkeypatch.setattr(sheaf, "solve_eq_nonneg", recording_solve)
-        mat = build_incidence_matrix(model.scenario)
-        res = sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows])
+        res = run_section_lp(model)
         monkeypatch.undo()
         return sizes, res
 
@@ -807,10 +806,17 @@ def priced_section(model, monkeypatch, limit=1000):
         return solve_eq_nonneg(a, b, start)
 
     monkeypatch.setattr(sheaf, "solve_eq_nonneg", counting_solve)
-    mat = build_incidence_matrix(model.scenario)
-    res = sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows])
+    res = run_section_lp(model)
     monkeypatch.undo()
     return res, len(calls)
+
+
+def run_section_lp(model):
+    """`sheaf.section_lp` on an exact model's full matrix, handed what `solve_global_section` hands it."""
+    mat = build_incidence_matrix(model.scenario)
+    tables, _ = model.integer_tables
+    return sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows],
+                            [tables[ctx][sec] for ctx, sec in mat.rows])
 
 
 class TestSectionPivots:
