@@ -171,6 +171,11 @@ def _emit(payload: dict, args) -> None:
         text = "\n".join(_render_text(payload)) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):
+        # UTF-8 whatever the locale's encoding, as `--out` writes it.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
 

@@ -534,19 +534,25 @@ def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
     born = np.maximum(np.einsum("sij,pji->sp", np.array(dms), prods).real, 0.0)
 
     herm = (prods + prods.conj().transpose(0, 2, 1)) / 2
-    live = (np.abs(herm).max(axis=(1, 2)) > SHARING_TOL).tolist()
-    # Pairwise sup-norm distances, in blocks of at most 2**20 matrix entries.
-    n = len(keys)
-    step = max(1, 2**20 // (n * dim * dim + 1))
-    near = [row for i in range(0, n, step) for row in (np.abs(
-        herm[i:i + step, None] - herm[None]).max(axis=(2, 3)) <= SHARING_TOL).tolist()]
-    atom_of, first = [None] * n, []
-    for p, row in enumerate(near):
-        if live[p] and atom_of[p] is None:
-            for q in range(p, n):
-                if row[q] and live[q] and atom_of[q] is None:
-                    atom_of[q] = len(first)
-            first.append(p)
+    live = np.flatnonzero(np.abs(herm).max(axis=(1, 2)) > SHARING_TOL).tolist()
+    # Sup-norm distances among the live products only, in blocks of at most
+    # 2**20 matrix entries.
+    h, size = herm[live], len(live)
+    step = max(1, 2**20 // (size * dim * dim + 1))
+    near = [row for i in range(0, size, step) for row in (np.abs(
+        h[i:i + step, None] - h[None]).max(axis=(2, 3)) <= SHARING_TOL).tolist()]
+    # A live product joins the first atom whose first product is near it, or
+    # starts an atom of its own.
+    atom_of, first, leads = [None] * len(keys), [], []
+    for i, (q, row) in enumerate(zip(live, near)):
+        for k, lead in enumerate(leads):
+            if row[lead]:
+                atom_of[q] = k
+                break
+        else:
+            atom_of[q] = len(first)
+            leads.append(i)
+            first.append(q)
     sharp: dict = {c: [] for c in sc.contexts}
     for (c, _), k in zip(keys, atom_of):
         if k is not None:

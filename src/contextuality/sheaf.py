@@ -14,10 +14,21 @@ max-sum variable elimination over the measurements ("bucket elimination",
 Dechter 1999).  Its plan, `_Plan`, is laid out once per scenario, in one
 pass over a buffer of every context's sections: from each context's base
 and outcome strides it reads the elimination's gathers and decoding
-strides, where an assignment's sections sit, and the row basis and
-phase-1 costs below.  Every matrix of the scenario shares the plan.
+strides and where an assignment's sections sit; the row basis and phase-1
+costs below are laid out when the section LP first asks for them.  Every
+matrix of the scenario shares the plan.
 
-Before any LP, `IncidenceMatrix.greedy` decomposes ``v`` by bottlenecks.
+First, `odd_cycle_dual` looks for a violated odd-cycle inequality: on the
+graph of the two-outcome measurements, joined where they share a context
+and weighted by P(equal) and P(different), a closed walk with an odd
+number of "equal" arcs whose weights sum below 1 (Barahona and Mahjoub
+1986).  Such a walk is a small integer Farkas vector, of the CHSH and
+KCBS kind, and the verdict is ``no`` with neither the greedy nor the LP
+run.  The stage is complete on binary n-cycles and two-setting boxes;
+elsewhere (Peres-Mermin, three-setting boxes, more than two outcomes) it
+may find nothing, and the stages below decide.
+
+Next, `IncidenceMatrix.greedy` decomposes ``v`` by bottlenecks.
 It keeps ``v`` as one integer residual over every row.  Each step takes
 the assignment whose smallest residual entry is largest, found by the
 same elimination over (max, min) in place of (max, +) (the generalized
@@ -28,7 +39,8 @@ there are at most as many steps as rows.  When the residual reaches 0 the
 recorded pairs are the primal and no LP runs.  Otherwise `section_lp`
 decides, started from the greedy's assignments (a crash start, Bixby
 1992): each enters, before any pricing, when it improves the phase-1
-objective.  A ``no`` comes only from the LP's Farkas vector.
+objective.  The LP is the complete decider: a ``no`` comes from the
+odd-cycle stage's vector or the LP's Farkas vector.
 
 Most rows are linear combinations of others (normalization, and the
 marginals that overlapping contexts share), so the LP is solved on a row
@@ -55,14 +67,16 @@ out of the basis, and minus the largest score on the zero rows when some
 assignment through them scores above 0.  The certificate lists every row
 and its rhs, and both kinds are re-checked on the full matrix before they
 are returned, the primal by multiplication and the dual by the oracle's
-maximum.
+maximum.  The odd-cycle stage's vector is not lifted: it is nonzero off
+the basis wherever its walk runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import add, getitem, itemgetter, mul
 from typing import Sequence
@@ -91,23 +105,29 @@ def global_assignment_count(scenario: MeasurementScenario) -> int:
     return prod(len(scenario.outcomes[m]) for m in scenario.measurements)
 
 
-def _shape(sizes: tuple) -> tuple:
-    """What contexts of one shape share, by section in lexicographic order.
+def _offsets(sizes: tuple) -> dict:
+    """A context's section offsets, by section in lexicographic order.
 
     A dict from a section's outcome indices (a bare index for one
-    measurement) to its offset in the context's table; the mask of the
-    measurements not at their last outcome, bit ``i`` for the context's
-    ``i``-th; and the section's phase-1 cost.
+    measurement) to its offset in the context's table.
     """
-    keys = list(itertools.product(*map(range, sizes)))
+    keys = itertools.product(*map(range, sizes)) if len(sizes) > 1 else range(sizes[0])
+    return dict(zip(keys, itertools.count()))
+
+
+def _masks(sizes: tuple) -> tuple:
+    """Each section's mask and phase-1 cost, in lexicographic order.
+
+    The mask holds the measurements not at their last outcome, bit ``i``
+    for the context's ``i``-th; the cost is ``|c| + 1`` less their count.
+    """
     masks = [sum(1 << i for i, (d, k) in enumerate(zip(key, sizes)) if d < k - 1)
-             for key in keys]
-    return (dict(zip(keys if len(sizes) > 1 else range(sizes[0]), itertools.count())),
-            masks, [len(sizes) + 1 - n.bit_count() for n in masks])
+             for key in itertools.product(*map(range, sizes))]
+    return masks, [len(sizes) + 1 - n.bit_count() for n in masks]
 
 
 class _Plan:
-    """A scenario's section layout, elimination, row basis and costs, in one pass.
+    """A scenario's section layout and elimination in one pass; its row basis and costs on demand.
 
     The buffer holds each context's table in turn, in lexicographic section
     order, which is the row order of the full incidence matrix; the
@@ -115,8 +135,8 @@ class _Plan:
     ascending as in a canonical context, is mixed-radix with the last
     position varying fastest: the entry of outcome indices ``d`` sits at
     the table's base plus ``sum_u d_u stride_u``.  Every gather, decode
-    stride, lookup position, basis row and cost is read off these bases
-    and strides as the pass lays the tables out.
+    stride and lookup position is read off these bases and strides as the
+    pass lays the tables out.
 
     The elimination maximizes the measurements out, last declared first.
     The bucket of measurement ``v`` holds the contexts whose last
@@ -139,13 +159,16 @@ class _Plan:
     positions before ``v`` in its union and their strides in the union's
     table.  ``lookup[c]`` pairs the getter of context ``c``'s outcome
     indices from an assignment's with the context's base and the offsets
-    of `_shape`; ``sections[c]`` is its range of rows.  ``basis`` holds the
-    rows of `IncidenceMatrix.basis`.  ``costs[i]`` is the phase-1 cost of
+    of `_offsets`; ``sections[c]`` is its range of rows and ``scopes[c]``
+    its measurement positions.  ``basis`` holds the rows of
+    `IncidenceMatrix.basis`.  ``costs[i]`` is the phase-1 cost of
     row ``(c, s)``'s artificial, ``|c| + 1 - |N(s)|``, with N(s) the
     measurements of ``c`` whose outcome in ``s`` is not their last
     outcome, as in the basis: it runs from 1, on a section with no last
-    outcome, to ``|c| + 1`` on the all-last one.  Every matrix of the
-    scenario, and both semirings, share one plan.
+    outcome, to ``|c| + 1`` on the all-last one.  The basis and costs are
+    laid out from the scopes on first use, which only the section LP
+    makes.  Every matrix of the scenario, and both semirings, share one
+    plan.
     """
 
     def __init__(self, scenario: MeasurementScenario):
@@ -158,36 +181,25 @@ class _Plan:
         scopes, bases, strides = [], [], []
         bucket: list[list[int]] = [[] for _ in size]
         shapes: dict = {}
-        self.lookup, self.sections, self.basis, costs = [], [], [], []
-        # A set of measurements is a bit mask over the declared positions;
-        # ``covered`` holds the subsets of the contexts laid out so far.
-        covered: set = set()
+        self.lookup, self.sections = [], []
         end = 0
         for f, ctx in enumerate(scenario.contexts):
             scope = tuple(map(pos.__getitem__, ctx))
             sizes = tuple(map(size.__getitem__, scope))
             if sizes not in shapes:
-                shapes[sizes] = _shape(sizes)
-            offsets, masks, cost = shapes[sizes]
+                shapes[sizes] = _offsets(sizes)
             stride, step = {}, 1
             for u in reversed(scope):
                 stride[u] = step
                 step *= size[u]
-            subsets = [0]
-            for u in scope:
-                subsets += [t | 1 << u for t in subsets]
-            rows = range(end, end + step)
-            self.basis += [r for r, n in zip(rows, masks) if subsets[n] not in covered]
-            covered.update(subsets)
-            costs += cost
-            self.lookup.append((itemgetter(*scope), end, offsets))
-            self.sections.append(rows)
+            self.lookup.append((itemgetter(*scope), end, shapes[sizes]))
+            self.sections.append(range(end, end + step))
             scopes.append(scope)
             bases.append(end)
             strides.append(stride)
             bucket[scope[-1]].append(f)
             end += step
-        self.costs = tuple(costs)
+        self.scopes = tuple(scopes)
         self.steps, self.constants = [], []
         self.decode: list = [None] * len(size)
         sections = end
@@ -222,6 +234,35 @@ class _Plan:
             bases.append(start)
             strides.append({u: s // k for u, s in zip(prev, union_strides)})
         self.room = [0] * (end - sections)
+
+    @cached_property
+    def _collins_gisin(self) -> tuple:
+        """(basis rows, phase-1 costs), laid out when the section LP first asks.
+
+        A set of measurements is a bit mask over the declared positions;
+        ``covered`` holds the subsets of the contexts laid out so far.
+        """
+        basis, costs, shapes, covered = [], [], {}, set()
+        for scope, rows in zip(self.scopes, self.sections):
+            sizes = tuple(map(self.size.__getitem__, scope))
+            if sizes not in shapes:
+                shapes[sizes] = _masks(sizes)
+            masks, cost = shapes[sizes]
+            subsets = [0]
+            for u in scope:
+                subsets += [t | 1 << u for t in subsets]
+            basis += [r for r, n in zip(rows, masks) if subsets[n] not in covered]
+            covered.update(subsets)
+            costs += cost
+        return basis, tuple(costs)
+
+    @property
+    def basis(self) -> list:
+        return self._collins_gisin[0]
+
+    @property
+    def costs(self) -> tuple:
+        return self._collins_gisin[1]
 
     def maximize(self, tables: list, combine=add) -> tuple:
         """(largest total, outcome indices of the maximizer the decoding picks).
@@ -271,7 +312,7 @@ class IncidenceMatrix:
     section is forbidden, so that an assignment through it has no column;
     or `OUTSIDE` when the section has no row in this system, so that it is
     priced as 0 and has no entry in a column.  ``costs[i]`` weighs row
-    ``i``'s phase-1 artificial (`_Plan`).
+    ``i``'s phase-1 artificial (`_Plan`); the full matrix reads the plan's.
 
     `basis` picks the rows of the Collins-Gisin row basis, on which
     `solve_global_section` solves; `restrict` builds the matrix on chosen
@@ -279,8 +320,8 @@ class IncidenceMatrix:
     """
 
     def __init__(self, scenario: MeasurementScenario, rows: tuple, plan: _Plan,
-                 flat: Sequence, costs: tuple):
-        self.scenario, self.rows, self.plan, self.flat, self.costs = (
+                 flat: Sequence, costs: tuple | None = None):
+        self.scenario, self.rows, self.plan, self.flat, self._costs = (
             scenario, rows, plan, flat, costs)
         self.m = len(rows)
         restricted = not isinstance(flat, range)
@@ -292,6 +333,10 @@ class IncidenceMatrix:
         slot = {None: self.m, OUTSIDE: self.m + 1}
         self._gather = itemgetter(*map(slot.get, flat, flat)) if restricted else None
         self._columns: dict = {}
+
+    @property
+    def costs(self) -> tuple:
+        return self.plan.costs if self._costs is None else self._costs
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -322,7 +367,7 @@ class IncidenceMatrix:
 
         The rows ``outside`` leave the system, the others are forbidden.
         """
-        flat: list = [None] * len(self.plan.costs)
+        flat: list = [None] * len(self.flat)
         for i in outside:
             flat[i] = OUTSIDE
         for k, i in enumerate(keep):
@@ -429,7 +474,117 @@ def build_incidence_matrix(scenario: MeasurementScenario) -> IncidenceMatrix:
     plan = _Plan(scenario)
     rows = tuple([(ctx, sec) for ctx in scenario.contexts
                   for sec in scenario.outcome_tuples(ctx)])
-    return IncidenceMatrix(scenario, rows, plan, range(len(rows)), plan.costs)
+    return IncidenceMatrix(scenario, rows, plan, range(len(rows)))
+
+
+def odd_cycle_dual(matrix: IncidenceMatrix, ints: Sequence[int], scale: int) -> tuple | None:
+    """A Farkas vector of a violated odd-cycle inequality, or None.
+
+    ``ints`` is ``scale v`` as integers, one entry per row of ``matrix``,
+    which lists every section.  The graph has a node per two-outcome
+    measurement and an edge per pair of them that shares a context, read
+    in the first such context: an "equal" arc weighs P(the pair agrees),
+    a "different" arc P(it disagrees).  On any assignment, the arcs of a
+    closed walk with an odd number of "equal" arcs cannot all fail their
+    own event (the pair disagrees on an "equal" arc, agrees on a
+    "different" one): then the walk would change value an odd number of
+    times and not close.  So with ``defects(s)`` counting the arcs whose
+    event ``s`` meets, ``defects(s) >= 1`` for every assignment, and a walk
+    whose events weigh less than 1 in all is violated by ``v`` (Barahona
+    and Mahjoub, Math. Programming 36, 157, 1986; on a binary n-cycle
+    these inequalities and the tables' positivity are the whole
+    noncontextual polytope, Araujo et al., PRA 88, 022118, 2013).
+
+    Dijkstra's search over (measurement, parity of "equal" arcs so far)
+    finds the lightest such walk from each measurement in declared order,
+    keeps no state whose weight reaches 1, and drops the measurement
+    afterwards: a lighter walk through it would have been found from it.
+    Measurements with at most one neighbour left are dropped as well, so a
+    cycle is searched from its first measurement only.
+    The first walk lighter than 1 gives ``y``: +1 on every row of its first
+    arc's context and -1 on each arc's event rows, so that
+    ``y^T a_s = 1 - defects(s) <= 0`` for every assignment and
+    ``y^T v = 1 - weight > 0``.
+    """
+    plan = matrix.plan
+    n = len(plan.size)
+    # adj[u] holds u's arcs lighter than 1 as (weight, w, kind, edge), kind 1
+    # for "equal"; nbrs[u] lists u's neighbours, one per edge.
+    adj: list = [[] for _ in range(n)]
+    nbrs: list = [[] for _ in range(n)]
+    edges = []
+    for f, scope in enumerate(plan.scopes):
+        _, base, offsets = plan.lookup[f]
+        for i, j in itertools.combinations(range(len(scope)), 2):
+            u, w = scope[i], scope[j]
+            if plan.size[u] != 2 or plan.size[w] != 2 or w in nbrs[u]:
+                continue
+            # Rows where the pair disagrees, then where it agrees.
+            rows: tuple = ([], [])
+            for key, at in offsets.items():
+                rows[key[i] == key[j]].append(base + at)
+            for kind, r in enumerate(rows):
+                t = sum(map(ints.__getitem__, r))
+                if t < scale:
+                    adj[u].append((t, w, kind, len(edges)))
+                    adj[w].append((t, u, kind, len(edges)))
+            nbrs[u].append(w)
+            nbrs[w].append(u)
+            edges.append((f, rows))
+    alive, degree = [True] * n, list(map(len, nbrs))
+
+    def drop(u):
+        # A measurement left with one neighbour is dropped too: a walk lighter
+        # than 1 that visits it comes back over the same edge by an arc of
+        # the kind it went by (the two kinds weigh 1 together), so cutting
+        # that there-and-back leaves a walk of the same parity, no heavier.
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            if alive[x]:
+                alive[x] = False
+                for z in nbrs[x]:
+                    degree[z] -= 1
+                    if alive[z] and degree[z] <= 1:
+                        stack.append(z)
+
+    for u in range(n):
+        if degree[u] <= 1:
+            drop(u)
+    for source in range(n):
+        if not alive[source]:
+            continue
+        # State 2u + p: at measurement u after an even (p = 0) or odd number
+        # of "equal" arcs.
+        dist, back = [scale] * (2 * n), {}
+        dist[2 * source] = 0
+        heap, target = [(0, 2 * source)], 2 * source + 1
+        while heap:
+            d, state = heapq.heappop(heap)
+            if state == target:
+                walk = []
+                while state in back:
+                    state, e, kind = back[state]
+                    walk.append((e, kind))
+                walk.reverse()
+                y = [0] * len(ints)
+                for r in plan.sections[edges[walk[0][0]][0]]:
+                    y[r] = 1
+                for e, kind in walk:
+                    for r in edges[e][1][kind]:
+                        y[r] -= 1
+                return tuple(map(Fraction, y))
+            if d > dist[state]:
+                continue
+            p = state & 1
+            for t, w, kind, e in adj[state >> 1]:
+                nd, nxt = d + t, 2 * w + (p ^ kind)
+                if nd < dist[nxt] and alive[w]:
+                    dist[nxt] = nd
+                    back[nxt] = (state, e, kind)
+                    heapq.heappush(heap, (nd, nxt))
+        drop(source)
+    return None
 
 
 class SectionFeasibility(Record):
@@ -502,9 +657,11 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     The model is first replaced by a nearby exactly-consistent rational model
     (`rationalize_model`), so the verdict is a statement about exact data;
     `model` of the result is that exact model.  This is the one place that
-    rationalizes: callers hand over the parsed model as it is.  The greedy
-    decomposition (`IncidenceMatrix.greedy`) runs first; when it leaves a
-    residual, `section_lp` decides, started from the greedy's assignments.
+    rationalizes: callers hand over the parsed model as it is.  A violated
+    odd-cycle inequality (`odd_cycle_dual`) decides ``no`` first; without
+    one the greedy decomposition (`IncidenceMatrix.greedy`) runs, and when
+    it leaves a residual, `section_lp` decides, started from the greedy's
+    assignments.
     The result's certificate covers every row and is re-checked on the full
     matrix whichever stage found it.  Raises `DisturbingModel` when the
     input marginals disagree beyond 1e-9, and `TooLargeError` when the
@@ -515,11 +672,15 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     v = [rational.tables[ctx][sec] for ctx, sec in matrix.rows]
     tables, scale = rational.integer_tables
     ints = [tables[ctx][sec] for ctx, sec in matrix.rows]
-    pairs, whole = matrix.greedy(list(ints), scale)  # the greedy spends its residual
-    if whole:
-        result = Feasibility(True, x=matrix.primal(pairs))
+    farkas = odd_cycle_dual(matrix, ints, scale)
+    if farkas is not None:
+        result = Feasibility(False, farkas=farkas)
     else:
-        result = section_lp(matrix, v, ints, [s for s, _ in pairs])
+        pairs, whole = matrix.greedy(list(ints), scale)  # the greedy spends its residual
+        if whole:
+            result = Feasibility(True, x=matrix.primal(pairs))
+        else:
+            result = section_lp(matrix, v, ints, [s for s, _ in pairs])
     require_certificate(matrix, v, result, "global-section")
     return SectionFeasibility(feasible=result.feasible, primal=result.x,
                               dual=result.farkas, matrix=matrix, model=rational)

@@ -82,6 +82,15 @@ def pr_box_doc() -> dict:
     }
 
 
+def local_box3_doc() -> dict:
+    """Three settings per party: the PR box at weight 1/3 against white noise
+    on settings {0, 1}, uniform tables elsewhere; local."""
+    p = {(a, b, x, y): (Fraction(1, 3) * (Fraction(1, 2) if a ^ b == x & y else 0)
+                        + Fraction(1, 6) if x < 2 and y < 2 else Fraction(1, 4))
+         for a in range(2) for b in range(2) for x in range(3) for y in range(3)}
+    return interleaved_box_doc(p, (3, 3, 2, 2), [0, 1], [0, 1])
+
+
 def run_json(tmp_path, argv) -> dict:
     out = tmp_path / "out.json"
     rc = main([*argv, "--out", str(out)])
@@ -202,8 +211,11 @@ class TestClassifyCommand:
                 raise ArithmeticError("forced for the exit-code test")
 
             monkeypatch.setattr(sheaf, "solve_eq_nonneg", unbounded)
-        doc = tmp_path / "pr.json"
-        doc.write_text(json.dumps(pr_box_doc()))
+        doc = tmp_path / "box.json"
+        # The odd-cycle stage decides the PR box with no LP; the section LP
+        # decides the local three-setting box, where the greedy stalls.
+        doc.write_text(json.dumps(pr_box_doc() if failure == "recheck"
+                                  else local_box3_doc()))
         rc = main(["classify", str(doc)])
         err = capsys.readouterr().err
         assert rc == 3
@@ -1848,6 +1860,21 @@ class TestDocumentEncoding:
                               env=env, capture_output=True, text=True, timeout=120)
         require(proc.returncode == 0, proc.stderr)
         require("Aψ" in out.read_text(encoding="utf-8"), "the label is not in the report")
+
+    def test_utf8_label_to_stdout_under_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(LABELLED_DOC, ensure_ascii=False).encode("utf-8"))
+        env = {**package_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env.pop("LANG", None)
+        proc = subprocess.run([sys.executable, "-m", "contextuality.cli", "classify", str(path),
+                               "--emit-certificate", "--format", "text"],
+                              env=env, capture_output=True, timeout=120)
+        require(proc.returncode == 0, proc.stderr.decode("utf-8", "replace"))
+        out = tmp_path / "report.txt"
+        require(main(["classify", str(path), "--emit-certificate", "--format", "text",
+                      "--out", str(out)]) == 0, "the report was refused")
+        require(proc.stdout == out.read_bytes(), "stdout differs from the --out report")
+        require("Aψ" in proc.stdout.decode("utf-8"), "the label is not in the report")
 
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32",
                                           "utf-32-le"])

@@ -37,6 +37,12 @@ Verification strategy:
   deterministic assignments, a stalled one starts the LP from its
   assignments with pinned pricing rounds, and start columns pivot as in
   the reference simplex offered the same columns;
+- every vector of the odd-cycle stage is an integer Farkas vector by
+  multiplication against the dense oracle matrix; on binary n-cycles and
+  two-setting boxes it finds one exactly when the reference simplex finds
+  the system infeasible, the same one twice; a found one is the verdict
+  with no greedy step and no LP, and without one the greedy and the LP
+  decide;
 - the one-pass section plan equals the pass-by-pass reference plan on
   random scenarios declared in shuffled order: its gathers, decode
   strides, lookup positions, row basis, costs and restricted row maps,
@@ -74,6 +80,7 @@ from contextuality.scenario import (
     make_model,
     make_scenario,
     from_quantum,
+    rationalize_model,
 )
 from contextuality.sheaf import (
     build_incidence_matrix,
@@ -714,7 +721,8 @@ class TestRowBasis:
     @pytest.mark.parametrize("model", [pr_box_model, kcbs_model, pm_model,
                                        lambda: noisy_cycle_model(5)])
     def test_dual_is_zero_on_dropped_rows(self, model):
-        res = solve_global_section(model())
+        # The LP's own dual: the odd-cycle stage decides all but pm_model first.
+        res = run_section_lp(model())
         require(not res.feasible, "feasible")
         v = [res.model.tables[ctx][sec] for ctx, sec in res.matrix.rows]
         kept = set(res.matrix.basis())
@@ -745,8 +753,11 @@ class TestRowBasis:
             require(check_solution(listed, v, dense), "primal fails the listed system")
         else:
             require(check_farkas(listed, v, res.dual), "dual fails the listed system")
+            # The LP's own dual, not the odd-cycle stage's, reads 0 off the basis.
+            lp = run_section_lp(res.model)
+            require(not lp.feasible, "the section LP finds the model feasible")
             kept = set(res.matrix.basis())
-            require(all(res.dual[i] == 0 for i, vi in enumerate(v) if vi and i not in kept),
+            require(all(lp.dual[i] == 0 for i, vi in enumerate(v) if vi and i not in kept),
                     "dual nonzero on a dropped row")
 
 
@@ -812,11 +823,19 @@ def priced_section(model, monkeypatch, limit=1000):
 
 
 def run_section_lp(model):
-    """`sheaf.section_lp` on an exact model's full matrix, handed what `solve_global_section` hands it."""
+    """`sheaf.section_lp` alone, from the all-artificial basis, as a re-checked section.
+
+    The model is rationalized and the LP handed what `solve_global_section`
+    hands it; the result is re-checked on the full matrix.
+    """
+    model = rationalize_model(model)
     mat = build_incidence_matrix(model.scenario)
     tables, _ = model.integer_tables
-    return sheaf.section_lp(mat, [model.tables[ctx][sec] for ctx, sec in mat.rows],
-                            [tables[ctx][sec] for ctx, sec in mat.rows])
+    v = [model.tables[ctx][sec] for ctx, sec in mat.rows]
+    res = require_certificate(mat, v, sheaf.section_lp(
+        mat, v, [tables[ctx][sec] for ctx, sec in mat.rows]), "section LP")
+    return sheaf.SectionFeasibility(feasible=res.feasible, primal=res.x, dual=res.farkas,
+                                    matrix=mat, model=model)
 
 
 class TestSectionPivots:
@@ -1071,9 +1090,15 @@ def replay_greedy(model, pairs) -> list:
     return residual
 
 
-def section_route(model, monkeypatch) -> tuple:
-    """`solve_global_section`'s result, its LP solves and their pricing rounds."""
+def section_route(model, monkeypatch, odd_cycles=True) -> tuple:
+    """`solve_global_section`'s result, its LP solves and their pricing rounds.
+
+    With ``odd_cycles`` false the odd-cycle stage finds nothing, so the
+    greedy and the LP decide as they do when it finds no walk.
+    """
     solves, rounds = [], []
+    if not odd_cycles:
+        monkeypatch.setattr(sheaf, "odd_cycle_dual", lambda matrix, ints, scale: None)
 
     def counting_solve(a, b, start=()):
         solves.append(list(start))
@@ -1160,7 +1185,7 @@ class TestGreedySections:
             [model.tables[ctx][sec] for ctx, sec in mat.rows]))
         require(not whole and len(pairs) == 18, f"{len(pairs)} steps, whole {whole}")
         require(sum(w for _, w in pairs) == Fraction(9, 20), "covered weight")
-        res, solves, rounds = section_route(model, monkeypatch)
+        res, solves, rounds = section_route(model, monkeypatch, odd_cycles=False)
         require(not res.feasible, res.verdict)
         require(solves == [[s for s, _ in pairs]], "the LP did not start from the greedy")
         recheck_dual(res)
@@ -1176,7 +1201,7 @@ class TestGreedySections:
     def test_pricing_rounds_from_the_greedy_start(self, model, feasible, rounds,
                                                   monkeypatch):
         # From the all-artificial basis these take 13, 19, 24 and 50 rounds.
-        res, solves, calls = section_route(model(), monkeypatch)
+        res, solves, calls = section_route(model(), monkeypatch, odd_cycles=False)
         require(res.feasible == feasible and len(solves) == 1, res.verdict)
         require(calls == rounds, f"{calls} pricing rounds, {rounds} expected")
 
@@ -1195,6 +1220,112 @@ class TestGreedySections:
         ref = reference_solve_eq_nonneg(a, b, start=start)
         require(res == ref, f"{res} against {ref}")
         require(require_certificate(cols, b, res) is res, "certificate")
+
+
+@st.composite
+def binary_pair_models(draw):
+    """Exact models on a binary n-cycle (n = 3..9) or a two-setting box.
+
+    Each measurement's P(0) and each context's P(0, 0) are drawn on small
+    grids, the latter between its Frechet bounds and often at one of them,
+    where perfectly (anti)correlated edges make odd cycles contextual.
+    """
+    sc = cycle_scenario(draw(st.integers(3, 9))) if draw(st.booleans()) else box_scenario(2)
+    p = {m: draw(st.sampled_from([HALF, HALF, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5)]))
+         for m in sc.measurements}
+    tables = {}
+    for a, b in sc.contexts:
+        lo, hi = max(Fraction(0), p[a] + p[b] - 1), min(p[a], p[b])
+        z = lo + draw(st.sampled_from([0, 0, Fraction(1, 10), HALF, 1, 1])) * (hi - lo)
+        tables[(a, b)] = {(0, 0): z, (0, 1): p[a] - z, (1, 0): p[b] - z,
+                          (1, 1): 1 - p[a] - p[b] + z}
+    return make_model(sc, tables)
+
+
+def odd_cycle_vector(model):
+    """`sheaf.odd_cycle_dual` on the full matrix and integer tables of the
+    exact model `solve_global_section` hands it (`signed_models` draws float
+    tables past 64 assignments)."""
+    model = rationalize_model(model)
+    mat = build_incidence_matrix(model.scenario)
+    tables, scale = model.integer_tables
+    return sheaf.odd_cycle_dual(mat, [tables[ctx][sec] for ctx, sec in mat.rows], scale)
+
+
+def recheck_odd_cycle_vector(model, y) -> None:
+    """An integer y with y^T a <= 0 on every column of the dense oracle matrix
+    and y^T v > 0, multiplied out here."""
+    sc = model.scenario
+    dense = reference_incidence_rows(sc)
+    v = [model.tables[ctx][sec] for ctx in sc.contexts for sec in sc.outcome_tuples(ctx)]
+    require(len(y) == len(dense), f"{len(y)} entries for {len(dense)} rows")
+    require(all(yi.denominator == 1 for yi in y), f"not an integer vector: {y}")
+    for j in range(len(dense[0])):
+        score = sum(yi * row[j] for yi, row in zip(y, dense))
+        require(score <= 0, f"column {j} scores {score}")
+    require(sum(yi * vi for yi, vi in zip(y, v)) > 0, "y^T v <= 0")
+
+
+class TestOddCycleStage:
+    """The odd-cycle stage ahead of the greedy and the section LP.
+
+    Every vector it returns is an integer Farkas vector, re-multiplied here
+    against `reference_incidence_rows`, with no use of the section oracle.
+    On binary n-cycles and two-setting boxes, whose noncontextual polytopes
+    the odd-cycle inequalities bound, it returns one exactly when the
+    reference simplex finds the system infeasible, and the same vector on
+    the same input.  When it returns one, `solve_global_section` returns it
+    with no greedy step and no LP; when it does not, as on the Peres-Mermin
+    square or a box on a CHSH facet, the greedy and the LP decide.  Checks
+    raise through `require`, so the class also tests something under
+    ``python -O``.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_models(max_measurements=9, max_assignments=512))
+    @example(pr_box_model())
+    @example(noisy_cycle_model(5))
+    @example(noisy_cycle_model(6))
+    def test_vectors_pass_an_independent_recheck(self, model):
+        y = odd_cycle_vector(model)
+        if y is not None:
+            recheck_odd_cycle_vector(rationalize_model(model), y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(binary_pair_models())
+    @example(noisy_cycle_model(9))
+    @example(ladder_box(2, HALF))
+    def test_complete_on_cycles_and_two_setting_boxes(self, model):
+        y = odd_cycle_vector(model)
+        contextual = not reference_verdict(model)
+        require((y is not None) == contextual,
+                f"vector {y} against a {'contextual' if contextual else 'classical'} model")
+        if y is not None:
+            recheck_odd_cycle_vector(model, y)
+            require(odd_cycle_vector(model) == y, "a second run gives another vector")
+
+    @pytest.mark.parametrize("model", [pr_box_model, kcbs_model, lambda: noisy_cycle_model(9),
+                                       lambda: ladder_box(3, Fraction(2, 3))],
+                             ids=["pr-box", "kcbs", "noisy-9-cycle", "nonlocal-3-setting-box"])
+    def test_a_found_walk_decides_with_no_greedy_and_no_lp(self, model, monkeypatch):
+        steps = []
+        greedy = sheaf.IncidenceMatrix.greedy
+        monkeypatch.setattr(sheaf.IncidenceMatrix, "greedy",
+                            lambda self, *args: steps.append(args) or greedy(self, *args))
+        res, solves, _ = section_route(model(), monkeypatch)
+        require(not res.feasible and steps == [] and solves == [],
+                f"{res.verdict}, {len(steps)} greedy runs, LP solves {solves}")
+        require(res.dual == odd_cycle_vector(res.model), "the dual is not the stage's vector")
+        recheck_dual(res)
+
+    @pytest.mark.parametrize("model, feasible", [
+        (pm_model, False), (lambda: ladder_box(2, HALF), True),
+        (lambda: ladder_box(3, Fraction(1, 3)), True)],
+        ids=["square3x3", "chsh-facet-box", "local-3-setting-box"])
+    def test_no_walk_leaves_the_greedy_and_the_lp_to_decide(self, model, feasible):
+        res = solve_global_section(model())
+        require(odd_cycle_vector(res.model) is None, "a walk lighter than 1")
+        require(res.feasible == feasible, res.verdict)
 
 
 @st.composite
