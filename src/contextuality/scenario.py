@@ -905,50 +905,31 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
     if rebuilt is not None:
         return rebuilt
 
-    overlaps = {overlap for _, _, overlap in sc.overlaps}
-    ordered = sorted(overlaps, key=lambda u: (len(u), u))
-
     fixed: dict[tuple, dict] = {}
-    for u in ordered:
-        host = next(c for c in sc.contexts if set(u) <= set(c))
-        marg = marginalize(float_tables[host], host, u)
-        outs = sc.outcome_tuples(u)
-        values = [marg.get(o, 0.0) for o in outs]
+
+    def box(labels, floats: dict, half, what: str) -> dict:
+        """The table on `labels` from a box LP: it sums to 1 and has every
+        fixed smaller overlap inside `labels` as its marginal."""
+        outs = sc.outcome_tuples(labels)
+        values = [floats.get(o, 0.0) for o in outs]
         rows, rhs = [[Fraction(1)] * len(outs)], [Fraction(1)]
-        for w in ordered:
-            if w in fixed and set(w) < set(u):
-                idx = [u.index(m) for m in w]
-                for wo, wv in fixed[w].items():
-                    rows.append([Fraction(1) if tuple(o[i] for i in idx) == wo
-                                 else Fraction(0) for o in outs])
+        for w, table in fixed.items():
+            if set(w) < set(labels):
+                idx = [labels.index(m) for m in w]
+                for wo, wv in table.items():
+                    rows.append([Fraction(tuple(o[i] for i in idx) == wo) for o in outs])
                     rhs.append(wv)
         centres = [Fraction(*_round(f, max_den)) for f in values]
-        sol = _solve_box(values, centres, rows, rhs, SLACK, max_den)
+        sol = _solve_box(values, centres, rows, rhs, half, max_den)
         if sol is None:
-            raise ValueError(f"could not rationalize overlap {u}")
-        fixed[u] = dict(zip(outs, sol))
+            raise ValueError(f"could not rationalize {what} {labels}")
+        return dict(zip(outs, sol))
 
-    new_tables = {}
-    for c in sc.contexts:
-        outs = sc.outcome_tuples(c)
-        if c in fixed:
-            new_tables[c] = {o: fixed[c][o] for o in outs}
-            continue
-        values = [float_tables[c].get(o, 0.0) for o in outs]
-        rows, rhs = [[Fraction(1)] * len(outs)], [Fraction(1)]
-        for u in ordered:
-            if set(u) < set(c):
-                idx = [c.index(m) for m in u]
-                for uo, uv in fixed[u].items():
-                    rows.append([Fraction(1) if tuple(o[i] for i in idx) == uo
-                                 else Fraction(0) for o in outs])
-                    rhs.append(uv)
-        centres = [Fraction(*_round(f, max_den)) for f in values]
-        sol = _solve_box(values, centres, rows, rhs, 2 * SLACK, max_den)
-        if sol is None:
-            raise ValueError(f"could not rationalize context {c}")
-        new_tables[c] = dict(zip(outs, sol))
-
+    for u in sorted({overlap for _, _, overlap in sc.overlaps}, key=lambda u: (len(u), u)):
+        host = next(c for c in sc.contexts if set(u) <= set(c))
+        fixed[u] = box(u, marginalize(float_tables[host], host, u), SLACK, "overlap")
+    new_tables = {c: fixed[c] if c in fixed
+                  else box(c, float_tables[c], 2 * SLACK, "context") for c in sc.contexts}
     out = EmpiricalModel(scenario=sc, tables=new_tables)
     if not exact_no_disturbance(out):
         raise AssertionError("rationalized model lost exact marginal consistency")

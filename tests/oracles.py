@@ -1356,7 +1356,8 @@ class _WordBits:
         self._pos = 0
 
     def integers(self, low: int, high: int) -> int:
-        assert (low, high) == (0, 2)
+        if (low, high) != (0, 2):
+            raise ValueError(f"a shot word feeds bits, not integers in [{low}, {high})")
         bit = (self._word >> self._pos) & 1
         self._pos += 1
         return bit

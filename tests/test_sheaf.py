@@ -253,7 +253,7 @@ def signed_models(draw, max_measurements=12, max_assignments=4096):
         if all(v >= 0 for table in tables.values() for v in table.values()):
             measure += core
     tables = tables_of(measure)
-    noise = draw(st.sampled_from([Fraction(0), HALF])) if prod(sizes) <= 64 else 0
+    noise = draw(st.sampled_from([Fraction(0), HALF])) if prod(sizes) <= 64 else Fraction(0)
     total = sum(w for _, w in measure) + noise
     return make_model(sc, {ctx: {sec: (v + noise / len(table)) / total
                                  for sec, v in table.items()}
@@ -1243,10 +1243,8 @@ def binary_pair_models(draw):
 
 
 def odd_cycle_vector(model):
-    """`sheaf.odd_cycle_dual` on the full matrix and integer tables of the
-    exact model `solve_global_section` hands it (`signed_models` draws float
-    tables past 64 assignments)."""
-    model = rationalize_model(model)
+    """`sheaf.odd_cycle_dual` on the full matrix and integer tables of an
+    exact model, as `solve_global_section` hands them."""
     mat = build_incidence_matrix(model.scenario)
     tables, scale = model.integer_tables
     return sheaf.odd_cycle_dual(mat, [tables[ctx][sec] for ctx, sec in mat.rows], scale)
@@ -1289,7 +1287,7 @@ class TestOddCycleStage:
     def test_vectors_pass_an_independent_recheck(self, model):
         y = odd_cycle_vector(model)
         if y is not None:
-            recheck_odd_cycle_vector(rationalize_model(model), y)
+            recheck_odd_cycle_vector(model, y)
 
     @settings(max_examples=80, deadline=None)
     @given(binary_pair_models())
