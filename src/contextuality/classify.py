@@ -197,6 +197,40 @@ def _deterministic(model: EmpiricalModel) -> bool:
                for table in model.tables.values() for v in table.values())
 
 
+def _section_verdict(model: EmpiricalModel, certificates: list, notes: list) -> tuple:
+    """(assignment verdict, solved section or None) of ``model``'s global section.
+
+    The section's certificate joins ``certificates``; a `TooLargeError`
+    leaves the verdict undecided with a note.
+    """
+    try:
+        section = solve_global_section(model)
+    except TooLargeError as exc:
+        notes.append(f"global-section solver skipped: {exc}")
+        return UNDECIDED, None
+    certificates.append({"role": "ks", **section.certificate()})
+    return (YES if section.feasible else NO), section
+
+
+def _implied_no(certificates: list, notes: list, reason: str) -> str:
+    """The ontic-expansion "no" that an assignment "no" implies, with its
+    certificate and a note giving ``reason``."""
+    certificates.append({"role": "spekkens", "kind": "implied-by-ks-contextuality"})
+    notes.append(f"ontic-expansion verdict inferred: {reason}, so no "
+                 "noncontextual expansion exists")
+    return NO
+
+
+def _embedding_verdict(result, certificates: list, notes: list, route: str) -> str:
+    """An embedding result's verdict, with its certificate, or, when the
+    result carries a note, that note after ``route``."""
+    if result.note is None:
+        certificates.append({"role": "spekkens", **result.certificate()})
+    else:
+        notes.append(f"{route}: {result.note}")
+    return _EMBED_VERDICT[result.verdict]
+
+
 # ---------------------------------------------------------------------------
 # Per-kind classifiers
 # ---------------------------------------------------------------------------
@@ -215,15 +249,7 @@ def classify_model(model: EmpiricalModel) -> ClassificationReport:
     """
     certificates: list = []
     notes: list = []
-
-    section = None
-    try:
-        section = solve_global_section(model)
-        ks = YES if section.feasible else NO
-        certificates.append({"role": "ks", **section.certificate()})
-    except TooLargeError as exc:
-        ks = UNDECIDED
-        notes.append(f"global-section solver skipped: {exc}")
+    ks, section = _section_verdict(model, certificates, notes)
 
     sides = bipartite_structure(model)
     if sides is None:
@@ -240,11 +266,7 @@ def classify_model(model: EmpiricalModel) -> ClassificationReport:
         certificates.append({"role": "bell", **membership.certificate()})
 
     if ks == NO:
-        sp = NO
-        certificates.append({"role": "spekkens",
-                             "kind": "implied-by-ks-contextuality"})
-        notes.append("ontic-expansion verdict inferred: no global assignment "
-                     "exists, so no noncontextual expansion exists")
+        sp = _implied_no(certificates, notes, "no global assignment exists")
     elif ks == YES and _deterministic(section.model):
         sp = YES
         notes.append("deterministic table: the point assignment itself is a "
@@ -280,21 +302,10 @@ def classify_quantum(state, contexts, sharing: dict | None = None) -> Classifica
     certificates: list = []
     notes: list = ["quantum scenario declares no party split; Bell verdict "
                    "not applicable"]
-
-    try:
-        section = solve_global_section(model)
-        ks = YES if section.feasible else NO
-        certificates.append({"role": "ks", **section.certificate()})
-    except TooLargeError as exc:
-        ks = UNDECIDED
-        notes.append(f"global-section solver skipped: {exc}")
+    ks, _ = _section_verdict(model, certificates, notes)
 
     if ks == NO:
-        sp = NO
-        certificates.append({"role": "spekkens",
-                             "kind": "implied-by-ks-contextuality"})
-        notes.append("ontic-expansion verdict inferred: no global assignment "
-                     "exists, so no noncontextual expansion exists")
+        sp = _implied_no(certificates, notes, "no global assignment exists")
     else:
         try:
             result = embed_sharp(gpt_from_pass(qp), [exact])
@@ -306,11 +317,8 @@ def classify_quantum(state, contexts, sharing: dict | None = None) -> Classifica
             sp = UNDECIDED
             notes.append(f"embedding route unavailable: {exc}")
         else:
-            sp = _EMBED_VERDICT[result.verdict]
-            if result.note is None:
-                certificates.append({"role": "spekkens", **result.certificate()})
-            else:
-                notes.append(f"embedding route unavailable: {result.note}")
+            sp = _embedding_verdict(result, certificates, notes,
+                                    "embedding route unavailable")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 
@@ -348,24 +356,16 @@ def classify_gpt(gpt: Gpt) -> ClassificationReport:
                       "global sections"]
         else:
             if result.verdict == "refused":
-                ks = sp = NO
+                ks = NO
                 certificates.append({"role": "ks", **result.certificate()})
-                certificates.append({"role": "spekkens",
-                                     "kind": "implied-by-ks-contextuality"})
-                notes.append("ontic-expansion verdict inferred: an induced "
-                             "model has no global assignment, so no "
-                             "noncontextual expansion exists")
+                sp = _implied_no(certificates, notes, "an induced model has "
+                                 "no global assignment")
             else:
                 ks = YES
-                sp = _EMBED_VERDICT[result.verdict]
                 notes.append(f"all {gpt.n_states} induced models admit "
                              "global assignments")
-                if result.note is None:
-                    certificates.append({"role": "spekkens",
-                                         **result.certificate()})
-                else:
-                    notes.append("embedding constructor unavailable: "
-                                 f"{result.note}")
+                sp = _embedding_verdict(result, certificates, notes,
+                                        "embedding constructor unavailable")
     else:
         ks = UNDECIDED
         notes.append("no sharp contexts declared; no outcome scenario for "
@@ -376,11 +376,8 @@ def classify_gpt(gpt: Gpt) -> ClassificationReport:
             sp = UNDECIDED
             notes.append(f"embedding LP skipped: {exc}")
         else:
-            sp = _EMBED_VERDICT[result.verdict]
-            if result.note is None:
-                certificates.append({"role": "spekkens", **result.certificate()})
-            else:
-                notes.append(f"embedding LP unavailable: {result.note}")
+            sp = _embedding_verdict(result, certificates, notes,
+                                    "embedding LP unavailable")
     return assemble_report(NOT_APPLICABLE, ks, sp, certificates, notes)
 
 

@@ -279,8 +279,10 @@ class EmbedSharpResult(Record, eq=False):
     def feasible(self) -> bool:
         return self.verdict == "embeddable"
 
-    def certificate(self) -> dict:
+    def certificate(self) -> dict | None:
         """The embedding, or the refusing section's; an undecided result has none."""
+        if self.verdict == "undecided":
+            return None
         if self.feasible:
             return {
                 "kind": "simplex-embedding",

@@ -29,7 +29,8 @@ source's own pricing, and `require_certificate` raises `CertificateError`
 when a re-check fails.
 
 The solver is a revised phase-1 simplex run without ``Fraction``
-arithmetic.  Rows with ``b_i < 0`` are negated.  Each column ``a_j`` comes
+arithmetic.  It refuses a negative ``b_i``: every caller's right-hand
+side is probabilities or 0/1.  Each column ``a_j`` comes
 multiplied by ``s_j``, the lcm of its denominators, and ``b`` by ``L``,
 the lcm of its denominators, so the whole system is integral.  The inverse
 of the integer basis matrix is kept as ``N / D`` with ``N`` an integer
@@ -325,8 +326,8 @@ def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
     arithmetic is integer-preserving on the scaled system (module
     docstring), so the pivots and the returned rationals are those of the
     plain ``Fraction`` simplex with the same rules and costs.  Raises
-    ``ValueError`` unless ``b`` has one entry per row and the costs are
-    one positive integer per row.
+    ``ValueError`` unless ``b`` has one entry per row, each ``>= 0``, and
+    the costs are one positive integer per row.
     """
     m = a.m
     if len(b) != m:
@@ -337,18 +338,12 @@ def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
     for i, c in enumerate(cost):
         if type(c) is not int or c <= 0:
             raise ValueError(f"phase-1 cost {c!r} of row {i} is not a positive integer")
+    xb, rhs_scale = clear_denominators(b)
+    for i, v in enumerate(xb):
+        if v < 0:
+            raise ValueError(f"right-hand side entry {i} is {b[i]}, below 0")
     if m == 0:
         return Feasibility(True, x=a.primal(()))
-    sign = [1] * m
-    rhs: list[Fraction] = []
-    for i in range(m):
-        bi = _rational(b[i])
-        if bi.numerator < 0:
-            sign[i] = -1
-            bi = -bi
-        rhs.append(bi)
-    flip = -1 in sign
-    xb, rhs_scale = clear_denominators(rhs)
 
     # B^-1 = binv / det with binv integral; the artificial basis is I.
     # basis[i] is the key of the column basic in row i and scale[i] its s;
@@ -370,12 +365,10 @@ def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
         if crash:
             enter = offered.pop()
         else:
-            enter = a.price([v * s for v, s in zip(y, sign)] if flip else y)
+            enter = a.price(y)
             if enter is None:
                 break
         idx, vals, s = a.column(enter)
-        if flip:
-            vals = [-v if sign[i] < 0 else v for i, v in zip(idx, vals)]
         # A 0/1 column: every product is a plain read.
         get = itemgetter(*idx) if len(idx) > 1 and vals.count(1) == len(idx) else None
         score = sum(get(y)) if get else sum(map(mul, map(y.__getitem__, idx), vals))
@@ -444,34 +437,4 @@ def solve_eq_nonneg(a, b: Sequence[Fraction], start=()) -> Feasibility:
         return Feasibility(True, x=a.primal(
             (basis[i], Fraction(xb[i] * scale[i], det * rhs_scale))
             for i in range(m) if basis[i] is not None and xb[i]))
-    farkas = tuple(Fraction(y[i] * sign[i], det) for i in range(m))
-    return Feasibility(False, farkas=farkas)
-
-
-def solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
-                 b: Sequence[Fraction],
-                 lower: Sequence[Fraction],
-                 upper: Sequence[Fraction]) -> list[Fraction] | None:
-    """One x with A x = b and lower <= x <= upper, or None if there is none."""
-    m = len(a_rows)
-    n = len(lower)
-    if any(upper[j] < lower[j] for j in range(n)):
-        return None
-    # substitute x = lower + s, add slack t with s + t = upper - lower:
-    # column j is A's column j over row m + j, slack column n + j is e_{m+j};
-    # the shifted right-hand side b - A lower subtracts nonzero terms only
-    rhs = [Fraction(bi) for bi in b]
-    cols = []
-    for j in range(n):
-        idx = [i for i in range(m) if a_rows[i][j]]
-        vals = [Fraction(a_rows[i][j]) for i in idx]
-        if lower[j]:
-            for i, v in zip(idx, vals):
-                rhs[i] -= v * lower[j]
-        cols.append((tuple(idx) + (m + j,), tuple(vals) + (1,)))
-    rhs += [Fraction(upper[j]) - Fraction(lower[j]) for j in range(n)]
-    cols += [((m + j,), (1,)) for j in range(n)]
-    res = solve_eq_nonneg(SparseColumns(m + n, tuple(cols)), rhs)
-    if not res.feasible:
-        return None
-    return [Fraction(lower[j]) + res.x[j] for j in range(n)]
+    return Feasibility(False, farkas=tuple(Fraction(v, det) for v in y))

@@ -35,7 +35,13 @@ from operator import getitem, itemgetter
 
 import numpy as np
 
-from .exactlp import clear_denominators, nearest_fraction, solve_box_eq
+from .exactlp import (
+    SparseColumns,
+    clear_denominators,
+    nearest_fraction,
+    require_certificate,
+    solve_eq_nonneg,
+)
 from .quantum import DimensionMismatch, ProjectiveContext, sup_norm, validate_density
 from .record import Record
 
@@ -631,12 +637,25 @@ def _rounded_model(sc: MeasurementScenario, floats: dict,
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
                slack: Fraction, max_den: int):
-    """Box LP ``rows x = rhs`` around the rounded float centres.
+    """Box LP ``sum(x[j] for j in rows[i]) == rhs[i]`` around the rounded float centres.
 
-    An infeasible box is retried with its half-width doubled, `BOX_ATTEMPTS`
-    times in all.  Entries at or below `ZERO_TOL` are pinned to zero for the
-    first five attempts.
+    ``rows`` lists each 0/1 row's distinct column indices.  The box
+    ``lower <= x <= upper`` is solved as ``x = lower + u`` with slacks
+    ``u + t = upper - lower``, ``u, t >= 0``, by `solve_eq_nonneg`, and each
+    result is re-checked by `require_certificate`.  The columns are built
+    once: an attempt changes only the right-hand side, and is skipped when
+    that shifted right-hand side has a negative entry, since the box then
+    holds no solution.  An infeasible box is retried with its half-width
+    doubled, `BOX_ATTEMPTS` times in all.  Entries at or below `ZERO_TOL`
+    are pinned to zero for the first five attempts.
     """
+    m, n = len(rows), len(values)
+    held: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            held[j].append(i)
+    cols = [(*idx, m + j) for j, idx in enumerate(held)] + [(m + j,) for j in range(n)]
+    box = SparseColumns(m + n, tuple((idx, (1,) * len(idx)) for idx in cols))
     for attempt in range(BOX_ATTEMPTS):
         s = slack * (2 ** attempt)
         lower, upper = [], []
@@ -649,9 +668,13 @@ def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
                 c = Fraction(*nearest_fraction(f, max_den))
             lower.append(max(Fraction(0), c - s))
             upper.append(min(Fraction(1), c + s))
-        sol = solve_box_eq(rows, rhs, lower, upper)
-        if sol is not None:
-            return sol
+        b = ([r - sum(lower[j] for j in row) for r, row in zip(rhs, rows)]
+             + [u - l for l, u in zip(lower, upper)])
+        if any(v < 0 for v in b):
+            continue
+        res = require_certificate(box, b, solve_eq_nonneg(box, b), "box LP")
+        if res.feasible:
+            return [l + u for l, u in zip(lower, res.x)]
     return None
 
 
@@ -709,11 +732,7 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
     pinned = _pin_dependent_atoms(values, grid, contexts)
     if pinned is not None:
         return pinned
-    rows = []
-    for ctx in contexts:
-        members = set(ctx)
-        rows.append([Fraction(int(k in members)) for k in range(len(values))])
-    sol = _solve_box(values, grid, rows, [Fraction(1)] * len(rows),
+    sol = _solve_box(values, grid, contexts, [Fraction(1)] * len(contexts),
                      SLACK, MAX_DEN)
     if sol is None:
         raise ValueError("could not rationalize the atom probabilities")
@@ -912,12 +931,13 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
         fixed smaller overlap inside `labels` as its marginal."""
         outs = sc.outcome_tuples(labels)
         values = [floats.get(o, 0.0) for o in outs]
-        rows, rhs = [[Fraction(1)] * len(outs)], [Fraction(1)]
+        rows, rhs = [range(len(outs))], [Fraction(1)]
         for w, table in fixed.items():
             if set(w) < set(labels):
                 idx = [labels.index(m) for m in w]
                 for wo, wv in table.items():
-                    rows.append([Fraction(tuple(o[i] for i in idx) == wo) for o in outs])
+                    rows.append([k for k, o in enumerate(outs)
+                                 if tuple(o[i] for i in idx) == wo])
                     rhs.append(wv)
         centres = [Fraction(*_round(f, max_den)) for f in values]
         sol = _solve_box(values, centres, rows, rhs, half, max_den)

@@ -5,13 +5,17 @@ rule plus a planar angle grid) without touching the package's solvers, so a
 test agreeing with them is evidence rather than circularity.
 `reference_solve_eq_nonneg` is the plain ``Fraction`` simplex the exact LP
 kernel must match pivot for pivot, on listed columns by Bland's rule and on
-the section source by the largest score and the same phase-1 costs,
+the section source by the largest score and the same phase-1 costs, once
+`orient_rows` has made the right-hand side nonnegative as the kernel requires;
 `reference_incidence_rows` the dense row-by-row incidence matrix the
 implicit global-section matrix must equal, and `reference_argmax` the column-by-column scan its
 elimination oracle must agree with.  `reference_section_plan` builds a
 scenario's section plan (elimination gathers, decode strides, lookup
 positions, row basis, costs and restricted row maps) pass by pass, as the
 package built it before its one-pass plan.
+`reference_solve_box_eq` is the dense box LP the package once built for
+stage 3 of its rationalizers, and `reference_solve_box` its retry loop
+around the rounded floats, on that simplex.
 `reference_membership_lp` (the dense-vertex local-polytope LP over its own
 vertex list `ld_vertex_boxes`) and `reference_hulls_intersect` run on that
 reference simplex, and `brute_force_lift_maximum` scans all 4^n strategy
@@ -51,9 +55,11 @@ finds a complete two-party layout by two-colouring the co-occurrence
 graph, against the package's neighbour read-off.  The last sections hold
 helpers that only tests use: sequential-measurement statistics and their
 flip-error bounds, unitarity and partial-trace checks, Haar-random
-unitaries, the reduction of a state-independent set to a state-dependent
+unitaries, `shared_atom_gpt`, whose first sharp context has no atom of
+its own, the reduction of a state-independent set to a state-dependent
 one, and the replay of one shot of the two-bit simulator from its
-randomness word.
+randomness word.  `require` fails a test by a raise, so a check written
+with it also runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -67,8 +73,16 @@ from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import pytest
 
-from contextuality.embedding import RANK_TOL, Gpt, GptError, InconsistentUnit, make_gpt
+from contextuality.embedding import (
+    RANK_TOL,
+    Gpt,
+    GptError,
+    InconsistentUnit,
+    make_gpt,
+    sharp_gpt_from_quantum,
+)
 from contextuality.exactlp import Feasibility, TooLargeError
 from contextuality.polytope import ShapeMismatch, make_behaviour
 from contextuality.qsl import _GATE_FUNCS, QslProgram, qsl_measure, qsl_prepare
@@ -77,6 +91,7 @@ from contextuality.quantum import (
     DimensionMismatch,
     _as_matrix,
     eigen_projector,
+    projective_context,
     sup_norm,
 )
 from contextuality.record import Record
@@ -89,6 +104,13 @@ from contextuality.scenario import (
     make_scenario,
     rational_literal,
 )
+
+
+def require(condition, message: str) -> None:
+    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
+    if not condition:
+        pytest.fail(message)
+
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -128,6 +150,13 @@ def grid_scan_max(alpha=1.0):
                               for j in (j1, j2)]))[0],
         val)
     return fine
+
+
+def orient_rows(a_rows, b) -> tuple[list, list]:
+    """``A x = b`` with each row of negative ``b_i`` negated, so that ``b >= 0``,
+    as the exact LP kernel requires."""
+    rows = [[-v for v in row] if bi < 0 else list(row) for row, bi in zip(a_rows, b)]
+    return rows, [abs(bi) for bi in b]
 
 
 def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
@@ -233,6 +262,59 @@ def reference_solve_eq_nonneg(a_rows: Sequence[Sequence[Fraction]],
     y = dual()
     farkas = tuple(y[i] * sign[i] for i in range(m))
     return Feasibility(False, farkas=farkas)
+
+
+def reference_solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
+                           b: Sequence[Fraction],
+                           lower: Sequence[Fraction],
+                           upper: Sequence[Fraction]) -> list[Fraction] | None:
+    """One x with A x = b and lower <= x <= upper, or None, on dense rows.
+
+    The box is solved as x = lower + u with slacks u + t = upper - lower:
+    column j is A's column j over row m + j, and slack column n + j is
+    e_{m+j}, solved by `reference_solve_eq_nonneg`, whose row orientation
+    takes a negative shifted right-hand side.
+    """
+    m, n = len(a_rows), len(lower)
+    if any(upper[j] < lower[j] for j in range(n)):
+        return None
+    rows = [[Fraction(v) for v in row] + [Fraction(0)] * n for row in a_rows]
+    rows += [[Fraction(int(k in (j, n + j))) for k in range(2 * n)] for j in range(n)]
+    rhs = [Fraction(b[i]) - sum(Fraction(a_rows[i][j]) * lower[j] for j in range(n))
+           for i in range(m)]
+    rhs += [Fraction(upper[j]) - Fraction(lower[j]) for j in range(n)]
+    res = reference_solve_eq_nonneg(rows, rhs)
+    if not res.feasible:
+        return None
+    return [Fraction(lower[j]) + res.x[j] for j in range(n)]
+
+
+def reference_solve_box(values: Sequence[float], centres: Sequence[Fraction],
+                        rows, rhs, slack: Fraction, max_den: int) -> list[Fraction] | None:
+    """`scenario._solve_box`'s retry policy on dense rows and `reference_solve_box_eq`.
+
+    ``rows`` lists each 0/1 row's column indices, which become a dense row
+    of ``Fraction`` 0s and 1s.  Each of the 10 attempts doubles the
+    half-width; values at or below 1e-9 are pinned to 0 for the first 5
+    attempts and centred on ``Fraction.limit_denominator`` after that.
+    """
+    dense = [[Fraction(int(k in set(row))) for k in range(len(values))] for row in rows]
+    for attempt in range(10):
+        s = slack * 2 ** attempt
+        lower, upper = [], []
+        for f, c in zip(values, centres):
+            if f <= 1e-9:
+                if attempt < 5:
+                    lower.append(Fraction(0))
+                    upper.append(Fraction(0))
+                    continue
+                c = Fraction(f).limit_denominator(max_den)
+            lower.append(max(Fraction(0), c - s))
+            upper.append(min(Fraction(1), c + s))
+        sol = reference_solve_box_eq(dense, rhs, lower, upper)
+        if sol is not None:
+            return sol
+    return None
 
 
 def reference_incidence_rows(scenario) -> list[tuple[int, ...]]:
@@ -1320,6 +1402,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def shared_atom_gpt(state):
+    """A 4-dimensional GPT whose first sharp context has no exclusive atom.
+
+    Its contexts are {A, B}, {A, P2, P3} and {B, P0, P1}, with A = P0 + P1
+    and B = P2 + P3 for one random basis P0..P3: A and B both lie in two
+    contexts, so the atoms of {A, B} cannot be pinned by their context.
+    """
+    u = random_unitary(4, np.random.default_rng(41))
+    p = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
+    a, b = p[0] + p[1], p[2] + p[3]
+    contexts = [[projective_context("AB", [a, b])],
+                [projective_context("A23", [a, p[2], p[3]])],
+                [projective_context("B01", [b, p[0], p[1]])]]
+    return sharp_gpt_from_quantum([state], contexts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Certificate re-checks run under ``python -O``.
+"""Certificate re-checks run under ``python -O``, on every exact LP.
 
 ``python -O`` strips ``assert`` statements and makes ``__debug__`` false.
 So the package holds neither: its re-checks raise.  And the CI workflow's
 ``python -O`` step runs the tier-1 command itself, with ``-O`` added and
-nothing else, so no test can drop out of it unseen.
+nothing else, so no test can drop out of it unseen.  Every result of the
+LP kernel is re-checked where it is solved: each ``solve_eq_nonneg(...)``
+call is a direct argument of ``require_certificate(...)``, except in
+`sheaf.section_lp`, whose caller re-checks the lifted result.
 """
 
 from __future__ import annotations
@@ -47,3 +50,31 @@ def test_package_has_no_assert_or_debug():
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     if not modules or found:
         pytest.fail(f"{len(modules)} modules; assert or __debug__ at {found}")
+
+
+def _called(node, name: str) -> bool:
+    """Whether ``node`` calls a function named ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def kernel_calls(node, function=None, parent=None):
+    """(enclosing function's name, parent node, call) of every ``solve_eq_nonneg`` call."""
+    if _called(node, "solve_eq_nonneg"):
+        yield function, parent, node
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from kernel_calls(child, function, node)
+
+
+def test_every_lp_result_is_rechecked_where_it_is_solved():
+    calls = [(path, function, parent, call)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for function, parent, call in kernel_calls(ast.parse(path.read_text(), str(path)))]
+    unchecked = [f"{path.relative_to(ROOT)}:{call.lineno} in {function}"
+                 for path, function, parent, call in calls
+                 if not (_called(parent, "require_certificate") and call in parent.args)
+                 and (path.name, function) != ("sheaf.py", "section_lp")]
+    if not calls or unchecked:
+        pytest.fail(f"{len(calls)} kernel calls; not re-checked where solved: {unchecked}")

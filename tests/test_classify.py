@@ -449,7 +449,7 @@ class TestClassifyGpt:
         from contextuality import embedding, exactlp, scenario, sheaf
 
         calls = {"lp": 0, "box": 0}
-        solve, box = exactlp.solve_eq_nonneg, scenario.solve_box_eq
+        solve, box = exactlp.solve_eq_nonneg, scenario._solve_box
 
         def counted_solve(*args, **kwargs):
             calls["lp"] += 1
@@ -459,9 +459,9 @@ class TestClassifyGpt:
             calls["box"] += 1
             return box(*args)
 
-        for module in (exactlp, embedding, sheaf):
+        for module in (exactlp, embedding, scenario, sheaf):
             monkeypatch.setattr(module, "solve_eq_nonneg", counted_solve)
-        monkeypatch.setattr(scenario, "solve_box_eq", counted_box)
+        monkeypatch.setattr(scenario, "_solve_box", counted_box)
         return calls
 
     def test_noncontextual_gpt_solves_one_lp_per_state(self, monkeypatch):

@@ -46,7 +46,7 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import SchemaError, rational_literal
 from contextuality.sheaf import MAX_ASSIGNMENTS
-from oracles import behaviour_from_json, cycle_margin, ld_vertex_boxes, random_box
+from oracles import behaviour_from_json, cycle_margin, ld_vertex_boxes, random_box, require
 
 
 def kcbs_gpt_json(*states):
@@ -1200,8 +1200,8 @@ def nested_coarse_grainings_doc() -> dict:
 class TestSharpEmbeddingAssembly:
     """Sections that fail a span test of the sharp embedding leave the verdict undecided.
 
-    Written with `require` instead of bare asserts, so that it also tests
-    something when pytest runs under ``python -O``.
+    Written with `oracles.require` instead of bare asserts, so that it
+    also tests something when pytest runs under ``python -O``.
     """
 
     @pytest.mark.parametrize("kind", ["gpt", "quantum"])
@@ -1289,12 +1289,6 @@ class TestSharpRouteImports:
         assert payload["verdict"] == "embeddable"
 
 
-def require(condition, message: str) -> None:
-    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
-    if not condition:
-        pytest.fail(message)
-
-
 def cli_run(path, argv) -> tuple:
     """Exit code, standard output and standard error of one `main` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -1325,8 +1319,8 @@ FINITE_TABLE = {"kind": "empirical",
 class TestNonFiniteFrontDoor:
     """NaN and infinite entries exit 2 with one line, never a verdict.
 
-    Written with `require` instead of bare asserts, so that it also tests
-    something when pytest runs under ``python -O``.
+    Written with `oracles.require` instead of bare asserts, so that it
+    also tests something when pytest runs under ``python -O``.
     """
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -1422,8 +1416,8 @@ class TestMalformedFieldRefusals:
 
     A string where a list belongs is refused too, where reading it one
     character at a time once gave a document of other contexts or
-    outcomes that exited 0.  Written with `require` instead of bare
-    asserts, so that it also tests something when pytest runs under
+    outcomes that exited 0.  Written with `oracles.require` instead of
+    bare asserts, so that it also tests something when pytest runs under
     ``python -O``.
     """
 

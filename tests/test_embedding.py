@@ -97,6 +97,8 @@ from oracles import (
     reference_hulls_intersect,
     reference_incidence_rows,
     reference_sharp_mixture,
+    require,
+    shared_atom_gpt,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -128,33 +130,11 @@ def kcbs_gpt(state=None):
     return sharp_gpt_from_quantum([state], kcbs_contexts())
 
 
-def shared_atom_gpt(state):
-    """A 4-dimensional GPT whose first sharp context has no exclusive atom.
-
-    Its contexts are {A, B}, {A, P2, P3} and {B, P0, P1}, with A = P0 + P1
-    and B = P2 + P3 for one random basis P0..P3: A and B both lie in two
-    contexts, so the atoms of {A, B} cannot be pinned by their context.
-    """
-    u = random_unitary(4, np.random.default_rng(41))
-    p = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
-    a, b = p[0] + p[1], p[2] + p[3]
-    contexts = [[projective_context("AB", [a, b])],
-                [projective_context("A23", [a, p[2], p[3]])],
-                [projective_context("B01", [b, p[0], p[1]])]]
-    return sharp_gpt_from_quantum([state], contexts)
-
-
 # How far `induced_model` may move an atom: one box LP retried up to 2**9
 # times its 1e-5 half-width, around centres rounded to denominators <= 10**6.
 ATOM_BOUND = 2 ** 9 * Fraction(1, 10 ** 5) + Fraction(1, 2 * 10 ** 6)
 # With no LP only the rounding moves an atom.
 ROUNDING_BOUND = max(Fraction(ZERO_TOL), Fraction(1, 2 * 10 ** 6))
-
-
-def require(condition, message: str) -> None:
-    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
-    if not condition:
-        pytest.fail(message)
 
 
 def exact_atom_table(gpt):
@@ -580,12 +560,18 @@ class TestEmbedSharp:
             "yes", "undecided")
         assert f"embedding constructor unavailable: {res.note}" in report.notes
 
+    def test_undecided_result_has_no_certificate(self):
+        gpt = make_gpt([[1.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]], [1.0, 0.0],
+                       sharp_contexts=[[0]])
+        res = embed_sharp(gpt)
+        assert (res.verdict, res.certificate()) == ("undecided", None)
+
 
 class TestExactInducedModel:
     """`induced_model` is exact: one rounding, one pinned atom per context, or one box LP.
 
-    Checks raise through `require` rather than bare asserts, so the class
-    also tests something under ``python -O``.
+    Checks raise through `oracles.require` rather than bare asserts, so
+    the class also tests something under ``python -O``.
     """
 
     @staticmethod
@@ -643,13 +629,13 @@ class TestExactInducedModel:
 
     def test_box_lps_per_state(self, monkeypatch):
         calls = []
-        solve = scenario.solve_box_eq
+        solve = scenario._solve_box
 
         def counted(*args):
             calls.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(scenario, "solve_box_eq", counted)
+        monkeypatch.setattr(scenario, "_solve_box", counted)
         classify_gpt(kcbs_gpt(np.eye(3) / 3))
         require(len(calls) == 0,
                 f"maximally mixed state ran {len(calls)} box LPs")
@@ -666,7 +652,7 @@ class TestExactInducedModel:
         # Without an LP, the shared atoms P_j are rounded to the 10**-6
         # grid, and each context's own atom 1 - P_j - P_j+1 takes what is
         # left: within 3 grid steps, as the context holds three atoms.
-        monkeypatch.setattr(scenario, "solve_box_eq",
+        monkeypatch.setattr(scenario, "_solve_box",
                             lambda *args: pytest.fail("box LP ran"))
         gpt = kcbs_gpt(random_density(3, np.random.default_rng(3)))
         exact = exact_atom_table(gpt)
@@ -689,8 +675,8 @@ class TestExactInducedModel:
     ], ids=["negative", "zero"])
     def test_unpinnable_contexts_take_the_lp(self, monkeypatch, values):
         calls = []
-        solve = scenario.solve_box_eq
-        monkeypatch.setattr(scenario, "solve_box_eq",
+        solve = scenario._solve_box
+        monkeypatch.setattr(scenario, "_solve_box",
                             lambda *args: calls.append(args) or solve(*args))
         contexts = [[0, 1, 2, 3], [0, 1, 2, 4]]
         exact = rationalize_atoms(values, contexts)
@@ -704,8 +690,8 @@ class TestExactInducedModel:
         # The box LP is centred on the 1/10**6 grid, so the vertex it
         # returns keeps denominators near 10**6.
         calls = []
-        solve = scenario.solve_box_eq
-        monkeypatch.setattr(scenario, "solve_box_eq",
+        solve = scenario._solve_box
+        monkeypatch.setattr(scenario, "_solve_box",
                             lambda *args: calls.append(args) or solve(*args))
         gpt = shared_atom_gpt(random_density(4, np.random.default_rng(3)))
         values = atom_values(induced_model(gpt, 0))
@@ -746,7 +732,7 @@ class TestTamperedSection:
     `embed_sharp` re-checks each section's primal against that section's
     exact statistics before it prints the weights; a failure is an explicit
     "undecided" result, so this class also runs under ``python -O``.
-    Checks raise through `require`.
+    Checks raise through `oracles.require`.
     """
 
     def test_tampered_primal_is_undecided(self, monkeypatch):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextuality import scenario
 from contextuality.exactlp import (
     CertificateError,
     Feasibility,
@@ -30,10 +31,9 @@ from contextuality.exactlp import (
     check_solution,
     columns_from_rows,
     require_certificate,
-    solve_box_eq,
     solve_eq_nonneg,
 )
-from contextuality.scenario import make_model, make_scenario
+from contextuality.scenario import _solve_box, make_model, make_scenario
 from contextuality.sheaf import (
     build_incidence_matrix,
     solve_global_section,
@@ -42,6 +42,7 @@ from oracles import (
     enumerate_global_assignments,
     enumerate_vertices,
     exact_rank,
+    orient_rows,
     reference_incidence_rows,
     reference_solve_eq_nonneg,
 )
@@ -73,12 +74,9 @@ class TestSolveEqNonneg:
         assert not res.feasible
         assert check_farkas(a, b, res.farkas)
 
-    def test_negative_rhs_handled_by_row_orientation(self):
-        a = frac_columns([[-1, 0], [0, 1]])
-        b = [F(-3), F(2)]
-        res = solve_eq_nonneg(a, b)
-        assert res.feasible
-        assert check_solution(a, b, res.x)
+    def test_negative_rhs_is_refused(self):
+        with pytest.raises(ValueError, match="right-hand side entry 0 is -3, below 0"):
+            solve_eq_nonneg(frac_columns([[-1, 0], [0, 1]]), [F(-3), F(2)])
 
     def test_zero_columns_zero_rhs(self):
         a = frac_columns([[0, 0], [0, 0]])
@@ -90,9 +88,9 @@ class TestSolveEqNonneg:
         assert solve_eq_nonneg(columns_from_rows([]), []).feasible
 
     def test_nonneg_constraint_forces_infeasibility(self):
-        # x1 - x2 = -1 with a second row pinning x2 = 0
-        a = frac_columns([[1, -1], [0, 1]])
-        b = [F(-1), F(0)]
+        # x2 - x1 = 1 with a second row pinning x2 = 0
+        a = frac_columns([[-1, 1], [0, 1]])
+        b = [F(1), F(0)]
         res = solve_eq_nonneg(a, b)
         assert not res.feasible
         assert check_farkas(a, b, res.farkas)
@@ -166,17 +164,12 @@ class TestPrunedSolver:
         assert not section.feasible
         assert check_farkas(matrix, v, section.dual)
 
-    def test_negative_rhs_immediately_infeasible(self):
+    def test_negative_rhs_is_refused(self):
         sc = make_scenario([("A", (0, 1))], [["A"]])
         model = make_model(sc, {("A",): {(0,): F(0), (1,): F(1)}})
         _, _, pruned, _ = pruned_system(model)
-        b = [F(-1)]
-        res = solve_eq_nonneg(pruned, b)
-        # The row's section is all last outcomes, so its artificial costs
-        # |c| + 1 = 2 and the Farkas vector c_B B^-1 is 2 times the flip.
-        assert pruned.costs == (2,)
-        assert res == Feasibility(False, farkas=(F(-2),))
-        assert check_farkas(pruned, b, res.farkas)
+        with pytest.raises(ValueError, match="below 0"):
+            solve_eq_nonneg(pruned, [F(-1)])
 
     def test_lifted_certificate_covers_dead_columns(self):
         # the live rows' dual scores dead assignments above 0 before lifting
@@ -208,6 +201,7 @@ nonneg_fracs = st.integers(min_value=0, max_value=6).map(lambda n: F(n, 3))
 def test_any_verdict_verifies(m, n, data):
     a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
     b = [data.draw(small_fracs) for _ in range(m)]
+    a, b = orient_rows(a, b)
     cols = columns_from_rows(a)
     res = solve_eq_nonneg(cols, b)
     if res.feasible:
@@ -225,7 +219,7 @@ def test_any_verdict_verifies(m, n, data):
 def test_planted_feasible_systems_are_recognised(m, n, data):
     a = [[data.draw(small_fracs) for _ in range(n)] for _ in range(m)]
     x0 = [data.draw(nonneg_fracs) for _ in range(n)]
-    b = [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)]
+    a, b = orient_rows(a, [sum(a[i][j] * x0[j] for j in range(n)) for i in range(m)])
     cols = columns_from_rows(a)
     res = solve_eq_nonneg(cols, b)
     assert res.feasible
@@ -298,7 +292,7 @@ def test_kernel_equals_reference_simplex(m, n, data):
         b = [sum(row[j] * x0[j] for j in range(n)) for row in a]
     else:
         b = [data.draw(mixed_fracs) for _ in range(m)]
-    kernel, reference = solve_both(a, b)
+    kernel, reference = solve_both(*orient_rows(a, b))
     assert kernel == reference
 
 
@@ -360,6 +354,7 @@ def test_largest_pricing_ends_with_verified_verdicts(m, n, data):
         for row in a:
             row[k] = row[j]
     b = [data.draw(st.sampled_from([F(0), F(0), F(1), F(2), F(-1)])) for _ in range(m)]
+    a, b = orient_rows(a, b)
     cols = LargestColumns(m, columns_from_rows(a).cols)
     res = solve_eq_nonneg(cols, b)
     assert res.feasible == reference_solve_eq_nonneg(a, b).feasible
@@ -493,22 +488,41 @@ class TestVertexEnumeration:
 
 
 class TestBoxSolve:
+    """`scenario._solve_box`: x = lower + u with slacks u + t = upper - lower,
+    one column source per box, every result re-checked."""
+
     def test_box_feasible(self):
-        a = frac_matrix([[1, 1]])
-        x = solve_box_eq(a, [F(1)], [F(0), F(0)], [F(1), F(1)])
+        x = _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2), 10 ** 6)
         assert x is not None
         assert x[0] + x[1] == 1
         assert all(F(0) <= v <= F(1) for v in x)
 
     def test_box_infeasible(self):
-        a = frac_matrix([[1, 1]])
-        assert solve_box_eq(a, [F(3)], [F(0), F(0)], [F(1), F(1)]) is None
+        assert _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(3)],
+                          F(1, 2), 10 ** 6) is None
 
     def test_pinned_variables(self):
-        a = frac_matrix([[1, 1, 1]])
-        x = solve_box_eq(
-            a, [F(1)],
-            [F(0), F(1, 2), F(0)],
-            [F(0), F(1, 2), F(1)],
-        )
+        # The zero stays pinned; the others reach 1 only once the
+        # half-width has doubled to 1/5.
+        x = _solve_box([0.0, 0.3, 0.3], [F(0), F(3, 10), F(3, 10)], [(0, 1, 2)],
+                       [F(1)], F(1, 10), 10 ** 6)
         assert x == [F(0), F(1, 2), F(1, 2)]
+
+    def test_empty_box_is_skipped(self, monkeypatch):
+        # At half-width 1/20 the lower bounds already sum past 1, so the
+        # first attempt's shifted right-hand side is negative.
+        calls = []
+        monkeypatch.setattr(scenario, "solve_eq_nonneg",
+                            lambda a, b: calls.append(b) or solve_eq_nonneg(a, b))
+        x = _solve_box([0.6, 0.6], [F(3, 5)] * 2, [(0, 1)], [F(1)], F(1, 20), 10 ** 6)
+        assert x == [F(1, 2), F(1, 2)]
+        assert len(calls) == 1 and min(calls[0]) == 0
+
+    @pytest.mark.parametrize("forged", [
+        Feasibility(True, x=(F(1),) * 4),
+        Feasibility(False, farkas=(F(0),) * 3),
+    ], ids=["primal", "dual"])
+    def test_forged_result_raises(self, monkeypatch, forged):
+        monkeypatch.setattr(scenario, "solve_eq_nonneg", lambda a, b: forged)
+        with pytest.raises(CertificateError, match="box LP"):
+            _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2), 10 ** 6)

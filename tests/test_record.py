@@ -4,7 +4,7 @@ Every record subclasses `record.Record`, which builds ``__init__``,
 ``__repr__`` and, for value records, ``__eq__`` and ``__hash__`` without
 generating code.  Each class is checked against a frozen dataclass with
 the same fields, which is what the records were before.  Checks raise
-through `require`, so they also run under ``python -O``.
+through `oracles.require`, so they also run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from contextuality.record import Fresh, Record
 from contextuality.scenario import MeasurementScenario, SchemaError, make_scenario
 
 import oracles
-from oracles import SequentialStats
+from oracles import SequentialStats, require
 
 # The package exports a function named `classify`, which hides the module.
 MODULES = (importlib.import_module("contextuality.classify"), embedding, exactlp, polytope, qsl, quantum, scenario, sheaf,
@@ -43,12 +43,6 @@ VALID = {
     QslProgram: (("Z", 0), ("X", "Z"), "Y", 5, 7, False),
     SequentialStats: (HALF, HALF, {(1, 1): 1.0}, {(1, -1): 1.0}, None, None),
 }
-
-
-def require(condition, message: str) -> None:
-    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
-    if not condition:
-        pytest.fail(message)
 
 
 def field_values(cls) -> tuple:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from contextuality import scenario
 from contextuality.classify import classify_model
+from contextuality.embedding import induced_model
 from contextuality.exactlp import nearest_fraction
 from contextuality.quantum import (
     PAULI_X,
@@ -57,6 +58,7 @@ from contextuality.scenario import (
     model_from_json,
     model_to_json,
     rational_literal,
+    rationalize_atoms,
     rationalize_model,
     validate_no_disturbance,
 )
@@ -69,7 +71,10 @@ from oracles import (
     reference_model_from_json,
     reference_rational_literal,
     reference_sharp_atoms,
+    reference_solve_box,
+    require,
     sequential_stats_from_quantum,
+    shared_atom_gpt,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -438,12 +443,6 @@ class TestSequentialBounds:
                             p_ab={(1, 1): 1.0}, p_bab={(1, 1): 1.0})
 
 
-def require(condition, message: str) -> None:
-    """Fail with ``message``: a raise, so it also checks under ``python -O``."""
-    if not condition:
-        pytest.fail(message)
-
-
 @st.composite
 def mixture_models(draw, weights):
     """A classical mixture of global assignments, weighted by draws from `weights`.
@@ -478,7 +477,7 @@ def mixture_models(draw, weights):
 
 def no_lp():
     """Fail the test if `rationalize_model` reaches its box-LP path."""
-    return mock.patch.object(scenario, "solve_box_eq",
+    return mock.patch.object(scenario, "_solve_box",
                              side_effect=AssertionError("box LP ran"))
 
 
@@ -560,8 +559,8 @@ class TestRationalize:
         contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
         m = from_quantum(random_density(3, np.random.default_rng(211)), contexts)
         calls = []
-        real = scenario.solve_box_eq
-        monkeypatch.setattr(scenario, "solve_box_eq",
+        real = scenario._solve_box
+        monkeypatch.setattr(scenario, "_solve_box",
                             lambda *a: calls.append(1) or real(*a))
         r = rationalize_model(m)
         require(calls, "no box LP ran")
@@ -666,8 +665,8 @@ class TestCoordinateRationalization:
         rho = random_density(4, np.random.default_rng(7))
         m = from_quantum(rho, pm_contexts())
         calls = []
-        real = scenario.solve_box_eq
-        monkeypatch.setattr(scenario, "solve_box_eq",
+        real = scenario._solve_box
+        monkeypatch.setattr(scenario, "_solve_box",
                             lambda *a: calls.append(1) or real(*a))
         require(scenario._coordinate_model(m.scenario, dict(m.tables), 10 ** 6) is None,
                 "the coordinate stage accepted a Peres-Mermin model")
@@ -1285,3 +1284,61 @@ class TestDuplicateTables:
         table = {(0, 1): HALF, (1, 0): HALF}
         with pytest.raises(ValueError, match=r"tables \('B', 'A'\) and 'A,B' are both context"):
             make_model(sc, {("B", "A"): table, "A,B": table})
+
+
+class TestBoxLpAgainstReference:
+    """Every stage-3 box LP returns the table `oracles.reference_solve_box` returns.
+
+    The reference builds the dense ``Fraction`` rows the package once built
+    for each attempt and solves them by `oracles.reference_solve_eq_nonneg`;
+    the package builds one column source per box from sparse 0/1 rows,
+    changes only the right-hand side between attempts, skips an empty box
+    and re-checks each result.
+    """
+
+    @pytest.fixture
+    def boxes(self, monkeypatch):
+        """(package, reference) tables of every box LP the test runs."""
+        pairs = []
+        real = scenario._solve_box
+
+        def checked(*args):
+            got = real(*args)
+            pairs.append((got, reference_solve_box(*args)))
+            return got
+
+        monkeypatch.setattr(scenario, "_solve_box", checked)
+        return pairs
+
+    @staticmethod
+    def require_same(pairs):
+        require(pairs, "no box LP ran")
+        for k, (got, want) in enumerate(pairs):
+            require(got is not None and got == want, f"box {k}: {got}, not {want}")
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_float_peres_mermin_tables(self, boxes, seed):
+        rationalize_model(from_quantum(random_density(4, np.random.default_rng(seed)),
+                                       pm_contexts()))
+        self.require_same(boxes)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_float_pentagons_with_the_firing_outcome_last(self, boxes, seed):
+        _, obs, _ = kcbs_construction()
+        pvms = [pvm_from_observable(a, f"A{j}") for j, a in enumerate(obs)]
+        contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+        rationalize_model(from_quantum(random_density(3, np.random.default_rng(seed)),
+                                       contexts))
+        self.require_same(boxes)
+
+    @pytest.mark.parametrize("values", [
+        [0.20000055, 0.30000055, 0.49999855, 3.5e-7, 3.5e-7],
+        [0.2000003, 0.3000003, 0.4999994, 0.0, 0.0],
+    ], ids=["negative", "zero"])
+    def test_unpinnable_atoms(self, boxes, values):
+        rationalize_atoms(values, [[0, 1, 2, 3], [0, 1, 2, 4]])
+        self.require_same(boxes)
+
+    def test_shared_atom_gpt(self, boxes):
+        induced_model(shared_atom_gpt(random_density(4, np.random.default_rng(3))), 0)
+        self.require_same(boxes)

@@ -93,11 +93,13 @@ from oracles import (
     enumerate_vertices,
     exact_rank,
     hv_model_from_section,
+    orient_rows,
     reference_argmax,
     reference_hulls_intersect,
     reference_incidence_rows,
     reference_section_plan,
     reference_solve_eq_nonneg,
+    require,
 )
 
 HALF = Fraction(1, 2)
@@ -580,12 +582,6 @@ class TestOracleEquivalence:
             assert res.feasible == (len(verts) > 0)
 
 
-def require(condition, message: str) -> None:
-    """A check that also runs under ``python -O``, where ``assert`` is stripped."""
-    if not condition:
-        raise AssertionError(message)
-
-
 def cg_rank(sc) -> int:
     """sum_S prod_{m in S} (k_m - 1) over the measurement sets S inside a context."""
     inside = {frozenset(sub) for ctx in sc.contexts for k in range(len(ctx) + 1)
@@ -965,6 +961,7 @@ class TestWeightedPhaseOne:
         a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
         b = [data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]))
              for _ in range(m)]
+        a, b = orient_rows(a, b)
         weights = data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
         cols = CostedColumns(m, columns_from_rows(a).cols, weights)
         res = solve_eq_nonneg(cols, b)
@@ -1071,7 +1068,7 @@ def replay_greedy(model, pairs) -> list:
 
     Each step's weight must be the largest smallest residual entry over
     every column of `reference_incidence_rows`, and its assignment must
-    attain it.  Checks raise through `require`.
+    attain it.  Checks raise through `oracles.require`.
     """
     sc = model.scenario
     dense = reference_incidence_rows(sc)
@@ -1128,8 +1125,8 @@ class TestGreedySections:
     verdict of `solve_global_section` must equal the reference simplex's
     on the dense listed system.  A stalled decomposition hands its
     assignments to the LP as start columns, which the kernel offers as the
-    reference simplex does.  Checks raise through `require`, so the class
-    also tests something under ``python -O``.
+    reference simplex does.  Checks raise through `oracles.require`, so
+    the class also tests something under ``python -O``.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -1213,6 +1210,7 @@ class TestGreedySections:
         a = [[data.draw(entries) for _ in range(n)] for _ in range(m)]
         b = [data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]))
              for _ in range(m)]
+        a, b = orient_rows(a, b)
         # Repeats and columns that do not improve are passed over.
         start = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         cols = columns_from_rows(a)
@@ -1275,8 +1273,8 @@ class TestOddCycleStage:
     the same input.  When it returns one, `solve_global_section` returns it
     with no greedy step and no LP; when it does not, as on the Peres-Mermin
     square or a box on a CHSH facet, the greedy and the LP decide.  Checks
-    raise through `require`, so the class also tests something under
-    ``python -O``.
+    raise through `oracles.require`, so the class also tests something
+    under ``python -O``.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -1357,7 +1355,8 @@ class TestSectionPlanReference:
     tuples), decode strides, lookup positions, basis rows, costs and
     restricted maps, and its elimination the same value and digits under
     sum and minimum on random integer tables.  Checks raise through
-    `require`, so the class also tests something under ``python -O``.
+    `oracles.require`, so the class also tests something under
+    ``python -O``.
     """
 
     @settings(max_examples=150, deadline=None)
