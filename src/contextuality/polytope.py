@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import CertificateError, TooLargeError, format_fraction
+from .exactlp import CertificateError, TooLargeError, clear_denominators, format_fraction
 from .quantum import (
     eigen_projector,
     max_entangled,
@@ -146,9 +146,9 @@ class LinearInequality(Record):
 
     def to_json(self) -> dict:
         return {"kind": "bell",
-                "coefficients": {f"{a},{b}|{x},{y}": format_fraction(Fraction(v))
+                "coefficients": {f"{a},{b}|{x},{y}": format_fraction(v)
                                  for (a, b, x, y), v in self.coefficients.items()},
-                "bound": format_fraction(Fraction(self.bound))}
+                "bound": format_fraction(self.bound)}
 
 
 class MembershipResult(Record):
@@ -187,7 +187,7 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
     section's elimination oracle with its lexicographically smallest
     maximizer as the witness vertex.  It is at most 0 by the dual's
     re-check, and the section's exact model scores y^T v > 0; the strict
-    gap is checked again here by a raise.
+    gap is checked again here by a raise; y^T v is summed in integers.
     """
     model, matrix = section.model, section.matrix
     sc = model.scenario
@@ -210,8 +210,10 @@ def membership_from_section(section: SectionFeasibility, sides) -> MembershipRes
     y = section.dual
     coords = _coordinates(sc, sides)
     coeffs = {coords[row]: yi for row, yi in zip(matrix.rows, y)}
-    bound, best = matrix.maximum(y)
-    value = sum(yi * model.tables[ctx][sec] for yi, (ctx, sec) in zip(y, matrix.rows))
+    ys, y_scale = clear_denominators(y)
+    (top, best), (tables, scale) = matrix.maximum(ys), model.integer_tables
+    bound = top / y_scale
+    value = Fraction(sum(k * tables[c][s] for k, (c, s) in zip(ys, matrix.rows)), y_scale * scale)
     if not value > bound:
         raise CertificateError("separating inequality fails to separate")
     return MembershipResult(inside=False, weights=None,

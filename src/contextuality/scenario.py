@@ -1,26 +1,20 @@
 """Measurement scenarios, empirical models, no-disturbance checks, and exact rationalization.
 
 Probability entries are exact `Fraction`s when supplied as rationals and
-doubles otherwise; NaN and infinite entries are rejected.  An exact model
-is put over one common denominator once, by `make_model`, and every exact
-check reads those integer tables (`EmpiricalModel.integer_tables`).  The
-global-section solver (`sheaf.solve_global_section`), which every
-empirical verdict reads, is the one caller of `rationalize_model`, which
-returns a nearby all-rational model that is exactly normalised and exactly
-marginal-consistent.  Independent rounding of the entries can break both
-properties, so the rounded model is used only when an exact check shows it
-keeps them; otherwise the model is rebuilt from shared rounded coordinates,
-and by exact LPs when that rebuild fails its checks.  Every float is
-rounded to a nearby fraction on integers (`exactlp.nearest_fraction`).
-`rationalize_atoms` does the same for the atom probabilities of sharp
-contexts, from which exact induced models are built.  A quantum document
-is read once by `quantum_pass`, and its exact atoms build the models of
-both verdicts.  Where every atom is a matrix of Gaussian rationals with a
-power-of-two denominator, as products of Pauli projectors are, the atoms
-are exact Born values: the traces with one rounded Hermitian, trace-1
-state, in integers, so every table is exactly consistent by linearity.
-Otherwise the atoms are rounded floats, and where their model is not
-exactly consistent the float Born tables are rationalized instead.
+doubles otherwise; NaN and infinite entries are rejected.  Exact
+consistency is decided once per model, in `make_model`, which reads an
+exact document's tables into integers over one common denominator as it
+fills them (`EmpiricalModel.integer_tables`) and checks their signs, sums
+and overlap marginals there (`EmpiricalModel.exactly_consistent`).  A
+marginal is read by outcome position: each table lists its context's
+joint outcomes in `outcome_tuples` order.  `rationalize_model`, called
+only by the global-section solver (`sheaf.solve_global_section`), returns
+such a model unchanged and otherwise a nearby model that is exactly
+normalised and marginal-consistent, rounding every float on integers
+(`exactlp.nearest_fraction`).  `rationalize_atoms` does the same for the
+atom probabilities of sharp contexts.  A quantum document is read once by
+`quantum_pass`, and its exact atoms (`QuantumPass.exact_atoms`) build the
+models of both verdicts.
 """
 
 from __future__ import annotations
@@ -30,8 +24,8 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from operator import getitem, itemgetter
+from functools import cached_property, lru_cache
+from operator import getitem, itemgetter, sub
 
 import numpy as np
 
@@ -58,10 +52,6 @@ class LabelMismatch(ValueError):
 
 
 class DegenerateContexts(ValueError):
-    pass
-
-
-class NotASubset(ValueError):
     pass
 
 
@@ -128,12 +118,16 @@ class MeasurementScenario(Record):
                 itertools.product(*(self.outcomes[m] for m in context)))
         return joint
 
-    def canonical_context(self, labels) -> tuple:
+    def canonical_positions(self, labels) -> list:
         order = self._order
         for lab in labels:
             if lab not in order:
                 raise LabelMismatch(f"unknown measurement {lab!r}")
-        return tuple(sorted(labels, key=order.__getitem__))
+        return sorted(range(len(labels)), key=[order[lab] for lab in labels].__getitem__)
+
+    def canonical_context(self, labels) -> tuple:
+        labels = tuple(labels)
+        return tuple(map(labels.__getitem__, self.canonical_positions(labels)))
 
 
 def make_scenario(measurements, contexts) -> MeasurementScenario:
@@ -142,7 +136,9 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
     `measurements` is an ordered mapping/sequence of (label, outcomes);
     `contexts` a nonempty list of nonempty label collections.  Every
     measurement must be covered, every outcome set must have at least two
-    elements, and no two contexts may be equal as sets.
+    elements, and no two contexts may be equal as sets.  Table keys and
+    certificate rows join labels and outcomes, by `str`, with ``,`` and
+    ``|``: none may hold either, and no two outcomes may read alike.
     """
     if isinstance(measurements, dict):
         items = list(measurements.items())
@@ -154,10 +150,17 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
     outcomes = {}
     for lab, outs in items:
         outs = tuple(outs)
-        if len(outs) < 2:
-            raise ValueError(f"measurement {lab!r} needs >= 2 outcomes, got {len(outs)}")
-        if len(set(outs)) != len(outs):
-            raise ValueError(f"measurement {lab!r} has duplicate outcomes")
+        if "," in str(lab) or "|" in str(lab):
+            raise LabelMismatch(f"measurement label {lab!r} holds ',' or '|'")
+        if outs not in outcomes.values():  # each outcome list is checked once
+            if len(outs) < 2:
+                raise ValueError(f"measurement {lab!r} needs >= 2 outcomes, got {len(outs)}")
+            if len(set(outs)) != len(outs):
+                raise ValueError(f"measurement {lab!r} has duplicate outcomes")
+            written = {str(o) for o in outs}
+            if len(written) != len(outs) or any("," in w or "|" in w for w in written):
+                raise ValueError(f"outcomes {list(outs)!r} of measurement {lab!r} hold ',' "
+                                 "or '|', or two are written alike")
         outcomes[lab] = outs
     order = {m: i for i, m in enumerate(labels)}
     canon = []
@@ -184,7 +187,7 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
 
 
 class EmpiricalModel(Record):
-    """Per-context joint outcome distributions over a measurement scenario."""
+    """Per-context joint outcome distributions, each table in `outcome_tuples` order."""
 
     scenario: MeasurementScenario
     tables: dict
@@ -198,10 +201,9 @@ class EmpiricalModel(Record):
     def integer_tables(self) -> tuple[dict, int]:
         """The tables as integers over one common denominator, and that denominator.
 
-        Sums and marginals of the integer tables are the exact ones times
-        the denominator, so the exact checks compare integers.  Formed once
-        per model (by `make_model` for exact input): the tables are not to
-        be changed after.
+        Sums and marginals of the integer tables are the exact ones times the
+        denominator.  Formed once per model, by `make_model` as it fills
+        exact tables: the tables are not to be changed after.
         """
         ints, scale = clear_denominators([v for t in self.tables.values() for v in t.values()])
         it = iter(ints)
@@ -211,9 +213,13 @@ class EmpiricalModel(Record):
     def exactly_consistent(self) -> bool:
         """Rational, every table sums to exactly 1 and every overlap marginal agrees.
 
-        Checked once per model: the tables are not to be changed after.
+        Decided once per model, by `make_model` for the models it builds.
         """
-        return self.is_rational and _exactly_consistent(self)
+        if not self.is_rational:
+            return False
+        tables, scale = self.integer_tables
+        return (all(sum(t.values()) == scale for t in tables.values())
+                and _marginals_agree(self.scenario, tables))
 
     def table(self, context) -> dict:
         return self.tables[self.scenario.canonical_context(context)]
@@ -226,44 +232,54 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
     permuted into canonical order.  Two keys for one context are refused.
     Missing joint outcomes are filled with zero.  If any entry is a float
     the whole model is stored as floats, otherwise everything is an exact
-    `Fraction`.  NaN and infinite entries are rejected.  An exact model's
-    denominators are cleared once, and its signs and sums are checked on
-    the integer tables it keeps (`EmpiricalModel.integer_tables`).
+    `Fraction`, checked once as its tables are filled (`_filled_model`).
+    NaN and infinite entries are rejected.
     """
-    declared = set(scenario.contexts)
-    staged: dict[tuple, dict] = {}
-    named: dict[tuple, object] = {}
+    read = []
     for key, table in tables.items():
         labels = tuple(key) if not isinstance(key, str) else tuple(key.split(","))
-        canon = scenario.canonical_context(labels)
-        if canon not in declared:
-            raise LabelMismatch(f"{labels} is not a declared context")
-        if canon in staged:
-            raise ValueError(f"tables {named[canon]!r} and {key!r} are both context {canon}")
-        named[canon] = key
-        perm = [labels.index(m) for m in canon]
+        perm = scenario.canonical_positions(labels)
+        canon = tuple(map(labels.__getitem__, perm))
         entries = {}
         for outc, val in table.items():
             outc = tuple(outc) if isinstance(outc, (tuple, list)) else (outc,)
             if len(outc) != len(canon):
                 raise ValueError(f"outcome {outc} has wrong arity for context {canon}")
             entries[tuple(map(outc.__getitem__, perm))] = val
-        staged[canon] = entries
+        read.append((key, labels, canon, entries))
+    return _filled_model(scenario, read)
+
+
+def _filled_model(scenario: MeasurementScenario, read: list) -> EmpiricalModel:
+    """The model of tables read in canonical order, filled and checked as `make_model` says.
+
+    ``read`` lists (key, labels, canonical context, entries by canonical
+    outcome).  An exact model's integer tables are formed, and its signs,
+    sums and marginals checked, here, once.
+    """
+    declared = set(scenario.contexts)
+    staged: dict[tuple, tuple] = {}
+    for key, labels, canon, entries in read:
+        if canon not in declared:
+            raise LabelMismatch(f"{labels} is not a declared context")
+        if canon in staged:
+            raise ValueError(f"tables {staged[canon][0]!r} and {key!r} are both context {canon}")
+        staged[canon] = key, entries
     missing = [c for c in scenario.contexts if c not in staged]
     if missing:
         raise ValueError(f"no table supplied for contexts {missing}")
 
-    has_float = any(isinstance(v, float)
-                    for t in staged.values() for v in t.values())
+    has_float = any(isinstance(v, float) for _, t in staged.values() for v in t.values())
+    zero = 0 if has_float else Fraction(0)
     tables_out: dict[tuple, dict] = {}
-    for canon, entries in staged.items():
-        full = tables_out[canon] = {outc: entries.get(outc, 0)
-                                    for outc in scenario.outcome_tuples(canon)}
+    for canon, (_, entries) in staged.items():
+        full = tables_out[canon] = dict.fromkeys(scenario.outcome_tuples(canon), zero)
         if not entries.keys() <= full.keys():
             bad = next(outc for outc in entries if outc not in full)
             raise ValueError(f"outcome {bad} not valid for context {canon}")
+        full.update(entries)
         if not has_float:
-            for outc, v in full.items():
+            for outc, v in entries.items():
                 if not isinstance(v, Fraction):
                     full[outc] = Fraction(v)
             continue
@@ -281,17 +297,20 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
     model = EmpiricalModel(scenario=scenario, tables=tables_out)
     if has_float:
         return model
-    # An exact table must sum to exactly 1: over the model's one common
-    # denominator, its integers must sum to that denominator.
-    ints, scale = model.integer_tables
-    for canon, table in ints.items():
+    # Over the model's one common denominator, an exact table's integers sum to it.
+    scale = math.lcm(*{v.denominator for t in tables_out.values() for v in t.values()})
+    ints = {}
+    for canon, full in tables_out.items():
+        table = ints[canon] = {outc: v.numerator * (scale // v.denominator)
+                               for outc, v in full.items()}
         if min(table.values()) < 0:
             outc = next(outc for outc, n in table.items() if n < 0)
-            raise ValueError(f"negative probability {tables_out[canon][outc]} "
-                             f"in context {canon}")
+            raise ValueError(f"negative probability {full[outc]} in context {canon}")
         total = sum(table.values())
         if total != scale:
             raise ValueError(f"context {canon} table sums to {Fraction(total, scale)}, not 1")
+    model.__dict__["integer_tables"] = ints, scale
+    model.__dict__["exactly_consistent"] = _marginals_agree(scenario, ints)
     return model
 
 
@@ -299,23 +318,22 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
 # Marginals and no-disturbance
 # ---------------------------------------------------------------------------
 
-def marginalize(table: dict, context, subset) -> dict:
-    """Sum a joint table over the measurements outside `subset`.
+@lru_cache(maxsize=256)
+def _runs(shape: tuple, axes: tuple) -> tuple:
+    """Per outcome on ``axes``, in C order, a getter of its entries in a table of ``shape``."""
+    runs: dict = {}
+    for p, cell in enumerate(itertools.product(*map(range, shape))):
+        runs.setdefault(tuple(cell[a] for a in axes), []).append(p)
+    # A one-entry run is read as a slice, so that every getter returns a tuple.
+    return tuple(itemgetter(*run) if len(run) > 1 else itemgetter(slice(run[0], run[0] + 1))
+                 for _, run in sorted(runs.items()))
 
-    `context` names the positions of the joint outcome tuples; the result is
-    keyed by outcome tuples in the order `subset` lists its labels, gathered
-    by one getter per position of `subset`.
-    """
-    context = tuple(context)
-    subset = tuple(subset)
-    if not set(subset) <= set(context):
-        raise NotASubset(f"{subset} is not a subset of {context}")
-    idx = [context.index(m) for m in subset]
-    keys = zip(*(map(itemgetter(i), table) for i in idx)) if idx else [()] * len(table)
-    out: dict = {}
-    for key, v in zip(keys, table.values()):
-        out[key] = out[key] + v if key in out else v
-    return out
+
+def _marginal(sc: MeasurementScenario, table: dict, context: tuple, overlap: tuple) -> list:
+    """``table``'s marginal on ``overlap``, by outcome position, in `outcome_tuples` order."""
+    values = tuple(table.values())
+    shape = tuple(map(len, map(sc.outcomes.__getitem__, context)))
+    return [sum(run(values)) for run in _runs(shape, tuple(map(context.index, overlap)))]
 
 
 class NoDisturbanceReport(Record):
@@ -334,47 +352,37 @@ class NoDisturbanceReport(Record):
 def _overlap_marginals(sc: MeasurementScenario, tables: dict):
     """The scenario's overlaps with the marginals of both contexts' `tables` on them.
 
-    Each (context, overlap) marginal is computed once and shared by every
-    pair that needs it.
+    Each (context, overlap) marginal is computed once, by `_marginal`, and
+    shared by every pair that needs it.
     """
-    cache: dict[tuple, dict] = {}
+    cache: dict[tuple, list] = {}
     for ca, cb, overlap in sc.overlaps:
-        pair = []
         for c in (ca, cb):
-            m = cache.get((c, overlap))
-            if m is None:
-                m = cache[c, overlap] = marginalize(tables[c], c, overlap)
-            pair.append(m)
-        yield ca, cb, overlap, pair[0], pair[1]
+            if (c, overlap) not in cache:
+                cache[c, overlap] = _marginal(sc, tables[c], c, overlap)
+        yield ca, cb, overlap, cache[ca, overlap], cache[cb, overlap]
 
 
 def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDisturbanceReport:
-    """Max l-infinity distance between context marginals on every overlap."""
-    sc = model.scenario
-    worst = 0.0
-    worst_pair = None
-    for ca, cb, overlap, ma, mb in _overlap_marginals(sc, model.tables):
-        for outc in sc.outcome_tuples(overlap):
-            d = abs(float(ma.get(outc, 0)) - float(mb.get(outc, 0)))
-            if d > worst:
-                worst = d
-                worst_pair = (ca, cb, overlap)
-    return NoDisturbanceReport(passed=worst <= tol, worst_violation=worst,
+    """Max l-infinity distance between context marginals on every overlap.
+
+    Exact, on the integer tables, for an exact model; a float for the report.
+    """
+    exact = model.is_rational
+    tables, scale = model.integer_tables if exact else (model.tables, 1)
+    worst, worst_pair = 0, None
+    for ca, cb, overlap, ma, mb in _overlap_marginals(model.scenario, tables):
+        d = max(map(abs, map(sub, ma, mb)))
+        if d > worst:
+            worst, worst_pair = d, (ca, cb, overlap)
+    worst = Fraction(worst, scale) if exact else worst
+    return NoDisturbanceReport(passed=worst <= tol, worst_violation=float(worst),
                                worst_pair=worst_pair)
-
-
-def exact_no_disturbance(model: EmpiricalModel) -> bool:
-    """Exact marginal agreement, on the model's integer tables."""
-    return _marginals_agree(model.scenario, model.integer_tables[0])
 
 
 def _marginals_agree(sc: MeasurementScenario, tables: dict) -> bool:
     """Every overlap marginal of integer `tables` agrees exactly."""
-    for _, _, _, ma, mb in _overlap_marginals(sc, tables):
-        if ma != mb and any(ma.get(outc, 0) != mb.get(outc, 0)
-                            for outc in ma.keys() | mb.keys()):
-            return False
-    return True
+    return all(ma == mb for _, _, _, ma, mb in _overlap_marginals(sc, tables))
 
 
 # ---------------------------------------------------------------------------
@@ -599,40 +607,23 @@ def _sums_to_one(pairs) -> bool:
     return sum(p * (scale // q) for p, q in pairs) == scale
 
 
-def _exactly_consistent(model: EmpiricalModel) -> bool:
-    """Every table sums to exactly 1 and every overlap marginal agrees exactly."""
-    tables, scale = model.integer_tables
-    return (all(sum(t.values()) == scale for t in tables.values())
-            and _marginals_agree(model.scenario, tables))
-
-
 def _rounded_model(sc: MeasurementScenario, floats: dict,
                    max_den: int) -> EmpiricalModel | None:
     """Every entry rounded once by `_round`, or None.
 
     None at the first table whose rounded entries do not sum to exactly 1
-    (`_sums_to_one`), or when the rounded marginals disagree, compared as
-    integers over the model's common denominator, which the model keeps as
-    its `EmpiricalModel.integer_tables`.
+    (`_sums_to_one`), or when the rounded marginals disagree, as
+    `_filled_model` checks them.
     """
-    rounded = {}
+    read = []
     for c in sc.contexts:
-        table = floats[c]
-        pairs = rounded[c] = [_round(table.get(o, 0.0), max_den) for o in sc.outcome_tuples(c)]
+        outs = sc.outcome_tuples(c)
+        pairs = [_round(floats[c].get(o, 0.0), max_den) for o in outs]
         if not _sums_to_one(pairs):
             return None
-    scale = math.lcm(*(q for pairs in rounded.values() for _, q in pairs))
-    ints = {c: dict(zip(sc.outcome_tuples(c), [p * (scale // q) for p, q in pairs]))
-            for c, pairs in rounded.items()}
-    if not _marginals_agree(sc, ints):
-        return None
-    model = EmpiricalModel(scenario=sc, tables={
-        c: dict(zip(sc.outcome_tuples(c), [Fraction(p, q) for p, q in pairs]))
-        for c, pairs in rounded.items()})
-    # The denominators are coprime to their numerators, so `scale` is the
-    # one `clear_denominators` would find.
-    model.__dict__["integer_tables"] = ints, scale
-    return model
+        read.append((c, c, c, dict(zip(outs, [Fraction(p, q) for p, q in pairs]))))
+    model = _filled_model(sc, read)
+    return model if model.exactly_consistent else None
 
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
@@ -873,29 +864,20 @@ def _coordinate_model(sc: MeasurementScenario, floats: dict,
 def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
-    Already-rational exactly-consistent models pass through unchanged.  A
-    model whose marginals disagree by more than `ND_TOL` raises
-    `DisturbingModel`.  Otherwise three stages run in turn, and the first
-    whose result passes its checks is returned:
+    A model found exactly consistent (by `make_model`, for the models it
+    builds) passes through unchanged.  A model whose marginals disagree by
+    more than `ND_TOL` raises `DisturbingModel`.  Otherwise three stages
+    run in turn, and the first whose result passes its checks is returned:
 
-    1. Entry rounding (`_rounded_model`).  Every entry is rounded once:
-       entries at or below `ZERO_TOL` become an exact zero and the others
-       the nearest rational with denominator at most `max_den`, so each
-       moves by at most max(1/(2 max_den), ZERO_TOL).  Kept only when every
-       rounded table sums to exactly 1 and the rounded marginals agree
-       exactly, which makes a float copy of a small-denominator model come
-       back as that model.  The stage stops at the first table that does
-       not sum to exactly 1, before rounding the tables after it.  A
-       rounded model that fails is never corrected entry by entry.
-    2. Coordinates (`_coordinate_model`).  The Collins-Gisin coordinates
-       are rounded once to the 1/max_den grid and every table is rebuilt
-       from them by inclusion-exclusion, exactly consistent by
-       construction.  Kept when every entry is >= 0, every entry at or
-       below `ZERO_TOL` is exactly 0, and every entry of an N-entry table
-       lies within N/max_den of its float.  Denominators divide max_den.
-       It fails where a zero entry is a sum of several nonzero
-       coordinates, such as the parity zeros of the Peres-Mermin square:
-       their rounding errors need not cancel.
+    1. Entry rounding (`_rounded_model`), by `_round` at `max_den`: each
+       entry moves by at most max(1/(2 max_den), ZERO_TOL), so a float copy
+       of a small-denominator model comes back as that model.  A rounded
+       model that fails is never corrected entry by entry.
+    2. Coordinates (`_coordinate_model`): the Collins-Gisin coordinates are
+       rounded once to the 1/max_den grid and every table is rebuilt from
+       them, exactly consistent by construction.  It fails where a zero
+       entry is a sum of several nonzero coordinates, such as the parity
+       zeros of the Peres-Mermin square.
     3. Box LPs.  Overlap distributions are fixed first (smallest overlaps
        first, each constrained to agree with previously fixed
        sub-overlaps), then each context table is rebuilt subject to the
@@ -947,11 +929,12 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
 
     for u in sorted({overlap for _, _, overlap in sc.overlaps}, key=lambda u: (len(u), u)):
         host = next(c for c in sc.contexts if set(u) <= set(c))
-        fixed[u] = box(u, marginalize(float_tables[host], host, u), SLACK, "overlap")
+        margin = _marginal(sc, float_tables[host], host, u)
+        fixed[u] = box(u, dict(zip(sc.outcome_tuples(u), margin)), SLACK, "overlap")
     new_tables = {c: fixed[c] if c in fixed
                   else box(c, float_tables[c], 2 * SLACK, "context") for c in sc.contexts}
     out = EmpiricalModel(scenario=sc, tables=new_tables)
-    if not exact_no_disturbance(out):
+    if not out.exactly_consistent:
         raise AssertionError("rationalized model lost exact marginal consistency")
     return out
 
@@ -989,24 +972,22 @@ def rational_literal(value, what: str) -> Fraction:
                           f"got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    exponent = _EXPONENT.search(value)
     try:
+        # What `int` reads (no exponent, digits at most its length) goes first;
+        # underscores and a space or sign beside the slash go to Fraction.
+        if len(value) <= MAX_LITERAL_DIGITS and "_" not in value:
+            # `int` strips less whitespace than `Fraction` (not U+001C-U+001F).
+            num, slash, den = value.strip().partition("/")
+            if not slash or num[-1:].isdecimal() and den[:1].isdecimal():
+                try:
+                    return Fraction(int(num), int(den) if slash else 1)
+                except ValueError:
+                    pass  # a decimal point or an exponent, read below
+        exponent = _EXPONENT.search(value)
         oversized = (len(value) > MAX_LITERAL_DIGITS
                      and sum(c.isdigit() for c in value) > MAX_LITERAL_DIGITS
                      or exponent and abs(int(exponent.group(1))) > MAX_LITERAL_DIGITS)
         if not oversized:
-            # `int` reads underscores on every Python version, Fraction
-            # only from 3.11 on.
-            if "." in value or "_" in value or exponent:
-                return Fraction(value)
-            # `int` strips less whitespace than `Fraction` (not U+001C-U+001F).
-            num, slash, den = value.strip().partition("/")
-            if not slash:
-                return Fraction(int(num))
-            if num[-1:].isdecimal() and den[:1].isdecimal():
-                return Fraction(int(num), int(den))
-            # A space or sign next to the slash: Fraction reads spaces
-            # there from Python 3.12 on.
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad {what} {value!r}") from exc
@@ -1045,10 +1026,10 @@ def model_to_json(model: EmpiricalModel) -> dict:
 def model_from_json(doc: dict) -> EmpiricalModel:
     """Parse {"measurements", "contexts", "tables"}; rationals accepted as "3/10".
 
-    An outcome token names the first declared outcome whose `str` it is,
-    found in one dict per measurement.  Float entries stay floats; every
-    other entry goes through `rational_literal`.  `make_model` then
-    permutes, fills and checks the tables.
+    An outcome token names the declared outcome whose `str` it is.  Float
+    entries stay floats; every other entry goes through `rational_literal`,
+    once per distinct string.  Keys and outcome tuples are read in canonical
+    order, and handed on to be filled and checked as `make_model` does.
     """
     try:
         meas = [(m["label"], tuple(json_list(m["outcomes"], f"outcomes of measurement "
@@ -1074,35 +1055,38 @@ def model_from_json(doc: dict) -> EmpiricalModel:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
-    # Reversed, so that a token two outcomes share names the first.
-    tokens = {m: {str(o): o for o in reversed(outcomes)}
-              for m, outcomes in scenario.outcomes.items()}
-    tables = {}
+    tokens = {m: {str(o): o for o in outcomes} for m, outcomes in scenario.outcomes.items()}
+    read, literals = [], {}
     for key, table in raw_tables.items():
         if not isinstance(table, dict):
             raise SchemaError(f"table {key!r} must map outcome keys to "
                               "probabilities")
         labels = tuple(key.split(","))
         try:
-            scenario.canonical_context(labels)
+            perm = scenario.canonical_positions(labels)
         except LabelMismatch as exc:
             raise SchemaError(str(exc)) from exc
-        lookups = [tokens[m] for m in labels]
+        lookups = [tokens[labels[i]] for i in perm]
         entries = {}
         for okey, val in table.items():
             parts = okey.split(",")
             if len(parts) != len(labels):
                 raise SchemaError(f"outcome key {okey!r} has wrong arity for {key!r}")
             try:
-                outc = tuple(map(getitem, lookups, parts))
+                outc = tuple(map(getitem, lookups, map(parts.__getitem__, perm)))
             except KeyError:
                 t, m = next((t, m) for t, m in zip(parts, labels) if t not in tokens[m])
                 raise SchemaError(f"outcome token {t!r} not among declared outcomes "
                                   f"{scenario.outcomes[m]}") from None
-            entries[outc] = (val if isinstance(val, float)
-                             else rational_literal(val, "probability entry"))
-        tables[key] = entries
+            if isinstance(val, str):
+                if val not in literals:
+                    literals[val] = rational_literal(val, "probability entry")
+                val = literals[val]
+            elif not isinstance(val, float):
+                val = rational_literal(val, "probability entry")
+            entries[outc] = val
+        read.append((key, labels, tuple(map(labels.__getitem__, perm)), entries))
     try:
-        return make_model(scenario, tables)
+        return _filled_model(scenario, read)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

@@ -33,8 +33,9 @@ reads off the global-section LP, kept as an independent second route.
 `brute_force_facets` lists the facets of a cone from every
 (dim - 1)-subset of its generators, against the package's double
 description.  `exactly_consistent` sums an exact model's tables and
-overlap marginals entry by entry in ``Fraction`` arithmetic, against the
-package's integer checks.  `reference_born_tables` and
+overlap marginals entry by entry in ``Fraction`` arithmetic, and
+`worst_marginal_gap` finds the largest gap between two such marginals,
+against the package's integer checks by position.  `reference_born_tables` and
 `reference_sharp_atoms` are the per-context product loops that once built
 a quantum document's Born tables and sharp atoms one matrix product at a
 time, against the package's one batched pass.  `gpt_from_data` rebuilds
@@ -823,6 +824,33 @@ def exactly_consistent(scenario, tables) -> bool:
         if shared and margins[0] != margins[1]:
             return False
     return True
+
+
+def worst_marginal_gap(scenario, tables) -> tuple:
+    """The largest gap between two tables' marginals on their overlap, and the first pair at it.
+
+    Context pairs come in `itertools.combinations` order, and each marginal
+    is summed entry by entry in ``Fraction`` arithmetic, with no package
+    helper: (gap, (ca, cb, overlap)), or (0, None) when every marginal
+    agrees.
+    """
+    worst, pair = Fraction(0), None
+    for ca, cb in itertools.combinations(scenario.contexts, 2):
+        shared = tuple(m for m in ca if m in cb)
+        if not shared:
+            continue
+        margins = []
+        for c in (ca, cb):
+            margin = {}
+            for outc, v in tables[c].items():
+                key = tuple(outc[c.index(m)] for m in shared)
+                margin[key] = margin.get(key, Fraction(0)) + v
+            margins.append(margin)
+        gap = max(abs(margins[0].get(k, 0) - margins[1].get(k, 0))
+                  for k in margins[0].keys() | margins[1].keys())
+        if gap > worst:
+            worst, pair = gap, (ca, cb, shared)
+    return worst, pair
 
 
 def reference_born_tables(state, contexts, sharing=None) -> dict:

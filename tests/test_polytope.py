@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality.exactlp import TooLargeError
 from contextuality.polytope import (
@@ -35,12 +37,14 @@ from contextuality.polytope import (
     TooFewContexts,
     badziag_inequality,
     behaviour_from_quantum,
+    bipartite_structure,
     chsh_value,
     contextuality_to_bell,
     csw_inequality,
     kcbs_graph,
     make_behaviour,
     make_orthogonality_graph,
+    membership_from_section,
     membership_lp,
     singlet_behaviour,
     weighted_independence_number,
@@ -56,7 +60,6 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import (
     SchemaError,
-    exact_no_disturbance,
     make_model,
     make_scenario,
     validate_no_disturbance,
@@ -144,7 +147,7 @@ class TestBehaviour:
         assert correlator(b, 0, 0) == 1
         assert correlator(b, 0, 1) == -1
         assert correlator(b, 1, 1) == 1
-        assert exact_no_disturbance(b)
+        assert b.exactly_consistent
         assert validate_no_disturbance(b).passed
 
     def test_singlet_correlators_follow_cosine_law(self):
@@ -168,7 +171,7 @@ class TestBehaviour:
         b = singlet_behaviour()
         rb = membership_lp(b).model
         assert rb.is_rational
-        assert exact_no_disturbance(rb)
+        assert rb.exactly_consistent
         assert validate_no_disturbance(rb, tol=0.0).passed
         floats, exact = behaviour_table(b), behaviour_table(rb)
         assert exact.keys() == floats.keys()
@@ -321,6 +324,42 @@ class TestMembership:
             assert res.value == sum(ineq.coefficients[c] * p[c] for c in p)
             assert res.value > ineq.bound
         assert seen == {True, False}
+
+
+class TestBellReadout:
+    """`membership_from_section` sums y^T v on the integer tables, with y
+    cleared once, and formats each coefficient as it is.  Value, bound,
+    witness and every written coefficient must match a recomputation in
+    ``Fraction`` arithmetic from the section's dual, the oracle's vertex
+    list and the box itself."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([Fraction(7, 10), Fraction(4, 5), Fraction(1)]))
+    def test_readout_against_fraction_recomputation(self, nX, nY, seed, pr_weight):
+        # Past 2/3 the PR component breaks the CHSH bound whatever the mixture.
+        shape = (nX, nY, 2, 2)
+        p = random_box(np.random.default_rng(seed), shape, pr_weight)
+        model = make_behaviour(*shape, p)
+        section = solve_global_section(model)
+        res = membership_from_section(section, bipartite_structure(model))
+        assert not res.inside
+        coefficients = {}
+        for (ctx, (a, b)), yi in zip(section.matrix.rows, section.dual):
+            coefficients[a, b, int(ctx[0][1:]), int(ctx[1][1:])] = Fraction(yi)
+        scores = [sum(c * v[k] for k, c in coefficients.items())
+                  for v in ld_vertex_boxes(*shape)]
+        value = sum(c * p[k] for k, c in coefficients.items())
+        assert (res.value, res.separating.bound) == (value, max(scores))
+        assert res.witness_vertex == scores.index(max(scores))
+        assert res.separating.coefficients == coefficients
+        cert = res.certificate()
+        written = {f"{a},{b}|{x},{y}": f"{c.numerator}/{c.denominator}"
+                   for (a, b, x, y), c in coefficients.items()}
+        assert cert["separating"] == {"kind": "bell", "coefficients": written,
+                                      "bound": f"{max(scores).numerator}/"
+                                               f"{max(scores).denominator}"}
+        assert cert["value_on_behaviour"] == f"{value.numerator}/{value.denominator}"
 
 
 class TestPairwiseCorrelationBound:

@@ -48,13 +48,10 @@ from contextuality.scenario import (
     InconsistentSharing,
     LabelMismatch,
     NonCommutingContext,
-    NotASubset,
     SchemaError,
-    exact_no_disturbance,
     from_quantum,
     make_model,
     make_scenario,
-    marginalize,
     model_from_json,
     model_to_json,
     rational_literal,
@@ -75,6 +72,7 @@ from oracles import (
     require,
     sequential_stats_from_quantum,
     shared_atom_gpt,
+    worst_marginal_gap,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -187,29 +185,42 @@ class TestModelConstruction:
 
 
 class TestMarginalize:
+    """`scenario._marginal` reads a table's marginal by outcome position."""
+
+    @staticmethod
+    def marginalize(table: dict, context, subset) -> dict:
+        """The marginal of ``table``, zeros filled, keyed by outcome tuples of ``subset``."""
+        sc = make_scenario([(m, (0, 1)) for m in context], [list(context)])
+        full = {o: table.get(o, Fraction(0)) for o in sc.outcome_tuples(context)}
+        return dict(zip(itertools.product((0, 1), repeat=len(subset)),
+                        scenario._marginal(sc, full, tuple(context), tuple(subset))))
+
     def test_identity_on_full_context(self):
-        t = {(0, 0): HALF, (1, 1): HALF}
-        assert marginalize(t, ("A", "B"), ("A", "B")) == t
+        t = {(0, 0): HALF, (0, 1): 0, (1, 0): 0, (1, 1): HALF}
+        assert self.marginalize(t, ("A", "B"), ("A", "B")) == t
 
     def test_uniform_to_single_factor(self):
         t = {o: Fraction(1, 4) for o in itertools.product((0, 1), repeat=2)}
-        assert marginalize(t, ("A", "B"), ("B",)) == {(0,): HALF, (1,): HALF}
+        assert self.marginalize(t, ("A", "B"), ("B",)) == {(0,): HALF, (1,): HALF}
 
     def test_anticorrelated_table(self):
         t = {(0, 1): HALF, (1, 0): HALF}
-        assert marginalize(t, ("A", "B"), ("A",)) == {(0,): HALF, (1,): HALF}
+        assert self.marginalize(t, ("A", "B"), ("A",)) == {(0,): HALF, (1,): HALF}
 
     def test_not_a_subset(self):
-        with pytest.raises(NotASubset):
-            marginalize({(0,): Fraction(1)}, ("A",), ("B",))
+        with pytest.raises(ValueError):
+            self.marginalize({(0,): Fraction(1)}, ("A",), ("B",))
 
     def test_restriction_composes_exactly(self):
         outs = list(itertools.product((0, 1), repeat=3))
         weights = [Fraction(k + 1, 36) for k in range(8)]
         t = dict(zip(outs, weights))
-        via = marginalize(marginalize(t, ("A", "B", "C"), ("A", "B")), ("A", "B"), ("B",))
-        direct = marginalize(t, ("A", "B", "C"), ("B",))
+        via = self.marginalize(self.marginalize(t, ("A", "B", "C"), ("A", "B")),
+                               ("A", "B"), ("B",))
+        direct = self.marginalize(t, ("A", "B", "C"), ("B",))
         assert via == direct
+        # Keyed in the order the subset lists its labels: (C, A) = (1, 0).
+        assert self.marginalize(t, ("A", "B", "C"), ("C", "A"))[1, 0] == weights[1] + weights[3]
 
 
 class TestNoDisturbance:
@@ -237,29 +248,30 @@ class TestNoDisturbance:
 
     def test_pr_box_is_nondisturbing(self):
         assert validate_no_disturbance(pr_box_model()).passed
-        assert exact_no_disturbance(pr_box_model())
+        assert pr_box_model().exactly_consistent
 
     @staticmethod
     def count_marginals(monkeypatch) -> list:
+        """Every (context, overlap) marginal `scenario._marginal` forms from now on."""
         calls = []
-        real = scenario.marginalize
-        monkeypatch.setattr(scenario, "marginalize",
-                            lambda *a: calls.append(a[1:]) or real(*a))
+        real = scenario._marginal
+        monkeypatch.setattr(scenario, "_marginal",
+                            lambda *a: calls.append(a[2:]) or real(*a))
         return calls
 
     def test_each_context_marginal_computed_once_per_check(self, monkeypatch):
         # 13 settings per party: 169 contexts, each overlapping others on its
         # A and its B measurement, so 338 (context, overlap) marginals per
-        # check.  An exact model is checked once, by the global-section
-        # solver's exact pass-through test.
+        # check.  An exact model is checked once, by `make_model`, and the
+        # global-section solver's pass-through reads that answer back.
         n = 13
         sc = make_scenario([(f"A{x}", (0, 1)) for x in range(n)]
                            + [(f"B{y}", (0, 1)) for y in range(n)],
                            [[f"A{x}", f"B{y}"] for x in range(n) for y in range(n)])
         quarter = Fraction(1, 4)
+        calls = self.count_marginals(monkeypatch)
         model = make_model(sc, {c: {o: quarter for o in sc.outcome_tuples(c)}
                                 for c in sc.contexts})
-        calls = self.count_marginals(monkeypatch)
         report = classify_model(model)
         assert report.ks_noncontextual == "undecided"
         assert len(calls) == 338
@@ -277,6 +289,34 @@ class TestNoDisturbance:
         assert (report.bell_local, report.ks_noncontextual) == ("yes", "yes")
         assert len(calls) == 16
         assert len(set(calls)) == 8
+
+
+class TestExactDeviation:
+    """An exact model's worst marginal deviation is exact; only the report's
+    number is a float.  Marginals on A: 1/2 in context (A, B), 1/2 + gap in
+    (A, C)."""
+
+    @staticmethod
+    def gap_model(gap: Fraction):
+        sc = make_scenario([("A", (0, 1)), ("B", (0, 1)), ("C", (0, 1))],
+                           [["A", "B"], ["A", "C"]])
+        half = Fraction(1, 2)
+        return make_model(sc, {("A", "B"): {(0, 0): half, (1, 1): half},
+                               ("A", "C"): {(0, 0): half + gap, (1, 1): half - gap}})
+
+    def test_a_gap_of_one_billionth_passes(self):
+        # Subtracting floats, the gap reads 1.0000000272e-09, above ND_TOL.
+        report = validate_no_disturbance(self.gap_model(Fraction(1, 10 ** 9)))
+        require(report.passed and report.worst_violation == 1e-9, f"{report}")
+
+    def test_the_bound_is_nd_tol_exactly(self):
+        at = Fraction(scenario.ND_TOL)
+        require(validate_no_disturbance(self.gap_model(at)).passed, "ND_TOL itself fails")
+        past = validate_no_disturbance(self.gap_model(at + Fraction(1, 2 ** 200)))
+        require(not past.passed and past.worst_pair == (("A", "B"), ("A", "C"), ("A",)),
+                f"{past}")
+        with pytest.raises(DisturbingModel):
+            rationalize_model(self.gap_model(at + Fraction(1, 2 ** 200)))
 
 
 class TestFromQuantum:
@@ -713,6 +753,51 @@ def rational_models(draw):
     return sc, tables
 
 
+@st.composite
+def faulty_models(draw):
+    """Exact tables on a drawn scenario, consistent or moved by one part in their denominator.
+
+    3-5 measurements with 2 or 3 outcomes; 2-4 distinct contexts of 1-3
+    measurements, plus one of the measurements no context covers.  The
+    tables mix 1-4 global assignments with integer weights, so they are
+    consistent.  A drawn fault then moves 1/den, den the common
+    denominator, in one table: between two entries ("move": the sums hold
+    and only a marginal can break), out of an entry into another
+    ("sign": that entry becomes -1/den), or into one entry ("sum").
+    """
+    labels = [f"M{i}" for i in range(draw(st.integers(3, 5)))]
+    outcomes = {m: tuple(range(draw(st.sampled_from((2, 3))))) for m in labels}
+    contexts = draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=3,
+                                      unique=True),
+                             min_size=2, max_size=4, unique_by=frozenset))
+    uncovered = [m for m in labels if not any(m in c for c in contexts)]
+    sc = make_scenario([(m, outcomes[m]) for m in labels],
+                       contexts + ([uncovered] if uncovered else []))
+    points = draw(st.lists(st.tuples(*(st.sampled_from(outcomes[m]) for m in labels)),
+                           min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(points), max_size=len(points)))
+    tables = {}
+    for c in sc.contexts:
+        table = tables[c] = {o: Fraction(0) for o in sc.outcome_tuples(c)}
+        for point, w in zip(points, weights):
+            table[tuple(point[labels.index(m)] for m in c)] += Fraction(w, sum(weights))
+    fault = draw(st.sampled_from(["none", "move", "sign", "sum"]))
+    if fault != "none":
+        part = Fraction(1, math.lcm(*(v.denominator for t in tables.values()
+                                      for v in t.values())))
+        table = tables[draw(st.sampled_from(sc.contexts))]
+        up = draw(st.sampled_from(sorted(table)))
+        if fault != "sum":
+            down = draw(st.sampled_from(sorted(o for o in table if o != up
+                                               and (fault == "sign" or table[o]))
+                                        or [up]))
+            shift = part if fault == "move" else table[down] + part
+            table[down] -= shift
+            table[up] += shift - part
+        table[up] += part
+    return sc, tables
+
+
 class TestIntegerConsistencyChecks:
     """The exact checks run on integer tables over one common denominator;
     they must agree with `oracles.exactly_consistent`, which sums each
@@ -724,28 +809,56 @@ class TestIntegerConsistencyChecks:
         sc, tables = drawn
         m = make_model(sc, tables)
         expected = exactly_consistent(sc, m.tables)
-        require(exact_no_disturbance(m) == expected,
-                f"exact_no_disturbance is {not expected}")
-        require(scenario._exactly_consistent(m) == expected,
-                f"the pass-through test is {not expected}")
+        require(m.exactly_consistent == expected, f"make_model decided {not expected}")
+        lazy = EmpiricalModel(scenario=sc, tables=m.tables)
+        require(lazy.exactly_consistent == expected,
+                f"the check of a model built without make_model is {not expected}")
         if expected:
             require(rationalize_model(m) is m, "a consistent model was rebuilt")
         else:
             with pytest.raises(DisturbingModel):
                 rationalize_model(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_models())
+    def test_one_pass_agrees_with_the_fraction_oracle(self, drawn):
+        # `make_model` checks signs, sums and marginals on the integer
+        # tables it forms; `validate_no_disturbance` reads the exact gap
+        # off the same integers.
+        sc, tables = drawn
+        negative = any(v < 0 for t in tables.values() for v in t.values())
+        if negative or any(sum(t.values(), Fraction(0)) != 1 for t in tables.values()):
+            with pytest.raises(ValueError, match="negative probability" if negative
+                               else "sums to"):
+                make_model(sc, tables)
+            return
+        m = make_model(sc, tables)
+        ints, scale = m.integer_tables
+        require(all(Fraction(ints[c][o], scale) == v for c, t in tables.items()
+                    for o, v in t.items()), "the integer tables differ")
+        require(m.exactly_consistent == exactly_consistent(sc, tables),
+                f"make_model decided {m.exactly_consistent}")
+        gap, pair = worst_marginal_gap(sc, tables)
+        report = validate_no_disturbance(m)
+        require((report.worst_violation, report.worst_pair) == (float(gap), pair),
+                f"{report} against a gap of {gap} on {pair}")
+        require(report.passed == (gap <= scenario.ND_TOL), f"{report}")
+
     def test_a_model_is_checked_once(self, monkeypatch):
-        m = pr_box_model()
+        # `make_model` checks the marginals of the integer tables it forms;
+        # the pass-through test reads its answer back.
         checked = []
-        honest = scenario._exactly_consistent
-        monkeypatch.setattr(scenario, "_exactly_consistent",
-                            lambda model: checked.append(model) or honest(model))
+        honest = scenario._marginals_agree
+        monkeypatch.setattr(scenario, "_marginals_agree",
+                            lambda sc, tables: checked.append(tables) or honest(sc, tables))
+        m = pr_box_model()
         require(m.exactly_consistent and m.exactly_consistent, "PR box not exact")
         require(rationalize_model(m) is m, "a consistent model was rebuilt")
-        require(checked == [m], f"{len(checked)} checks of one model")
+        require(len(checked) == 1 and checked[0] is m.integer_tables[0],
+                f"{len(checked)} checks of one model")
         floats = make_model(m.scenario, float_tables(m))
         require(not floats.exactly_consistent, "a float model passed")
-        require(checked == [m], "a float model was summed")
+        require(len(checked) == 1, "a float model was summed")
 
     def test_table_off_by_one_part_in_its_denominator(self):
         # Built without `make_model`, which would refuse the table.
@@ -754,7 +867,7 @@ class TestIntegerConsistencyChecks:
         tables[sc.contexts[0]] = {**tables[sc.contexts[0]], (0, 1): Fraction(1, 10 ** 15)}
         m = EmpiricalModel(scenario=sc, tables=tables)
         require(not exactly_consistent(sc, tables), "the oracle accepted the table")
-        require(not scenario._exactly_consistent(m), "the pass-through test accepted it")
+        require(not m.exactly_consistent, "the pass-through test accepted it")
 
 
 def round_every_table(sc, floats) -> dict:
@@ -1261,13 +1374,12 @@ class TestDocumentReaderReference:
             require(all(sum(t.values()) == scale for t in ints.values()),
                     "an integer table does not sum to the scale")
 
-    def test_a_shared_token_names_the_first_declared_outcome(self):
+    def test_outcomes_sharing_a_token_are_refused(self):
+        # A token could name either outcome, and a table key either entry.
         doc = {"measurements": [{"label": "A", "outcomes": ["1", 1, 2]}],
                "contexts": [["A"]], "tables": {"A": {"1": "1/3", "2": "2/3"}}}
-        got, want = model_from_json(doc), reference_model_from_json(doc)
-        require(got.tables == want.tables == {("A",): {("1",): Fraction(1, 3), (1,): 0,
-                                                      (2,): Fraction(2, 3)}},
-                f"read {got.tables}")
+        with pytest.raises(SchemaError, match=r"outcomes \['1', 1, 2\] of measurement 'A'"):
+            model_from_json(doc)
 
 
 class TestDuplicateTables:
