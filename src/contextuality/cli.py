@@ -51,6 +51,7 @@ from .polytope import (
 )
 from .qsl import QslProgram, qsl_compare
 from .quantum import (
+    KCBS_NONCONTEXTUAL_BOUND,
     PM_LABELS,
     kcbs_construction,
     matrix_from_json,
@@ -68,9 +69,6 @@ from .scenario import (
     validate_no_disturbance,
 )
 from .sheaf import solve_global_section
-
-KCBS_SUM_BOUND = -3
-
 
 def _json_safe(obj):
     """Recursively convert Fractions, numpy scalars, arrays, and tuples.
@@ -246,7 +244,7 @@ def cmd_kcbs(args) -> dict:
     csw = csw_inequality(kcbs_graph(), state=psi)
     return {
         "correlator_sum": total,
-        "noncontextual_bound": KCBS_SUM_BOUND,
+        "noncontextual_bound": KCBS_NONCONTEXTUAL_BOUND,
         "global_section": section.verdict,
         "csw_lhs": csw.lhs,
         "csw_bound": csw.bound,

@@ -1098,6 +1098,8 @@ def _equivalence_system(labels, polytopes, declared_equivalences):
                     raise SchemaError(f"mixture references unknown preparation "
                                       f"{label!r}")
                 mix[label] = to_fraction(weight)
+                if mix[label] < 0:
+                    raise SchemaError(f"negative weight {mix[label]} for preparation {label!r}")
             if sum(mix.values()) != 1:
                 raise SchemaError("mixture weights must sum to 1")
         for mix in mixtures[1:]:

@@ -113,9 +113,10 @@ class TooLargeError(ValueError):
     """Input exceeds a documented size cap; the package's one size refusal.
 
     The caps are the global-section column count, the embedding LP's
-    column count, the assignment-polytope and Pusey-scan sizes, and
-    the graph sizes of the exclusivity bounds.  `classify` maps it to an
-    undecided verdict with a note; the other subcommands exit 2.
+    column count, the assignment-polytope and Pusey-scan sizes, the
+    graph sizes of the exclusivity bounds and the shot count of a QSL run
+    (`qsl.MAX_SHOTS`).  `classify` maps it to an undecided verdict with a
+    note; the other subcommands exit 2.
     """
 
 
@@ -306,10 +307,8 @@ def require_certificate(a, b: Sequence[Fraction], result: Feasibility,
     if result.feasible:
         if not check_solution(a, b, result.x):
             raise CertificateError(f"{what} primal failed re-verification")
-    elif not check_farkas(a, b, result.farkas):
-        fault = _farkas_fault(a, b, result.farkas)
-        raise CertificateError(f"{what} dual failed re-verification"
-                               + (f": it {fault}" if fault else ""))
+    elif (fault := _farkas_fault(a, b, result.farkas)) is not None:
+        raise CertificateError(f"{what} dual failed re-verification: it {fault}")
     return result
 
 

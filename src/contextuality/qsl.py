@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exactlp import TooLargeError
 from .quantum import PAULIS, born_prob, dagger, eigen_projector
 from .record import Record
 
@@ -29,6 +30,8 @@ CORE_GATES = ("X", "Z")
 EXTENSION_GATES = ("SWAP",)
 
 MAX_SEED = 2**64
+# `shot_words` draws 32 bytes per shot up front.
+MAX_SHOTS = 10**7
 
 
 def _check_bit(value, name: str) -> int:
@@ -82,6 +85,8 @@ class QslProgram(Record):
         _check_basis(self.measurement)
         if not isinstance(self.shots, int) or self.shots < 1:
             raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+        if self.shots > MAX_SHOTS:
+            raise TooLargeError(f"{self.shots} shots exceed {MAX_SHOTS}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < MAX_SEED:
             raise ValueError("seed must be an integer in [0, 2^64)")
 

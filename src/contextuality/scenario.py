@@ -1,16 +1,17 @@
 """Measurement scenarios, empirical models, no-disturbance checks, and exact rationalization.
 
 Probability entries are exact `Fraction`s when supplied as rationals and
-doubles otherwise; NaN and infinite entries are rejected.  Exact
-consistency is decided once per model, in `make_model`, which reads an
-exact document's tables into integers over one common denominator as it
-fills them (`EmpiricalModel.integer_tables`) and checks their signs, sums
-and overlap marginals there (`EmpiricalModel.exactly_consistent`).  A
-marginal is read by outcome position: each table lists its context's
-joint outcomes in `outcome_tuples` order.  `rationalize_model`, called
-only by the global-section solver (`sheaf.solve_global_section`), returns
-such a model unchanged and otherwise a nearby model that is exactly
-normalised and marginal-consistent, rounding every float on integers
+doubles otherwise; NaN and infinite entries are rejected.  Every model,
+parsed, rounded, rebuilt or boxed, is checked once by its one constructor
+(`_filled_model`): it reads exact tables into integers over one common
+denominator as it fills them (`EmpiricalModel.integer_tables`) and checks
+their signs, sums and overlap marginals there
+(`EmpiricalModel.exactly_consistent`).  A marginal is read by outcome
+position: each table lists its context's joint outcomes in
+`outcome_tuples` order.  `rationalize_model`, called only by the
+global-section solver (`sheaf.solve_global_section`), returns such a model
+unchanged and otherwise a nearby model that is exactly normalised and
+marginal-consistent, rounding every float on integers
 (`exactlp.nearest_fraction`).  `rationalize_atoms` does the same for the
 atom probabilities of sharp contexts.  A quantum document is read once by
 `quantum_pass`, and its exact atoms (`QuantumPass.exact_atoms`) build the
@@ -31,7 +32,6 @@ import numpy as np
 
 from .exactlp import (
     SparseColumns,
-    clear_denominators,
     nearest_fraction,
     require_certificate,
     solve_eq_nonneg,
@@ -187,39 +187,24 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
 
 
 class EmpiricalModel(Record):
-    """Per-context joint outcome distributions, each table in `outcome_tuples` order."""
+    """Per-context joint outcome distributions, each table in `outcome_tuples` order.
+
+    Made only by `_filled_model`, which checks every model, parsed,
+    rounded, rebuilt or boxed, once.  ``integer_tables`` is an exact
+    model's tables as integers over one common denominator, with that
+    denominator (sums and marginals are the exact ones times it), and None
+    for a float model; ``exactly_consistent`` says whether an exact model's
+    overlap marginals agree.  The tables are not to be changed after.
+    """
 
     scenario: MeasurementScenario
     tables: dict
+    integer_tables: tuple[dict, int] | None
+    exactly_consistent: bool
 
     @property
     def is_rational(self) -> bool:
-        return all(isinstance(v, Fraction)
-                   for t in self.tables.values() for v in t.values())
-
-    @cached_property
-    def integer_tables(self) -> tuple[dict, int]:
-        """The tables as integers over one common denominator, and that denominator.
-
-        Sums and marginals of the integer tables are the exact ones times the
-        denominator.  Formed once per model, by `make_model` as it fills
-        exact tables: the tables are not to be changed after.
-        """
-        ints, scale = clear_denominators([v for t in self.tables.values() for v in t.values()])
-        it = iter(ints)
-        return {c: dict(zip(t, it)) for c, t in self.tables.items()}, scale
-
-    @cached_property
-    def exactly_consistent(self) -> bool:
-        """Rational, every table sums to exactly 1 and every overlap marginal agrees.
-
-        Decided once per model, by `make_model` for the models it builds.
-        """
-        if not self.is_rational:
-            return False
-        tables, scale = self.integer_tables
-        return (all(sum(t.values()) == scale for t in tables.values())
-                and _marginals_agree(self.scenario, tables))
+        return self.integer_tables is not None
 
     def table(self, context) -> dict:
         return self.tables[self.scenario.canonical_context(context)]
@@ -253,9 +238,10 @@ def make_model(scenario: MeasurementScenario, tables: dict) -> EmpiricalModel:
 def _filled_model(scenario: MeasurementScenario, read: list) -> EmpiricalModel:
     """The model of tables read in canonical order, filled and checked as `make_model` says.
 
-    ``read`` lists (key, labels, canonical context, entries by canonical
-    outcome).  An exact model's integer tables are formed, and its signs,
-    sums and marginals checked, here, once.
+    The one place an `EmpiricalModel` is made.  ``read`` lists (key,
+    labels, canonical context, entries by canonical outcome).  An exact
+    model's integer tables are formed, and its signs, sums and marginals
+    checked, here, once.
     """
     declared = set(scenario.contexts)
     staged: dict[tuple, tuple] = {}
@@ -294,24 +280,35 @@ def _filled_model(scenario: MeasurementScenario, read: list) -> EmpiricalModel:
         # forgives; `rationalize_model` makes it exactly normalised.
         if abs(sum(full.values()) - 1.0) > ND_TOL:
             raise ValueError(f"context {canon} table sums to {sum(full.values())}, not 1")
-    model = EmpiricalModel(scenario=scenario, tables=tables_out)
-    if has_float:
-        return model
-    # Over the model's one common denominator, an exact table's integers sum to it.
-    scale = math.lcm(*{v.denominator for t in tables_out.values() for v in t.values()})
-    ints = {}
-    for canon, full in tables_out.items():
-        table = ints[canon] = {outc: v.numerator * (scale // v.denominator)
-                               for outc, v in full.items()}
-        if min(table.values()) < 0:
-            outc = next(outc for outc, n in table.items() if n < 0)
-            raise ValueError(f"negative probability {full[outc]} in context {canon}")
-        total = sum(table.values())
-        if total != scale:
-            raise ValueError(f"context {canon} table sums to {Fraction(total, scale)}, not 1")
-    model.__dict__["integer_tables"] = ints, scale
-    model.__dict__["exactly_consistent"] = _marginals_agree(scenario, ints)
-    return model
+    exact, agree = None, False
+    if not has_float:
+        # Over the model's one common denominator, an exact table's integers sum to it.
+        scale = math.lcm(*{v.denominator for t in tables_out.values() for v in t.values()})
+        ints = {}
+        for canon, full in tables_out.items():
+            table = ints[canon] = {outc: v.numerator * (scale // v.denominator)
+                                   for outc, v in full.items()}
+            if min(table.values()) < 0:
+                outc = next(outc for outc, n in table.items() if n < 0)
+                raise ValueError(f"negative probability {full[outc]} in context {canon}")
+            total = sum(table.values())
+            if total != scale:
+                raise ValueError(f"context {canon} table sums to {Fraction(total, scale)}, not 1")
+        exact, agree = (ints, scale), _marginals_agree(scenario, ints)
+    return EmpiricalModel(scenario=scenario, tables=tables_out, integer_tables=exact,
+                          exactly_consistent=agree)
+
+
+def _consistent_model(sc: MeasurementScenario, tables: dict) -> EmpiricalModel | None:
+    """The model of `tables`, full and in canonical order, if exactly consistent, else None.
+
+    A refusal by `_filled_model` (a negative entry, a sum off 1) is None too.
+    """
+    try:
+        model = _filled_model(sc, [(c, c, c, t) for c, t in tables.items()])
+    except ValueError:
+        return None
+    return model if model.exactly_consistent else None
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def validate_no_disturbance(model: EmpiricalModel, tol: float = ND_TOL) -> NoDis
     Exact, on the integer tables, for an exact model; a float for the report.
     """
     exact = model.is_rational
-    tables, scale = model.integer_tables if exact else (model.tables, 1)
+    tables, scale = model.integer_tables or (model.tables, 1)
     worst, worst_pair = 0, None
     for ca, cb, overlap, ma, mb in _overlap_marginals(model.scenario, tables):
         d = max(map(abs, map(sub, ma, mb)))
@@ -471,9 +468,8 @@ class QuantumPass(Record, eq=False):
         sc = self.scenario
         value = {key: Fraction(0) if k is None else exact[k]
                  for key, k in zip(self.keys, self.atom_of)}
-        model = EmpiricalModel(scenario=sc, tables={
-            c: {o: value[c, o] for o in sc.outcome_tuples(c)} for c in sc.contexts})
-        return model if model.exactly_consistent else None
+        return _consistent_model(sc, {c: {o: value[c, o] for o in sc.outcome_tuples(c)}
+                                      for c in sc.contexts})
 
 
 def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
@@ -612,18 +608,16 @@ def _rounded_model(sc: MeasurementScenario, floats: dict,
     """Every entry rounded once by `_round`, or None.
 
     None at the first table whose rounded entries do not sum to exactly 1
-    (`_sums_to_one`), or when the rounded marginals disagree, as
-    `_filled_model` checks them.
+    (`_sums_to_one`), or unless `_consistent_model` accepts the tables.
     """
-    read = []
+    tables = {}
     for c in sc.contexts:
         outs = sc.outcome_tuples(c)
         pairs = [_round(floats[c].get(o, 0.0), max_den) for o in outs]
         if not _sums_to_one(pairs):
             return None
-        read.append((c, c, c, dict(zip(outs, [Fraction(p, q) for p, q in pairs]))))
-    model = _filled_model(sc, read)
-    return model if model.exactly_consistent else None
+        tables[c] = dict(zip(outs, [Fraction(p, q) for p, q in pairs]))
+    return _consistent_model(sc, tables)
 
 
 def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
@@ -831,9 +825,10 @@ def _coordinate_model(sc: MeasurementScenario, floats: dict,
     subsets by inclusion-exclusion, so it sums to exactly 1 and its
     marginal on every overlap is the same function of the same shared
     coordinates.  None unless every entry is >= 0, every entry whose float
-    is at most `ZERO_TOL` is exactly 0, and every entry of an N-entry table
+    is at most `ZERO_TOL` is exactly 0, every entry of an N-entry table
     is within N/max_den of its float (an entry sums at most N coordinates,
-    each within about 1/(2 max_den) of its float).
+    each within about 1/(2 max_den) of its float), and `_consistent_model`
+    accepts the rebuild.
     """
     arrays = {c: np.array([floats[c].get(o, 0.0) for o in sc.outcome_tuples(c)])
               .reshape([len(sc.outcomes[m]) for m in c]) for c in sc.contexts}
@@ -858,16 +853,16 @@ def _coordinate_model(sc: MeasurementScenario, floats: dict,
             return None
         tables[c] = {o: Fraction(v, max_den) for o, v
                      in zip(sc.outcome_tuples(c), rebuilt.ravel().tolist())}
-    return EmpiricalModel(scenario=sc, tables=tables)
+    return _consistent_model(sc, tables)
 
 
 def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
-    A model found exactly consistent (by `make_model`, for the models it
-    builds) passes through unchanged.  A model whose marginals disagree by
-    more than `ND_TOL` raises `DisturbingModel`.  Otherwise three stages
-    run in turn, and the first whose result passes its checks is returned:
+    A model found exactly consistent when it was made passes through
+    unchanged.  A model whose marginals disagree by more than `ND_TOL`
+    raises `DisturbingModel`.  Otherwise three stages run in turn, and the
+    first whose result passes its checks is returned:
 
     1. Entry rounding (`_rounded_model`), by `_round` at `max_den`: each
        entry moves by at most max(1/(2 max_den), ZERO_TOL), so a float copy
@@ -933,8 +928,8 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
         fixed[u] = box(u, dict(zip(sc.outcome_tuples(u), margin)), SLACK, "overlap")
     new_tables = {c: fixed[c] if c in fixed
                   else box(c, float_tables[c], 2 * SLACK, "context") for c in sc.contexts}
-    out = EmpiricalModel(scenario=sc, tables=new_tables)
-    if not out.exactly_consistent:
+    out = _consistent_model(sc, new_tables)
+    if out is None:
         raise AssertionError("rationalized model lost exact marginal consistency")
     return out
 

@@ -1225,7 +1225,7 @@ def reference_rational_literal(value, what: str = "literal") -> Fraction:
         raise bad from exc
 
 
-def reference_model_from_json(doc: dict) -> EmpiricalModel:
+def reference_model_from_json(doc: dict) -> dict:
     """The tables of an empirical document read one entry, token and table at a time.
 
     The document's measurements and contexts must be well formed.  Each
@@ -1235,7 +1235,7 @@ def reference_model_from_json(doc: dict) -> EmpiricalModel:
     order, filled with zeros, checked for signs and summed on its own, in
     ``Fraction`` arithmetic for an exact model.  Refusals are `SchemaError`s
     worded as `scenario.model_from_json` words them, two tables for one
-    context included.
+    context included.  The tables are returned by canonical context.
     """
     sc = make_scenario([(m["label"], tuple(m["outcomes"])) for m in doc["measurements"]],
                        doc["contexts"])
@@ -1296,7 +1296,7 @@ def reference_model_from_json(doc: dict) -> EmpiricalModel:
         if abs(total - 1.0) > 1e-9 if floats else total != 1:
             raise SchemaError(f"context {canon} table sums to {total}, not 1")
         tables[canon] = full
-    return EmpiricalModel(scenario=sc, tables=tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ So the package holds neither: its re-checks raise.  And the CI workflow's
 nothing else, so no test can drop out of it unseen.  Every result of the
 LP kernel is re-checked where it is solved: each ``solve_eq_nonneg(...)``
 call is a direct argument of ``require_certificate(...)``, except in
-`sheaf.section_lp`, whose caller re-checks the lifted result.
+`sheaf.section_lp`, whose caller re-checks the lifted result.  And
+every empirical model is made, and checked, by one constructor: the one
+``EmpiricalModel(...)`` call is in `scenario._filled_model`.
 """
 
 from __future__ import annotations
@@ -58,23 +60,36 @@ def _called(node, name: str) -> bool:
                                                    getattr(node.func, "attr", None))
 
 
-def kernel_calls(node, function=None, parent=None):
-    """(enclosing function's name, parent node, call) of every ``solve_eq_nonneg`` call."""
-    if _called(node, "solve_eq_nonneg"):
+def calls_of(name: str, node, function=None, parent=None):
+    """(enclosing function's name, parent node, call) of every call of ``name``."""
+    if _called(node, name):
         yield function, parent, node
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
     for child in ast.iter_child_nodes(node):
-        yield from kernel_calls(child, function, node)
+        yield from calls_of(name, child, function, node)
+
+
+def package_calls(name: str) -> list:
+    """(module path, enclosing function's name, parent node, call) of every call of ``name``."""
+    return [(path, function, parent, call)
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for function, parent, call in calls_of(name, ast.parse(path.read_text(), str(path)))]
 
 
 def test_every_lp_result_is_rechecked_where_it_is_solved():
-    calls = [(path, function, parent, call)
-             for path in sorted(PACKAGE.rglob("*.py"))
-             for function, parent, call in kernel_calls(ast.parse(path.read_text(), str(path)))]
+    calls = package_calls("solve_eq_nonneg")
     unchecked = [f"{path.relative_to(ROOT)}:{call.lineno} in {function}"
                  for path, function, parent, call in calls
                  if not (_called(parent, "require_certificate") and call in parent.args)
                  and (path.name, function) != ("sheaf.py", "section_lp")]
     if not calls or unchecked:
         pytest.fail(f"{len(calls)} kernel calls; not re-checked where solved: {unchecked}")
+
+
+def test_one_constructor_makes_every_model():
+    calls = [(path.name, function, call.lineno)
+             for path, function, _, call in package_calls("EmpiricalModel")]
+    if [(name, function) for name, function, _ in calls] != [("scenario.py", "_filled_model")]:
+        pytest.fail(f"expected one EmpiricalModel call, in scenario._filled_model; "
+                    f"found (module, function, line) {calls}")

@@ -289,7 +289,7 @@ class TestClassifyCommand:
         from contextuality import exactlp, sheaf
 
         if failure == "recheck":
-            monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
+            monkeypatch.setattr(exactlp, "_farkas_fault", lambda *args: "is forced to fail")
         else:
             def unbounded(*args, **kwargs):
                 raise ArithmeticError("forced for the exit-code test")
@@ -1046,7 +1046,7 @@ class TestFloatDocumentFuzz:
 PUSEY_FAULTS = ("document-not-object", "preps-not-object", "prep-not-object",
                 "stats-not-list", "outcome-count", "exact-sum", "zero-outcomes",
                 "bad-fraction", "non-finite", "equivalences-not-list",
-                "unknown-label", "float-weight", "too-many-preps",
+                "unknown-label", "float-weight", "negative-weight", "too-many-preps",
                 "too-many-measurements")
 
 
@@ -1109,6 +1109,9 @@ def pusey_documents(draw):
         doc["equivalences"][0][1] = {"nobody": "1"}
     elif fault == "float-weight":
         doc["equivalences"][0][0] = {"P0": 0.5, "P1": 0.5}
+    elif fault == "negative-weight":
+        # Weights summing to 1, one of them below 0: no mixture.
+        doc["equivalences"][0][0] = {"P0": "3/2", "P1": "-1/2"}
     return fault, doc
 
 

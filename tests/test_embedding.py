@@ -1401,6 +1401,15 @@ class TestPuseyCheck:
         assert result.pairs_checked == 3
         assert result.intersecting_pair is None
 
+    def test_negative_mixture_weight_rejected(self):
+        # The weights sum to 1, but no mixture weighs a preparation below 0.
+        half, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+        preps = {"a": {"X": (half, half), "Z": (one, zero)},
+                 "b": {"X": (half, half), "Z": (zero, one)}}
+        group = [{"a": "3/2", "b": "-1/2"}, {"b": 1}]
+        with pytest.raises(SchemaError, match="negative weight -1/2 for preparation 'b'"):
+            pusey_incomplete_check(preps, declared_equivalences=[group])
+
     def test_mismatched_measurements_rejected(self):
         preps = {"P0": {"Z": (Fraction(1), Fraction(0))},
                  "P1": {"X": (Fraction(1), Fraction(0))}}
@@ -1576,7 +1585,7 @@ from contextuality import embedding, exactlp
 
 if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
-exactlp.check_farkas = lambda *args: False
+exactlp._farkas_fault = lambda *args: "is forced to fail"
 for what, call in embedding_lps(embedding).items():
     try:
         call()
@@ -1637,7 +1646,7 @@ class TestRechecksUnderOptimize:
     def test_failed_recheck_raises_in_process(self, monkeypatch):
         from contextuality import exactlp
 
-        monkeypatch.setattr(exactlp, "check_farkas", lambda *args: False)
+        monkeypatch.setattr(exactlp, "_farkas_fault", lambda *args: "is forced to fail")
         for what, call in embedding_lps(embedding).items():
             with pytest.raises(exactlp.CertificateError, match=what):
                 call()

@@ -9,13 +9,19 @@ isolated regenerability.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
 import pytest
 
+from contextuality import qsl
+from contextuality.cli import main
+from contextuality.exactlp import TooLargeError
 from contextuality.qsl import (
     BASES,
+    MAX_SHOTS,
     QslProgram,
     QslState,
     qsl_apply_swap,
@@ -55,6 +61,21 @@ class TestQslProgram:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             QslProgram(("Z", 0), shots=0)
+
+    def test_shots_above_the_cap_are_refused_before_any_word_is_drawn(self, monkeypatch):
+        def no_words(*args):
+            raise AssertionError("shot_words was called")
+
+        monkeypatch.setattr(qsl, "shot_words", no_words)
+        assert QslProgram(("Z", 0), shots=MAX_SHOTS).shots == MAX_SHOTS
+        with pytest.raises(TooLargeError, match=f"{MAX_SHOTS + 1} shots exceed {MAX_SHOTS}"):
+            QslProgram(("Z", 0), shots=MAX_SHOTS + 1)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            rc = main(["qsl", "run", "--prep", "Z:0", "--measure", "Z",
+                       "--shots", str(MAX_SHOTS + 1)])
+        assert (rc, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError):

@@ -515,6 +515,16 @@ def mixture_models(draw, weights):
     return sc, tables
 
 
+def firing_first_pentagon(seed: int):
+    """Float pentagon model of a random qutrit state, each context's firing outcome 1 first."""
+    _, obs, _ = kcbs_construction()
+    eye = np.eye(3)
+    pvms = [projective_context(f"A{j}", [(eye + a) / 2, (eye - a) / 2], [1, -1])
+            for j, a in enumerate(obs)]
+    contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
+    return from_quantum(random_density(3, np.random.default_rng(seed)), contexts)
+
+
 def no_lp():
     """Fail the test if `rationalize_model` reaches its box-LP path."""
     return mock.patch.object(scenario, "_solve_box",
@@ -682,14 +692,8 @@ class TestCoordinateRationalization:
     def test_pentagon_with_the_firing_outcome_first_needs_no_lp(self):
         # The zero of each context, both projectors firing, is a coordinate
         # of its own, so it rounds to an exact zero.
-        _, obs, _ = kcbs_construction()
-        eye = np.eye(3)
-        pvms = [projective_context(f"A{j}", [(eye + a) / 2, (eye - a) / 2], [1, -1])
-                for j, a in enumerate(obs)]
-        contexts = [[pvms[j], pvms[(j + 1) % 5]] for j in range(5)]
         for seed in range(5):
-            m = from_quantum(random_density(3, np.random.default_rng(200 + seed)),
-                             contexts)
+            m = firing_first_pentagon(200 + seed)
             with no_lp():
                 r = rationalize_model(m)
             require(exactly_consistent(m.scenario, r.tables),
@@ -697,6 +701,32 @@ class TestCoordinateRationalization:
             for ctx in r.scenario.contexts:
                 require(m.tables[ctx][(1, 1)] <= 1e-9 and r.tables[ctx][(1, 1)] == 0,
                         f"seed {seed}: {ctx} lost its zero")
+
+    @pytest.mark.parametrize("seed", [200, 201, 202])
+    def test_a_corrupted_rebuild_is_refused(self, monkeypatch, seed):
+        # One grid step moved between the (1, -1) and (-1, 1) entries of the
+        # first rebuilt table keeps its sum and passes the stage's own
+        # bounds, but breaks its marginals: the one constructor refuses the
+        # rebuild, and the box LPs make the model exact.
+        m = firing_first_pentagon(seed)
+        sc, corrupted = m.scenario, []
+        real = scenario._mobius
+
+        def corrupt(arr, sign):
+            real(arr, sign)
+            if sign == -1 and not corrupted:
+                arr[0, 1] -= 1
+                arr[1, 0] += 1
+                corrupted.append(arr.sum())
+
+        monkeypatch.setattr(scenario, "_mobius", corrupt)
+        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is None,
+                "the coordinate stage kept a corrupted rebuild")
+        require(corrupted == [10 ** 6], f"corrupted tables summing to {corrupted}")
+        corrupted.clear()
+        r = rationalize_model(m)
+        require(corrupted, "rationalize_model did not reach the coordinate stage")
+        require(exactly_consistent(sc, r.tables), "not exact")
 
     def test_peres_mermin_zeros_cancel_so_the_lp_runs(self, monkeypatch):
         # Half of every Peres-Mermin table is zero by parity, and those
@@ -810,9 +840,6 @@ class TestIntegerConsistencyChecks:
         m = make_model(sc, tables)
         expected = exactly_consistent(sc, m.tables)
         require(m.exactly_consistent == expected, f"make_model decided {not expected}")
-        lazy = EmpiricalModel(scenario=sc, tables=m.tables)
-        require(lazy.exactly_consistent == expected,
-                f"the check of a model built without make_model is {not expected}")
         if expected:
             require(rationalize_model(m) is m, "a consistent model was rebuilt")
         else:
@@ -861,13 +888,20 @@ class TestIntegerConsistencyChecks:
         require(len(checked) == 1, "a float model was summed")
 
     def test_table_off_by_one_part_in_its_denominator(self):
-        # Built without `make_model`, which would refuse the table.
+        # The one constructor refuses the table; no model holds it.
         sc = chsh_scenario()
         tables = dict(pr_box_model().tables)
         tables[sc.contexts[0]] = {**tables[sc.contexts[0]], (0, 1): Fraction(1, 10 ** 15)}
-        m = EmpiricalModel(scenario=sc, tables=tables)
         require(not exactly_consistent(sc, tables), "the oracle accepted the table")
-        require(not m.exactly_consistent, "the pass-through test accepted it")
+        with pytest.raises(ValueError, match="sums to"):
+            make_model(sc, tables)
+        require(scenario._consistent_model(sc, tables) is None,
+                "the rebuild check accepted it")
+
+    def test_a_model_needs_its_checked_fields(self):
+        sc = chsh_scenario()
+        with pytest.raises(TypeError, match="missing field 'integer_tables'"):
+            EmpiricalModel(scenario=sc, tables=pr_box_model().tables)
 
 
 def round_every_table(sc, floats) -> dict:
@@ -1362,14 +1396,14 @@ class TestDocumentReaderReference:
         if isinstance(want, str) or isinstance(got, str):
             require(got == want, f"{got!r}, not {want!r}")
             return
-        require(list(got.tables.items()) == list(want.tables.items()),
-                "the tables differ")
-        require(all(type(v) is type(w) for c in want.tables
-                    for v, w in zip(got.tables[c].values(), want.tables[c].values())),
+        require(list(got.tables.items()) == list(want.items()), "the tables differ")
+        require(all(type(v) is type(w) for c in want
+                    for v, w in zip(got.tables[c].values(), want[c].values())),
                 "an entry changed type")
-        if want.is_rational:
+        # Rationality is read off the reference's own entries.
+        if all(isinstance(v, Fraction) for t in want.values() for v in t.values()):
             ints, scale = got.integer_tables
-            require(all(Fraction(ints[c][o], scale) == v for c, t in want.tables.items()
+            require(all(Fraction(ints[c][o], scale) == v for c, t in want.items()
                         for o, v in t.items()), "the integer tables differ")
             require(all(sum(t.values()) == scale for t in ints.values()),
                     "an integer table does not sum to the scale")
