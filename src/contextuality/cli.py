@@ -70,42 +70,11 @@ from .scenario import (
 )
 from .sheaf import solve_global_section
 
-def _json_safe(obj):
-    """Recursively convert Fractions, numpy scalars, arrays, and tuples.
-
-    Plain JSON values and containers are told apart by exact type first;
-    only what is left meets the isinstance checks, where numpy's abstract
-    scalar types are slow to test.
-    """
-    kind = type(obj)
-    if kind is str or kind is int or kind is float or kind is bool or obj is None:
-        return obj
-    if kind is dict:
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_json_safe(x) for x in obj]
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return str(obj.numerator)
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    return obj
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, pad: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` of a `_json_safe` payload.
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a JSON value.
 
     An ``indent`` sends `json.dumps` to its pure-Python encoder; this one
     recursive pass writes the same bytes, encoding strings, the most common
@@ -162,7 +131,6 @@ def _render_text(value, indent: int = 0) -> list[str]:
 
 
 def _emit(payload: dict, args) -> None:
-    payload = _json_safe(payload)
     if args.format == "json":
         text = _json_text(payload) + "\n"
     else:
@@ -187,6 +155,8 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +217,7 @@ def cmd_kcbs(args) -> dict:
         "noncontextual_bound": KCBS_NONCONTEXTUAL_BOUND,
         "global_section": section.verdict,
         "csw_lhs": csw.lhs,
-        "csw_bound": csw.bound,
+        "csw_bound": str(csw.bound),
         "csw_violated": csw.violated,
         "seed": args.seed,
         "certificates": certificates_to_json([section.certificate()],
@@ -479,8 +449,8 @@ def cmd_convert_bell(args) -> dict:
     return {
         "labels": list(lift.graph.labels),
         "dim": dim,
-        "bound": lift.bound,
-        "ld_maximum": lift.ld_maximum(),
+        "bound": str(lift.bound),
+        "ld_maximum": str(lift.ld_maximum()),
         "quantum_value": lift.quantum_value,
         "violated": bool(lift.quantum_value > float(lift.bound) + 1e-12),
         "seed": args.seed,
@@ -499,7 +469,11 @@ def cmd_qsl_run(args) -> dict:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return qsl_compare(program)
+    result = qsl_compare(program)
+    return {**result,
+            "freqs": {str(k): float(v) for k, v in result["freqs"].items()},
+            "quantum": {str(k): v for k, v in result["quantum"].items()},
+            "fidelity": float(result["fidelity"])}
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +640,9 @@ def main(argv=None) -> int:
         return 3
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input is nested too deeply", file=sys.stderr)
         return 2
     return 0
 

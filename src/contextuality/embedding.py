@@ -1048,6 +1048,9 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
     if pair_total > MAX_SUBSET_PAIRS:
         raise TooLargeError(
             f"{pair_total} disjoint subset pairs exceed {MAX_SUBSET_PAIRS}")
+    # Built before the scan, so that a bad mixture is refused before any LP.
+    system = (_equivalence_system(labels, polytopes, declared_equivalences)
+              if declared_equivalences else None)
     pairs_checked = 0
     intersecting = None
     for s_idx, t_idx in _bipartitions(n):
@@ -1060,8 +1063,8 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
     scan_contextual = pairs_checked > 0 and intersecting is None
 
     equivalence_farkas = None
-    if declared_equivalences:
-        a, rhs = _equivalence_system(labels, polytopes, declared_equivalences)
+    if system is not None:
+        a, rhs = system
         res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "equivalence")
         if not res.feasible:
             equivalence_farkas = res.farkas

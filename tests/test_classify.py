@@ -338,11 +338,19 @@ class TestClassifyEmpirical:
             bell, ks, _ = verdicts(report)
             assert (bell == "yes") == (ks == "yes")
 
-    def test_claims_refuted_on_pr_box(self):
+    def test_claims_refuted_on_pr_box(self, tmp_path, capsys):
         doc = pr_box_doc()
         doc["claims"] = {"classical": True}
         report = classify(doc, RunConfig())
         assert report.claim_check == "refuted"
+        written = report_to_json(report)
+        assert (written["claims"], written["claim_check"]) == ({"classical": True}, "refuted")
+        path = tmp_path / "pr.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path), "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "claim_check: refuted" in lines
+        assert lines[lines.index("claims:") + 1] == "  classical: True"
 
     def test_claims_consistent_on_deterministic(self):
         tables = {}
@@ -355,12 +363,16 @@ class TestClassifyEmpirical:
         doc["claims"] = {"classical": True}
         report = classify(doc, RunConfig())
         assert report.claim_check == "consistent"
+        written = report_to_json(report)
+        assert (written["claims"], written["claim_check"]) == ({"classical": True}, "consistent")
 
     def test_claims_undetermined_when_spekkens_open(self):
         doc = chsh_model_doc(uniform_chsh_tables())
         doc["claims"] = {"classical": True}
         report = classify(doc, RunConfig())
         assert report.claim_check == "undetermined"
+        written = report_to_json(report)
+        assert (written["claims"], written["claim_check"]) == ({"classical": True}, "undetermined")
 
 
 class TestClassifyQuantum:

@@ -18,6 +18,7 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ import time
 from fractions import Fraction
 
 import contextuality
-from contextuality import cli, scenario
+from contextuality import cli, embedding, scenario
 from contextuality.classify import classify
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
@@ -1046,8 +1047,12 @@ class TestFloatDocumentFuzz:
 PUSEY_FAULTS = ("document-not-object", "preps-not-object", "prep-not-object",
                 "stats-not-list", "outcome-count", "exact-sum", "zero-outcomes",
                 "bad-fraction", "non-finite", "equivalences-not-list",
-                "unknown-label", "float-weight", "negative-weight", "too-many-preps",
-                "too-many-measurements")
+                "unknown-label", "float-weight", "negative-weight", "weights-sum",
+                "too-many-preps", "too-many-measurements")
+# The first declared mixture of each fault in the mixtures alone: a refusal
+# before any hull LP of the scan.  "negative-weight" sums to 1, yet is no mixture.
+MIXTURE_FAULTS = {"unknown-label": {"nobody": "1"}, "negative-weight": {"P0": "3/2", "P1": "-1/2"},
+                  "weights-sum": {"P0": "1/4", "P1": "1/4"}}
 
 
 @st.composite
@@ -1105,27 +1110,38 @@ def pusey_documents(draw):
             [float("inf"), float("-inf"), float("nan")]))
     elif fault == "equivalences-not-list":
         doc["equivalences"] = draw(st.sampled_from([5, "x", {}, [5], [{"P0": 1}]]))
-    elif fault == "unknown-label":
-        doc["equivalences"][0][1] = {"nobody": "1"}
     elif fault == "float-weight":
         doc["equivalences"][0][0] = {"P0": 0.5, "P1": 0.5}
-    elif fault == "negative-weight":
-        # Weights summing to 1, one of them below 0: no mixture.
-        doc["equivalences"][0][0] = {"P0": "3/2", "P1": "-1/2"}
+    elif fault in MIXTURE_FAULTS:
+        doc["equivalences"][0][0] = MIXTURE_FAULTS[fault]
     return fault, doc
+
+
+def mixture_fault(fault: str) -> tuple:
+    """(fault, document): two valid preparations and one of `MIXTURE_FAULTS`."""
+    return fault, {"preps": {"P0": {"M0": ["1/3", "2/3"]}, "P1": {"M0": ["1", "0"]}},
+                   "equivalences": [[MIXTURE_FAULTS[fault], {"P1": "1"}]]}
 
 
 class TestPuseyDocumentFuzz:
     @settings(max_examples=150, deadline=None)
     @given(drawn=pusey_documents())
+    @example(drawn=mixture_fault("unknown-label"))
+    @example(drawn=mixture_fault("negative-weight"))
+    @example(drawn=mixture_fault("weights-sum"))
     def test_faults_exit_two_with_one_line(self, tmp_path_factory, drawn):
         fault, doc = drawn
         path = tmp_path_factory.mktemp("pusey") / "doc.json"
         path.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        out, err, scanned = io.StringIO(), io.StringIO(), []
+        hull_pair_lp = embedding._hull_pair_lp
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(embedding, "_hull_pair_lp",
+                                  lambda s, t: scanned.append(1) or hull_pair_lp(s, t)):
             rc = main(["pusey", str(path)])
         assert "Traceback" not in err.getvalue()
+        if fault in MIXTURE_FAULTS:
+            assert not scanned, f"{fault}: {len(scanned)} hull LPs before the refusal"
         if fault == "valid":
             assert rc == 0, err.getvalue()
             assert json.loads(out.getvalue())["verdict"] in (
@@ -1814,9 +1830,22 @@ sys.path.insert(0, sys.argv[1])
 import workloads
 from contextuality import cli
 
-payloads = []
-emit = cli._emit
-cli._emit = lambda payload, args: payloads.append(cli._json_safe(payload)) or emit(payload, args)
+
+def require_json(value, where):
+    kind = type(value)
+    if kind is dict:
+        for key, inner in value.items():
+            if type(key) is not str:
+                sys.exit(f"{where}: key {key!r} is not a string")
+            require_json(inner, where)
+    elif kind is list:
+        for inner in value:
+            require_json(inner, where)
+    elif kind not in (str, int, float, bool) and value is not None:
+        sys.exit(f"{where}: {value!r} is a {kind.__name__}, not a JSON value")
+
+
+runs = json.loads(sys.argv[3])
 for name, generate in sorted(workloads.GENERATORS.items()):
     for index, op in enumerate(generate(1, 1.0)):
         argv = op.argv
@@ -1824,14 +1853,22 @@ for name, generate in sorted(workloads.GENERATORS.items()):
             path = Path(sys.argv[2]) / f"{name}-{index}.json"
             path.write_text(json.dumps(op.doc))
             argv = [str(path) if a == "{doc}" else a for a in argv]
-        out, before = io.StringIO(), len(payloads)
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-        if code != 0 or len(payloads) != before + 1:
-            sys.exit(f"{name} op {index}: exit {code}")
-        expected = json.dumps(payloads[-1], sort_keys=True, indent=2)
-        if cli._json_text(payloads[-1]) != expected or out.getvalue() != expected + "\\n":
-            sys.exit(f"{name} op {index}: the writer's bytes differ from json.dumps")
+        runs.append(argv)
+payloads = []
+emit = cli._emit
+cli._emit = lambda payload, args: payloads.append(payload) or emit(payload, args)
+for argv in runs:
+    out, before = io.StringIO(), len(payloads)
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0 or len(payloads) != before + 1:
+        sys.exit(f"{argv}: exit {code}")
+    require_json(payloads[-1], argv)
+    expected = json.dumps(payloads[-1], sort_keys=True, indent=2)
+    if cli._json_text(payloads[-1]) != expected:
+        sys.exit(f"{argv}: the writer's bytes differ from json.dumps")
+    if "text" not in argv and out.getvalue() != expected + "\\n":
+        sys.exit(f"{argv}: the printed report differs from json.dumps")
 print(len(payloads))
 """
 
@@ -1896,11 +1933,29 @@ class TestJsonWriter:
         require(cli._json_text(value) == expected, f"{value!r}")
 
     def test_every_benchmark_op_payload(self, tmp_path):
+        """The payload `_emit` receives is a JSON value that the writer prints
+        as `json.dumps` would: for every benchmark operation, and in both
+        formats for the subcommands and documents the benchmark skips."""
+        graph = pentagon_graph_doc()
+        graph["weights"]["P0"] = "3/2"
+        docs = {"gpt": {"kind": "gpt", "gpt": kcbs_gpt_json(np.eye(3, dtype=complex) / 3)},
+                "box": pr_box_doc(), "prep": {"r": "2/3"}, "graph": graph}
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        skipped = [["validate", "gpt"], ["validate", "box"], ["embed", "gpt"],
+                   ["pusey", "--six-ensemble", "1/2"], ["prep-nc", "prep"],
+                   ["convert-bell", "graph"], ["kcbs", "--emit-certificate"], ["chsh"],
+                   ["pm-square", "--trials", "1"],
+                   ["qsl", "run", "--prep", "X:1", "--gates", "Z", "--measure", "X",
+                    "--shots", "500"]]
+        runs = [[str(tmp_path / f"{a}.json") if a in docs else a for a in argv]
+                + ["--format", fmt] for argv in skipped for fmt in ("json", "text")]
         bench = Path(__file__).resolve().parents[1] / "bench"
-        proc = subprocess.run([sys.executable, "-c", OP_PAYLOADS, str(bench), str(tmp_path)],
+        proc = subprocess.run([sys.executable, "-c", OP_PAYLOADS, str(bench), str(tmp_path),
+                               json.dumps(runs)],
                               env=package_env(), capture_output=True, text=True, timeout=300)
         require(proc.returncode == 0, proc.stderr[-2000:])
-        require(int(proc.stdout) > 100, f"only {proc.stdout.strip()} payloads")
+        require(int(proc.stdout) > 100 + len(runs), f"only {proc.stdout.strip()} payloads")
 
 
 class TestUnwritableOut:
@@ -1918,6 +1973,63 @@ class TestUnwritableOut:
             rc = main(argv)
         require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"{command[0]} {target}")
         require(str(out_path) in err.getvalue(), f"the path is not named: {err.getvalue()!r}")
+
+
+DEEP_ARRAY = "[" * 5000 + "]" * 5000
+
+
+class TestDeeplyNestedDocuments:
+    """A document nested past the interpreter's recursion limit is an input
+    error, whether the reader or the report writer meets it: exit 2, one
+    line saying so, never a traceback."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["validate", "classify", "embed", "pusey", "prep-nc",
+                                         "convert-bell"])
+    @pytest.mark.parametrize("document", ["array", "model"])
+    def test_refused_when_read(self, tmp_path, document, command, fmt):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_ARRAY if document == "array"
+                        else '{"kind": "empirical", "model": ' + DEEP_ARRAY + "}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, str(path), "--format", fmt])
+        require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"{command} {document}")
+        require("nested too deeply" in err.getvalue(), err.getvalue())
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_claims_too_deep_to_write(self, tmp_path, fmt):
+        """The claims are read, then copied into the report: 600 lists deep,
+        the JSON writer passes the recursion limit."""
+        path = tmp_path / "claims.json"
+        path.write_text('{"kind": "prep-ensemble", "r": "1/2", "claims": {"x": '
+                        + "[" * 600 + "]" * 600 + "}}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["classify", str(path), "--format", fmt])
+        if fmt == "json" or rc != 0:
+            require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"claims {fmt}")
+            require("nested too deeply" in err.getvalue(), err.getvalue())
+
+
+class TestModuleEntryPoint:
+    """``python -m contextuality.cli`` runs `main` as users do and exits with its code."""
+
+    def test_kcbs_prints_the_in_process_bytes(self):
+        proc = subprocess.run([sys.executable, "-m", "contextuality.cli", "kcbs"],
+                              env=package_env(), capture_output=True, timeout=300)
+        require(proc.returncode == 0, proc.stderr.decode()[-2000:])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            require(main(["kcbs"]) == 0, "kcbs failed in process")
+        require(proc.stdout == out.getvalue().encode(), "the two runs print different bytes")
+
+    def test_malformed_document_exits_two(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{nope")
+        proc = subprocess.run([sys.executable, "-m", "contextuality.cli", "validate", str(path)],
+                              env=package_env(), capture_output=True, text=True, timeout=300)
+        require_one_line_refusal(proc.returncode, proc.stdout, proc.stderr, "python -m")
 
 
 def quantum_doc(state, contexts) -> dict:
