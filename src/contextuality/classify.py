@@ -47,7 +47,7 @@ from .embedding import (
 from .exactlp import TooLargeError
 from .polytope import bipartite_structure, membership_from_section
 from .quantum import QuantumInputError, matrix_from_json, projective_context
-from .record import Fresh, Record
+from .record import Record
 from .scenario import (
     EmpiricalModel,
     SchemaError,
@@ -64,6 +64,8 @@ UNDECIDED = "undecided"
 NOT_APPLICABLE = "not-applicable"
 
 KINDS = ("empirical", "quantum", "gpt", "prep-ensemble")
+# Claims are copied into the report, so both formats must be able to write them.
+MAX_CLAIMS_DEPTH = 100
 
 BELL_VALUES = (YES, NO, NOT_APPLICABLE)
 TRI_VALUES = (YES, NO, UNDECIDED)
@@ -87,17 +89,14 @@ class LatticeViolation(AssertionError):
 
 
 class RunConfig(Record):
-    """Execution knobs: the expected input kind and the seed echoed in reports."""
+    """Execution knobs: the expected input kind."""
 
     kind: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in KINDS:
             raise SchemaError(f"unknown input kind {self.kind!r}; "
                               f"expected one of {KINDS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise SchemaError("seed must be a nonnegative integer")
 
 
 class ClassificationReport(Record):
@@ -415,6 +414,7 @@ class ParsedInput(Record):
     """One parsed classifier input document."""
 
     kind: str
+    claims: dict
     model: EmpiricalModel | None = None
     state: np.ndarray | None = None
     contexts: tuple | None = None
@@ -422,7 +422,6 @@ class ParsedInput(Record):
     gpt: Gpt | None = None
     problem: PrepEnsembleProblem | None = None
     attachment: PrepEnsembleProblem | None = None
-    claims: dict = Fresh(dict)
 
 
 def _exact_fraction(value, name: str) -> Fraction:
@@ -501,6 +500,14 @@ def parse_document(doc) -> ParsedInput:
     claims = doc.get("claims", {})
     if not isinstance(claims, dict):
         raise SchemaError("claims must be a JSON object")
+    depth, level = 0, [claims]
+    while level:  # one list per nesting level, so no recursion
+        depth += 1
+        if depth > MAX_CLAIMS_DEPTH:
+            raise SchemaError(f"claims are nested too deeply: more than "
+                              f"{MAX_CLAIMS_DEPTH} levels")
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)
+                 if isinstance(x, (dict, list))]
     attachment = None
     if "prep_ensemble" in doc:
         if kind == "prep-ensemble":

@@ -15,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,7 +50,7 @@ from .polytope import (
     membership_lp,
     singlet_behaviour,
 )
-from .qsl import QslProgram, qsl_compare
+from .qsl import MAX_SEED, QslProgram, qsl_compare
 from .quantum import (
     KCBS_NONCONTEXTUAL_BOUND,
     PM_LABELS,
@@ -194,7 +195,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_classify(args) -> dict:
     doc = _load_json(args.input)
-    config = RunConfig(kind=args.kind, seed=args.seed)
+    config = RunConfig(kind=args.kind)
     report = classify(doc, config)
     payload = report_to_json(report,
                              include_certificates=args.emit_certificate)
@@ -233,6 +234,8 @@ def cmd_chsh(args) -> dict:
             raise SchemaError(f"bad --angles value {args.angles!r}") from exc
         if len(angles) != 4:
             raise SchemaError("--angles needs four comma-separated numbers")
+        if not all(map(math.isfinite, angles)):
+            raise SchemaError(f"--angles must be finite numbers, got {args.angles!r}")
     else:
         angles = CHSH_OPTIMAL_ANGLES
     model = singlet_behaviour(angles, alpha=args.alpha)
@@ -482,8 +485,8 @@ def cmd_qsl_run(args) -> dict:
 
 def _add_common(parser, certificate: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report and used by any "
-                             "randomized step")
+                        help="seed in [0, 2^64), recorded in the report and used "
+                             "by any randomized step")
     parser.add_argument("--out", default=None,
                         help="write the report to this path instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -631,6 +634,8 @@ def _join_values(argv) -> list:
 def main(argv=None) -> int:
     args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
+        if not 0 <= args.seed < MAX_SEED:
+            raise SchemaError("seed must be an integer in [0, 2^64)")
         _emit(args.func(args), args)
     except LatticeViolation as exc:
         print(f"internal lattice violation: {exc}", file=sys.stderr)

@@ -649,7 +649,8 @@ class PrepEnsembleProblem(Record, eq=False):
     """A mixed qubit state with several declared convex decompositions.
 
     ``decompositions`` lists (weight, component label) terms; every
-    decomposition must reproduce ``target``.  ``orthogonal_pairs`` names the
+    decomposition must reproduce ``target`` (checked when the problem is
+    built, by `_verify_decompositions`).  ``orthogonal_pairs`` names the
     component pairs whose supports a noncontextual model must keep disjoint.
     """
 
@@ -658,6 +659,9 @@ class PrepEnsembleProblem(Record, eq=False):
     component_states: dict
     decompositions: tuple
     orthogonal_pairs: tuple
+
+    def __post_init__(self):
+        _verify_decompositions(self)
 
 
 def _perpendicular_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -720,16 +724,11 @@ def qubit_prep_ensemble(r, axis=(0.0, 0.0, 1.0), q=None) -> PrepEnsembleProblem:
     )
     pairs = (("phi", "phi_perp"), ("psi_a", "psi_a_perp"),
              ("psi_b", "psi_b_perp"), ("psi_c", "psi_c_perp"))
-    problem = PrepEnsembleProblem(target=target, q=q,
-                                  component_states=components,
-                                  decompositions=decompositions,
-                                  orthogonal_pairs=pairs)
-    _verify_decompositions(problem)
-    return problem
+    return PrepEnsembleProblem(target=target, q=q, component_states=components,
+                               decompositions=decompositions, orthogonal_pairs=pairs)
 
 
-def _verify_decompositions(problem: PrepEnsembleProblem,
-                           tol: float = CONSTRUCTION_TOL) -> None:
+def _verify_decompositions(problem: PrepEnsembleProblem) -> None:
     for k, decomposition in enumerate(problem.decompositions):
         total = np.zeros_like(problem.target)
         for weight, label in decomposition:
@@ -737,7 +736,7 @@ def _verify_decompositions(problem: PrepEnsembleProblem,
                 raise DecompositionMismatch(
                     f"decomposition {k} references unknown component {label!r}")
             total = total + float(weight) * problem.component_states[label]
-        if sup_norm(total - problem.target) > tol:
+        if sup_norm(total - problem.target) > CONSTRUCTION_TOL:
             raise DecompositionMismatch(
                 f"decomposition {k} misses the target by "
                 f"{sup_norm(total - problem.target)}")
@@ -818,7 +817,6 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     once; a pattern's LP keeps the columns of its alive components, in
     order, which is `_pattern_system` of that pattern.
     """
-    _verify_decompositions(problem)
     labels, rows, rhs = _pattern_system(problem, ())
     full = columns_from_rows(rows)
     cases = []
@@ -839,37 +837,27 @@ def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
 # Assignment-polytope route (no tomographic completeness assumed)
 
 
-class AssignmentPolytope(Record, eq=False):
-    """The distributions over deterministic assignments that reproduce one
-    preparation's statistics: ``{z >= 0 : A z = b}`` with A = `matrix` and
-    b = `rhs`."""
-
-    preparation: str
-    measurements: tuple
-    assignments: tuple
-    distributions: dict
-
-    def matrix(self) -> SparseColumns:
-        """A: one row per (measurement, outcome), in measurement order, with
-        a one in the column of each assignment giving that outcome."""
-        offsets = list(itertools.accumulate(
-            (n for _, n in self.measurements), initial=0))
-        return SparseColumns(offsets[-1], tuple(
-            (tuple(offsets[m] + o for m, o in enumerate(a)), (1,) * len(a))
-            for a in self.assignments))
-
-    @property
-    def rhs(self) -> tuple:
-        """b: the outcome probabilities, in the row order of `matrix`."""
-        return tuple(p for label, _ in self.measurements
-                     for p in self.distributions[label])
+def _assignment_matrix(measurements) -> SparseColumns:
+    """A: a column per deterministic assignment of the ordered (label,
+    outcome count) ``measurements``, with a one in its outcome's row of
+    each measurement.  Raises `TooLargeError` past `MAX_ASSIGNMENT_TUPLES`."""
+    count = 1
+    for _, n in measurements:
+        count *= n
+        if count > MAX_ASSIGNMENT_TUPLES:
+            raise TooLargeError(
+                f"more than {MAX_ASSIGNMENT_TUPLES} deterministic assignments")
+    offsets = list(itertools.accumulate((n for _, n in measurements), initial=0))
+    return SparseColumns(offsets[-1], tuple(
+        (tuple(offsets[m] + o for m, o in enumerate(a)), (1,) * len(a))
+        for a in itertools.product(*[range(n) for _, n in measurements])))
 
 
-def _normalize_stats(probs, n_outcomes: int, max_den: int = 10**6):
+def _normalize_stats(probs, n_outcomes: int):
     """Rationalize one outcome distribution exactly.
 
-    Float entries are rounded at ``max_den``, and the last outcome absorbs a
-    float sum's miss of at most 1e-6, so valid float data sums to exactly 1.
+    Float entries are rounded at `MAX_DEN`, and the last outcome absorbs a
+    float sum's miss of at most 1/MAX_DEN, so valid float data sums to 1.
     A negative distribution, or one that does not then sum to exactly 1,
     raises `EmptyAssignmentPolytope`: no mixture of assignments reproduces it.
     """
@@ -878,14 +866,14 @@ def _normalize_stats(probs, n_outcomes: int, max_den: int = 10**6):
         if not isinstance(p, float):
             values.append(to_fraction(p))
         elif math.isfinite(p):
-            values.append(Fraction(*nearest_fraction(p, max_den)))
+            values.append(Fraction(*nearest_fraction(p, MAX_DEN)))
         else:
             raise SchemaError(f"probability {p} is not finite")
     if len(values) != n_outcomes:
         raise SchemaError(f"expected {n_outcomes} outcome probabilities, "
                           f"got {len(values)}")
     total = sum(values)
-    if (total != 1 and abs(total - 1) <= Fraction(1, 10**6)
+    if (total != 1 and abs(total - 1) <= Fraction(1, MAX_DEN)
             and any(isinstance(p, float) for p in probs)):
         values[-1] += 1 - total
         total = 1
@@ -895,35 +883,6 @@ def _normalize_stats(probs, n_outcomes: int, max_den: int = 10**6):
         raise EmptyAssignmentPolytope(
             f"outcome probabilities sum to {total}, not 1")
     return tuple(values)
-
-
-def build_assignment_polytope(preparation: str, measurements, stats
-                              ) -> AssignmentPolytope:
-    """One preparation's assignment polytope.
-
-    ``measurements`` is an ordered tuple of (label, outcome count); ``stats``
-    maps each label to its outcome distribution.  Raises
-    `EmptyAssignmentPolytope` when a distribution is negative or does not
-    sum to 1.  Otherwise the polytope is not empty, since the product of the
-    distributions lies in it.
-    """
-    measurements = tuple((str(label), int(n)) for label, n in measurements)
-    count = 1
-    for _, n in measurements:
-        count *= n
-        if count > MAX_ASSIGNMENT_TUPLES:
-            raise TooLargeError(
-                f"more than {MAX_ASSIGNMENT_TUPLES} deterministic assignments")
-    dists = {}
-    for label, n in measurements:
-        if label not in stats:
-            raise SchemaError(f"missing statistics for measurement {label!r}")
-        dists[label] = _normalize_stats(stats[label], n)
-    return AssignmentPolytope(
-        preparation=preparation,
-        measurements=measurements,
-        assignments=tuple(itertools.product(*[range(n) for _, n in measurements])),
-        distributions=dists)
 
 
 def _bipartitions(n: int):
@@ -964,13 +923,14 @@ class PuseyResult(Record, eq=False):
         return cert
 
 
-def _hull_pair_lp(side_s, side_t) -> Feasibility:
+def _hull_pair_lp(a: SparseColumns, side_s, side_t) -> Feasibility:
     """Whether the hulls of the S and T polytopes meet, by one re-checked exact LP.
 
+    The sides list statistics vectors b_i, and P_i = {z >= 0 : A z = b_i}.
     Balas's disjunctive formulation ("Disjunctive programming", 1979): the
     points of conv(union of P_i) are the sums sum_i z_i with
     A z_i = lam_i b_i, z_i >= 0, lam_i >= 0 and sum_i lam_i = 1.  A is
-    `AssignmentPolytope.matrix` with a row of ones appended (b_i with a 1),
+    ``a`` with a row of ones appended (b_i with a 1),
     so sum(z_i) = lam_i, and A z = 0 forces z = 0: the polytopes are
     bounded, which makes the formulation exact.  The LP asks for
     sum_S z_i = sum_T z_i and sum_S lam_i = 1; the rows of ones then give
@@ -981,19 +941,17 @@ def _hull_pair_lp(side_s, side_t) -> Feasibility:
     of ones), then one row per assignment for sum_S z_i - sum_T z_i = 0,
     then sum_S lam_i = 1.
     """
-    polys = (*side_s, *side_t)
-    a = polys[0].matrix()
+    vectors = (*side_s, *side_t)
     block = a.m + 1
-    equal = len(polys) * block
+    equal = len(vectors) * block
     norm = equal + a.n
     cols = []
-    for k, poly in enumerate(polys):
+    for k, b in enumerate(vectors):
         base, ones = k * block, k * block + a.m
         in_s = k < len(side_s)
         for j, (idx, vals) in enumerate(a.cols):
             cols.append((tuple(base + i for i in idx) + (ones, equal + j),
                          vals + (1, 1 if in_s else -1)))
-        b = poly.rhs
         nonzero = [i for i, v in enumerate(b) if v]
         cols.append((tuple(base + i for i in nonzero) + (ones,)
                      + ((norm,) if in_s else ()),
@@ -1008,11 +966,13 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
     """Preparation-contextuality scan without tomographic completeness.
 
     Each preparation's statistics define its assignment polytope P_i, the
-    distributions over deterministic assignments that reproduce them.  The
-    scan asks whether the hulls of the unions of the P_i over two disjoint
-    preparation subsets S and T can meet.  Growing a subset grows its hull,
-    so such a pair exists exactly when some bipartition of the preparations
-    is one.  The scan therefore solves one exact disjunctive LP
+    distributions over deterministic assignments that reproduce them:
+    P_i = {z >= 0 : A z = b_i}, with one A (`_assignment_matrix`) for the
+    scan and b_i preparation i's statistics vector.  The scan asks whether
+    the hulls of the unions of the P_i over two disjoint preparation
+    subsets S and T can meet.  Growing a subset grows its hull, so such a
+    pair exists exactly when some bipartition of the preparations is one.
+    The scan therefore solves one exact disjunctive LP
     per bipartition (`_hull_pair_lp`), built from the deterministic
     assignments with no vertex enumeration, and stops at the first whose
     hulls meet: ``intersecting_pair`` names it.  ``pairs_checked`` counts
@@ -1039,9 +999,9 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
         if set(preps[label].keys()) != set(measurement_labels):
             raise SchemaError(
                 f"preparation {label!r} lists different measurements")
-    polytopes = {label: build_assignment_polytope(label, measurements,
-                                                  preps[label])
-                 for label in labels}
+    a = _assignment_matrix(measurements)
+    vectors = [tuple(p for m, n in measurements for p in _normalize_stats(preps[label][m], n))
+               for label in labels]
 
     n = len(labels)
     pair_total = (3**n - 2**(n + 1) + 1) // 2
@@ -1049,14 +1009,14 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
         raise TooLargeError(
             f"{pair_total} disjoint subset pairs exceed {MAX_SUBSET_PAIRS}")
     # Built before the scan, so that a bad mixture is refused before any LP.
-    system = (_equivalence_system(labels, polytopes, declared_equivalences)
+    system = (_equivalence_system(a, labels, vectors, declared_equivalences)
               if declared_equivalences else None)
     pairs_checked = 0
     intersecting = None
     for s_idx, t_idx in _bipartitions(n):
         pairs_checked += 1
-        if _hull_pair_lp([polytopes[labels[i]] for i in s_idx],
-                         [polytopes[labels[i]] for i in t_idx]).feasible:
+        if _hull_pair_lp(a, [vectors[i] for i in s_idx],
+                         [vectors[i] for i in t_idx]).feasible:
             intersecting = (tuple(labels[i] for i in s_idx),
                             tuple(labels[i] for i in t_idx))
             break
@@ -1064,8 +1024,8 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
 
     equivalence_farkas = None
     if system is not None:
-        a, rhs = system
-        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs), "equivalence")
+        joint, rhs = system
+        res = require_certificate(joint, rhs, solve_eq_nonneg(joint, rhs), "equivalence")
         if not res.feasible:
             equivalence_farkas = res.farkas
     equivalence_contextual = equivalence_farkas is not None
@@ -1081,16 +1041,16 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
                        equivalence_farkas=equivalence_farkas)
 
 
-def _equivalence_system(labels, polytopes, declared_equivalences):
+def _equivalence_system(a: SparseColumns, labels, vectors, declared_equivalences):
     """Joint exact LP: per-prep statistics plus pointwise mixture equality.
 
     Column ``k * n_a + j`` is preparation ``labels[k]``'s weight on
-    assignment j.  The rows are each preparation's rows of A, then, per
+    assignment j.  The rows are each preparation's rows of A = ``a``, equal
+    to its statistics vector ``vectors[k]``, then, per
     declared group and per mixture after the group's first, one row per
     assignment equating that mixture's weight with the first mixture's.
     """
-    a = polytopes[labels[0]].matrix()
-    rhs = [p for label in labels for p in polytopes[label].rhs]
+    rhs = [p for b in vectors for p in b]
     # Per preparation, (first row, net weight) of each equality block it enters.
     blocks: dict = {label: [] for label in labels}
     for group in declared_equivalences:
@@ -1118,12 +1078,12 @@ def _equivalence_system(labels, polytopes, declared_equivalences):
     return SparseColumns(len(rhs), cols), rhs
 
 
-def six_ensemble_statistics(r, axis=(0.0, 0.0, 1.0), *, max_den: int = 10**6):
+def six_ensemble_statistics(r, axis=(0.0, 0.0, 1.0)):
     """X, Y, Z statistics of the six-decomposition components plus equivalences.
 
     Returns (stats, equivalence group, problem): per-component outcome
     distributions for the three Pauli measurements (rationalized at
-    ``max_den``), and the six decompositions as mixtures declared
+    `MAX_DEN`), and the six decompositions as mixtures declared
     operationally equivalent.
     """
     problem = qubit_prep_ensemble(r, axis)
@@ -1135,7 +1095,7 @@ def six_ensemble_statistics(r, axis=(0.0, 0.0, 1.0), *, max_den: int = 10**6):
             plus = eigen_projector(PAULIS[basis], 1.0)
             p0 = float(np.real(np.trace(plus @ state)))
             p0 = min(1.0, max(0.0, p0))
-            frac = Fraction(*nearest_fraction(p0, max_den))
+            frac = Fraction(*nearest_fraction(p0, MAX_DEN))
             per[basis] = (frac, 1 - frac)
         stats[label] = per
     group = []

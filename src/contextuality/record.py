@@ -1,15 +1,16 @@
 """Immutable record classes, built without generating code.
 
 A subclass of `Record` lists its fields as annotations, in order, with
-optional defaults.  It gets an ``__init__`` that takes the fields by
-position or by name, fills the missing ones from their defaults and then
-calls ``__post_init__`` if the class defines one; a ``__repr__`` naming
-the class and its fields; and, unless it is declared with ``eq=False``,
-``__eq__`` and ``__hash__`` over the tuple of its field values (an
-``eq=False`` record compares and hashes by identity).  Assignment and
-deletion raise `AttributeError`; ``__post_init__`` may still normalize a
-field with ``object.__setattr__``, and `functools.cached_property` works,
-as instances keep a ``__dict__``.
+optional defaults; a field without a default is required, and a default
+is shared by every instance, so it must be immutable.  It gets an
+``__init__`` that takes the fields by position or by name, fills the
+missing ones from their defaults and then calls ``__post_init__`` if the
+class defines one; a ``__repr__`` naming the class and its fields; and,
+unless it is declared with ``eq=False``, ``__eq__`` and ``__hash__`` over
+the tuple of its field values (an ``eq=False`` record compares and hashes
+by identity).  Assignment and deletion raise `AttributeError`;
+``__post_init__`` may still normalize a field with ``object.__setattr__``,
+and `functools.cached_property` works, as instances keep a ``__dict__``.
 
 These are the semantics of a frozen dataclass, but ``__init__``,
 ``__eq__`` and ``__hash__`` are closures made once per class, and the rest
@@ -21,15 +22,6 @@ adds no fields keeps its record's methods.
 from __future__ import annotations
 
 from operator import attrgetter
-
-
-class Fresh:
-    """A field default made anew for each instance: ``claims: dict = Fresh(dict)``."""
-
-    __slots__ = ("factory",)
-
-    def __init__(self, factory):
-        self.factory = factory
 
 
 class Record:
@@ -46,22 +38,14 @@ class Record:
             raise TypeError(f"{cls.__qualname__} cannot add fields to a record")
         fields = frozenset(names)
         defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-        fresh = {}
-        for name, default in list(defaults.items()):
-            if type(default) is Fresh:
-                fresh[name] = defaults.pop(name).factory
-                delattr(cls, name)
         post_init = getattr(cls, "__post_init__", None)
         title = cls.__qualname__
 
-        def complete(given: dict) -> None:
+        def refuse(given: dict) -> None:
             for name in given.keys() - fields:
                 raise TypeError(f"{title}() got an unexpected field {name!r}")
-            for name in names:
-                if name not in given:
-                    if name not in fresh:
-                        raise TypeError(f"{title}() missing field {name!r}")
-                    given[name] = fresh[name]()
+            missing = next(name for name in names if name not in given)
+            raise TypeError(f"{title}() missing field {missing!r}")
 
         def __init__(self, *args, **values):
             given = self.__dict__
@@ -75,7 +59,7 @@ class Record:
                     raise TypeError(f"{title}() got two values for a field")
             given.update(values)
             if given.keys() != fields:
-                complete(given)
+                refuse(given)
             if post_init is not None:
                 post_init(self)
 

@@ -592,9 +592,9 @@ SLACK = Fraction(1, 10 ** 5)
 BOX_ATTEMPTS = 10
 
 
-def _round(x: float, max_den: int) -> tuple[int, int]:
-    """(0, 1) at or below `ZERO_TOL`, otherwise `nearest_fraction` at max_den."""
-    return (0, 1) if x <= ZERO_TOL else nearest_fraction(x, max_den)
+def _round(x: float) -> tuple[int, int]:
+    """(0, 1) at or below `ZERO_TOL`, otherwise `nearest_fraction` at `MAX_DEN`."""
+    return (0, 1) if x <= ZERO_TOL else nearest_fraction(x, MAX_DEN)
 
 
 def _sums_to_one(pairs) -> bool:
@@ -603,8 +603,7 @@ def _sums_to_one(pairs) -> bool:
     return sum(p * (scale // q) for p, q in pairs) == scale
 
 
-def _rounded_model(sc: MeasurementScenario, floats: dict,
-                   max_den: int) -> EmpiricalModel | None:
+def _rounded_model(sc: MeasurementScenario, floats: dict) -> EmpiricalModel | None:
     """Every entry rounded once by `_round`, or None.
 
     None at the first table whose rounded entries do not sum to exactly 1
@@ -613,15 +612,14 @@ def _rounded_model(sc: MeasurementScenario, floats: dict,
     tables = {}
     for c in sc.contexts:
         outs = sc.outcome_tuples(c)
-        pairs = [_round(floats[c].get(o, 0.0), max_den) for o in outs]
+        pairs = [_round(floats[c].get(o, 0.0)) for o in outs]
         if not _sums_to_one(pairs):
             return None
         tables[c] = dict(zip(outs, [Fraction(p, q) for p, q in pairs]))
     return _consistent_model(sc, tables)
 
 
-def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
-               slack: Fraction, max_den: int):
+def _solve_box(values: list[float], centres: list[Fraction], rows, rhs, slack: Fraction):
     """Box LP ``sum(x[j] for j in rows[i]) == rhs[i]`` around the rounded float centres.
 
     ``rows`` lists each 0/1 row's distinct column indices.  The box
@@ -650,7 +648,7 @@ def _solve_box(values: list[float], centres: list[Fraction], rows, rhs,
                     lower.append(Fraction(0))
                     upper.append(Fraction(0))
                     continue
-                c = Fraction(*nearest_fraction(f, max_den))
+                c = Fraction(*nearest_fraction(f, MAX_DEN))
             lower.append(max(Fraction(0), c - s))
             upper.append(min(Fraction(1), c + s))
         b = ([r - sum(lower[j] for j in row) for r, row in zip(rhs, rows)]
@@ -710,15 +708,14 @@ def rationalize_atoms(values: list[float], contexts) -> list[Fraction]:
        MAX_DEN.  Only a context without an exclusive atom above
        `ZERO_TOL`, or a failed stage 2, reaches it.
     """
-    rounded = [_round(f, MAX_DEN) for f in values]
+    rounded = [_round(f) for f in values]
     if all(_sums_to_one([rounded[k] for k in ctx]) for ctx in contexts):
         return [Fraction(p, q) for p, q in rounded]
     grid = [Fraction(round(f * MAX_DEN), MAX_DEN) for f in values]
     pinned = _pin_dependent_atoms(values, grid, contexts)
     if pinned is not None:
         return pinned
-    sol = _solve_box(values, grid, contexts, [Fraction(1)] * len(contexts),
-                     SLACK, MAX_DEN)
+    sol = _solve_box(values, grid, contexts, [Fraction(1)] * len(contexts), SLACK)
     if sol is None:
         raise ValueError("could not rationalize the atom probabilities")
     return sol
@@ -814,30 +811,29 @@ def _subset_blocks(context, shape) -> list:
     return blocks
 
 
-def _coordinate_model(sc: MeasurementScenario, floats: dict,
-                      max_den: int) -> EmpiricalModel | None:
+def _coordinate_model(sc: MeasurementScenario, floats: dict) -> EmpiricalModel | None:
     """Every table rebuilt from one shared set of grid-rounded coordinates, or None.
 
     A coordinate (Collins-Gisin) is P(x_m = o_m for m in S) with S inside a
     context and no o_m the last outcome of m.  It is read from the first
-    context that contains S and rounded to the 1/max_den grid; the empty S
+    context that contains S and rounded to the 1/MAX_DEN grid; the empty S
     is exactly 1.  Each table is rebuilt from the coordinates of its
     subsets by inclusion-exclusion, so it sums to exactly 1 and its
     marginal on every overlap is the same function of the same shared
     coordinates.  None unless every entry is >= 0, every entry whose float
     is at most `ZERO_TOL` is exactly 0, every entry of an N-entry table
-    is within N/max_den of its float (an entry sums at most N coordinates,
-    each within about 1/(2 max_den) of its float), and `_consistent_model`
+    is within N/MAX_DEN of its float (an entry sums at most N coordinates,
+    each within about 1/(2 MAX_DEN) of its float), and `_consistent_model`
     accepts the rebuild.
     """
     arrays = {c: np.array([floats[c].get(o, 0.0) for o in sc.outcome_tuples(c)])
               .reshape([len(sc.outcomes[m]) for m in c]) for c in sc.contexts}
     blocks = {c: _subset_blocks(c, arr.shape) for c, arr in arrays.items()}
-    coords: dict = {(): np.array([max_den])}
+    coords: dict = {(): np.array([MAX_DEN])}
     for c, arr in arrays.items():
         g = arr.copy()
         _mobius(g, 1)
-        g = np.rint(g * max_den).astype(np.int64)
+        g = np.rint(g * MAX_DEN).astype(np.int64)
         for s, ix, _ in blocks[c]:
             if s not in coords:
                 coords[s] = g[ix]
@@ -849,14 +845,14 @@ def _coordinate_model(sc: MeasurementScenario, floats: dict,
             rebuilt[ix] = coords[s].reshape(shape)
         _mobius(rebuilt, -1)
         if ((rebuilt < 0).any() or (rebuilt[arr <= ZERO_TOL] != 0).any()
-                or (np.abs(rebuilt - arr * max_den) > arr.size).any()):
+                or (np.abs(rebuilt - arr * MAX_DEN) > arr.size).any()):
             return None
-        tables[c] = {o: Fraction(v, max_den) for o, v
+        tables[c] = {o: Fraction(v, MAX_DEN) for o, v
                      in zip(sc.outcome_tuples(c), rebuilt.ravel().tolist())}
     return _consistent_model(sc, tables)
 
 
-def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> EmpiricalModel:
+def rationalize_model(model: EmpiricalModel) -> EmpiricalModel:
     """Nearby all-rational model that is exactly normalised and exactly marginal-consistent.
 
     A model found exactly consistent when it was made passes through
@@ -864,12 +860,12 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
     raises `DisturbingModel`.  Otherwise three stages run in turn, and the
     first whose result passes its checks is returned:
 
-    1. Entry rounding (`_rounded_model`), by `_round` at `max_den`: each
-       entry moves by at most max(1/(2 max_den), ZERO_TOL), so a float copy
+    1. Entry rounding (`_rounded_model`), by `_round` at `MAX_DEN`: each
+       entry moves by at most max(1/(2 MAX_DEN), ZERO_TOL), so a float copy
        of a small-denominator model comes back as that model.  A rounded
        model that fails is never corrected entry by entry.
     2. Coordinates (`_coordinate_model`): the Collins-Gisin coordinates are
-       rounded once to the 1/max_den grid and every table is rebuilt from
+       rounded once to the 1/MAX_DEN grid and every table is rebuilt from
        them, exactly consistent by construction.  It fails where a zero
        entry is a sum of several nonzero coordinates, such as the parity
        zeros of the Peres-Mermin square.
@@ -894,10 +890,10 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
 
     sc = model.scenario
     float_tables = {c: {o: float(v) for o, v in t.items()} for c, t in model.tables.items()}
-    rounded = _rounded_model(sc, float_tables, max_den)
+    rounded = _rounded_model(sc, float_tables)
     if rounded is not None:
         return rounded
-    rebuilt = _coordinate_model(sc, float_tables, max_den)
+    rebuilt = _coordinate_model(sc, float_tables)
     if rebuilt is not None:
         return rebuilt
 
@@ -916,8 +912,8 @@ def rationalize_model(model: EmpiricalModel, max_den: int = MAX_DEN) -> Empirica
                     rows.append([k for k, o in enumerate(outs)
                                  if tuple(o[i] for i in idx) == wo])
                     rhs.append(wv)
-        centres = [Fraction(*_round(f, max_den)) for f in values]
-        sol = _solve_box(values, centres, rows, rhs, half, max_den)
+        centres = [Fraction(*_round(f)) for f in values]
+        sol = _solve_box(values, centres, rows, rhs, half)
         if sol is None:
             raise ValueError(f"could not rationalize {what} {labels}")
         return dict(zip(outs, sol))

@@ -291,13 +291,13 @@ def reference_solve_box_eq(a_rows: Sequence[Sequence[Fraction]],
 
 
 def reference_solve_box(values: Sequence[float], centres: Sequence[Fraction],
-                        rows, rhs, slack: Fraction, max_den: int) -> list[Fraction] | None:
+                        rows, rhs, slack: Fraction) -> list[Fraction] | None:
     """`scenario._solve_box`'s retry policy on dense rows and `reference_solve_box_eq`.
 
     ``rows`` lists each 0/1 row's column indices, which become a dense row
     of ``Fraction`` 0s and 1s.  Each of the 10 attempts doubles the
     half-width; values at or below 1e-9 are pinned to 0 for the first 5
-    attempts and centred on ``Fraction.limit_denominator`` after that.
+    attempts and centred on ``Fraction.limit_denominator(10 ** 6)`` after that.
     """
     dense = [[Fraction(int(k in set(row))) for k in range(len(values))] for row in rows]
     for attempt in range(10):
@@ -309,7 +309,7 @@ def reference_solve_box(values: Sequence[float], centres: Sequence[Fraction],
                     lower.append(Fraction(0))
                     upper.append(Fraction(0))
                     continue
-                c = Fraction(f).limit_denominator(max_den)
+                c = Fraction(f).limit_denominator(10 ** 6)
             lower.append(max(Fraction(0), c - s))
             upper.append(min(Fraction(1), c + s))
         sol = reference_solve_box_eq(dense, rhs, lower, upper)

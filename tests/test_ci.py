@@ -8,7 +8,9 @@ LP kernel is re-checked where it is solved: each ``solve_eq_nonneg(...)``
 call is a direct argument of ``require_certificate(...)``, except in
 `sheaf.section_lp`, whose caller re-checks the lifted result.  And
 every empirical model is made, and checked, by one constructor: the one
-``EmpiricalModel(...)`` call is in `scenario._filled_model`.
+``EmpiricalModel(...)`` call is in `scenario._filled_model`.  Floats are
+rounded at one denominator, `scenario.MAX_DEN`, and no record field has a
+mutable default, which every instance would share.
 """
 
 from __future__ import annotations
@@ -93,3 +95,48 @@ def test_one_constructor_makes_every_model():
     if [(name, function) for name, function, _ in calls] != [("scenario.py", "_filled_model")]:
         pytest.fail(f"expected one EmpiricalModel call, in scenario._filled_model; "
                     f"found (module, function, line) {calls}")
+
+
+def package_nodes():
+    """(module path, node) of every AST node of the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path, node
+
+
+def _is_million(node) -> bool:
+    """Whether ``node`` is the literal ``10 ** 6``, or a constant equal to it."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [10, 6]
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 10 ** 6
+
+
+def test_one_rounding_denominator():
+    nodes = list(package_nodes())
+    millions = [f"{path.name}:{node.lineno}" for path, node in nodes if _is_million(node)]
+    named = [(path.name, [getattr(t, "id", None) for t in node.targets])
+             for path, node in nodes if isinstance(node, ast.Assign) and _is_million(node.value)]
+    if len(millions) != 1 or named != [("scenario.py", ["MAX_DEN"])]:
+        pytest.fail(f"10 ** 6 at {millions}, assigned to {named}; expected scenario.MAX_DEN alone")
+    takers = [f"{path.name}:{node.name}" for path, node in nodes
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "max_den" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
+    if takers != ["exactlp.py:nearest_fraction"]:
+        pytest.fail(f"functions taking max_den: {takers}; expected exactlp.nearest_fraction alone")
+
+
+MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def test_no_record_field_has_a_mutable_default():
+    records = [(path, node) for path, node in package_nodes() if isinstance(node, ast.ClassDef)
+               and any("Record" in (getattr(b, "id", None), getattr(b, "attr", None))
+                       for b in node.bases)]
+    shared = [f"{path.name}:{field.lineno} {record.name}.{field.target.id}"
+              for path, record in records for field in record.body
+              if isinstance(field, ast.AnnAssign) and field.value is not None
+              and (isinstance(field.value, MUTABLE)
+                   or _called(field.value, "set") or _called(field.value, "dict")
+                   or _called(field.value, "list"))]
+    if len(records) < 20 or shared:
+        pytest.fail(f"{len(records)} record classes; mutable field defaults at {shared}")

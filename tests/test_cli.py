@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import contextuality
 from contextuality import cli, embedding, scenario
-from contextuality.classify import classify
+from contextuality.classify import MAX_CLAIMS_DEPTH, classify
 from contextuality.cli import build_parser, main
 from contextuality.embedding import gpt_to_json, sharp_gpt_from_quantum
 from contextuality.quantum import (
@@ -604,6 +604,44 @@ class TestOutputPlumbing:
         assert payload["seed"] == 9
 
 
+# One run of every subcommand; "{gpt}" and "{prep}" stand for document paths.
+EVERY_SUBCOMMAND = [["validate", "{prep}"], ["classify", "{prep}"], ["kcbs"], ["chsh"],
+                    ["pm-square", "--trials", "0"], ["embed", "{gpt}"],
+                    ["prep-nc", "--r", "1/2"], ["pusey", "--six-ensemble", "1/2"],
+                    ["convert-bell"],
+                    ["qsl", "run", "--prep", "Z:0", "--measure", "Z", "--shots", "10"]]
+
+
+class TestSeedRange:
+    """Every subcommand takes a seed in [0, 2^64) and refuses any other with one line."""
+
+    @staticmethod
+    def run(tmp_path, argv, seed, fmt):
+        docs = {"{gpt}": FINITE_GPT, "{prep}": {"kind": "prep-ensemble", "r": "1/2"}}
+        for name, doc in docs.items():
+            (tmp_path / f"{name[1:-1]}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{a[1:-1]}.json") if a in docs else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--seed", str(seed), "--format", fmt])
+        return rc, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_out_of_range_refused(self, tmp_path, argv, seed, fmt):
+        rc, out, err = self.run(tmp_path, argv, seed, fmt)
+        require_one_line_refusal(rc, out, err, f"{argv[0]} --seed {seed}")
+        require(err == "error: seed must be an integer in [0, 2^64)\n", err)
+
+    @pytest.mark.parametrize("argv", [["prep-nc", "--r", "1/2"], ["classify", "{prep}"],
+                                      EVERY_SUBCOMMAND[-1]], ids=lambda argv: argv[0])
+    def test_largest_seed_accepted(self, tmp_path, argv):
+        rc, out, err = self.run(tmp_path, argv, 2 ** 64 - 1, "json")
+        require(rc == 0 and err == "", f"exit {rc}: {err!r}")
+        require(json.loads(out)["seed"] == 2 ** 64 - 1, out)
+
+
 def interleaved_box_doc(p: dict, shape, a_labels, b_labels) -> dict:
     """Empirical document of the box p(a, b | x, y) with shape (nX, nY, nA, nB).
 
@@ -1137,7 +1175,7 @@ class TestPuseyDocumentFuzz:
         hull_pair_lp = embedding._hull_pair_lp
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 mock.patch.object(embedding, "_hull_pair_lp",
-                                  lambda s, t: scanned.append(1) or hull_pair_lp(s, t)):
+                                  lambda a, s, t: scanned.append(1) or hull_pair_lp(a, s, t)):
             rc = main(["pusey", str(path)])
         assert "Traceback" not in err.getvalue()
         if fault in MIXTURE_FAULTS:
@@ -1450,6 +1488,14 @@ class TestNonFiniteFrontDoor:
             rc, out, err = cli_run(path, argv)
             require_one_line_refusal(rc, out, err, f"table entry {bad}")
             require("not finite" in err, err)
+
+    @pytest.mark.parametrize("angles", ["inf,0,0,0", "0,nan,0,0", "0,0,-inf,0", "1e400,0,0,0"])
+    def test_chsh_angles(self, angles):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["chsh", "--angles", angles])
+        require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"--angles {angles}")
+        require("--angles" in err.getvalue() and "finite" in err.getvalue(), err.getvalue())
 
     def test_finite_documents_classify(self, tmp_path):
         for doc in (FINITE_GPT, FINITE_TABLE):
@@ -1997,19 +2043,45 @@ class TestDeeplyNestedDocuments:
         require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"{command} {document}")
         require("nested too deeply" in err.getvalue(), err.getvalue())
 
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_claims_too_deep_to_write(self, tmp_path, fmt):
-        """The claims are read, then copied into the report: 600 lists deep,
-        the JSON writer passes the recursion limit."""
+    @staticmethod
+    def classify_claims(tmp_path, depth: int, fmt: str) -> tuple:
+        """Classify a document whose claims nest ``depth`` containers deep,
+        the claims object itself the first: exit code, stdout, stderr."""
         path = tmp_path / "claims.json"
         path.write_text('{"kind": "prep-ensemble", "r": "1/2", "claims": {"x": '
-                        + "[" * 600 + "]" * 600 + "}}")
+                        + "[" * (depth - 1) + "]" * (depth - 1) + "}}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["classify", str(path), "--format", fmt])
-        if fmt == "json" or rc != 0:
-            require_one_line_refusal(rc, out.getvalue(), err.getvalue(), f"claims {fmt}")
-            require("nested too deeply" in err.getvalue(), err.getvalue())
+        return rc, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_claims_too_deep_to_write(self, tmp_path, fmt):
+        """The claims are copied into the report, so claims 600 lists deep,
+        past `MAX_CLAIMS_DEPTH`, are refused when read, in either format."""
+        rc, out, err = self.classify_claims(tmp_path, 601, fmt)
+        require_one_line_refusal(rc, out, err, f"claims {fmt}")
+        require("nested too deeply" in err, err)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_claims_one_level_past_the_bound(self, tmp_path, fmt):
+        rc, out, err = self.classify_claims(tmp_path, MAX_CLAIMS_DEPTH + 1, fmt)
+        require_one_line_refusal(rc, out, err, f"claims {fmt}")
+        require(f"claims are nested too deeply: more than {MAX_CLAIMS_DEPTH} levels" in err, err)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_claims_at_the_bound_are_classified(self, tmp_path, fmt):
+        rc, out, err = self.classify_claims(tmp_path, MAX_CLAIMS_DEPTH, fmt)
+        require(rc == 0 and err == "", f"exit {rc}: {err!r}")
+        if fmt == "text":
+            require(out.count("\n") > MAX_CLAIMS_DEPTH, "the claims were not written")
+            return
+        payload = json.loads(out)
+        claims = json.loads((tmp_path / "claims.json").read_text())["claims"]
+        require(payload["claims"] == claims, "the claims did not come back")
+        require(cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2),
+                "the writer differs from json.dumps")
+        require(out == cli._json_text(payload) + "\n", "stdout is not the writer's text")
 
 
 class TestModuleEntryPoint:

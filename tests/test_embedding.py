@@ -35,14 +35,12 @@ from contextuality.classify import (
     report_to_json,
 )
 from contextuality.embedding import (
-    AssignmentPolytope,
     DecompositionMismatch,
     EmptyAssignmentPolytope,
     GptError,
     InconsistentUnit,
     PrepEnsembleProblem,
     UnsharpEffectFlagged,
-    build_assignment_polytope,
     cone_facets,
     embed_lp,
     embed_sharp,
@@ -56,9 +54,11 @@ from contextuality.embedding import (
     qubit_prep_ensemble,
     sharp_gpt_from_quantum,
     six_ensemble_statistics,
+    _assignment_matrix,
     _bipartitions,
     _equivalence_system,
     _hull_pair_lp,
+    _normalize_stats,
 )
 from contextuality.exactlp import (
     CertificateError,
@@ -1083,12 +1083,23 @@ class TestQubitPrepEnsemble:
     def test_decomposition_mismatch_raised(self):
         problem = qubit_prep_ensemble(Fraction(1, 2))
         broken = (((Fraction(1), "phi"),),) + problem.decompositions[1:]
-        with pytest.raises(DecompositionMismatch):
-            prep_nc_check(PrepEnsembleProblem(
-                target=problem.target, q=problem.q,
-                component_states=problem.component_states,
-                decompositions=broken,
-                orthogonal_pairs=problem.orthogonal_pairs))
+        with pytest.raises(DecompositionMismatch, match="decomposition 0 misses"):
+            PrepEnsembleProblem(target=problem.target, q=problem.q,
+                                component_states=problem.component_states,
+                                decompositions=broken,
+                                orthogonal_pairs=problem.orthogonal_pairs)
+
+    def test_decompositions_are_verified_once_when_built(self, monkeypatch):
+        calls = []
+        real = embedding._verify_decompositions
+        monkeypatch.setattr(embedding, "_verify_decompositions",
+                            lambda problem: calls.append(problem) or real(problem))
+        problem = qubit_prep_ensemble(Fraction(1, 3))
+        require(calls == [problem], f"{len(calls)} checks while building")
+        calls.clear()
+        prep_nc_check(problem)
+        classify_prep_ensemble(problem)
+        require(calls == [], f"{len(calls)} checks of a built problem")
 
 
 class TestPrepNcCheck:
@@ -1219,22 +1230,26 @@ def dense_rows(a):
     return rows
 
 
-def oracle_vertices(poly):
-    """Vertices of a preparation's polytope, from assignment tuples alone.
+def reference_rows(measurements):
+    """The deterministic assignments from `itertools.product`, and the dense
+    0/1 row of each (measurement, outcome) over them, in measurement order."""
+    assignments = list(itertools.product(*[range(n) for _, n in measurements]))
+    rows = [[Fraction(int(a[m_index] == outcome)) for a in assignments]
+            for m_index, (_, n) in enumerate(measurements) for outcome in range(n)]
+    return assignments, rows
 
-    Row (m, o) is built from the assignments with outcome o at position m,
-    without the package's `matrix`, and the vertices come from the
-    basis-enumeration oracle.
-    """
-    rows, rhs = [], []
-    for m_index, (label, n) in enumerate(poly.measurements):
-        for outcome in range(n):
-            rows.append([Fraction(int(a[m_index] == outcome))
-                         for a in poly.assignments])
-            rhs.append(poly.distributions[label][outcome])
-    rows.append([Fraction(1)] * len(poly.assignments))
-    rhs.append(Fraction(1))
-    return enumerate_vertices(rows, rhs)
+
+def statistics_vector(measurements, stats):
+    """A preparation's exact b: its outcome probabilities in measurement order."""
+    return tuple(Fraction(p) for label, _ in measurements for p in stats[label])
+
+
+def oracle_vertices(measurements, stats):
+    """Vertices of a preparation's polytope from `reference_rows` and a row
+    of ones, by the basis-enumeration oracle, without the package's matrix."""
+    assignments, rows = reference_rows(measurements)
+    return enumerate_vertices(rows + [[Fraction(1)] * len(assignments)],
+                              list(statistics_vector(measurements, stats)) + [Fraction(1)])
 
 
 def random_pusey_case(rng):
@@ -1263,58 +1278,63 @@ def random_pusey_case(rng):
 
 
 class TestAssignmentPolytope:
+    """One assignment matrix per scan (`_assignment_matrix`), and each
+    preparation's statistics vector (`_normalize_stats` per measurement)."""
+
     def test_deterministic_direction_vertices(self):
+        measurements = (("Z", 2), ("X", 2))
         stats = {"Z": (Fraction(1), Fraction(0)),
                  "X": (Fraction(1, 2), Fraction(1, 2))}
-        poly = build_assignment_polytope(
-            "up", (("Z", 2), ("X", 2)), stats)
-        assert isinstance(poly, AssignmentPolytope)
-        vertices = enumerate_vertices(dense_rows(poly.matrix()), poly.rhs)
-        assert vertices == oracle_vertices(poly)
+        assignments, rows = reference_rows(measurements)
+        a = _assignment_matrix(measurements)
+        require(dense_rows(a) == rows, "the matrix is not the reference rows")
+        vertices = enumerate_vertices(dense_rows(a), statistics_vector(measurements, stats))
+        assert vertices == oracle_vertices(measurements, stats)
         for vertex in vertices:
-            for m_index, (label, n) in enumerate(poly.measurements):
+            for m_index, (label, n) in enumerate(measurements):
                 for outcome in range(n):
-                    marginal = sum(v for a, v in zip(poly.assignments, vertex)
-                                   if a[m_index] == outcome)
-                    assert marginal == poly.distributions[label][outcome]
+                    marginal = sum(v for x, v in zip(assignments, vertex)
+                                   if x[m_index] == outcome)
+                    assert marginal == stats[label][outcome]
 
     def test_inconsistent_statistics_raise(self):
-        stats = {"Z": (Fraction(1, 2), Fraction(0))}
         with pytest.raises(EmptyAssignmentPolytope):
-            build_assignment_polytope("bad", (("Z", 2),), stats)
+            pusey_incomplete_check({"bad": {"Z": (Fraction(1, 2), Fraction(0))}})
 
     def test_exact_sum_other_than_one_raises(self):
         for probs in (("1/2", "1/4"), ("1/2", "3/4"), ()):
             with pytest.raises(EmptyAssignmentPolytope, match="not 1"):
-                build_assignment_polytope("bad", (("X", len(probs)),),
-                                          {"X": probs})
+                pusey_incomplete_check({"bad": {"X": probs}})
 
     def test_float_statistics_are_rationalized(self):
-        poly = build_assignment_polytope(
-            "f", (("Z", 2),), {"Z": (0.25, 0.75)})
-        assert poly.distributions["Z"] == (Fraction(1, 4), Fraction(3, 4))
+        assert _normalize_stats((0.25, 0.75), 2) == (Fraction(1, 4), Fraction(3, 4))
 
     def test_float_rounding_is_absorbed_and_far_sums_raise(self):
-        poly = build_assignment_polytope(
-            "f", (("Z", 2),), {"Z": (1 / 3, 2 / 3 + 1e-9)})
-        assert sum(poly.distributions["Z"]) == 1
+        assert sum(_normalize_stats((1 / 3, 2 / 3 + 1e-9), 2)) == 1
         with pytest.raises(EmptyAssignmentPolytope):
-            build_assignment_polytope("f", (("Z", 2),), {"Z": (0.5, 0.4)})
+            pusey_incomplete_check({"f": {"Z": (0.5, 0.4)}})
 
     def test_non_finite_float_rejected(self):
         for bad in (float("inf"), float("nan")):
             with pytest.raises(SchemaError, match="not finite"):
-                build_assignment_polytope("f", (("Z", 2),), {"Z": (bad, 0.0)})
+                pusey_incomplete_check({"f": {"Z": (bad, 0.0)}})
+
+    def test_too_many_assignments_refused(self):
+        stats = {f"M{k}": (Fraction(1), Fraction(0)) for k in range(13)}
+        with pytest.raises(TooLargeError, match="more than 4096 deterministic assignments"):
+            pusey_incomplete_check({"P0": stats, "P1": dict(stats)})
 
     def test_product_distribution_lies_in_the_polytope(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             measurements, preps = random_pusey_case(rng)
-            poly = build_assignment_polytope("P0", measurements, preps["P0"])
-            product = [np.prod([poly.distributions[label][o]
-                                for (label, _), o in zip(measurements, a)])
-                       for a in poly.assignments]
-            assert check_solution(poly.matrix(), poly.rhs, product)
+            assignments, rows = reference_rows(measurements)
+            a = _assignment_matrix(measurements)
+            require(dense_rows(a) == rows, f"{measurements}: not the reference rows")
+            stats = preps["P0"]
+            product = [np.prod([stats[label][o] for (label, _), o in zip(measurements, x)])
+                       for x in assignments]
+            assert check_solution(a, statistics_vector(measurements, stats), product)
 
 
 class TestPuseyCheck:
@@ -1366,9 +1386,9 @@ class TestPuseyCheck:
     def test_six_ensemble_scan_solves_two_lps(self, monkeypatch):
         calls = []
 
-        def counting(side_s, side_t):
+        def counting(a, side_s, side_t):
             calls.append((side_s, side_t))
-            return _hull_pair_lp(side_s, side_t)
+            return _hull_pair_lp(a, side_s, side_t)
 
         monkeypatch.setattr(embedding, "_hull_pair_lp", counting)
         stats, group, _ = six_ensemble_statistics(Fraction(1, 2))
@@ -1380,6 +1400,31 @@ class TestPuseyCheck:
             ("phi", "phi_perp"),
             ("psi_a", "psi_a_perp", "psi_b", "psi_b_perp", "psi_c",
              "psi_c_perp"))
+
+    @pytest.mark.parametrize("declared", [False, True], ids=["scan", "equivalences"])
+    def test_one_assignment_matrix_per_scan(self, monkeypatch, declared):
+        # Four distinct deterministic preparations: no bipartition meets, so
+        # the scan solves all 7 hull LPs, and every LP reads the one matrix.
+        built, read = [], []
+        matrix, pair, system = (embedding._assignment_matrix, embedding._hull_pair_lp,
+                                embedding._equivalence_system)
+        monkeypatch.setattr(embedding, "_assignment_matrix",
+                            lambda m: built.append(matrix(m)) or built[-1])
+        monkeypatch.setattr(embedding, "_hull_pair_lp",
+                            lambda a, s, t: read.append(a) or pair(a, s, t))
+        monkeypatch.setattr(embedding, "_equivalence_system",
+                            lambda a, *rest: read.append(a) or system(a, *rest))
+        one, zero, half = Fraction(1), Fraction(0), Fraction(1, 2)
+        preps = {f"P{i}": {"X": tuple(one if k == i else zero for k in range(4)),
+                           "Z": (half, half)} for i in range(4)}
+        group = [{"P0": half, "P1": half}, {"P2": half, "P3": half}]
+        result = pusey_incomplete_check(preps, declared_equivalences=[group] if declared else None)
+        require(result.verdict == "contextual" and result.pairs_checked == 7,
+                f"{result.verdict} after {result.pairs_checked} LPs")
+        require(result.equivalence_contextual == declared, "equivalence verdict")
+        require(len(built) == 1, f"{len(built)} assignment matrices built")
+        require(len(read) == 7 + declared and all(a is built[0] for a in read),
+                f"{len(read)} reads, not all of the one matrix")
 
     def test_pairs_covered_formula(self):
         # The first bipartition of three identical preparations meets, so
@@ -1433,16 +1478,16 @@ class TestPuseyCheck:
         for _ in range(40):
             measurements, preps = random_pusey_case(rng)
             labels = list(preps)
-            polys = [build_assignment_polytope(l, measurements, preps[l])
-                     for l in labels]
-            vertices = [oracle_vertices(p) for p in polys]
+            a = _assignment_matrix(measurements)
+            vectors = [statistics_vector(measurements, preps[l]) for l in labels]
+            vertices = [oracle_vertices(measurements, preps[l]) for l in labels]
             first = None
             for s_idx, t_idx in _bipartitions(len(labels)):
                 meet = reference_hulls_intersect(
                     [v for i in s_idx for v in vertices[i]],
                     [v for i in t_idx for v in vertices[i]])
-                lp = _hull_pair_lp([polys[i] for i in s_idx],
-                                   [polys[i] for i in t_idx])
+                lp = _hull_pair_lp(a, [vectors[i] for i in s_idx],
+                                   [vectors[i] for i in t_idx])
                 assert lp.feasible == meet
                 verdicts.add(meet)
                 if meet and first is None:
@@ -1454,10 +1499,9 @@ class TestPuseyCheck:
         assert verdicts == {True, False}
 
 
-def reference_equivalence_rows(labels, polys, group):
+def reference_equivalence_rows(labels, measurements, stats, group):
     """The equivalence LP's rows, built densely row by row."""
-    measurements = polys[labels[0]].measurements
-    assignments = polys[labels[0]].assignments
+    assignments = list(itertools.product(*[range(n) for _, n in measurements]))
     n_a = len(assignments)
     rows, rhs = [], []
     for k, label in enumerate(labels):
@@ -1468,7 +1512,7 @@ def reference_equivalence_rows(labels, polys, group):
                     if a[m_index] == outcome:
                         row[k * n_a + j] = Fraction(1)
                 rows.append(row)
-                rhs.append(polys[label].distributions[m_label][outcome])
+                rhs.append(stats[label][m_label][outcome])
     for mix in group[1:]:
         for j in range(n_a):
             row = [Fraction(0)] * (n_a * len(labels))
@@ -1487,10 +1531,10 @@ class TestEquivalenceSystem:
         labels = list(stats)
         first = stats[labels[0]]
         measurements = tuple((m, len(first[m])) for m in first)
-        polys = {l: build_assignment_polytope(l, measurements, stats[l])
-                 for l in labels}
-        a, rhs = _equivalence_system(labels, polys, [group])
-        rows, ref_rhs = reference_equivalence_rows(labels, polys, group)
+        vectors = [statistics_vector(measurements, stats[l]) for l in labels]
+        a, rhs = _equivalence_system(_assignment_matrix(measurements), labels, vectors,
+                                     [group])
+        rows, ref_rhs = reference_equivalence_rows(labels, measurements, stats, group)
         assert a == columns_from_rows(rows)
         assert rhs == ref_rhs
 
@@ -1513,11 +1557,12 @@ class TestEquivalenceSystem:
 
 
 def hull_polytopes(*points):
-    """Preparations over two binary measurements Z, X, given as (p(Z=0), p(X=0))."""
-    return [build_assignment_polytope(
-        f"P{k}", (("Z", 2), ("X", 2)),
-        {"Z": (Fraction(z), 1 - Fraction(z)), "X": (Fraction(x), 1 - Fraction(x))})
-        for k, (z, x) in enumerate(points)]
+    """Statistics vectors over two binary measurements Z, X, given as (p(Z=0), p(X=0))."""
+    return [(Fraction(z), 1 - Fraction(z), Fraction(x), 1 - Fraction(x)) for z, x in points]
+
+
+def hull_pair(side_s, side_t):
+    return _hull_pair_lp(_assignment_matrix((("Z", 2), ("X", 2))), side_s, side_t)
 
 
 class TestHullIntersection:
@@ -1534,24 +1579,24 @@ class TestHullIntersection:
         # cross at the uniform distribution.
         s = hull_polytopes((1, "1/2"), (0, "1/2"))
         t = hull_polytopes(("1/2", 1), ("1/2", 0))
-        assert _hull_pair_lp(s, t).feasible
+        assert hull_pair(s, t).feasible
 
     def test_disjoint_segments(self):
         s = hull_polytopes((1, 1), (1, 0))
         t = hull_polytopes((0, 1), (0, 0))
-        assert not _hull_pair_lp(s, t).feasible
+        assert not hull_pair(s, t).feasible
 
     def test_shared_vertex(self):
         s = hull_polytopes((1, 1), (1, 0))
         t = hull_polytopes((1, 0), (0, 0))
-        assert _hull_pair_lp(s, t).feasible
+        assert hull_pair(s, t).feasible
 
     def test_segment_polytope_touches_hull(self):
         # The uniform preparation's segment ends at (1/2, 0, 0, 1/2), the
         # midpoint of the 00-11 edge.
         uniform = hull_polytopes(("1/2", "1/2"))
-        assert _hull_pair_lp(hull_polytopes((1, 1), (0, 0)), uniform).feasible
-        assert not _hull_pair_lp(hull_polytopes((1, 1), (1, 0)), uniform).feasible
+        assert hull_pair(hull_polytopes((1, 1), (0, 0)), uniform).feasible
+        assert not hull_pair(hull_polytopes((1, 1), (1, 0)), uniform).feasible
 
 
 class TestGptJson:
@@ -1605,8 +1650,7 @@ def embedding_lps(embedding):
     is the equivalence LP's.  The pure hexagon rebit has no simplex
     embedding.
     """
-    up = embedding.build_assignment_polytope("up", (("Z", 2),), {"Z": (1, 0)})
-    down = embedding.build_assignment_polytope("down", (("Z", 2),), {"Z": (0, 1)})
+    z = embedding._assignment_matrix((("Z", 2),))
     preps = {"up": {"Z": (1, 0)}, "up2": {"Z": (1, 0)}, "down": {"Z": (0, 1)}}
     half = 3 ** 0.5 / 2
     dirs = [(1.0, 0.0), (0.5, half), (-0.5, half), (-1.0, 0.0), (-0.5, -half),
@@ -1615,7 +1659,7 @@ def embedding_lps(embedding):
                                  [(0.5, x / 2, y / 2) for x, y in dirs],
                                  (1.0, 0.0, 0.0))
     return {
-        "hull pair": lambda: embedding._hull_pair_lp([up], [down]),
+        "hull pair": lambda: embedding._hull_pair_lp(z, [(1, 0)], [(0, 1)]),
         "equivalence": lambda: embedding.pusey_incomplete_check(
             preps, declared_equivalences=[[{"up": 1}, {"down": 1}]]),
         "embedding LP": lambda: embedding.embed_lp(hexagon),

@@ -492,20 +492,19 @@ class TestBoxSolve:
     one column source per box, every result re-checked."""
 
     def test_box_feasible(self):
-        x = _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2), 10 ** 6)
+        x = _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2))
         assert x is not None
         assert x[0] + x[1] == 1
         assert all(F(0) <= v <= F(1) for v in x)
 
     def test_box_infeasible(self):
-        assert _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(3)],
-                          F(1, 2), 10 ** 6) is None
+        assert _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(3)], F(1, 2)) is None
 
     def test_pinned_variables(self):
         # The zero stays pinned; the others reach 1 only once the
         # half-width has doubled to 1/5.
         x = _solve_box([0.0, 0.3, 0.3], [F(0), F(3, 10), F(3, 10)], [(0, 1, 2)],
-                       [F(1)], F(1, 10), 10 ** 6)
+                       [F(1)], F(1, 10))
         assert x == [F(0), F(1, 2), F(1, 2)]
 
     def test_empty_box_is_skipped(self, monkeypatch):
@@ -514,7 +513,7 @@ class TestBoxSolve:
         calls = []
         monkeypatch.setattr(scenario, "solve_eq_nonneg",
                             lambda a, b: calls.append(b) or solve_eq_nonneg(a, b))
-        x = _solve_box([0.6, 0.6], [F(3, 5)] * 2, [(0, 1)], [F(1)], F(1, 20), 10 ** 6)
+        x = _solve_box([0.6, 0.6], [F(3, 5)] * 2, [(0, 1)], [F(1)], F(1, 20))
         assert x == [F(1, 2), F(1, 2)]
         assert len(calls) == 1 and min(calls[0]) == 0
 
@@ -525,4 +524,4 @@ class TestBoxSolve:
     def test_forged_result_raises(self, monkeypatch, forged):
         monkeypatch.setattr(scenario, "solve_eq_nonneg", lambda a, b: forged)
         with pytest.raises(CertificateError, match="box LP"):
-            _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2), 10 ** 6)
+            _solve_box([0.5, 0.5], [F(1, 2)] * 2, [(0, 1)], [F(1)], F(1, 2))

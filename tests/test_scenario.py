@@ -590,11 +590,11 @@ class TestRationalize:
             r = rationalize_model(floats)
         require(r.tables == tables, "the float copy did not come back")
 
-    @pytest.mark.parametrize("max_den", [10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("max_den", [scenario.MAX_DEN])
     def test_fast_path_entries_within_half_a_grid_step(self, max_den):
         m = kcbs_model()
         with no_lp():
-            r = rationalize_model(m, max_den=max_den)
+            r = rationalize_model(m)
         require(r.is_rational, "not rational")
         require(exactly_consistent(r.scenario, r.tables), "not exact")
         bound = Fraction(1, 2 * max_den)
@@ -641,7 +641,7 @@ class TestCoordinateRationalization:
                              for o, v in t.items()} for c, t in tables.items()}
         assume(not exactly_consistent(sc, entry_rounded))
         m = make_model(sc, tables)
-        rebuilt = scenario._coordinate_model(sc, dict(m.tables), 10 ** 6)
+        rebuilt = scenario._coordinate_model(sc, dict(m.tables))
         # Entries of a full-support mixture are at least 0.01 / 27, far
         # above the rounding error, so the stage cannot refuse them.
         require(rebuilt is not None or noise == 0,
@@ -668,13 +668,13 @@ class TestCoordinateRationalization:
         sc = make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"]])
         m = make_model(sc, {("A", "B"): {(0, 0): 0.2000003, (0, 1): 0.30000025,
                                          (1, 0): 0.49999925, (1, 1): 2e-7}})
-        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is None,
+        require(scenario._coordinate_model(sc, dict(m.tables)) is None,
                 "the coordinate stage accepted a negative entry")
         r = rationalize_model(m)
         require(exactly_consistent(sc, r.tables), "not exact")
         require(min(r.tables[("A", "B")].values()) >= 0, "negative entry")
 
-    def test_bound_refuses_a_grid_finer_than_the_model_agrees(self):
+    def test_bound_refuses_a_grid_finer_than_the_model_agrees(self, monkeypatch):
         # The two tables disagree on P(A=0) by 5e-10, within the
         # no-disturbance tolerance.  On the 1e-12 grid the table that does
         # not host that coordinate moves by 500 steps, beyond its bound of 4.
@@ -684,9 +684,10 @@ class TestCoordinateRationalization:
             ("A", "B"): {(0, 0): 0.1, (0, 1): 0.3, (1, 0): 0.25, (1, 1): 0.35},
             ("A", "C"): {(0, 0): 0.2, (0, 1): 0.2000000005, (1, 0): 0.3,
                          (1, 1): 0.2999999995}})
-        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is not None,
+        require(scenario._coordinate_model(sc, dict(m.tables)) is not None,
                 "the coordinate stage refused the model on the 1e-6 grid")
-        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 12) is None,
+        monkeypatch.setattr(scenario, "MAX_DEN", 10 ** 12)
+        require(scenario._coordinate_model(sc, dict(m.tables)) is None,
                 "the coordinate stage accepted entries beyond its bound")
 
     def test_pentagon_with_the_firing_outcome_first_needs_no_lp(self):
@@ -720,7 +721,7 @@ class TestCoordinateRationalization:
                 corrupted.append(arr.sum())
 
         monkeypatch.setattr(scenario, "_mobius", corrupt)
-        require(scenario._coordinate_model(sc, dict(m.tables), 10 ** 6) is None,
+        require(scenario._coordinate_model(sc, dict(m.tables)) is None,
                 "the coordinate stage kept a corrupted rebuild")
         require(corrupted == [10 ** 6], f"corrupted tables summing to {corrupted}")
         corrupted.clear()
@@ -738,7 +739,7 @@ class TestCoordinateRationalization:
         real = scenario._solve_box
         monkeypatch.setattr(scenario, "_solve_box",
                             lambda *a: calls.append(1) or real(*a))
-        require(scenario._coordinate_model(m.scenario, dict(m.tables), 10 ** 6) is None,
+        require(scenario._coordinate_model(m.scenario, dict(m.tables)) is None,
                 "the coordinate stage accepted a Peres-Mermin model")
         r = rationalize_model(m)
         require(calls, "no box LP ran")
@@ -942,7 +943,7 @@ class TestEarlyExitRounding:
         sc, floats = m.scenario, float_tables(m)
         everything = round_every_table(sc, floats)
         expected = everything if exactly_consistent(sc, everything) else None
-        got = scenario._rounded_model(sc, floats, scenario.MAX_DEN)
+        got = scenario._rounded_model(sc, floats)
         require((got is None) == (expected is None),
                 f"entry rounding {'refused' if got is None else 'accepted'} the model")
         if expected is not None:
@@ -968,7 +969,7 @@ class TestEarlyExitRounding:
         calls = []
         real = scenario._round
         monkeypatch.setattr(scenario, "_round", lambda *a: calls.append(1) or real(*a))
-        scenario._rounded_model(sc, float_tables(m), scenario.MAX_DEN)
+        scenario._rounded_model(sc, float_tables(m))
         entries = sum(len(everything[c]) for c in sc.contexts[:first + 1])
         require(first < len(sc.contexts) - 1, "no table left to skip")
         require(len(calls) == entries, f"{len(calls)} entries rounded, not {entries}")
