@@ -71,9 +71,7 @@ from .quantum import (
     werner_state,
 )
 from .scenario import (
-    DisturbingModel,
     EmpiricalModel,
-    SchemaError,
     from_quantum,
     model_from_json,
     model_to_json,
@@ -88,7 +86,6 @@ __all__ = [
     "CHSH_LOCAL_BOUND",
     "CHSH_OPTIMAL_ANGLES",
     "ClassificationReport",
-    "DisturbingModel",
     "EmpiricalModel",
     "Gpt",
     "GptError",
@@ -97,7 +94,6 @@ __all__ = [
     "QslProgram",
     "QslRunResult",
     "RunConfig",
-    "SchemaError",
     "assemble_report",
     "badziag_inequality",
     "bipartite_structure",

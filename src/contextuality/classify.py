@@ -46,11 +46,10 @@ from .embedding import (
 )
 from .exactlp import TooLargeError
 from .polytope import bipartite_structure, membership_from_section
-from .quantum import QuantumInputError, matrix_from_json, projective_context
+from .quantum import matrix_from_json, projective_context
 from .record import Record
 from .scenario import (
     EmpiricalModel,
-    SchemaError,
     json_list,
     model_from_json,
     quantum_pass,
@@ -95,8 +94,8 @@ class RunConfig(Record):
 
     def __post_init__(self):
         if self.kind is not None and self.kind not in KINDS:
-            raise SchemaError(f"unknown input kind {self.kind!r}; "
-                              f"expected one of {KINDS}")
+            raise ValueError(f"unknown input kind {self.kind!r}; "
+                             f"expected one of {KINDS}")
 
 
 class ClassificationReport(Record):
@@ -426,26 +425,26 @@ class ParsedInput(Record):
 
 def _exact_fraction(value, name: str) -> Fraction:
     if isinstance(value, float):
-        raise SchemaError(f"{name} must be exact: an integer or an 'a/b' "
-                          f"string, got {value!r}")
+        raise ValueError(f"{name} must be exact: an integer or an 'a/b' "
+                         f"string, got {value!r}")
     return rational_literal(value, f"rational literal for {name}")
 
 
 def prep_ensemble_from_json(doc: dict) -> PrepEnsembleProblem:
     """Parse `{"r", "axis"?, "q"?}` into a verified preparation ensemble."""
     if not isinstance(doc, dict):
-        raise SchemaError("preparation ensemble must be a JSON object")
+        raise ValueError("preparation ensemble must be a JSON object")
     if "r" not in doc:
-        raise SchemaError("preparation ensemble needs field 'r'")
+        raise ValueError("preparation ensemble needs field 'r'")
     r = _exact_fraction(doc["r"], "r")
     q = _exact_fraction(doc["q"], "q") if doc.get("q") is not None else None
     axis = doc.get("axis", (0.0, 0.0, 1.0))
     if not isinstance(axis, (list, tuple)) or len(axis) != 3:
-        raise SchemaError("axis must be a list of three numbers")
+        raise ValueError("axis must be a list of three numbers")
     try:
         return qubit_prep_ensemble(r, axis=tuple(float(a) for a in axis), q=q)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc)) from exc
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _quantum_from_json(doc: dict):
@@ -453,7 +452,7 @@ def _quantum_from_json(doc: dict):
         state = matrix_from_json(doc["state"])
         raw_contexts = doc["contexts"]
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"quantum input needs 'state' and 'contexts': {exc}") from exc
+        raise ValueError(f"quantum input needs 'state' and 'contexts': {exc}") from exc
     # A measurement repeated with identical JSON is parsed and checked once,
     # and every context holding it shares the one object.
     parsed: list = []
@@ -467,56 +466,54 @@ def _quantum_from_json(doc: dict):
                     members.append(known)
                     continue
                 if not isinstance(raw_pc["label"], str):
-                    raise SchemaError(f"measurement label {raw_pc['label']!r} "
-                                      "is not a string")
+                    raise ValueError(f"measurement label {raw_pc['label']!r} "
+                                     "is not a string")
                 outcomes = raw_pc.get("outcomes")
                 what = f"outcomes of measurement {raw_pc['label']!r}"
                 if outcomes is not None and any(
                         isinstance(o, (list, dict)) for o in json_list(outcomes, what)):
-                    raise SchemaError(f"{what} must be numbers or strings, got {outcomes!r}")
+                    raise ValueError(f"{what} must be numbers or strings, got {outcomes!r}")
                 projs = [matrix_from_json(p) for p in raw_pc["projectors"]]
                 members.append(projective_context(raw_pc["label"], projs,
                                                   outcomes=outcomes))
                 parsed.append((raw_pc, members[-1]))
             contexts.append(members)
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed projective context: {exc}") from exc
-    except QuantumInputError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise ValueError(f"malformed projective context: {exc}") from exc
     sharing = doc.get("sharing")
     if sharing is not None and not (isinstance(sharing, dict) and all(
             isinstance(v, str) for v in sharing.values())):
-        raise SchemaError("sharing must map measurement labels to labels")
+        raise ValueError("sharing must map measurement labels to labels")
     return state, tuple(contexts), sharing
 
 
 def parse_document(doc) -> ParsedInput:
     """Parse one classifier input document, validating its schema."""
     if not isinstance(doc, dict):
-        raise SchemaError("input document must be a JSON object")
+        raise ValueError("input document must be a JSON object")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise SchemaError(f"unknown input kind {kind!r}; expected one of {KINDS}")
+        raise ValueError(f"unknown input kind {kind!r}; expected one of {KINDS}")
     claims = doc.get("claims", {})
     if not isinstance(claims, dict):
-        raise SchemaError("claims must be a JSON object")
+        raise ValueError("claims must be a JSON object")
     depth, level = 0, [claims]
     while level:  # one list per nesting level, so no recursion
         depth += 1
         if depth > MAX_CLAIMS_DEPTH:
-            raise SchemaError(f"claims are nested too deeply: more than "
-                              f"{MAX_CLAIMS_DEPTH} levels")
+            raise ValueError(f"claims are nested too deeply: more than "
+                             f"{MAX_CLAIMS_DEPTH} levels")
         level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)
                  if isinstance(x, (dict, list))]
     attachment = None
     if "prep_ensemble" in doc:
         if kind == "prep-ensemble":
-            raise SchemaError("a prep-ensemble input cannot carry a "
-                              "prep_ensemble attachment")
+            raise ValueError("a prep-ensemble input cannot carry a "
+                             "prep_ensemble attachment")
         attachment = prep_ensemble_from_json(doc["prep_ensemble"])
     if kind == "empirical":
         if "model" not in doc:
-            raise SchemaError("empirical input needs a 'model' field")
+            raise ValueError("empirical input needs a 'model' field")
         return ParsedInput(kind=kind, model=model_from_json(doc["model"]),
                            attachment=attachment, claims=claims)
     if kind == "quantum":
@@ -525,7 +522,7 @@ def parse_document(doc) -> ParsedInput:
                            sharing=sharing, attachment=attachment, claims=claims)
     if kind == "gpt":
         if "gpt" not in doc:
-            raise SchemaError("gpt input needs a 'gpt' field")
+            raise ValueError("gpt input needs a 'gpt' field")
         return ParsedInput(kind=kind, gpt=gpt_from_json(doc["gpt"]),
                            attachment=attachment, claims=claims)
     return ParsedInput(kind=kind, problem=prep_ensemble_from_json(doc),
@@ -564,8 +561,8 @@ def classify(doc: dict, config: RunConfig | None = None) -> ClassificationReport
     config = config or RunConfig()
     parsed = parse_document(doc)
     if config.kind is not None and config.kind != parsed.kind:
-        raise SchemaError(f"input kind {parsed.kind!r} does not match "
-                          f"configured kind {config.kind!r}")
+        raise ValueError(f"input kind {parsed.kind!r} does not match "
+                         f"configured kind {config.kind!r}")
     if parsed.kind == "empirical":
         report = classify_model(parsed.model)
     elif parsed.kind == "quantum":

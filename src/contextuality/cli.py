@@ -63,7 +63,6 @@ from .quantum import (
     sup_norm,
 )
 from .scenario import (
-    SchemaError,
     from_quantum,
     quantum_pass,
     rational_literal,
@@ -155,9 +154,9 @@ def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise SchemaError(f"{path} is nested too deeply") from exc
+        raise ValueError(f"{path} is nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +230,11 @@ def cmd_chsh(args) -> dict:
         try:
             angles = tuple(float(t) for t in args.angles.split(","))
         except ValueError as exc:
-            raise SchemaError(f"bad --angles value {args.angles!r}") from exc
+            raise ValueError(f"bad --angles value {args.angles!r}") from exc
         if len(angles) != 4:
-            raise SchemaError("--angles needs four comma-separated numbers")
+            raise ValueError("--angles needs four comma-separated numbers")
         if not all(map(math.isfinite, angles)):
-            raise SchemaError(f"--angles must be finite numbers, got {args.angles!r}")
+            raise ValueError(f"--angles must be finite numbers, got {args.angles!r}")
     else:
         angles = CHSH_OPTIMAL_ANGLES
     model = singlet_behaviour(angles, alpha=args.alpha)
@@ -320,7 +319,7 @@ def cmd_embed(args) -> dict:
     gpt = (parse_document(doc).gpt if isinstance(doc, dict) and "kind" in doc
            else gpt_from_json(doc))
     if gpt is None:
-        raise SchemaError(f"embed needs a gpt document, got kind {doc['kind']!r}")
+        raise ValueError(f"embed needs a gpt document, got kind {doc['kind']!r}")
     payload: dict = {"dim": gpt.dim, "states": gpt.n_states,
                      "effects": gpt.n_effects, "seed": args.seed}
     if gpt.sharp_contexts:
@@ -348,12 +347,12 @@ def cmd_prep_nc(args) -> dict:
             try:
                 doc["axis"] = [float(t) for t in args.axis.split(",")]
             except ValueError as exc:
-                raise SchemaError(f"bad --axis value {args.axis!r}") from exc
+                raise ValueError(f"bad --axis value {args.axis!r}") from exc
         if args.q is not None:
             doc["q"] = args.q
         problem = prep_ensemble_from_json(doc)
     else:
-        raise SchemaError("prep-nc needs an input file or --r")
+        raise ValueError("prep-nc needs an input file or --r")
     result = prep_nc_check(problem)
     return {
         "verdict": result.verdict,
@@ -369,17 +368,17 @@ def cmd_prep_nc(args) -> dict:
 
 def _pusey_stats_from_json(doc: dict):
     if not isinstance(doc, dict) or not isinstance(doc.get("preps"), dict):
-        raise SchemaError("pusey input needs a 'preps' object")
+        raise ValueError("pusey input needs a 'preps' object")
     stats = {}
     for label, meas in doc["preps"].items():
         if not isinstance(meas, dict):
-            raise SchemaError(f"preparation {label!r} must map measurements "
-                              "to outcome lists")
+            raise ValueError(f"preparation {label!r} must map measurements "
+                             "to outcome lists")
         converted = {}
         for m_label, values in meas.items():
             if not isinstance(values, list):
-                raise SchemaError(f"outcomes for {label!r}/{m_label!r} must "
-                                  "be a list")
+                raise ValueError(f"outcomes for {label!r}/{m_label!r} must "
+                                 "be a list")
             row = []
             for v in values:
                 row.append(v if isinstance(v, float)
@@ -389,14 +388,14 @@ def _pusey_stats_from_json(doc: dict):
     raw_groups = doc.get("equivalences", [])
     if not isinstance(raw_groups, list) or not all(
             isinstance(g, list) for g in raw_groups):
-        raise SchemaError("'equivalences' must be a list of lists of mixtures")
+        raise ValueError("'equivalences' must be a list of lists of mixtures")
     groups = []
     for raw_group in raw_groups:
         group = []
         for raw_mix in raw_group:
             if not isinstance(raw_mix, dict):
-                raise SchemaError("each equivalence entry must map "
-                                  "preparation labels to exact weights")
+                raise ValueError("each equivalence entry must map "
+                                 "preparation labels to exact weights")
             mix = {}
             for label, w in raw_mix.items():
                 mix[label] = rational_literal(w, "equivalence weight")
@@ -413,7 +412,7 @@ def cmd_pusey(args) -> dict:
     elif args.input:
         stats, equivalences = _pusey_stats_from_json(_load_json(args.input))
     else:
-        raise SchemaError("pusey needs an input file or --six-ensemble")
+        raise ValueError("pusey needs an input file or --six-ensemble")
     result = pusey_incomplete_check(stats, declared_equivalences=equivalences)
     return {
         "verdict": result.verdict,
@@ -440,10 +439,10 @@ def cmd_convert_bell(args) -> dict:
             dim = int(doc["dim"])
         except (KeyError, TypeError, ValueError, AttributeError,
                 ArithmeticError) as exc:
-            raise SchemaError(f"malformed graph document: {exc}") from exc
+            raise ValueError(f"malformed graph document: {exc}") from exc
         if not weights or not all(isinstance(l, str) for e in edges for l in e):
-            raise SchemaError("a graph document needs vertices, and edges "
-                              "between vertex labels")
+            raise ValueError("a graph document needs vertices, and edges "
+                             "between vertex labels")
         graph = make_orthogonality_graph(weights, edges, projectors=projectors)
     else:
         graph = kcbs_graph()
@@ -461,17 +460,19 @@ def cmd_convert_bell(args) -> dict:
 
 
 def cmd_qsl_run(args) -> dict:
+    basis, _, value = args.prep.partition(":")
     try:
-        basis, value = args.prep.split(":")
-        program = QslProgram(
-            preparation=(basis, int(value)),
-            gates=tuple(g for g in args.gates.split(",") if g),
-            measurement=args.measure,
-            shots=args.shots,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        value = int(value)  # also refuses a missing or second ':'
+    except ValueError:
+        raise ValueError(f"--prep must be basis:value, such as Z:0, "
+                         f"got {args.prep!r}") from None
+    program = QslProgram(
+        preparation=(basis, value),
+        gates=tuple(g for g in args.gates.split(",") if g),
+        measurement=args.measure,
+        shots=args.shots,
+        seed=args.seed,
+    )
     result = qsl_compare(program)
     return {**result,
             "freqs": {str(k): float(v) for k, v in result["freqs"].items()},
@@ -635,7 +636,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         if not 0 <= args.seed < MAX_SEED:
-            raise SchemaError("seed must be an integer in [0, 2^64)")
+            raise ValueError("seed must be an integer in [0, 2^64)")
         _emit(args.func(args), args)
     except LatticeViolation as exc:
         print(f"internal lattice violation: {exc}", file=sys.stderr)
@@ -643,7 +644,7 @@ def main(argv=None) -> int:
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

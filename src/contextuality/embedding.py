@@ -55,7 +55,6 @@ from .scenario import (
     MAX_DEN,
     ZERO_TOL,
     QuantumPass,
-    SchemaError,
     make_model,
     make_scenario,
     quantum_pass,
@@ -79,14 +78,6 @@ class InconsistentUnit(GptError):
 
 class UnsharpEffectFlagged(GptError):
     """The declared sharp-context structure is not a resolution of the unit."""
-
-
-class DecompositionMismatch(ValueError):
-    """A supplied convex decomposition does not reproduce the target state."""
-
-
-class EmptyAssignmentPolytope(ValueError):
-    """No deterministic-assignment mixture reproduces the given statistics."""
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +680,7 @@ def qubit_prep_ensemble(r, axis=(0.0, 0.0, 1.0), q=None) -> PrepEnsembleProblem:
     if not 0 <= q < 1:
         raise ValueError(f"q must lie in [0, 1), got {q}")
     axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
+    norm = math.hypot(*axis)
     if not norm > 0 or not math.isfinite(norm):
         raise ValueError("axis must be a finite nonzero Bloch vector")
     direction = axis / norm
@@ -733,11 +724,11 @@ def _verify_decompositions(problem: PrepEnsembleProblem) -> None:
         total = np.zeros_like(problem.target)
         for weight, label in decomposition:
             if label not in problem.component_states:
-                raise DecompositionMismatch(
+                raise ValueError(
                     f"decomposition {k} references unknown component {label!r}")
             total = total + float(weight) * problem.component_states[label]
         if sup_norm(total - problem.target) > CONSTRUCTION_TOL:
-            raise DecompositionMismatch(
+            raise ValueError(
                 f"decomposition {k} misses the target by "
                 f"{sup_norm(total - problem.target)}")
 
@@ -859,7 +850,7 @@ def _normalize_stats(probs, n_outcomes: int):
     Float entries are rounded at `MAX_DEN`, and the last outcome absorbs a
     float sum's miss of at most 1/MAX_DEN, so valid float data sums to 1.
     A negative distribution, or one that does not then sum to exactly 1,
-    raises `EmptyAssignmentPolytope`: no mixture of assignments reproduces it.
+    raises `ValueError`: no mixture of assignments reproduces it.
     """
     values = []
     for p in probs:
@@ -868,19 +859,19 @@ def _normalize_stats(probs, n_outcomes: int):
         elif math.isfinite(p):
             values.append(Fraction(*nearest_fraction(p, MAX_DEN)))
         else:
-            raise SchemaError(f"probability {p} is not finite")
+            raise ValueError(f"probability {p} is not finite")
     if len(values) != n_outcomes:
-        raise SchemaError(f"expected {n_outcomes} outcome probabilities, "
-                          f"got {len(values)}")
+        raise ValueError(f"expected {n_outcomes} outcome probabilities, "
+                         f"got {len(values)}")
     total = sum(values)
     if (total != 1 and abs(total - 1) <= Fraction(1, MAX_DEN)
             and any(isinstance(p, float) for p in probs)):
         values[-1] += 1 - total
         total = 1
     if any(v < 0 for v in values):
-        raise EmptyAssignmentPolytope("negative outcome probability")
+        raise ValueError("negative outcome probability")
     if total != 1:
-        raise EmptyAssignmentPolytope(
+        raise ValueError(
             f"outcome probabilities sum to {total}, not 1")
     return tuple(values)
 
@@ -990,14 +981,14 @@ def pusey_incomplete_check(preps, *, declared_equivalences=None) -> PuseyResult:
     """
     preps = dict(preps)
     if not preps:
-        raise SchemaError("at least one preparation is required")
+        raise ValueError("at least one preparation is required")
     labels = list(preps.keys())
     first = preps[labels[0]]
     measurement_labels = list(first.keys())
     measurements = tuple((m, len(first[m])) for m in measurement_labels)
     for label in labels:
         if set(preps[label].keys()) != set(measurement_labels):
-            raise SchemaError(
+            raise ValueError(
                 f"preparation {label!r} lists different measurements")
     a = _assignment_matrix(measurements)
     vectors = [tuple(p for m, n in measurements for p in _normalize_stats(preps[label][m], n))
@@ -1058,13 +1049,13 @@ def _equivalence_system(a: SparseColumns, labels, vectors, declared_equivalences
         for mix in mixtures:
             for label, weight in mix.items():
                 if label not in blocks:
-                    raise SchemaError(f"mixture references unknown preparation "
-                                      f"{label!r}")
+                    raise ValueError(f"mixture references unknown preparation "
+                                     f"{label!r}")
                 mix[label] = to_fraction(weight)
                 if mix[label] < 0:
-                    raise SchemaError(f"negative weight {mix[label]} for preparation {label!r}")
+                    raise ValueError(f"negative weight {mix[label]} for preparation {label!r}")
             if sum(mix.values()) != 1:
-                raise SchemaError("mixture weights must sum to 1")
+                raise ValueError("mixture weights must sum to 1")
         for mix in mixtures[1:]:
             for label in labels:
                 net = mix.get(label, 0) - mixtures[0].get(label, 0)
@@ -1123,20 +1114,20 @@ def gpt_to_json(gpt: Gpt) -> dict:
 
 def gpt_from_json(data) -> Gpt:
     if not isinstance(data, dict):
-        raise SchemaError("GPT JSON must be an object")
+        raise ValueError("GPT JSON must be an object")
     for key in ("dim", "states", "effects", "unit"):
         if key not in data:
-            raise SchemaError(f"GPT JSON missing key {key!r}")
+            raise ValueError(f"GPT JSON missing key {key!r}")
     try:
         gpt = make_gpt(data["states"], data["effects"], data["unit"],
                        data.get("sharp_contexts", ()))
     except (TypeError, GptError) as exc:
         if isinstance(exc, (InconsistentUnit, UnsharpEffectFlagged)):
             raise
-        raise SchemaError(f"malformed GPT JSON: {exc}") from exc
+        raise ValueError(f"malformed GPT JSON: {exc}") from exc
     dim = data["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):
-        raise SchemaError(f"malformed GPT dim {dim!r}: not an integer")
+        raise ValueError(f"malformed GPT dim {dim!r}: not an integer")
     if dim != gpt.dim:
-        raise SchemaError(f"declared dim {data['dim']} != vector length {gpt.dim}")
+        raise ValueError(f"declared dim {data['dim']} != vector length {gpt.dim}")
     return gpt

@@ -24,23 +24,11 @@ from .quantum import (
     tensor,
 )
 from .record import Record
-from .scenario import EmpiricalModel, LabelMismatch, make_model, make_scenario
+from .scenario import EmpiricalModel, make_model, make_scenario
 from .sheaf import SectionFeasibility, solve_global_section
 
 MAX_GRAPH_VERTICES = 40
 MAX_LIFT_VERTICES = 10
-
-
-class ShapeMismatch(ValueError):
-    pass
-
-
-class TooFewContexts(ValueError):
-    pass
-
-
-class MissingProjectors(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +45,7 @@ def make_behaviour(nX: int, nY: int, nA: int, nB: int, p: dict) -> EmpiricalMode
     for key in p:
         a, b, x, y = key
         if not (0 <= a < nA and 0 <= b < nB and 0 <= x < nX and 0 <= y < nY):
-            raise ShapeMismatch(f"entry {key} outside declared ranges")
+            raise ValueError(f"entry {key} outside declared ranges")
     meas = [(f"A{x}", range(nA)) for x in range(nX)] + \
            [(f"B{y}", range(nB)) for y in range(nY)]
     tables = {(f"A{x}", f"B{y}"): {} for x in range(nX) for y in range(nY)}
@@ -80,7 +68,7 @@ def behaviour_from_quantum(state, alice, bob) -> EmpiricalModel:
     nB = len(bob[0].projectors)
     if any(len(m.projectors) != nA for m in alice) or \
             any(len(m.projectors) != nB for m in bob):
-        raise ShapeMismatch("all settings on one side must share an outcome count")
+        raise ValueError("all settings on one side must share an outcome count")
     p = {}
     for x, ma in enumerate(alice):
         for y, mb in enumerate(bob):
@@ -88,7 +76,7 @@ def behaviour_from_quantum(state, alice, bob) -> EmpiricalModel:
                 for b, pb in enumerate(mb.projectors):
                     op = tensor(pa, pb)
                     if op.shape != rho.shape:
-                        raise ShapeMismatch(
+                        raise ValueError(
                             f"state dim {rho.shape[0]} vs projectors {op.shape[0]}")
                     p[(a, b, x, y)] = max(0.0, float(np.trace(rho @ op).real))
     return make_behaviour(len(alice), len(bob), nA, nB, p)
@@ -230,11 +218,11 @@ def membership_lp(model: EmpiricalModel) -> MembershipResult:
     verdicts carry a separating inequality whose bound is the exact vertex
     maximum, so the model's value exceeds the bound strictly and every
     vertex satisfies it, both re-checkable by direct arithmetic.  Raises
-    `ShapeMismatch` when the model has no complete two-party layout.
+    `ValueError` when the model has no complete two-party layout.
     """
     sides = bipartite_structure(model)
     if sides is None:
-        raise ShapeMismatch("the model has no complete two-party layout")
+        raise ValueError("the model has no complete two-party layout")
     return membership_from_section(solve_global_section(model), sides)
 
 
@@ -255,8 +243,8 @@ def chsh_value(model: EmpiricalModel):
     sides = bipartite_structure(model)
     if sides is None or any(len(side) != 2 or len(sc.outcomes[side[0]]) != 2
                             for side in sides):
-        raise ShapeMismatch("the two-setting functional needs two dichotomic "
-                            "settings per party")
+        raise ValueError("the two-setting functional needs two dichotomic "
+                         "settings per party")
     p = {key: model.tables[ctx][sec] for (ctx, sec), key in _coordinates(sc, sides).items()}
     e = {(x, y): sum((1 - 2 * a) * (1 - 2 * b) * p[a, b, x, y]
                      for a in range(2) for b in range(2))
@@ -316,7 +304,7 @@ class PairwiseCorrelationInequality(Record):
     def evaluate_assignment(self, values) -> int:
         """Value on one deterministic +-1 assignment (index-aligned with observables)."""
         if len(values) != self.n:
-            raise ShapeMismatch(f"expected {self.n} values, got {len(values)}")
+            raise ValueError(f"expected {self.n} values, got {len(values)}")
         if any(v not in (1, -1) for v in values):
             raise ValueError("assignments must be +-1 valued")
         singles = sum(values)
@@ -346,7 +334,7 @@ def badziag_inequality(n: int, d: int | None = None,
         contexts = [tuple(c) for c in contexts]
         for c in contexts:
             if any(not 0 <= i < n for i in c):
-                raise ShapeMismatch(f"context {c} references an observable outside range({n})")
+                raise ValueError(f"context {c} references an observable outside range({n})")
         if d is None:
             d = len(contexts)
         elif d != len(contexts):
@@ -358,7 +346,7 @@ def badziag_inequality(n: int, d: int | None = None,
             raise ValueError("either d or contexts must be given")
         pairs = list(itertools.combinations(range(n), 2))
     if d < 3:
-        raise TooFewContexts(f"the bound n(d-2)-2 needs d >= 3 contexts, got {d}")
+        raise ValueError(f"the bound n(d-2)-2 needs d >= 3 contexts, got {d}")
     return PairwiseCorrelationInequality(n=n, d=d, pairs=tuple(pairs),
                                          bound=n * (d - 2) - 2)
 
@@ -386,12 +374,12 @@ def make_orthogonality_graph(weights: dict, edges, projectors: dict | None = Non
         if a == b:
             raise ValueError(f"self-loop at {a!r}")
         if a not in weights or b not in weights:
-            raise LabelMismatch(f"edge {(a, b)} references an unknown vertex")
+            raise ValueError(f"edge {(a, b)} references an unknown vertex")
         canon.append(tuple(sorted((a, b), key=str)))
     if projectors is not None:
         missing = [l for l in labels if l not in projectors]
         if missing:
-            raise LabelMismatch(f"projectors missing for vertices {missing}")
+            raise ValueError(f"projectors missing for vertices {missing}")
     return OrthogonalityGraph(labels=labels, weights=dict(weights),
                               edges=tuple(sorted(set(canon))), projectors=projectors)
 
@@ -483,7 +471,7 @@ def csw_inequality(g: OrthogonalityGraph, singles: dict | None = None,
     """
     if state is not None:
         if g.projectors is None:
-            raise LabelMismatch("graph carries no projectors for quantum evaluation")
+            raise ValueError("graph carries no projectors for quantum evaluation")
         rho = np.asarray(state, dtype=complex)
         if rho.ndim == 2 and rho.shape[1] == 1:
             rho = rho @ rho.conj().T
@@ -494,16 +482,16 @@ def csw_inequality(g: OrthogonalityGraph, singles: dict | None = None,
             val = float(np.trace(rho @ g.projectors[a] @ g.projectors[b]).real)
             joints[(a, b)] = max(0.0, val)
     if singles is None:
-        raise LabelMismatch("either probabilities or a state must be supplied")
+        raise ValueError("either probabilities or a state must be supplied")
     missing = [l for l in g.labels if l not in singles]
     if missing:
-        raise LabelMismatch(f"single-outcome probabilities missing for {missing}")
+        raise ValueError(f"single-outcome probabilities missing for {missing}")
     joints = joints or {}
     lhs = sum(g.weights[l] * singles[l] for l in g.labels)
     for a, b in g.edges:
         joint = joints.get((a, b), joints.get((b, a)))
         if joint is None:
-            raise LabelMismatch(f"joint probability missing for edge {(a, b)}")
+            raise ValueError(f"joint probability missing for edge {(a, b)}")
         lhs -= max(g.weights[a], g.weights[b]) * joint
     alpha, witness = weighted_independence_number(g)
     tol = 0 if isinstance(lhs, Fraction) else 1e-12
@@ -565,10 +553,10 @@ def contextuality_to_bell(g: OrthogonalityGraph, d: int) -> BipartiteLift:
     entangled vector in dimension d.
     """
     if g.projectors is None:
-        raise MissingProjectors("the lift needs projectors attached to the graph")
+        raise ValueError("the lift needs projectors attached to the graph")
     for l in g.labels:
         if g.projectors[l].shape != (d, d):
-            raise ShapeMismatch(
+            raise ValueError(
                 f"projector {l!r} has shape {g.projectors[l].shape}, expected ({d}, {d})")
     psi = max_entangled(d)
     rho = psi @ psi.conj().T

@@ -17,26 +17,6 @@ EQUALITY_TOL = 1e-12
 MAX_DIM = 16
 
 
-class QuantumInputError(ValueError):
-    """Base class for rejected quantum-side inputs."""
-
-
-class DimensionMismatch(QuantumInputError):
-    pass
-
-
-class NonHermitianEffect(QuantumInputError):
-    pass
-
-
-class AlphaOutOfRange(QuantumInputError):
-    pass
-
-
-class BadEigenvalue(QuantumInputError):
-    pass
-
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -50,7 +30,7 @@ def _as_matrix(a) -> np.ndarray:
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got array of ndim {m.ndim}")
+        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
 
 
@@ -64,14 +44,16 @@ def sup_norm(a) -> float:
 
 def is_hermitian(a, tol: float = EQUALITY_TOL) -> bool:
     m = _as_matrix(a)
-    return m.shape[0] == m.shape[1] and sup_norm(m - m.conj().T) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the test
+        return m.shape[0] == m.shape[1] and sup_norm(m - m.conj().T) <= tol
 
 
 def is_projector(a, tol: float = EQUALITY_TOL) -> bool:
     m = _as_matrix(a)
     if m.shape[0] != m.shape[1]:
         return False
-    return is_hermitian(m, tol) and sup_norm(m @ m - m) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return is_hermitian(m, tol) and sup_norm(m @ m - m) <= tol
 
 
 def tensor(a, b) -> np.ndarray:
@@ -94,11 +76,11 @@ def matrix_from_json(d: dict) -> np.ndarray:
     try:
         rows, cols = int(d["rows"]), int(d["cols"])
     except OverflowError as exc:
-        raise QuantumInputError(f"matrix shape is not finite: {exc}") from exc
+        raise ValueError(f"matrix shape is not finite: {exc}") from exc
     re = np.array(d["re"], dtype=float).reshape(rows, cols)
     im = np.array(d.get("im", [0.0] * rows * cols), dtype=float).reshape(rows, cols)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise QuantumInputError("matrix entries must be finite")
+        raise ValueError("matrix entries must be finite")
     return re + 1j * im
 
 
@@ -113,7 +95,7 @@ def dm(psi) -> np.ndarray:
     v = ket(psi)
     n = float(np.linalg.norm(v))
     if n == 0:
-        raise DimensionMismatch("cannot normalise the zero vector")
+        raise ValueError("cannot normalise the zero vector")
     v = v / n
     return v @ v.conj().T
 
@@ -121,16 +103,16 @@ def dm(psi) -> np.ndarray:
 def validate_density(rho, tol: float = EQUALITY_TOL) -> np.ndarray:
     m = _as_matrix(rho)
     if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+        raise ValueError(f"density matrix must be square, got {m.shape}")
     if m.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {m.shape[0]} exceeds the supported {MAX_DIM}")
+        raise ValueError(f"dimension {m.shape[0]} exceeds the supported {MAX_DIM}")
     if not is_hermitian(m, tol):
-        raise NonHermitianEffect("density matrix is not Hermitian")
+        raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-        raise QuantumInputError(f"density matrix trace must be 1, got {np.trace(m)}")
+        raise ValueError(f"density matrix trace must be 1, got {np.trace(m)}")
     eigs = np.linalg.eigvalsh(m)
     if eigs.min() < -1e-10:
-        raise QuantumInputError(f"density matrix has a negative eigenvalue {eigs.min()}")
+        raise ValueError(f"density matrix has a negative eigenvalue {eigs.min()}")
     return m
 
 
@@ -139,14 +121,14 @@ def born_prob(rho, effect) -> float:
     r = _as_matrix(rho)
     e = _as_matrix(effect)
     if r.shape != e.shape:
-        raise DimensionMismatch(f"state {r.shape} vs effect {e.shape}")
+        raise ValueError(f"state {r.shape} vs effect {e.shape}")
     if not is_hermitian(e):
-        raise NonHermitianEffect("effect is not Hermitian")
+        raise ValueError("effect is not Hermitian")
     if e.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {e.shape[0]} exceeds the supported {MAX_DIM}")
+        raise ValueError(f"dimension {e.shape[0]} exceeds the supported {MAX_DIM}")
     spectrum = np.linalg.eigvalsh(e)
     if spectrum.min() < -1e-10 or spectrum.max() > 1 + 1e-10:
-        raise NonHermitianEffect(
+        raise ValueError(
             f"effect spectrum [{spectrum.min()}, {spectrum.max()}] outside [0,1]")
     p = float(np.trace(r @ e).real)
     return min(1.0, max(0.0, p))
@@ -157,9 +139,9 @@ def expectation(rho, observable) -> float:
     r = _as_matrix(rho)
     a = _as_matrix(observable)
     if r.shape != a.shape:
-        raise DimensionMismatch(f"state {r.shape} vs observable {a.shape}")
+        raise ValueError(f"state {r.shape} vs observable {a.shape}")
     if not is_hermitian(a, 1e-10):
-        raise NonHermitianEffect("observable is not Hermitian")
+        raise ValueError("observable is not Hermitian")
     return float(np.trace(r @ a).real)
 
 
@@ -175,24 +157,24 @@ def projective_context(label: str, projectors, outcomes=None,
                        tol: float = CONSTRUCTION_TOL) -> ProjectiveContext:
     projs = tuple(_as_matrix(p) for p in projectors)
     if not projs:
-        raise QuantumInputError("a projective context needs at least one projector")
+        raise ValueError("a projective context needs at least one projector")
     dim = projs[0].shape[0]
     for p in projs:
         if p.shape != (dim, dim):
-            raise DimensionMismatch("projectors must share a square shape")
+            raise ValueError("projectors must share a square shape")
         if not is_projector(p, tol):
-            raise QuantumInputError(f"context {label!r} contains a non-projector")
+            raise ValueError(f"context {label!r} contains a non-projector")
     for i in range(len(projs)):
         for j in range(i + 1, len(projs)):
             if sup_norm(projs[i] @ projs[j]) > tol:
-                raise QuantumInputError(f"context {label!r} projectors {i},{j} not orthogonal")
+                raise ValueError(f"context {label!r} projectors {i},{j} not orthogonal")
     if sup_norm(sum(projs) - np.eye(dim)) > tol:
-        raise QuantumInputError(f"context {label!r} projectors do not resolve the identity")
+        raise ValueError(f"context {label!r} projectors do not resolve the identity")
     if outcomes is None:
         outcomes = tuple(range(len(projs)))
     outcomes = tuple(outcomes)
     if len(outcomes) != len(projs):
-        raise QuantumInputError("one outcome label per projector required")
+        raise ValueError("one outcome label per projector required")
     return ProjectiveContext(label=label, outcomes=outcomes, projectors=projs)
 
 
@@ -204,7 +186,7 @@ def pvm_from_observable(observable, label: str, tol: float = 1e-8) -> Projective
     """
     a = _as_matrix(observable)
     if not is_hermitian(a, 1e-10):
-        raise NonHermitianEffect(f"observable {label!r} is not Hermitian")
+        raise ValueError(f"observable {label!r} is not Hermitian")
     vals, vecs = np.linalg.eigh(a)
     groups: list[tuple[float, list[int]]] = []
     for idx, v in enumerate(vals):
@@ -294,14 +276,14 @@ def singlet() -> np.ndarray:
 def werner_state(alpha: float) -> np.ndarray:
     """Singlet mixed with white noise: alpha*|psi-><psi-| + (1-alpha)/4 * I."""
     if not -1 / 3 <= alpha <= 1:
-        raise AlphaOutOfRange(f"alpha must lie in [-1/3, 1], got {alpha}")
+        raise ValueError(f"alpha must lie in [-1/3, 1], got {alpha}")
     return alpha * singlet() + (1 - alpha) / 4 * np.eye(4, dtype=complex)
 
 
 def max_entangled(d: int) -> np.ndarray:
     """(1/sqrt(d)) * sum_k |kk> as a unit-norm column vector."""
     if d < 2:
-        raise DimensionMismatch(f"need d >= 2, got {d}")
+        raise ValueError(f"need d >= 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
     for k in range(d):
         v[k * d + k] = 1
@@ -312,11 +294,11 @@ def eigen_projector(observable, eigenvalue, tol: float = 1e-8) -> np.ndarray:
     """Projector onto the eigenspace of a Hermitian observable at the given eigenvalue."""
     a = _as_matrix(observable)
     if not is_hermitian(a, 1e-10):
-        raise NonHermitianEffect("observable is not Hermitian")
+        raise ValueError("observable is not Hermitian")
     vals, vecs = np.linalg.eigh(a)
     idxs = [i for i, v in enumerate(vals) if abs(v - eigenvalue) <= tol]
     if not idxs:
-        raise BadEigenvalue(f"{eigenvalue} is not in the spectrum {sorted(set(np.round(vals, 9)))}")
+        raise ValueError(f"{eigenvalue} is not in the spectrum {sorted(set(np.round(vals, 9)))}")
     return sum(np.outer(vecs[:, i], vecs[:, i].conj()) for i in idxs)
 
 
@@ -324,7 +306,7 @@ def bloch_state(n: np.ndarray) -> np.ndarray:
     """Qubit density matrix (1/2)(I + n . sigma) for a Bloch vector |n| <= 1."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,) or np.linalg.norm(n) > 1 + 1e-12:
-        raise QuantumInputError(f"Bloch vector must be a 3-vector of norm <= 1, got {n}")
+        raise ValueError(f"Bloch vector must be a 3-vector of norm <= 1, got {n}")
     return 0.5 * (ID2 + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 

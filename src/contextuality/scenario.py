@@ -36,35 +36,11 @@ from .exactlp import (
     require_certificate,
     solve_eq_nonneg,
 )
-from .quantum import DimensionMismatch, ProjectiveContext, sup_norm, validate_density
+from .quantum import ProjectiveContext, sup_norm, validate_density
 from .record import Record
 
 ND_TOL = 1e-9
 SHARING_TOL = 1e-10
-
-
-class SchemaError(ValueError):
-    """Malformed JSON input."""
-
-
-class LabelMismatch(ValueError):
-    pass
-
-
-class DegenerateContexts(ValueError):
-    pass
-
-
-class DisturbingModel(ValueError):
-    pass
-
-
-class NonCommutingContext(ValueError):
-    pass
-
-
-class InconsistentSharing(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +98,7 @@ class MeasurementScenario(Record):
         order = self._order
         for lab in labels:
             if lab not in order:
-                raise LabelMismatch(f"unknown measurement {lab!r}")
+                raise ValueError(f"unknown measurement {lab!r}")
         return sorted(range(len(labels)), key=[order[lab] for lab in labels].__getitem__)
 
     def canonical_context(self, labels) -> tuple:
@@ -146,12 +122,12 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
         items = [(lab, outs) for lab, outs in measurements]
     labels = tuple(lab for lab, _ in items)
     if len(set(labels)) != len(labels):
-        raise LabelMismatch("duplicate measurement labels")
+        raise ValueError("duplicate measurement labels")
     outcomes = {}
     for lab, outs in items:
         outs = tuple(outs)
         if "," in str(lab) or "|" in str(lab):
-            raise LabelMismatch(f"measurement label {lab!r} holds ',' or '|'")
+            raise ValueError(f"measurement label {lab!r} holds ',' or '|'")
         if outs not in outcomes.values():  # each outcome list is checked once
             if len(outs) < 2:
                 raise ValueError(f"measurement {lab!r} needs >= 2 outcomes, got {len(outs)}")
@@ -168,16 +144,16 @@ def make_scenario(measurements, contexts) -> MeasurementScenario:
         ctx = list(ctx)
         for lab in ctx:
             if lab not in order:
-                raise LabelMismatch(f"context references unknown measurement {lab!r}")
+                raise ValueError(f"context references unknown measurement {lab!r}")
         if len(set(ctx)) != len(ctx):
-            raise LabelMismatch(f"context {ctx} repeats a measurement")
+            raise ValueError(f"context {ctx} repeats a measurement")
         if not ctx:
-            raise DegenerateContexts("a context must hold at least one measurement")
+            raise ValueError("a context must hold at least one measurement")
         canon.append(tuple(sorted(ctx, key=order.__getitem__)))
     if not canon:
-        raise DegenerateContexts("a scenario needs at least one context")
+        raise ValueError("a scenario needs at least one context")
     if len({frozenset(c) for c in canon}) != len(canon):
-        raise DegenerateContexts("two contexts contain the same measurement set")
+        raise ValueError("two contexts contain the same measurement set")
     covered = set().union(*map(set, canon))
     missing = [m for m in labels if m not in covered]
     if missing:
@@ -247,7 +223,7 @@ def _filled_model(scenario: MeasurementScenario, read: list) -> EmpiricalModel:
     staged: dict[tuple, tuple] = {}
     for key, labels, canon, entries in read:
         if canon not in declared:
-            raise LabelMismatch(f"{labels} is not a declared context")
+            raise ValueError(f"{labels} is not a declared context")
         if canon in staged:
             raise ValueError(f"tables {staged[canon][0]!r} and {key!r} are both context {canon}")
         staged[canon] = key, entries
@@ -412,14 +388,14 @@ class QuantumPass(Record, eq=False):
     sharp_contexts: tuple
 
     def float_model(self) -> EmpiricalModel:
-        """The first state's Born tables; `DisturbingModel` when marginals disagree beyond `ND_TOL`."""
+        """The first state's Born tables; `ValueError` when marginals disagree beyond `ND_TOL`."""
         tables: dict = {c: {} for c in self.scenario.contexts}
         for (c, o), p in zip(self.keys, self.born[0].tolist()):
             tables[c][o] = p
         model = make_model(self.scenario, tables)
         report = validate_no_disturbance(model)
         if not report.passed:
-            raise DisturbingModel(str(report))
+            raise ValueError(str(report))
         return model
 
     @cached_property
@@ -492,7 +468,7 @@ def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
                             else s) for s in states]
     dim = dms[0].shape[0]
     if any(r.shape[0] != dim for r in dms):
-        raise DimensionMismatch("the states differ in dimension")
+        raise ValueError("the states differ in dimension")
     sharing = sharing or {}
     members = [[c] if isinstance(c, ProjectiveContext) else list(c) for c in contexts]
     # Slot 0 is the identity, which pads contexts with fewer measurements.
@@ -502,8 +478,8 @@ def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
             if id(pc) in slot:
                 continue
             if pc.projectors[0].shape[0] != dim:
-                raise DimensionMismatch(f"measurement {pc.label!r} acts on dimension "
-                                        f"{pc.projectors[0].shape[0]}, the state on {dim}")
+                raise ValueError(f"measurement {pc.label!r} acts on dimension "
+                                 f"{pc.projectors[0].shape[0]}, the state on {dim}")
             slot[id(pc)] = len(mats)
             mats.extend(pc.projectors)
             lab = sharing.get(pc.label, pc.label)
@@ -511,10 +487,10 @@ def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
             if prev is pc:
                 continue
             if prev.outcomes != pc.outcomes:
-                raise InconsistentSharing(f"label {lab!r} re-used with different outcomes")
+                raise ValueError(f"label {lab!r} re-used with different outcomes")
             diff = max(sup_norm(p - q) for p, q in zip(prev.projectors, pc.projectors))
             if diff > SHARING_TOL:
-                raise InconsistentSharing(
+                raise ValueError(
                     f"label {lab!r} re-used with different projectors (diff {diff:.2e})")
         labels.append([sharing.get(pc.label, pc.label) for pc in ctx])
         for a, b in itertools.combinations(ctx, 2):
@@ -526,7 +502,7 @@ def quantum_pass(states, contexts, sharing: dict | None = None) -> QuantumPass:
         left, right = (mats[list(ix)] for ix in zip(*pairs))
         bad = np.flatnonzero(np.abs(left @ right - right @ left).max(axis=(1, 2)) > SHARING_TOL)
         if bad.size:
-            raise NonCommutingContext("measurements {!r} and {!r} do not commute".format(
+            raise ValueError("measurements {!r} and {!r} do not commute".format(
                 *list(pairs.values())[bad[0]]))
 
     width = max(map(len, members), default=1)
@@ -857,7 +833,7 @@ def rationalize_model(model: EmpiricalModel) -> EmpiricalModel:
 
     A model found exactly consistent when it was made passes through
     unchanged.  A model whose marginals disagree by more than `ND_TOL`
-    raises `DisturbingModel`.  Otherwise three stages run in turn, and the
+    raises `ValueError`.  Otherwise three stages run in turn, and the
     first whose result passes its checks is returned:
 
     1. Entry rounding (`_rounded_model`), by `_round` at `MAX_DEN`: each
@@ -886,7 +862,7 @@ def rationalize_model(model: EmpiricalModel) -> EmpiricalModel:
 
     report = validate_no_disturbance(model)
     if not report.passed:
-        raise DisturbingModel(str(report))
+        raise ValueError(str(report))
 
     sc = model.scenario
     float_tables = {c: {o: float(v) for o, v in t.items()} for c, t in model.tables.items()}
@@ -952,15 +928,15 @@ def rational_literal(value, what: str) -> Fraction:
     The one reader of exact numbers in documents.  Bools, floats and other
     types are refused, and so is a string with more than
     `MAX_LITERAL_DIGITS` digits or a decimal exponent beyond that bound,
-    before any Fraction is built; every refusal is a `SchemaError` naming
+    before any Fraction is built; every refusal is a `ValueError` naming
     ``what``.  A string is read as ``Fraction(value)`` reads it: an integer
     or a 'p/q' string by one or two `int` calls, and every other form (a
     decimal, an exponent, an underscore, a space or sign beside the slash)
     by `Fraction` itself, whose grammar varies with the Python version.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(f"{what} must be an integer or an exact string, "
-                          f"got {value!r}")
+        raise ValueError(f"{what} must be an integer or an exact string, "
+                         f"got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     try:
@@ -981,20 +957,20 @@ def rational_literal(value, what: str) -> Fraction:
         if not oversized:
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad {what} {value!r}") from exc
+        raise ValueError(f"bad {what} {value!r}") from exc
     shown = value if len(value) <= 24 else value[:24] + "..."
-    raise SchemaError(f"{what} {shown!r} exceeds {MAX_LITERAL_DIGITS} "
-                      "digits or a decimal exponent of that size")
+    raise ValueError(f"{what} {shown!r} exceeds {MAX_LITERAL_DIGITS} "
+                     "digits or a decimal exponent of that size")
 
 
 def json_list(value, what: str):
-    """``value`` when it is a JSON array (a list, or a tuple), else a `SchemaError`.
+    """``value`` when it is a JSON array (a list, or a tuple), else a `ValueError`.
 
     A string iterates one character at a time, so one where a list belongs
     would pass for a list of one-character labels or outcomes.
     """
     if not isinstance(value, (list, tuple)):
-        raise SchemaError(f"{what} must be a list, got {value!r}")
+        raise ValueError(f"{what} must be a list, got {value!r}")
     return value
 
 
@@ -1030,45 +1006,39 @@ def model_from_json(doc: dict) -> EmpiricalModel:
                     for c in json_list(doc["contexts"], "'contexts'")]
         raw_tables = doc["tables"]
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"missing or malformed field: {exc}") from exc
+        raise ValueError(f"missing or malformed field: {exc}") from exc
     for label, outcomes in meas:
         if not isinstance(label, str):
-            raise SchemaError(f"measurement label {label!r} is not a string")
+            raise ValueError(f"measurement label {label!r} is not a string")
         if any(isinstance(o, (list, dict)) for o in outcomes):
-            raise SchemaError(f"outcomes of measurement {label!r} must be "
-                              f"numbers or strings, got {list(outcomes)!r}")
+            raise ValueError(f"outcomes of measurement {label!r} must be "
+                             f"numbers or strings, got {list(outcomes)!r}")
     if not all(isinstance(lab, str) for ctx in contexts for lab in ctx):
-        raise SchemaError("context members must be measurement labels")
+        raise ValueError("context members must be measurement labels")
     if not isinstance(raw_tables, dict):
-        raise SchemaError("'tables' must map context keys to outcome tables")
-    try:
-        scenario = make_scenario(meas, contexts)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise ValueError("'tables' must map context keys to outcome tables")
+    scenario = make_scenario(meas, contexts)
 
     tokens = {m: {str(o): o for o in outcomes} for m, outcomes in scenario.outcomes.items()}
     read, literals = [], {}
     for key, table in raw_tables.items():
         if not isinstance(table, dict):
-            raise SchemaError(f"table {key!r} must map outcome keys to "
-                              "probabilities")
+            raise ValueError(f"table {key!r} must map outcome keys to "
+                             "probabilities")
         labels = tuple(key.split(","))
-        try:
-            perm = scenario.canonical_positions(labels)
-        except LabelMismatch as exc:
-            raise SchemaError(str(exc)) from exc
+        perm = scenario.canonical_positions(labels)
         lookups = [tokens[labels[i]] for i in perm]
         entries = {}
         for okey, val in table.items():
             parts = okey.split(",")
             if len(parts) != len(labels):
-                raise SchemaError(f"outcome key {okey!r} has wrong arity for {key!r}")
+                raise ValueError(f"outcome key {okey!r} has wrong arity for {key!r}")
             try:
                 outc = tuple(map(getitem, lookups, map(parts.__getitem__, perm)))
             except KeyError:
                 t, m = next((t, m) for t, m in zip(parts, labels) if t not in tokens[m])
-                raise SchemaError(f"outcome token {t!r} not among declared outcomes "
-                                  f"{scenario.outcomes[m]}") from None
+                raise ValueError(f"outcome token {t!r} not among declared outcomes "
+                                 f"{scenario.outcomes[m]}") from None
             if isinstance(val, str):
                 if val not in literals:
                     literals[val] = rational_literal(val, "probability entry")
@@ -1077,7 +1047,4 @@ def model_from_json(doc: dict) -> EmpiricalModel:
                 val = rational_literal(val, "probability entry")
             entries[outc] = val
         read.append((key, labels, tuple(map(labels.__getitem__, perm)), entries))
-    try:
-        return _filled_model(scenario, read)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _filled_model(scenario, read)

@@ -663,7 +663,7 @@ def solve_global_section(model: EmpiricalModel) -> SectionFeasibility:
     it leaves a residual, `section_lp` decides, started from the greedy's
     assignments.
     The result's certificate covers every row and is re-checked on the full
-    matrix whichever stage found it.  Raises `DisturbingModel` when the
+    matrix whichever stage found it.  Raises `ValueError` when the
     input marginals disagree beyond 1e-9, and `TooLargeError` when the
     scenario has more than `MAX_ASSIGNMENTS` global assignments.
     """

@@ -85,11 +85,10 @@ from contextuality.embedding import (
     sharp_gpt_from_quantum,
 )
 from contextuality.exactlp import Feasibility, TooLargeError
-from contextuality.polytope import ShapeMismatch, make_behaviour
+from contextuality.polytope import make_behaviour
 from contextuality.qsl import _GATE_FUNCS, QslProgram, qsl_measure, qsl_prepare
 from contextuality.quantum import (
     EQUALITY_TOL,
-    DimensionMismatch,
     _as_matrix,
     eigen_projector,
     projective_context,
@@ -98,9 +97,7 @@ from contextuality.quantum import (
 from contextuality.record import Record
 from contextuality.scenario import (
     EmpiricalModel,
-    LabelMismatch,
     MeasurementScenario,
-    SchemaError,
     make_model,
     make_scenario,
     rational_literal,
@@ -1170,7 +1167,7 @@ def behaviour_from_json(doc: dict) -> EmpiricalModel:
         nX, nY, nA, nB = (int(doc[k]) for k in ("nX", "nY", "nA", "nB"))
         raw = doc["p"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"missing or malformed behaviour field: {exc}") from exc
+        raise ValueError(f"missing or malformed behaviour field: {exc}") from exc
     p = {}
     for key, val in raw.items():
         try:
@@ -1178,19 +1175,16 @@ def behaviour_from_json(doc: dict) -> EmpiricalModel:
             a, b = (int(t) for t in outs.split(","))
             x, y = (int(t) for t in setts.split(","))
         except ValueError as exc:
-            raise SchemaError(f"bad behaviour key {key!r}") from exc
+            raise ValueError(f"bad behaviour key {key!r}") from exc
         if isinstance(val, bool):
-            raise SchemaError(f"probability entries must be numbers, got {val!r}")
+            raise ValueError(f"probability entries must be numbers, got {val!r}")
         if isinstance(val, float):
             p[(a, b, x, y)] = val
         elif isinstance(val, (int, str)):
             p[(a, b, x, y)] = rational_literal(val, "probability entry")
         else:
-            raise SchemaError(f"unsupported probability entry {val!r}")
-    try:
-        return make_behaviour(nX, nY, nA, nB, p)
-    except (ValueError, ShapeMismatch) as exc:
-        raise SchemaError(str(exc)) from exc
+            raise ValueError(f"unsupported probability entry {val!r}")
+    return make_behaviour(nX, nY, nA, nB, p)
 
 
 REFERENCE_MAX_DIGITS = 1000
@@ -1201,12 +1195,12 @@ def reference_rational_literal(value, what: str = "literal") -> Fraction:
 
     Ints and strings only.  A string with more than 1000 digits, or with a
     decimal exponent beyond 1000 in size, is refused before it is read, and
-    so is an exponent that is no integer.  Refusals are `SchemaError`s
+    so is an exponent that is no integer.  Refusals are `ValueError`s
     worded as `scenario.rational_literal` words them.
     """
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(f"{what} must be an integer or an exact string, got {value!r}")
-    bad = SchemaError(f"bad {what} {value!r}")
+        raise ValueError(f"{what} must be an integer or an exact string, got {value!r}")
+    bad = ValueError(f"bad {what} {value!r}")
     if isinstance(value, str):
         oversized = sum(c.isdigit() for c in value) > REFERENCE_MAX_DIGITS
         exponent = re.search(r"[eE]([-+]?[\d_]+)", value)
@@ -1217,8 +1211,8 @@ def reference_rational_literal(value, what: str = "literal") -> Fraction:
                 raise bad from exc
         if oversized:
             shown = value if len(value) <= 24 else value[:24] + "..."
-            raise SchemaError(f"{what} {shown!r} exceeds {REFERENCE_MAX_DIGITS} "
-                              "digits or a decimal exponent of that size")
+            raise ValueError(f"{what} {shown!r} exceeds {REFERENCE_MAX_DIGITS} "
+                             "digits or a decimal exponent of that size")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -1233,7 +1227,7 @@ def reference_model_from_json(doc: dict) -> dict:
     a scan; each entry is a float or goes through
     `reference_rational_literal`; each table is permuted into canonical
     order, filled with zeros, checked for signs and summed on its own, in
-    ``Fraction`` arithmetic for an exact model.  Refusals are `SchemaError`s
+    ``Fraction`` arithmetic for an exact model.  Refusals are `ValueError`s
     worded as `scenario.model_from_json` words them, two tables for one
     context included.  The tables are returned by canonical context.
     """
@@ -1243,22 +1237,22 @@ def reference_model_from_json(doc: dict) -> dict:
     read = []
     for key, table in doc["tables"].items():
         if not isinstance(table, dict):
-            raise SchemaError(f"table {key!r} must map outcome keys to probabilities")
+            raise ValueError(f"table {key!r} must map outcome keys to probabilities")
         labels = tuple(key.split(","))
         for lab in labels:
             if lab not in order:
-                raise SchemaError(f"unknown measurement {lab!r}")
+                raise ValueError(f"unknown measurement {lab!r}")
         entries = {}
         for okey, val in table.items():
             tokens = okey.split(",")
             if len(tokens) != len(labels):
-                raise SchemaError(f"outcome key {okey!r} has wrong arity for {key!r}")
+                raise ValueError(f"outcome key {okey!r} has wrong arity for {key!r}")
             outc = []
             for token, m in zip(tokens, labels):
                 match = [o for o in sc.outcomes[m] if str(o) == token]
                 if not match:
-                    raise SchemaError(f"outcome token {token!r} not among declared "
-                                      f"outcomes {sc.outcomes[m]}")
+                    raise ValueError(f"outcome token {token!r} not among declared "
+                                     f"outcomes {sc.outcomes[m]}")
                 outc.append(match[0])
             entries[tuple(outc)] = (val if isinstance(val, float)
                                     else reference_rational_literal(val, "probability entry"))
@@ -1268,14 +1262,14 @@ def reference_model_from_json(doc: dict) -> dict:
     for key, labels, entries in read:
         canon = tuple(sorted(labels, key=order.index))
         if canon not in sc.contexts:
-            raise SchemaError(f"{labels} is not a declared context")
+            raise ValueError(f"{labels} is not a declared context")
         if canon in given:
-            raise SchemaError(f"tables {given[canon][0]!r} and {key!r} are both context {canon}")
+            raise ValueError(f"tables {given[canon][0]!r} and {key!r} are both context {canon}")
         given[canon] = key, {tuple(o[labels.index(m)] for m in canon): v
                              for o, v in entries.items()}
     missing = [c for c in sc.contexts if c not in given]
     if missing:
-        raise SchemaError(f"no table supplied for contexts {missing}")
+        raise ValueError(f"no table supplied for contexts {missing}")
     floats = any(isinstance(v, float) for _, t in given.values() for v in t.values())
     tables = {}
     for canon, (_, entries) in given.items():
@@ -1285,16 +1279,16 @@ def reference_model_from_json(doc: dict) -> dict:
             if floats:
                 v = float(v)
                 if not math.isfinite(v):
-                    raise SchemaError(f"probability {v} in context {canon} is not finite")
+                    raise ValueError(f"probability {v} in context {canon} is not finite")
                 if v < -1e-12:
-                    raise SchemaError(f"negative probability {v} in context {canon}")
+                    raise ValueError(f"negative probability {v} in context {canon}")
                 v = max(0.0, v)
             elif v < 0:
-                raise SchemaError(f"negative probability {v} in context {canon}")
+                raise ValueError(f"negative probability {v} in context {canon}")
             full[outc] = v
         total = sum(full.values(), 0.0 if floats else Fraction(0))
         if abs(total - 1.0) > 1e-9 if floats else total != 1:
-            raise SchemaError(f"context {canon} table sums to {total}, not 1")
+            raise ValueError(f"context {canon} table sums to {total}, not 1")
         tables[canon] = full
     return tables
 
@@ -1416,7 +1410,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: int) -> np.ndarray:
     d0, d1 = dims
     m = _as_matrix(rho)
     if m.shape != (d0 * d1, d0 * d1):
-        raise DimensionMismatch(f"state shape {m.shape} does not match dims {dims}")
+        raise ValueError(f"state shape {m.shape} does not match dims {dims}")
     t = m.reshape(d0, d1, d0, d1)
     if keep == 0:
         return np.einsum("ijkj->ik", t)
@@ -1458,11 +1452,11 @@ def sic_to_sdc_reduction(observables, chosen, eigenvalue):
     `observables` maps labels to Hermitian matrices.  Returns (reduced
     observables, post-measurement state), where the state is the normalised
     projection onto the chosen observable's eigenspace at `eigenvalue`.
-    Raises `BadEigenvalue` when the eigenvalue is not in the spectrum.
+    Raises `ValueError` when the eigenvalue is not in the spectrum.
     """
     observables = dict(observables)
     if chosen not in observables:
-        raise LabelMismatch(f"{chosen!r} is not among the observables")
+        raise ValueError(f"{chosen!r} is not among the observables")
     proj = eigen_projector(observables[chosen], eigenvalue)
     rank = float(np.trace(proj).real)
     post_state = proj / rank

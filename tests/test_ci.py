@@ -10,12 +10,16 @@ call is a direct argument of ``require_certificate(...)``, except in
 every empirical model is made, and checked, by one constructor: the one
 ``EmpiricalModel(...)`` call is in `scenario._filled_model`.  Floats are
 rounded at one denominator, `scenario.MAX_DEN`, and no record field has a
-mutable default, which every instance would share.
+mutable default, which every instance would share.  Every exception class
+the package defines is told apart somewhere, by name in an ``except``
+clause or an ``isinstance`` check, or is an ``AssertionError`` bug
+sentinel; any other refusal is a plain ``ValueError``.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import shlex
 from pathlib import Path
 
@@ -140,3 +144,33 @@ def test_no_record_field_has_a_mutable_default():
                    or _called(field.value, "list"))]
     if len(records) < 20 or shared:
         pytest.fail(f"{len(records)} record classes; mutable field defaults at {shared}")
+
+
+def _names(node) -> list:
+    """The class names that an ``except`` type or an ``isinstance`` argument names."""
+    return [getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in (node.elts if isinstance(node, ast.Tuple) else [node])]
+
+
+def _derives(name: str, classes: dict, root: type) -> bool:
+    """Whether class ``name`` derives from the builtin ``root``, through package classes."""
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type):
+        return issubclass(builtin, root)
+    return any(_derives(base, classes, root) for base in classes.get(name, ()))
+
+
+def test_every_exception_class_is_handled_or_a_bug_sentinel():
+    nodes = [node for _, node in package_nodes()]
+    classes = {node.name: [name for base in node.bases for name in _names(base)]
+               for node in nodes if isinstance(node, ast.ClassDef)}
+    exceptions = sorted(name for name in classes if _derives(name, classes, BaseException))
+    handled = {name for node in nodes for name in
+               (_names(node.type) if isinstance(node, ast.ExceptHandler) and node.type
+                else _names(node.args[1]) if _called(node, "isinstance") and len(node.args) == 2
+                else ())}
+    unhandled = [name for name in exceptions
+                 if name not in handled and not _derives(name, classes, AssertionError)]
+    if len(exceptions) < 6 or unhandled:
+        pytest.fail(f"exception classes {exceptions}; neither caught, isinstance-checked "
+                    f"nor AssertionErrors: {unhandled}")

@@ -52,7 +52,7 @@ from contextuality.quantum import (
     projective_context,
     pvm_from_observable,
 )
-from contextuality.scenario import SchemaError, from_quantum, make_scenario, model_from_json
+from contextuality.scenario import from_quantum, make_scenario, model_from_json
 from oracles import cycle_margin, reference_bipartite_structure
 
 
@@ -559,45 +559,45 @@ class TestClassifyPrepEnsemble:
 
 class TestParseDocument:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="unknown input kind 'mystery'"):
             parse_document({"kind": "mystery"})
 
     def test_missing_kind_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="unknown input kind None"):
             parse_document({"model": {}})
 
     def test_empirical_needs_model(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="needs a 'model' field"):
             parse_document({"kind": "empirical"})
 
     def test_gpt_needs_gpt(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="needs a 'gpt' field"):
             parse_document({"kind": "gpt"})
 
     def test_float_r_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="r must be exact"):
             parse_document({"kind": "prep-ensemble", "r": 0.5})
 
     def test_bool_r_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="must be an integer or an exact string"):
             parse_document({"kind": "prep-ensemble", "r": True})
 
     def test_attachment_on_prep_ensemble_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="cannot carry a prep_ensemble attachment"):
             parse_document({"kind": "prep-ensemble", "r": "1/2",
                             "prep_ensemble": {"r": "1/2"}})
 
     def test_claims_must_be_object(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="claims must be a JSON object"):
             parse_document({"kind": "prep-ensemble", "r": "1/2",
                             "claims": [1]})
 
     def test_kind_mismatch_raises(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="does not match configured kind"):
             classify(pr_box_doc(), RunConfig(kind="quantum"))
 
     def test_config_rejects_bad_kind(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="unknown input kind 'mystery'"):
             RunConfig(kind="mystery")
 
     def test_config_rejects_bad_restarts(self):

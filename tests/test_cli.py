@@ -17,6 +17,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +46,7 @@ from contextuality.quantum import (
     random_density,
     tensor,
 )
-from contextuality.scenario import SchemaError, rational_literal
+from contextuality.scenario import rational_literal
 from contextuality.sheaf import MAX_ASSIGNMENTS
 from oracles import behaviour_from_json, cycle_margin, ld_vertex_boxes, random_box, require
 
@@ -413,6 +414,69 @@ class TestEmbedCommand:
             cert, = payload["certificates"]
             assert (cert["kind"], cert["verdict"], cert["state"]) == (
                 "global-section", "infeasible", 0)
+
+
+def main_with_warnings(argv) -> tuple:
+    """Exit code, standard output and standard error of one `main` call.
+
+    pytest records warnings rather than printing them, so every warning is
+    put back on standard error here, as Python's own handler prints it.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return rc, out.getvalue(), shown + err.getvalue()
+
+
+class TestFloatLimitsAndPrepForm:
+    """Finite numbers at the float limits, and a malformed `qsl run --prep`,
+    give a verdict or one `error:` line: no numpy warning, no Python internals.
+
+    Written with `oracles.require`, so it also tests under ``python -O``.
+    """
+
+    @pytest.mark.parametrize("axis, same", [("0,0,1e308", "0,0,1"), ("1e-320,0,0", "1,0,0")])
+    def test_large_or_tiny_axis_components_accepted(self, axis, same):
+        rc, out, err = main_with_warnings(["prep-nc", "--r", "1/2", "--axis", axis])
+        require(rc == 0 and err == "", f"--axis {axis}: exit {rc}, stderr {err!r}")
+        expected = main_with_warnings(["prep-nc", "--r", "1/2", "--axis", same])
+        require((rc, out, err) == expected, f"--axis {axis} differs from --axis {same}")
+
+    def test_large_axis_document_classified(self, tmp_path):
+        doc = {"kind": "prep-ensemble", "r": "1/2", "axis": [1e308, 1e308, 0]}
+        rc, out, err = main_with_warnings(["classify", write_doc(tmp_path, doc)])
+        require(rc == 0 and err == "", f"exit {rc}, stderr {err!r}")
+        require(json.loads(out)["spekkens_noncontextual"] == "no", out)
+
+    @pytest.mark.parametrize("matrix, part, message", [
+        ("projector", "re", "contains a non-projector"),
+        ("projector", "im", "contains a non-projector"),
+        ("state", "im", "density matrix is not Hermitian")])
+    def test_matrix_entry_near_the_float_limit(self, tmp_path, matrix, part, message):
+        z = projective_context("Z", [np.diag([1, 0]), np.diag([0, 1])])
+        doc = quantum_doc(np.diag([1, 0]), [[z]])
+        target = doc["state"] if matrix == "state" else doc["contexts"][0][0]["projectors"][0]
+        target[part][0] = 1e308
+        rc, out, err = main_with_warnings(["classify", write_doc(tmp_path, doc)])
+        require_one_line_refusal(rc, out, err, f"{matrix} {part} entry 1e308")
+        require(message in err, err)
+
+    @pytest.mark.parametrize("prep", ["Z:0:1", "Z", "Z:x", "Z:", ""])
+    def test_malformed_prep(self, prep):
+        rc, out, err = main_with_warnings(["qsl", "run", "--prep", prep, "--measure", "Z"])
+        require_one_line_refusal(rc, out, err, f"--prep {prep!r}")
+        require(f"--prep must be basis:value, such as Z:0, got {prep!r}" in err, err)
+
+    @pytest.mark.parametrize("prep, message", [("Q:0", "basis must be one of"),
+                                               ("Z:2", "value must be 0 or 1, got 2")])
+    def test_basis_and_bit_checks_kept(self, prep, message):
+        rc, out, err = main_with_warnings(["qsl", "run", "--prep", prep, "--measure", "Z"])
+        require_one_line_refusal(rc, out, err, f"--prep {prep!r}")
+        require(message in err, err)
 
 
 class TestPrepNcCommand:
@@ -1680,9 +1744,13 @@ class TestOversizedLiterals:
         require(rational_literal("1e-1000", "x") == Fraction(1, 10 ** 1000), "1e-1000")
         require(rational_literal("-3/4", "x") == Fraction(-3, 4), "-3/4")
         require(rational_literal("1" * 1000, "x") == int("1" * 1000), "1000 digits")
-        for bad in ("1" * 1001, "1e1001", "0.5e-1_001", True, 0.5, None, "1/0", "x"):
-            with pytest.raises(SchemaError):
-                rational_literal(bad, "x")
+        oversized, not_exact, bad = ("exceeds 1000 digits", "must be an integer or an exact "
+                                     "string", "bad x")
+        for value, message in (("1" * 1001, oversized), ("1e1001", oversized),
+                               ("0.5e-1_001", oversized), (True, not_exact), (0.5, not_exact),
+                               (None, not_exact), ("1/0", bad), ("x", bad)):
+            with pytest.raises(ValueError, match=message):
+                rational_literal(value, "x")
 
 
 class TestBehaviourLiterals:
@@ -1696,7 +1764,7 @@ class TestBehaviourLiterals:
 
     @pytest.mark.parametrize("value", ["1e-1500", "1e1500", "1" * 1500])
     def test_oversized_literal_refused(self, value):
-        with pytest.raises(SchemaError, match="exceeds 1000 digits"):
+        with pytest.raises(ValueError, match="exceeds 1000 digits"):
             behaviour_from_json(self.doc(value))
 
     def test_exact_entries_within_the_bound_are_read(self):
@@ -1707,7 +1775,7 @@ class TestBehaviourLiterals:
         require(table[(0, 1)] == Fraction(1, 4) and table[(1, 0)] == 0,
                 f"entries read as {table}")
         for bad in ("1/0", "x", None, True):
-            with pytest.raises(SchemaError):
+            with pytest.raises(ValueError, match="probability entr"):
                 behaviour_from_json(self.doc(bad))
 
 

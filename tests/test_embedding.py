@@ -35,8 +35,6 @@ from contextuality.classify import (
     report_to_json,
 )
 from contextuality.embedding import (
-    DecompositionMismatch,
-    EmptyAssignmentPolytope,
     GptError,
     InconsistentUnit,
     PrepEnsembleProblem,
@@ -80,8 +78,6 @@ from contextuality.quantum import (
 )
 from contextuality.scenario import (
     ZERO_TOL,
-    NonCommutingContext,
-    SchemaError,
     rationalize_atoms,
     rationalize_model,
 )
@@ -349,7 +345,7 @@ class TestSharpGptFromQuantum:
     def test_noncommuting_context_rejected(self):
         pz = pvm_from_observable(PAULIS["Z"], "Z")
         px = pvm_from_observable(PAULIS["X"], "X")
-        with pytest.raises(NonCommutingContext):
+        with pytest.raises(ValueError, match="do not commute"):
             sharp_gpt_from_quantum([dm(np.array([1.0, 0.0]))], [[pz, px]])
 
     def test_zero_atoms_dropped(self):
@@ -1083,7 +1079,7 @@ class TestQubitPrepEnsemble:
     def test_decomposition_mismatch_raised(self):
         problem = qubit_prep_ensemble(Fraction(1, 2))
         broken = (((Fraction(1), "phi"),),) + problem.decompositions[1:]
-        with pytest.raises(DecompositionMismatch, match="decomposition 0 misses"):
+        with pytest.raises(ValueError, match="decomposition 0 misses"):
             PrepEnsembleProblem(target=problem.target, q=problem.q,
                                 component_states=problem.component_states,
                                 decompositions=broken,
@@ -1298,12 +1294,12 @@ class TestAssignmentPolytope:
                     assert marginal == stats[label][outcome]
 
     def test_inconsistent_statistics_raise(self):
-        with pytest.raises(EmptyAssignmentPolytope):
+        with pytest.raises(ValueError, match="sum to 1/2, not 1"):
             pusey_incomplete_check({"bad": {"Z": (Fraction(1, 2), Fraction(0))}})
 
     def test_exact_sum_other_than_one_raises(self):
         for probs in (("1/2", "1/4"), ("1/2", "3/4"), ()):
-            with pytest.raises(EmptyAssignmentPolytope, match="not 1"):
+            with pytest.raises(ValueError, match="not 1"):
                 pusey_incomplete_check({"bad": {"X": probs}})
 
     def test_float_statistics_are_rationalized(self):
@@ -1311,12 +1307,12 @@ class TestAssignmentPolytope:
 
     def test_float_rounding_is_absorbed_and_far_sums_raise(self):
         assert sum(_normalize_stats((1 / 3, 2 / 3 + 1e-9), 2)) == 1
-        with pytest.raises(EmptyAssignmentPolytope):
+        with pytest.raises(ValueError, match="sum to 9/10, not 1"):
             pusey_incomplete_check({"f": {"Z": (0.5, 0.4)}})
 
     def test_non_finite_float_rejected(self):
         for bad in (float("inf"), float("nan")):
-            with pytest.raises(SchemaError, match="not finite"):
+            with pytest.raises(ValueError, match="not finite"):
                 pusey_incomplete_check({"f": {"Z": (bad, 0.0)}})
 
     def test_too_many_assignments_refused(self):
@@ -1452,13 +1448,13 @@ class TestPuseyCheck:
         preps = {"a": {"X": (half, half), "Z": (one, zero)},
                  "b": {"X": (half, half), "Z": (zero, one)}}
         group = [{"a": "3/2", "b": "-1/2"}, {"b": 1}]
-        with pytest.raises(SchemaError, match="negative weight -1/2 for preparation 'b'"):
+        with pytest.raises(ValueError, match="negative weight -1/2 for preparation 'b'"):
             pusey_incomplete_check(preps, declared_equivalences=[group])
 
     def test_mismatched_measurements_rejected(self):
         preps = {"P0": {"Z": (Fraction(1), Fraction(0))},
                  "P1": {"X": (Fraction(1), Fraction(0))}}
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="lists different measurements"):
             pusey_incomplete_check(preps)
 
     def test_certificate_fields(self):
@@ -1609,17 +1605,17 @@ class TestGptJson:
         np.testing.assert_allclose(back.table(), gpt.table(), atol=1e-12)
 
     def test_missing_key_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="missing key 'effects'"):
             gpt_from_json({"dim": 2, "states": [[1.0, 0.0]]})
 
     def test_declared_dim_mismatch_rejected(self):
         data = gpt_to_json(classical_bit_gpt())
         data["dim"] = 5
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="declared dim 5 != vector length 2"):
             gpt_from_json(data)
 
     def test_not_an_object_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="GPT JSON must be an object"):
             gpt_from_json([1, 2, 3])
 
 

@@ -31,10 +31,6 @@ from contextuality.exactlp import TooLargeError
 from contextuality.polytope import (
     CHSH_OPTIMAL_ANGLES,
     BipartiteLift,
-    LabelMismatch,
-    MissingProjectors,
-    ShapeMismatch,
-    TooFewContexts,
     badziag_inequality,
     behaviour_from_quantum,
     bipartite_structure,
@@ -50,7 +46,6 @@ from contextuality.polytope import (
     weighted_independence_number,
 )
 from contextuality.quantum import (
-    BadEigenvalue,
     PAULI_Z,
     dm,
     peres_mermin_square,
@@ -59,7 +54,6 @@ from contextuality.quantum import (
     werner_state,
 )
 from contextuality.scenario import (
-    SchemaError,
     make_model,
     make_scenario,
     validate_no_disturbance,
@@ -125,12 +119,12 @@ class TestBehaviour:
             make_behaviour(1, 1, 2, 2, p)
         doc = behaviour_to_json(make_behaviour(1, 1, 2, 2, {(1, 1, 0, 0): 1.0}))
         doc["p"]["0,0|0,0"] = bad
-        with pytest.raises(SchemaError, match="not finite"):
+        with pytest.raises(ValueError, match="not finite"):
             behaviour_from_json(doc)
 
     def test_key_outside_declared_ranges_rejected(self):
         for key in ((2, 0, 0, 0), (0, 1, 0, 1), (0, 0, -1, 0)):
-            with pytest.raises(ShapeMismatch, match="outside declared ranges"):
+            with pytest.raises(ValueError, match="outside declared ranges"):
                 make_behaviour(1, 1, 2, 2, {(0, 0, 0, 0): Fraction(1), key: Fraction(0)})
 
     def test_layout_is_the_two_party_scenario(self):
@@ -163,7 +157,7 @@ class TestBehaviour:
         assert again.tables == b.tables
 
     def test_json_bad_key_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="bad behaviour key"):
             behaviour_from_json({"nX": 1, "nY": 1, "nA": 2, "nB": 2,
                                  "p": {"zero|stuff": "1"}})
 
@@ -222,9 +216,9 @@ class TestChshValue:
         assert best < 2
 
     def test_shape_guard(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="two dichotomic settings per party"):
             chsh_value(uniform_behaviour(nX=3, nY=2))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="two dichotomic settings per party"):
             chsh_value(uniform_behaviour(nA=3))
 
 
@@ -263,7 +257,7 @@ class TestMembership:
                           [[f"M{j}", f"M{(j + 1) % 5}"] for j in range(5)]),
             {(f"M{j}", f"M{(j + 1) % 5}"): {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
              for j in range(5)})
-        with pytest.raises(ShapeMismatch, match="two-party"):
+        with pytest.raises(ValueError, match="two-party"):
             membership_lp(pentagon)
 
     def test_werner_04_inside(self):
@@ -378,7 +372,7 @@ class TestPairwiseCorrelationBound:
         assert best <= ineq.bound
 
     def test_degenerate_context_count_rejected(self):
-        with pytest.raises(TooFewContexts):
+        with pytest.raises(ValueError, match="needs d >= 3 contexts"):
             badziag_inequality(3, 2)
 
     def test_expectation_form_matches_assignment_form(self):
@@ -466,7 +460,7 @@ class TestExclusivityInequality:
 
     def test_missing_probability_rejected(self):
         g = kcbs_graph()
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(ValueError, match="single-outcome probabilities missing"):
             csw_inequality(g, singles={"P0": 1})
 
     def test_pentagon_edges_are_the_cycle(self):
@@ -519,7 +513,7 @@ class TestBipartiteLift:
 
     def test_projectors_required(self):
         g = make_orthogonality_graph({0: 1, 1: 1}, [(0, 1)])
-        with pytest.raises(MissingProjectors):
+        with pytest.raises(ValueError, match="the lift needs projectors"):
             contextuality_to_bell(g, 3)
 
 
@@ -567,11 +561,11 @@ class TestStateReduction:
         assert solve_global_section(model).feasible
 
     def test_bad_eigenvalue(self):
-        with pytest.raises(BadEigenvalue):
+        with pytest.raises(ValueError, match="is not in the spectrum"):
             sic_to_sdc_reduction(pm_observables(), "Z1", 0.5)
 
     def test_unknown_label(self):
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(ValueError, match="is not among the observables"):
             sic_to_sdc_reduction(pm_observables(), "nope", 1)
 
 
@@ -587,7 +581,7 @@ class TestQuantumBehaviourBridge:
 
     def test_outcome_count_mismatch_rejected(self):
         qutrit = pvm_from_observable(np.diag([1.0, 2.0, 3.0]), "A1")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="must share an outcome count"):
             behaviour_from_quantum(werner_state(0.4),
                                    [pvm_from_observable(PAULI_Z, "A0"), qutrit],
                                    [pvm_from_observable(PAULI_Z, "B0")])

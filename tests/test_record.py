@@ -19,7 +19,7 @@ from contextuality import embedding, exactlp, polytope, qsl, quantum, scenario, 
 from contextuality.classify import ParsedInput, RunConfig
 from contextuality.qsl import QslProgram, QslState
 from contextuality.record import Record
-from contextuality.scenario import MeasurementScenario, SchemaError, make_scenario
+from contextuality.scenario import MeasurementScenario, make_scenario
 
 import oracles
 from oracles import SequentialStats, require
@@ -155,7 +155,7 @@ class TestRecords:
 
     def test_post_init_refusals(self):
         refusals = [
-            (SchemaError, lambda: RunConfig(kind="bogus")),
+            (ValueError, lambda: RunConfig(kind="bogus")),
             (TypeError, lambda: RunConfig(seed=0)),
             (ValueError, lambda: QslState(2, 0)),
             (ValueError, lambda: QslState(0, -1)),

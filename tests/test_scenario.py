@@ -33,7 +33,6 @@ from contextuality.quantum import (
     PAULI_X,
     PAULI_Z,
     PAULIS,
-    DimensionMismatch,
     dm,
     kcbs_construction,
     peres_mermin_square,
@@ -42,13 +41,7 @@ from contextuality.quantum import (
     random_density,
 )
 from contextuality.scenario import (
-    DegenerateContexts,
-    DisturbingModel,
     EmpiricalModel,
-    InconsistentSharing,
-    LabelMismatch,
-    NonCommutingContext,
-    SchemaError,
     from_quantum,
     make_model,
     make_scenario,
@@ -119,21 +112,21 @@ class TestScenarioConstruction:
         assert sc.contexts == (("B", "A"),)
 
     def test_duplicate_contexts_rejected(self):
-        with pytest.raises(DegenerateContexts):
+        with pytest.raises(ValueError, match="same measurement set"):
             make_scenario([("A", (0, 1)), ("B", (0, 1))], [["A", "B"], ["B", "A"]])
 
     def test_empty_context_rejected(self):
         # The section oracle eliminates each context's last measurement.
-        with pytest.raises(DegenerateContexts, match="at least one"):
+        with pytest.raises(ValueError, match="at least one"):
             make_scenario([("A", (0, 1))], [["A"], []])
 
     def test_no_context_rejected(self):
         # The section solver reads the first context's sections.
-        with pytest.raises(DegenerateContexts, match="at least one context"):
+        with pytest.raises(ValueError, match="at least one context"):
             make_scenario([], [])
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(ValueError, match="unknown measurement 'C'"):
             make_scenario([("A", (0, 1))], [["A", "C"]])
 
     def test_uncovered_measurement_rejected(self):
@@ -315,7 +308,7 @@ class TestExactDeviation:
         past = validate_no_disturbance(self.gap_model(at + Fraction(1, 2 ** 200)))
         require(not past.passed and past.worst_pair == (("A", "B"), ("A", "C"), ("A",)),
                 f"{past}")
-        with pytest.raises(DisturbingModel):
+        with pytest.raises(ValueError, match="no-disturbance: FAIL"):
             rationalize_model(self.gap_model(at + Fraction(1, 2 ** 200)))
 
 
@@ -357,13 +350,13 @@ class TestFromQuantum:
     def test_noncommuting_context_rejected(self):
         pz = pvm_from_observable(PAULI_Z, "Z")
         px = pvm_from_observable(PAULI_X, "X")
-        with pytest.raises(NonCommutingContext):
+        with pytest.raises(ValueError, match="do not commute"):
             from_quantum(dm([1, 0]), [[pz, px]])
 
     def test_inconsistent_sharing_rejected(self):
         pz = pvm_from_observable(PAULI_Z, "M")
         px = pvm_from_observable(PAULI_X, "M")
-        with pytest.raises(InconsistentSharing):
+        with pytest.raises(ValueError, match="re-used with different projectors"):
             from_quantum(dm([1, 0]), [[pz], [px]])
 
 
@@ -435,8 +428,9 @@ class TestQuantumPassReference:
 
     def test_states_and_measurements_must_share_a_dimension(self):
         contexts = cg_contexts(np.random.default_rng(5))
-        for states in ([np.eye(3) / 3], [np.eye(4) / 4, np.eye(3) / 3]):
-            with pytest.raises(DimensionMismatch):
+        for states, message in (([np.eye(3) / 3], "acts on dimension 4, the state on 3"),
+                                ([np.eye(4) / 4, np.eye(3) / 3], "the states differ in dimension")):
+            with pytest.raises(ValueError, match=message):
                 scenario.quantum_pass(states, contexts)
 
     def test_pm_square_still_prints_three_infeasible(self, capsys):
@@ -564,7 +558,7 @@ class TestRationalize:
             [["A", "B"], ["A", "C"]])
         m = make_model(sc, {("A", "B"): {(0, 0): 0.7, (1, 1): 0.3},
                             ("A", "C"): {(0, 0): 0.6, (1, 1): 0.4}})
-        with pytest.raises(DisturbingModel):
+        with pytest.raises(ValueError, match="no-disturbance: FAIL"):
             rationalize_model(m)
 
     def test_random_quantum_models_rationalize(self):
@@ -844,7 +838,7 @@ class TestIntegerConsistencyChecks:
         if expected:
             require(rationalize_model(m) is m, "a consistent model was rebuilt")
         else:
-            with pytest.raises(DisturbingModel):
+            with pytest.raises(ValueError, match="no-disturbance: FAIL"):
                 rationalize_model(m)
 
     @settings(max_examples=300, deadline=None)
@@ -1172,7 +1166,7 @@ class TestJson:
         assert m.tables[("A",)][(0,)] == Fraction(3, 10)
 
     def test_missing_field_is_schema_error(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="missing or malformed field"):
             model_from_json({"measurements": []})
 
     def test_bad_rational_is_schema_error(self):
@@ -1181,7 +1175,7 @@ class TestJson:
             "contexts": [["A"]],
             "tables": {"A": {"0": "1/0", "1": "1"}},
         }
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="bad probability entry"):
             model_from_json(doc)
 
     def test_unknown_outcome_token_is_schema_error(self):
@@ -1190,7 +1184,7 @@ class TestJson:
             "contexts": [["A"]],
             "tables": {"A": {"2": "1"}},
         }
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="not among declared outcomes"):
             model_from_json(doc)
 
     def test_float_model_round_trips_by_value(self):
@@ -1202,10 +1196,10 @@ class TestJson:
 
 
 def read_outcome(reader, *args):
-    """What `reader` returns, or the message of the `SchemaError` it raises."""
+    """What `reader` returns, or the message of the `ValueError` it raises."""
     try:
         return reader(*args)
-    except SchemaError as exc:
+    except ValueError as exc:
         return f"refused: {exc}"
 
 
@@ -1279,17 +1273,17 @@ class TestLiteralReader:
 
     @pytest.mark.parametrize("value", ["1e_5", "1e5_", "1e_", "2E-_3"])
     def test_malformed_exponent_is_a_bad_entry(self, value):
-        with pytest.raises(SchemaError, match="bad probability entry"):
+        with pytest.raises(ValueError, match="bad probability entry"):
             rational_literal(value, "probability entry")
         doc = {"measurements": [{"label": "A", "outcomes": [0, 1]}],
                "contexts": [["A"]], "tables": {"A": {"0": value, "1": "1"}}}
-        with pytest.raises(SchemaError, match="bad probability entry"):
+        with pytest.raises(ValueError, match="bad probability entry"):
             model_from_json(doc)
 
     def test_exponent_in_other_digits_is_bounded(self):
         # Seven Arabic-Indic nines: an exponent near 10^7, refused unread.
         value = "1e" + "9999999".translate(ARABIC)
-        with pytest.raises(SchemaError, match="exceeds 1000 digits"):
+        with pytest.raises(ValueError, match="exceeds 1000 digits"):
             rational_literal(value, "x")
         require(rational_literal("1e" + "3".translate(ARABIC), "x") == 1000,
                 "a small exponent in other digits")
@@ -1413,7 +1407,7 @@ class TestDocumentReaderReference:
         # A token could name either outcome, and a table key either entry.
         doc = {"measurements": [{"label": "A", "outcomes": ["1", 1, 2]}],
                "contexts": [["A"]], "tables": {"A": {"1": "1/3", "2": "2/3"}}}
-        with pytest.raises(SchemaError, match=r"outcomes \['1', 1, 2\] of measurement 'A'"):
+        with pytest.raises(ValueError, match=r"outcomes \['1', 1, 2\] of measurement 'A'"):
             model_from_json(doc)
 
 
@@ -1423,7 +1417,7 @@ class TestDuplicateTables:
     def test_document_with_both_key_orders(self):
         doc = model_to_json(pr_box_model())
         doc["tables"]["B0,A0"] = doc["tables"]["A0,B0"]
-        with pytest.raises(SchemaError, match="tables 'A0,B0' and 'B0,A0' are both context"):
+        with pytest.raises(ValueError, match="tables 'A0,B0' and 'B0,A0' are both context"):
             model_from_json(doc)
 
     def test_make_model_with_both_key_orders(self):

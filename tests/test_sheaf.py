@@ -76,7 +76,6 @@ from contextuality.exactlp import (
 )
 from contextuality.quantum import dm, kcbs_construction, pvm_from_observable, random_density, peres_mermin_square
 from contextuality.scenario import (
-    DisturbingModel,
     make_model,
     make_scenario,
     from_quantum,
@@ -438,7 +437,7 @@ class TestSolveGlobalSection:
             [["A", "B"], ["A", "C"]])
         m = make_model(sc, {("A", "B"): {(0, 0): 0.7, (1, 1): 0.3},
                             ("A", "C"): {(0, 0): 0.6, (1, 1): 0.4}})
-        with pytest.raises(DisturbingModel):
+        with pytest.raises(ValueError, match="no-disturbance: FAIL"):
             solve_global_section(m)
 
     def test_certificate_payload(self):
