@@ -441,10 +441,16 @@ def prep_ensemble_from_json(doc: dict) -> PrepEnsembleProblem:
     axis = doc.get("axis", (0.0, 0.0, 1.0))
     if not isinstance(axis, (list, tuple)) or len(axis) != 3:
         raise ValueError("axis must be a list of three numbers")
-    try:
-        return qubit_prep_ensemble(r, axis=tuple(float(a) for a in axis), q=q)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    direction = []
+    for k, entry in enumerate(axis):
+        # bool is an int to Python but not a number to JSON.
+        if type(entry) not in (int, float):
+            raise ValueError(f"axis entry {k} must be a number, got {entry!r}")
+        try:
+            direction.append(float(entry))
+        except OverflowError as exc:
+            raise ValueError(f"axis entry {k} is too large for a float") from exc
+    return qubit_prep_ensemble(r, axis=tuple(direction), q=q)
 
 
 def _quantum_from_json(doc: dict):

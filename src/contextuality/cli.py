@@ -155,6 +155,8 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_bytes())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8, -16 or -32 text: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{path} is nested too deeply") from exc
 

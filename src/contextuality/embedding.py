@@ -796,26 +796,87 @@ def _pattern_system(problem: PrepEnsembleProblem, dead: tuple):
     return alive, rows, rhs
 
 
+def _left_null(columns: SparseColumns, keep, eliminated: dict) -> list:
+    """Integer rows y with y^T a_j = 0 on the columns ``keep`` of ``columns``,
+    from one fraction-free elimination of those columns, in order.
+
+    The rows start as the identity.  A column a_j, with scores s = Y a_j,
+    takes the first row p with s_p != 0 as pivot, turns every other row
+    into (s_p Y_i - s_i Y_p) / d and drops row p, where d is the previous
+    pivot (1 at first), so every division is exact (Bareiss).  A column
+    that scores 0 on every row left lies in the span of those before it
+    and changes nothing.  The rows left span the vectors orthogonal to all
+    kept columns.  ``eliminated`` maps each prefix of a ``keep`` already
+    eliminated on ``columns`` to its (rows, pivot), so patterns that keep
+    the same first columns share their elimination.
+    """
+    if not eliminated:
+        eliminated[()] = [[int(i == k) for k in range(columns.m)]
+                          for i in range(columns.m)], 1
+    prefix = ()
+    for j in keep:
+        parent, prefix = prefix, prefix + (j,)
+        if prefix in eliminated:
+            continue
+        rows, det = eliminated[parent]
+        idx, ints, _ = columns.column(j)
+        scores = [sum(map(mul, map(row.__getitem__, idx), ints)) for row in rows]
+        p = next((i for i, s in enumerate(scores) if s), None)
+        if p is not None:
+            piv, prow = scores[p], rows[p]
+            rows, det = [[(piv * u - s * w) // det for u, w in zip(row, prow)]
+                         for i, (row, s) in enumerate(zip(rows, scores)) if i != p], piv
+        eliminated[prefix] = rows, det
+    return eliminated[prefix][0]
+
+
+def _span_farkas(a: SparseColumns, b, null_rows) -> Feasibility:
+    """Decide ``{A x = b, x >= 0}`` from ``null_rows``, integer rows y with
+    y^T a_j = 0 on every column of ``a`` that span all such vectors.
+
+    The first row with y^T b != 0 shows b outside the columns' span, and
+    y / (y^T b), with y^T a_j = 0 on every column and y^T b = 1, is a Farkas
+    vector.  When every row has y^T b = 0, b lies in the span and the
+    phase-1 LP decides.
+    """
+    ints, scale = clear_denominators(b)
+    for row in null_rows:
+        if t := sum(map(mul, row, ints)):
+            return Feasibility(False, farkas=tuple(Fraction(u * scale, t) for u in row))
+    return require_certificate(a, b, solve_eq_nonneg(a, b), "preparation pattern")
+
+
 def prep_nc_check(problem: PrepEnsembleProblem) -> PrepNcResult:
     """Case analysis: can any ontic state carry all declared decompositions?
 
-    For each of the 16 support patterns the exact LP asks for nonnegative
-    component masses at a single ontic state, equal across all declared
-    decompositions and normalizable to carry weight.  All patterns failing
-    is a proof of preparation contextuality; a satisfiable pattern (as with
-    a single decomposition) is reported feasible.  The system is built
-    once, over every component, and its columns' denominators are cleared
-    once; a pattern's LP keeps the columns of its alive components, in
-    order, which is `_pattern_system` of that pattern.
+    For each of the 16 support patterns the exact system asks for
+    nonnegative component masses at a single ontic state, equal across all
+    declared decompositions and normalizable to carry weight.  All patterns
+    failing is a proof of preparation contextuality; a satisfiable pattern
+    (as with a single decomposition) is reported feasible.  The system is
+    built once, over every component, and its columns' denominators are
+    cleared once; a pattern keeps the columns of its alive components, in
+    order, which is `_pattern_system` of that pattern.  Each pattern is
+    refuted by an exact span certificate when it can be: one elimination
+    (`_left_null`, shared between patterns that keep the same first
+    columns) gives the vectors orthogonal to its columns, and one of them
+    with y^T b = 1 is the case's Farkas vector (`_span_farkas`).  The LP runs
+    only for a pattern whose b lies in the span.  On the six-decomposition
+    ensembles none does: with one member of each pair dead, the
+    decompositions would make the number of live components among psi_a,
+    psi_b and psi_c 3/2, a linear contradiction.  Every case is re-checked
+    by `require_certificate`.
     """
     labels, rows, rhs = _pattern_system(problem, ())
     full = columns_from_rows(rows)
+    eliminated: dict = {}
     cases = []
     feasible_any = False
     for choice in itertools.product(*problem.orthogonal_pairs):
-        a = full.select([j for j, label in enumerate(labels) if label not in choice])
-        res = require_certificate(a, rhs, solve_eq_nonneg(a, rhs),
-                                  "preparation pattern")
+        keep = [j for j, label in enumerate(labels) if label not in choice]
+        a = full.select(keep)
+        null_rows = _left_null(full, keep, eliminated)
+        res = require_certificate(a, rhs, _span_farkas(a, rhs, null_rows), "preparation pattern")
         if res.feasible:
             feasible_any = True
             cases.append(PrepNcCase(choice, True, res.x, None))

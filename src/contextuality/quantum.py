@@ -77,8 +77,15 @@ def matrix_from_json(d: dict) -> np.ndarray:
         rows, cols = int(d["rows"]), int(d["cols"])
     except OverflowError as exc:
         raise ValueError(f"matrix shape is not finite: {exc}") from exc
-    re = np.array(d["re"], dtype=float).reshape(rows, cols)
-    im = np.array(d.get("im", [0.0] * rows * cols), dtype=float).reshape(rows, cols)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix shape {rows} x {cols} is not positive")
+    re = np.array(d["re"], dtype=float)
+    im = np.array(d["im"], dtype=float) if "im" in d else np.zeros(re.shape)
+    for field, part in (("re", re), ("im", im)):
+        if part.size != rows * cols:
+            raise ValueError(f"matrix field {field!r} has {part.size} entries, "
+                             f"not rows x cols = {rows} x {cols}")
+    re, im = re.reshape(rows, cols), im.reshape(rows, cols)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite")
     return re + 1j * im

@@ -6,7 +6,9 @@ So the package holds neither: its re-checks raise.  And the CI workflow's
 nothing else, so no test can drop out of it unseen.  Every result of the
 LP kernel is re-checked where it is solved: each ``solve_eq_nonneg(...)``
 call is a direct argument of ``require_certificate(...)``, except in
-`sheaf.section_lp`, whose caller re-checks the lifted result.  And
+`sheaf.section_lp`, whose caller re-checks the lifted result; so is each
+``_span_farkas(...)`` call, which decides a preparation pattern by a span
+certificate or, failing one, by the LP.  And
 every empirical model is made, and checked, by one constructor: the one
 ``EmpiricalModel(...)`` call is in `scenario._filled_model`.  Floats are
 rounded at one denominator, `scenario.MAX_DEN`, and no record field has a
@@ -83,14 +85,21 @@ def package_calls(name: str) -> list:
             for function, parent, call in calls_of(name, ast.parse(path.read_text(), str(path)))]
 
 
+# Each function whose result is an exact certificate, and the one
+# (module, function) whose caller re-checks its calls instead.
+SOLVERS = {"solve_eq_nonneg": ("sheaf.py", "section_lp"), "_span_farkas": None}
+
+
 def test_every_lp_result_is_rechecked_where_it_is_solved():
-    calls = package_calls("solve_eq_nonneg")
-    unchecked = [f"{path.relative_to(ROOT)}:{call.lineno} in {function}"
-                 for path, function, parent, call in calls
-                 if not (_called(parent, "require_certificate") and call in parent.args)
-                 and (path.name, function) != ("sheaf.py", "section_lp")]
-    if not calls or unchecked:
-        pytest.fail(f"{len(calls)} kernel calls; not re-checked where solved: {unchecked}")
+    for solver, exempt in SOLVERS.items():
+        calls = package_calls(solver)
+        unchecked = [f"{path.relative_to(ROOT)}:{call.lineno} in {function}"
+                     for path, function, parent, call in calls
+                     if not (_called(parent, "require_certificate") and call in parent.args)
+                     and (path.name, function) != exempt]
+        if not calls or unchecked:
+            pytest.fail(f"{len(calls)} calls of {solver}; not re-checked where solved: "
+                        f"{unchecked}")
 
 
 def test_one_constructor_makes_every_model():

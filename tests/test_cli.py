@@ -1806,18 +1806,27 @@ CLASSIFY_KEYS = {
             ("gpt", "unit")],
     "prep-ensemble": [("r",)],
 }
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+# Paths to entries of each base document, each with the faulty values a
+# "bad-entry" fault plants there: a non-finite number anywhere; what is no
+# JSON number in a preparation ensemble; a quantum state's `re` or `im` of
+# the wrong length.
 CLASSIFY_ENTRIES = {
-    "empirical": [("model", "tables", "A0,B0", "0,0"),
-                  ("model", "tables", "A1,B1", "1,0")],
-    "quantum": [("state", "re", 0), ("state", "im", 3), ("state", "rows"),
-                ("contexts", 0, 0, "projectors", 0, "re", 0),
-                ("contexts", 0, 0, "projectors", 1, "im", 1)],
-    "gpt": [("gpt", "states", 0, 0), ("gpt", "effects", 1, 1), ("gpt", "unit", 0),
-            ("gpt", "dim")],
-    "prep-ensemble": [("r",), ("axis", 0), ("axis", 2)],
+    "empirical": [(("model", "tables", "A0,B0", "0,0"), NON_FINITE),
+                  (("model", "tables", "A1,B1", "1,0"), NON_FINITE)],
+    "quantum": [(("state", "re", 0), NON_FINITE), (("state", "im", 3), NON_FINITE),
+                (("state", "rows"), NON_FINITE + (0,)),
+                (("contexts", 0, 0, "projectors", 0, "re", 0), NON_FINITE),
+                (("contexts", 0, 0, "projectors", 1, "im", 1), NON_FINITE),
+                (("state", "re"), ([0.5, 0, 0], [0.5, 0, 0, 0.5, 0])),
+                (("state", "im"), ([0.0], []))],
+    "gpt": [(("gpt", "states", 0, 0), NON_FINITE), (("gpt", "effects", 1, 1), NON_FINITE),
+            (("gpt", "unit", 0), NON_FINITE), (("gpt", "dim"), NON_FINITE)],
+    "prep-ensemble": [(("r",), NON_FINITE)]
+                     + [(("axis", k), NON_FINITE + (None, "a", True)) for k in (0, 2)],
 }
 CLASSIFY_FAULTS = ("not-json", "not-object", "unknown-kind", "missing-kind",
-                   "missing-key", "non-finite")
+                   "missing-key", "bad-entry")
 
 
 def oversized_document(n: int, exact: bool) -> dict:
@@ -1830,6 +1839,13 @@ def oversized_document(n: int, exact: bool) -> dict:
         "tables": {f"{labels[i]},{labels[(i + 1) % n]}":
                    {f"{a},{b}": value for a in (0, 1) for b in (0, 1)}
                    for i in range(n)}}}
+
+
+def reach(doc, keys):
+    """The value at the path ``keys`` of ``doc``."""
+    for key in keys:
+        doc = doc[key]
+    return doc
 
 
 @st.composite
@@ -1854,17 +1870,12 @@ def classify_documents(draw):
             [None, 5, "", "Empirical", "bell", [], {}, True]))
     elif fault == "missing-kind":
         del doc["kind"]
-    elif fault in ("missing-key", "non-finite"):
-        table = CLASSIFY_KEYS if fault == "missing-key" else CLASSIFY_ENTRIES
-        *parents, last = draw(st.sampled_from(table[kind]))
-        target = doc
-        for key in parents:
-            target = target[key]
-        if fault == "missing-key":
-            del target[last]
-        else:
-            target[last] = draw(st.sampled_from(
-                [float("nan"), float("inf"), -float("inf")]))
+    elif fault == "missing-key":
+        *parents, last = draw(st.sampled_from(CLASSIFY_KEYS[kind]))
+        del reach(doc, parents)[last]
+    elif fault == "bad-entry":
+        (*parents, last), values = draw(st.sampled_from(CLASSIFY_ENTRIES[kind]))
+        reach(doc, parents)[last] = draw(st.sampled_from(values))
     return fault, json.dumps(doc)
 
 
@@ -2270,4 +2281,6 @@ class TestDocumentEncoding:
         path = tmp_path / "doc.json"
         path.write_bytes(b'{"kind": "empirical", "label": "\xff\xfe\xfd"}')
         require(main(["classify", str(path)]) == 2, "not refused")
-        require("can't decode" in capsys.readouterr().err, "the fault is not named")
+        err = capsys.readouterr().err
+        require("can't decode" in err, "the fault is not named")
+        require(str(path) in err, "the path is not named")

@@ -93,6 +93,7 @@ from oracles import (
     reference_hulls_intersect,
     reference_incidence_rows,
     reference_sharp_mixture,
+    reference_solve_eq_nonneg,
     require,
     shared_atom_gpt,
 )
@@ -1154,54 +1155,51 @@ class TestPrepNcCheck:
         assert result.verdict == "infeasible"
 
 
+SIX_DECOMPOSITION_ENSEMBLES = [
+    ("0", (0.0, 0.0, 1.0), None),
+    ("1/2", (0.0, 0.0, 1.0), None),
+    ("-2/5", (1.0, 1.0, 1.0), None),
+    ("3/4", (0.0, 1.0, 0.0), "1/3"),
+    ("1/3", (1.0, 2.0, 2.0), None),
+]
+
+
 class TestPrepPatternSystem:
-    """`prep_nc_check` builds its exact system once and solves each pattern
-    over the alive columns; every case must be the solve of the system that
-    `_pattern_system` builds for that pattern alone, certificate for
-    certificate."""
+    """`prep_nc_check` builds its exact system once and decides each pattern
+    over the alive columns: by an exact span certificate from one
+    elimination, or by the LP when b lies in the columns' span.  Each case
+    is checked against the system that `_pattern_system` builds for that
+    pattern alone, by computations that share no package solver code: its
+    verdict and any primal must be those of the reference simplex
+    (`reference_solve_eq_nonneg`), and its Farkas vector is multiplied by
+    hand against those rows."""
 
     @staticmethod
-    def require_cases_match_per_pattern_solves(problem):
+    def require_cases_match_per_pattern_systems(problem):
         result = prep_nc_check(problem)
         patterns = list(itertools.product(*problem.orthogonal_pairs))
         require(len(result.cases) == len(patterns) == 16,
                 f"{len(result.cases)} cases")
         for case, dead in zip(result.cases, patterns):
             _, rows, rhs = embedding._pattern_system(problem, dead)
-            res = solve_eq_nonneg(columns_from_rows(rows), rhs)
+            ref = reference_solve_eq_nonneg(rows, rhs)
             require(case.dead == dead, f"case order: {case.dead} for {dead}")
-            require(case.feasible == res.feasible, f"{dead}: verdict")
-            require(case.solution == (res.x if res.feasible else None),
-                    f"{dead}: primal {case.solution} against {res.x}")
-            require(case.farkas == (None if res.feasible else res.farkas),
-                    f"{dead}: Farkas {case.farkas} against {res.farkas}")
+            require(case.feasible == ref.feasible, f"{dead}: verdict")
+            if case.feasible:
+                require(case.solution == ref.x and case.farkas is None,
+                        f"{dead}: primal {case.solution} against {ref.x}")
+                continue
+            y = case.farkas
+            require(case.solution is None and len(y) == len(rows), f"{dead}: {y}")
+            scores = [sum(y[i] * row[j] for i, row in enumerate(rows))
+                      for j in range(len(rows[0]))]
+            require(all(s <= 0 for s in scores), f"{dead}: y·a_j = {scores}")
+            require(sum(yi * bi for yi, bi in zip(y, rhs)) > 0, f"{dead}: y·b <= 0")
         return result
 
-    @pytest.mark.parametrize("r, axis, q", [
-        ("0", (0.0, 0.0, 1.0), None),
-        ("1/2", (0.0, 0.0, 1.0), None),
-        ("-2/5", (1.0, 1.0, 1.0), None),
-        ("3/4", (0.0, 1.0, 0.0), "1/3"),
-        ("1/3", (1.0, 2.0, 2.0), None),
-    ])
-    def test_each_case_is_its_own_pattern_solve(self, r, axis, q):
-        problem = qubit_prep_ensemble(Fraction(r), axis=axis,
-                                      q=None if q is None else Fraction(q))
-        result = self.require_cases_match_per_pattern_solves(problem)
-        require(result.verdict == "infeasible", f"r = {r}: {result.verdict}")
-
-    def test_feasible_cases_of_one_decomposition(self):
-        problem = qubit_prep_ensemble(Fraction(2, 7), axis=(1.0, 0.0, 0.0))
-        single = PrepEnsembleProblem(problem.target, problem.q,
-                                     problem.component_states,
-                                     problem.decompositions[:1],
-                                     problem.orthogonal_pairs)
-        result = self.require_cases_match_per_pattern_solves(single)
-        require(any(case.feasible for case in result.cases), "no feasible case")
-
-    def test_pattern_lps_share_the_cleared_columns(self, monkeypatch):
-        # 16 pattern LPs of 4 alive components each read the 8 integral
-        # columns of the shared system, not 64 fresh ones.
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
+        """The systems `prep_nc_check` hands to the LP kernel, as it runs."""
         solved = []
 
         def recording_solve(a, b):
@@ -1209,12 +1207,36 @@ class TestPrepPatternSystem:
             return solve_eq_nonneg(a, b)
 
         monkeypatch.setattr(embedding, "solve_eq_nonneg", recording_solve)
-        prep_nc_check(qubit_prep_ensemble(Fraction(1, 3)))
-        columns = [a.column(j) for a in solved for j in range(a.n)]
-        require(len(solved) == 16 and len(columns) == 64,
-                f"{len(solved)} LPs over {len(columns)} columns")
-        require(len({id(col) for col in columns}) == 8,
-                f"{len({id(col) for col in columns})} distinct integral columns")
+        return solved
+
+    @staticmethod
+    def ensemble(r, axis, q) -> PrepEnsembleProblem:
+        return qubit_prep_ensemble(Fraction(r), axis=axis, q=None if q is None else Fraction(q))
+
+    @pytest.mark.parametrize("r, axis, q", SIX_DECOMPOSITION_ENSEMBLES)
+    def test_each_case_is_its_own_pattern_solve(self, r, axis, q):
+        problem = self.ensemble(r, axis, q)
+        result = self.require_cases_match_per_pattern_systems(problem)
+        require(result.verdict == "infeasible", f"r = {r}: {result.verdict}")
+
+    def test_feasible_cases_of_one_decomposition(self, monkeypatch):
+        # One decomposition puts b in the span of every pattern's columns,
+        # so each pattern falls back to the LP.
+        problem = qubit_prep_ensemble(Fraction(2, 7), axis=(1.0, 0.0, 0.0))
+        single = PrepEnsembleProblem(problem.target, problem.q,
+                                     problem.component_states,
+                                     problem.decompositions[:1],
+                                     problem.orthogonal_pairs)
+        solved = self.kernel_calls(monkeypatch)
+        result = self.require_cases_match_per_pattern_systems(single)
+        require(any(case.feasible for case in result.cases), "no feasible case")
+        require(len(solved) == 16, f"{len(solved)} kernel calls")
+
+    def test_six_decompositions_make_no_kernel_call(self, monkeypatch):
+        solved = self.kernel_calls(monkeypatch)
+        for params in SIX_DECOMPOSITION_ENSEMBLES:
+            prep_nc_check(self.ensemble(*params))
+        require(solved == [], f"{len(solved)} kernel calls")
 
 
 def dense_rows(a):
